@@ -28,7 +28,7 @@ lam = nondecomposable_map()
 
 print("== Feasibility fails on the shipped map ==")
 feas = dykstra_feasibility(lam.choi.copy(), d, cfg)
-print(f"converged: {feas.converged}, residual {feas.residual:.4f} after {feas.iterations} iterations")
+print(f"converged: {feas.converged} ({feas.stop}), residual {feas.residual:.4f} after {feas.iterations} iterations")
 
 print("\n== Witness extraction ==")
 wit = witness_search(lam.choi.copy(), d, cfg, seed=1)

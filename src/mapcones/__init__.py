@@ -7,8 +7,10 @@ The package provides:
 * ``choi``     maps stored as Choi matrices: actions, adjoints, transpose
   conjugates, compositions, induced functionals, trace pairings;
 * ``cones``    membership oracles with certificates for the cp / cop /
-  decomposable / PPT / separable / block-positive cones, Dykstra
-  alternating-projection feasibility, and PPT witness extraction;
+  decomposable / PPT / separable / block-positive cones, alternating-
+  projection feasibility for the ``e`` cone (``dykstra_feasibility``, a
+  name kept for API stability), Dykstra projection onto the PPT cone,
+  and PPT witness extraction;
 * ``fixtures`` a positive non-decomposable map on M_3 with a companion
   PPT entangled state certifying it;
 * ``sampling`` seeded generators of cone elements and probe operators;

@@ -26,13 +26,15 @@ that cannot be certified either way within the iteration budget come
 back UNDECIDED rather than forced; values within ten times the tolerance
 of a decision threshold are treated as boundary cases.
 
-The feasibility engine is Dykstra's alternating projection scheme: the
-``e`` cone is an intersection of a product PSD cone with an affine
-subspace whose projections are closed-form, and the ``f`` cone is an
-intersection of two spectrally projectable cones.  When the ``e``
-feasibility problem is infeasible the limiting gap between the two sets
-is itself (up to sign and scale) a PPT witness, which seeds the
-projected-subgradient witness search.
+The ``e`` cone is an intersection of a product PSD cone with an affine
+subspace whose projections are closed-form; membership is a feasibility
+question, answered by plain alternating projections between the two
+(``dykstra_feasibility``, a name kept for API stability).  When the
+problem is infeasible the limiting gap between the two sets is itself
+(up to sign and scale) a PPT witness, which seeds the
+projected-subgradient witness search.  The ``f`` cone is an intersection
+of two spectrally projectable cones; ``project_F`` needs the nearest
+point of it and so uses Dykstra's scheme.
 """
 
 from __future__ import annotations
@@ -187,9 +189,12 @@ class Verdict:
 class DykstraConfig:
     """Iteration policy for the alternating-projection engines.
 
-    ``tol`` is relative (thresholds scale with 1 + ||x||_F); ``stall_window``
-    is the number of iterations without relative residual improvement after
-    which a feasibility run stops and reports its gap estimate.
+    Used by the plain alternating projections of ``dykstra_feasibility``
+    and by Dykstra's scheme in ``project_F``; the name is kept for API
+    stability.  ``tol`` is relative (thresholds scale with 1 + ||x||_F);
+    ``stall_window`` is the number of iterations without relative residual
+    improvement after which a feasibility run stops and reports its gap
+    estimate.
     """
 
     tol: float = 1e-9
@@ -274,7 +279,7 @@ def is_ppt_state(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Dykstra feasibility for the decomposable-operator cone
+# alternating-projection feasibility for the decomposable-operator cone
 # ---------------------------------------------------------------------------
 
 
@@ -282,9 +287,13 @@ def is_ppt_state(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
 class FeasibilityResult:
     """Outcome of the split-feasibility run for x ~ A + PT(B), A, B PSD.
 
-    ``gap`` is an estimate of the limiting separation direction when the
-    problem is infeasible; negated and normalized it is a PPT witness
-    candidate.  ``gap`` is None when the run converged.
+    ``stop`` says why the run ended: ``"converged"`` (residual within
+    tolerance), ``"stalled"`` (no relative improvement over a stall
+    window) or ``"max_iters"`` (iteration budget spent).  ``gap`` is an
+    estimate of the limiting separation direction when the problem looks
+    infeasible; negated and normalized it is a PPT witness candidate.
+    ``gap`` is None when the run converged or ran out of iterations
+    within ten times the tolerance.
     """
 
     a: np.ndarray
@@ -293,66 +302,55 @@ class FeasibilityResult:
     iterations: int
     converged: bool
     gap: Optional[np.ndarray] = None
+    stop: str = "converged"
 
 
 def dykstra_feasibility(x: np.ndarray, d: Dims, cfg: DykstraConfig = DykstraConfig()) -> FeasibilityResult:
     """Search for A, B PSD with A + PT(B) = x by alternating projections.
 
-    Projections alternate between the affine set {(A, B): A + PT(B) = x}
-    and the product cone PSD x PSD, with Dykstra correction terms on the
-    cone step (the affine step needs none).  On stall the gap direction
-    is refined with a short plain alternating-projection tail.
+    Plain alternating projections (no Dykstra corrections) between the
+    affine set {(A, B): A + PT(B) = x} and the product cone PSD x PSD:
+    membership needs some point of the intersection, not the nearest one.
+    The name is kept for API stability; ``project_F``, which does need
+    the nearest point, still uses Dykstra's scheme.
+
+    When the run stalls or exhausts its budget, the last difference
+    between the affine point and its cone projection has the form
+    (w, PT(w)) with w and PT(w) negative semidefinite and Tr(w x) > 0;
+    it is returned as the gap direction.
     """
     d = Dims(*d)
     x = hermitian_part(as_operator(x))
     scale = 1.0 + frob(x)
     a = psd_project(x)
     b = np.zeros_like(x)
-    corr_a = np.zeros_like(x)
-    corr_b = np.zeros_like(x)
+    r = x - a
 
     best = np.inf
     window_best = np.inf
-    it = 0
-    stalled = False
+    stop = "max_iters"
     for it in range(1, cfg.max_iters + 1):
-        r = x - a - partial_transpose(b, d)
         a_aff = a + r / 2
         b_aff = b + partial_transpose(r, d) / 2
-        ta = a_aff + corr_a
-        tb = b_aff + corr_b
-        a = psd_project(ta)
-        b = psd_project(tb)
-        corr_a = ta - a
-        corr_b = tb - b
-        res = frob(x - a - partial_transpose(b, d))
+        a = psd_project(a_aff)
+        b = psd_project(b_aff)
+        r = x - a - partial_transpose(b, d)
+        res = frob(r)
         best = min(best, res)
         if res <= cfg.tol * scale:
             return FeasibilityResult(a, b, res, it, True)
         if it % cfg.stall_window == 0:
             if best > 0.99 * window_best:
-                stalled = True
+                stop = "stalled"
                 break
             window_best = best
-    if not stalled and best <= 10 * cfg.tol * scale:
+    if stop == "max_iters" and best <= 10 * cfg.tol * scale:
         # ran out of iterations while still improving slowly
-        return FeasibilityResult(a, b, best, it, False)
+        return FeasibilityResult(a, b, best, it, False, stop=stop)
 
-    # plain alternating-projection tail: the limiting difference between
-    # the affine point and its cone projection has the form (w, PT(w))
-    # with w and PT(w) negative semidefinite, and Tr(w x) > 0
-    for _ in range(min(200, cfg.stall_window)):
-        r = x - a - partial_transpose(b, d)
-        a_aff = a + r / 2
-        b_aff = b + partial_transpose(r, d) / 2
-        a = psd_project(a_aff)
-        b = psd_project(b_aff)
-    gap_a = a_aff - a
-    gap_b = b_aff - b
-    w = hermitian_part((gap_a + partial_transpose(gap_b, d)) / 2)
-    res = frob(x - a - partial_transpose(b, d))
+    w = hermitian_part(((a_aff - a) + partial_transpose(b_aff - b, d)) / 2)
     gap = None if frob(w) <= 1e-14 * scale else w
-    return FeasibilityResult(a, b, res, it, False, gap)
+    return FeasibilityResult(a, b, res, it, False, gap, stop)
 
 
 def _pt_psd_project(x: np.ndarray, d: Dims) -> np.ndarray:
@@ -511,22 +509,21 @@ def in_E(
 
     IN comes with the decomposition, OUT with a PPT witness w such that
     Tr(w x) < 0, and boundary or exhausted runs come back UNDECIDED.
+    ``info`` carries the feasibility run's residual, iterations and stop
+    reason on every status.
     """
     d = Dims(*d)
     x = check_hermitian(as_operator(x), cfg.tol)
     scale = 1.0 + frob(x)
     feas = dykstra_feasibility(x, d, cfg)
+    info = {"residual": feas.residual, "iterations": feas.iterations, "stop": feas.stop}
     if feas.converged and feas.residual <= cfg.tol * scale:
         cert = Decomposition(feas.a, feas.b, feas.residual)
-        return Verdict(Status.IN, cert, info={"iterations": feas.iterations})
+        return Verdict(Status.IN, cert, info=info)
     wit = witness_search(x, d, cfg, restarts=restarts, seed=seed, feasibility=feas)
     if wit is not None and wit.value <= -10 * cfg.tol * scale:
-        return Verdict(Status.OUT, wit, info={"residual": feas.residual})
-    info = {
-        "residual": feas.residual,
-        "iterations": feas.iterations,
-        "witness_value": None if wit is None else wit.value,
-    }
+        return Verdict(Status.OUT, wit, info=info)
+    info["witness_value"] = None if wit is None else wit.value
     return Verdict(Status.UNDECIDED, info=info)
 
 

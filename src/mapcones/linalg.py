@@ -151,10 +151,16 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
 def check_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Return the Hermitian part of x; raise if x is not Hermitian within tol.
 
-    The gate is relative: ||x - x*||_F <= tol * (1 + ||x||_F).
+    The gate is relative: ||x - x*||_F <= tol * (1 + ||x||_F).  A norm that
+    overflows to infinity is rejected too, since every threshold scaled by
+    it would become infinite.
     """
+    with np.errstate(over="ignore"):
+        norm = frob(x)
+    if not np.isfinite(norm):
+        raise ValueError("matrix norm is not finite: entries too large to gate")
     dev = frob(x - x.conj().T)
-    if dev > tol * (1.0 + frob(x)):
+    if dev > tol * (1.0 + norm):
         raise ValueError(
             f"matrix is not Hermitian: ||x - x*||_F = {dev:.3e} exceeds tolerance"
         )

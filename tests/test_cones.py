@@ -94,6 +94,18 @@ class TestSpectralCones:
             assert is_cp(phi).status == is_cop(t_phi).status
 
 
+class TestOverflowingScale:
+    def test_oracles_reject_infinite_norm(self):
+        # ||x||_F overflows to inf, which would make every threshold -inf
+        # and every oracle answer IN
+        phi = map_from_choi(2, 2, -1e155 * np.eye(4))
+        for oracle in (is_cp, is_decomposable):
+            with pytest.raises(ValueError):
+                oracle(phi)
+        with pytest.raises(ValueError):
+            in_F(phi.choi, D22)
+
+
 class TestPCone:
     def test_depolarizing_in_p(self):
         from mapcones.choi import depolarizing_map
@@ -149,7 +161,7 @@ class TestDykstraFeasibility:
         g = rng(56)
         x = random_psd(g, 9)
         res = dykstra_feasibility(x, D33, CFG)
-        assert res.converged
+        assert res.converged and res.stop == "converged" and res.gap is None
         assert res.iterations <= 5
         assert frob(res.b) <= 1e-8 * (1 + frob(x))
 
@@ -160,6 +172,13 @@ class TestDykstraFeasibility:
         assert res.converged
         assert res.residual <= CFG.tol * (1 + frob(x))
         assert is_psd(res.a)[0] and is_psd(res.b)[0]
+
+    def test_stall_and_budget_stops(self):
+        x = nondecomposable_map().choi.copy()
+        res = dykstra_feasibility(x, D33, CFG)
+        assert res.stop == "stalled" and not res.converged and res.gap is not None
+        res = dykstra_feasibility(x, D33, DykstraConfig(max_iters=7))
+        assert res.stop == "max_iters" and res.iterations == 7 and res.gap is not None
 
     def test_infeasible_reports_gap(self):
         g = rng(58)
@@ -222,6 +241,44 @@ class TestInE:
         assert is_psd(cert.a, tol=1e-8)[0] and is_psd(cert.b, tol=1e-8)[0]
         resid = frob(x - cert.a - partial_transpose(cert.b, D33))
         assert resid <= CFG.tol * (1 + frob(x))
+
+    @pytest.mark.parametrize("dims, seed", [((2, 4), 6), ((4, 4), 2)])
+    def test_lowrank_interior_point_in(self, dims, seed):
+        # A + PT(B) + 0.01 Tr/nm I with A, B of rank 1..3: interior points
+        # close to the boundary, slow for the feasibility loop, which must
+        # still reach a decomposition within its default budget
+        d = Dims(*dims)
+        nm = d.total
+        g = rng(seed)
+
+        def low_rank_psd():
+            k = int(g.integers(1, 4))
+            f = g.normal(size=(nm, k)) + 1j * g.normal(size=(nm, k))
+            return f @ f.conj().T
+
+        x = low_rank_psd() + partial_transpose(low_rank_psd(), d)
+        x = x + 0.01 * np.trace(x).real / nm * np.eye(nm)
+        x *= nm / np.trace(x).real
+        v = in_E(x, d, CFG)
+        assert v.status is Status.IN
+        cert = v.certificate
+        assert isinstance(cert, Decomposition)
+        assert is_psd(cert.a, tol=1e-8)[0] and is_psd(cert.b, tol=1e-8)[0]
+        resid = frob(x - cert.a - partial_transpose(cert.b, d))
+        assert resid <= CFG.tol * (1 + frob(x))
+
+    def test_solver_stats_on_every_status(self):
+        lam = nondecomposable_map()
+        cases = [
+            (np.eye(9), CFG, Status.IN, "converged"),
+            (lam.choi.copy(), CFG, Status.OUT, "stalled"),
+            (lam.choi + 0.3 * np.eye(9), DykstraConfig(max_iters=5), Status.UNDECIDED, "max_iters"),
+        ]
+        for x, cfg, status, stop in cases:
+            v = in_E(x, D33, cfg, seed=2)
+            assert v.status is status
+            assert v.info["stop"] == stop
+            assert 1 <= v.info["iterations"] <= cfg.max_iters
 
     def test_choi_fixture_out_with_witness(self):
         lam = nondecomposable_map()

@@ -17,6 +17,7 @@ from mapcones.linalg import (
     Dims,
     as_operator,
     both_transpose,
+    check_hermitian,
     conj_transpose,
     eig_hermitian,
     frob,
@@ -241,6 +242,10 @@ class TestValidation:
         x[0, 0] = np.nan
         with pytest.raises(ValueError):
             as_operator(x)
+
+    def test_hermitian_gate_rejects_overflowing_norm(self):
+        with pytest.raises(ValueError):
+            check_hermitian(1e155 * np.eye(4))
 
     def test_rejects_vector(self):
         with pytest.raises(ValueError):
