@@ -508,7 +508,9 @@ def in_E(
     """Membership in the cone of sums A + PT(B) with A, B PSD.
 
     IN comes with the decomposition, OUT with a PPT witness w such that
-    Tr(w x) < 0, and boundary or exhausted runs come back UNDECIDED.
+    Tr(w x) < 0, and boundary or exhausted runs come back UNDECIDED.  A
+    run that ends at ``max_iters`` within ten times the tolerance is
+    UNDECIDED without a witness search, which could not succeed there.
     ``info`` carries the feasibility run's residual, iterations and stop
     reason on every status.
     """
@@ -520,6 +522,11 @@ def in_E(
     if feas.converged and feas.residual <= cfg.tol * scale:
         cert = Decomposition(feas.a, feas.b, feas.residual)
         return Verdict(Status.IN, cert, info=info)
+    if feas.stop == "max_iters" and feas.gap is None:
+        # residual r within ten times the tolerance: every trace-one PPT w
+        # has Tr(w x) >= Tr(w r) >= -||r||_F, so no witness clears the band
+        info["witness_value"] = None
+        return Verdict(Status.UNDECIDED, info=info)
     wit = witness_search(x, d, cfg, restarts=restarts, seed=seed, feasibility=feas)
     if wit is not None and wit.value <= -10 * cfg.tol * scale:
         return Verdict(Status.OUT, wit, info=info)
@@ -563,66 +570,88 @@ def _swap_factors(x: np.ndarray, d: Dims) -> np.ndarray:
     return x.reshape(n, m, n, m).transpose(1, 0, 3, 2).reshape(n * m, n * m)
 
 
-def _product_candidates(rho: np.ndarray, d: Dims, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Candidate pure product factors for a separable decomposition."""
+def _product_candidates(rho: np.ndarray, d: Dims) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pure product factors for a separable decomposition.
+
+    Returns arrays of shape (K, n) and (K, m) whose rows k pair up as the
+    k-th product vector.  The 2n^2 left factors are the eigenvectors of
+    the left marginal, the unit vectors, and the phase pairs
+    (b_i + b_j) / sqrt 2 and (b_i + i b_j) / sqrt 2 over both bases; the
+    2m^2 right factors likewise.  Every left factor is paired with every
+    right one, so K = 4 (nm)^2.
+    """
     n, m = d
     left = partial_trace(rho, d, 2)
     right = partial_trace(rho, d, 1)
     lv = np.linalg.eigh(hermitian_part(left))[1]
     rv = np.linalg.eigh(hermitian_part(right))[1]
 
-    def units(dim):
-        return [np.eye(dim, dtype=np.complex128)[:, [k]] for k in range(dim)]
+    def factors(eigvecs):
+        dim = eigvecs.shape[0]
+        eye = np.eye(dim, dtype=np.complex128)
+        rows = [eigvecs.T, eye]
+        # phase combinations capture off-diagonal coherences of the marginals
+        i, j = np.triu_indices(dim, 1)
+        for base in (eigvecs, eye):
+            s, t = base[:, i], base[:, j]
+            pairs = np.stack([s + t, s + 1j * t], axis=-1) / np.sqrt(2)
+            rows.append(pairs.reshape(dim, -1).T)
+        return np.concatenate(rows)
 
-    lefts = [lv[:, [k]] for k in range(n)] + units(n)
-    rights = [rv[:, [k]] for k in range(m)] + units(m)
-    # phase combinations capture off-diagonal coherences of the marginals
-    for base in (lv, np.eye(n, dtype=np.complex128)):
-        for i in range(n):
-            for j in range(i + 1, n):
-                for ph in (1.0, 1j):
-                    lefts.append((base[:, [i]] + ph * base[:, [j]]) / np.sqrt(2))
-    for base in (rv, np.eye(m, dtype=np.complex128)):
-        for i in range(m):
-            for j in range(i + 1, m):
-                for ph in (1.0, 1j):
-                    rights.append((base[:, [i]] + ph * base[:, [j]]) / np.sqrt(2))
-
-    pairs = [(a, b) for a in lefts for b in rights]
-    extra = 4 * (n * m) ** 2 - len(pairs)
-    for _ in range(max(extra, 0)):
-        a = rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
-        b = rng.normal(size=(m, 1)) + 1j * rng.normal(size=(m, 1))
-        pairs.append((a / np.linalg.norm(a), b / np.linalg.norm(b)))
-    return pairs
+    lefts, rights = factors(lv), factors(rv)
+    return np.repeat(lefts, len(rights), axis=0), np.tile(rights, (len(lefts), 1))
 
 
-def _decomposition_fit(rho: np.ndarray, d: Dims, tol: float, rng: np.random.Generator) -> Optional[SeparableDecomposition]:
-    """Nonnegative least-squares fit of rho by sampled product states."""
+def _hermitian_coordinates(h: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian matrices over their last two axes.
+
+    The diagonal, then sqrt 2 Re and sqrt 2 Im of the strict upper
+    triangle: N^2 reals for an N x N matrix, whose dot product is
+    Re Tr(A B) on Hermitian A, B.
+    """
+    i, j = np.triu_indices(h.shape[-1], 1)
+    upper = h[..., i, j] * np.sqrt(2)
+    return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
+
+
+def _decomposition_fit(rho: np.ndarray, d: Dims, tol: float) -> tuple[Optional[SeparableDecomposition], dict]:
+    """Nonnegative least-squares fit of rho by a fixed product-state dictionary.
+
+    The dictionary holds the K = 4 (nm)^2 pure product states of
+    ``_product_candidates``.  NNLS runs in the real coordinates of
+    ``_hermitian_coordinates`` ((nm)^2 rows), which preserve the Frobenius
+    inner product, so its residual norm is ||sum_k w_k P_k - rho||_F.
+    Returns the decomposition (None unless the residual is within
+    tolerance) and ``info`` with the dictionary size and the residual
+    (None when NNLS hit its iteration cap).
+    """
     from scipy.optimize import nnls
 
-    pairs = _product_candidates(rho, d, rng)
-    cols = []
-    for a, b in pairs:
-        pa = a @ a.conj().T
-        pb = b @ b.conj().T
-        v = np.kron(pa, pb).ravel()
-        cols.append(np.concatenate([v.real, v.imag]))
-    mat = np.array(cols).T
-    target = np.concatenate([rho.ravel().real, rho.ravel().imag])
+    n, m = d
+    a, b = _product_candidates(rho, d)
+    pa = a[:, :, None] * a.conj()[:, None, :]
+    pb = b[:, :, None] * b.conj()[:, None, :]
+    # the stack of product states is not bound to a name, so it is freed
+    # before NNLS runs; only its coordinates are kept
+    mat = _hermitian_coordinates(
+        (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(len(a), n * m, n * m)
+    ).T
+    info = {"dictionary": len(a), "fit_residual": None}
     try:
-        weights, rnorm = nnls(mat, target, maxiter=10 * mat.shape[1])
+        weights, rnorm = nnls(mat, _hermitian_coordinates(rho), maxiter=10 * mat.shape[1])
     except RuntimeError:
-        return None
+        return None, info
+    info["fit_residual"] = float(rnorm)
     if rnorm > tol * (1.0 + frob(rho)):
-        return None
+        return None, info
     keep = weights > 1e-14
-    return SeparableDecomposition(
+    dec = SeparableDecomposition(
         weights=weights[keep],
-        left=tuple(a @ a.conj().T for (a, _), k in zip(pairs, keep) if k),
-        right=tuple(b @ b.conj().T for (_, b), k in zip(pairs, keep) if k),
+        left=tuple(pa[keep]),
+        right=tuple(pb[keep]),
         residual=float(rnorm),
     )
+    return dec, info
 
 
 def _positive_map_detection(rho: np.ndarray, d: Dims, tol: float) -> Optional[tuple[np.ndarray, float]]:
@@ -657,7 +686,9 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9, seed: int = 0) -> 
     question.  Elsewhere: a failed PPT test is a certified OUT, a
     successful nonnegative product-state fit is a certified IN, a
     positive-map detection is a certified OUT, and anything else is
-    UNDECIDED.
+    UNDECIDED.  Whenever the fit ran, ``info`` carries the ``dictionary``
+    size and the NNLS ``fit_residual``.  The dictionary is deterministic,
+    so ``seed`` (kept for API stability) does not affect the verdict.
     """
     d = Dims(*d).validate()
     rho = as_operator(rho)
@@ -676,15 +707,14 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9, seed: int = 0) -> 
     if tuple(sorted(d)) in _EXACT_PPT_DIMS:
         return Verdict(Status.IN, ppt.certificate, info={"regime": "ppt-exact"})
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5E9A)))
-    dec = _decomposition_fit(rho, d, tol, rng)
+    dec, fit = _decomposition_fit(rho, d, tol)
     if dec is not None:
-        return Verdict(Status.IN, dec)
+        return Verdict(Status.IN, dec, info=fit)
     det = _positive_map_detection(rho, d, tol)
     if det is not None:
         wit, value = det
-        return Verdict(Status.OUT, wit, info={"detection_value": value})
-    return Verdict(Status.UNDECIDED, info={"ppt": "passed"})
+        return Verdict(Status.OUT, wit, info={"detection_value": value, **fit})
+    return Verdict(Status.UNDECIDED, info={"ppt": "passed", **fit})
 
 
 def in_S(phi: MapRep, tol: float = 1e-9, seed: int = 0) -> Verdict:
@@ -701,21 +731,54 @@ def in_S(phi: MapRep, tol: float = 1e-9, seed: int = 0) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _seesaw_once(x4: np.ndarray, xi: np.ndarray, iters: int = 60) -> tuple[np.ndarray, np.ndarray, float]:
-    val = np.inf
-    eta = None
-    for _ in range(iters):
-        a = np.einsum("i,irjs,j->rs", xi.conj(), x4, xi)
-        w, u = np.linalg.eigh(hermitian_part(a))
-        eta = u[:, 0]
-        b = np.einsum("r,irjs,s->ij", eta.conj(), x4, eta)
-        w2, u2 = np.linalg.eigh(hermitian_part(b))
-        xi = u2[:, 0]
-        if w2[0] > val - 1e-15 * (1.0 + abs(val)):
-            val = min(val, float(w2[0]))
+def _start_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """See-saw start vectors as rows: the unit vectors, then seeded random unit vectors."""
+    units = np.eye(n, dtype=np.complex128)[:count]
+    g = rng.normal(size=(max(count - n, 0), 2, n))
+    drawn = [v / np.linalg.norm(v) for v in g[:, 0] + 1j * g[:, 1]]
+    return np.concatenate([units, np.reshape(drawn, (-1, n))])
+
+
+def _seesaw(
+    x4: np.ndarray, xi: np.ndarray, stop_below: float, iters: int = 60
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """See-saw descent from every row of ``xi`` at once.
+
+    ``x4`` is the operator reshaped to (n, m, n, m) and ``xi`` holds start
+    vectors as rows.  A sweep takes, for each active row, the minimal
+    eigenvector eta of <xi| x |xi> and then the minimal eigenvector xi of
+    <eta| x |eta>, one batched ``eigh`` per half-step.  A row freezes when
+    its value stops improving.  The batch stops when every row is frozen,
+    after ``iters`` sweeps, or once some row's value is below
+    ``stop_below``; values never increase, so that row would end below it
+    too.  Returns the rows of xi and eta, their values
+    <xi (x) eta| x |xi (x) eta> and the number of sweeps run.
+    """
+    xi = np.array(xi, dtype=np.complex128)
+    eta = np.zeros((len(xi), x4.shape[1]), dtype=np.complex128)
+    val = np.full(len(xi), np.inf)
+    active = np.arange(len(xi))
+    sweeps = 0
+    while active.size and sweeps < iters:
+        sweeps += 1
+        x_a = xi[active]
+        # Hermitian forms up to rounding; eigh reads only their lower triangles
+        a = np.einsum("ki,irjs,kj->krs", x_a.conj(), x4, x_a)
+        e = np.linalg.eigh(a)[1][:, :, 0]
+        b = np.einsum("kr,irjs,ks->kij", e.conj(), x4, e)
+        w, u = np.linalg.eigh(b)
+        eta[active] = e
+        xi[active] = u[:, :, 0]
+        new, old = w[:, 0], val[active]
+        if sweeps == 1:  # no previous value to compare with
+            frozen = np.zeros(active.size, dtype=bool)
+        else:
+            frozen = new > old - 1e-15 * (1.0 + np.abs(old))
+        val[active] = np.where(frozen, np.minimum(old, new), new)
+        if val.min() < stop_below:
             break
-        val = float(w2[0])
-    return xi, eta, val
+        active = active[~frozen]
+    return xi, eta, val, sweeps
 
 
 def is_block_positive(
@@ -728,9 +791,13 @@ def is_block_positive(
     """Block positivity: <xi (x) eta| x |xi (x) eta> >= 0 for product vectors.
 
     See-saw minimization over product vectors: with one factor fixed the
-    optimal other factor is a minimal eigenvector.  A negative value is a
-    certified OUT; survival of all restarts is only a heuristic IN, since
-    the problem has no efficient exact certificate in general.
+    optimal other factor is a minimal eigenvector.  The ``restarts`` start
+    vectors (the unit vectors, then seeded random ones) descend as one
+    batch of at most 60 sweeps, which stops early once some value is
+    clearly negative.  A negative value is a certified OUT; survival of
+    all restarts is only a heuristic IN, since the problem has no
+    efficient exact certificate in general.  ``info`` carries the number
+    of ``sweeps`` run and the index of the winning ``restart``.
     """
     d = Dims(*d)
     n, m = d
@@ -741,24 +808,15 @@ def is_block_positive(
     x4 = x.reshape(n, m, n, m)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xB10C)))
 
-    best = np.inf
-    best_pair = None
-    for r in range(max(restarts, 1)):
-        if r < n:
-            xi = np.eye(n, dtype=np.complex128)[:, r]
-        else:
-            xi = rng.normal(size=n) + 1j * rng.normal(size=n)
-            xi = xi / np.linalg.norm(xi)
-        xi, eta, val = _seesaw_once(x4, xi)
-        if val < best:
-            best = val
-            best_pair = (xi, eta)
-        if best < -10 * tol * scale:
-            break
-    cert = ProductVectorCert(best_pair[0], best_pair[1], best)
+    starts = _start_vectors(n, max(restarts, 1), rng)
+    xi, eta, val, sweeps = _seesaw(x4, starts, -10 * tol * scale)
+    r = int(np.argmin(val))
+    best = float(val[r])
+    cert = ProductVectorCert(xi[r], eta[r], best)
+    info = {"restarts": restarts, "sweeps": sweeps, "restart": r}
     if best < -tol * scale:
-        return Verdict(Status.OUT, cert, info={"restarts": restarts})
-    return Verdict(Status.IN, cert, heuristic=True, info={"restarts": restarts, "best": best})
+        return Verdict(Status.OUT, cert, info=info)
+    return Verdict(Status.IN, cert, heuristic=True, info={**info, "best": best})
 
 
 def is_positive_map(

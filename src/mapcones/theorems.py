@@ -173,6 +173,9 @@ def _decide_e(x, d: Dims, cfg: DykstraConfig, seed: int, restarts: int = 2) -> _
     """
     scale = 1.0 + frob(x)
     feas = dykstra_feasibility(x, d, cfg)
+    if feas.stop == "max_iters" and feas.gap is None:
+        # within the band: no witness can clear it (see cones.in_E)
+        return _EDecision(None, None, feas.residual)
     primal_in = feas.converged and feas.residual <= cfg.tol * scale
     wit = witness_search(x, d, cfg, restarts=restarts, seed=seed, feasibility=feas)
     strong = wit is not None and wit.value <= -10 * cfg.tol * scale

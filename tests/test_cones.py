@@ -280,6 +280,38 @@ class TestInE:
             assert v.info["stop"] == stop
             assert 1 <= v.info["iterations"] <= cfg.max_iters
 
+    def test_band_max_iters_skips_witness_search(self, monkeypatch):
+        # a low-rank sum that a loose budget leaves at max_iters within ten
+        # times the tolerance: Tr(w x) >= -||r||_F for every trace-one PPT
+        # w, so a witness search cannot succeed and must not run
+        import mapcones.cones as cones_mod
+        import mapcones.theorems as theorems_mod
+
+        g = rng(0)
+
+        def low_rank_psd():
+            k = int(g.integers(1, 3))
+            f = g.normal(size=(4, k)) + 1j * g.normal(size=(4, k))
+            return f @ f.conj().T
+
+        x = low_rank_psd() + partial_transpose(low_rank_psd(), D22)
+        x *= 4 / np.trace(x).real
+        cfg = DykstraConfig(tol=1e-5, max_iters=200)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return witness_search(*args, **kwargs)
+
+        monkeypatch.setattr(cones_mod, "witness_search", counting)
+        monkeypatch.setattr(theorems_mod, "witness_search", counting)
+        v = in_E(x, D22, cfg)
+        assert v.status is Status.UNDECIDED
+        assert v.info["stop"] == "max_iters"
+        assert cfg.tol * (1 + frob(x)) < v.info["residual"] <= 10 * cfg.tol * (1 + frob(x))
+        assert theorems_mod._decide_e(x, D22, cfg, seed=0).membership is None
+        assert calls == []
+
     def test_choi_fixture_out_with_witness(self):
         lam = nondecomposable_map()
         v = in_E(lam.choi.copy(), D33, CFG, seed=2)

@@ -97,6 +97,16 @@ class TestCheckCommand:
     def test_unknown_cone(self, identity_file):
         assert main(["check", identity_file, "nosuchcone"]) == 66
 
+    def test_solver_info_printed(self, fixture_file, tmp_path, capsys):
+        assert main(["check", fixture_file, "pos"]) == 0
+        out = capsys.readouterr().out
+        assert "sweeps=" in out and "restart=" in out
+        mixed = tmp_path / "mixed.json"
+        save_matrix(mixed, 3, 3, np.eye(9))
+        assert main(["check", str(mixed), "sep"]) == 0
+        out = capsys.readouterr().out
+        assert "dictionary=324" in out and "fit_residual=" in out
+
 
 class TestPairCommand:
     def test_identity_pairing_value(self, tmp_path, capsys):
