@@ -39,7 +39,6 @@ from .cones import (
     is_positive_map,
     is_psd,
     is_separable,
-    witness_search,
 )
 from .io import MapFileError, load_matrix, save_matrix
 from .linalg import Dims, hermitian_part
@@ -172,19 +171,19 @@ def _cmd_witness(args) -> int:
     except MapFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    cfg = DykstraConfig(tol=args.tol)
     try:
-        wit = witness_search(mat, d, cfg, restarts=args.restarts, seed=args.seed)
+        v = in_E(mat, d, DykstraConfig(tol=args.tol), restarts=args.restarts, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMS
-    if wit is None:
-        v = in_E(mat, d, cfg, restarts=args.restarts, seed=args.seed)
-        if v.status is Status.UNDECIDED:
-            print("undecided")
-            return EXIT_UNDECIDED
+    # the witness is in_E's OUT certificate; IN means none exists
+    if v.status is Status.IN:
         print("none")
         return EXIT_OUT
+    if v.status is Status.UNDECIDED:
+        print("undecided")
+        return EXIT_UNDECIDED
+    wit = v.certificate
     out = args.out or (args.file + ".witness.json")
     save_matrix(out, d.n, d.m, wit.w)
     print(f"witness written to {out}; violation {wit.value:.12g}")

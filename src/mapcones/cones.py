@@ -417,6 +417,12 @@ def witness_search(
     iterate is re-projected at tight tolerance and returned only if its
     certificate re-validates; absence of a witness is a legitimate
     outcome, not an error.
+
+    Without ``feasibility`` a short probe run (at most 3000 iterations) is
+    made first.  If the feasibility run converged, None is returned at
+    once: then
+    x = A + PT(B) + r with ||r||_F <= tol * scale, so every trace-one PPT
+    w has Tr(w x) >= -||r||_F and no witness exists.
     """
     d = Dims(*d)
     x = check_hermitian(as_operator(x), cfg.tol)
@@ -429,6 +435,8 @@ def witness_search(
     if feas is None:
         probe_cfg = replace(cfg, max_iters=min(cfg.max_iters, 3000))
         feas = dykstra_feasibility(x, d, probe_cfg)
+    if feas.converged:
+        return None
     if feas.gap is not None:
         inits.append(-feas.gap)
     inits.append(-x)
@@ -440,14 +448,6 @@ def witness_search(
     best_w = None
     best_val = np.inf
     iters = max(200, min(cfg.max_iters // 10, 1200))
-    cycles = 5
-    if feas.converged:
-        # a converged decomposition rules out any valid witness: run a
-        # short confirmation sweep only (a wrong candidate cannot pass the
-        # certificate validation below, so shortening loses nothing)
-        iters = 60
-        inits = inits[:1]
-        cycles = 4
     clear_cut = -max(1e3 * cfg.tol * scale, 1e-4 * scale)
     for w0 in inits[: max(restarts, 1) + 1]:
         w = _project_f_trace(hermitian_part(w0), d, cycles=12)
@@ -470,7 +470,7 @@ def witness_search(
             if since_improve > 200:
                 break
             step = 0.7 / (grad_scale * np.sqrt(k))
-            w = _project_f_trace(w - step * x, d, cycles=cycles)
+            w = _project_f_trace(w - step * x, d, cycles=5)
         if best_val < clear_cut:
             break
 

@@ -10,9 +10,11 @@ disagreement beyond tolerance.  The four dual-cone conditions
     (iv)   complete positivity of all compositions with cone elements,
 
 are computed exactly for the cp / cop / p / d cones via the closed-form
-operator oracles (PSD, PT-PSD, the ``e`` feasibility engine, the ``f``
-spectra), and by sampling plus certificate-guided adversarial probes for
-everything else.  Quantities within ten times the tolerance of a
+operator oracles (PSD, PT-PSD, the ``f`` spectra, and ``cones.in_E`` for
+the ``e`` cone), and by sampling plus certificate-guided adversarial
+probes for everything else.  Every ``e``-cone decision is the status of
+one ``in_E`` call, whose OUT certificate is the PPT witness the suite
+builds its probes from.  Quantities within ten times the tolerance of a
 decision threshold mark the trial UNDECIDED; such trials are excluded
 from pass/fail accounting rather than silently counted as passes.
 
@@ -50,9 +52,8 @@ from .choi import (
 from .cones import (
     ConeId,
     DykstraConfig,
-    FWitness,
     Status,
-    dykstra_feasibility,
+    in_E,
     in_F,
     is_separable,
     pm_k_membership,
@@ -156,34 +157,9 @@ class Theorem1Conditions:
         return all(v == t[0] for v in t)
 
 
-@dataclass(frozen=True)
-class _EDecision:
-    membership: Optional[bool]
-    witness: Optional[FWitness]
-    residual: float
-
-
-def _decide_e(x, d: Dims, cfg: DykstraConfig, seed: int, restarts: int = 2) -> _EDecision:
-    """Primal-dual decision for the decomposable-operator cone.
-
-    Membership requires a converged decomposition; exclusion requires a
-    validated PPT witness with value beyond the boundary band.  Anything
-    else (including the structurally impossible case of both
-    certificates at once) is reported as None and excluded upstream.
-    """
-    scale = 1.0 + frob(x)
-    feas = dykstra_feasibility(x, d, cfg)
-    if feas.stop == "max_iters" and feas.gap is None:
-        # within the band: no witness can clear it (see cones.in_E)
-        return _EDecision(None, None, feas.residual)
-    primal_in = feas.converged and feas.residual <= cfg.tol * scale
-    wit = witness_search(x, d, cfg, restarts=restarts, seed=seed, feasibility=feas)
-    strong = wit is not None and wit.value <= -10 * cfg.tol * scale
-    if primal_in and not strong:
-        return _EDecision(True, wit, feas.residual)
-    if strong and not primal_in:
-        return _EDecision(False, wit, feas.residual)
-    return _EDecision(None, wit, feas.residual)
+def _suite_config(tol: float) -> DykstraConfig:
+    """Iteration budget of the ``in_E`` decisions in the T1, T12, T18 and C19 suites."""
+    return DykstraConfig(tol=tol, max_iters=8000, stall_window=400)
 
 
 def _witness_map(w: np.ndarray, d: Dims) -> MapRep:
@@ -209,7 +185,6 @@ def theorem1_conditions(
     tol: float = 1e-9,
     n_probes: int = 8,
     seed: int = 0,
-    cfg: Optional[DykstraConfig] = None,
     kd_samples: Optional[Sequence[MapRep]] = None,
 ) -> Theorem1Conditions:
     """Evaluate the four dual-cone conditions for one map and one cone.
@@ -218,7 +193,7 @@ def theorem1_conditions(
     (square maps on M_m); when omitted a small seeded pool with the
     canonical elements is drawn.  For the cp / cop / p / d cones the
     verdicts are exact: spectral for the first three families and via
-    the primal-dual feasibility engine for the p cone.
+    ``cones.in_E`` for the p cone.
     """
     if not cone.is_map_cone:
         raise ValueError(f"{cone} is not a map cone")
@@ -236,17 +211,13 @@ def theorem1_conditions(
         kd_samples = kd_generators(samples)
 
     if cone is ConeId.MAP_P:
-        return _theorem1_p_cone(phi, c, samples, tol, seed, cfg, rng, n_probes)
+        return _theorem1_p_cone(phi, c, samples, tol, seed, rng, n_probes)
 
     margins: dict[str, float] = {}
 
     # (ii) membership of the Choi matrix in the partner operator cone
-    if cone is ConeId.MAP_CP:
-        m2 = _min_eig(c)
-    elif cone is ConeId.MAP_COP:
-        m2 = _min_eig(partial_transpose(c, d))
-    elif cone is ConeId.MAP_D:
-        m2 = min(_min_eig(c), _min_eig(partial_transpose(c, d)))
+    if cone in _PARTNER:
+        m2 = _kpositivity_margin(_PARTNER[cone], c, d)
     else:
         # generic cone: sampled membership through the transposed samples
         m2 = np.inf
@@ -300,52 +271,52 @@ def _theorem1_p_cone(
     samples: Sequence[MapRep],
     tol: float,
     seed: int,
-    cfg: Optional[DykstraConfig],
     rng: np.random.Generator,
     n_probes: int,
 ) -> Theorem1Conditions:
-    """The p-cone instance, decided by the primal-dual feasibility engine.
+    """The p-cone instance, decided by ``cones.in_E``.
 
-    Both the Choi matrix and its full transpose are run through the
-    engine; condition (i) pairs against PPT Choi samples and the found
-    witness, condition (iii) evaluates the induced functional on probes
-    built from the constructive violating map, and condition (iv) checks
-    sampled compositions against the transposed run.
+    Both the Choi matrix and its full transpose go through ``in_E``; an
+    UNDECIDED or a disagreement marks the trial as boundary.  Condition
+    (i) pairs against PPT Choi samples and the OUT witness, condition
+    (iii) evaluates the induced functional on probes built from the
+    constructive violating map, and condition (iv) checks sampled
+    compositions against the transposed verdict.
     """
     d = phi.d
     n, m = d
     scale = 1.0 + frob(c)
     thr = tol * scale
     band = 10.0 * thr
-    cfg = cfg or DykstraConfig(tol=tol, max_iters=8000, stall_window=400)
+    cfg = _suite_config(tol)
 
-    dec_c = _decide_e(c, d, cfg, seed=seed * 2 + 1)
-    ct = both_transpose(c, d)
-    dec_t = _decide_e(ct, d, cfg, seed=seed * 2 + 2)
+    v_c = in_E(c, d, cfg, restarts=2, seed=seed * 2 + 1)
+    v_t = in_E(both_transpose(c, d), d, cfg, restarts=2, seed=seed * 2 + 2)
 
     margins: dict[str, float] = {
-        "residual": float(dec_c.residual),
-        "residual_t": float(dec_t.residual),
+        "residual": float(v_c.info["residual"]),
+        "residual_t": float(v_t.info["residual"]),
     }
-    if dec_c.membership is None or dec_t.membership is None or dec_c.membership != dec_t.membership:
+    if v_c.status is Status.UNDECIDED or v_c.status is not v_t.status:
         return Theorem1Conditions(False, False, False, False, True, margins)
+    out = v_c.status is Status.OUT
 
     # (i): pairings with PPT Choi matrices (the Chois of p-positive maps)
     m1 = np.inf
     for alpha in samples:
         g = alpha.choi / float(np.trace(alpha.choi).real)
         m1 = min(m1, pairing(phi, map_from_choi(n, m, g), tol=np.inf))
-    if dec_c.witness is not None:
-        m1 = min(m1, pairing(phi, map_from_choi(n, m, dec_c.witness.w), tol=np.inf))
+    if out:
+        m1 = min(m1, pairing(phi, map_from_choi(n, m, v_c.certificate.w), tol=np.inf))
     b1 = m1 >= -thr
 
     # (iii): functional positivity on (id (x) alpha*)(probe) constructions
     func = dual_functional(phi)
     m3 = np.inf
     probe_maps = list(samples[: max(n_probes, 2)])
-    if dec_t.witness is not None:
-        probe_maps.append(_witness_map(dec_t.witness.w, d))
-        m3 = min(m3, float(func(dec_t.witness.w).real))
+    if out:
+        probe_maps.append(_witness_map(v_t.certificate.w, d))
+        m3 = min(m3, float(func(v_t.certificate.w).real))
     for alpha in probe_maps:
         y = hermitian_part(apply_second(alpha, func.density, d))
         w_eig, u = np.linalg.eigh(y)
@@ -357,14 +328,14 @@ def _theorem1_p_cone(
     # (iv): sampled compositions, sharpened by the transposed-run verdict
     m4 = np.inf
     comp_maps = list(samples[: max(n_probes, 2)])
-    if dec_c.witness is not None:
-        comp_maps.append(transpose_conj(_witness_map(dec_c.witness.w, d)))
+    if out:
+        comp_maps.append(transpose_conj(_witness_map(v_c.certificate.w, d)))
     for alpha in comp_maps:
         comp = compose_left(transpose_conj(alpha), phi)
         m4 = min(m4, _min_eig(comp.choi))
-    b4 = (m4 >= -thr) and bool(dec_t.membership)
+    b4 = (m4 >= -thr) and not out
 
-    b2 = bool(dec_c.membership)
+    b2 = not out
     margins.update({"i": float(m1), "iii": float(m3), "iv": float(m4)})
     boundary = any(abs(margins[k]) <= band for k in ("i", "iii", "iv"))
     return Theorem1Conditions(b1, b2, b3, b4, boundary, margins)
@@ -715,10 +686,10 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             x = random_psd(rng, d.total) + partial_transpose(random_psd(rng, d.total), d)
             x /= frob(x)
             scale = 1.0 + frob(x)
-            feas = dykstra_feasibility(x, d, cfg)
+            v = in_E(x, d, cfg, restarts=2, seed=seed + trial)
             report.checks += 1
-            if not (feas.converged and feas.residual <= cfg.tol * scale):
-                report.record_failure(trial, "constructed decomposition not recovered", feas.residual)
+            if v.status is not Status.IN:
+                report.record_failure(trial, "constructed decomposition not recovered", v.info["residual"])
             for idx, alpha in enumerate(pool):
                 lo = _min_eig(apply_second(alpha, x, d))
                 report.checks += 1
@@ -727,19 +698,18 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         else:
             x = random_hermitian(rng, d.total)
             x /= frob(x)
-            scale = 1.0 + frob(x)
-            dec = _decide_e(x, d, cfg, seed=seed + trial)
-            if dec.membership is None:
+            v = in_E(x, d, cfg, restarts=2, seed=seed + trial)
+            if v.status is Status.UNDECIDED:
                 report.undecided += 1
                 continue
-            if dec.membership is False:
-                w = dec.witness.w
-                alpha_w = _witness_map(w, d)
+            if v.status is Status.OUT:
+                # alpha_w maps M_m to M_n, so its Choi matrix has dims (m, n)
+                alpha_w = _witness_map(v.certificate.w, d)
                 lo = _min_eig(apply_second(alpha_w, x, d))
                 report.checks += 1
                 if lo >= 0.0:
                     report.record_failure(trial, "constructive violating map failed", lo)
-                v = in_F(alpha_w.choi * (d.n / np.trace(alpha_w.choi).real), d, 1e-7)
+                v = in_F(alpha_w.choi * (d.n / np.trace(alpha_w.choi).real), alpha_w.d, 1e-7)
                 report.checks += 1
                 if v.status is not Status.IN:
                     report.record_failure(trial, "violating map left the p cone", 1.0)
@@ -783,7 +753,8 @@ def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Four-way agreement of the dual-cone conditions on random maps."""
-    cfg = DykstraConfig(tol=tol, max_iters=8000, stall_window=400)
+    if d.n != d.m:
+        raise ValueError("this suite needs square dimensions")
     pools = {}
     kd_pools = {}
     for cone in _CONCRETE:
@@ -800,7 +771,6 @@ def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
                 samples=pools[cone],
                 tol=tol,
                 seed=seed + 1000 * trial,
-                cfg=cfg,
                 kd_samples=kd_pools[cone],
             )
             report.checks += 1
@@ -817,6 +787,8 @@ def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
 
 def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Double-dual consistency: primal and dual-characterized samples pair >= 0."""
+    if d.n != d.m:
+        raise ValueError("this suite needs square dimensions")
     cp_pool = cone_generator_pool(ConeId.MAP_CP, d, 6, seed + 3)
     pools = {c: cone_generator_pool(c, d, 8, seed + 5) for c in _CONCRETE}
     kd_pools = {c: kd_generators(pools[c]) for c in _CONCRETE}
@@ -908,7 +880,7 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     """Sharp-cone duality for transpose-invariant cones, square case."""
     if d.n != d.m:
         raise ValueError("this suite needs square dimensions")
-    cfg = DykstraConfig(tol=tol, max_iters=8000, stall_window=400)
+    cfg = _suite_config(tol)
     pools = {c: cone_generator_pool(c, d, 8, seed + 11) for c in _CONCRETE}
     for trial in range(trials):
         rng = substream(seed, 0x20C, trial)
@@ -917,18 +889,15 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         c = beta.hermitian_choi(tol)
         scale = 1.0 + frob(c)
         # closed-form membership in K-sharp
-        if cone is ConeId.MAP_CP:
-            closed, margin = _spectral_bool(_min_eig(c), tol, scale)
-        elif cone is ConeId.MAP_COP:
-            closed, margin = _spectral_bool(_min_eig(partial_transpose(c, d)), tol, scale)
-        elif cone is ConeId.MAP_D:
-            closed, margin = _spectral_bool(
-                min(_min_eig(c), _min_eig(partial_transpose(c, d))), tol, scale
-            )
-        else:  # K = p, sharp cone is d
-            dec = _decide_e(c, d, cfg, seed=seed + 31 * trial)
-            closed, margin = dec.membership, None
-        if closed is None or (margin is not None and abs(margin) <= 10 * tol * scale):
+        if cone is ConeId.MAP_P:  # sharp cone is d
+            v = in_E(c, d, cfg, restarts=2, seed=seed + 31 * trial)
+            undecided = v.status is Status.UNDECIDED
+            closed = v.status is Status.IN
+        else:
+            margin = _kpositivity_margin(_PARTNER[cone], c, d)
+            undecided = abs(margin) <= 10 * tol * scale
+            closed = margin >= -tol * scale
+        if undecided:
             report.undecided += 1
             continue
         samples = list(pools[cone])
@@ -942,26 +911,15 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         if (verdict.status is Status.IN) != closed:
             report.record_failure(trial, f"{cone.value} sharp membership mismatch", 1.0)
         # transpose symmetry of sharp membership through the adjoint
-        if cone in (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D):
+        if cone is not ConeId.MAP_P:
             adj = adjoint(beta)
-            adj_t = transpose_conj(adj)
-            ca, cat = hermitian_part(adj.choi), hermitian_part(adj_t.choi)
-            if cone is ConeId.MAP_CP:
-                a, b = _min_eig(ca), _min_eig(cat)
-            elif cone is ConeId.MAP_COP:
-                a, b = _min_eig(partial_transpose(ca, d)), _min_eig(partial_transpose(cat, d))
-            else:
-                a = min(_min_eig(ca), _min_eig(partial_transpose(ca, d)))
-                b = min(_min_eig(cat), _min_eig(partial_transpose(cat, d)))
+            a = _kpositivity_margin(_PARTNER[cone], hermitian_part(adj.choi), d)
+            b = _kpositivity_margin(_PARTNER[cone], hermitian_part(transpose_conj(adj).choi), d)
             report.checks += 1
             if min(abs(a), abs(b)) <= 10 * tol * scale:
                 report.undecided += 1
             elif (a >= 0) != (b >= 0):
                 report.record_failure(trial, f"{cone.value} transpose symmetry", min(abs(a), abs(b)))
-
-
-def _spectral_bool(margin: float, tol: float, scale: float) -> tuple[bool, float]:
-    return margin >= -tol * scale, margin
 
 
 def _suite_T13(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -992,7 +950,7 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     """The sharp dual of the p cone is the decomposable cone."""
     if d.n != d.m:
         raise ValueError("this suite needs square dimensions")
-    cfg = DykstraConfig(tol=tol, max_iters=8000, stall_window=400)
+    cfg = _suite_config(tol)
     p_pool = cone_generator_pool(ConeId.MAP_P, d, 16, seed + 7)
     for trial in range(trials):
         rng = substream(seed, 0x212, trial)
@@ -1011,19 +969,20 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             else:
                 cand = _random_map(rng, d, trial)
             c = cand.hermitian_choi(tol)
-            dec = _decide_e(c, d, cfg, seed=seed + 13 * trial)
-            if dec.membership is None:
+            v = in_E(c, d, cfg, restarts=2, seed=seed + 13 * trial)
+            if v.status is Status.UNDECIDED:
                 report.undecided += 1
                 continue
+            decomposable = v.status is Status.IN
             samples = list(p_pool)
-            if not dec.membership:
+            if not decomposable:
                 cb = hermitian_part(adjoint(cand).choi)
                 wit = witness_search(cb, d, cfg, restarts=2, seed=seed + trial)
                 if wit is not None:
                     samples.append(adjoint(map_from_choi(d.n, d.m, wit.w)))
             verdict = ksharp_membership(cand, samples, tol)
             report.checks += 1
-            if (verdict.status is Status.IN) != dec.membership:
+            if (verdict.status is Status.IN) != decomposable:
                 report.record_failure(trial, "sharp test vs decomposability", 1.0)
 
 
@@ -1073,7 +1032,7 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     """Decomposability matches the absence of a PPT witness."""
     if d.n != d.m:
         raise ValueError("this suite needs square dimensions")
-    cfg = DykstraConfig(tol=tol, max_iters=8000, stall_window=400)
+    cfg = _suite_config(tol)
     idtol = 1e-12
     for trial in range(trials):
         rng = substream(seed, 0x2D3, trial)
@@ -1086,8 +1045,8 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             phi = _random_map(rng, d, trial)
         c = phi.hermitian_choi(tol)
         scale = 1.0 + frob(c)
-        dec = _decide_e(c, d, cfg, seed=seed + 41 * trial)
-        if dec.membership is None:
+        v = in_E(c, d, cfg, restarts=2, seed=seed + 41 * trial)
+        if v.status is Status.UNDECIDED:
             report.undecided += 1
             continue
         wit = witness_search(c, d, cfg, restarts=2, seed=seed + 17 * trial + 5)
@@ -1096,7 +1055,7 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         report.checks += 1
         if weak:
             report.undecided += 1
-        elif dec.membership == found:
+        elif (v.status is Status.IN) == found:
             report.record_failure(trial, "witness presence vs decomposability", 1.0)
         if found:
             lhs = float(trace_pairing(c, wit.w).real)

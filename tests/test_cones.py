@@ -309,7 +309,6 @@ class TestInE:
         assert v.status is Status.UNDECIDED
         assert v.info["stop"] == "max_iters"
         assert cfg.tol * (1 + frob(x)) < v.info["residual"] <= 10 * cfg.tol * (1 + frob(x))
-        assert theorems_mod._decide_e(x, D22, cfg, seed=0).membership is None
         assert calls == []
 
     def test_choi_fixture_out_with_witness(self):
@@ -359,6 +358,25 @@ class TestWitnessSearch:
         assert w.value < -1e-6
         assert in_F(w.w, D33).status is Status.IN
         assert abs(np.trace(w.w).real - 1.0) <= 1e-9
+
+    def test_converged_probe_skips_search(self, monkeypatch):
+        # a converged decomposition rules out every witness, so the search
+        # returns at once without a single projection onto the PPT set
+        import mapcones.cones as cones_mod
+
+        g = rng(66)
+        x = random_psd(g, 4) + partial_transpose(random_psd(g, 4), D22)
+        assert dykstra_feasibility(x, D22, CFG).converged
+        original = cones_mod._project_f_trace
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cones_mod, "_project_f_trace", counting)
+        assert witness_search(x, D22, CFG, seed=1) is None
+        assert calls == []
 
     def test_witness_against_shipped_state(self):
         # the shipped PPT entangled state is itself a feasible point with

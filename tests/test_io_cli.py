@@ -151,6 +151,21 @@ class TestWitnessCommand:
         assert main(["witness", identity_file]) == 1
         assert capsys.readouterr().out.strip() == "none"
 
+    def test_decomposable_needs_one_feasibility_run(self, identity_file, capsys, monkeypatch):
+        import mapcones.cones as cones_mod
+
+        original = cones_mod.dykstra_feasibility
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cones_mod, "dykstra_feasibility", counting)
+        assert main(["witness", identity_file]) == 1
+        assert capsys.readouterr().out.strip() == "none"
+        assert len(calls) == 1
+
 
 class TestRandomCommand:
     def test_deterministic_bytes(self, tmp_path):

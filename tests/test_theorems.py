@@ -1,15 +1,26 @@
 """Verification-suite machinery: conditions, sharp cones, reports."""
 
 import json
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
+import mapcones.theorems as theorems_mod
 from _helpers import random_psd, rng
 from mapcones.choi import identity_map, map_from_choi, transpose_map
-from mapcones.cones import ConeId, Status
+from mapcones.cones import (
+    ConeId,
+    DykstraConfig,
+    FWitness,
+    Status,
+    dykstra_feasibility,
+    in_E,
+    witness_search,
+)
 from mapcones.fixtures import nondecomposable_map
-from mapcones.linalg import Dims, partial_transpose
+from mapcones.linalg import Dims, frob, partial_transpose
 from mapcones.sampling import ConeSampler, cone_generator_pool, sample_map
 from mapcones.theorems import (
     SUPPORTED_THEOREMS,
@@ -186,3 +197,77 @@ class TestReports:
         report = verify("L4", Dims(2, 2), trials=1, seed=3)
         with pytest.raises(ValueError):
             emit_report(report, "yaml")
+
+
+@dataclass(frozen=True)
+class _EDecision:
+    membership: Optional[bool]
+    witness: Optional[FWitness]
+    residual: float
+
+
+def _decide_e(x, d: Dims, cfg: DykstraConfig, seed: int, restarts: int = 2) -> _EDecision:
+    """Reference: the suites' former private e-cone decision, kept verbatim.
+
+    Membership requires a converged decomposition; exclusion requires a
+    validated PPT witness with value beyond the boundary band.
+    """
+    scale = 1.0 + frob(x)
+    feas = dykstra_feasibility(x, d, cfg)
+    if feas.stop == "max_iters" and feas.gap is None:
+        return _EDecision(None, None, feas.residual)
+    primal_in = feas.converged and feas.residual <= cfg.tol * scale
+    wit = witness_search(x, d, cfg, restarts=restarts, seed=seed, feasibility=feas)
+    strong = wit is not None and wit.value <= -10 * cfg.tol * scale
+    if primal_in and not strong:
+        return _EDecision(True, wit, feas.residual)
+    if strong and not primal_in:
+        return _EDecision(False, wit, feas.residual)
+    return _EDecision(None, wit, feas.residual)
+
+
+class TestEDecisionPath:
+    """The e-engine suites decide through ``in_E``, as the old private path did."""
+
+    RUNS = [
+        ("T1", Dims(2, 2), 6, 1),
+        ("T12", D33, 8, 11),
+        ("T18", D33, 9, 13),
+        ("C19", D33, 6, 15),
+        ("L16", Dims(2, 2), 8, 1),
+    ]
+
+    @pytest.mark.parametrize("tid,d,trials,seed", RUNS, ids=[r[0] for r in RUNS])
+    def test_in_E_calls_match_reference(self, monkeypatch, tid, d, trials, seed):
+        calls = []
+
+        def spy(x, dd, cfg, restarts, seed):
+            v = in_E(x, dd, cfg, restarts=restarts, seed=seed)
+            calls.append((x.copy(), dd, cfg, restarts, seed, v))
+            return v
+
+        monkeypatch.setattr(theorems_mod, "in_E", spy)
+        verify(tid, d, trials=trials, seed=seed)
+        assert calls
+        expected = {True: Status.IN, False: Status.OUT, None: Status.UNDECIDED}
+        for x, dd, cfg, restarts, call_seed, v in calls:
+            ref = _decide_e(x, dd, cfg, seed=call_seed, restarts=restarts)
+            assert v.status is expected[ref.membership]
+            if v.status is Status.OUT:
+                assert np.array_equal(v.certificate.w, ref.witness.w)
+                assert v.certificate.value == ref.witness.value
+            elif v.status is Status.IN:
+                assert ref.witness is None
+
+
+class TestNonSquareDims:
+    @pytest.mark.parametrize("tid", sorted(SUPPORTED_THEOREMS))
+    def test_passes_or_needs_square(self, tid):
+        # L16's OUT trials build a map M_m -> M_n, whose Choi matrix has
+        # dims (m, n); checked against (n, m) it failed every odd trial
+        try:
+            report = verify(tid, Dims(2, 3), trials=4, seed=1)
+        except ValueError as exc:
+            assert str(exc) == "this suite needs square dimensions"
+        else:
+            assert report.passed, report.failures
