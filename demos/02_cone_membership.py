@@ -57,14 +57,18 @@ from mapcones import max_entangled_projector
 pure = max_entangled_projector(3) / 3
 print("maximally entangled state is PPT:", in_F(pure, d).status.value)
 
-print("\n== Decomposability via alternating projections ==")
+print("\n== Decomposability via one interior-point solve ==")
 cfg = DykstraConfig()
 phi = ConeSampler(ConeId.MAP_D, d, seed=4).draw(0)
 v = is_decomposable(phi, cfg)
 print(f"a cp + cop sum: {v.status.value}, decomposition residual {v.certificate.residual:.2e}")
+print(f"  stop {v.info['stop']!r} after {v.info['iterations']} Newton steps, "
+      f"margin bracket [{v.info['lower']:+.4f}, {v.info['upper']:+.4f}]")
 lam = nondecomposable_map()
-v = is_decomposable(lam, cfg, seed=1)
+v = is_decomposable(lam, cfg)
 print(f"the shipped map: {v.status.value}, witness pairing {v.certificate.value:+.6f}")
+print(f"  stop {v.info['stop']!r} after {v.info['iterations']} Newton steps, "
+      f"margin bracket [{v.info['lower']:+.4f}, {v.info['upper']:+.4f}]")
 
 print("\n== Positivity is heuristic-IN only ==")
 v = is_positive_map(lam, restarts=12)

@@ -2,9 +2,10 @@
 
 The dual description of the decomposable-operator cone says an operator
 x fails to decompose as A + PT(B) with A, B PSD exactly when some PPT
-operator w with Tr w = 1 has Tr(w x) < 0.  The search runs projected
-subgradient descent over the PPT cone, seeded by the gap direction of
-the failed feasibility run.
+operator w with Tr w = 1 has Tr(w x) < 0.  The most violating such w
+solves a semidefinite program; its primal-dual interior-point solve
+brackets the optimum lam* = min Tr(w x) from both sides, the dual side
+by a decomposition of x - lower * I and the primal side by a PPT w.
 """
 
 import numpy as np
@@ -26,13 +27,14 @@ d = Dims(3, 3)
 cfg = DykstraConfig()
 lam = nondecomposable_map()
 
-print("== Feasibility fails on the shipped map ==")
+print("== The decomposition fails on the shipped map ==")
 feas = dykstra_feasibility(lam.choi.copy(), d, cfg)
-print(f"converged: {feas.converged} ({feas.stop}), residual {feas.residual:.4f} after {feas.iterations} iterations")
+print(f"converged: {feas.converged} (stop {feas.stop!r}) after {feas.iterations} Newton steps")
+print(f"bracket: {feas.lower:+.6f} <= lam* <= {feas.upper:+.6f}; the sign is settled, so the solve stops")
 
 print("\n== Witness extraction ==")
-wit = witness_search(lam.choi.copy(), d, cfg, seed=1)
-print(f"witness value Tr(w C) = {wit.value:+.6f}")
+wit = witness_search(lam.choi.copy(), d, cfg)
+print(f"witness value Tr(w C) = {wit.value:+.9f}, the optimum -(2/sqrt 3 - 1) = {1 - 2 / np.sqrt(3):+.9f}")
 print(f"witness is PPT: {in_F(wit.w, d).status.value}, trace = {np.trace(wit.w).real:.12f}")
 
 print("\n== The hand-built companion state does the same job ==")
@@ -54,4 +56,4 @@ print("\n== Witnesses vanish on decomposable inputs ==")
 rng = np.random.default_rng(7)
 g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
 x = g @ g.conj().T
-print("witness_search on a PSD operator:", witness_search(x, d, cfg, seed=2))
+print("witness_search on a PSD operator:", witness_search(x, d, cfg))

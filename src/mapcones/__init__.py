@@ -7,10 +7,12 @@ The package provides:
 * ``choi``     maps stored as Choi matrices: actions, adjoints, transpose
   conjugates, compositions, induced functionals, trace pairings;
 * ``cones``    membership oracles with certificates for the cp / cop /
-  decomposable / PPT / separable / block-positive cones, alternating-
-  projection feasibility for the ``e`` cone (``dykstra_feasibility``, a
-  name kept for API stability), Dykstra projection onto the PPT cone,
-  and PPT witness extraction;
+  decomposable / PPT / separable / block-positive cones, the ``e``-cone
+  decision (``dykstra_feasibility``, a name kept for API stability),
+  Dykstra projection onto the PPT cone, and PPT witness extraction;
+* ``sdp``      the primal-dual interior-point solver behind the ``e``-cone
+  decision: min Tr(w x) over trace-one PPT w, bracketed from both sides,
+  with matrix-free Newton steps;
 * ``fixtures`` a positive non-decomposable map on M_3 with a companion
   PPT entangled state certifying it;
 * ``sampling`` seeded generators of cone elements and probe operators;

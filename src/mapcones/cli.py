@@ -117,7 +117,7 @@ def _cmd_check(args) -> int:
             elif cone is ConeId.MAP_P:
                 v = in_P(phi, tol)
             elif cone is ConeId.MAP_D:
-                v = is_decomposable(phi, cfg, restarts=args.restarts, seed=args.seed)
+                v = is_decomposable(phi, cfg)
             elif cone is ConeId.MAP_S:
                 v = in_S(phi, tol, seed=args.seed)
             else:
@@ -129,7 +129,7 @@ def _cmd_check(args) -> int:
             elif cone is ConeId.OP_F:
                 v = in_F(mat, d, tol)
             elif cone is ConeId.OP_E:
-                v = in_E(mat, d, cfg, restarts=args.restarts, seed=args.seed)
+                v = in_E(mat, d, cfg)
             elif cone is ConeId.OP_SEP:
                 rho = hermitian_part(mat)
                 tr = float(np.trace(rho).real)
@@ -172,7 +172,7 @@ def _cmd_witness(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        v = in_E(mat, d, DykstraConfig(tol=args.tol), restarts=args.restarts, seed=args.seed)
+        v = in_E(mat, d, DykstraConfig(tol=args.tol))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMS
@@ -236,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, restarts_default=3):
         p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed (fixed default)")
-        p.add_argument("--restarts", type=int, default=restarts_default, help="search restarts")
+        p.add_argument(
+            "--restarts", type=int, default=restarts_default, help="see-saw restarts (pos and blockpos only)"
+        )
 
     cone_names = ", ".join(c.value for c in ConeId)
     p = sub.add_parser("check", help="cone membership of a map/operator file")

@@ -1,0 +1,267 @@
+"""A primal-dual interior-point solver for the margin of the ``e`` cone.
+
+For a Hermitian x on C^n (x) C^m the semidefinite program
+
+    lam* = min { Tr(x X1) : X1, X2 PSD, Tr X1 = 1, PT(X1) = X2 }
+         = max { y0 : Z1 = x - y0 I - PT(Y) PSD, Z2 = Y PSD }
+
+is the first level of the Doherty-Parrilo-Spedalieri hierarchy.  The
+primal minimizes over trace-one PPT operators; the dual says that
+x - lam* I = Z1 + PT(Y) lies in the cone E = {A + PT(B) : A, B PSD}.  So x
+is in E exactly when lam* >= 0, and a trace-one PPT X1 with
+Tr(x X1) < 0 is a witness that it is not.
+
+The solver keeps both iterates feasible: X1 has trace one and X2 is
+PT(X1), and Z1 is recomputed from (y0, Y).  So every iterate brackets
+the optimum, y0 <= lam* <= Tr(x X1), and ``solve`` stops as soon as the
+bracket settles the sign (or closes).  Steps follow the HKM direction
+with Mehrotra's predictor-corrector (Helmberg, Rendl, Vanderbei and
+Wolkowicz 1996).  Each Newton system has (nm)^2 + 1 real unknowns, the
+coordinates of (dy0, dY); it is solved matrix-free by conjugate
+gradients with a Jacobi preconditioner, applying the Schur complement
+through the constraint map and its adjoint rather than assembling it.
+An inexact direction costs progress, never feasibility: step lengths
+keep every iterate strictly inside the cones.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .linalg import Dims, partial_transpose
+
+__all__ = ["Bracket", "solve"]
+
+#: fraction of the largest feasible step taken
+_STEP = 0.95
+#: relative residual at which conjugate gradients stop
+_CG_TOL = 1e-9
+#: conjugate-gradient iterations per solve, in multiples of the system size
+_CG_SWEEPS = 10
+#: a step shorter than this (in both spaces) is a breakdown
+_MIN_STEP = 1e-8
+#: Newton steps in a row that may fail to halve the best gap before a breakdown
+_SLOW_STEPS = 2
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """Final iterate of ``solve`` and the bounds it certifies.
+
+    ``lower`` is the dual objective y0 of the PSD pair (Z1, Y) with
+    x = Z1 + y0 I + PT(Y); ``upper`` is Tr(x w) for the trace-one PPT
+    operator ``w``; lower <= lam* <= upper.  ``stop`` is ``"in"``,
+    ``"out"``, ``"gap"``, ``"max_iters"`` or ``"breakdown"``.
+    """
+
+    lower: float
+    upper: float
+    y: np.ndarray
+    w: np.ndarray
+    iterations: int
+    stop: str
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().T) / 2
+
+
+def _inverse_factor(z: np.ndarray) -> np.ndarray:
+    """Inverse of the Cholesky factor of z; raises LinAlgError unless z is positive definite."""
+    return np.linalg.inv(np.linalg.cholesky(z))
+
+
+def _max_step(linv: np.ndarray, dz: np.ndarray) -> float:
+    """Largest alpha with Z + alpha dZ PSD, from the inverse Cholesky factor of Z."""
+    lo = float(np.linalg.eigvalsh(linv @ dz @ linv.conj().T)[0])
+    return np.inf if lo >= 0.0 else -1.0 / lo
+
+
+def _pair_diagonal(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of U -> sym(x U w) in the orthonormal Hermitian basis.
+
+    Entry (a, b) of the first array belongs to the basis element
+    (|a><b| + |b><a|)/sqrt 2 (to |a><a| on the diagonal), entry (a, b) of
+    the second to i(|a><b| - |b><a|)/sqrt 2.
+    """
+    dx, dw = np.diagonal(x).real, np.diagonal(w).real
+    base = (np.outer(dx, dw) + np.outer(dw, dx)) / 2
+    cross = (x * w).real
+    return base + cross, base - cross
+
+
+class _Schur:
+    """The HKM Schur complement u -> A(sym(X A*(u) Z^-1)) at one iterate.
+
+    The constraint map is A(X1, X2) = (Tr X1, PT(X1) - X2) and its adjoint
+    A*(u0, U) = (u0 I + PT(U), -U).  Vectors are pairs (u0, U) with U
+    Hermitian, under the inner product u0 v0 + Re Tr(U V).
+    """
+
+    def __init__(self, x1, w1, x2, w2, d: Dims):
+        self.x1, self.w1, self.x2, self.w2, self.d = x1, w1, x2, w2, d
+        self.eye = np.eye(len(x1))
+        s1, a1 = _pair_diagonal(x1, w1)
+        s2, a2 = _pair_diagonal(x2, w2)
+        # PT permutes the basis elements, so it permutes block 1's diagonal
+        self.diag_sym = partial_transpose(s1, d) + s2
+        self.diag_asym = partial_transpose(a1, d) + a2
+        np.fill_diagonal(self.diag_asym, 1.0)  # no imaginary basis element there
+        self.diag0 = float(np.trace(x1 @ w1).real)
+
+    def apply(self, u0: float, u: np.ndarray) -> tuple[float, np.ndarray]:
+        s1 = _herm(self.x1 @ (u0 * self.eye + partial_transpose(u, self.d)) @ self.w1)
+        return float(np.trace(s1).real), partial_transpose(s1, self.d) + _herm(self.x2 @ u @ self.w2)
+
+    def precondition(self, r0: float, r: np.ndarray) -> tuple[float, np.ndarray]:
+        return r0 / self.diag0, r.real / self.diag_sym + 1j * (r.imag / self.diag_asym)
+
+    def solve(self, b0: float, b: np.ndarray, u0: float = 0.0, u=None) -> tuple[float, np.ndarray]:
+        """Preconditioned conjugate gradients from the start (u0, u)."""
+        u = np.zeros_like(b) if u is None else u
+        m0, m = self.apply(u0, u)
+        r0, r = b0 - m0, b - m
+        z0, z = self.precondition(r0, r)
+        p0, p = z0, z
+        rz = r0 * z0 + np.vdot(r, z).real
+        stop = (_CG_TOL**2) * (b0 * b0 + np.vdot(b, b).real)
+        for _ in range(_CG_SWEEPS * (b.size + 1)):
+            if r0 * r0 + np.vdot(r, r).real <= stop:
+                break
+            q0, q = self.apply(p0, p)
+            alpha = rz / (p0 * q0 + np.vdot(p, q).real)
+            u0, u = u0 + alpha * p0, u + alpha * p
+            r0, r = r0 - alpha * q0, r - alpha * q
+            z0, z = self.precondition(r0, r)
+            rz, rz_old = r0 * z0 + np.vdot(r, z).real, rz
+            p0, p = z0 + (rz / rz_old) * p0, z + (rz / rz_old) * p
+        return u0, u
+
+
+def solve(x: np.ndarray, d: Dims, tol: float, max_iters: int, optimum: bool = False) -> Bracket:
+    """Bracket lam* for a Hermitian x until its sign is settled.
+
+    Thresholds are relative to scale = 1 + ||x||_F.  The loop stops with
+
+    * ``"in"`` once sqrt(nm) * max(0, -lower) <= tol * scale: the PSD pair
+      (Z1 + max(y0, 0) I, Y) then decomposes x up to that residual;
+    * ``"out"`` once upper <= -10 tol * scale and upper <= lower / 2, so
+      that the witness is clear of the band and at least half as deep as
+      the optimum (skipped when ``optimum`` is set);
+    * ``"gap"`` once upper - lower <= tol * scale / sqrt(nm);
+    * ``"max_iters"`` after ``max_iters`` Newton steps;
+    * ``"breakdown"`` when a factorization fails, a direction is not
+      finite, a step is too short, or three steps in a row leave the gap
+      above half its best value (inexact Newton directions near a
+      degenerate optimum).
+
+    The dual points (lambda_min(x), 0) and (lambda_min(PT x),
+    PT(x) - lambda_min(PT x) I) are feasible, so a PSD or co-PSD x stops
+    with ``"in"`` before any step.
+    """
+    d = Dims(*d)
+    nm = d.total
+    root = np.sqrt(nm)
+    norm = float(np.linalg.norm(x))
+    scale = 1.0 + norm
+    eye = np.eye(nm)
+    pt_x = partial_transpose(x, d)
+    lo_x = float(np.linalg.eigvalsh(x)[0])
+    lo_pt = float(np.linalg.eigvalsh(pt_x)[0])
+    w = eye / nm
+    upper = float(np.trace(x).real) / nm
+    if max(lo_x, lo_pt) * root >= -tol * scale:
+        if lo_x >= lo_pt:
+            return Bracket(lo_x, upper, np.zeros_like(x), w, 0, "in")
+        return Bracket(lo_pt, upper, pt_x - lo_pt * eye, w, 0, "in")
+
+    # work on x / ||x||: every quantity below is of order one
+    xs = x / norm
+    t = 1.0 / root
+    x1 = w.astype(np.complex128)
+    x2 = x1.copy()
+    y = t * eye.astype(np.complex128)
+    y0 = lo_x / norm - 2 * t
+    z1 = _herm(xs - y0 * eye - partial_transpose(y, d))
+    # the "in" and "gap" thresholds, both tol * scale / sqrt(nm), in units of ||x||
+    close = tol * scale / (root * norm)
+    band = 10 * tol * scale / norm
+    stop = "max_iters"
+    it = 0
+    best, slow = np.inf, 0
+    while True:
+        upper_s = float(np.trace(xs @ x1).real)
+        gap = upper_s - y0
+        if max(0.0, -y0) <= close:
+            stop = "in"
+            break
+        if not optimum and upper_s <= -band and upper_s <= y0 / 2:
+            stop = "out"
+            break
+        if gap <= close:
+            stop = "gap"
+            break
+        best, slow = (gap, 0) if gap <= best / 2 else (best, slow + 1)
+        if slow > _SLOW_STEPS:
+            stop = "breakdown"
+            break
+        if it == max_iters:
+            break
+        it += 1
+        try:
+            step = _newton_step(xs, x1, x2, y0, y, z1, d)
+        except np.linalg.LinAlgError:
+            stop = "breakdown"
+            break
+        if step is None:
+            stop = "breakdown"
+            break
+        x1, y0, y = step
+        x2 = partial_transpose(x1, d)
+        z1 = _herm(xs - y0 * eye - partial_transpose(y, d))
+    return Bracket(float(y0 * norm), float(np.trace(x @ x1).real), y * norm, x1, it, stop)
+
+
+def _newton_step(xs, x1, x2, y0, y, z1, d: Dims):
+    """One Mehrotra predictor-corrector step; None when it is too short or not finite."""
+    nm = len(x1)
+    eye = np.eye(nm)
+    lx1, lx2, lz1, lz2 = (_inverse_factor(a) for a in (x1, x2, z1, y))
+    w1 = lz1.conj().T @ lz1
+    w2 = lz2.conj().T @ lz2
+    mu = float(np.trace(x1 @ z1).real + np.trace(x2 @ y).real) / (2 * nm)
+    schur = _Schur(x1, w1, x2, w2, d)
+
+    def direction(g1, g2, u0=0.0, u=None):
+        b = g2 - partial_transpose(g1, d)
+        u0, u = schur.solve(1.0 - float(np.trace(g1).real), b, u0, u)
+        dz1 = -(u0 * eye + partial_transpose(u, d))
+        dx1 = g1 - x1 - _herm(x1 @ dz1 @ w1)
+        return u0, u, dx1, dz1
+
+    def lengths(dx1, dz1, du):
+        ap = min(_max_step(lx1, dx1), _max_step(lx2, partial_transpose(dx1, d)))
+        ad = min(_max_step(lz1, dz1), _max_step(lz2, du))
+        return min(1.0, _STEP * ap), min(1.0, _STEP * ad)
+
+    zero = np.zeros_like(x1)
+    u0, u, dx1, dz1 = direction(zero, zero)
+    ap, ad = lengths(dx1, dz1, u)
+    dx2 = partial_transpose(dx1, d)
+    mu_aff = float(
+        np.trace((x1 + ap * dx1) @ (z1 + ad * dz1)).real + np.trace((x2 + ap * dx2) @ (y + ad * u)).real
+    ) / (2 * nm)
+    sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
+    g1 = _herm((sigma * mu * eye - dx1 @ dz1) @ w1)
+    g2 = _herm((sigma * mu * eye - dx2 @ u) @ w2)
+    u0, u, dx1, dz1 = direction(g1, g2, u0, u)
+    if not (np.all(np.isfinite(dx1)) and np.all(np.isfinite(dz1))):
+        return None
+    ap, ad = lengths(dx1, dz1, u)
+    if max(ap, ad) < _MIN_STEP:
+        return None
+    x1 = _herm(x1 + ap * dx1)
+    x1 /= np.trace(x1).real
+    return x1, y0 + ad * u0, _herm(y + ad * u)

@@ -1,9 +1,14 @@
 """Tests for the cone membership oracles and certificate validity."""
 
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
-from _helpers import random_complex, random_hermitian, random_psd, rng
+from _helpers import brute_partial_transpose, random_complex, random_hermitian, random_psd, rng
 from mapcones.choi import (
     identity_map,
     map_from_action,
@@ -42,6 +47,24 @@ D22 = Dims(2, 2)
 D23 = Dims(2, 3)
 D33 = Dims(3, 3)
 CFG = DykstraConfig()
+#: the fixture map's optimum over trace-one PPT witnesses is -S_STAR
+S_STAR = 2 / np.sqrt(3) - 1
+
+
+def _e_in_round2_lowrank_3x3():
+    """The lowrank/3x3/mu=0.01 instance of the benchmark's e-in round 2 at seed 1."""
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import instances
+    finally:
+        sys.path.pop(0)
+    (inst,) = [
+        i for i in instances.e_in_round(1, 2, instances.fixture_choi())
+        if i.cls == "lowrank/3x3" and i.margin["mu"] == 0.01
+    ]
+    return inst.x
 
 
 def conjugation_map(a):
@@ -158,11 +181,13 @@ class TestFCone:
 
 class TestDykstraFeasibility:
     def test_psd_converges_immediately(self):
+        # a PSD x is its own decomposition (x, 0): the feasible dual point
+        # (lambda_min(x), 0) settles it before any Newton step
         g = rng(56)
         x = random_psd(g, 9)
         res = dykstra_feasibility(x, D33, CFG)
-        assert res.converged and res.stop == "converged" and res.gap is None
-        assert res.iterations <= 5
+        assert res.converged and res.stop == "in" and res.w is None
+        assert res.iterations == 0
         assert frob(res.b) <= 1e-8 * (1 + frob(x))
 
     def test_constructed_instance(self):
@@ -174,26 +199,33 @@ class TestDykstraFeasibility:
         assert is_psd(res.a)[0] and is_psd(res.b)[0]
 
     def test_stall_and_budget_stops(self):
+        # the solve ends on a settled sign, on a closed bracket, or on its
+        # Newton-step budget; the bracket holds at every stop
         x = nondecomposable_map().choi.copy()
         res = dykstra_feasibility(x, D33, CFG)
-        assert res.stop == "stalled" and not res.converged and res.gap is not None
-        res = dykstra_feasibility(x, D33, DykstraConfig(max_iters=7))
-        assert res.stop == "max_iters" and res.iterations == 7 and res.gap is not None
+        assert res.stop == "out" and not res.converged and res.w is not None
+        assert res.iterations <= 10
+        assert res.upper <= res.lower / 2 < 0
+        res = dykstra_feasibility(x, D33, CFG, optimum=True)
+        assert res.stop == "gap" and res.lower <= -S_STAR <= res.upper
+        res = dykstra_feasibility(x, D33, DykstraConfig(max_iters=1))
+        assert res.stop == "max_iters" and res.iterations == 1 and not res.converged
+        assert res.lower <= -S_STAR <= res.upper
 
     def test_infeasible_reports_gap(self):
+        # a non-decomposable x comes back with a trace-one PPT operator w
+        # pairing negatively with it: the primal side of the bracket
         g = rng(58)
         x = random_hermitian(g, 9)
         x /= frob(x)
         res = dykstra_feasibility(x, D33, CFG)
-        if not res.converged and res.gap is not None:
-            w = -res.gap
-            # the gap direction estimates (up to sign) a PPT operator
-            # pairing negatively with x; exact feasibility is restored by
-            # the witness polish, so only sanity-level bounds apply here
-            scale = frob(w)
-            assert np.linalg.eigvalsh(w)[0] >= -1e-4 * scale
-            assert np.linalg.eigvalsh(partial_transpose(w, D33))[0] >= -1e-4 * scale
-            assert np.trace(w @ x).real < 0
+        assert not res.converged and res.w is not None
+        w = res.w
+        assert np.linalg.eigvalsh(w)[0] >= -1e-9 * (1 + frob(w))
+        assert np.linalg.eigvalsh(partial_transpose(w, D33))[0] >= -1e-9 * (1 + frob(w))
+        assert abs(np.trace(w).real - 1.0) <= 1e-9
+        assert np.trace(w @ x).real == pytest.approx(res.upper, abs=1e-12)
+        assert res.lower <= res.upper < 0
 
 
 class TestProjectF:
@@ -270,33 +302,27 @@ class TestInE:
     def test_solver_stats_on_every_status(self):
         lam = nondecomposable_map()
         cases = [
-            (np.eye(9), CFG, Status.IN, "converged"),
-            (lam.choi.copy(), CFG, Status.OUT, "stalled"),
-            (lam.choi + 0.3 * np.eye(9), DykstraConfig(max_iters=5), Status.UNDECIDED, "max_iters"),
+            (np.eye(9), CFG, Status.IN, "in"),
+            (lam.choi.copy(), CFG, Status.OUT, "out"),
+            (lam.choi + S_STAR * (1 - 1e-7) * np.eye(9), CFG, Status.UNDECIDED, "gap"),
+            (lam.choi + 0.3 * np.eye(9), DykstraConfig(max_iters=1), Status.UNDECIDED, "max_iters"),
         ]
         for x, cfg, status, stop in cases:
-            v = in_E(x, D33, cfg, seed=2)
+            v = in_E(x, D33, cfg)
             assert v.status is status
             assert v.info["stop"] == stop
-            assert 1 <= v.info["iterations"] <= cfg.max_iters
+            assert 0 <= v.info["iterations"] <= cfg.max_iters
+            assert v.info["residual"] >= 0.0
+            assert v.info["lower"] <= v.info["upper"]
 
     def test_band_max_iters_skips_witness_search(self, monkeypatch):
-        # a low-rank sum that a loose budget leaves at max_iters within ten
-        # times the tolerance: Tr(w x) >= -||r||_F for every trace-one PPT
-        # w, so a witness search cannot succeed and must not run
+        # lam* = -1.5e-8 lies inside the band: the bracket closes there and
+        # in_E answers UNDECIDED from its one solve, without a witness search
         import mapcones.cones as cones_mod
-        import mapcones.theorems as theorems_mod
 
-        g = rng(0)
-
-        def low_rank_psd():
-            k = int(g.integers(1, 3))
-            f = g.normal(size=(4, k)) + 1j * g.normal(size=(4, k))
-            return f @ f.conj().T
-
-        x = low_rank_psd() + partial_transpose(low_rank_psd(), D22)
-        x *= 4 / np.trace(x).real
-        cfg = DykstraConfig(tol=1e-5, max_iters=200)
+        lam = nondecomposable_map()
+        s = S_STAR * (1 - 1e-7)
+        x = lam.choi + s * np.eye(9)
         calls = []
 
         def counting(*args, **kwargs):
@@ -304,16 +330,49 @@ class TestInE:
             return witness_search(*args, **kwargs)
 
         monkeypatch.setattr(cones_mod, "witness_search", counting)
-        monkeypatch.setattr(theorems_mod, "witness_search", counting)
-        v = in_E(x, D22, cfg)
+        v = in_E(x, D33, CFG)
         assert v.status is Status.UNDECIDED
-        assert v.info["stop"] == "max_iters"
-        assert cfg.tol * (1 + frob(x)) < v.info["residual"] <= 10 * cfg.tol * (1 + frob(x))
+        assert v.info["stop"] == "gap"
+        assert v.info["lower"] <= s - S_STAR <= v.info["upper"]
+        assert v.info["upper"] - v.info["lower"] <= CFG.tol * (1 + frob(x))
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "dims, seed", [((2, 4), 3), ((4, 4), 4), ((4, 4), 5), ((3, 3), None)]
+    )
+    def test_low_margin_interior_points_decided(self, dims, seed):
+        # interior points that plain alternating projections left UNDECIDED
+        # after 20,000 iterations; the last one is e-in round 2
+        # lowrank/3x3/mu=0.01 at seed 1
+        d = Dims(*dims)
+        nm = d.total
+        if seed is None:
+            x = _e_in_round2_lowrank_3x3()
+        else:
+            g = rng(seed)
+
+            def low_rank_psd():
+                k = int(g.integers(1, 4))
+                f = g.normal(size=(nm, k)) + 1j * g.normal(size=(nm, k))
+                return f @ f.conj().T
+
+            x = low_rank_psd() + partial_transpose(low_rank_psd(), d)
+            x = x + 0.01 * np.trace(x).real / nm * np.eye(nm)
+            x *= nm / np.trace(x).real
+        start = time.perf_counter()
+        v = in_E(x, d, CFG)
+        elapsed = time.perf_counter() - start
+        assert v.status is Status.IN
+        a, b = v.certificate.a, v.certificate.b
+        scale = 1 + np.linalg.norm(x)
+        assert np.linalg.eigvalsh(a)[0] >= -1e-9 * (1 + np.linalg.norm(a))
+        assert np.linalg.eigvalsh(b)[0] >= -1e-9 * (1 + np.linalg.norm(b))
+        assert np.linalg.norm(x - a - brute_partial_transpose(b, d)) <= 1e-9 * scale
+        assert elapsed < 1.0
 
     def test_choi_fixture_out_with_witness(self):
         lam = nondecomposable_map()
-        v = in_E(lam.choi.copy(), D33, CFG, seed=2)
+        v = in_E(lam.choi.copy(), D33, CFG)
         assert v.status is Status.OUT
         w = v.certificate
         assert isinstance(w, FWitness)
@@ -339,7 +398,7 @@ class TestIsDecomposable:
 
     def test_fixture_out_and_omega_identity(self):
         lam = nondecomposable_map()
-        v = is_decomposable(lam, CFG, seed=5)
+        v = is_decomposable(lam, CFG)
         assert v.status is Status.OUT
         assert v.info["violation"] == pytest.approx(v.info["violation_omega"], abs=1e-12)
         assert v.info["violation"] < -1e-6
@@ -349,11 +408,11 @@ class TestWitnessSearch:
     def test_none_for_psd(self):
         g = rng(65)
         x = random_psd(g, 9)
-        assert witness_search(x, D33, CFG, seed=1) is None
+        assert witness_search(x, D33, CFG) is None
 
     def test_fixture_witness_found_and_valid(self):
         lam = nondecomposable_map()
-        w = witness_search(lam.choi.copy(), D33, CFG, seed=1)
+        w = witness_search(lam.choi.copy(), D33, CFG)
         assert w is not None
         assert w.value < -1e-6
         assert in_F(w.w, D33).status is Status.IN
@@ -361,22 +420,22 @@ class TestWitnessSearch:
 
     def test_converged_probe_skips_search(self, monkeypatch):
         # a converged decomposition rules out every witness, so the search
-        # returns at once without a single projection onto the PPT set
+        # ends with its one solve at the "in" stop and returns None
         import mapcones.cones as cones_mod
 
         g = rng(66)
         x = random_psd(g, 4) + partial_transpose(random_psd(g, 4), D22)
-        assert dykstra_feasibility(x, D22, CFG).converged
-        original = cones_mod._project_f_trace
-        calls = []
+        original = cones_mod.dykstra_feasibility
+        results = []
 
         def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            results.append(original(*args, **kwargs))
+            return results[-1]
 
-        monkeypatch.setattr(cones_mod, "_project_f_trace", counting)
-        assert witness_search(x, D22, CFG, seed=1) is None
-        assert calls == []
+        monkeypatch.setattr(cones_mod, "dykstra_feasibility", counting)
+        assert witness_search(x, D22, CFG) is None
+        assert len(results) == 1
+        assert results[0].converged and results[0].stop == "in" and results[0].w is None
 
     def test_witness_against_shipped_state(self):
         # the shipped PPT entangled state is itself a feasible point with
@@ -384,9 +443,65 @@ class TestWitnessSearch:
         lam = nondecomposable_map()
         w_state, _ = ppt_entangled_state()
         handmade = np.trace(w_state @ lam.choi).real
-        w = witness_search(lam.choi.copy(), D33, CFG, seed=3)
+        w = witness_search(lam.choi.copy(), D33, CFG)
         assert w is not None
         assert w.value <= handmade + 1e-9
+
+
+class TestFixtureOptimum:
+    """Accuracy of the e-cone solve against the fixture's known optimum, numpy only."""
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (3, 4), (4, 4)])
+    def test_witness_search_reaches_the_optimum(self, n, m):
+        # the isometric embedding J_n (x) J_m keeps the optimum: a trace-one
+        # PPT w pulls back to a PPT operator of trace at most one
+        j = np.kron(np.eye(n)[:, :3], np.eye(m)[:, :3])
+        x = j @ nondecomposable_map().choi @ j.T
+        wit = witness_search(x, Dims(n, m), CFG)
+        assert wit.value == pytest.approx(-S_STAR, abs=1e-7)
+        w = wit.w
+        assert np.linalg.eigvalsh(w)[0] >= -1e-9 * (1 + np.linalg.norm(w))
+        assert np.linalg.eigvalsh(brute_partial_transpose(w, Dims(n, m)))[0] >= -1e-9 * (1 + np.linalg.norm(w))
+        assert abs(np.trace(w).real - 1.0) <= 1e-9
+        assert np.trace(w @ x).real == pytest.approx(wit.value, abs=1e-12)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_shift_across_the_optimum(self, sign):
+        # C + s I is decomposable exactly when s >= S_STAR
+        c = nondecomposable_map().choi
+        x = c + S_STAR * (1 + sign * 1e-3) * np.eye(9)
+        v = in_E(x, D33, CFG)
+        scale = 1 + np.linalg.norm(x)
+        if sign > 0:
+            assert v.status is Status.IN
+            a, b = v.certificate.a, v.certificate.b
+            assert np.linalg.eigvalsh(a)[0] >= -1e-9 * (1 + np.linalg.norm(a))
+            assert np.linalg.eigvalsh(b)[0] >= -1e-9 * (1 + np.linalg.norm(b))
+            assert np.linalg.norm(x - a - brute_partial_transpose(b, D33)) <= 1e-9 * scale
+        else:
+            assert v.status is Status.OUT
+            w = v.certificate.w
+            assert np.linalg.eigvalsh(w)[0] >= -1e-9 * (1 + np.linalg.norm(w))
+            assert np.linalg.eigvalsh(brute_partial_transpose(w, D33))[0] >= -1e-9 * (1 + np.linalg.norm(w))
+            assert abs(np.trace(w).real - 1.0) <= 1e-9
+            assert np.trace(w @ x).real <= -10 * 1e-9 * scale
+        assert v.info["lower"] <= sign * 1e-3 * S_STAR <= v.info["upper"]
+
+
+def test_e_cone_decision_does_not_load_scipy_linalg():
+    # importing scipy.linalg alone adds about 27 MB of resident memory
+    code = (
+        "import sys, numpy as np\n"
+        "import mapcones\n"
+        "g = np.random.default_rng(0)\n"
+        "f = g.normal(size=(16, 16)) + 1j * g.normal(size=(16, 16))\n"
+        "phi = mapcones.map_from_choi(4, 4, f + f.conj().T)\n"
+        "mapcones.is_decomposable(phi)\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSeparability:
@@ -513,13 +628,13 @@ class TestConeInclusions:
             if p_in:
                 assert cp_in and cop_in
             if cp_in or cop_in:
-                assert is_decomposable(phi, CFG, seed=k).status is Status.IN
+                assert is_decomposable(phi, CFG).status is Status.IN
             f_in = in_F(c, D33).status is Status.IN
             psd_in = is_psd(c)[0]
             if f_in:
                 assert psd_in
             if psd_in:
-                assert in_E(c, D33, CFG, seed=k).status is Status.IN
+                assert in_E(c, D33, CFG).status is Status.IN
 
     def test_psd_project_idempotent_and_psd(self):
         g = rng(74)
@@ -554,8 +669,8 @@ class TestWitnessConsistencyUnderPerturbation:
         for k in range(50):
             h = random_hermitian(g, 9)
             c = base + 0.005 * frob(base) / frob(h) * h
-            dec = in_E(c, D33, CFG, seed=k)
-            wit = witness_search(c, D33, CFG, seed=1000 + k)
+            dec = in_E(c, D33, CFG)
+            wit = witness_search(c, D33, CFG)
             assert dec.status is Status.OUT
             assert wit is not None and wit.value < -1e-6
             # the shipped companion state still certifies every perturbation
@@ -596,7 +711,7 @@ class TestAgainstSdpOracle:
             else:
                 x = random_psd(g, 9) + partial_transpose(random_psd(g, 9), D33)
             x /= frob(x)
-            v = in_E(x, D33, CFG, seed=k)
+            v = in_E(x, D33, CFG)
             truth = sdp_min(x)
             if v.status is Status.UNDECIDED:
                 continue

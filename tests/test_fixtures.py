@@ -1,8 +1,8 @@
 """The shipped non-decomposable map and its PPT entangled companion.
 
 The regeneration-and-validation recipe for the shipped JSON files lives
-here: five independently seeded feasibility runs at tolerance 1e-11 must
-all certify non-decomposability, the companion state must be PPT with
+here: the e-cone solve at tolerance 1e-11 must certify non-decomposability
+in five independently seeded local frames, the companion state must be PPT with
 unit trace, and the pairing must equal the closed-form value -1/14.
 """
 
@@ -55,12 +55,17 @@ class TestMapFixture:
         assert is_positive_map(nondecomposable_map(), restarts=16).status is Status.IN
 
     def test_nondecomposable_five_seeds(self):
+        # local unitaries U (x) V preserve the e cone, so every frame must
+        # give OUT with a witness as deep as in the shipped one
         lam = nondecomposable_map()
         cfg = DykstraConfig(tol=1e-11)
         for seed in range(5):
-            v = in_E(lam.choi.copy(), Dims(3, 3), cfg, seed=seed)
-            assert v.status is Status.OUT, f"seed {seed}: {v.status}"
-            assert v.certificate.value < -1e-6
+            g = np.random.default_rng(seed)
+            u, v = (np.linalg.qr(g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3)))[0] for _ in range(2))
+            uv = np.kron(u, v)
+            verdict = in_E(uv @ lam.choi @ uv.conj().T, Dims(3, 3), cfg)
+            assert verdict.status is Status.OUT, f"seed {seed}: {verdict.status}"
+            assert verdict.certificate.value < -0.07
 
 
 class TestStateFixture:

@@ -101,6 +101,10 @@ class TestCheckCommand:
         assert main(["check", fixture_file, "pos"]) == 0
         out = capsys.readouterr().out
         assert "sweeps=" in out and "restart=" in out
+        assert main(["check", fixture_file, "d"]) == 1
+        out = capsys.readouterr().out
+        for key in ("iterations=", "residual=", "stop=out", "lower=", "upper="):
+            assert key in out, key
         mixed = tmp_path / "mixed.json"
         save_matrix(mixed, 3, 3, np.eye(9))
         assert main(["check", str(mixed), "sep"]) == 0

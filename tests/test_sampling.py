@@ -58,7 +58,7 @@ class TestSamplerInvariants:
         cfg = DykstraConfig()
         for k in range(3):
             phi = ConeSampler(ConeId.MAP_D, d, seed=4).draw(k)
-            assert is_decomposable(phi, cfg, seed=k).status is Status.IN
+            assert is_decomposable(phi, cfg).status is Status.IN
 
     def test_s_samples_exact_regime(self):
         for d in (D22, Dims(2, 3)):
