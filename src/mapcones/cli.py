@@ -119,7 +119,7 @@ def _cmd_check(args) -> int:
             elif cone is ConeId.MAP_D:
                 v = is_decomposable(phi, cfg)
             elif cone is ConeId.MAP_S:
-                v = in_S(phi, tol, seed=args.seed)
+                v = in_S(phi, tol)
             else:
                 v = is_positive_map(phi, restarts=max(args.restarts, 10), tol=tol, seed=args.seed)
         else:
@@ -136,7 +136,7 @@ def _cmd_check(args) -> int:
                 if tr <= tol:
                     print("error: state trace is not positive", file=sys.stderr)
                     return EXIT_DIMS
-                v = is_separable(rho / tr, d, tol, seed=args.seed)
+                v = is_separable(rho / tr, d, tol)
             else:
                 v = is_block_positive(mat, d, restarts=max(args.restarts, 10), tol=tol, seed=args.seed)
     except ValueError as exc:
@@ -202,7 +202,7 @@ def _cmd_random(args) -> int:
     try:
         d = Dims(args.n, args.m).validate()
         phi = sample_map(cone, d, substream(args.seed, 0x0C11))
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMS
     save_matrix(args.out, d.n, d.m, phi.choi)

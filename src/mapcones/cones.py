@@ -565,7 +565,7 @@ def _positive_map_detection(rho: np.ndarray, d: Dims, tol: float) -> Optional[tu
     return None
 
 
-def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9, seed: int = 0) -> Verdict:
+def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """Separability of a density operator.
 
     At 2 (x) 2 and 2 (x) 3 the PPT condition is exact and decides the
@@ -573,8 +573,7 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9, seed: int = 0) -> 
     successful nonnegative product-state fit is a certified IN, a
     positive-map detection is a certified OUT, and anything else is
     UNDECIDED.  Whenever the fit ran, ``info`` carries the ``dictionary``
-    size and the NNLS ``fit_residual``.  The dictionary is deterministic,
-    so ``seed`` (kept for API stability) does not affect the verdict.
+    size and the NNLS ``fit_residual``.  The dictionary is deterministic.
     """
     d = Dims(*d).validate()
     rho = as_operator(rho)
@@ -603,13 +602,13 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9, seed: int = 0) -> 
     return Verdict(Status.UNDECIDED, info={"ppt": "passed", **fit})
 
 
-def in_S(phi: MapRep, tol: float = 1e-9, seed: int = 0) -> Verdict:
+def in_S(phi: MapRep, tol: float = 1e-9) -> Verdict:
     """Entanglement-breaking cone: the normalized Choi matrix is separable."""
     c = phi.hermitian_choi(tol)
     tr = float(np.trace(c).real)
     if tr <= tol:
         raise ValueError(f"Choi trace {tr:.3e} is not positive")
-    return is_separable(c / tr, phi.d, tol, seed)
+    return is_separable(c / tr, phi.d, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,13 @@ from .choi import (
     transpose_conj,
     transpose_map,
 )
-from .cones import ConeId, DykstraConfig, project_F
+from .cones import ConeId
 from .linalg import Dims, frob, hermitian_part, partial_transpose
 
 __all__ = [
     "ConeSampler",
     "sample_map",
+    "random_cone_choi",
     "cone_generator_pool",
     "kd_generators",
     "k_t",
@@ -134,15 +135,41 @@ def _normalize_choi(choi: np.ndarray, n: int) -> np.ndarray:
     return choi * (n / tr)
 
 
-def sample_map(cone: ConeId, d: Dims, seed_or_rng, max_attempts: int = 100) -> MapRep:
-    """Draw a random element of a map cone.
+def random_cone_choi(cone: ConeId, d: Dims, rng: np.random.Generator) -> np.ndarray:
+    """An unnormalized Choi matrix of a random map in the cp, cop, d or p cone.
 
-    Constructions guarantee membership: cp maps come from Wishart Choi
-    matrices, cop maps from their partial transposes, the p cone from
-    projections onto the PPT cone, decomposable maps from cp + cop sums,
-    entanglement breaking maps from product-form Choi matrices, and
-    positive maps from mixtures of decomposable samples with conjugated
-    copies of the shipped non-decomposable map.
+    cp draws a Wishart matrix, cop its partial transpose, and d the sum
+    of one of each.  p shifts a random Hermitian G by
+    ``(max(0, -lambda_min G, -lambda_min PT G) + 0.05 ||G||_F / sqrt(nm)) I``,
+    so both G and PT(G) become PSD with room to spare: the draw lies
+    strictly inside the PPT cone, with
+    ``min(lambda_min C, lambda_min PT C) >= 0.05 / (sqrt(nm) (1.05 + sqrt(nm))) ||C||_F``.
+    """
+    d = Dims(*d)
+    nm = d.total
+    if cone is ConeId.MAP_CP:
+        return random_psd(rng, nm)
+    if cone is ConeId.MAP_COP:
+        return partial_transpose(random_psd(rng, nm), d)
+    if cone is ConeId.MAP_D:
+        return random_psd(rng, nm) + partial_transpose(random_psd(rng, nm), d)
+    if cone is ConeId.MAP_P:
+        g = random_hermitian(rng, nm)
+        low = min(np.linalg.eigvalsh(g)[0], np.linalg.eigvalsh(partial_transpose(g, d))[0])
+        shift = max(0.0, -low) + 0.05 * frob(g) / np.sqrt(nm)
+        return g + shift * np.eye(nm)
+    raise ValueError(f"no closed-form sampler for {cone}")
+
+
+def sample_map(cone: ConeId, d: Dims, seed_or_rng) -> MapRep:
+    """Draw a random element of a map cone, normalized to Tr C = n.
+
+    The cp, cop, d and p cones draw through ``random_cone_choi``, whose
+    p samples lie strictly inside the PPT cone.  Entanglement breaking
+    maps come from product-form Choi matrices, and positive maps from a
+    decomposable draw, mixed at 3 x 3 with a conjugated copy of the
+    shipped non-decomposable map.  Every construction has a positive
+    trace, so no draw is retried.
     """
     d = Dims(*d).validate()
     if not cone.is_map_cone:
@@ -150,36 +177,20 @@ def sample_map(cone: ConeId, d: Dims, seed_or_rng, max_attempts: int = 100) -> M
     rng = _rng_of(seed_or_rng)
     n, m = d
     nm = d.total
-    for _ in range(max_attempts):
-        try:
-            if cone is ConeId.MAP_CP:
-                choi = random_psd(rng, nm)
-            elif cone is ConeId.MAP_COP:
-                choi = partial_transpose(random_psd(rng, nm), d)
-            elif cone is ConeId.MAP_P:
-                choi = project_F(random_hermitian(rng, nm), d, DykstraConfig())
-                if frob(choi) < 1e-8:
-                    continue
-            elif cone is ConeId.MAP_D:
-                choi = random_psd(rng, nm) + partial_transpose(random_psd(rng, nm), d)
-            elif cone is ConeId.MAP_S:
-                choi = np.zeros((nm, nm), dtype=np.complex128)
-                for _ in range(nm):
-                    choi += np.kron(random_psd(rng, n), random_psd(rng, m))
-            elif cone is ConeId.MAP_POS:
-                base = random_psd(rng, nm) + partial_transpose(random_psd(rng, nm), d)
-                choi = _normalize_choi(base, n)
-                if n == m == 3:
-                    lam = _conjugated_fixture(rng)
-                    lam_choi = _normalize_choi(lam.choi.copy(), n)
-                    t = rng.uniform(0.3, 0.9)
-                    choi = (1 - t) * choi + t * lam_choi
-            else:
-                raise ValueError(f"unhandled map cone {cone}")
-            return map_from_choi(n, m, _normalize_choi(choi, n))
-        except ValueError:
-            continue
-    raise RuntimeError(f"could not draw a nondegenerate {cone.value} sample in {max_attempts} attempts")
+    if cone is ConeId.MAP_S:
+        choi = np.zeros((nm, nm), dtype=np.complex128)
+        for _ in range(nm):
+            choi += np.kron(random_psd(rng, n), random_psd(rng, m))
+    elif cone is ConeId.MAP_POS:
+        choi = _normalize_choi(random_cone_choi(ConeId.MAP_D, d, rng), n)
+        if n == m == 3:
+            lam = _conjugated_fixture(rng)
+            lam_choi = _normalize_choi(lam.choi.copy(), n)
+            t = rng.uniform(0.3, 0.9)
+            choi = (1 - t) * choi + t * lam_choi
+    else:
+        choi = random_cone_choi(cone, d, rng)
+    return map_from_choi(n, m, _normalize_choi(choi, n))
 
 
 def _conjugated_fixture(rng: np.random.Generator) -> MapRep:

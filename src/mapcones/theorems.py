@@ -57,7 +57,6 @@ from .cones import (
     in_F,
     is_separable,
     pm_k_membership,
-    project_F,
     witness_search,
 )
 from .linalg import (
@@ -73,6 +72,7 @@ from .sampling import (
     cone_generator_pool,
     k_t,
     kd_generators,
+    random_cone_choi,
     random_hermitian,
     random_psd,
     random_unit_vector,
@@ -431,6 +431,10 @@ def emit_report(report: TheoremReport, fmt: str = "json") -> str:
 # ---------------------------------------------------------------------------
 
 
+#: The cone that families 1-4 of ``_random_map`` and ``_operator_sample`` draw from.
+_FAMILY_CONES = {1: ConeId.MAP_CP, 2: ConeId.MAP_COP, 3: ConeId.MAP_D, 4: ConeId.MAP_P}
+
+
 def _random_map(rng: np.random.Generator, d: Dims, family: int) -> MapRep:
     """Mixed families of Hermitian-Choi maps, normalized to ||C||_F = n."""
     n, m = d
@@ -438,19 +442,8 @@ def _random_map(rng: np.random.Generator, d: Dims, family: int) -> MapRep:
     k = family % 6
     if k == 0:
         c = random_hermitian(rng, nm)
-    elif k == 1:
-        c = random_psd(rng, nm)
-    elif k == 2:
-        c = partial_transpose(random_psd(rng, nm), d)
-    elif k == 3:
-        c = random_psd(rng, nm) + partial_transpose(random_psd(rng, nm), d)
-    elif k == 4:
-        c = project_F(random_hermitian(rng, nm), d)
-        if frob(c) < 1e-8:
-            c = random_psd(rng, nm)
-        # the projection lands exactly on the cone boundary; nudge inside
-        # so spectral margins stay clear of the undecided band
-        c = c + 0.05 * frob(c) * np.eye(nm)
+    elif k in _FAMILY_CONES:
+        c = random_cone_choi(_FAMILY_CONES[k], d, rng)
     else:
         c = random_hermitian(rng, nm) + 0.5 * random_psd(rng, nm)
     return map_from_choi(n, m, c * (n / max(frob(c), 1e-12)))
@@ -470,45 +463,17 @@ def _fixture_perturbation(rng: np.random.Generator, eps: float = 0.005) -> MapRe
     return map_from_choi(3, 3, c)
 
 
-_E_CHOI = 3
-_F_CHOI = 4
-
-
 def _operator_sample(rng: np.random.Generator, d: Dims, family: int) -> np.ndarray:
     """Mixed Hermitian operators: generic, PSD, PT-PSD, e-cone, f-cone."""
-    nm = d.total
     k = family % 5
-    if k == 0:
-        x = random_hermitian(rng, nm)
-    elif k == 1:
-        x = random_psd(rng, nm)
-    elif k == 2:
-        x = partial_transpose(random_psd(rng, nm), d)
-    elif k == _E_CHOI:
-        x = random_psd(rng, nm) + partial_transpose(random_psd(rng, nm), d)
-    else:
-        x = project_F(random_hermitian(rng, nm), d)
-        if frob(x) < 1e-8:
-            x = random_psd(rng, nm)
+    x = random_hermitian(rng, d.total) if k == 0 else random_cone_choi(_FAMILY_CONES[k], d, rng)
     return x / max(frob(x), 1e-12)
 
 
 def _dual_side_choi(rng: np.random.Generator, cone: ConeId, d: Dims) -> np.ndarray:
-    """A random Choi matrix in P(M, K^t), the dual-side operator cone."""
-    nm = d.total
-    if cone is ConeId.MAP_CP:
-        x = random_psd(rng, nm)
-    elif cone is ConeId.MAP_COP:
-        x = partial_transpose(random_psd(rng, nm), d)
-    elif cone is ConeId.MAP_P:
-        x = random_psd(rng, nm) + partial_transpose(random_psd(rng, nm), d)
-    elif cone is ConeId.MAP_D:
-        x = project_F(random_hermitian(rng, nm), d)
-        if frob(x) < 1e-8:
-            x = np.eye(nm, dtype=np.complex128)
-    else:
-        raise ValueError(f"no dual-side closed form for {cone}")
-    return x / max(float(np.trace(x).real), 1e-12)
+    """A random trace-one Choi matrix in P(M, K^t), the dual-side operator cone."""
+    x = random_cone_choi(_PARTNER[cone], d, rng)
+    return x / float(np.trace(x).real)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +978,7 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
                 # the functional is not even a state, hence not separable
                 sep_in = False
             else:
-                sep = is_separable(density / float(np.trace(density).real), d, tol, seed=seed)
+                sep = is_separable(density / float(np.trace(density).real), d, tol)
                 if sep.status is Status.UNDECIDED:
                     report.undecided += 1
                     continue

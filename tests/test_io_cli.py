@@ -1,6 +1,7 @@
 """File format round-trips and the command-line exit-code contract."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,19 @@ class TestRandomCommand:
         assert main(["random", "cp", "3", "3", str(a), "--seed", "7"]) == 0
         assert main(["random", "cp", "3", "3", str(b), "--seed", "7"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_p_sample_round_trips_inside_the_cone(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        assert main(["random", "p", "3", "3", str(path), "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert main(["check", str(path), "p"]) == 0
+        out = capsys.readouterr().out
+        found = re.search(r"min eig (\S+), min eig after PT (\S+)", out)
+        assert found, out
+        _, c = load_matrix(path)
+        band = 10 * 1e-9 * (1 + np.linalg.norm(c))
+        assert float(found.group(1)) >= band
+        assert float(found.group(2)) >= band
 
     def test_operator_cone_rejected(self, tmp_path):
         assert main(["random", "psd", "2", "2", str(tmp_path / "x.json")]) == 66

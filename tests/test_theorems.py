@@ -101,46 +101,53 @@ class TestTheorem1Conditions:
             theorem1_conditions(identity_map(2), ConeId.OP_PSD)
 
 
+#: At most this share of a smoke suite's checks may be UNDECIDED, so no
+#: suite can pass by excluding its trials.
+SMOKE_UNDECIDED_FRACTION = 0.1
+
+
+def _passes_decided(report) -> None:
+    assert report.passed, report.failures
+    assert report.checks > 0
+    assert report.undecided <= SMOKE_UNDECIDED_FRACTION * report.checks, (report.undecided, report.checks)
+
+
 class TestVerifySmoke:
     @pytest.mark.parametrize("tid", ["L4", "L5", "L8", "L10", "L15"])
     def test_identity_suites_pass(self, tid):
-        report = verify(tid, D33, trials=12, seed=7)
-        assert report.passed, report.failures
-        assert report.checks > 0
+        _passes_decided(verify(tid, D33, trials=12, seed=7))
 
     @pytest.mark.parametrize("tid", ["L16", "L17"])
     def test_cone_suites_pass(self, tid):
-        report = verify(tid, D33, trials=8, seed=8)
-        assert report.passed, report.failures
+        _passes_decided(verify(tid, D33, trials=8, seed=8))
 
     def test_t1_small(self):
-        report = verify("T1", D33, trials=6, seed=9)
-        assert report.passed, report.failures
+        _passes_decided(verify("T1", D33, trials=6, seed=9))
+
+    def test_t1_p_cone_trials_decided_at_2x2(self):
+        # p-cone samples lie strictly inside the PPT cone, so T1's p-cone
+        # checks stay clear of the boundary band
+        assert verify("T1", Dims(2, 2), trials=12, seed=1).undecided == 0
 
     def test_t6_small(self):
-        report = verify("T6", D33, trials=12, seed=10)
-        assert report.passed, report.failures
+        _passes_decided(verify("T6", D33, trials=12, seed=10))
 
     def test_t12_small(self):
-        report = verify("T12", D33, trials=8, seed=11)
-        assert report.passed, report.failures
+        _passes_decided(verify("T12", D33, trials=8, seed=11))
 
     def test_t13_has_fixture_note(self):
         report = verify("T13", D33, trials=10, seed=12)
-        assert report.passed, report.failures
+        _passes_decided(report)
         assert any("fixture pairing value" in n for n in report.notes)
 
     def test_t18_small(self):
-        report = verify("T18", D33, trials=9, seed=13)
-        assert report.passed, report.failures
+        _passes_decided(verify("T18", D33, trials=9, seed=13))
 
     def test_c2_at_2x2(self):
-        report = verify("C2", Dims(2, 2), trials=10, seed=14)
-        assert report.passed, report.failures
+        _passes_decided(verify("C2", Dims(2, 2), trials=10, seed=14))
 
     def test_c19_small(self):
-        report = verify("C19", D33, trials=6, seed=15)
-        assert report.passed, report.failures
+        _passes_decided(verify("C19", D33, trials=6, seed=15))
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
