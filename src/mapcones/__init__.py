@@ -41,6 +41,7 @@ from .choi import (
     DualFunctional,
     MapRep,
     adjoint,
+    adjoint_choi,
     apply_map,
     apply_second,
     compose_left,

@@ -46,6 +46,7 @@ __all__ = [
     "compose_left",
     "transpose_conj",
     "adjoint",
+    "adjoint_choi",
     "dual_functional",
     "pairing",
     "omega_eval",
@@ -177,23 +178,40 @@ def apply_map(phi: MapRep, a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,irjs->rs", a, c4)
 
 
-def apply_second(alpha: MapRep, x: np.ndarray, d: Dims) -> np.ndarray:
+def apply_second(alpha: MapRep | np.ndarray, x: np.ndarray, d: Dims) -> np.ndarray:
     """Apply id (x) alpha to an operator on C^n (x) C^m, blockwise.
 
     alpha maps M_m -> M_k, so the result lives on C^n (x) C^k.  The map
     is applied block by block; the full superoperator is never formed.
+
+    Batched form: ``alpha`` may also be an array of Choi matrices of maps
+    M_m -> M_k with shape (..., mk, mk), and ``x`` may carry leading axes,
+    shape (..., nm, nm).  The leading axes of both broadcast against each
+    other (numpy rules) in the one contraction, so K maps applied to K
+    operators, or one map to a stack, cost a single call; a single map
+    on a single operator is the case without leading axes.
     """
     n, m = Dims(*d)
-    x = as_operator(x)
-    if x.shape != (n * m, n * m):
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim < 2 or x.shape[-2:] != (n * m, n * m):
         raise ValueError(f"operator shape {x.shape} does not match dims {d}")
-    if alpha.n != m:
-        raise ValueError(f"map input dim {alpha.n} does not match second factor {m}")
-    k = alpha.m
-    x4 = x.reshape(n, m, n, m)
-    a4 = alpha.choi.reshape(m, k, m, k)
-    out = np.einsum("irjs,rusv->iujv", x4, a4)
-    return out.reshape(n * k, n * k)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("matrix contains non-finite entries")
+    if isinstance(alpha, MapRep):
+        if alpha.n != m:
+            raise ValueError(f"map input dim {alpha.n} does not match second factor {m}")
+        a = alpha.choi
+    else:
+        a = np.asarray(alpha, dtype=np.complex128)
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] % m:
+            raise ValueError(
+                f"Choi stack shape {a.shape} does not fit maps on M_{m}"
+            )
+    k = a.shape[-1] // m
+    x4 = x.reshape(x.shape[:-2] + (n, m, n, m))
+    a4 = a.reshape(a.shape[:-2] + (m, k, m, k))
+    out = np.einsum("...irjs,...rusv->...iujv", x4, a4)
+    return out.reshape(out.shape[:-4] + (n * k, n * k))
 
 
 def compose_left(alpha: MapRep, phi: MapRep) -> MapRep:
@@ -211,21 +229,30 @@ def transpose_conj(phi: MapRep) -> MapRep:
     return MapRep(phi.d, both_transpose(phi.choi, phi.d))
 
 
+def adjoint_choi(c: np.ndarray, d: Dims) -> np.ndarray:
+    """Choi matrix of phi* from the Choi matrix c of phi: M_n -> M_m.
+
+    The adjoint for Tr(phi(a) b) = Tr(a phi*(b)) has the Choi tensor
+    C4[i, r, j, s] read backwards: its entry [s, j, r, i] is C4[i, r, j, s],
+    a pure axis permutation.  Leading axes of c index a stack of maps of
+    dims d and are kept.
+    """
+    n, m = Dims(*d)
+    if c.shape[-2:] != (n * m, n * m):
+        raise ValueError(f"Choi shape {c.shape} does not match dims {d}")
+    c4 = c.reshape(c.shape[:-2] + (n, m, n, m))
+    return c4.swapaxes(-4, -1).swapaxes(-3, -2).reshape(c.shape)
+
+
 def adjoint(phi: MapRep) -> MapRep:
     """Adjoint phi* for the pairing Tr(phi(a) b) = Tr(a phi*(b)).
 
-    Computed by the entrywise rule phi*(b)_ji = Tr(phi(e_ij) b); the
-    equivalent axis permutation of the Choi tensor is checked against
-    this definition in the test suite rather than taken as definition.
+    Defined as the axis permutation of the Choi tensor in
+    ``adjoint_choi``.  The entrywise trace rule phi*(b)_ji = Tr(phi(e_ij) b)
+    is the reference it is tested against.
     """
     n, m = phi.d
-    c4 = phi.choi.reshape(n, m, n, m)
-
-    def act(b: np.ndarray) -> np.ndarray:
-        g = np.einsum("irjs,sr->ij", c4, b)
-        return g.T
-
-    return map_from_action(m, n, act)
+    return MapRep(Dims(m, n), adjoint_choi(phi.choi, phi.d))
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,18 @@ Subcommands:
     verify   run a theorem verification suite
 
 Exit codes: 0 IN / witness found / suite passed, 1 OUT / no witness,
-2 UNDECIDED, 64 parse failure, 65 dimension error, 66 unknown cone or
-theorem name, 70 internal error.  Every command honors --seed; the
-default seed is the fixed constant 123456789 rather than wall clock, so
-unseeded runs are reproducible.
+2 UNDECIDED, 64 parse failure, 65 dimension error or invalid value (a
+``--tol`` that is not finite and positive, ``--trials`` below 1), 66
+unknown cone or theorem name, 70 internal error.  Every command honors
+--seed; the default seed is the fixed constant 123456789 rather than
+wall clock, so unseeded runs are reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -281,8 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        print(f"error: --tol must be a finite positive number, got {tol!r}", file=sys.stderr)
+        return EXIT_DIMS
     try:
         return args.func(args)
     except Exception as exc:  # pragma: no cover - last-resort guard

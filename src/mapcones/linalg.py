@@ -100,21 +100,24 @@ def conj_transpose(x: np.ndarray) -> np.ndarray:
 
 
 def _blocks(x: np.ndarray, d: Dims) -> np.ndarray:
-    """View x as an (n, m, n, m) array of blocks; validates the shape."""
+    """View x as an (..., n, m, n, m) array of blocks; validates the shape.
+
+    Leading axes of x, if any, index a stack of operators.
+    """
     n, m = d
-    if x.shape != (n * m, n * m):
+    if x.shape[-2:] != (n * m, n * m):
         raise ValueError(f"operator shape {x.shape} does not match dims {d}")
-    return x.reshape(n, m, n, m)
+    return x.reshape(x.shape[:-2] + (n, m, n, m))
 
 
 def partial_transpose(x: np.ndarray, d: Dims) -> np.ndarray:
     """Transpose the second tensor factor: blocks X_ij -> X_ij^T.
 
     This is the action of id (x) t; it is a linear involution that
-    preserves trace and Frobenius norm but not positivity.
+    preserves trace and Frobenius norm but not positivity.  Leading axes
+    of x index a stack and are kept.
     """
-    n, m = d
-    return _blocks(x, d).transpose(0, 3, 2, 1).reshape(n * m, n * m)
+    return _blocks(x, d).swapaxes(-3, -1).reshape(x.shape)
 
 
 def both_transpose(x: np.ndarray, d: Dims) -> np.ndarray:
@@ -122,11 +125,10 @@ def both_transpose(x: np.ndarray, d: Dims) -> np.ndarray:
 
     Computed factor by factor; equals ``full_transpose`` on every
     composite operator (asserted in the test suite, not assumed here).
+    Leading axes of x index a stack and are kept.
     """
-    n, m = d
     # first-factor transpose: blocks X_ij -> X_ji, then transpose each block
-    y = _blocks(x, d).transpose(2, 1, 0, 3).reshape(n * m, n * m)
-    return partial_transpose(y, d)
+    return partial_transpose(_blocks(x, d).swapaxes(-4, -2).reshape(x.shape), d)
 
 
 def partial_trace(x: np.ndarray, d: Dims, factor: int) -> np.ndarray:
@@ -144,8 +146,8 @@ def partial_trace(x: np.ndarray, d: Dims, factor: int) -> np.ndarray:
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
-    """(x + x*) / 2."""
-    return (x + x.conj().T) / 2
+    """(x + x*) / 2, matrix by matrix over any leading axes."""
+    return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
 def check_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

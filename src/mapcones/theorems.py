@@ -36,6 +36,7 @@ from . import fixtures
 from .choi import (
     MapRep,
     adjoint,
+    adjoint_choi,
     apply_map,
     apply_second,
     compose_left,
@@ -169,8 +170,39 @@ def _witness_map(w: np.ndarray, d: Dims) -> MapRep:
     return transpose_conj(adjoint(beta))
 
 
+def _min_eigs(x) -> np.ndarray:
+    """Least eigenvalue of the Hermitian part, matrix by matrix over leading axes."""
+    return np.linalg.eigvalsh(hermitian_part(x))[..., 0]
+
+
 def _min_eig(x) -> float:
-    return float(np.linalg.eigvalsh(hermitian_part(x))[0])
+    return float(_min_eigs(x))
+
+
+def _least(values) -> float:
+    """Smallest entry of an array; +inf when it is empty."""
+    return float(np.min(values, initial=np.inf))
+
+
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr(a b) for one matrix a against a stack b (leading axes kept)."""
+    return np.einsum("ij,...ji->...", a, b)
+
+
+def _pairings(c: np.ndarray, chois: np.ndarray) -> np.ndarray:
+    """``pairing`` of a Hermitian Choi matrix c with each of a stack of Choi matrices."""
+    return _traces(c, hermitian_part(chois)).real
+
+
+def _choi_stack(maps: Sequence[MapRep], k: int) -> np.ndarray:
+    """The k x k Choi matrices of ``maps`` stacked along a leading axis."""
+    return np.array([a.choi for a in maps], dtype=np.complex128).reshape(-1, k, k)
+
+
+def _bottom_projectors(y: np.ndarray) -> np.ndarray:
+    """v v* for the bottom eigenvector v of the Hermitian part of each matrix in a stack."""
+    v = np.linalg.eigh(hermitian_part(y))[1][..., :1]
+    return v @ v.conj().swapaxes(-1, -2)
 
 
 def theorem1_conditions(
@@ -189,12 +221,18 @@ def theorem1_conditions(
     canonical elements is drawn.  For the cp / cop / p / d cones the
     verdicts are exact: spectral for the first three families and via
     ``cones.in_E`` for the p cone.
+
+    Each condition runs over the whole pool at once: the samples' Choi
+    matrices are stacked, ``apply_second`` and ``adjoint_choi`` act on the
+    stack, and one batched eigensolver call serves every sample.  Random
+    probes are drawn sample-major, then repetition.
     """
     if not cone.is_map_cone:
         raise ValueError(f"{cone} is not a map cone")
     c = phi.hermitian_choi(tol)
     d = phi.d
-    n, m = d
+    nm = d.total
+    sq = Dims(d.m, d.m)
     scale = 1.0 + frob(c)
     thr = tol * scale
     band = 10.0 * thr
@@ -206,52 +244,43 @@ def theorem1_conditions(
         kd_samples = kd_generators(samples)
 
     if cone is ConeId.MAP_P:
-        return _theorem1_p_cone(phi, c, samples, tol, rng, n_probes)
+        return _theorem1_p_cone(phi, c, samples, tol, n_probes)
 
-    margins: dict[str, float] = {}
+    pool = _choi_stack(samples, sq.total)
+    pool_t = both_transpose(pool, sq)
+    kd = _choi_stack(kd_samples, sq.total)
 
     # (ii) membership of the Choi matrix in the partner operator cone
     if cone in _PARTNER:
         m2 = _kpositivity_margin(_PARTNER[cone], c, d)
     else:
         # generic cone: sampled membership through the transposed samples
-        m2 = np.inf
-        for alpha in k_t(samples):
-            m2 = min(m2, _min_eig(apply_second(alpha, c, d)))
+        m2 = _least(_min_eigs(apply_second(pool_t, c, d)))
 
-    # (i) pairing against generators alpha . psi of the primal cone
-    m1 = np.inf
-    for alpha in kd_samples:
-        z = hermitian_part(apply_second(adjoint(alpha), c, d))
-        w_eig, u = np.linalg.eigh(z)
-        v = u[:, [0]]
-        psi_adv = map_from_choi(n, m, v @ v.conj().T)
-        m1 = min(m1, pairing(phi, compose_left(alpha, psi_adv), tol=np.inf))
-        for _ in range(max(n_probes // max(len(kd_samples), 1), 1)):
-            cpsi = random_psd(rng, n * m)
-            cpsi /= np.trace(cpsi).real
-            psi = map_from_choi(n, m, cpsi)
-            m1 = min(m1, pairing(phi, compose_left(alpha, psi), tol=np.inf))
+    # (i) pairing against generators alpha . psi of the primal cone: per
+    # alpha, the adversarial psi (bottom of (id (x) alpha*)(C)) and reps
+    # random trace-one psi
+    reps = max(n_probes // max(len(kd), 1), 1)
+    adv = _bottom_projectors(apply_second(adjoint_choi(kd, sq), c, d))
+    rand = np.array([random_psd(rng, nm) for _ in range(len(kd) * reps)])
+    rand = rand.reshape(len(kd), reps, nm, nm)
+    rand /= np.trace(rand, axis1=-2, axis2=-1).real[..., None, None]
+    psi = np.concatenate([adv[:, None], rand], axis=1)
+    m1 = _least(_pairings(c, apply_second(kd[:, None], psi, d)))
 
-    # (iii) positivity of the induced functional on transformed probes
+    # (iii) positivity of the induced functional on transformed probes:
+    # per alpha, the adversarial probe and two random rank-one ones
     func = dual_functional(phi)
-    m3 = np.inf
-    for alpha in samples:
-        y = hermitian_part(apply_second(alpha, func.density, d))
-        w_eig, u = np.linalg.eigh(y)
-        v = u[:, [0]]
-        probe = apply_second(adjoint(alpha), v @ v.conj().T, d)
-        m3 = min(m3, float(func(probe).real))
-        for _ in range(2):
-            vv = random_unit_vector(rng, n * m)
-            probe = apply_second(adjoint(alpha), np.outer(vv, vv.conj()), d)
-            m3 = min(m3, float(func(probe).real))
+    adv = _bottom_projectors(apply_second(pool, func.density, d))
+    vv = np.array([random_unit_vector(rng, nm) for _ in range(2 * len(pool))])
+    vv = vv.reshape(len(pool), 2, nm)
+    rand = vv[..., :, None] * vv.conj()[..., None, :]
+    probe = np.concatenate([adv[:, None], rand], axis=1)
+    probes = apply_second(adjoint_choi(pool, sq)[:, None], probe, d)
+    m3 = _least(_traces(func.density, probes).real)
 
     # (iv) complete positivity of the compositions alpha^t . phi
-    m4 = np.inf
-    for alpha in samples:
-        comp = compose_left(transpose_conj(alpha), phi)
-        m4 = min(m4, _min_eig(comp.choi))
+    m4 = _least(_min_eigs(apply_second(pool_t, phi.choi, d)))
 
     margins = {"i": float(m1), "ii": float(m2), "iii": float(m3), "iv": float(m4)}
     boundary = any(abs(v) <= band for v in margins.values())
@@ -265,7 +294,6 @@ def _theorem1_p_cone(
     c,
     samples: Sequence[MapRep],
     tol: float,
-    rng: np.random.Generator,
     n_probes: int,
 ) -> Theorem1Conditions:
     """The p-cone instance, decided by ``cones.in_E``.
@@ -275,10 +303,13 @@ def _theorem1_p_cone(
     (i) pairs against PPT Choi samples and the OUT witness, condition
     (iii) evaluates the induced functional on probes built from the
     constructive violating map, and condition (iv) checks sampled
-    compositions against the transposed verdict.
+    compositions against the transposed verdict.  The PPT samples serve
+    as Choi matrices of maps M_n -> M_m, so n = m is required.
     """
     d = phi.d
     n, m = d
+    if n != m:
+        raise ValueError("the p-cone instance needs square dimensions")
     scale = 1.0 + frob(c)
     thr = tol * scale
     band = 10.0 * thr
@@ -294,39 +325,32 @@ def _theorem1_p_cone(
     if v_c.status is Status.UNDECIDED or v_c.status is not v_t.status:
         return Theorem1Conditions(False, False, False, False, True, margins)
     out = v_c.status is Status.OUT
+    pool = _choi_stack(samples, m * m)
+    probe_maps = pool[: max(n_probes, 2)]
+    comp_maps = probe_maps
+    if out:
+        wit = _witness_map(v_t.certificate.w, d)
+        probe_maps = np.concatenate([probe_maps, wit.choi[None]])
+        comp_wit = transpose_conj(_witness_map(v_c.certificate.w, d))
+        comp_maps = np.concatenate([comp_maps, comp_wit.choi[None]])
 
     # (i): pairings with PPT Choi matrices (the Chois of p-positive maps)
-    m1 = np.inf
-    for alpha in samples:
-        g = alpha.choi / float(np.trace(alpha.choi).real)
-        m1 = min(m1, pairing(phi, map_from_choi(n, m, g), tol=np.inf))
+    g = pool / np.trace(pool, axis1=-2, axis2=-1).real[:, None, None]
+    m1 = _least(_pairings(c, g))
     if out:
         m1 = min(m1, pairing(phi, map_from_choi(n, m, v_c.certificate.w), tol=np.inf))
     b1 = m1 >= -thr
 
     # (iii): functional positivity on (id (x) alpha*)(probe) constructions
     func = dual_functional(phi)
-    m3 = np.inf
-    probe_maps = list(samples[: max(n_probes, 2)])
-    if out:
-        probe_maps.append(_witness_map(v_t.certificate.w, d))
-        m3 = min(m3, float(func(v_t.certificate.w).real))
-    for alpha in probe_maps:
-        y = hermitian_part(apply_second(alpha, func.density, d))
-        w_eig, u = np.linalg.eigh(y)
-        v = u[:, [0]]
-        probe = apply_second(adjoint(alpha), v @ v.conj().T, d)
-        m3 = min(m3, float(func(probe).real))
+    m3 = float(func(v_t.certificate.w).real) if out else np.inf
+    adv = _bottom_projectors(apply_second(probe_maps, func.density, d))
+    probes = apply_second(adjoint_choi(probe_maps, d), adv, d)
+    m3 = min(m3, _least(_traces(func.density, probes).real))
     b3 = m3 >= -thr
 
     # (iv): sampled compositions, sharpened by the transposed-run verdict
-    m4 = np.inf
-    comp_maps = list(samples[: max(n_probes, 2)])
-    if out:
-        comp_maps.append(transpose_conj(_witness_map(v_c.certificate.w, d)))
-    for alpha in comp_maps:
-        comp = compose_left(transpose_conj(alpha), phi)
-        m4 = min(m4, _min_eig(comp.choi))
+    m4 = _least(_min_eigs(apply_second(both_transpose(comp_maps, d), phi.choi, d)))
     b4 = (m4 >= -thr) and not out
 
     b2 = not out
@@ -1081,7 +1105,9 @@ def verify(
 
     The report is a pure function of the arguments; rerunning with the
     same arguments reproduces it exactly (the wall-time attribute is
-    informational and excluded from serialization).
+    informational and excluded from serialization).  Raises ValueError
+    for an unknown id, invalid dims, ``trials < 1`` or a ``tol`` that is
+    not finite and positive.
     """
     theorem_id = theorem_id.upper()
     if theorem_id not in SUPPORTED_THEOREMS:
@@ -1089,6 +1115,10 @@ def verify(
             f"unknown theorem id {theorem_id!r}; supported: {sorted(SUPPORTED_THEOREMS)}"
         )
     d = Dims(*d).validate()
+    if int(trials) < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     report = TheoremReport(theorem_id, d.n, d.m, int(trials), int(seed), float(tol))
     start = time.perf_counter()
     SUPPORTED_THEOREMS[theorem_id](report, d, int(trials), int(seed), float(tol))

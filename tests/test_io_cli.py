@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _helpers import random_complex, rng
+import mapcones.cli as cli_mod
 from mapcones.choi import identity_map
 from mapcones.cli import main
 from mapcones.cones import Status, in_F
@@ -217,3 +218,59 @@ class TestVerifyCommand:
         assert main(["verify", "L8", "3", "3", "--trials", "6", "--seed", "4"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+BAD_TOLS = ["nan", "inf", "0", "-1"]
+
+
+class TestArgumentValues:
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_check_rejects_tol(self, identity_file, tol, capsys):
+        # nan once turned a PSD Choi matrix into OUT; -1 reached an internal error
+        assert main(["check", identity_file, "cp", "--tol", tol]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol")
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_verify_rejects_tol(self, tol, capsys):
+        assert main(["verify", "T6", "3", "3", "--trials", "2", "--tol", tol]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol")
+
+    @pytest.mark.parametrize("command", ["pair", "witness"])
+    def test_other_commands_reject_tol(self, identity_file, command, capsys):
+        argv = [command, identity_file] + ([identity_file] if command == "pair" else [])
+        assert main(argv + ["--tol", "nan"]) == 65
+        assert capsys.readouterr().err.startswith("error: --tol")
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_rejects_trials_below_one(self, trials, capsys):
+        assert main(["verify", "T6", "3", "3", "--trials", trials]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trials")
+
+    def test_small_positive_tol_accepted(self, identity_file):
+        assert main(["check", identity_file, "cp", "--tol", "1e-12"]) == 0
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, identity_file, monkeypatch):
+        built = []
+        real = cli_mod.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli_mod, "build_parser", counting)
+        cli_mod._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["check", identity_file, "cp"]) == 0
+            assert main(["verify", "L4", "2", "2", "--trials", "1"]) == 0
+        finally:
+            cli_mod._parser.cache_clear()
+        assert len(built) == 1

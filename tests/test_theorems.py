@@ -153,6 +153,17 @@ class TestVerifySmoke:
         with pytest.raises(ValueError):
             verify("T99", D33, trials=1, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        # a run with no trials would report PASS on zero checks
+        with pytest.raises(ValueError, match="trials"):
+            verify("T6", D33, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tol_not_finite_positive_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            verify("T6", D33, trials=2, seed=0, tol=tol)
+
     def test_all_supported_ids_have_suites(self):
         assert set(SUPPORTED_THEOREMS) == {
             "T1", "T6", "T12", "T13", "T18", "C2", "C19",
