@@ -43,7 +43,7 @@ from .cones import (
     is_separable,
 )
 from .io import MapFileError, load_matrix, save_matrix
-from .linalg import Dims, hermitian_part
+from .linalg import Dims
 from .sampling import sample_map, substream
 from .theorems import SUPPORTED_THEOREMS, emit_report, verify
 
@@ -58,10 +58,6 @@ EXIT_NAME = 66
 EXIT_INTERNAL = 70
 
 _STATUS_EXIT = {Status.IN: EXIT_IN, Status.OUT: EXIT_OUT, Status.UNDECIDED: EXIT_UNDECIDED}
-
-
-def _load(path: str) -> tuple[Dims, np.ndarray]:
-    return load_matrix(path)
 
 
 def _describe(v: Verdict) -> str:
@@ -98,7 +94,7 @@ def _describe(v: Verdict) -> str:
 
 def _cmd_check(args) -> int:
     try:
-        d, mat = _load(args.file)
+        d, mat = load_matrix(args.file)
     except MapFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -126,19 +122,18 @@ def _cmd_check(args) -> int:
                 v = is_positive_map(phi, restarts=max(args.restarts, 10), tol=tol, seed=args.seed)
         else:
             if cone is ConeId.OP_PSD:
-                ok, lo = is_psd(hermitian_part(mat), tol)
+                ok, lo = is_psd(mat, tol)
                 v = Verdict(Status.IN if ok else Status.OUT, info={"min_eig": lo})
             elif cone is ConeId.OP_F:
                 v = in_F(mat, d, tol)
             elif cone is ConeId.OP_E:
                 v = in_E(mat, d, cfg)
             elif cone is ConeId.OP_SEP:
-                rho = hermitian_part(mat)
-                tr = float(np.trace(rho).real)
+                tr = float(np.trace(mat).real)
                 if tr <= tol:
                     print("error: state trace is not positive", file=sys.stderr)
                     return EXIT_DIMS
-                v = is_separable(rho / tr, d, tol)
+                v = is_separable(mat / tr, d, tol)
             else:
                 v = is_block_positive(mat, d, restarts=max(args.restarts, 10), tol=tol, seed=args.seed)
     except ValueError as exc:
@@ -150,8 +145,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_pair(args) -> int:
     try:
-        da, a = _load(args.file_a)
-        db, b = _load(args.file_b)
+        da, a = load_matrix(args.file_a)
+        db, b = load_matrix(args.file_b)
     except MapFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -169,7 +164,7 @@ def _cmd_pair(args) -> int:
 
 def _cmd_witness(args) -> int:
     try:
-        d, mat = _load(args.file)
+        d, mat = load_matrix(args.file)
     except MapFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -11,12 +11,14 @@ disagreement beyond tolerance.  The four dual-cone conditions
 
 are computed exactly for the cp / cop / p / d cones via the closed-form
 operator oracles (PSD, PT-PSD, the ``f`` spectra, and ``cones.in_E`` for
-the ``e`` cone), and by sampling plus certificate-guided adversarial
-probes for everything else.  Every ``e``-cone decision is the status of
-one ``in_E`` call, whose OUT certificate is the PPT witness the suite
-builds its probes from.  Quantities within ten times the tolerance of a
-decision threshold mark the trial UNDECIDED; such trials are excluded
-from pass/fail accounting rather than silently counted as passes.
+the ``e`` cone), and by sampling plus one certificate-guided adversarial
+probe per sample for everything else.  Every ``e``-cone decision is the
+status of one ``in_E`` call, whose OUT certificate is the PPT witness the
+suite builds its probes from; T12 and T18 add that witness itself to the
+p-cone samples of the sharp test.  Quantities within ten times the
+tolerance of a decision threshold mark the trial UNDECIDED; such trials
+are excluded from pass/fail accounting rather than silently counted as
+passes.
 
 Reports are pure functions of (theorem id, dims, trials, seed, tol):
 identical arguments produce byte-identical serialized reports.  Wall
@@ -51,14 +53,16 @@ from .choi import (
     trpi_eval,
 )
 from .cones import (
+    _EXACT_PPT_DIMS,
     ConeId,
     DykstraConfig,
+    MinEigCert,
     Status,
+    Verdict,
     in_E,
     in_F,
     is_separable,
     pm_k_membership,
-    witness_search,
 )
 from .linalg import (
     Dims,
@@ -76,7 +80,6 @@ from .sampling import (
     random_cone_choi,
     random_hermitian,
     random_psd,
-    random_unit_vector,
     sample_map,
     substream,
 )
@@ -109,8 +112,6 @@ def ksharp_membership(
     OUT with the violating sample is exact; IN is relative to the sample
     set and flagged heuristic.  Square dimensions only.
     """
-    from .cones import MinEigCert, Verdict
-
     if beta.n != beta.m:
         raise ValueError("sharp-cone membership needs square dimensions")
     if len(k_samples) == 0:
@@ -210,9 +211,7 @@ def theorem1_conditions(
     cone: ConeId,
     samples: Optional[Sequence[MapRep]] = None,
     tol: float = 1e-9,
-    n_probes: int = 8,
     seed: int = 0,
-    kd_samples: Optional[Sequence[MapRep]] = None,
 ) -> Theorem1Conditions:
     """Evaluate the four dual-cone conditions for one map and one cone.
 
@@ -224,31 +223,30 @@ def theorem1_conditions(
 
     Each condition runs over the whole pool at once: the samples' Choi
     matrices are stacked, ``apply_second`` and ``adjoint_choi`` act on the
-    stack, and one batched eigensolver call serves every sample.  Random
-    probes are drawn sample-major, then repetition.
+    stack, and one batched eigensolver call serves every sample.  Conditions
+    (i) and (iii) probe each sample at its adversarial point only: the
+    bottom eigenvector minimizes the pairing over all probes of that
+    sample, so no other probe can set a margin.
     """
     if not cone.is_map_cone:
         raise ValueError(f"{cone} is not a map cone")
     c = phi.hermitian_choi(tol)
     d = phi.d
-    nm = d.total
     sq = Dims(d.m, d.m)
     scale = 1.0 + frob(c)
     thr = tol * scale
     band = 10.0 * thr
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x7101)))
 
     if samples is None:
         samples = cone_generator_pool(cone, d, 8, seed)
-    if kd_samples is None:
-        kd_samples = kd_generators(samples)
 
     if cone is ConeId.MAP_P:
-        return _theorem1_p_cone(phi, c, samples, tol, n_probes)
+        return _theorem1_p_cone(phi, c, samples, tol)
 
     pool = _choi_stack(samples, sq.total)
     pool_t = both_transpose(pool, sq)
-    kd = _choi_stack(kd_samples, sq.total)
+    # the generators t . alpha* . t of the dual side, stacked
+    kd = both_transpose(adjoint_choi(pool, sq), sq)
 
     # (ii) membership of the Choi matrix in the partner operator cone
     if cone in _PARTNER:
@@ -257,26 +255,16 @@ def theorem1_conditions(
         # generic cone: sampled membership through the transposed samples
         m2 = _least(_min_eigs(apply_second(pool_t, c, d)))
 
-    # (i) pairing against generators alpha . psi of the primal cone: per
-    # alpha, the adversarial psi (bottom of (id (x) alpha*)(C)) and reps
-    # random trace-one psi
-    reps = max(n_probes // max(len(kd), 1), 1)
-    adv = _bottom_projectors(apply_second(adjoint_choi(kd, sq), c, d))
-    rand = np.array([random_psd(rng, nm) for _ in range(len(kd) * reps)])
-    rand = rand.reshape(len(kd), reps, nm, nm)
-    rand /= np.trace(rand, axis1=-2, axis2=-1).real[..., None, None]
-    psi = np.concatenate([adv[:, None], rand], axis=1)
-    m1 = _least(_pairings(c, apply_second(kd[:, None], psi, d)))
+    # (i) pairing against generators alpha . psi of the primal cone, per
+    # alpha at the adversarial psi: the bottom of (id (x) alpha*)(C)
+    psi = _bottom_projectors(apply_second(adjoint_choi(kd, sq), c, d))
+    m1 = _least(_pairings(c, apply_second(kd, psi, d)))
 
-    # (iii) positivity of the induced functional on transformed probes:
-    # per alpha, the adversarial probe and two random rank-one ones
+    # (iii) positivity of the induced functional on transformed probes,
+    # per alpha at the adversarial rank-one probe
     func = dual_functional(phi)
-    adv = _bottom_projectors(apply_second(pool, func.density, d))
-    vv = np.array([random_unit_vector(rng, nm) for _ in range(2 * len(pool))])
-    vv = vv.reshape(len(pool), 2, nm)
-    rand = vv[..., :, None] * vv.conj()[..., None, :]
-    probe = np.concatenate([adv[:, None], rand], axis=1)
-    probes = apply_second(adjoint_choi(pool, sq)[:, None], probe, d)
+    probe = _bottom_projectors(apply_second(pool, func.density, d))
+    probes = apply_second(adjoint_choi(pool, sq), probe, d)
     m3 = _least(_traces(func.density, probes).real)
 
     # (iv) complete positivity of the compositions alpha^t . phi
@@ -294,17 +282,17 @@ def _theorem1_p_cone(
     c,
     samples: Sequence[MapRep],
     tol: float,
-    n_probes: int,
 ) -> Theorem1Conditions:
     """The p-cone instance, decided by ``cones.in_E``.
 
     Both the Choi matrix and its full transpose go through ``in_E``; an
     UNDECIDED or a disagreement marks the trial as boundary.  Condition
     (i) pairs against PPT Choi samples and the OUT witness, condition
-    (iii) evaluates the induced functional on probes built from the
-    constructive violating map, and condition (iv) checks sampled
-    compositions against the transposed verdict.  The PPT samples serve
-    as Choi matrices of maps M_n -> M_m, so n = m is required.
+    (iii) evaluates the induced functional on probes built from the first
+    eight samples and the constructive violating map, and condition (iv)
+    checks the same compositions against the transposed verdict.  The PPT
+    samples serve as Choi matrices of maps M_n -> M_m, so n = m is
+    required.
     """
     d = phi.d
     n, m = d
@@ -326,7 +314,7 @@ def _theorem1_p_cone(
         return Theorem1Conditions(False, False, False, False, True, margins)
     out = v_c.status is Status.OUT
     pool = _choi_stack(samples, m * m)
-    probe_maps = pool[: max(n_probes, 2)]
+    probe_maps = pool[:8]
     comp_maps = probe_maps
     if out:
         wit = _witness_map(v_t.certificate.w, d)
@@ -591,17 +579,15 @@ def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
             den = 1.0 + frob(c) * frob(x)
             if abs(lhs - rhs) / den > idtol:
                 report.record_failure(trial, f"pairing bridge probe {k}", abs(lhs - rhs) / den)
-        # sign equivalence with an adversarial probe included
+        # sign equivalence at the adversarial rank-one probe, the bottom
+        # eigenvector u of C: v* C v >= lambda_min(C) for every unit v
         w_eig, u = np.linalg.eigh(c)
         lo = float(w_eig[0])
         if abs(lo) <= 10 * tol * scale:
             report.undecided += 1
             continue
-        best = np.inf
-        probes = [np.outer(u[:, 0], u[:, 0].conj())]
-        probes += [random_psd(rng, n * n, rank=1) for _ in range(16)]
-        for x in probes:
-            best = min(best, n * omega_eval(hermitian_part(apply_second(adj, x, d)), n))
+        x = np.outer(u[:, 0], u[:, 0].conj())
+        best = n * omega_eval(hermitian_part(apply_second(adj, x, d)), n)
         report.checks += 1
         cp_in = lo >= 0
         probe_in = best >= -10 * tol * scale
@@ -738,24 +724,15 @@ def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     """Four-way agreement of the dual-cone conditions on random maps."""
     if d.n != d.m:
         raise ValueError("this suite needs square dimensions")
-    pools = {}
-    kd_pools = {}
-    for cone in _CONCRETE:
-        count = 16 if cone is ConeId.MAP_P else 12
-        pools[cone] = cone_generator_pool(cone, d, count, seed + 17)
-        kd_pools[cone] = kd_generators(pools[cone])
+    pools = {
+        cone: cone_generator_pool(cone, d, 16 if cone is ConeId.MAP_P else 12, seed + 17)
+        for cone in _CONCRETE
+    }
     for trial in range(trials):
         rng = substream(seed, 0x201, trial)
         phi = _random_map(rng, d, trial)
         for cone in _CONCRETE:
-            conds = theorem1_conditions(
-                phi,
-                cone,
-                samples=pools[cone],
-                tol=tol,
-                seed=seed + 1000 * trial,
-                kd_samples=kd_pools[cone],
-            )
+            conds = theorem1_conditions(phi, cone, samples=pools[cone], tol=tol)
             report.checks += 1
             if conds.boundary:
                 report.undecided += 1
@@ -885,10 +862,8 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             continue
         samples = list(pools[cone])
         if cone is ConeId.MAP_P and not closed:
-            cb = hermitian_part(adjoint(beta).choi)
-            wit = witness_search(cb, d, cfg)
-            if wit is not None:
-                samples.append(adjoint(map_from_choi(d.n, d.m, wit.w)))
+            # in_E's PPT witness w, as a sample: beta . map(w)* is not cp
+            samples.append(map_from_choi(d.n, d.m, v.certificate.w))
         verdict = ksharp_membership(beta, samples, tol)
         report.checks += 1
         if (verdict.status is Status.IN) != closed:
@@ -959,10 +934,7 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             decomposable = v.status is Status.IN
             samples = list(p_pool)
             if not decomposable:
-                cb = hermitian_part(adjoint(cand).choi)
-                wit = witness_search(cb, d, cfg)
-                if wit is not None:
-                    samples.append(adjoint(map_from_choi(d.n, d.m, wit.w)))
+                samples.append(map_from_choi(d.n, d.m, v.certificate.w))
             verdict = ksharp_membership(cand, samples, tol)
             report.checks += 1
             if (verdict.status is Status.IN) != decomposable:
@@ -971,18 +943,15 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """The positive-maps instance, with the separability condition."""
-    exact = tuple(sorted(d)) in {(2, 2), (2, 3)}
+    exact = tuple(sorted(d)) in _EXACT_PPT_DIMS
     pool = cone_generator_pool(ConeId.MAP_POS, d, 10, seed + 19)
-    kd_pool = kd_generators(pool)
     families = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_S, ConeId.MAP_POS)
     for trial in range(trials):
         rng = substream(seed, 0x2C2, trial)
         phi = sample_map(families[trial % len(families)], d, rng)
         c = phi.hermitian_choi(tol)
         scale = 1.0 + frob(c)
-        conds = theorem1_conditions(
-            phi, ConeId.MAP_POS, samples=pool, tol=tol, seed=seed + trial, kd_samples=kd_pool
-        )
+        conds = theorem1_conditions(phi, ConeId.MAP_POS, samples=pool, tol=tol)
         report.checks += 1
         if conds.boundary:
             report.undecided += 1

@@ -99,6 +99,17 @@ class TestCheckCommand:
     def test_unknown_cone(self, identity_file):
         assert main(["check", identity_file, "nosuchcone"]) == 66
 
+    @pytest.mark.parametrize("cone", ["psd", "sep", "cp", "f", "e", "blockpos"])
+    def test_non_hermitian_rejected_by_every_gate(self, tmp_path, cone, capsys):
+        # I + 0.5 (e01 - e10) at 2x2: the operator cones must not
+        # symmetrize it away before their own Hermiticity gate
+        x = np.eye(4, dtype=complex)
+        x[0, 1], x[1, 0] = 0.5, -0.5
+        path = tmp_path / "skew.json"
+        save_matrix(path, 2, 2, x)
+        assert main(["check", str(path), cone]) == 65
+        assert "not Hermitian" in capsys.readouterr().err
+
     def test_solver_info_printed(self, fixture_file, tmp_path, capsys):
         assert main(["check", fixture_file, "pos"]) == 0
         out = capsys.readouterr().out

@@ -1,0 +1,52 @@
+"""Pinned sha256 digests of suite reports.
+
+Reports are pure functions of their arguments, and a change that only
+simplifies how a suite reaches its verdicts must leave them byte for byte
+as they were.  The digests below are of ``emit_report(verify(...), "json")``
+with 6 trials at seed 1: every suite at 2x2, and the suites whose 3x3 runs
+take other paths (the PPT entangled fixtures in T13, T18 and C19, and C2
+outside the dims where PPT is exact).  They were recorded with numpy 2.4;
+a different LAPACK may move the last bits of a reported value and with it
+a digest, so a mismatch there first calls for a look at the report itself.
+"""
+
+import hashlib
+
+import pytest
+
+from mapcones.linalg import Dims
+from mapcones.theorems import SUPPORTED_THEOREMS, emit_report, verify
+
+TRIALS = 6
+SEED = 1
+
+DIGESTS = {
+    ("C19", 2, 2): "3d8877c4ef35b690745152326d0dacaa850ab67781d8af6cab6d48dda5152012",
+    ("C2", 2, 2): "0cb1f057cece0feb079b2a2d54bf40c53b38a116ee111e01c8e9842debb5a8db",
+    ("L10", 2, 2): "4dfc5c6bc323b6aa28ce6e12d4a8bc632055c34cf8639f2cdac1cf7ecae5ad58",
+    ("L15", 2, 2): "4b1c350bcde3b0cc2b70a273d775bb7138bae72b32894c6e4b816eaad6baa691",
+    ("L16", 2, 2): "8a81725ea58da6ac334a66b495ff3da5e7bb3af48972dda5767c38ffaff82193",
+    ("L17", 2, 2): "eecda15eebd2cc90d0e90ef090db990cd7d22dc35e7e6558737c9e1460edcb64",
+    ("L4", 2, 2): "fc20f99c0f0565fc8bcf3bb203814cef5617f58995700b624fe0b760c9d4a90c",
+    ("L5", 2, 2): "777991deb5e8039fe04e294cd32ea3fb337cdeb5124fcaad58310691f111ae46",
+    ("L8", 2, 2): "4c73fedf5d683c324a8f40334c902440a3469a49ac89605761308f6e0b3f5191",
+    ("T1", 2, 2): "a50cac0bf196d70d4765bf797ec6cb2e62302a9588d0c0f1a8c4499c59d22399",
+    ("T12", 2, 2): "d6436a622b5d664ae12e305e435ce83cdffaddf1f7206f9ee9c44e8d8a7b9095",
+    ("T13", 2, 2): "f2537ac25a210e7980d3d1ccb34215ac6a8c6e743852f4f64dccf99acc8325d6",
+    ("T18", 2, 2): "a946488cb8ea71b603a61913844d279ca1690a7014e235ebe24bfbda3e7b6f4c",
+    ("T6", 2, 2): "ff0d36d4b449d8644fd6def14724df3ae9d462117a662620a4edcd040a42edb5",
+    ("T13", 3, 3): "6d59c46a9326e49beb960ef1c8437fb2a56d7e19118ea7fac862acd9af0ee16e",
+    ("T18", 3, 3): "d15fab811f80e8f4723f3e34ea17a3418d398f3523a72895296a86e52a4f9965",
+    ("C19", 3, 3): "f5a0c972172e96fe30739a6803a5a2e7541f01e70e9e43753afbd8af13fda66e",
+    ("C2", 3, 3): "cf1e010a8923c42ee77819f6820a3a1a0da2841009887612b7c0aa326be93791",
+}
+
+
+def test_every_suite_pinned_at_2x2():
+    assert {tid for tid, n, m in DIGESTS if (n, m) == (2, 2)} == set(SUPPORTED_THEOREMS)
+
+
+@pytest.mark.parametrize("tid,n,m", sorted(DIGESTS), ids=lambda v: str(v))
+def test_report_digest(tid, n, m):
+    report = emit_report(verify(tid, Dims(n, m), TRIALS, SEED), "json")
+    assert hashlib.sha256(report.encode()).hexdigest() == DIGESTS[(tid, n, m)]

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import mapcones.cones as cones_mod
 import mapcones.theorems as theorems_mod
 from _helpers import random_psd, rng
-from mapcones.choi import identity_map, map_from_choi, transpose_map
+from mapcones.choi import adjoint, adjoint_choi, identity_map, map_from_choi, transpose_map
 from mapcones.cones import (
     ConeId,
     DykstraConfig,
@@ -16,7 +17,7 @@ from mapcones.cones import (
 )
 from mapcones.fixtures import nondecomposable_map
 from mapcones.linalg import Dims, frob, partial_transpose
-from mapcones.sampling import ConeSampler, cone_generator_pool, sample_map
+from mapcones.sampling import ConeSampler, cone_generator_pool, sample_map, substream
 from mapcones.theorems import (
     SUPPORTED_THEOREMS,
     emit_report,
@@ -260,6 +261,54 @@ class TestEDecisionPath:
             assert {"iterations", "residual", "stop", "lower", "upper"} <= set(v.info)
             if v.status is not Status.UNDECIDED:
                 assert _certificate_holds(v, x, dd, cfg)
+
+
+class TestSharpWitnessSample:
+    """T12 and T18 sample ``in_E``'s own witness instead of a second solve."""
+
+    # T12's first non-decomposable p-cone trial is trial 10
+    @pytest.mark.parametrize("tid,trials,seed", [("T18", 9, 13), ("T12", 12, 11)])
+    def test_no_optimum_solve(self, monkeypatch, tid, trials, seed):
+        calls = []
+        original = cones_mod.dykstra_feasibility
+
+        def spy(x, d, cfg=DykstraConfig(), optimum=False):
+            feas = original(x, d, cfg, optimum)
+            calls.append((optimum, feas.stop))
+            return feas
+
+        monkeypatch.setattr(cones_mod, "dykstra_feasibility", spy)
+        verify(tid, D33, trials=trials, seed=seed)
+        # some trial is non-decomposable, so the sharp test needed a witness
+        assert "out" in {stop for _, stop in calls}
+        assert not any(optimum for optimum, _ in calls)
+
+    @staticmethod
+    def _nondecomposable():
+        yield nondecomposable_map()
+        for d in (Dims(2, 2), D33):
+            for seed in range(6):
+                phi = theorems_mod._random_map(substream(seed, 0x5A), d, 0)
+                if in_E(phi.hermitian_choi(1e-9), d).status is Status.OUT:
+                    yield phi
+
+    def test_adjoint_of_witness_is_a_witness_for_the_adjoint(self):
+        count = 0
+        for phi in self._nondecomposable():
+            d = phi.d
+            c = phi.hermitian_choi(1e-9)
+            w = in_E(c, d).certificate.w
+            wa = adjoint_choi(w, d)
+            assert abs(np.trace(wa) - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh(wa)[0] >= -1e-12
+            assert np.linalg.eigvalsh(partial_transpose(wa, d))[0] >= -1e-12
+            value = np.trace(c @ w).real
+            assert abs(np.trace(adjoint(phi).choi @ wa).real - value) <= 1e-12
+            pool = cone_generator_pool(ConeId.MAP_P, d, 8, 5)
+            v = ksharp_membership(phi, pool + [map_from_choi(d.n, d.m, w)])
+            assert v.status is Status.OUT
+            count += 1
+        assert count >= 6
 
 
 class TestNonSquareDims:
