@@ -30,6 +30,7 @@ from .cones import (
     DykstraConfig,
     Status,
     Verdict,
+    classify,
     in_E,
     in_F,
     in_P,
@@ -43,7 +44,7 @@ from .cones import (
     is_separable,
 )
 from .io import MapFileError, load_matrix, save_matrix
-from .linalg import Dims
+from .linalg import Dims, frob
 from .sampling import sample_map, substream
 from .theorems import SUPPORTED_THEOREMS, emit_report, verify
 
@@ -122,8 +123,8 @@ def _cmd_check(args) -> int:
                 v = is_positive_map(phi, restarts=max(args.restarts, 10), tol=tol, seed=args.seed)
         else:
             if cone is ConeId.OP_PSD:
-                ok, lo = is_psd(mat, tol)
-                v = Verdict(Status.IN if ok else Status.OUT, info={"min_eig": lo})
+                lo = is_psd(mat, tol)[1]
+                v = Verdict(classify(lo, 1.0 + frob(mat), tol), info={"min_eig": lo})
             elif cone is ConeId.OP_F:
                 v = in_F(mat, d, tol)
             elif cone is ConeId.OP_E:

@@ -17,14 +17,16 @@ Operator cones (acting on arrays with declared ``Dims``):
 * ``sep``       separable
 * ``blockpos``  block-positive (heuristic IN only)
 
-Verdicts are IN / OUT / UNDECIDED.  Every OUT carries a certificate that
-re-validates independently of the search that produced it: an eigenvector
-of a negative eigenvalue, a trace-one PPT witness w with Tr(w x) < 0, or
-a product vector pair.  IN verdicts carry certificates where the cone
-admits them (decompositions, spectra, separable mixtures).  Memberships
-that cannot be certified either way within the iteration budget come
-back UNDECIDED rather than forced; values within ten times the tolerance
-of a decision threshold are treated as boundary cases.
+Verdicts are IN / OUT / UNDECIDED.  Each test reads a margin (a least
+eigenvalue, a product-vector value, a PPT witness value Tr(w x)), and
+``classify`` alone turns it into a verdict: IN at margin >= -tol * scale,
+OUT at margin <= -10 tol * scale, UNDECIDED between.  Every OUT carries a
+certificate that re-validates independently of the search that produced
+it: an eigenvector of a negative eigenvalue, a trace-one PPT witness w
+with Tr(w x) < 0, or a product vector pair.  IN verdicts carry
+certificates where the cone admits them (decompositions, spectra,
+separable mixtures).  Memberships that cannot be certified either way
+within the iteration budget come back UNDECIDED rather than forced.
 
 The ``e`` cone is decided by one semidefinite program, the first level
 of the Doherty-Parrilo-Spedalieri hierarchy: lam* = min Tr(w x) over
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +64,6 @@ from .linalg import (
     Dims,
     as_operator,
     check_hermitian,
-    eig_hermitian,
     frob,
     hermitian_part,
     is_psd,
@@ -73,6 +74,7 @@ from .linalg import (
 
 __all__ = [
     "Status",
+    "classify",
     "ConeId",
     "Verdict",
     "DykstraConfig",
@@ -106,6 +108,25 @@ class Status(Enum):
     IN = "IN"
     OUT = "OUT"
     UNDECIDED = "UNDECIDED"
+
+
+#: ``classify`` answers OUT for margins at or below -_OUT_BAND * tol * scale.
+_OUT_BAND = 10.0
+
+
+def classify(margin: float, scale: float, tol: float) -> Status:
+    """IN at margin >= -tol * scale, OUT at margin <= -10 tol * scale, UNDECIDED between.
+
+    ``scale`` is 1 + ||x||_F for an operator x.  Raises ValueError unless
+    ``tol`` is finite and positive.
+    """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    if margin >= -tol * scale:
+        return Status.IN
+    if margin <= -_OUT_BAND * tol * scale:
+        return Status.OUT
+    return Status.UNDECIDED
 
 
 class ConeId(Enum):
@@ -195,7 +216,7 @@ class Verdict:
 class DykstraConfig:
     """Tolerance and iteration budget of the iterative engines.
 
-    ``tol`` is relative (thresholds scale with 1 + ||x||_F).
+    ``tol`` is relative (thresholds scale with 1 + ||x||_F), finite, > 0.
     ``max_iters`` caps the Newton steps of the ``e``-cone solve in
     ``dykstra_feasibility``, which its own stop rules end long before the
     default, and the projection sweeps of Dykstra's scheme in
@@ -206,7 +227,7 @@ class DykstraConfig:
     max_iters: int = 20000
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters <= 0:
+        if not 0.0 < self.tol < np.inf or self.max_iters <= 0:
             raise ValueError(f"invalid config {self}")
 
 
@@ -220,11 +241,29 @@ def psd_project(x: np.ndarray) -> np.ndarray:
     return (u * w) @ u.conj().T
 
 
-def _min_eig_cert(x: np.ndarray, tol: float) -> tuple[bool, MinEigCert]:
-    spectrum = eig_hermitian(x, tol)
-    lo = float(spectrum.eigenvalues[-1])
-    ok = lo >= -tol * (1.0 + frob(x))
-    return ok, MinEigCert(lo, spectrum.eigenvectors[:, -1].copy())
+def _least_eig(y: np.ndarray, tol: float) -> tuple[Status, MinEigCert]:
+    """``classify`` on the least eigenvalue of a Hermitian y at scale 1 + ||y||_F."""
+    w, u = np.linalg.eigh(y)
+    return classify(float(w[0]), 1.0 + frob(y), tol), MinEigCert(float(w[0]), u[:, 0].copy())
+
+
+def _sampled_least_eig(samples: Sequence, image: Callable, tol: float) -> Verdict:
+    """``_least_eig`` on the Hermitian part of ``image(s)`` for each sample s.
+
+    OUT at the first OUT sample (``violating_sample``), else UNDECIDED if
+    some sample is, else IN, heuristic as it holds only for these samples.
+    """
+    if len(samples) == 0:
+        raise ValueError("need at least one cone sample")
+    status, worst = Status.IN, np.inf
+    for idx, alpha in enumerate(samples):
+        s, cert = _least_eig(hermitian_part(image(alpha)), tol)
+        if s is Status.OUT:
+            return Verdict(s, cert, info={"violating_sample": idx, "min_eig": cert.value})
+        if s is Status.UNDECIDED:
+            status = s
+        worst = min(worst, cert.value)
+    return Verdict(status, heuristic=status is Status.IN, info={"worst_min_eig": worst})
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +273,13 @@ def _min_eig_cert(x: np.ndarray, tol: float) -> tuple[bool, MinEigCert]:
 
 def is_cp(phi: MapRep, tol: float = 1e-9) -> Verdict:
     """Complete positivity: the Choi matrix is PSD."""
-    c = phi.hermitian_choi(tol)
-    ok, cert = _min_eig_cert(c, tol)
-    if ok:
-        return Verdict(Status.IN, cert, info={"min_eig": cert.value})
-    return Verdict(Status.OUT, cert, info={"min_eig": cert.value})
+    status, cert = _least_eig(phi.hermitian_choi(tol), tol)
+    return Verdict(status, cert, info={"min_eig": cert.value})
 
 
 def is_cop(phi: MapRep, tol: float = 1e-9) -> Verdict:
     """Copositivity: the partially transposed Choi matrix is PSD."""
-    c = phi.hermitian_choi(tol)
-    ok, cert = _min_eig_cert(partial_transpose(c, phi.d), tol)
-    status = Status.IN if ok else Status.OUT
+    status, cert = _least_eig(partial_transpose(phi.hermitian_choi(tol), phi.d), tol)
     return Verdict(status, cert, info={"min_eig_pt": cert.value})
 
 
@@ -258,19 +292,19 @@ def in_P(phi: MapRep, tol: float = 1e-9) -> Verdict:
     if v_cop.status is Status.OUT:
         return Verdict(Status.OUT, v_cop.certificate, info={"failed": "cop", **v_cop.info})
     spectra = PptSpectra(v_cp.info["min_eig"], v_cop.info["min_eig_pt"])
-    return Verdict(Status.IN, spectra)
+    return Verdict(v_cop.status if v_cp.status is Status.IN else v_cp.status, spectra)
 
 
 def in_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """The PPT cone: x PSD and PT(x) PSD."""
     x = check_hermitian(as_operator(x), tol)
-    ok1, c1 = _min_eig_cert(x, tol)
-    ok2, c2 = _min_eig_cert(partial_transpose(x, Dims(*d)), tol)
+    s1, c1 = _least_eig(x, tol)
+    s2, c2 = _least_eig(partial_transpose(x, Dims(*d)), tol)
     spectra = PptSpectra(c1.value, c2.value)
-    if ok1 and ok2:
+    if s1 is Status.IN and s2 is Status.IN:
         return Verdict(Status.IN, spectra)
-    cert = c1 if not ok1 else c2
-    return Verdict(Status.OUT, cert, info={"spectra": spectra})
+    status = Status.OUT if Status.OUT in (s1, s2) else Status.UNDECIDED
+    return Verdict(status, c1 if s1 is status else c2, info={"spectra": spectra})
 
 
 def is_ppt_state(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
@@ -400,8 +434,8 @@ def witness_search(x: np.ndarray, d: Dims, cfg: DykstraConfig = DykstraConfig())
 def in_E(x: np.ndarray, d: Dims, cfg: DykstraConfig = DykstraConfig()) -> Verdict:
     """Membership in the cone of sums A + PT(B) with A, B PSD.
 
-    IN comes with the decomposition, OUT with a PPT witness w such that
-    Tr(w x) <= -10 tol * scale, and everything else (a bracket that
+    IN comes with the decomposition, OUT with a PPT witness w whose value
+    Tr(w x) ``classify`` puts OUT, and everything else (a bracket that
     closed inside the band, an exhausted or broken-down solve) is
     UNDECIDED.  ``info`` carries, on every status, the solve's
     ``iterations``, the decomposition ``residual``, the ``stop`` reason
@@ -420,7 +454,7 @@ def in_E(x: np.ndarray, d: Dims, cfg: DykstraConfig = DykstraConfig()) -> Verdic
     }
     if feas.converged:
         return Verdict(Status.IN, Decomposition(feas.a, feas.b, feas.residual), info=info)
-    if feas.w is not None and feas.upper <= -10 * cfg.tol * scale:
+    if feas.w is not None and classify(feas.upper, scale, cfg.tol) is Status.OUT:
         return Verdict(Status.OUT, FWitness(feas.w, feas.upper), info=info)
     return Verdict(Status.UNDECIDED, info=info)
 
@@ -544,7 +578,8 @@ def _positive_map_detection(rho: np.ndarray, d: Dims, tol: float) -> Optional[tu
     """Try the shipped non-decomposable map as an entanglement detector.
 
     Returns a block-positive witness W and Tr(W rho) < 0 when the map,
-    applied to either factor of dimension 3, breaks positivity.
+    applied to either factor of dimension 3, breaks positivity by a
+    least eigenvalue that ``classify`` puts OUT.
     """
     n, m = d
     candidates = []
@@ -554,14 +589,13 @@ def _positive_map_detection(rho: np.ndarray, d: Dims, tol: float) -> Optional[tu
         candidates.append((_swap_factors(rho, d), Dims(m, 3), True))
     lam = fixtures.nondecomposable_map()
     for mat, dd, swapped in candidates:
-        y = hermitian_part(apply_second(lam, mat, dd))
-        w_eig, u = np.linalg.eigh(y)
-        if w_eig[0] < -tol * (1.0 + frob(y)):
-            v = u[:, [0]]
+        status, cert = _least_eig(hermitian_part(apply_second(lam, mat, dd)), tol)
+        if status is Status.OUT:
+            v = cert.vector[:, None]
             wit = hermitian_part(apply_second(adjoint(lam), v @ v.conj().T, dd))
             if swapped:
                 wit = _swap_factors(wit, Dims(dd.n, 3))
-            return wit, float(w_eig[0])
+            return wit, cert.value
     return None
 
 
@@ -569,11 +603,12 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """Separability of a density operator.
 
     At 2 (x) 2 and 2 (x) 3 the PPT condition is exact and decides the
-    question.  Elsewhere: a failed PPT test is a certified OUT, a
-    successful nonnegative product-state fit is a certified IN, a
-    positive-map detection is a certified OUT, and anything else is
-    UNDECIDED.  Whenever the fit ran, ``info`` carries the ``dictionary``
-    size and the NNLS ``fit_residual``.  The dictionary is deterministic.
+    question (UNDECIDED in its band).  Elsewhere: a failed PPT test is a
+    certified OUT, a successful nonnegative product-state fit is a
+    certified IN, a positive-map detection is a certified OUT, and
+    anything else is UNDECIDED.  Whenever the fit ran, ``info`` carries
+    the ``dictionary`` size and the NNLS ``fit_residual``.  The
+    dictionary is deterministic.
     """
     d = Dims(*d).validate()
     rho = as_operator(rho)
@@ -587,8 +622,8 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
         raise ValueError(f"not a state: trace = {complex(np.trace(rho)):.12f}")
 
     ppt = in_F(rho, d, tol)
-    if ppt.status is Status.OUT:
-        return Verdict(Status.OUT, ppt.certificate, info=ppt.info)
+    if ppt.status is not Status.IN:
+        return ppt
     if tuple(sorted(d)) in _EXACT_PPT_DIMS:
         return Verdict(Status.IN, ppt.certificate, info={"regime": "ppt-exact"})
 
@@ -678,11 +713,12 @@ def is_block_positive(
     See-saw minimization over product vectors: with one factor fixed the
     optimal other factor is a minimal eigenvector.  The ``restarts`` start
     vectors (the unit vectors, then seeded random ones) descend as one
-    batch of at most 60 sweeps, which stops early once some value is
-    clearly negative.  A negative value is a certified OUT; survival of
-    all restarts is only a heuristic IN, since the problem has no
-    efficient exact certificate in general.  ``info`` carries the number
-    of ``sweeps`` run and the index of the winning ``restart``.
+    batch of at most 60 sweeps, which stops early once ``classify`` puts
+    some value OUT.  Such a value is a certified OUT, a best value in the
+    band is UNDECIDED, and survival of all restarts is only a heuristic
+    IN, since the problem has no efficient exact certificate in general.
+    ``info`` carries the number of ``sweeps`` run, the index of the
+    winning ``restart`` and its value ``best``.
     """
     d = Dims(*d)
     n, m = d
@@ -694,14 +730,13 @@ def is_block_positive(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xB10C)))
 
     starts = _start_vectors(n, max(restarts, 1), rng)
-    xi, eta, val, sweeps = _seesaw(x4, starts, -10 * tol * scale)
+    xi, eta, val, sweeps = _seesaw(x4, starts, -_OUT_BAND * tol * scale)
     r = int(np.argmin(val))
     best = float(val[r])
     cert = ProductVectorCert(xi[r], eta[r], best)
-    info = {"restarts": restarts, "sweeps": sweeps, "restart": r}
-    if best < -tol * scale:
-        return Verdict(Status.OUT, cert, info=info)
-    return Verdict(Status.IN, cert, heuristic=True, info={**info, "best": best})
+    info = {"restarts": restarts, "sweeps": sweeps, "restart": r, "best": best}
+    status = classify(best, scale, tol)
+    return Verdict(status, cert, heuristic=status is Status.IN, info=info)
 
 
 def is_positive_map(
@@ -734,19 +769,6 @@ def pm_k_membership(
     OUT with the violating sample index is exact; IN is only relative to
     the samples and flagged heuristic.
     """
-    if len(k_samples) == 0:
-        raise ValueError("need at least one cone sample")
     d = Dims(*d)
     x = check_hermitian(as_operator(x), tol)
-    worst = np.inf
-    for idx, alpha in enumerate(k_samples):
-        y = hermitian_part(apply_second(alpha, x, d))
-        lo = float(np.linalg.eigvalsh(y)[0])
-        margin = lo + tol * (1.0 + frob(y))
-        if margin < 0.0:
-            _, cert = _min_eig_cert(y, tol)
-            return Verdict(
-                Status.OUT, cert, info={"violating_sample": idx, "min_eig": lo}
-            )
-        worst = min(worst, lo)
-    return Verdict(Status.IN, heuristic=True, info={"worst_min_eig": worst})
+    return _sampled_least_eig(k_samples, lambda alpha: apply_second(alpha, x, d), tol)

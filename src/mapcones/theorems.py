@@ -15,10 +15,10 @@ the ``e`` cone), and by sampling plus one certificate-guided adversarial
 probe per sample for everything else.  Every ``e``-cone decision is the
 status of one ``in_E`` call, whose OUT certificate is the PPT witness the
 suite builds its probes from; T12 and T18 add that witness itself to the
-p-cone samples of the sharp test.  Quantities within ten times the
-tolerance of a decision threshold mark the trial UNDECIDED; such trials
-are excluded from pass/fail accounting rather than silently counted as
-passes.
+p-cone samples of the sharp test.  Every margin becomes IN, OUT or
+UNDECIDED through ``cones.classify``; a trial that compares a margin
+``classify`` puts in the band is counted UNDECIDED and excluded from
+pass/fail accounting rather than silently counted as a pass.
 
 Reports are pure functions of (theorem id, dims, trials, seed, tol):
 identical arguments produce byte-identical serialized reports.  Wall
@@ -56,9 +56,10 @@ from .cones import (
     _EXACT_PPT_DIMS,
     ConeId,
     DykstraConfig,
-    MinEigCert,
     Status,
     Verdict,
+    _sampled_least_eig,
+    classify,
     in_E,
     in_F,
     is_separable,
@@ -106,7 +107,7 @@ def ksharp_membership(
     beta: MapRep,
     k_samples: Sequence[MapRep],
     tol: float = 1e-9,
-) -> "object":
+) -> Verdict:
     """Sampled test that beta . alpha* is completely positive for all alpha.
 
     OUT with the violating sample is exact; IN is relative to the sample
@@ -114,19 +115,7 @@ def ksharp_membership(
     """
     if beta.n != beta.m:
         raise ValueError("sharp-cone membership needs square dimensions")
-    if len(k_samples) == 0:
-        raise ValueError("need at least one cone sample")
-    worst = np.inf
-    for idx, alpha in enumerate(k_samples):
-        comp = compose_left(beta, adjoint(alpha))
-        c = hermitian_part(comp.choi)
-        w, u = np.linalg.eigh(c)
-        lo = float(w[0])
-        if lo < -tol * (1.0 + frob(c)):
-            cert = MinEigCert(lo, u[:, 0].copy())
-            return Verdict(Status.OUT, cert, info={"violating_sample": idx})
-        worst = min(worst, lo)
-    return Verdict(Status.IN, heuristic=True, info={"worst_min_eig": worst})
+    return _sampled_least_eig(k_samples, lambda alpha: compose_left(beta, adjoint(alpha)).choi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +223,6 @@ def theorem1_conditions(
     d = phi.d
     sq = Dims(d.m, d.m)
     scale = 1.0 + frob(c)
-    thr = tol * scale
-    band = 10.0 * thr
 
     if samples is None:
         samples = cone_generator_pool(cone, d, 8, seed)
@@ -271,10 +258,8 @@ def theorem1_conditions(
     m4 = _least(_min_eigs(apply_second(pool_t, phi.choi, d)))
 
     margins = {"i": float(m1), "ii": float(m2), "iii": float(m3), "iv": float(m4)}
-    boundary = any(abs(v) <= band for v in margins.values())
-    return Theorem1Conditions(
-        m1 >= -thr, m2 >= -thr, m3 >= -thr, m4 >= -thr, boundary, margins
-    )
+    status = [classify(v, scale, tol) for v in margins.values()]
+    return Theorem1Conditions(*(s is Status.IN for s in status), Status.UNDECIDED in status, margins)
 
 
 def _theorem1_p_cone(
@@ -299,8 +284,6 @@ def _theorem1_p_cone(
     if n != m:
         raise ValueError("the p-cone instance needs square dimensions")
     scale = 1.0 + frob(c)
-    thr = tol * scale
-    band = 10.0 * thr
     cfg = DykstraConfig(tol=tol)
 
     v_c = in_E(c, d, cfg)
@@ -327,7 +310,6 @@ def _theorem1_p_cone(
     m1 = _least(_pairings(c, g))
     if out:
         m1 = min(m1, pairing(phi, map_from_choi(n, m, v_c.certificate.w), tol=np.inf))
-    b1 = m1 >= -thr
 
     # (iii): functional positivity on (id (x) alpha*)(probe) constructions
     func = dual_functional(phi)
@@ -335,16 +317,14 @@ def _theorem1_p_cone(
     adv = _bottom_projectors(apply_second(probe_maps, func.density, d))
     probes = apply_second(adjoint_choi(probe_maps, d), adv, d)
     m3 = min(m3, _least(_traces(func.density, probes).real))
-    b3 = m3 >= -thr
 
     # (iv): sampled compositions, sharpened by the transposed-run verdict
     m4 = _least(_min_eigs(apply_second(both_transpose(comp_maps, d), phi.choi, d)))
-    b4 = (m4 >= -thr) and not out
 
-    b2 = not out
+    status = [classify(v, scale, tol) for v in (m1, m3, m4)]
+    b1, b3, b4 = (s is Status.IN for s in status)
     margins.update({"i": float(m1), "iii": float(m3), "iv": float(m4)})
-    boundary = any(abs(margins[k]) <= band for k in ("i", "iii", "iv"))
-    return Theorem1Conditions(b1, b2, b3, b4, boundary, margins)
+    return Theorem1Conditions(b1, not out, b3, b4 and not out, Status.UNDECIDED in status, margins)
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +527,11 @@ def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         va = pm_k_membership(x, d, k_t(pool), tol)
         vb = pm_k_membership(xt, d, pool, tol)
         report.checks += 1
-        if va.status != vb.status:
-            margin = min(
-                abs(va.info.get("worst_min_eig", va.info.get("min_eig", 0.0))),
-                abs(vb.info.get("worst_min_eig", vb.info.get("min_eig", 0.0))),
-            )
-            if margin <= 10 * tol * scale:
-                report.undecided += 1
-            else:
-                report.record_failure(trial, "membership verdicts disagree", margin)
+        if Status.UNDECIDED in (va.status, vb.status):
+            report.undecided += 1
+        elif va.status != vb.status:
+            margin = min(abs(v.info.get("worst_min_eig", v.info.get("min_eig", 0.0))) for v in (va, vb))
+            report.record_failure(trial, "membership verdicts disagree", margin)
 
 
 def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -582,16 +558,14 @@ def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         # sign equivalence at the adversarial rank-one probe, the bottom
         # eigenvector u of C: v* C v >= lambda_min(C) for every unit v
         w_eig, u = np.linalg.eigh(c)
-        lo = float(w_eig[0])
-        if abs(lo) <= 10 * tol * scale:
-            report.undecided += 1
-            continue
         x = np.outer(u[:, 0], u[:, 0].conj())
         best = n * omega_eval(hermitian_part(apply_second(adj, x, d)), n)
+        cp, probe = classify(w_eig[0], scale, tol), classify(best, scale, tol)
+        if Status.UNDECIDED in (cp, probe):
+            report.undecided += 1
+            continue
         report.checks += 1
-        cp_in = lo >= 0
-        probe_in = best >= -10 * tol * scale
-        if cp_in != probe_in:
+        if cp is not probe:
             report.record_failure(trial, "cp sign vs entangled-state probe sign", abs(best))
 
 
@@ -628,21 +602,16 @@ def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     for trial in range(trials):
         rng = substream(seed, 0x10F, trial)
         x = _operator_sample(rng, d, trial)
-        scale = 1.0 + frob(x)
         v = in_F(x, d, tol)
         va = pm_k_membership(x, d, [ident], tol)
         vb = pm_k_membership(x, d, [trans], tol)
-        spectra = (
-            _min_eig(x),
-            _min_eig(partial_transpose(x, d)),
-        )
         report.checks += 1
-        if min(abs(s) for s in spectra) <= 10 * tol * scale:
+        if Status.UNDECIDED in (v.status, va.status, vb.status):
             report.undecided += 1
             continue
         joint_in = va.status is Status.IN and vb.status is Status.IN
         if (v.status is Status.IN) != joint_in:
-            report.record_failure(trial, "meet-of-cones equivalence", min(abs(s) for s in spectra))
+            report.record_failure(trial, "meet-of-cones equivalence", _ppt_gap(x, d))
 
 
 def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -706,18 +675,14 @@ def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             x = random_hermitian(rng, d.total)
             x /= frob(x)
             scale = 1.0 + frob(x)
-            spectra = (_min_eig(x), _min_eig(partial_transpose(x, d)))
-            if min(abs(s) for s in spectra) <= 10 * tol * scale:
+            v = in_F(x, d, tol)
+            detectors = [classify(_min_eig(apply_second(a, x, d)), scale, tol) for a in (ident, trans)]
+            if Status.UNDECIDED in (v.status, *detectors):
                 report.undecided += 1
                 continue
-            in_f = in_F(x, d, tol).status is Status.IN
-            detected = (
-                _min_eig(apply_second(ident, x, d)) < -tol * scale
-                or _min_eig(apply_second(trans, x, d)) < -tol * scale
-            )
             report.checks += 1
-            if in_f == detected:
-                report.record_failure(trial, "canonical detectors disagree with f", min(abs(s) for s in spectra))
+            if (v.status is Status.IN) == (Status.OUT in detectors):
+                report.record_failure(trial, "canonical detectors disagree with f", _ppt_gap(x, d))
 
 
 def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -778,7 +743,8 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
             # exercised by the C19 and T18 suites)
             phi = _random_map(rng, d, trial)
             margin = _kpositivity_margin(cone, phi.hermitian_choi(tol), d)
-            if margin >= 0 or abs(margin) <= 10 * tol * (1 + frob(phi.choi)):
+            # only a map that classify puts OUT has an escape to catch
+            if classify(margin, 1 + frob(phi.choi), tol) is not Status.OUT:
                 report.undecided += 1
                 continue
             caught = _certificate_pairing(phi, cone, d, tol)
@@ -811,6 +777,11 @@ def _kpositivity_margin(cone: ConeId, c: np.ndarray, d: Dims) -> float:
     if cone is ConeId.MAP_P:
         return min(_min_eig(c), _min_eig(partial_transpose(c, d)))
     raise ValueError(f"no spectral K-positivity margin for {cone}")
+
+
+def _ppt_gap(x: np.ndarray, d: Dims) -> float:
+    """The smaller distance from zero of the least eigenvalues of x and PT(x)."""
+    return min(abs(_min_eig(x)), abs(_min_eig(partial_transpose(x, d))))
 
 
 def _certificate_pairing(phi: MapRep, cone: ConeId, d: Dims, tol: float) -> float:
@@ -851,32 +822,32 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         # closed-form membership in K-sharp
         if cone is ConeId.MAP_P:  # sharp cone is d
             v = in_E(c, d, cfg)
-            undecided = v.status is Status.UNDECIDED
-            closed = v.status is Status.IN
+            closed = v.status
         else:
-            margin = _kpositivity_margin(_PARTNER[cone], c, d)
-            undecided = abs(margin) <= 10 * tol * scale
-            closed = margin >= -tol * scale
-        if undecided:
+            closed = classify(_kpositivity_margin(_PARTNER[cone], c, d), scale, tol)
+        if closed is Status.UNDECIDED:
             report.undecided += 1
             continue
         samples = list(pools[cone])
-        if cone is ConeId.MAP_P and not closed:
+        if cone is ConeId.MAP_P and closed is Status.OUT:
             # in_E's PPT witness w, as a sample: beta . map(w)* is not cp
             samples.append(map_from_choi(d.n, d.m, v.certificate.w))
         verdict = ksharp_membership(beta, samples, tol)
         report.checks += 1
-        if (verdict.status is Status.IN) != closed:
+        if verdict.status is Status.UNDECIDED:
+            report.undecided += 1
+        elif (verdict.status is Status.IN) != (closed is Status.IN):
             report.record_failure(trial, f"{cone.value} sharp membership mismatch", 1.0)
         # transpose symmetry of sharp membership through the adjoint
         if cone is not ConeId.MAP_P:
             adj = adjoint(beta)
             a = _kpositivity_margin(_PARTNER[cone], hermitian_part(adj.choi), d)
             b = _kpositivity_margin(_PARTNER[cone], hermitian_part(transpose_conj(adj).choi), d)
+            sa, sb = classify(a, scale, tol), classify(b, scale, tol)
             report.checks += 1
-            if min(abs(a), abs(b)) <= 10 * tol * scale:
+            if Status.UNDECIDED in (sa, sb):
                 report.undecided += 1
-            elif (a >= 0) != (b >= 0):
+            elif sa is not sb:
                 report.record_failure(trial, f"{cone.value} transpose symmetry", min(abs(a), abs(b)))
 
 
@@ -937,7 +908,9 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
                 samples.append(map_from_choi(d.n, d.m, v.certificate.w))
             verdict = ksharp_membership(cand, samples, tol)
             report.checks += 1
-            if (verdict.status is Status.IN) != decomposable:
+            if verdict.status is Status.UNDECIDED:
+                report.undecided += 1
+            elif (verdict.status is Status.IN) != decomposable:
                 report.record_failure(trial, "sharp test vs decomposability", 1.0)
 
 
@@ -962,7 +935,7 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
             continue
         if exact:
             spectra = (_min_eig(c), _min_eig(partial_transpose(c, d)))
-            if min(abs(s) for s in spectra) <= 10 * tol * scale:
+            if any(classify(s, scale, tol) is Status.UNDECIDED for s in spectra):
                 report.undecided += 1
                 continue
             density = hermitian_part(both_transpose(c, d))
@@ -999,7 +972,7 @@ def _certificate_problem(v, x: np.ndarray, d: Dims, tol: float) -> Optional[str]
         return "witness not PPT"
     if abs(float(np.trace(w).real) - 1.0) > 1e-9:
         return "witness trace"
-    if float(trace_pairing(w, x).real) > -10 * tol * scale:
+    if classify(float(trace_pairing(w, x).real), scale, tol) is not Status.OUT:
         return "witness inside the band"
     return None
 

@@ -1,0 +1,183 @@
+"""One margin-and-band rule: every verdict comes from ``cones.classify``.
+
+A margin m at scale s is IN when m >= -tol s, OUT when m <= -10 tol s and
+UNDECIDED between.  The planted instances below put a least eigenvalue
+(or a product-vector value) at -0.5, -5 and -20 times tol * scale, one in
+each region, and every oracle that reads such a margin must answer with
+that region's verdict.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mapcones
+from mapcones.choi import identity_map, map_from_choi, swap_operator, transpose_map
+from mapcones.cli import main
+from mapcones.cones import (
+    DykstraConfig,
+    Status,
+    classify,
+    in_E,
+    in_F,
+    in_P,
+    in_S,
+    is_block_positive,
+    is_cop,
+    is_cp,
+    is_decomposable,
+    is_positive_map,
+    is_ppt_state,
+    is_separable,
+    pm_k_membership,
+    witness_search,
+)
+from mapcones.io import save_matrix
+from mapcones.linalg import Dims, frob, partial_transpose
+from mapcones.theorems import ksharp_membership
+
+TOL = 1e-9
+D22 = Dims(2, 2)
+SWAP = swap_operator(2)
+#: multiple of tol * scale planted as the margin, and the verdict it must get
+REGIONS = [(-0.5, Status.IN), (-5.0, Status.UNDECIDED), (-20.0, Status.OUT)]
+REGION_IDS = ["in", "band", "out"]
+
+
+def planted(base, k):
+    """base shifted so that its least eigenvalue is k * TOL * (1 + ||base||_F).
+
+    The shift moves ||.||_F by a relative 1e-8, far inside the factor of
+    two that separates each planted multiple from the region edges.
+    """
+    b = base - np.linalg.eigvalsh(base)[0] * np.eye(len(base))
+    return b + k * TOL * (1.0 + frob(b)) * np.eye(len(b))
+
+
+class TestClassify:
+    @pytest.mark.parametrize(
+        "margin,status",
+        [(0.0, Status.IN), (-1.0, Status.IN), (-1.5, Status.UNDECIDED), (-9.9, Status.UNDECIDED),
+         (-10.0, Status.OUT), (-1e6, Status.OUT), (np.inf, Status.IN), (-np.inf, Status.OUT)],
+    )
+    def test_regions(self, margin, status):
+        # tol * scale = 1: the IN edge is -1, the OUT edge -10
+        assert classify(margin, 2.0, 0.5) is status
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            classify(0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("k,status", REGIONS, ids=REGION_IDS)
+class TestPlantedMargins:
+    """Planted least eigenvalues give IN, UNDECIDED and OUT in turn."""
+
+    def test_is_cp(self, k, status):
+        v = is_cp(map_from_choi(2, 2, planted(SWAP, k)), TOL)
+        assert v.status is status
+        assert v.info["min_eig"] / (TOL * (1 + frob(planted(SWAP, k)))) == pytest.approx(k, rel=1e-6)
+
+    def test_is_cop(self, k, status):
+        choi = partial_transpose(planted(SWAP, k), D22)
+        assert is_cop(map_from_choi(2, 2, choi), TOL).status is status
+
+    def test_in_P(self, k, status):
+        # the cp side is clearly IN (least eigenvalue about 1); the cop side is planted
+        choi = partial_transpose(planted(SWAP, k), D22)
+        assert is_cp(map_from_choi(2, 2, choi), TOL).status is Status.IN
+        assert in_P(map_from_choi(2, 2, choi), TOL).status is status
+
+    def test_in_F(self, k, status):
+        v = in_F(partial_transpose(planted(SWAP, k), D22), D22, TOL)
+        assert v.status is status
+
+    def test_pm_k_membership(self, k, status):
+        v = pm_k_membership(planted(SWAP, k), D22, [transpose_map(2), identity_map(2)], TOL)
+        assert v.status is status
+        assert v.heuristic == (status is Status.IN)
+
+    def test_ksharp_membership(self, k, status):
+        beta = map_from_choi(2, 2, planted(SWAP, k))
+        v = ksharp_membership(beta, [identity_map(2)], TOL)
+        assert v.status is status
+        assert v.heuristic == (status is Status.IN)
+
+    def test_check_cp_exit_code(self, k, status, tmp_path):
+        path = tmp_path / "phi.json"
+        save_matrix(path, 2, 2, planted(SWAP, k))
+        assert main(["check", str(path), "cp"]) == {Status.IN: 0, Status.OUT: 1, Status.UNDECIDED: 2}[status]
+
+    def test_is_separable_planted_in_partial_transpose(self, k, status):
+        # PT(rho) = y / Tr y has the planted least eigenvalue; rho itself is
+        # a state with least eigenvalue about 1/4
+        y = planted((SWAP + np.eye(4)) / 4, k)
+        rho = partial_transpose(y, D22) / np.trace(y).real
+        assert is_separable(rho, D22, TOL).status is status
+
+    def test_is_block_positive_planted_product_value(self, k, status):
+        # <xi (x) eta| SWAP |xi (x) eta> = |<xi, eta>|^2 has minimum 0 over
+        # product vectors, though SWAP has eigenvalue -1; the shift plants it
+        x = SWAP + k * TOL * (1.0 + frob(SWAP)) * np.eye(4)
+        v = is_block_positive(x, D22, tol=TOL)
+        assert v.status is status
+        assert v.info["best"] == pytest.approx(k * TOL * (1.0 + frob(SWAP)), rel=1e-6)
+        assert v.heuristic == (status is Status.IN)
+
+
+#: every public oracle, on an input where it would otherwise return a verdict
+ORACLES = {
+    "is_cp": lambda tol: is_cp(map_from_choi(2, 2, -np.eye(4)), tol),
+    "is_cop": lambda tol: is_cop(identity_map(3), tol),
+    "in_P": lambda tol: in_P(map_from_choi(2, 2, np.eye(4)), tol),
+    "in_F": lambda tol: in_F(np.eye(4), D22, tol),
+    "is_ppt_state": lambda tol: is_ppt_state(np.eye(4) / 4, D22, tol),
+    "is_separable": lambda tol: is_separable(np.eye(4) / 4, D22, tol),
+    "in_S": lambda tol: in_S(map_from_choi(2, 2, np.eye(4)), tol),
+    "is_block_positive": lambda tol: is_block_positive(-np.eye(4), D22, tol=tol),
+    "is_positive_map": lambda tol: is_positive_map(identity_map(2), tol=tol),
+    "pm_k_membership": lambda tol: pm_k_membership(-np.eye(4), D22, [identity_map(2)], tol),
+    "ksharp_membership": lambda tol: ksharp_membership(identity_map(2), [identity_map(2)], tol),
+    "in_E": lambda tol: in_E(-np.eye(4), D22, DykstraConfig(tol=tol)),
+    "is_decomposable": lambda tol: is_decomposable(identity_map(2), DykstraConfig(tol=tol)),
+    "witness_search": lambda tol: witness_search(-np.eye(4), D22, DykstraConfig(tol=tol)),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+def test_oracles_reject_invalid_tol(oracle, tol):
+    with pytest.raises(ValueError):
+        ORACLES[oracle](tol)
+
+
+#: the band multiplier as written at a hand-made band site
+BAND_SITE = re.compile(r"10(\.0)?\s*\*\s*(tol|thr|cfg\.tol)")
+
+
+def test_band_multiplier_only_in_classify():
+    """No module states the band's OUT edge outside ``cones.classify``.
+
+    ``sdp.py`` is exempt: its solver stops on that edge in units of
+    ||x||, not of tol * (1 + ||x||_F), and it cannot import ``cones``,
+    which imports it.
+    """
+    src = Path(mapcones.__file__).parent
+    cones_src = (src / "cones.py").read_text()
+    (fn,) = [
+        node for node in ast.parse(cones_src).body
+        if isinstance(node, ast.FunctionDef) and node.name == "classify"
+    ]
+    inside_classify = range(fn.lineno, fn.end_lineno + 1)
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "sdp.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if BAND_SITE.search(line) and not (path.name == "cones.py" and lineno in inside_classify):
+                sites.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert sites == []

@@ -1,0 +1,82 @@
+"""Verdicts that must not move under the symmetries of the cones.
+
+The PSD cone (``is_cp`` on a Choi matrix), the PPT cone ``f`` and its
+dual ``e`` are each invariant under local unitaries U (x) V, under
+swapping the two factors, under t (x) t (the full transpose) and under
+positive scaling.  The draws keep every margin at least 1e-3 ||x||_F
+away from the band, so rounding cannot move a verdict and any change is
+a fault of the oracle.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import unitary_group
+
+from mapcones.choi import map_from_choi
+from mapcones.cones import (
+    ConeId,
+    DykstraConfig,
+    Status,
+    _swap_factors,
+    dykstra_feasibility,
+    in_E,
+    in_F,
+    is_cp,
+)
+from mapcones.linalg import Dims, both_transpose, frob, partial_transpose
+from mapcones.sampling import random_cone_choi, random_hermitian
+
+TOL = 1e-9
+CFG = DykstraConfig(tol=TOL)
+DIMS = [Dims(1, 3), Dims(3, 1), Dims(1, 4), Dims(2, 2), Dims(2, 3), Dims(3, 2)]
+FAMILIES = [None, ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_P]
+
+
+def verdicts(x, d):
+    return (
+        is_cp(map_from_choi(d.n, d.m, x), TOL).status,
+        in_F(x, d, TOL).status,
+        in_E(x, d, CFG).status,
+    )
+
+
+def clear_of_band(x, d) -> bool:
+    """Whether the cp, f and e margins all lie at least 1e-3 ||x||_F from the band.
+
+    The e margin is lam*, bracketed by the solve run on to the optimum:
+    its lower end is certified by the dual iterate, its upper end by the
+    re-validated witness.
+    """
+    gap = 1e-3 * frob(x) + 10 * TOL * (1.0 + frob(x))
+    lo = np.linalg.eigvalsh(x)[0]
+    lo_f = min(lo, np.linalg.eigvalsh(partial_transpose(x, d))[0])
+    feas = dykstra_feasibility(x, d, CFG, optimum=True)
+    e_clear = feas.lower >= gap or (feas.w is not None and feas.upper <= -gap)
+    return abs(lo) >= gap and abs(lo_f) >= gap and e_clear
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    d=st.sampled_from(DIMS),
+    family=st.sampled_from(FAMILIES),
+    shift=st.floats(-0.4, 0.4),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-3, 3),
+)
+def test_verdicts_invariant(d, family, shift, seed, k):
+    rng = np.random.default_rng(seed)
+    nm = d.total
+    base = random_hermitian(rng, nm) if family is None else random_cone_choi(family, d, rng)
+    x = base / frob(base) + shift / np.sqrt(nm) * np.eye(nm)
+    x /= frob(x)
+    assume(clear_of_band(x, d))
+    expected = verdicts(x, d)
+    assert Status.UNDECIDED not in expected
+
+    u = np.kron(unitary_group.rvs(d.n, random_state=rng) if d.n > 1 else np.eye(1),
+                unitary_group.rvs(d.m, random_state=rng) if d.m > 1 else np.eye(1))
+    assert verdicts(u @ x @ u.conj().T, d) == expected
+    assert verdicts(_swap_factors(x, d), Dims(d.m, d.n)) == expected
+    assert verdicts(both_transpose(x, d), d) == expected
+    assert verdicts(10.0**k * x, d) == expected
