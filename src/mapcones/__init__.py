@@ -67,6 +67,7 @@ from .cones import (
     MinEigCert,
     ProductVectorCert,
     PptSpectra,
+    SeparableBall,
     SeparableDecomposition,
     Status,
     Verdict,

@@ -68,6 +68,7 @@ def _describe(v: Verdict) -> str:
         MinEigCert,
         ProductVectorCert,
         PptSpectra,
+        SeparableBall,
         SeparableDecomposition,
     )
 
@@ -85,6 +86,8 @@ def _describe(v: Verdict) -> str:
         parts.append(f"product-vector value {c.value:.12g}")
     elif isinstance(c, SeparableDecomposition):
         parts.append(f"separable decomposition of {len(c.weights)} terms, residual {c.residual:.12g}")
+    elif isinstance(c, SeparableBall):
+        parts.append(f"separable ball: distance {c.distance:.12g} <= radius {c.radius:.12g}")
     for key, val in v.info.items():
         if isinstance(val, float):
             parts.append(f"{key}={val:.6g}")

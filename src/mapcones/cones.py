@@ -25,8 +25,9 @@ certificate that re-validates independently of the search that produced
 it: an eigenvector of a negative eigenvalue, a trace-one PPT witness w
 with Tr(w x) < 0, or a product vector pair.  IN verdicts carry
 certificates where the cone admits them (decompositions, spectra,
-separable mixtures).  Memberships that cannot be certified either way
-within the iteration budget come back UNDECIDED rather than forced.
+separable mixtures, a distance within the separable ball around I/D).
+Memberships that cannot be certified either way within the iteration
+budget come back UNDECIDED rather than forced.
 
 The ``e`` cone is decided by one semidefinite program, the first level
 of the Doherty-Parrilo-Spedalieri hierarchy: lam* = min Tr(w x) over
@@ -84,6 +85,7 @@ __all__ = [
     "FWitness",
     "ProductVectorCert",
     "SeparableDecomposition",
+    "SeparableBall",
     "FeasibilityResult",
     "psd_project",
     "is_cp",
@@ -199,6 +201,18 @@ class SeparableDecomposition:
     left: tuple[np.ndarray, ...]
     right: tuple[np.ndarray, ...]
     residual: float
+
+
+@dataclass(frozen=True)
+class SeparableBall:
+    """||rho - I/D||_F = distance within radius = 1/sqrt(D(D-1)), D = nm.
+
+    Every state in that ball around the maximally mixed state is
+    separable (Gurvits and Barnum, PRA 66, 062311 (2002)).
+    """
+
+    distance: float
+    radius: float
 
 
 @dataclass(frozen=True)
@@ -490,88 +504,28 @@ def _swap_factors(x: np.ndarray, d: Dims) -> np.ndarray:
     return x.reshape(n, m, n, m).transpose(1, 0, 3, 2).reshape(n * m, n * m)
 
 
-def _product_candidates(rho: np.ndarray, d: Dims) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pure product factors for a separable decomposition.
+def _dephased(rho: np.ndarray, d: Dims) -> SeparableDecomposition:
+    """rho dephased in the product of its marginals' eigenbases.
 
-    Returns arrays of shape (K, n) and (K, m) whose rows k pair up as the
-    k-th product vector.  The 2n^2 left factors are the eigenvectors of
-    the left marginal, the unit vectors, and the phase pairs
-    (b_i + b_j) / sqrt 2 and (b_i + i b_j) / sqrt 2 over both bases; the
-    2m^2 right factors likewise.  Every left factor is paired with every
-    right one, so K = 4 (nm)^2.
+    With U, V the eigenvectors of the two marginals, the weights are the
+    diagonal of (U (x) V)* rho (U (x) V) and the factors the projectors
+    onto the basis vectors; terms without positive weight are dropped.
+    The residual ||rho - sum_k w_k L_k (x) R_k||_F is recomputed from the
+    returned terms, so it is the off-diagonal norm plus what was dropped.
     """
-    n, m = d
-    left = partial_trace(rho, d, 2)
-    right = partial_trace(rho, d, 1)
-    lv = np.linalg.eigh(hermitian_part(left))[1]
-    rv = np.linalg.eigh(hermitian_part(right))[1]
-
-    def factors(eigvecs):
-        dim = eigvecs.shape[0]
-        eye = np.eye(dim, dtype=np.complex128)
-        rows = [eigvecs.T, eye]
-        # phase combinations capture off-diagonal coherences of the marginals
-        i, j = np.triu_indices(dim, 1)
-        for base in (eigvecs, eye):
-            s, t = base[:, i], base[:, j]
-            pairs = np.stack([s + t, s + 1j * t], axis=-1) / np.sqrt(2)
-            rows.append(pairs.reshape(dim, -1).T)
-        return np.concatenate(rows)
-
-    lefts, rights = factors(lv), factors(rv)
-    return np.repeat(lefts, len(rights), axis=0), np.tile(rights, (len(lefts), 1))
-
-
-def _hermitian_coordinates(h: np.ndarray) -> np.ndarray:
-    """Real coordinates of Hermitian matrices over their last two axes.
-
-    The diagonal, then sqrt 2 Re and sqrt 2 Im of the strict upper
-    triangle: N^2 reals for an N x N matrix, whose dot product is
-    Re Tr(A B) on Hermitian A, B.
-    """
-    i, j = np.triu_indices(h.shape[-1], 1)
-    upper = h[..., i, j] * np.sqrt(2)
-    return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
-
-
-def _decomposition_fit(rho: np.ndarray, d: Dims, tol: float) -> tuple[Optional[SeparableDecomposition], dict]:
-    """Nonnegative least-squares fit of rho by a fixed product-state dictionary.
-
-    The dictionary holds the K = 4 (nm)^2 pure product states of
-    ``_product_candidates``.  NNLS runs in the real coordinates of
-    ``_hermitian_coordinates`` ((nm)^2 rows), which preserve the Frobenius
-    inner product, so its residual norm is ||sum_k w_k P_k - rho||_F.
-    Returns the decomposition (None unless the residual is within
-    tolerance) and ``info`` with the dictionary size and the residual
-    (None when NNLS hit its iteration cap).
-    """
-    from scipy.optimize import nnls
-
-    n, m = d
-    a, b = _product_candidates(rho, d)
-    pa = a[:, :, None] * a.conj()[:, None, :]
-    pb = b[:, :, None] * b.conj()[:, None, :]
-    # the stack of product states is not bound to a name, so it is freed
-    # before NNLS runs; only its coordinates are kept
-    mat = _hermitian_coordinates(
-        (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(len(a), n * m, n * m)
-    ).T
-    info = {"dictionary": len(a), "fit_residual": None}
-    try:
-        weights, rnorm = nnls(mat, _hermitian_coordinates(rho), maxiter=10 * mat.shape[1])
-    except RuntimeError:
-        return None, info
-    info["fit_residual"] = float(rnorm)
-    if rnorm > tol * (1.0 + frob(rho)):
-        return None, info
-    keep = weights > 1e-14
-    dec = SeparableDecomposition(
+    u = np.linalg.eigh(hermitian_part(partial_trace(rho, d, 2)))[1]
+    v = np.linalg.eigh(hermitian_part(partial_trace(rho, d, 1)))[1]
+    uv = np.kron(u, v)
+    weights = (uv.conj() * (rho @ uv)).sum(axis=0).real
+    keep = np.flatnonzero(weights > 0)
+    fit = (uv[:, keep] * weights[keep]) @ uv[:, keep].conj().T
+    i, j = np.divmod(keep, d.m)
+    return SeparableDecomposition(
         weights=weights[keep],
-        left=tuple(pa[keep]),
-        right=tuple(pb[keep]),
-        residual=float(rnorm),
+        left=tuple(np.outer(u[:, k], u[:, k].conj()) for k in i),
+        right=tuple(np.outer(v[:, k], v[:, k].conj()) for k in j),
+        residual=frob(rho - fit),
     )
-    return dec, info
 
 
 def _positive_map_detection(rho: np.ndarray, d: Dims, tol: float) -> Optional[tuple[np.ndarray, float]]:
@@ -603,12 +557,19 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """Separability of a density operator.
 
     At 2 (x) 2 and 2 (x) 3 the PPT condition is exact and decides the
-    question (UNDECIDED in its band).  Elsewhere: a failed PPT test is a
-    certified OUT, a successful nonnegative product-state fit is a
-    certified IN, a positive-map detection is a certified OUT, and
-    anything else is UNDECIDED.  Whenever the fit ran, ``info`` carries
-    the ``dictionary`` size and the NNLS ``fit_residual``.  The
-    dictionary is deterministic.
+    question (UNDECIDED in its band; ``info["regime"]`` is
+    ``"ppt-exact"``).  Elsewhere a failed PPT test is a certified OUT, and
+    two closed-form certificates give IN:
+
+    * ``"dephased"``: rho is diagonal in the product of its marginals'
+      eigenbases, and the certificate is that diagonal as a
+      ``SeparableDecomposition`` whose residual ``classify`` puts IN;
+    * ``"ball"``: rho lies in the Gurvits-Barnum ball
+      ||rho - I/D||_F <= 1/sqrt(D(D-1)) of separable states, D = nm, and
+      the certificate is the ``SeparableBall`` of that distance.
+
+    Otherwise a positive-map detection is a certified OUT and anything
+    else is UNDECIDED.
     """
     d = Dims(*d).validate()
     rho = as_operator(rho)
@@ -627,14 +588,19 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     if tuple(sorted(d)) in _EXACT_PPT_DIMS:
         return Verdict(Status.IN, ppt.certificate, info={"regime": "ppt-exact"})
 
-    dec, fit = _decomposition_fit(rho, d, tol)
-    if dec is not None:
-        return Verdict(Status.IN, dec, info=fit)
+    scale = 1.0 + frob(rho)
+    dec = _dephased(rho, d)
+    if classify(-dec.residual, scale, tol) is Status.IN:
+        return Verdict(Status.IN, dec, info={"regime": "dephased"})
+    dim = d.total
+    ball = SeparableBall(frob(rho - np.eye(dim) / dim), (dim * (dim - 1)) ** -0.5)
+    if classify(ball.radius - ball.distance, scale, tol) is Status.IN:
+        return Verdict(Status.IN, ball, info={"regime": "ball"})
     det = _positive_map_detection(rho, d, tol)
     if det is not None:
         wit, value = det
-        return Verdict(Status.OUT, wit, info={"detection_value": value, **fit})
-    return Verdict(Status.UNDECIDED, info={"ppt": "passed", **fit})
+        return Verdict(Status.OUT, wit, info={"detection_value": value})
+    return Verdict(Status.UNDECIDED, info={"ppt": "passed"})
 
 
 def in_S(phi: MapRep, tol: float = 1e-9) -> Verdict:
@@ -642,7 +608,7 @@ def in_S(phi: MapRep, tol: float = 1e-9) -> Verdict:
     c = phi.hermitian_choi(tol)
     tr = float(np.trace(c).real)
     if tr <= tol:
-        raise ValueError(f"Choi trace {tr:.3e} is not positive")
+        raise ValueError(f"Choi trace {tr:.3e} is not above tol = {tol!r}")
     return is_separable(c / tr, phi.d, tol)
 
 

@@ -153,10 +153,13 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
 def check_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Return the Hermitian part of x; raise if x is not Hermitian within tol.
 
-    The gate is relative: ||x - x*||_F <= tol * (1 + ||x||_F).  A norm that
+    The gate is relative: ||x - x*||_F <= tol * (1 + ||x||_F).  ``tol``
+    must be positive; ``tol = inf`` skips the gate.  A norm that
     overflows to infinity is rejected too, since every threshold scaled by
     it would become infinite.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     with np.errstate(over="ignore"):
         norm = frob(x)
     if not np.isfinite(norm):

@@ -151,7 +151,7 @@ ORACLES = {
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
 @pytest.mark.parametrize("oracle", sorted(ORACLES))
 def test_oracles_reject_invalid_tol(oracle, tol):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tol"):
         ORACLES[oracle](tol)
 
 

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from _helpers import brute_partial_transpose, random_complex, random_hermitian, random_psd, rng
 from mapcones.choi import (
@@ -22,6 +23,8 @@ from mapcones.cones import (
     DykstraConfig,
     FWitness,
     MinEigCert,
+    SeparableBall,
+    SeparableDecomposition,
     Status,
     dykstra_feasibility,
     in_E,
@@ -488,20 +491,67 @@ class TestFixtureOptimum:
         assert v.info["lower"] <= sign * 1e-3 * S_STAR <= v.info["upper"]
 
 
-def test_e_cone_decision_does_not_load_scipy_linalg():
-    # importing scipy.linalg alone adds about 27 MB of resident memory
+def test_library_does_not_load_scipy(tmp_path):
+    # the library depends on numpy alone; importing scipy.optimize adds about 46 MB of resident memory
+    path = str(tmp_path / "mixed.json")
     code = (
         "import sys, numpy as np\n"
         "import mapcones\n"
+        "from mapcones import cli\n"
+        "from mapcones.io import save_matrix\n"
         "g = np.random.default_rng(0)\n"
         "f = g.normal(size=(16, 16)) + 1j * g.normal(size=(16, 16))\n"
-        "phi = mapcones.map_from_choi(4, 4, f + f.conj().T)\n"
-        "mapcones.is_decomposable(phi)\n"
-        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+        "mapcones.is_decomposable(mapcones.map_from_choi(4, 4, f + f.conj().T))\n"
+        "rho, d = mapcones.ppt_entangled_state()\n"
+        "mapcones.is_separable(rho, d)\n"
+        "v = g.normal(size=(16, 4)) + 1j * g.normal(size=(16, 4))\n"
+        "mapcones.is_separable(v @ v.conj().T / np.linalg.norm(v) ** 2, mapcones.Dims(4, 4))\n"
+        "mapcones.in_S(mapcones.map_from_choi(3, 3, np.eye(9)))\n"
+        f"save_matrix({path!r}, 3, 3, np.eye(9))\n"
+        f"assert cli.main(['check', {path!r}, 'sep']) == 0\n"
+        "loaded = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+SEP_DIMS = [Dims(3, 3), Dims(2, 4), Dims(3, 4), Dims(4, 4)]
+
+
+def _density(p):
+    return p / np.trace(p).real
+
+
+def _local_unitary(g, d):
+    return np.kron(unitary_group.rvs(d.n, random_state=g), unitary_group.rvs(d.m, random_state=g))
+
+
+def _dephased_family(family, g, d):
+    if family == "pure-product":
+        return tensor(_density(random_psd(g, d.n, 1)), _density(random_psd(g, d.m, 1)))
+    if family == "mixed-product":
+        return tensor(_density(random_psd(g, d.n)), _density(random_psd(g, d.m)))
+    if family == "maximally-mixed":
+        return np.eye(d.total) / d.total
+    return np.diag(g.dirichlet(np.ones(d.total))).astype(complex)
+
+
+def assert_separable_certificate(rho, d, cert, tol=1e-9):
+    """Re-validate a SeparableDecomposition in plain numpy."""
+    w = np.asarray(cert.weights)
+    assert np.all(w >= 0) and w.sum() == pytest.approx(1.0, abs=tol)
+    assert len(cert.left) == len(cert.right) == len(w)
+    total = np.zeros(rho.shape, dtype=complex)
+    for wk, a, b in zip(w, cert.left, cert.right):
+        for f, k in ((a, d.n), (b, d.m)):
+            assert f.shape == (k, k) and frob(f - f.conj().T) <= 1e-12
+            assert np.linalg.eigvalsh(f) == pytest.approx([0.0] * (k - 1) + [1.0], abs=1e-12)
+        total += wk * np.kron(a, b)
+    residual = frob(rho - total)
+    assert residual <= tol * (1 + frob(rho))
+    assert residual == pytest.approx(cert.residual, abs=1e-14)
 
 
 class TestSeparability:
@@ -526,6 +576,48 @@ class TestSeparability:
             wgt * tensor(a, b) for wgt, a, b in zip(dec.weights, dec.left, dec.right)
         )
         assert frob(fit - np.eye(9) / 9) <= 1e-8
+
+    @pytest.mark.parametrize("family", ["pure-product", "mixed-product", "maximally-mixed", "classical"])
+    @pytest.mark.parametrize("d", SEP_DIMS, ids=str)
+    def test_dephased_in_under_local_unitaries(self, d, family):
+        g = rng(400 + 10 * d.total + len(family))
+        rho = _dephased_family(family, g, d)
+        u = _local_unitary(g, d)
+        for x in (rho, u @ rho @ u.conj().T):
+            v = is_separable(x, d)
+            assert v.status is Status.IN and v.info == {"regime": "dephased"}
+            assert isinstance(v.certificate, SeparableDecomposition)
+            assert_separable_certificate(x, d, v.certificate)
+
+    def test_ball_around_maximally_mixed(self):
+        ent, d = ppt_entangled_state()
+        dim = d.total
+        radius = 1 / np.sqrt(dim * (dim - 1))
+        direction = (ent - np.eye(dim) / dim) / frob(ent - np.eye(dim) / dim)
+        inside = np.eye(dim) / dim + radius * (1 - 1e-3) * direction
+        outside = np.eye(dim) / dim + radius * (1 + 1e-3) * direction
+        v = is_separable(inside, d)
+        assert v.status is Status.IN and v.info == {"regime": "ball"}
+        assert isinstance(v.certificate, SeparableBall)
+        assert v.certificate.radius == pytest.approx(radius, rel=1e-15)
+        assert v.certificate.distance == pytest.approx(frob(inside - np.eye(dim) / dim), rel=1e-12)
+        assert v.certificate.distance < v.certificate.radius
+        assert is_separable(outside, d).status is not Status.IN
+
+    def test_ppt_entangled_state_never_in_under_local_unitaries(self):
+        rho, d = ppt_entangled_state()
+        v = is_separable(rho, d)
+        assert v.status is Status.OUT and v.info["detection_value"] < 0
+        g = rng(410)
+        for _ in range(60):
+            u = _local_unitary(g, d)
+            assert is_separable(u @ rho @ u.conj().T, d).status is not Status.IN
+
+    def test_generic_mixture_undecided(self):
+        g = rng(420)
+        rho = _density(sum(tensor(random_psd(g, 3, 1), random_psd(g, 3, 1)) for _ in range(5)))
+        v = is_separable(rho, D33)
+        assert v.status is Status.UNDECIDED and v.info == {"ppt": "passed"}
 
     def test_2x3_separable_mixture(self):
         g = rng(67)

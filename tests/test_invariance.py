@@ -1,11 +1,15 @@
 """Verdicts that must not move under the symmetries of the cones.
 
-The PSD cone (``is_cp`` on a Choi matrix), the PPT cone ``f`` and its
-dual ``e`` are each invariant under local unitaries U (x) V, under
-swapping the two factors, under t (x) t (the full transpose) and under
-positive scaling.  The draws keep every margin at least 1e-3 ||x||_F
-away from the band, so rounding cannot move a verdict and any change is
-a fault of the oracle.
+The PSD cone (``is_cp`` on a Choi matrix), the PPT cone ``f``, its
+dual ``e`` and the separable states are each invariant under local
+unitaries U (x) V, under swapping the two factors, under t (x) t (the
+full transpose) and under positive scaling.  The draws keep every margin
+at least 1e-3 ||x||_F away from the band, so rounding cannot move a
+verdict and any change is a fault of the oracle.  Separability is
+checked on separable states at 3x3 and 2x4, drawn so that one of its
+certificates holds in every frame: products and classical states, whose
+dephased residual is zero up to rounding (their marginal eigenvalues are
+distinct with probability one), and states at most 0.9 radii from I/D.
 """
 
 import numpy as np
@@ -23,22 +27,45 @@ from mapcones.cones import (
     in_E,
     in_F,
     is_cp,
+    is_separable,
 )
-from mapcones.linalg import Dims, both_transpose, frob, partial_transpose
-from mapcones.sampling import random_cone_choi, random_hermitian
+from mapcones.linalg import Dims, both_transpose, frob, partial_transpose, tensor
+from mapcones.sampling import random_cone_choi, random_hermitian, random_psd
 
 TOL = 1e-9
 CFG = DykstraConfig(tol=TOL)
 DIMS = [Dims(1, 3), Dims(3, 1), Dims(1, 4), Dims(2, 2), Dims(2, 3), Dims(3, 2)]
 FAMILIES = [None, ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_P]
+SEP_DIMS = [Dims(3, 3), Dims(2, 4)]
+#: SEP_DIMS in either factor order, as swapping the factors turns 2x4 into 4x2
+SEP_SHAPES = {(3, 3), (2, 4)}
+SEP_FAMILIES = ["product", "classical", "near-I/D"]
+
+
+def separable_state(family, d, rng):
+    """A separable state whose least eigenvalue is at least 0.1 / nm."""
+    nm = d.total
+    if family == "product":
+        a, b = random_psd(rng, d.n), random_psd(rng, d.m)
+        rho = tensor(a + frob(a) * np.eye(d.n), b + frob(b) * np.eye(d.m))
+    elif family == "classical":
+        rho = np.diag(rng.uniform(0.2, 1.0, nm)).astype(complex)
+    else:
+        h = random_hermitian(rng, nm)
+        h -= np.trace(h) / nm * np.eye(nm)
+        rho = np.eye(nm) / nm + rng.uniform(0.0, 0.9) / np.sqrt(nm * (nm - 1)) * h / frob(h)
+    return rho / np.trace(rho).real
 
 
 def verdicts(x, d):
-    return (
+    out = (
         is_cp(map_from_choi(d.n, d.m, x), TOL).status,
         in_F(x, d, TOL).status,
         in_E(x, d, CFG).status,
     )
+    if tuple(sorted(d)) in SEP_SHAPES:
+        out += (is_separable(x / np.trace(x).real, d, TOL).status,)
+    return out
 
 
 def clear_of_band(x, d) -> bool:
@@ -56,19 +83,25 @@ def clear_of_band(x, d) -> bool:
     return abs(lo) >= gap and abs(lo_f) >= gap and e_clear
 
 
+CASES = [(d, f) for d in DIMS for f in FAMILIES] + [(d, f) for d in SEP_DIMS for f in SEP_FAMILIES]
+
+
 @settings(derandomize=True, max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(
-    d=st.sampled_from(DIMS),
-    family=st.sampled_from(FAMILIES),
+    case=st.sampled_from(CASES),
     shift=st.floats(-0.4, 0.4),
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(-3, 3),
 )
-def test_verdicts_invariant(d, family, shift, seed, k):
+def test_verdicts_invariant(case, shift, seed, k):
+    d, family = case
     rng = np.random.default_rng(seed)
     nm = d.total
-    base = random_hermitian(rng, nm) if family is None else random_cone_choi(family, d, rng)
-    x = base / frob(base) + shift / np.sqrt(nm) * np.eye(nm)
+    if family in SEP_FAMILIES:
+        x = separable_state(family, d, rng)
+    else:
+        base = random_hermitian(rng, nm) if family is None else random_cone_choi(family, d, rng)
+        x = base / frob(base) + shift / np.sqrt(nm) * np.eye(nm)
     x /= frob(x)
     assume(clear_of_band(x, d))
     expected = verdicts(x, d)

@@ -122,7 +122,7 @@ class TestCheckCommand:
         save_matrix(mixed, 3, 3, np.eye(9))
         assert main(["check", str(mixed), "sep"]) == 0
         out = capsys.readouterr().out
-        assert "dictionary=324" in out and "fit_residual=" in out
+        assert "regime=dephased" in out and "separable decomposition of 9 terms" in out
 
 
 class TestPairCommand:
