@@ -12,7 +12,7 @@ The package provides:
   Dykstra projection onto the PPT cone, and PPT witness extraction;
 * ``sdp``      the primal-dual interior-point solver behind the ``e``-cone
   decision: min Tr(w x) over trace-one PPT w, bracketed from both sides,
-  with matrix-free Newton steps;
+  with one dense Schur solve per Newton direction;
 * ``fixtures`` a positive non-decomposable map on M_3 with a companion
   PPT entangled state certifying it;
 * ``sampling`` seeded generators of cone elements and probe operators;

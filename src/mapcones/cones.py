@@ -36,14 +36,15 @@ trace-one PPT operators w, so that x is in ``e`` exactly when lam* >= 0.
 the primal-dual interior-point method of ``sdp``, whose iterates bracket
 lam* from both sides and stop once the sign is settled; the dual iterate
 gives the decomposition, the primal one the PPT witness, and both are
-re-validated before they are returned.  A conjugate-gradient iteration
-of a Newton step costs O((nm)^3) flops and a step takes at most
-10 (nm)^2 + 10 of them.  Measured medians per ``in_E`` call on one core
-(3-5 Newton steps): 20 ms at 3x3, 31 ms at 3x4, 34 ms at 4x4 and 62 ms at
-5x5.  Closing the bracket near lam* = 0, and ``witness_search``, take up
-to a few seconds at 4x4, so 5x5 is the practical size limit.  The ``f`` cone is an intersection of two
-spectrally projectable cones; ``project_F`` needs the nearest point of
-it and so uses Dykstra's scheme.
+re-validated before they are returned.  Each Newton step assembles
+and solves a dense system of (nm)^2 + 1 unknowns, O((nm)^6) flops and
+O((nm)^4) memory.  Measured medians per ``in_E`` call on one core
+(4-5 Newton steps): 15 ms at 3x3, 30 ms at 3x4, 60 ms at 4x4, 115 ms at
+4x5 and 240 ms at 5x5.  Closing the bracket, as ``witness_search`` and
+points near the boundary need, takes 9-13 steps: 0.1 s at 4x4 and
+0.6 s at 5x5.  The ``f`` cone is an intersection of two spectrally
+projectable cones; ``project_F`` needs the nearest point of it and so
+uses Dykstra's scheme.
 """
 
 from __future__ import annotations
@@ -376,9 +377,9 @@ def dykstra_feasibility(
     decomposition (both parts PSD, residual within tol * scale) and the
     witness (w and PT(w) PSD, unit trace, Tr(w x) < -tol * scale).  A
     certificate that fails its check is not used, and an ``"in"`` or
-    ``"out"`` stop becomes ``"breakdown"``, so an inexact Newton step can
-    cost a decision but never produce a wrong one.  The function keeps its
-    name for API stability.
+    ``"out"`` stop becomes ``"breakdown"``, so a numerical failure of the
+    solve can cost a decision but never produce a wrong one.  The
+    function keeps its name for API stability.
     """
     d = Dims(*d)
     x = hermitian_part(as_operator(x))

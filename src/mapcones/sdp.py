@@ -17,11 +17,12 @@ the optimum, y0 <= lam* <= Tr(x X1), and ``solve`` stops as soon as the
 bracket settles the sign (or closes).  Steps follow the HKM direction
 with Mehrotra's predictor-corrector (Helmberg, Rendl, Vanderbei and
 Wolkowicz 1996).  Each Newton system has (nm)^2 + 1 real unknowns, the
-coordinates of (dy0, dY); it is solved matrix-free by conjugate
-gradients with a Jacobi preconditioner, applying the Schur complement
-through the constraint map and its adjoint rather than assembling it.
-An inexact direction costs progress, never feasibility: step lengths
-keep every iterate strictly inside the cones.
+coordinates of (dy0, dY) in an orthonormal Hermitian basis.  Its Schur
+matrix is assembled from Kronecker-structured entries of the iterates,
+one pair of basis rows at a time, and solved exactly with
+``np.linalg.solve``, once for the predictor and once for the corrector:
+O((nm)^6) flops for each solve and O((nm)^4) memory for the matrix and
+its LU copy.  Step lengths keep every iterate strictly inside the cones.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ __all__ = ["Bracket", "solve"]
 
 #: fraction of the largest feasible step taken
 _STEP = 0.95
-#: relative residual at which conjugate gradients stop
-_CG_TOL = 1e-9
-#: conjugate-gradient iterations per solve, in multiples of the system size
-_CG_SWEEPS = 10
+#: 1 / sqrt 2, the weight of each unit in an off-diagonal basis element
+_RSQRT2 = 0.5**0.5
 #: a step shorter than this (in both spaces) is a breakdown
 _MIN_STEP = 1e-8
 #: Newton steps in a row that may fail to halve the best gap before a breakdown
@@ -79,65 +78,73 @@ def _max_step(linv: np.ndarray, dz: np.ndarray) -> float:
     return np.inf if lo >= 0.0 else -1.0 / lo
 
 
-def _pair_diagonal(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of U -> sym(x U w) in the orthonormal Hermitian basis.
+def _rotate(y: np.ndarray, sign: int) -> np.ndarray:
+    """Q^H y (sign -1) or Q^T y (sign 1) on rows that hold |a><b| and |b><a| in turn.
 
-    Entry (a, b) of the first array belongs to the basis element
-    (|a><b| + |b><a|)/sqrt 2 (to |a><a| on the diagonal), entry (a, b) of
-    the second to i(|a><b| - |b><a|)/sqrt 2.
+    Each pair of rows becomes the pair for (|a><b| + |b><a|)/sqrt 2 and
+    i(|a><b| - |b><a|)/sqrt 2, the columns of Q.
     """
-    dx, dw = np.diagonal(x).real, np.diagonal(w).real
-    base = (np.outer(dx, dw) + np.outer(dw, dx)) / 2
-    cross = (x * w).real
-    return base + cross, base - cross
+    u, l = y[0::2], y[1::2]
+    out = np.empty_like(y)
+    out[0::2] = (u + l) * _RSQRT2
+    out[1::2] = (u - l) * (sign * 1j * _RSQRT2)
+    return out
 
 
 class _Schur:
-    """The HKM Schur complement u -> A(sym(X A*(u) Z^-1)) at one iterate.
+    """The HKM Schur complement u -> A(sym(X A*(u) Z^-1)) at one iterate, assembled.
 
     The constraint map is A(X1, X2) = (Tr X1, PT(X1) - X2) and its adjoint
     A*(u0, U) = (u0 I + PT(U), -U).  Vectors are pairs (u0, U) with U
-    Hermitian, under the inner product u0 v0 + Re Tr(U V).
+    Hermitian, held as u0 followed by the coordinates Re Tr(E_i U) of U in
+    an orthonormal Hermitian basis: the units |a><a|, then
+    (|a><b| + |b><a|)/sqrt 2 and i(|a><b| - |b><a|)/sqrt 2 in turn for
+    each a < b.  Q has this basis as its columns, over the matrix units
+    listed in ``units``.  The U block is Re(Q^H S Q), the real symmetric
+    matrix of Re Tr(F_i X F_j W) summed over both PSD blocks, with
+    W = Z^-1, F = PT(E) in block 1 and F = E in block 2.  S has the
+    entries X[a, p] W[q, b] of U -> X U W between the units |a><b| and
+    |p><q|, and PT maps |a1 a2><b1 b2| to |a1 b2><b1 a2|, so block 1 is
+    the same formula read on relabelled units.
     """
 
     def __init__(self, x1, w1, x2, w2, d: Dims):
-        self.x1, self.w1, self.x2, self.w2, self.d = x1, w1, x2, w2, d
-        self.eye = np.eye(len(x1))
-        s1, a1 = _pair_diagonal(x1, w1)
-        s2, a2 = _pair_diagonal(x2, w2)
-        # PT permutes the basis elements, so it permutes block 1's diagonal
-        self.diag_sym = partial_transpose(s1, d) + s2
-        self.diag_asym = partial_transpose(a1, d) + a2
-        np.fill_diagonal(self.diag_asym, 1.0)  # no imaginary basis element there
-        self.diag0 = float(np.trace(x1 @ w1).real)
+        nm = d.total
+        a, b = np.triu_indices(nm, 1)
+        self.nm = nm
+        self.units = np.concatenate((np.arange(nm) * (nm + 1), np.column_stack((a * nm + b, b * nm + a)).ravel()))
+        pt = partial_transpose(np.arange(nm * nm).reshape(nm, nm), d).ravel()[self.units]
+        # in each block, entry (i, j) of S is x[p_i, p_j] w[q_j, q_i] for unit i = |p_i><q_i|
+        blocks = [(x1, w1.T, *np.divmod(pt, nm)), (x2, w2.T, *np.divmod(self.units, nm))]
+        full = self.full = np.empty((nm * nm + 1,) * 2)
+        full[0, 0] = np.trace(x1 @ w1).real
+        full[0, 1:] = full[1:, 0] = self.coords(partial_transpose(x1 @ w1, d))
+        # the diagonal units, then one pair of units at a time: the workspace
+        # beyond the matrix itself stays O((nm)^2)
+        starts = [0, *range(nm, nm * nm, 2)]
+        for lo, hi in zip(starts, starts[1:] + [nm * nm]):
+            s = sum(np.take(x[p[lo:hi]], p, 1) * np.take(wt[q[lo:hi]], q, 1) for x, wt, p, q in blocks)
+            if lo >= nm:
+                s = _rotate(s, -1)
+            s[:, nm:] = _rotate(s[:, nm:].T, 1).T
+            full[lo + 1 : hi + 1, 1:] = s.real
 
-    def apply(self, u0: float, u: np.ndarray) -> tuple[float, np.ndarray]:
-        s1 = _herm(self.x1 @ (u0 * self.eye + partial_transpose(u, self.d)) @ self.w1)
-        return float(np.trace(s1).real), partial_transpose(s1, self.d) + _herm(self.x2 @ u @ self.w2)
+    def coords(self, u: np.ndarray) -> np.ndarray:
+        """The coordinates Re Tr(E_i u) of u in the basis."""
+        v = u.ravel()[self.units]
+        v[self.nm :] = _rotate(v[self.nm :], -1)
+        return v.real
 
-    def precondition(self, r0: float, r: np.ndarray) -> tuple[float, np.ndarray]:
-        return r0 / self.diag0, r.real / self.diag_sym + 1j * (r.imag / self.diag_asym)
-
-    def solve(self, b0: float, b: np.ndarray, u0: float = 0.0, u=None) -> tuple[float, np.ndarray]:
-        """Preconditioned conjugate gradients from the start (u0, u)."""
-        u = np.zeros_like(b) if u is None else u
-        m0, m = self.apply(u0, u)
-        r0, r = b0 - m0, b - m
-        z0, z = self.precondition(r0, r)
-        p0, p = z0, z
-        rz = r0 * z0 + np.vdot(r, z).real
-        stop = (_CG_TOL**2) * (b0 * b0 + np.vdot(b, b).real)
-        for _ in range(_CG_SWEEPS * (b.size + 1)):
-            if r0 * r0 + np.vdot(r, r).real <= stop:
-                break
-            q0, q = self.apply(p0, p)
-            alpha = rz / (p0 * q0 + np.vdot(p, q).real)
-            u0, u = u0 + alpha * p0, u + alpha * p
-            r0, r = r0 - alpha * q0, r - alpha * q
-            z0, z = self.precondition(r0, r)
-            rz, rz_old = r0 * z0 + np.vdot(r, z).real, rz
-            p0, p = z0 + (rz / rz_old) * p0, z + (rz / rz_old) * p
-        return u0, u
+    def solve(self, b0: float, b: np.ndarray) -> tuple[float, np.ndarray]:
+        """The exact solution (u0, U) of the Schur system with right-hand side (b0, b)."""
+        nm = self.nm
+        sol = np.linalg.solve(self.full, np.concatenate(([b0], self.coords(b))))
+        v = sol[1:].astype(np.complex128)
+        sym, asym = sol[nm + 1 :: 2], 1j * sol[nm + 2 :: 2]
+        v[nm::2], v[nm + 1 :: 2] = (sym + asym) * _RSQRT2, (sym - asym) * _RSQRT2
+        u = np.empty(nm * nm, dtype=np.complex128)
+        u[self.units] = v
+        return float(sol[0]), u.reshape(nm, nm)
 
 
 def solve(x: np.ndarray, d: Dims, tol: float, max_iters: int, optimum: bool = False) -> Bracket:
@@ -154,8 +161,7 @@ def solve(x: np.ndarray, d: Dims, tol: float, max_iters: int, optimum: bool = Fa
     * ``"max_iters"`` after ``max_iters`` Newton steps;
     * ``"breakdown"`` when a factorization fails, a direction is not
       finite, a step is too short, or three steps in a row leave the gap
-      above half its best value (inexact Newton directions near a
-      degenerate optimum).
+      above half its best value (a stall near a degenerate optimum).
 
     The dual points (lambda_min(x), 0) and (lambda_min(PT x),
     PT(x) - lambda_min(PT x) I) are feasible, so a PSD or co-PSD x stops
@@ -234,9 +240,9 @@ def _newton_step(xs, x1, x2, y0, y, z1, d: Dims):
     mu = float(np.trace(x1 @ z1).real + np.trace(x2 @ y).real) / (2 * nm)
     schur = _Schur(x1, w1, x2, w2, d)
 
-    def direction(g1, g2, u0=0.0, u=None):
+    def direction(g1, g2):
         b = g2 - partial_transpose(g1, d)
-        u0, u = schur.solve(1.0 - float(np.trace(g1).real), b, u0, u)
+        u0, u = schur.solve(1.0 - float(np.trace(g1).real), b)
         dz1 = -(u0 * eye + partial_transpose(u, d))
         dx1 = g1 - x1 - _herm(x1 @ dz1 @ w1)
         return u0, u, dx1, dz1
@@ -256,7 +262,7 @@ def _newton_step(xs, x1, x2, y0, y, z1, d: Dims):
     sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
     g1 = _herm((sigma * mu * eye - dx1 @ dz1) @ w1)
     g2 = _herm((sigma * mu * eye - dx2 @ u) @ w2)
-    u0, u, dx1, dz1 = direction(g1, g2, u0, u)
+    u0, u, dx1, dz1 = direction(g1, g2)
     if not (np.all(np.isfinite(dx1)) and np.all(np.isfinite(dz1))):
         return None
     ap, ad = lengths(dx1, dz1, u)

@@ -1,0 +1,93 @@
+"""The interior-point solver behind the e cone: its Newton systems and its optimum.
+
+``_Schur`` assembles the HKM Schur complement as a real symmetric matrix
+in Hermitian coordinates.  The reference here is the operator it
+replaces, applied matrix-free through the constraint map and its
+adjoint: s1 = herm(X1 (u0 I + PT U) W1) gives
+(Tr s1, PT(s1) + herm(X2 U W2)).  Non-square dimensions catch a PT
+index map that mixes up the two factors.
+"""
+
+import numpy as np
+import pytest
+from scipy.stats import unitary_group
+
+from _helpers import random_complex, random_hermitian, rng
+from mapcones.cones import DykstraConfig, dykstra_feasibility
+from mapcones.fixtures import nondecomposable_map
+from mapcones.linalg import Dims, frob, partial_transpose
+from mapcones.sdp import _Schur
+
+CFG = DykstraConfig(tol=1e-9)
+
+
+def herm(a):
+    return (a + a.conj().T) / 2
+
+
+def reference_schur(x1, w1, x2, w2, d, u0, u):
+    s1 = herm(x1 @ (u0 * np.eye(d.total) + partial_transpose(u, d)) @ w1)
+    return np.trace(s1).real, partial_transpose(s1, d) + herm(x2 @ u @ w2)
+
+
+def positive_definite(g, k):
+    a = random_complex(g, (k, k))
+    return a @ a.conj().T + 0.1 * np.eye(k)
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 2), (3, 4)])
+def test_solve_inverts_the_matrix_free_operator(n, m):
+    d = Dims(n, m)
+    g = rng(100 + 10 * n + m)
+    for _ in range(3):
+        x1, w1, x2, w2 = (positive_definite(g, d.total) for _ in range(4))
+        schur = _Schur(x1, w1, x2, w2, d)
+        assert np.allclose(schur.full, schur.full.T, rtol=0, atol=1e-12 * np.abs(schur.full).max())
+        u0, u = float(g.normal()), random_hermitian(g, d.total)
+        b0, b = reference_schur(x1, w1, x2, w2, d, u0, u)
+        v0, v = schur.solve(b0, b)
+        assert abs(v0 - u0) <= 1e-10 * abs(u0)
+        assert frob(v - u) <= 1e-10 * frob(u)
+        assert frob(v - v.conj().T) == 0.0
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (4, 2)])
+def test_u0_row_and_column(n, m):
+    # (u0, U) = (1, 0) alone exercises the trace row and column of the matrix
+    d = Dims(n, m)
+    g = rng(7 * n + m)
+    x1, w1, x2, w2 = (positive_definite(g, d.total) for _ in range(4))
+    b0, b = reference_schur(x1, w1, x2, w2, d, 1.0, np.zeros((d.total, d.total)))
+    v0, v = _Schur(x1, w1, x2, w2, d).solve(b0, b)
+    assert abs(v0 - 1.0) <= 1e-10
+    assert frob(v) <= 1e-10
+
+
+def _fixture_perturbations(count):
+    """The fixture plus 0.5% Hermitian noise, drawn as in the perturbation test of test_cones."""
+    base = nondecomposable_map().choi
+    g = rng(77)
+    for k in range(count):
+        h = random_hermitian(g, 9)
+        yield pytest.param(Dims(3, 3), base + 0.005 * frob(base) / frob(h) * h, id=f"perturbed-{k}")
+
+
+def _rotated_embeddings(n, m, count):
+    """(P (x) Q) C (P (x) Q)* for the fixture C and Haar-random isometries P, Q from C^3."""
+    base = nondecomposable_map().choi
+    g = rng(300 + 10 * n + m)
+    for k in range(count):
+        p = unitary_group.rvs(n, random_state=g)[:, :3]
+        q = unitary_group.rvs(m, random_state=g)[:, :3]
+        pq = np.kron(p, q)
+        yield pytest.param(Dims(n, m), pq @ base @ pq.conj().T, id=f"rotated-{n}x{m}-{k}")
+
+
+@pytest.mark.parametrize(
+    "d,x", [*_fixture_perturbations(20), *_rotated_embeddings(3, 4, 2), *_rotated_embeddings(4, 4, 2)]
+)
+def test_optimum_solve_closes_the_bracket(d, x):
+    feas = dykstra_feasibility(x, d, CFG, optimum=True)
+    assert feas.stop == "gap"
+    assert feas.upper - feas.lower <= 1e-8
+    assert feas.w is not None and feas.upper < 0
