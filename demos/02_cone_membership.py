@@ -10,7 +10,6 @@ import numpy as np
 from mapcones import (
     ConeId,
     Dims,
-    DykstraConfig,
     depolarizing_map,
     identity_map,
     in_F,
@@ -58,14 +57,13 @@ pure = max_entangled_projector(3) / 3
 print("maximally entangled state is PPT:", in_F(pure, d).status.value)
 
 print("\n== Decomposability via one interior-point solve ==")
-cfg = DykstraConfig()
 phi = ConeSampler(ConeId.MAP_D, d, seed=4).draw(0)
-v = is_decomposable(phi, cfg)
+v = is_decomposable(phi)
 print(f"a cp + cop sum: {v.status.value}, decomposition residual {v.certificate.residual:.2e}")
 print(f"  stop {v.info['stop']!r} after {v.info['iterations']} Newton steps, "
       f"margin bracket [{v.info['lower']:+.4f}, {v.info['upper']:+.4f}]")
 lam = nondecomposable_map()
-v = is_decomposable(lam, cfg)
+v = is_decomposable(lam)
 print(f"the shipped map: {v.status.value}, witness pairing {v.certificate.value:+.6f}")
 print(f"  stop {v.info['stop']!r} after {v.info['iterations']} Newton steps, "
       f"margin bracket [{v.info['lower']:+.4f}, {v.info['upper']:+.4f}]")

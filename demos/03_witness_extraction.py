@@ -12,7 +12,6 @@ import numpy as np
 
 from mapcones import (
     Dims,
-    DykstraConfig,
     bell_phased_family,
     in_F,
     map_from_choi,
@@ -24,16 +23,15 @@ from mapcones import (
 from mapcones.cones import dykstra_feasibility
 
 d = Dims(3, 3)
-cfg = DykstraConfig()
 lam = nondecomposable_map()
 
 print("== The decomposition fails on the shipped map ==")
-feas = dykstra_feasibility(lam.choi.copy(), d, cfg)
+feas = dykstra_feasibility(lam.choi.copy(), d)
 print(f"converged: {feas.converged} (stop {feas.stop!r}) after {feas.iterations} Newton steps")
 print(f"bracket: {feas.lower:+.6f} <= lam* <= {feas.upper:+.6f}; the sign is settled, so the solve stops")
 
 print("\n== Witness extraction ==")
-wit = witness_search(lam.choi.copy(), d, cfg)
+wit = witness_search(lam.choi.copy(), d)
 print(f"witness value Tr(w C) = {wit.value:+.9f}, the optimum -(2/sqrt 3 - 1) = {1 - 2 / np.sqrt(3):+.9f}")
 print(f"witness is PPT: {in_F(wit.w, d).status.value}, trace = {np.trace(wit.w).real:.12f}")
 
@@ -56,4 +54,4 @@ print("\n== Witnesses vanish on decomposable inputs ==")
 rng = np.random.default_rng(7)
 g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
 x = g @ g.conj().T
-print("witness_search on a PSD operator:", witness_search(x, d, cfg))
+print("witness_search on a PSD operator:", witness_search(x, d))

@@ -8,12 +8,13 @@ Subcommands:
     random   draw a cone sample to a file
     verify   run a theorem verification suite
 
-Exit codes: 0 IN / witness found / suite passed, 1 OUT / no witness,
-2 UNDECIDED, 64 parse failure, 65 dimension error or invalid value (a
-``--tol`` that is not finite and positive, ``--trials`` below 1), 66
-unknown cone or theorem name, 70 internal error.  Every command honors
---seed; the default seed is the fixed constant 123456789 rather than
-wall clock, so unseeded runs are reproducible.
+Exit codes: 0 IN / witness found / suite passed (and ``--help``), 1 OUT
+/ no witness, 2 UNDECIDED, 64 parse or usage error (an unreadable file,
+a missing argument, an unknown option or a malformed value), 65
+dimension error or invalid value (a ``--tol`` that is not finite and
+positive, ``--trials`` below 1), 66 unknown cone or theorem name, 70
+internal error.  Every ``--seed`` defaults to the fixed constant
+123456789 rather than wall clock, so unseeded runs are reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .choi import map_from_choi, pairing
 from .cones import (
     ConeId,
-    DykstraConfig,
     Status,
     Verdict,
     classify,
@@ -108,7 +108,6 @@ def _cmd_check(args) -> int:
         print(f"error: unknown cone {args.cone!r}", file=sys.stderr)
         return EXIT_NAME
     tol = args.tol
-    cfg = DykstraConfig(tol=tol)
     try:
         if cone.is_map_cone:
             phi = map_from_choi(d.n, d.m, mat)
@@ -119,11 +118,11 @@ def _cmd_check(args) -> int:
             elif cone is ConeId.MAP_P:
                 v = in_P(phi, tol)
             elif cone is ConeId.MAP_D:
-                v = is_decomposable(phi, cfg)
+                v = is_decomposable(phi, tol)
             elif cone is ConeId.MAP_S:
                 v = in_S(phi, tol)
             else:
-                v = is_positive_map(phi, restarts=max(args.restarts, 10), tol=tol, seed=args.seed)
+                v = is_positive_map(phi, restarts=args.restarts, tol=tol, seed=args.seed)
         else:
             if cone is ConeId.OP_PSD:
                 lo = is_psd(mat, tol)[1]
@@ -131,7 +130,7 @@ def _cmd_check(args) -> int:
             elif cone is ConeId.OP_F:
                 v = in_F(mat, d, tol)
             elif cone is ConeId.OP_E:
-                v = in_E(mat, d, cfg)
+                v = in_E(mat, d, tol)
             elif cone is ConeId.OP_SEP:
                 tr = float(np.trace(mat).real)
                 if tr <= tol:
@@ -139,7 +138,7 @@ def _cmd_check(args) -> int:
                     return EXIT_DIMS
                 v = is_separable(mat / tr, d, tol)
             else:
-                v = is_block_positive(mat, d, restarts=max(args.restarts, 10), tol=tol, seed=args.seed)
+                v = is_block_positive(mat, d, restarts=args.restarts, tol=tol, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMS
@@ -173,7 +172,7 @@ def _cmd_witness(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        v = in_E(mat, d, DykstraConfig(tol=args.tol))
+        v = in_E(mat, d, args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMS
@@ -234,18 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, restarts_default=3):
+    def common(p):
         p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed (fixed default)")
-        p.add_argument(
-            "--restarts", type=int, default=restarts_default, help="see-saw restarts (pos and blockpos only)"
-        )
 
     cone_names = ", ".join(c.value for c in ConeId)
     p = sub.add_parser("check", help="cone membership of a map/operator file")
     p.add_argument("file")
     p.add_argument("cone", help=f"one of: {cone_names}")
     common(p)
+    p.add_argument("--restarts", type=int, default=10, help="see-saw restarts (pos and blockpos only)")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("pair", help="trace pairing of two Choi matrices")
@@ -289,7 +286,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_PARSE if exc.code else EXIT_IN
     tol = getattr(args, "tol", None)
     if tol is not None and not (np.isfinite(tol) and tol > 0):
         print(f"error: --tol must be a finite positive number, got {tol!r}", file=sys.stderr)

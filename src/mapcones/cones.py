@@ -117,14 +117,18 @@ class Status(Enum):
 _OUT_BAND = 10.0
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+
+
 def classify(margin: float, scale: float, tol: float) -> Status:
     """IN at margin >= -tol * scale, OUT at margin <= -10 tol * scale, UNDECIDED between.
 
     ``scale`` is 1 + ||x||_F for an operator x.  Raises ValueError unless
     ``tol`` is finite and positive.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    _check_tol(tol)
     if margin >= -tol * scale:
         return Status.IN
     if margin <= -_OUT_BAND * tol * scale:
@@ -229,21 +233,9 @@ class Verdict:
 
 @dataclass(frozen=True)
 class DykstraConfig:
-    """Tolerance and iteration budget of the iterative engines.
-
-    ``tol`` is relative (thresholds scale with 1 + ||x||_F), finite, > 0.
-    ``max_iters`` caps the Newton steps of the ``e``-cone solve in
-    ``dykstra_feasibility``, which its own stop rules end long before the
-    default, and the projection sweeps of Dykstra's scheme in
-    ``project_F``.  The name is kept for API stability.
-    """
+    """Deprecated: pass ``tol`` itself.  Only ``dykstra_feasibility`` accepts one."""
 
     tol: float = 1e-9
-    max_iters: int = 20000
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < np.inf or self.max_iters <= 0:
-            raise ValueError(f"invalid config {self}")
 
 
 def psd_project(x: np.ndarray) -> np.ndarray:
@@ -342,7 +334,7 @@ class FeasibilityResult:
 
     ``lower <= lam* <= upper`` is the bracket certified by the final
     iterate, and ``stop`` is why the solve ended: ``"in"``, ``"out"``,
-    ``"gap"``, ``"max_iters"`` or ``"breakdown"`` (see ``sdp.solve``).
+    ``"gap"`` or ``"breakdown"`` (see ``sdp.solve``).
     ``a`` and ``b`` are the PSD pair a = x - PT(Y) - min(lower, 0) I,
     b = Y of the final dual iterate, and ``residual`` is
     ||x - a - PT(b)||_F; ``converged`` means that this pair re-validated
@@ -366,9 +358,7 @@ def _psd_within(x: np.ndarray, tol: float) -> bool:
     return float(np.linalg.eigvalsh(x)[0]) >= -tol * (1.0 + frob(x))
 
 
-def dykstra_feasibility(
-    x: np.ndarray, d: Dims, cfg: DykstraConfig = DykstraConfig(), optimum: bool = False
-) -> FeasibilityResult:
+def dykstra_feasibility(x: np.ndarray, d: Dims, tol: float = 1e-9, optimum: bool = False) -> FeasibilityResult:
     """Decide x ~ A + PT(B) with A, B PSD by one primal-dual interior-point solve.
 
     ``sdp.solve`` brackets lam* = min{Tr(w x) : w PPT, Tr w = 1} and stops
@@ -379,13 +369,15 @@ def dykstra_feasibility(
     certificate that fails its check is not used, and an ``"in"`` or
     ``"out"`` stop becomes ``"breakdown"``, so a numerical failure of the
     solve can cost a decision but never produce a wrong one.  The
-    function keeps its name for API stability.
+    function keeps its name, and a deprecated ``DykstraConfig`` in place
+    of ``tol``, for API stability.
     """
+    tol = tol.tol if isinstance(tol, DykstraConfig) else tol
+    _check_tol(tol)
     d = Dims(*d)
     x = hermitian_part(as_operator(x))
-    tol = cfg.tol
     scale = 1.0 + frob(x)
-    bracket = sdp.solve(x, d, tol, cfg.max_iters, optimum)
+    bracket = sdp.solve(x, d, tol, optimum)
     b = bracket.y
     a = hermitian_part(x - partial_transpose(b, d)) - min(bracket.lower, 0.0) * np.eye(d.total)
     residual = frob(x - a - partial_transpose(b, d))
@@ -405,18 +397,23 @@ def dykstra_feasibility(
     return FeasibilityResult(a, b, residual, bracket.iterations, converged, stop, bracket.lower, upper, w)
 
 
+#: Dykstra sweeps ``project_F`` runs before it gives up
+_PROJECT_F_SWEEPS = 20000
+
+
 def _pt_psd_project(x: np.ndarray, d: Dims) -> np.ndarray:
     return partial_transpose(psd_project(partial_transpose(x, d)), d)
 
 
-def project_F(x: np.ndarray, d: Dims, cfg: DykstraConfig = DykstraConfig()) -> np.ndarray:
+def project_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> np.ndarray:
     """Nearest point of the PPT cone, by Dykstra between its two halves."""
+    _check_tol(tol)
     d = Dims(*d)
     y = hermitian_part(as_operator(x))
     scale = 1.0 + frob(y)
     p1 = np.zeros_like(y)
     p2 = np.zeros_like(y)
-    for it in range(1, cfg.max_iters + 1):
+    for _ in range(_PROJECT_F_SWEEPS):
         t1 = y + p1
         y1 = psd_project(t1)
         p1 = t1 - y1
@@ -425,41 +422,41 @@ def project_F(x: np.ndarray, d: Dims, cfg: DykstraConfig = DykstraConfig()) -> n
         p2 = t2 - y2
         gap = frob(y1 - y2)
         y = y2
-        if gap <= 0.1 * cfg.tol * scale:
+        if gap <= 0.1 * tol * scale:
             lo = float(np.linalg.eigvalsh(hermitian_part(y))[0])
-            if lo >= -cfg.tol * (1.0 + frob(y)):
+            if lo >= -tol * (1.0 + frob(y)):
                 return hermitian_part(y)
     raise RuntimeError(
-        f"projection onto the PPT cone did not converge in {cfg.max_iters} iterations"
+        f"projection onto the PPT cone did not converge in {_PROJECT_F_SWEEPS} iterations"
     )
 
 
-def witness_search(x: np.ndarray, d: Dims, cfg: DykstraConfig = DykstraConfig()) -> Optional[FWitness]:
+def witness_search(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Optional[FWitness]:
     """The optimal trace-one PPT operator w against x, if Tr(w x) < -tol * scale.
 
     Runs the ``in_E`` solve on to the optimum and returns its re-validated
     witness; None when x is decomposable within tolerance or the solve
     found no validated witness.
     """
-    x = check_hermitian(as_operator(x), cfg.tol)
-    feas = dykstra_feasibility(x, d, cfg, optimum=True)
+    x = check_hermitian(as_operator(x), tol)
+    feas = dykstra_feasibility(x, d, tol, optimum=True)
     return None if feas.w is None else FWitness(feas.w, feas.upper)
 
 
-def in_E(x: np.ndarray, d: Dims, cfg: DykstraConfig = DykstraConfig()) -> Verdict:
+def in_E(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """Membership in the cone of sums A + PT(B) with A, B PSD.
 
     IN comes with the decomposition, OUT with a PPT witness w whose value
     Tr(w x) ``classify`` puts OUT, and everything else (a bracket that
-    closed inside the band, an exhausted or broken-down solve) is
-    UNDECIDED.  ``info`` carries, on every status, the solve's
-    ``iterations``, the decomposition ``residual``, the ``stop`` reason
-    and the certified bracket ``lower <= lam* <= upper``.
+    closed inside the band, a broken-down solve) is UNDECIDED.  ``info``
+    carries, on every status, the solve's ``iterations``, the
+    decomposition ``residual``, the ``stop`` reason and the certified
+    bracket ``lower <= lam* <= upper``.
     """
     d = Dims(*d)
-    x = check_hermitian(as_operator(x), cfg.tol)
+    x = check_hermitian(as_operator(x), tol)
     scale = 1.0 + frob(x)
-    feas = dykstra_feasibility(x, d, cfg)
+    feas = dykstra_feasibility(x, d, tol)
     info = {
         "iterations": feas.iterations,
         "residual": feas.residual,
@@ -469,20 +466,20 @@ def in_E(x: np.ndarray, d: Dims, cfg: DykstraConfig = DykstraConfig()) -> Verdic
     }
     if feas.converged:
         return Verdict(Status.IN, Decomposition(feas.a, feas.b, feas.residual), info=info)
-    if feas.w is not None and classify(feas.upper, scale, cfg.tol) is Status.OUT:
+    if feas.w is not None and classify(feas.upper, scale, tol) is Status.OUT:
         return Verdict(Status.OUT, FWitness(feas.w, feas.upper), info=info)
     return Verdict(Status.UNDECIDED, info=info)
 
 
-def is_decomposable(phi: MapRep, cfg: DykstraConfig = DykstraConfig()) -> Verdict:
+def is_decomposable(phi: MapRep, tol: float = 1e-9) -> Verdict:
     """Decomposability of a map: its Choi matrix lies in the ``e`` cone.
 
     An OUT verdict reports, alongside the witness w, the violation value
     Tr(C w), which for square dimensions equals n times the maximally
     entangled state applied to (id (x) phi*)(w).
     """
-    c = phi.hermitian_choi(cfg.tol)
-    v = in_E(c, phi.d, cfg)
+    c = phi.hermitian_choi(tol)
+    v = in_E(c, phi.d, tol)
     if v.status is Status.OUT and isinstance(v.certificate, FWitness):
         info = dict(v.info)
         info["violation"] = v.certificate.value

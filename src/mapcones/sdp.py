@@ -52,7 +52,7 @@ class Bracket:
     ``lower`` is the dual objective y0 of the PSD pair (Z1, Y) with
     x = Z1 + y0 I + PT(Y); ``upper`` is Tr(x w) for the trace-one PPT
     operator ``w``; lower <= lam* <= upper.  ``stop`` is ``"in"``,
-    ``"out"``, ``"gap"``, ``"max_iters"`` or ``"breakdown"``.
+    ``"out"``, ``"gap"`` or ``"breakdown"``.
     """
 
     lower: float
@@ -147,7 +147,7 @@ class _Schur:
         return float(sol[0]), u.reshape(nm, nm)
 
 
-def solve(x: np.ndarray, d: Dims, tol: float, max_iters: int, optimum: bool = False) -> Bracket:
+def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
     """Bracket lam* for a Hermitian x until its sign is settled.
 
     Thresholds are relative to scale = 1 + ||x||_F.  The loop stops with
@@ -158,7 +158,6 @@ def solve(x: np.ndarray, d: Dims, tol: float, max_iters: int, optimum: bool = Fa
       that the witness is clear of the band and at least half as deep as
       the optimum (skipped when ``optimum`` is set);
     * ``"gap"`` once upper - lower <= tol * scale / sqrt(nm);
-    * ``"max_iters"`` after ``max_iters`` Newton steps;
     * ``"breakdown"`` when a factorization fails, a direction is not
       finite, a step is too short, or three steps in a row leave the gap
       above half its best value (a stall near a degenerate optimum).
@@ -166,6 +165,13 @@ def solve(x: np.ndarray, d: Dims, tol: float, max_iters: int, optimum: bool = Fa
     The dual points (lambda_min(x), 0) and (lambda_min(PT x),
     PT(x) - lambda_min(PT x) I) are feasible, so a PSD or co-PSD x stops
     with ``"in"`` before any step.
+
+    The last rule (``_SLOW_STEPS``) is also what bounds the loop.  The
+    first gap is below 4 in units of ||x||, and ``"gap"`` fires at the
+    latest once it is below tol / sqrt(nm).  Unless the loop stops, every
+    third step at the latest halves the best gap, so a solve takes fewer
+    than 3 (log2(4 sqrt(nm) / tol) + 1) Newton steps: about 106 at
+    tol = 1e-9 and nm = 25.
     """
     d = Dims(*d)
     nm = d.total
@@ -194,7 +200,6 @@ def solve(x: np.ndarray, d: Dims, tol: float, max_iters: int, optimum: bool = Fa
     # the "in" and "gap" thresholds, both tol * scale / sqrt(nm), in units of ||x||
     close = tol * scale / (root * norm)
     band = 10 * tol * scale / norm
-    stop = "max_iters"
     it = 0
     best, slow = np.inf, 0
     while True:
@@ -212,8 +217,6 @@ def solve(x: np.ndarray, d: Dims, tol: float, max_iters: int, optimum: bool = Fa
         best, slow = (gap, 0) if gap <= best / 2 else (best, slow + 1)
         if slow > _SLOW_STEPS:
             stop = "breakdown"
-            break
-        if it == max_iters:
             break
         it += 1
         try:

@@ -55,7 +55,6 @@ from .choi import (
 from .cones import (
     _EXACT_PPT_DIMS,
     ConeId,
-    DykstraConfig,
     Status,
     Verdict,
     _sampled_least_eig,
@@ -284,10 +283,9 @@ def _theorem1_p_cone(
     if n != m:
         raise ValueError("the p-cone instance needs square dimensions")
     scale = 1.0 + frob(c)
-    cfg = DykstraConfig(tol=tol)
 
-    v_c = in_E(c, d, cfg)
-    v_t = in_E(both_transpose(c, d), d, cfg)
+    v_c = in_E(c, d, tol)
+    v_t = in_E(both_transpose(c, d), d, tol)
 
     margins: dict[str, float] = {
         "residual": float(v_c.info["residual"]),
@@ -616,7 +614,6 @@ def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """The decomposable-operator cone as the p-cone membership set."""
-    cfg = DykstraConfig(tol=tol)
     pool = cone_generator_pool(ConeId.MAP_P, d, 4, seed)
     for trial in range(trials):
         rng = substream(seed, 0x110, trial)
@@ -624,7 +621,7 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             x = random_psd(rng, d.total) + partial_transpose(random_psd(rng, d.total), d)
             x /= frob(x)
             scale = 1.0 + frob(x)
-            v = in_E(x, d, cfg)
+            v = in_E(x, d, tol)
             report.checks += 1
             if v.status is not Status.IN:
                 report.record_failure(trial, "constructed decomposition not recovered", v.info["residual"])
@@ -636,7 +633,7 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         else:
             x = random_hermitian(rng, d.total)
             x /= frob(x)
-            v = in_E(x, d, cfg)
+            v = in_E(x, d, tol)
             if v.status is Status.UNDECIDED:
                 report.undecided += 1
                 continue
@@ -811,7 +808,6 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     """Sharp-cone duality for transpose-invariant cones, square case."""
     if d.n != d.m:
         raise ValueError("this suite needs square dimensions")
-    cfg = DykstraConfig(tol=tol)
     pools = {c: cone_generator_pool(c, d, 8, seed + 11) for c in _CONCRETE}
     for trial in range(trials):
         rng = substream(seed, 0x20C, trial)
@@ -821,7 +817,7 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         scale = 1.0 + frob(c)
         # closed-form membership in K-sharp
         if cone is ConeId.MAP_P:  # sharp cone is d
-            v = in_E(c, d, cfg)
+            v = in_E(c, d, tol)
             closed = v.status
         else:
             closed = classify(_kpositivity_margin(_PARTNER[cone], c, d), scale, tol)
@@ -879,7 +875,6 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     """The sharp dual of the p cone is the decomposable cone."""
     if d.n != d.m:
         raise ValueError("this suite needs square dimensions")
-    cfg = DykstraConfig(tol=tol)
     p_pool = cone_generator_pool(ConeId.MAP_P, d, 16, seed + 7)
     for trial in range(trials):
         rng = substream(seed, 0x212, trial)
@@ -898,7 +893,7 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             else:
                 cand = _random_map(rng, d, trial)
             c = cand.hermitian_choi(tol)
-            v = in_E(c, d, cfg)
+            v = in_E(c, d, tol)
             if v.status is Status.UNDECIDED:
                 report.undecided += 1
                 continue
@@ -988,7 +983,6 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     """
     if d.n != d.m:
         raise ValueError("this suite needs square dimensions")
-    cfg = DykstraConfig(tol=tol)
     idtol = 1e-12
     for trial in range(trials):
         rng = substream(seed, 0x2D3, trial)
@@ -1000,7 +994,7 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         else:
             phi = _random_map(rng, d, trial)
         c = phi.hermitian_choi(tol)
-        v = in_E(c, d, cfg)
+        v = in_E(c, d, tol)
         if v.status is Status.UNDECIDED:
             report.undecided += 1
             continue

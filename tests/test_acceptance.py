@@ -24,7 +24,6 @@ from mapcones.choi import (
 from mapcones.cli import main
 from mapcones.cones import (
     ConeId,
-    DykstraConfig,
     Status,
     in_E,
     in_F,
@@ -171,12 +170,11 @@ def test_criterion_4_duality_pairing():
 def test_criterion_5_decomposability_certificates():
     t0 = time.perf_counter()
     d = Dims(3, 3)
-    cfg = DykstraConfig()
     failures = 0
     for trial in range(100):
         g = substream(SEED, 0xA5, trial)
         x = random_psd(g, 9) + partial_transpose(random_psd(g, 9), d)
-        v = in_E(x, d, cfg)
+        v = in_E(x, d)
         if v.status is not Status.IN:
             failures += 1
             continue
@@ -184,7 +182,7 @@ def test_criterion_5_decomposability_certificates():
         if cert.residual > 1e-9 * (1.0 + frob(x)):
             failures += 1
     lam = nondecomposable_map()
-    v = in_E(lam.choi.copy(), d, cfg)
+    v = in_E(lam.choi.copy(), d)
     fixture_ok = v.status is Status.OUT
     if fixture_ok:
         w = v.certificate.w

@@ -17,7 +17,6 @@ import mapcones.theorems as theorems_mod
 from mapcones.choi import map_from_choi
 from mapcones.cones import (
     ConeId,
-    DykstraConfig,
     Status,
     in_P,
     is_cop,
@@ -57,7 +56,7 @@ def _reference_sample_choi(cone, d, rng):
     elif cone is COP:
         choi = partial_transpose(random_psd(rng, nm), d)
     elif cone is P:
-        choi = project_F(random_hermitian(rng, nm), d, DykstraConfig())
+        choi = project_F(random_hermitian(rng, nm), d)
     elif cone is D:
         choi = random_psd(rng, nm) + partial_transpose(random_psd(rng, nm), d)
     elif cone is S:

@@ -20,7 +20,6 @@ from mapcones.choi import (
 )
 from mapcones.cones import (
     Decomposition,
-    DykstraConfig,
     FWitness,
     MinEigCert,
     SeparableBall,
@@ -49,7 +48,7 @@ from mapcones.linalg import Dims, frob, is_psd, partial_transpose, tensor
 D22 = Dims(2, 2)
 D23 = Dims(2, 3)
 D33 = Dims(3, 3)
-CFG = DykstraConfig()
+TOL = 1e-9
 #: the fixture map's optimum over trace-one PPT witnesses is -S_STAR
 S_STAR = 2 / np.sqrt(3) - 1
 
@@ -188,7 +187,7 @@ class TestDykstraFeasibility:
         # (lambda_min(x), 0) settles it before any Newton step
         g = rng(56)
         x = random_psd(g, 9)
-        res = dykstra_feasibility(x, D33, CFG)
+        res = dykstra_feasibility(x, D33, TOL)
         assert res.converged and res.stop == "in" and res.w is None
         assert res.iterations == 0
         assert frob(res.b) <= 1e-8 * (1 + frob(x))
@@ -196,24 +195,21 @@ class TestDykstraFeasibility:
     def test_constructed_instance(self):
         g = rng(57)
         x = random_psd(g, 9) + partial_transpose(random_psd(g, 9), D33)
-        res = dykstra_feasibility(x, D33, CFG)
+        res = dykstra_feasibility(x, D33, TOL)
         assert res.converged
-        assert res.residual <= CFG.tol * (1 + frob(x))
+        assert res.residual <= TOL * (1 + frob(x))
         assert is_psd(res.a)[0] and is_psd(res.b)[0]
 
     def test_stall_and_budget_stops(self):
-        # the solve ends on a settled sign, on a closed bracket, or on its
-        # Newton-step budget; the bracket holds at every stop
+        # the solve ends on a settled sign or on a closed bracket; the
+        # bracket holds at every stop
         x = nondecomposable_map().choi.copy()
-        res = dykstra_feasibility(x, D33, CFG)
+        res = dykstra_feasibility(x, D33, TOL)
         assert res.stop == "out" and not res.converged and res.w is not None
         assert res.iterations <= 10
         assert res.upper <= res.lower / 2 < 0
-        res = dykstra_feasibility(x, D33, CFG, optimum=True)
+        res = dykstra_feasibility(x, D33, TOL, optimum=True)
         assert res.stop == "gap" and res.lower <= -S_STAR <= res.upper
-        res = dykstra_feasibility(x, D33, DykstraConfig(max_iters=1))
-        assert res.stop == "max_iters" and res.iterations == 1 and not res.converged
-        assert res.lower <= -S_STAR <= res.upper
 
     def test_infeasible_reports_gap(self):
         # a non-decomposable x comes back with a trace-one PPT operator w
@@ -221,7 +217,7 @@ class TestDykstraFeasibility:
         g = rng(58)
         x = random_hermitian(g, 9)
         x /= frob(x)
-        res = dykstra_feasibility(x, D33, CFG)
+        res = dykstra_feasibility(x, D33, TOL)
         assert not res.converged and res.w is not None
         w = res.w
         assert np.linalg.eigvalsh(w)[0] >= -1e-9 * (1 + frob(w))
@@ -234,13 +230,13 @@ class TestDykstraFeasibility:
 class TestProjectF:
     def test_fixed_point(self):
         w, d = ppt_entangled_state()
-        assert frob(project_F(w, d, CFG) - w) <= 1e-7
+        assert frob(project_F(w, d, TOL) - w) <= 1e-7
 
     def test_lands_in_f(self):
         g = rng(59)
         for k in range(5):
             x = random_hermitian(g, 9)
-            y = project_F(x, D33, CFG)
+            y = project_F(x, D33, TOL)
             v = in_F(y, D33, tol=1e-8)
             assert v.status is Status.IN, f"draw {k}: {v.certificate}"
 
@@ -248,7 +244,7 @@ class TestProjectF:
         g = rng(60)
         x = random_psd(g, 4)
         x = (x + partial_transpose(x, D22)) / 2
-        y = project_F(x, D22, CFG)
+        y = project_F(x, D22, TOL)
         if in_F(x, D22).status is Status.IN:
             assert frob(y - x) <= 1e-7 * (1 + frob(x))
 
@@ -257,25 +253,25 @@ class TestInE:
     def test_psd_in(self):
         g = rng(61)
         x = random_psd(g, 9)
-        v = in_E(x, D33, CFG)
+        v = in_E(x, D33, TOL)
         assert v.status is Status.IN
         assert isinstance(v.certificate, Decomposition)
 
     def test_pt_of_psd_in(self):
         g = rng(62)
         x = partial_transpose(random_psd(g, 9), D33)
-        v = in_E(x, D33, CFG)
+        v = in_E(x, D33, TOL)
         assert v.status is Status.IN
 
     def test_decomposition_certificate_revalidates(self):
         g = rng(63)
         x = random_psd(g, 9) + partial_transpose(random_psd(g, 9), D33)
-        v = in_E(x, D33, CFG)
+        v = in_E(x, D33, TOL)
         assert v.status is Status.IN
         cert = v.certificate
         assert is_psd(cert.a, tol=1e-8)[0] and is_psd(cert.b, tol=1e-8)[0]
         resid = frob(x - cert.a - partial_transpose(cert.b, D33))
-        assert resid <= CFG.tol * (1 + frob(x))
+        assert resid <= TOL * (1 + frob(x))
 
     @pytest.mark.parametrize("dims, seed", [((2, 4), 6), ((4, 4), 2)])
     def test_lowrank_interior_point_in(self, dims, seed):
@@ -294,31 +290,30 @@ class TestInE:
         x = low_rank_psd() + partial_transpose(low_rank_psd(), d)
         x = x + 0.01 * np.trace(x).real / nm * np.eye(nm)
         x *= nm / np.trace(x).real
-        v = in_E(x, d, CFG)
+        v = in_E(x, d, TOL)
         assert v.status is Status.IN
         cert = v.certificate
         assert isinstance(cert, Decomposition)
         assert is_psd(cert.a, tol=1e-8)[0] and is_psd(cert.b, tol=1e-8)[0]
         resid = frob(x - cert.a - partial_transpose(cert.b, d))
-        assert resid <= CFG.tol * (1 + frob(x))
+        assert resid <= TOL * (1 + frob(x))
 
     def test_solver_stats_on_every_status(self):
         lam = nondecomposable_map()
         cases = [
-            (np.eye(9), CFG, Status.IN, "in"),
-            (lam.choi.copy(), CFG, Status.OUT, "out"),
-            (lam.choi + S_STAR * (1 - 1e-7) * np.eye(9), CFG, Status.UNDECIDED, "gap"),
-            (lam.choi + 0.3 * np.eye(9), DykstraConfig(max_iters=1), Status.UNDECIDED, "max_iters"),
+            (np.eye(9), Status.IN, "in"),
+            (lam.choi.copy(), Status.OUT, "out"),
+            (lam.choi + S_STAR * (1 - 1e-7) * np.eye(9), Status.UNDECIDED, "gap"),
         ]
-        for x, cfg, status, stop in cases:
-            v = in_E(x, D33, cfg)
+        for x, status, stop in cases:
+            v = in_E(x, D33, TOL)
             assert v.status is status
             assert v.info["stop"] == stop
-            assert 0 <= v.info["iterations"] <= cfg.max_iters
+            assert v.info["iterations"] >= 0
             assert v.info["residual"] >= 0.0
             assert v.info["lower"] <= v.info["upper"]
 
-    def test_band_max_iters_skips_witness_search(self, monkeypatch):
+    def test_band_gap_skips_witness_search(self, monkeypatch):
         # lam* = -1.5e-8 lies inside the band: the bracket closes there and
         # in_E answers UNDECIDED from its one solve, without a witness search
         import mapcones.cones as cones_mod
@@ -333,11 +328,11 @@ class TestInE:
             return witness_search(*args, **kwargs)
 
         monkeypatch.setattr(cones_mod, "witness_search", counting)
-        v = in_E(x, D33, CFG)
+        v = in_E(x, D33, TOL)
         assert v.status is Status.UNDECIDED
         assert v.info["stop"] == "gap"
         assert v.info["lower"] <= s - S_STAR <= v.info["upper"]
-        assert v.info["upper"] - v.info["lower"] <= CFG.tol * (1 + frob(x))
+        assert v.info["upper"] - v.info["lower"] <= TOL * (1 + frob(x))
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -363,7 +358,7 @@ class TestInE:
             x = x + 0.01 * np.trace(x).real / nm * np.eye(nm)
             x *= nm / np.trace(x).real
         start = time.perf_counter()
-        v = in_E(x, d, CFG)
+        v = in_E(x, d, TOL)
         elapsed = time.perf_counter() - start
         assert v.status is Status.IN
         a, b = v.certificate.a, v.certificate.b
@@ -375,7 +370,7 @@ class TestInE:
 
     def test_choi_fixture_out_with_witness(self):
         lam = nondecomposable_map()
-        v = in_E(lam.choi.copy(), D33, CFG)
+        v = in_E(lam.choi.copy(), D33, TOL)
         assert v.status is Status.OUT
         w = v.certificate
         assert isinstance(w, FWitness)
@@ -391,17 +386,17 @@ class TestIsDecomposable:
         cp_choi = random_psd(g, 9)
         cop_choi = partial_transpose(random_psd(g, 9), D33)
         for c in (cp_choi, cop_choi, cp_choi + cop_choi):
-            assert is_decomposable(map_from_choi(3, 3, c), CFG).status is Status.IN
+            assert is_decomposable(map_from_choi(3, 3, c), TOL).status is Status.IN
 
     def test_identity_in(self):
-        v = is_decomposable(identity_map(3), CFG)
+        v = is_decomposable(identity_map(3), TOL)
         assert v.status is Status.IN
         # decomposition is essentially (p, 0)
         assert frob(v.certificate.b) <= 1e-7
 
     def test_fixture_out_and_omega_identity(self):
         lam = nondecomposable_map()
-        v = is_decomposable(lam, CFG)
+        v = is_decomposable(lam, TOL)
         assert v.status is Status.OUT
         assert v.info["violation"] == pytest.approx(v.info["violation_omega"], abs=1e-12)
         assert v.info["violation"] < -1e-6
@@ -411,11 +406,11 @@ class TestWitnessSearch:
     def test_none_for_psd(self):
         g = rng(65)
         x = random_psd(g, 9)
-        assert witness_search(x, D33, CFG) is None
+        assert witness_search(x, D33, TOL) is None
 
     def test_fixture_witness_found_and_valid(self):
         lam = nondecomposable_map()
-        w = witness_search(lam.choi.copy(), D33, CFG)
+        w = witness_search(lam.choi.copy(), D33, TOL)
         assert w is not None
         assert w.value < -1e-6
         assert in_F(w.w, D33).status is Status.IN
@@ -436,7 +431,7 @@ class TestWitnessSearch:
             return results[-1]
 
         monkeypatch.setattr(cones_mod, "dykstra_feasibility", counting)
-        assert witness_search(x, D22, CFG) is None
+        assert witness_search(x, D22, TOL) is None
         assert len(results) == 1
         assert results[0].converged and results[0].stop == "in" and results[0].w is None
 
@@ -446,7 +441,7 @@ class TestWitnessSearch:
         lam = nondecomposable_map()
         w_state, _ = ppt_entangled_state()
         handmade = np.trace(w_state @ lam.choi).real
-        w = witness_search(lam.choi.copy(), D33, CFG)
+        w = witness_search(lam.choi.copy(), D33, TOL)
         assert w is not None
         assert w.value <= handmade + 1e-9
 
@@ -460,7 +455,7 @@ class TestFixtureOptimum:
         # PPT w pulls back to a PPT operator of trace at most one
         j = np.kron(np.eye(n)[:, :3], np.eye(m)[:, :3])
         x = j @ nondecomposable_map().choi @ j.T
-        wit = witness_search(x, Dims(n, m), CFG)
+        wit = witness_search(x, Dims(n, m), TOL)
         assert wit.value == pytest.approx(-S_STAR, abs=1e-7)
         w = wit.w
         assert np.linalg.eigvalsh(w)[0] >= -1e-9 * (1 + np.linalg.norm(w))
@@ -473,7 +468,7 @@ class TestFixtureOptimum:
         # C + s I is decomposable exactly when s >= S_STAR
         c = nondecomposable_map().choi
         x = c + S_STAR * (1 + sign * 1e-3) * np.eye(9)
-        v = in_E(x, D33, CFG)
+        v = in_E(x, D33, TOL)
         scale = 1 + np.linalg.norm(x)
         if sign > 0:
             assert v.status is Status.IN
@@ -720,13 +715,13 @@ class TestConeInclusions:
             if p_in:
                 assert cp_in and cop_in
             if cp_in or cop_in:
-                assert is_decomposable(phi, CFG).status is Status.IN
+                assert is_decomposable(phi, TOL).status is Status.IN
             f_in = in_F(c, D33).status is Status.IN
             psd_in = is_psd(c)[0]
             if f_in:
                 assert psd_in
             if psd_in:
-                assert in_E(c, D33, CFG).status is Status.IN
+                assert in_E(c, D33, TOL).status is Status.IN
 
     def test_psd_project_idempotent_and_psd(self):
         g = rng(74)
@@ -761,8 +756,8 @@ class TestWitnessConsistencyUnderPerturbation:
         for k in range(50):
             h = random_hermitian(g, 9)
             c = base + 0.005 * frob(base) / frob(h) * h
-            dec = in_E(c, D33, CFG)
-            wit = witness_search(c, D33, CFG)
+            dec = in_E(c, D33, TOL)
+            wit = witness_search(c, D33, TOL)
             assert dec.status is Status.OUT
             assert wit is not None and wit.value < -1e-6
             # the shipped companion state still certifies every perturbation
@@ -803,7 +798,7 @@ class TestAgainstSdpOracle:
             else:
                 x = random_psd(g, 9) + partial_transpose(random_psd(g, 9), D33)
             x /= frob(x)
-            v = in_E(x, D33, CFG)
+            v = in_E(x, D33, TOL)
             truth = sdp_min(x)
             if v.status is Status.UNDECIDED:
                 continue

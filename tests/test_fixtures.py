@@ -13,7 +13,6 @@ import pytest
 
 from mapcones.choi import map_from_choi, pairing
 from mapcones.cones import (
-    DykstraConfig,
     Status,
     in_E,
     in_F,
@@ -58,12 +57,11 @@ class TestMapFixture:
         # local unitaries U (x) V preserve the e cone, so every frame must
         # give OUT with a witness as deep as in the shipped one
         lam = nondecomposable_map()
-        cfg = DykstraConfig(tol=1e-11)
         for seed in range(5):
             g = np.random.default_rng(seed)
             u, v = (np.linalg.qr(g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3)))[0] for _ in range(2))
             uv = np.kron(u, v)
-            verdict = in_E(uv @ lam.choi @ uv.conj().T, Dims(3, 3), cfg)
+            verdict = in_E(uv @ lam.choi @ uv.conj().T, Dims(3, 3), 1e-11)
             assert verdict.status is Status.OUT, f"seed {seed}: {verdict.status}"
             assert verdict.certificate.value < -0.07
 

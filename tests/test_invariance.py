@@ -20,7 +20,6 @@ from scipy.stats import unitary_group
 from mapcones.choi import map_from_choi
 from mapcones.cones import (
     ConeId,
-    DykstraConfig,
     Status,
     _swap_factors,
     dykstra_feasibility,
@@ -33,7 +32,6 @@ from mapcones.linalg import Dims, both_transpose, frob, partial_transpose, tenso
 from mapcones.sampling import random_cone_choi, random_hermitian, random_psd
 
 TOL = 1e-9
-CFG = DykstraConfig(tol=TOL)
 DIMS = [Dims(1, 3), Dims(3, 1), Dims(1, 4), Dims(2, 2), Dims(2, 3), Dims(3, 2)]
 FAMILIES = [None, ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_P]
 SEP_DIMS = [Dims(3, 3), Dims(2, 4)]
@@ -61,7 +59,7 @@ def verdicts(x, d):
     out = (
         is_cp(map_from_choi(d.n, d.m, x), TOL).status,
         in_F(x, d, TOL).status,
-        in_E(x, d, CFG).status,
+        in_E(x, d, TOL).status,
     )
     if tuple(sorted(d)) in SEP_SHAPES:
         out += (is_separable(x / np.trace(x).real, d, TOL).status,)
@@ -78,7 +76,7 @@ def clear_of_band(x, d) -> bool:
     gap = 1e-3 * frob(x) + 10 * TOL * (1.0 + frob(x))
     lo = np.linalg.eigvalsh(x)[0]
     lo_f = min(lo, np.linalg.eigvalsh(partial_transpose(x, d))[0])
-    feas = dykstra_feasibility(x, d, CFG, optimum=True)
+    feas = dykstra_feasibility(x, d, TOL, optimum=True)
     e_clear = feas.lower >= gap or (feas.w is not None and feas.upper <= -gap)
     return abs(lo) >= gap and abs(lo_f) >= gap and e_clear
 

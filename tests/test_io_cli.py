@@ -1,7 +1,11 @@
 """File format round-trips and the command-line exit-code contract."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +269,47 @@ class TestArgumentValues:
 
     def test_small_positive_tol_accepted(self, identity_file):
         assert main(["check", identity_file, "cp", "--tol", "1e-12"]) == 0
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 64, never 2, which means UNDECIDED."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["check"],
+            ["nosuchcommand"],
+            ["verify", "T1", "3", "3", "--trials", "x"],
+            ["check", "FILE", "cp", "--bogus"],
+            ["witness", "FILE", "--restarts", "3"],
+        ],
+        ids=["no-command", "missing-args", "unknown-command", "bad-int", "unknown-option", "witness-restarts"],
+    )
+    def test_usage_error_exits_64(self, identity_file, argv, capsys):
+        assert main([identity_file if a == "FILE" else a for a in argv]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_process_exit_code(self):
+        env = dict(os.environ)
+        src = str(Path(cli_mod.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        proc = subprocess.run([sys.executable, "-m", "mapcones.cli", "check"], env=env, capture_output=True)
+        assert proc.returncode == 64
+
+    def test_check_runs_the_restarts_it_is_given(self, fixture_file, capsys):
+        # the default is 10, and a smaller count is no longer raised to 10
+        assert main(["check", fixture_file, "pos"]) == 0
+        assert "restarts=10;" in capsys.readouterr().out
+        assert main(["check", fixture_file, "pos", "--restarts", "2"]) == 0
+        assert "restarts=2;" in capsys.readouterr().out
 
 
 class TestParserReuse:

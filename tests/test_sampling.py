@@ -6,7 +6,6 @@ import pytest
 from mapcones.choi import adjoint, identity_map, transpose_conj, transpose_map
 from mapcones.cones import (
     ConeId,
-    DykstraConfig,
     Status,
     in_F,
     in_P,
@@ -55,10 +54,9 @@ class TestSamplerInvariants:
 
     @pytest.mark.parametrize("d", [D22, D33])
     def test_d_samples(self, d):
-        cfg = DykstraConfig()
         for k in range(3):
             phi = ConeSampler(ConeId.MAP_D, d, seed=4).draw(k)
-            assert is_decomposable(phi, cfg).status is Status.IN
+            assert is_decomposable(phi).status is Status.IN
 
     def test_s_samples_exact_regime(self):
         for d in (D22, Dims(2, 3)):

@@ -13,12 +13,10 @@ import pytest
 from scipy.stats import unitary_group
 
 from _helpers import random_complex, random_hermitian, rng
-from mapcones.cones import DykstraConfig, dykstra_feasibility
+from mapcones.cones import dykstra_feasibility
 from mapcones.fixtures import nondecomposable_map
 from mapcones.linalg import Dims, frob, partial_transpose
 from mapcones.sdp import _Schur
-
-CFG = DykstraConfig(tol=1e-9)
 
 
 def herm(a):
@@ -87,7 +85,32 @@ def _rotated_embeddings(n, m, count):
     "d,x", [*_fixture_perturbations(20), *_rotated_embeddings(3, 4, 2), *_rotated_embeddings(4, 4, 2)]
 )
 def test_optimum_solve_closes_the_bracket(d, x):
-    feas = dykstra_feasibility(x, d, CFG, optimum=True)
+    feas = dykstra_feasibility(x, d, 1e-9, optimum=True)
     assert feas.stop == "gap"
     assert feas.upper - feas.lower <= 1e-8
     assert feas.w is not None and feas.upper < 0
+
+
+def step_bound(nm, tol):
+    """Newton steps a solve stays below: the first gap is under 4 ||x|| and
+    ``_SLOW_STEPS`` forces a halving of the best gap every third step."""
+    return 3 * (np.log2(4 * np.sqrt(nm) / tol) + 1)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3)])
+def test_steps_stay_below_the_bound_at_the_boundary(n, m):
+    # x - lam* I has lam* = 0 up to the accuracy of lam*, the hardest case
+    # for a sign decision; the shifts put lam* just on either side of it
+    d = Dims(n, m)
+    g = rng(400 + 10 * n + m)
+    for _ in range(2):
+        x = random_hermitian(g, d.total)
+        feas = dykstra_feasibility(x, d, optimum=True)
+        x0 = x - (feas.lower + feas.upper) / 2 * np.eye(d.total)
+        for shift in (0.0, 1e-10, -1e-10):
+            y = x0 + shift * frob(x0) * np.eye(d.total)
+            for tol in (1e-9, 1e-13, 1e-300):
+                for optimum in (False, True):
+                    res = dykstra_feasibility(y, d, tol, optimum)
+                    assert res.stop in ("in", "out", "gap", "breakdown")
+                    assert res.iterations < step_bound(d.total, tol), (tol, optimum, res.iterations)

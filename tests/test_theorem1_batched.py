@@ -27,7 +27,7 @@ from mapcones.choi import (
     pairing,
     transpose_conj,
 )
-from mapcones.cones import ConeId, DykstraConfig, Status, in_E
+from mapcones.cones import ConeId, Status, in_E
 from mapcones.linalg import Dims, both_transpose, frob, hermitian_part
 from mapcones.sampling import (
     cone_generator_pool,
@@ -111,10 +111,9 @@ def reference_p_cone(phi, c, samples, tol, n_probes):
     scale = 1.0 + frob(c)
     thr = tol * scale
     band = 10.0 * thr
-    cfg = DykstraConfig(tol=tol)
 
-    v_c = in_E(c, d, cfg)
-    v_t = in_E(both_transpose(c, d), d, cfg)
+    v_c = in_E(c, d, tol)
+    v_t = in_E(both_transpose(c, d), d, tol)
 
     margins = {
         "residual": float(v_c.info["residual"]),

@@ -11,7 +11,6 @@ from _helpers import random_psd, rng
 from mapcones.choi import adjoint, adjoint_choi, identity_map, map_from_choi, transpose_map
 from mapcones.cones import (
     ConeId,
-    DykstraConfig,
     Status,
     in_E,
 )
@@ -213,24 +212,24 @@ class TestReports:
             emit_report(report, "yaml")
 
 
-def _certificate_holds(v, x, d: Dims, cfg: DykstraConfig) -> bool:
+def _certificate_holds(v, x, d: Dims, tol: float) -> bool:
     """Reference: re-derive an in_E certificate with plain numpy spectra."""
     scale = 1.0 + frob(x)
 
     def psd(a):
-        return np.linalg.eigvalsh(a)[0] >= -cfg.tol * (1.0 + frob(a))
+        return np.linalg.eigvalsh(a)[0] >= -tol * (1.0 + frob(a))
 
     cert = v.certificate
     if v.status is Status.IN:
         res = frob(x - cert.a - partial_transpose(cert.b, d))
-        return psd(cert.a) and psd(cert.b) and res <= cfg.tol * scale
+        return psd(cert.a) and psd(cert.b) and res <= tol * scale
     w = cert.w
     return (
         psd(w)
         and psd(partial_transpose(w, d))
         and abs(np.trace(w).real - 1.0) <= 1e-9
         and np.trace(w @ x).real == pytest.approx(cert.value, abs=1e-12)
-        and cert.value <= -10 * cfg.tol * scale
+        and cert.value <= -10 * tol * scale
     )
 
 
@@ -249,19 +248,19 @@ class TestEDecisionPath:
     def test_in_E_calls_match_reference(self, monkeypatch, tid, d, trials, seed):
         calls = []
 
-        def spy(x, dd, cfg):
-            v = in_E(x, dd, cfg)
-            calls.append((x.copy(), dd, cfg, v))
+        def spy(x, dd, tol):
+            v = in_E(x, dd, tol)
+            calls.append((x.copy(), dd, tol, v))
             return v
 
         monkeypatch.setattr(theorems_mod, "in_E", spy)
         verify(tid, d, trials=trials, seed=seed)
         # every run re-derives a witness as well as a decomposition
         assert Status.OUT in {v.status for *_, v in calls}
-        for x, dd, cfg, v in calls:
+        for x, dd, tol, v in calls:
             assert {"iterations", "residual", "stop", "lower", "upper"} <= set(v.info)
             if v.status is not Status.UNDECIDED:
-                assert _certificate_holds(v, x, dd, cfg)
+                assert _certificate_holds(v, x, dd, tol)
 
 
 class TestSharpWitnessSample:
@@ -273,8 +272,8 @@ class TestSharpWitnessSample:
         calls = []
         original = cones_mod.dykstra_feasibility
 
-        def spy(x, d, cfg=DykstraConfig(), optimum=False):
-            feas = original(x, d, cfg, optimum)
+        def spy(x, d, tol=1e-9, optimum=False):
+            feas = original(x, d, tol, optimum)
             calls.append((optimum, feas.stop))
             return feas
 
