@@ -233,15 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed (fixed default)")
-
     cone_names = ", ".join(c.value for c in ConeId)
     p = sub.add_parser("check", help="cone membership of a map/operator file")
     p.add_argument("file")
     p.add_argument("cone", help=f"one of: {cone_names}")
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed (fixed default)")
     p.add_argument("--restarts", type=int, default=10, help="see-saw restarts (pos and blockpos only)")
     p.set_defaults(func=_cmd_check)
 
@@ -254,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="search for a PPT witness against an operator")
     p.add_argument("file")
     p.add_argument("--out", default=None, help="output path (default FILE.witness.json)")
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
     p.set_defaults(func=_cmd_witness)
 
     map_cone_names = ", ".join(c.value for c in ConeId if c.is_map_cone)

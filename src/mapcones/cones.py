@@ -39,10 +39,10 @@ gives the decomposition, the primal one the PPT witness, and both are
 re-validated before they are returned.  Each Newton step assembles
 and solves a dense system of (nm)^2 + 1 unknowns, O((nm)^6) flops and
 O((nm)^4) memory.  Measured medians per ``in_E`` call on one core
-(4-5 Newton steps): 15 ms at 3x3, 30 ms at 3x4, 60 ms at 4x4, 115 ms at
-4x5 and 240 ms at 5x5.  Closing the bracket, as ``witness_search`` and
-points near the boundary need, takes 9-13 steps: 0.1 s at 4x4 and
-0.6 s at 5x5.  The ``f`` cone is an intersection of two spectrally
+(4-5 Newton steps): 6 ms at 3x3, 10 ms at 3x4, 20 ms at 4x4, 50 ms at
+4x5 and 125-145 ms at 5x5.  Closing the bracket, as ``witness_search``
+and points near the boundary need, takes 9-13 steps: 0.08 s at 4x4 and
+0.35 s at 5x5.  The ``f`` cone is an intersection of two spectrally
 projectable cones; ``project_F`` needs the nearest point of it and so
 uses Dykstra's scheme.
 """

@@ -19,15 +19,19 @@ with Mehrotra's predictor-corrector (Helmberg, Rendl, Vanderbei and
 Wolkowicz 1996).  Each Newton system has (nm)^2 + 1 real unknowns, the
 coordinates of (dy0, dY) in an orthonormal Hermitian basis.  Its Schur
 matrix is assembled from Kronecker-structured entries of the iterates,
-one pair of basis rows at a time, and solved exactly with
+2nm rows (nm pairs of basis rows) at a time, with the index work for
+each ``Dims`` computed once and cached, and solved exactly with
 ``np.linalg.solve``, once for the predictor and once for the corrector:
-O((nm)^6) flops for each solve and O((nm)^4) memory for the matrix and
-its LU copy.  Step lengths keep every iterate strictly inside the cones.
+O((nm)^6) flops for each solve, O((nm)^4) memory for the matrix and its
+LU copy, and a workspace of a few 2nm x (nm)^2 complex blocks beyond
+them.  Step lengths keep every iterate strictly inside the cones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +95,30 @@ def _rotate(y: np.ndarray, sign: int) -> np.ndarray:
     return out
 
 
+class _Plan(NamedTuple):
+    """The index work of ``_Schur`` that depends on the dimensions alone."""
+
+    units: np.ndarray
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    blocks: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _plan(d: Dims) -> _Plan:
+    """``units``, the divmod pairs (p, q) of block 1's PT-relabelled units and of
+    block 2's units, and the row ranges assembled together; arrays are read-only."""
+    nm = d.total
+    a, b = np.triu_indices(nm, 1)
+    units = np.concatenate((np.arange(nm) * (nm + 1), np.column_stack((a * nm + b, b * nm + a)).ravel()))
+    pt = partial_transpose(np.arange(nm * nm).reshape(nm, nm), d).ravel()[units]
+    rows = (*np.divmod(pt, nm), *np.divmod(units, nm))
+    for arr in (units, *rows):
+        arr.setflags(write=False)
+    # the nm diagonal units, then 2nm rows (nm whole pairs) at a time
+    starts = [0, *range(nm, nm * nm, 2 * nm)]
+    return _Plan(units, rows, tuple(zip(starts, starts[1:] + [nm * nm])))
+
+
 class _Schur:
     """The HKM Schur complement u -> A(sym(X A*(u) Z^-1)) at one iterate, assembled.
 
@@ -110,19 +138,18 @@ class _Schur:
 
     def __init__(self, x1, w1, x2, w2, d: Dims):
         nm = d.total
-        a, b = np.triu_indices(nm, 1)
         self.nm = nm
-        self.units = np.concatenate((np.arange(nm) * (nm + 1), np.column_stack((a * nm + b, b * nm + a)).ravel()))
-        pt = partial_transpose(np.arange(nm * nm).reshape(nm, nm), d).ravel()[self.units]
+        plan = _plan(d)
+        self.units = plan.units
+        p1, q1, p2, q2 = plan.rows
         # in each block, entry (i, j) of S is x[p_i, p_j] w[q_j, q_i] for unit i = |p_i><q_i|
-        blocks = [(x1, w1.T, *np.divmod(pt, nm)), (x2, w2.T, *np.divmod(self.units, nm))]
+        blocks = [(x1, w1.T, p1, q1), (x2, w2.T, p2, q2)]
         full = self.full = np.empty((nm * nm + 1,) * 2)
-        full[0, 0] = np.trace(x1 @ w1).real
-        full[0, 1:] = full[1:, 0] = self.coords(partial_transpose(x1 @ w1, d))
-        # the diagonal units, then one pair of units at a time: the workspace
-        # beyond the matrix itself stays O((nm)^2)
-        starts = [0, *range(nm, nm * nm, 2)]
-        for lo, hi in zip(starts, starts[1:] + [nm * nm]):
+        xw = x1 @ w1
+        full[0, 0] = np.trace(xw).real
+        full[0, 1:] = full[1:, 0] = self.coords(partial_transpose(xw, d))
+        # a few 2nm x (nm)^2 complex temporaries per block (131 KB each at 4x4)
+        for lo, hi in plan.blocks:
             s = sum(np.take(x[p[lo:hi]], p, 1) * np.take(wt[q[lo:hi]], q, 1) for x, wt, p, q in blocks)
             if lo >= nm:
                 s = _rotate(s, -1)

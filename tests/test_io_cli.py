@@ -157,7 +157,7 @@ class TestPairCommand:
 class TestWitnessCommand:
     def test_fixture_witness(self, fixture_file, tmp_path, capsys):
         out = tmp_path / "w.json"
-        code = main(["witness", fixture_file, "--out", str(out), "--seed", "2"])
+        code = main(["witness", fixture_file, "--out", str(out)])
         assert code == 0
         text = capsys.readouterr().out
         assert "violation" in text
@@ -283,8 +283,17 @@ class TestUsageErrors:
             ["verify", "T1", "3", "3", "--trials", "x"],
             ["check", "FILE", "cp", "--bogus"],
             ["witness", "FILE", "--restarts", "3"],
+            ["witness", "FILE", "--seed", "2"],
         ],
-        ids=["no-command", "missing-args", "unknown-command", "bad-int", "unknown-option", "witness-restarts"],
+        ids=[
+            "no-command",
+            "missing-args",
+            "unknown-command",
+            "bad-int",
+            "unknown-option",
+            "witness-restarts",
+            "witness-seed",
+        ],
     )
     def test_usage_error_exits_64(self, identity_file, argv, capsys):
         assert main([identity_file if a == "FILE" else a for a in argv]) == 64

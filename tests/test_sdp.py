@@ -5,8 +5,11 @@ in Hermitian coordinates.  The reference here is the operator it
 replaces, applied matrix-free through the constraint map and its
 adjoint: s1 = herm(X1 (u0 I + PT U) W1) gives
 (Tr s1, PT(s1) + herm(X2 U W2)).  Non-square dimensions catch a PT
-index map that mixes up the two factors.
+index map that mixes up the two factors.  The blocked assembly is also
+checked entry for entry against the one-pair-at-a-time loop it replaced.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from _helpers import random_complex, random_hermitian, rng
 from mapcones.cones import dykstra_feasibility
 from mapcones.fixtures import nondecomposable_map
 from mapcones.linalg import Dims, frob, partial_transpose
-from mapcones.sdp import _Schur
+from mapcones.sdp import _Schur, _plan, _rotate
 
 
 def herm(a):
@@ -31,6 +34,68 @@ def reference_schur(x1, w1, x2, w2, d, u0, u):
 def positive_definite(g, k):
     a = random_complex(g, (k, k))
     return a @ a.conj().T + 0.1 * np.eye(k)
+
+
+def reference_full(x1, w1, x2, w2, d):
+    """The Schur matrix assembled one pair of basis rows at a time, as it was before blocks."""
+    nm = d.total
+    a, b = np.triu_indices(nm, 1)
+    units = np.concatenate((np.arange(nm) * (nm + 1), np.column_stack((a * nm + b, b * nm + a)).ravel()))
+    pt = partial_transpose(np.arange(nm * nm).reshape(nm, nm), d).ravel()[units]
+    blocks = [(x1, w1.T, *np.divmod(pt, nm)), (x2, w2.T, *np.divmod(units, nm))]
+
+    def coords(u):
+        v = u.ravel()[units]
+        v[nm:] = _rotate(v[nm:], -1)
+        return v.real
+
+    full = np.empty((nm * nm + 1,) * 2)
+    full[0, 0] = np.trace(x1 @ w1).real
+    full[0, 1:] = full[1:, 0] = coords(partial_transpose(x1 @ w1, d))
+    starts = [0, *range(nm, nm * nm, 2)]
+    for lo, hi in zip(starts, starts[1:] + [nm * nm]):
+        s = sum(np.take(x[p[lo:hi]], p, 1) * np.take(wt[q[lo:hi]], q, 1) for x, wt, p, q in blocks)
+        if lo >= nm:
+            s = _rotate(s, -1)
+        s[:, nm:] = _rotate(s[:, nm:].T, 1).T
+        full[lo + 1 : hi + 1, 1:] = s.real
+    return full
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 4), (4, 5)])
+def test_blocked_assembly_matches_the_pairwise_loop(n, m):
+    d = Dims(n, m)
+    g = rng(500 + 10 * n + m)
+    args = [positive_definite(g, d.total) for _ in range(4)]
+    assert np.array_equal(_Schur(*args, d).full, reference_full(*args, d))
+
+
+def test_plan_is_cached_per_dims_and_read_only():
+    plan = _plan(Dims(2, 3))
+    assert _plan(Dims(2, 3)) is plan
+    other = _plan(Dims(3, 2))
+    assert np.array_equal(plan.units, other.units)  # same nm, so the same units
+    assert not all(np.array_equal(a, b) for a, b in zip(plan.rows, other.rows))
+    for arr in (plan.units, *plan.rows):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("n,m", [(4, 4), (5, 5)])
+def test_assembly_workspace_stays_small(n, m):
+    # the blocks add a few 2nm x (nm)^2 temporaries to the matrix itself;
+    # one (nm)^2 x (nm)^2 complex temporary would be about 7 times the matrix
+    d = Dims(n, m)
+    g = rng(600 + 10 * n + m)
+    args = [positive_definite(g, d.total) for _ in range(4)]
+    _plan(d)  # built once per Dims and kept, so not part of a step's workspace
+    tracemalloc.start()
+    try:
+        schur = _Schur(*args, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * schur.full.nbytes
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 2), (3, 4)])
