@@ -17,14 +17,21 @@ the optimum, y0 <= lam* <= Tr(x X1), and ``solve`` stops as soon as the
 bracket settles the sign (or closes).  Steps follow the HKM direction
 with Mehrotra's predictor-corrector (Helmberg, Rendl, Vanderbei and
 Wolkowicz 1996).  Each Newton system has (nm)^2 + 1 real unknowns, the
-coordinates of (dy0, dY) in an orthonormal Hermitian basis.  Its Schur
-matrix is assembled from Kronecker-structured entries of the iterates,
-2nm rows (nm pairs of basis rows) at a time, with the index work for
-each ``Dims`` computed once and cached, and solved exactly with
-``np.linalg.solve``, once for the predictor and once for the corrector:
-O((nm)^6) flops for each solve, O((nm)^4) memory for the matrix and its
-LU copy, and a workspace of a few 2nm x (nm)^2 complex blocks beyond
-them.  Step lengths keep every iterate strictly inside the cones.
+coordinates of (dy0, dY) in an orthonormal Hermitian basis.  The first
+step starts at X1 = X2 = I/nm, Y = tI, where the system is diagonal in
+the eigenbasis of Z1 and is solved in closed form from one nm x nm
+``eigh``.  From the second step on, the Schur matrix is assembled from
+Kronecker-structured entries of the iterates, 2nm rows (nm pairs of
+basis rows) at a time and only from each block's own columns onward,
+the strict lower block triangle being the transpose of the upper one,
+with the index work for each ``Dims`` computed once and cached.  It is
+solved exactly with ``np.linalg.solve``, once for the predictor and
+once for the corrector: O((nm)^6) flops for each solve, O((nm)^4)
+memory for the matrix and its LU copy, and a workspace of a few
+2nm x (nm)^2 complex blocks beyond them.  The four Cholesky factors of
+a step are taken in one stacked call, and so are the four eigenvalue
+problems of each step length, which keeps every iterate strictly
+inside the cones.
 """
 
 from __future__ import annotations
@@ -69,17 +76,6 @@ class Bracket:
 
 def _herm(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
-
-
-def _inverse_factor(z: np.ndarray) -> np.ndarray:
-    """Inverse of the Cholesky factor of z; raises LinAlgError unless z is positive definite."""
-    return np.linalg.inv(np.linalg.cholesky(z))
-
-
-def _max_step(linv: np.ndarray, dz: np.ndarray) -> float:
-    """Largest alpha with Z + alpha dZ PSD, from the inverse Cholesky factor of Z."""
-    lo = float(np.linalg.eigvalsh(linv @ dz @ linv.conj().T)[0])
-    return np.inf if lo >= 0.0 else -1.0 / lo
 
 
 def _rotate(y: np.ndarray, sign: int) -> np.ndarray:
@@ -148,13 +144,17 @@ class _Schur:
         xw = x1 @ w1
         full[0, 0] = np.trace(xw).real
         full[0, 1:] = full[1:, 0] = self.coords(partial_transpose(xw, d))
-        # a few 2nm x (nm)^2 complex temporaries per block (131 KB each at 4x4)
+        # each block of rows is computed from its own columns onward, the
+        # strict lower block triangle is its transpose; a few 2nm x (nm)^2
+        # complex temporaries per block at most (131 KB each at 4x4)
         for lo, hi in plan.blocks:
-            s = sum(np.take(x[p[lo:hi]], p, 1) * np.take(wt[q[lo:hi]], q, 1) for x, wt, p, q in blocks)
+            s = sum(np.take(x[p[lo:hi]], p[lo:], 1) * np.take(wt[q[lo:hi]], q[lo:], 1) for x, wt, p, q in blocks)
             if lo >= nm:
                 s = _rotate(s, -1)
-            s[:, nm:] = _rotate(s[:, nm:].T, 1).T
-            full[lo + 1 : hi + 1, 1:] = s.real
+            c = max(nm - lo, 0)  # the first column to rotate; blocks start on whole pairs
+            s[:, c:] = _rotate(s[:, c:].T, 1).T
+            full[lo + 1 : hi + 1, lo + 1 :] = s.real
+            full[hi + 1 :, lo + 1 : hi + 1] = full[lo + 1 : hi + 1, hi + 1 :].T
 
     def coords(self, u: np.ndarray) -> np.ndarray:
         """The coordinates Re Tr(E_i u) of u in the basis."""
@@ -172,6 +172,36 @@ class _Schur:
         u = np.empty(nm * nm, dtype=np.complex128)
         u[self.units] = v
         return float(sol[0]), u.reshape(nm, nm)
+
+
+class _Start:
+    """The Schur system at the start X1 = X2 = I/nm, Y = tI, solved in closed form.
+
+    There W2 = I/t, and with V = PT(U) and H1 = (u0 W1 + herm(V W1))/nm
+    the system reads Tr H1 = b0 and H1 + V/(nm t) = PT(B).  In the
+    eigenbasis E of Z1, with w = 1/eig(Z1), V~ = E^H V E and
+    B~ = E^H PT(B) E, the second equation is entrywise
+    u0 w_i [i = j] + D_ij V~_ij = nm B~_ij, D_ij = (w_i + w_j)/2 + 1/t,
+    and the trace of H1 then fixes u0:
+    u0 = nm t (b0 - sum_i r_i B~_ii) / sum_i r_i with r_i = w_i / D_ii.
+    """
+
+    def __init__(self, z1, t: float, d: Dims):
+        lam, self.e = np.linalg.eigh(z1)
+        self.w = 1.0 / lam
+        self.den = (self.w[:, None] + self.w) / 2 + 1.0 / t
+        self.t = t
+        self.d = d
+
+    def solve(self, b0: float, b: np.ndarray) -> tuple[float, np.ndarray]:
+        """The solution (u0, U) of the Schur system with right-hand side (b0, b)."""
+        e, w, den = self.e, self.w, self.den
+        nm = len(w)
+        bt = nm * (e.conj().T @ partial_transpose(b, self.d) @ e)
+        r = w / np.diagonal(den)
+        u0 = float(self.t * (nm * b0 - r @ np.diagonal(bt).real) / r.sum())
+        bt[np.diag_indices(nm)] -= u0 * w
+        return u0, partial_transpose(_herm(e @ (bt / den) @ e.conj().T), self.d)
 
 
 def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
@@ -247,7 +277,7 @@ def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
             break
         it += 1
         try:
-            step = _newton_step(xs, x1, x2, y0, y, z1, d)
+            step = _newton_step(xs, x1, x2, y0, y, z1, d, _Start(z1, t, d) if it == 1 else None)
         except np.linalg.LinAlgError:
             stop = "breakdown"
             break
@@ -260,15 +290,20 @@ def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
     return Bracket(float(y0 * norm), float(np.trace(x @ x1).real), y * norm, x1, it, stop)
 
 
-def _newton_step(xs, x1, x2, y0, y, z1, d: Dims):
-    """One Mehrotra predictor-corrector step; None when it is too short or not finite."""
+def _newton_step(xs, x1, x2, y0, y, z1, d: Dims, schur=None):
+    """One Mehrotra predictor-corrector step; None when it is too short or not finite.
+
+    ``schur`` solves the step's Schur system; by default it is assembled.
+    """
     nm = len(x1)
     eye = np.eye(nm)
-    lx1, lx2, lz1, lz2 = (_inverse_factor(a) for a in (x1, x2, z1, y))
-    w1 = lz1.conj().T @ lz1
-    w2 = lz2.conj().T @ lz2
+    # inverse Cholesky factors of x1, x2, z1 and y; LinAlgError unless all are positive definite
+    linv = np.linalg.inv(np.linalg.cholesky(np.stack((x1, x2, z1, y))))
+    linv_h = linv.conj().swapaxes(-1, -2)
+    w1, w2 = linv_h[2] @ linv[2], linv_h[3] @ linv[3]
     mu = float(np.trace(x1 @ z1).real + np.trace(x2 @ y).real) / (2 * nm)
-    schur = _Schur(x1, w1, x2, w2, d)
+    if schur is None:
+        schur = _Schur(x1, w1, x2, w2, d)
 
     def direction(g1, g2):
         b = g2 - partial_transpose(g1, d)
@@ -277,15 +312,16 @@ def _newton_step(xs, x1, x2, y0, y, z1, d: Dims):
         dx1 = g1 - x1 - _herm(x1 @ dz1 @ w1)
         return u0, u, dx1, dz1
 
-    def lengths(dx1, dz1, du):
-        ap = min(_max_step(lx1, dx1), _max_step(lx2, partial_transpose(dx1, d)))
-        ad = min(_max_step(lz1, dz1), _max_step(lz2, du))
-        return min(1.0, _STEP * ap), min(1.0, _STEP * ad)
+    def lengths(dx1, dx2, dz1, du):
+        # the largest alpha with Z + alpha dZ PSD is -1 / lambda_min(L^-1 dZ L^-H) when that is negative
+        lo = np.linalg.eigvalsh(linv @ np.stack((dx1, dx2, dz1, du)) @ linv_h)[:, 0].tolist()
+        top = [np.inf if v >= 0.0 else -1.0 / v for v in lo]
+        return min(1.0, _STEP * min(top[:2])), min(1.0, _STEP * min(top[2:]))
 
     zero = np.zeros_like(x1)
     u0, u, dx1, dz1 = direction(zero, zero)
-    ap, ad = lengths(dx1, dz1, u)
     dx2 = partial_transpose(dx1, d)
+    ap, ad = lengths(dx1, dx2, dz1, u)
     mu_aff = float(
         np.trace((x1 + ap * dx1) @ (z1 + ad * dz1)).real + np.trace((x2 + ap * dx2) @ (y + ad * u)).real
     ) / (2 * nm)
@@ -295,7 +331,7 @@ def _newton_step(xs, x1, x2, y0, y, z1, d: Dims):
     u0, u, dx1, dz1 = direction(g1, g2)
     if not (np.all(np.isfinite(dx1)) and np.all(np.isfinite(dz1))):
         return None
-    ap, ad = lengths(dx1, dz1, u)
+    ap, ad = lengths(dx1, partial_transpose(dx1, d), dz1, u)
     if max(ap, ad) < _MIN_STEP:
         return None
     x1 = _herm(x1 + ap * dx1)

@@ -6,7 +6,10 @@ replaces, applied matrix-free through the constraint map and its
 adjoint: s1 = herm(X1 (u0 I + PT U) W1) gives
 (Tr s1, PT(s1) + herm(X2 U W2)).  Non-square dimensions catch a PT
 index map that mixes up the two factors.  The blocked assembly is also
-checked entry for entry against the one-pair-at-a-time loop it replaced.
+checked entry for entry against the one-pair-at-a-time loop it replaced,
+on the upper block triangle that it computes.  ``_Start``, the closed-form
+solve of the first step, is checked against the same operator at the
+start point.
 """
 
 import tracemalloc
@@ -19,7 +22,8 @@ from _helpers import random_complex, random_hermitian, rng
 from mapcones.cones import dykstra_feasibility
 from mapcones.fixtures import nondecomposable_map
 from mapcones.linalg import Dims, frob, partial_transpose
-from mapcones.sdp import _Schur, _plan, _rotate
+from mapcones import sdp
+from mapcones.sdp import _Schur, _Start, _plan, _rotate
 
 
 def herm(a):
@@ -64,10 +68,17 @@ def reference_full(x1, w1, x2, w2, d):
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 4), (4, 5)])
 def test_blocked_assembly_matches_the_pairwise_loop(n, m):
+    # each block of rows is computed from its own columns onward, bit for bit
+    # as the pairwise loop computes it; the strict lower block triangle is
+    # the transpose of the upper one
     d = Dims(n, m)
     g = rng(500 + 10 * n + m)
     args = [positive_definite(g, d.total) for _ in range(4)]
-    assert np.array_equal(_Schur(*args, d).full, reference_full(*args, d))
+    full, ref = _Schur(*args, d).full, reference_full(*args, d)
+    assert np.array_equal(full[0], ref[0]) and np.array_equal(full[:, 0], ref[:, 0])
+    for lo, hi in _plan(d).blocks:
+        assert np.array_equal(full[lo + 1 : hi + 1, lo + 1 :], ref[lo + 1 : hi + 1, lo + 1 :])
+        assert np.array_equal(full[hi + 1 :, lo + 1 : hi + 1], full[lo + 1 : hi + 1, hi + 1 :].T)
 
 
 def test_plan_is_cached_per_dims_and_read_only():
@@ -124,6 +135,52 @@ def test_u0_row_and_column(n, m):
     v0, v = _Schur(x1, w1, x2, w2, d).solve(b0, b)
     assert abs(v0 - 1.0) <= 1e-10
     assert frob(v) <= 1e-10
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 4)])
+def test_start_solves_the_first_system_in_closed_form(n, m):
+    # the first iterate X1 = X2 = I/nm, Y = tI of every solve, so W2 = I/t
+    d = Dims(n, m)
+    nm = d.total
+    g = rng(700 + 10 * n + m)
+    t = 1 / np.sqrt(nm)
+    x, w2 = np.eye(nm) / nm, np.eye(nm) / t
+    for _ in range(3):
+        z1 = positive_definite(g, nm)
+        w1 = np.linalg.inv(z1)
+        # (u0, U) = (1, 0) exercises the u0 row alone
+        for u0, u in [(float(g.normal()), random_hermitian(g, nm)), (1.0, np.zeros((nm, nm)))]:
+            b0, b = reference_schur(x, w1, x, w2, d, u0, u)
+            v0, v = _Start(z1, t, d).solve(b0, b)
+            assert abs(v0 - u0) <= 1e-10 * abs(u0)
+            assert frob(v - u) <= 1e-10 * max(frob(u), 1.0)
+            assert frob(v - v.conj().T) == 0.0
+
+
+def test_first_step_assembles_nothing(monkeypatch):
+    # k Newton steps build k - 1 Schur matrices and make 2 (k - 1) dense solves
+    built, solves = [], []
+
+    class Spy(sdp._Schur):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    def counted_solve(a, b):
+        solves.append(1)
+        return real_solve(a, b)
+
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(sdp, "_Schur", Spy)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    x = nondecomposable_map().choi
+    for optimum in (False, True):
+        built.clear()
+        solves.clear()
+        res = sdp.solve(x, Dims(3, 3), 1e-9, optimum)
+        assert res.iterations >= 2
+        assert len(built) == res.iterations - 1
+        assert len(solves) == 2 * (res.iterations - 1)
 
 
 def _fixture_perturbations(count):
