@@ -26,7 +26,6 @@ from .linalg import (
     as_operator,
     both_transpose,
     check_hermitian,
-    frob,
     trace_pairing,
 )
 
@@ -117,9 +116,6 @@ class MapRep:
     @property
     def m(self) -> int:
         return self.d.m
-
-    def is_hermitian(self, tol: float = 1e-9) -> bool:
-        return frob(self.choi - self.choi.conj().T) <= tol * (1.0 + frob(self.choi))
 
     def hermitian_choi(self, tol: float = 1e-9) -> np.ndarray:
         """Choi matrix after the Hermiticity gate; raises if it fails."""

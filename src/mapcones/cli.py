@@ -12,9 +12,11 @@ Exit codes: 0 IN / witness found / suite passed (and ``--help``), 1 OUT
 / no witness, 2 UNDECIDED, 64 parse or usage error (an unreadable file,
 a missing argument, an unknown option or a malformed value), 65
 dimension error or invalid value (a ``--tol`` that is not finite and
-positive, ``--trials`` below 1), 66 unknown cone or theorem name, 70
-internal error.  Every ``--seed`` defaults to the fixed constant
-123456789 rather than wall clock, so unseeded runs are reproducible.
+positive, ``--trials`` or ``--restarts`` below 1), 66 unknown cone or
+theorem name, 70 internal error.  The commands raise, and ``main``
+alone maps each exception to its exit code.  Every ``--seed`` defaults
+to the fixed constant 123456789 rather than wall clock, so unseeded
+runs are reproducible.
 """
 
 from __future__ import annotations
@@ -61,33 +63,22 @@ EXIT_INTERNAL = 70
 _STATUS_EXIT = {Status.IN: EXIT_IN, Status.OUT: EXIT_OUT, Status.UNDECIDED: EXIT_UNDECIDED}
 
 
-def _describe(v: Verdict) -> str:
-    from .cones import (
-        Decomposition,
-        FWitness,
-        MinEigCert,
-        ProductVectorCert,
-        PptSpectra,
-        SeparableBall,
-        SeparableDecomposition,
-    )
+class _UnknownName(Exception):
+    """An unknown cone or theorem name; ``main`` maps it to exit 66."""
 
+
+def _cone(name: str) -> ConeId:
+    try:
+        return ConeId(name)
+    except ValueError:
+        raise _UnknownName(f"unknown cone {name!r}") from None
+
+
+def _describe(v: Verdict) -> str:
     parts = [v.status.value + (" (heuristic)" if v.heuristic else "")]
-    c = v.certificate
-    if isinstance(c, MinEigCert):
-        parts.append(f"min eigenvalue {c.value:.12g}")
-    elif isinstance(c, PptSpectra):
-        parts.append(f"min eig {c.min_eig:.12g}, min eig after PT {c.min_eig_pt:.12g}")
-    elif isinstance(c, Decomposition):
-        parts.append(f"decomposition residual {c.residual:.12g}")
-    elif isinstance(c, FWitness):
-        parts.append(f"PPT witness with pairing {c.value:.12g}")
-    elif isinstance(c, ProductVectorCert):
-        parts.append(f"product-vector value {c.value:.12g}")
-    elif isinstance(c, SeparableDecomposition):
-        parts.append(f"separable decomposition of {len(c.weights)} terms, residual {c.residual:.12g}")
-    elif isinstance(c, SeparableBall):
-        parts.append(f"separable ball: distance {c.distance:.12g} <= radius {c.radius:.12g}")
+    describe = getattr(v.certificate, "describe", None)
+    if describe is not None:
+        parts.append(describe())
     for key, val in v.info.items():
         if isinstance(val, float):
             parts.append(f"{key}={val:.6g}")
@@ -96,86 +87,56 @@ def _describe(v: Verdict) -> str:
     return "; ".join(parts)
 
 
+def _check_psd(x: np.ndarray, tol: float) -> Verdict:
+    lo = is_psd(x, tol)[1]
+    return Verdict(classify(lo, 1.0 + frob(x), tol), info={"min_eig": lo})
+
+
+def _check_sep(x: np.ndarray, d: Dims, tol: float) -> Verdict:
+    tr = float(np.trace(x).real)
+    if tr <= tol:
+        raise ValueError("state trace is not positive")
+    return is_separable(x / tr, d, tol)
+
+
+#: The oracle ``check`` runs for each cone, as oracle(x, d, args): x is
+#: the file's map for a map cone and its matrix for an operator cone.
+_CHECKS = {
+    ConeId.MAP_CP: lambda x, d, a: is_cp(x, a.tol),
+    ConeId.MAP_COP: lambda x, d, a: is_cop(x, a.tol),
+    ConeId.MAP_P: lambda x, d, a: in_P(x, a.tol),
+    ConeId.MAP_D: lambda x, d, a: is_decomposable(x, a.tol),
+    ConeId.MAP_S: lambda x, d, a: in_S(x, a.tol),
+    ConeId.MAP_POS: lambda x, d, a: is_positive_map(x, restarts=a.restarts, tol=a.tol, seed=a.seed),
+    ConeId.OP_PSD: lambda x, d, a: _check_psd(x, a.tol),
+    ConeId.OP_F: lambda x, d, a: in_F(x, d, a.tol),
+    ConeId.OP_E: lambda x, d, a: in_E(x, d, a.tol),
+    ConeId.OP_SEP: lambda x, d, a: _check_sep(x, d, a.tol),
+    ConeId.OP_BLOCKPOS: lambda x, d, a: is_block_positive(x, d, restarts=a.restarts, tol=a.tol, seed=a.seed),
+}
+
+
 def _cmd_check(args) -> int:
-    try:
-        d, mat = load_matrix(args.file)
-    except MapFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        cone = ConeId(args.cone)
-    except ValueError:
-        print(f"error: unknown cone {args.cone!r}", file=sys.stderr)
-        return EXIT_NAME
-    tol = args.tol
-    try:
-        if cone.is_map_cone:
-            phi = map_from_choi(d.n, d.m, mat)
-            if cone is ConeId.MAP_CP:
-                v = is_cp(phi, tol)
-            elif cone is ConeId.MAP_COP:
-                v = is_cop(phi, tol)
-            elif cone is ConeId.MAP_P:
-                v = in_P(phi, tol)
-            elif cone is ConeId.MAP_D:
-                v = is_decomposable(phi, tol)
-            elif cone is ConeId.MAP_S:
-                v = in_S(phi, tol)
-            else:
-                v = is_positive_map(phi, restarts=args.restarts, tol=tol, seed=args.seed)
-        else:
-            if cone is ConeId.OP_PSD:
-                lo = is_psd(mat, tol)[1]
-                v = Verdict(classify(lo, 1.0 + frob(mat), tol), info={"min_eig": lo})
-            elif cone is ConeId.OP_F:
-                v = in_F(mat, d, tol)
-            elif cone is ConeId.OP_E:
-                v = in_E(mat, d, tol)
-            elif cone is ConeId.OP_SEP:
-                tr = float(np.trace(mat).real)
-                if tr <= tol:
-                    print("error: state trace is not positive", file=sys.stderr)
-                    return EXIT_DIMS
-                v = is_separable(mat / tr, d, tol)
-            else:
-                v = is_block_positive(mat, d, restarts=args.restarts, tol=tol, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMS
+    d, mat = load_matrix(args.file)
+    cone = _cone(args.cone)
+    x = map_from_choi(d.n, d.m, mat) if cone.is_map_cone else mat
+    v = _CHECKS[cone](x, d, args)
     print(f"{args.cone} @ {d.n} x {d.m}: {_describe(v)}")
     return _STATUS_EXIT[v.status]
 
 
 def _cmd_pair(args) -> int:
-    try:
-        da, a = load_matrix(args.file_a)
-        db, b = load_matrix(args.file_b)
-    except MapFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    da, a = load_matrix(args.file_a)
+    db, b = load_matrix(args.file_b)
     if da != db:
-        print(f"error: dimension mismatch {da} vs {db}", file=sys.stderr)
-        return EXIT_DIMS
-    try:
-        val = pairing(map_from_choi(da.n, da.m, a), map_from_choi(db.n, db.m, b), tol=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMS
-    print(f"{val:.12g}")
+        raise ValueError(f"dimension mismatch {da} vs {db}")
+    print(f"{pairing(map_from_choi(da.n, da.m, a), map_from_choi(db.n, db.m, b), tol=args.tol):.12g}")
     return EXIT_IN
 
 
 def _cmd_witness(args) -> int:
-    try:
-        d, mat = load_matrix(args.file)
-    except MapFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        v = in_E(mat, d, args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMS
+    d, mat = load_matrix(args.file)
+    v = in_E(mat, d, args.tol)
     # the witness is in_E's OUT certificate; IN means none exists
     if v.status is Status.IN:
         print("none")
@@ -191,20 +152,11 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    try:
-        cone = ConeId(args.cone)
-    except ValueError:
-        print(f"error: unknown cone {args.cone!r}", file=sys.stderr)
-        return EXIT_NAME
+    cone = _cone(args.cone)
     if not cone.is_map_cone:
-        print(f"error: {args.cone!r} is not a samplable map cone", file=sys.stderr)
-        return EXIT_NAME
-    try:
-        d = Dims(args.n, args.m).validate()
-        phi = sample_map(cone, d, substream(args.seed, 0x0C11))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMS
+        raise _UnknownName(f"{args.cone!r} is not a samplable map cone")
+    d = Dims(args.n, args.m).validate()
+    phi = sample_map(cone, d, substream(args.seed, 0x0C11))
     save_matrix(args.out, d.n, d.m, phi.choi)
     print(f"{args.cone} sample at {d.n} x {d.m} written to {args.out}")
     return EXIT_IN
@@ -212,16 +164,10 @@ def _cmd_random(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.theorem.upper() not in SUPPORTED_THEOREMS:
-        print(
-            f"error: unknown theorem {args.theorem!r}; supported: {', '.join(sorted(SUPPORTED_THEOREMS))}",
-            file=sys.stderr,
+        raise _UnknownName(
+            f"unknown theorem {args.theorem!r}; supported: {', '.join(sorted(SUPPORTED_THEOREMS))}"
         )
-        return EXIT_NAME
-    try:
-        report = verify(args.theorem, Dims(args.n, args.m), args.trials, args.seed, args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMS
+    report = verify(args.theorem, Dims(args.n, args.m), args.trials, args.seed, args.tol)
     sys.stdout.write(emit_report(report, args.format))
     return EXIT_IN if report.passed else EXIT_OUT
 
@@ -282,17 +228,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EXIT_PARSE if exc.code else EXIT_IN
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (np.isfinite(tol) and tol > 0):
-        print(f"error: --tol must be a finite positive number, got {tol!r}", file=sys.stderr)
-        return EXIT_DIMS
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"--tol must be a finite positive number, got {tol!r}")
         return args.func(args)
+    except MapFileError as exc:
+        return _error(exc, EXIT_PARSE)
+    except _UnknownName as exc:
+        return _error(exc, EXIT_NAME)
+    except ValueError as exc:
+        return _error(exc, EXIT_DIMS)
     except Exception as exc:  # pragma: no cover - last-resort guard
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

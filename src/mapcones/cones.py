@@ -26,8 +26,9 @@ it: an eigenvector of a negative eigenvalue, a trace-one PPT witness w
 with Tr(w x) < 0, or a product vector pair.  IN verdicts carry
 certificates where the cone admits them (decompositions, spectra,
 separable mixtures, a distance within the separable ball around I/D).
-Memberships that cannot be certified either way within the iteration
-budget come back UNDECIDED rather than forced.
+Memberships that cannot be certified either way come back UNDECIDED
+rather than forced.  Every certificate's ``describe()`` gives the text
+that the ``check`` command prints for it.
 
 The ``e`` cone is decided by one semidefinite program, the first level
 of the Doherty-Parrilo-Spedalieri hierarchy: lam* = min Tr(w x) over
@@ -163,6 +164,9 @@ class MinEigCert:
     value: float
     vector: np.ndarray
 
+    def describe(self) -> str:
+        return f"min eigenvalue {self.value:.12g}"
+
 
 @dataclass(frozen=True)
 class PptSpectra:
@@ -170,6 +174,9 @@ class PptSpectra:
 
     min_eig: float
     min_eig_pt: float
+
+    def describe(self) -> str:
+        return f"min eig {self.min_eig:.12g}, min eig after PT {self.min_eig_pt:.12g}"
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,9 @@ class Decomposition:
     b: np.ndarray
     residual: float
 
+    def describe(self) -> str:
+        return f"decomposition residual {self.residual:.12g}"
+
 
 @dataclass(frozen=True)
 class FWitness:
@@ -187,6 +197,9 @@ class FWitness:
 
     w: np.ndarray
     value: float
+
+    def describe(self) -> str:
+        return f"PPT witness with pairing {self.value:.12g}"
 
 
 @dataclass(frozen=True)
@@ -197,6 +210,9 @@ class ProductVectorCert:
     eta: np.ndarray
     value: float
 
+    def describe(self) -> str:
+        return f"product-vector value {self.value:.12g}"
+
 
 @dataclass(frozen=True)
 class SeparableDecomposition:
@@ -206,6 +222,9 @@ class SeparableDecomposition:
     left: tuple[np.ndarray, ...]
     right: tuple[np.ndarray, ...]
     residual: float
+
+    def describe(self) -> str:
+        return f"separable decomposition of {len(self.weights)} terms, residual {self.residual:.12g}"
 
 
 @dataclass(frozen=True)
@@ -218,6 +237,9 @@ class SeparableBall:
 
     distance: float
     radius: float
+
+    def describe(self) -> str:
+        return f"separable ball: distance {self.distance:.12g} <= radius {self.radius:.12g}"
 
 
 @dataclass(frozen=True)
@@ -682,8 +704,11 @@ def is_block_positive(
     band is UNDECIDED, and survival of all restarts is only a heuristic
     IN, since the problem has no efficient exact certificate in general.
     ``info`` carries the number of ``sweeps`` run, the index of the
-    winning ``restart`` and its value ``best``.
+    winning ``restart`` and its value ``best``.  Raises ValueError for
+    ``restarts < 1``.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     d = Dims(*d)
     n, m = d
     x = check_hermitian(as_operator(x), tol)
@@ -693,7 +718,7 @@ def is_block_positive(
     x4 = x.reshape(n, m, n, m)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xB10C)))
 
-    starts = _start_vectors(n, max(restarts, 1), rng)
+    starts = _start_vectors(n, restarts, rng)
     xi, eta, val, sweeps = _seesaw(x4, starts, -_OUT_BAND * tol * scale)
     r = int(np.argmin(val))
     best = float(val[r])
@@ -712,7 +737,8 @@ def is_positive_map(
     """Positivity of a map, via block positivity of its Choi matrix.
 
     An OUT certificate (xi, eta) means the PSD input conj(xi) conj(xi)*
-    is mapped to an operator with <eta| . |eta> < 0.
+    is mapped to an operator with <eta| . |eta> < 0.  Raises ValueError
+    for ``restarts < 1``.
     """
     return is_block_positive(phi.hermitian_choi(tol), phi.d, restarts, tol, seed)
 

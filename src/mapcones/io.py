@@ -59,7 +59,7 @@ def loads_matrix(text: Union[str, bytes]) -> tuple[Dims, np.ndarray]:
         if key not in obj:
             raise MapFileError(f"missing field {key!r}")
     n, m = obj["n"], obj["m"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in (n, m)):
         raise MapFileError(f"dimensions must be positive integers, got n={n!r} m={m!r}")
     entries = obj["choi"]
     nm = n * m

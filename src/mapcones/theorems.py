@@ -57,6 +57,7 @@ from .cones import (
     ConeId,
     Status,
     Verdict,
+    _check_tol,
     _sampled_least_eig,
     classify,
     in_E,
@@ -145,6 +146,11 @@ class Theorem1Conditions:
     def agree(self) -> bool:
         t = self.as_tuple()
         return all(v == t[0] for v in t)
+
+    @property
+    def pattern(self) -> str:
+        """The four booleans as T/F letters, e.g. ``"TTFT"``."""
+        return "".join("T" if b else "F" for b in self.as_tuple())
 
 
 def _witness_map(w: np.ndarray, d: Dims) -> MapRep:
@@ -357,6 +363,17 @@ class TheoremReport:
     def passed(self) -> bool:
         return len(self.failures) == 0
 
+    def check(self, trial: int, label: str, violation: float, failed: Optional[bool]) -> None:
+        """Count one check: a failure when ``failed``, UNDECIDED when it is None.
+
+        ``violation`` is read only for a failure.
+        """
+        self.checks += 1
+        if failed is None:
+            self.undecided += 1
+        elif failed:
+            self.record_failure(trial, label, violation)
+
     def record_failure(self, trial: int, check: str, violation: float) -> None:
         violation = float(abs(violation))
         self.failures.append(
@@ -485,11 +502,8 @@ def _suite_L4(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         )
         r1 = frob(via_action.choi - both_transpose(c, d)) / scale
         r2 = frob(via_action.choi - full_transpose(c)) / scale
-        report.checks += 2
-        if r1 > idtol:
-            report.record_failure(trial, "choi-of-transpose-conj vs t(x)t route", r1)
-        if r2 > idtol:
-            report.record_failure(trial, "choi-of-transpose-conj vs full transpose", r2)
+        report.check(trial, "choi-of-transpose-conj vs t(x)t route", r1, r1 > idtol)
+        report.check(trial, "choi-of-transpose-conj vs full transpose", r2, r2 > idtol)
         f = dual_functional(phi)
         ft = dual_functional(transpose_conj(phi))
         for k in range(20):
@@ -497,11 +511,8 @@ def _suite_L4(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
             den = 1.0 + frob(c) * frob(x)
             v1 = abs(ft(x) - f(both_transpose(x, d))) / den
             v2 = abs(ft(x) - f(full_transpose(x))) / den
-            report.checks += 2
-            if v1 > idtol:
-                report.record_failure(trial, f"functional t(x)t identity probe {k}", v1)
-            if v2 > idtol:
-                report.record_failure(trial, f"functional transpose identity probe {k}", v2)
+            report.check(trial, f"functional t(x)t identity probe {k}", v1, v1 > idtol)
+            report.check(trial, f"functional transpose identity probe {k}", v2, v2 > idtol)
 
 
 def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -517,25 +528,17 @@ def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         for idx, alpha in enumerate(pool):
             lo_a = _min_eig(apply_second(transpose_conj(alpha), x, d))
             lo_b = _min_eig(apply_second(alpha, xt, d))
-            report.checks += 1
-            if abs(lo_a - lo_b) > idtol * scale:
-                report.record_failure(
-                    trial, f"{cone.value} sample {idx} spectral transport", abs(lo_a - lo_b)
-                )
+            gap = abs(lo_a - lo_b)
+            report.check(trial, f"{cone.value} sample {idx} spectral transport", gap, gap > idtol * scale)
         va = pm_k_membership(x, d, k_t(pool), tol)
         vb = pm_k_membership(xt, d, pool, tol)
-        report.checks += 1
-        if Status.UNDECIDED in (va.status, vb.status):
-            report.undecided += 1
-        elif va.status != vb.status:
-            margin = min(abs(v.info.get("worst_min_eig", v.info.get("min_eig", 0.0))) for v in (va, vb))
-            report.record_failure(trial, "membership verdicts disagree", margin)
+        margin = min(abs(v.info.get("worst_min_eig", v.info.get("min_eig", 0.0))) for v in (va, vb))
+        failed = None if Status.UNDECIDED in (va.status, vb.status) else va.status != vb.status
+        report.check(trial, "membership verdicts disagree", margin, failed)
 
 
 def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """The maximally entangled state criterion for complete positivity."""
-    if d.n != d.m:
-        raise ValueError("this suite needs square dimensions")
     n = d.n
     idtol = 1e-12
     for trial in range(trials):
@@ -549,10 +552,8 @@ def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
             x = random_psd(rng, n * n)
             lhs = float(trace_pairing(c, x).real)
             rhs = n * omega_eval(hermitian_part(apply_second(adj, x, d)), n)
-            report.checks += 1
-            den = 1.0 + frob(c) * frob(x)
-            if abs(lhs - rhs) / den > idtol:
-                report.record_failure(trial, f"pairing bridge probe {k}", abs(lhs - rhs) / den)
+            err = abs(lhs - rhs) / (1.0 + frob(c) * frob(x))
+            report.check(trial, f"pairing bridge probe {k}", err, err > idtol)
         # sign equivalence at the adversarial rank-one probe, the bottom
         # eigenvector u of C: v* C v >= lambda_min(C) for every unit v
         w_eig, u = np.linalg.eigh(c)
@@ -562,24 +563,20 @@ def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         if Status.UNDECIDED in (cp, probe):
             report.undecided += 1
             continue
-        report.checks += 1
-        if cp is not probe:
-            report.record_failure(trial, "cp sign vs entangled-state probe sign", abs(best))
+        report.check(trial, "cp sign vs entangled-state probe sign", abs(best), cp is not probe)
 
 
 def _suite_L10(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Positivity and factorization of the multiplication functional."""
-    if d.n != d.m:
-        raise ValueError("this suite needs square dimensions")
     idtol = 1e-12
     nm = d.total
     for trial in range(trials):
         rng = substream(seed, 0x10A, trial)
         g = rng.normal(size=(nm, nm)) + 1j * rng.normal(size=(nm, nm))
         val = trpi_eval(g @ g.conj().T, d)
-        report.checks += 1
-        if val.real < -idtol * (1.0 + frob(g) ** 2) or abs(val.imag) > idtol * (1.0 + frob(g) ** 2):
-            report.record_failure(trial, "positivity on y y*", abs(min(val.real, 0.0)) + abs(val.imag))
+        bound = idtol * (1.0 + frob(g) ** 2)
+        violation = abs(min(val.real, 0.0)) + abs(val.imag)
+        report.check(trial, "positivity on y y*", violation, val.real < -bound or abs(val.imag) > bound)
         phi = _general_map(rng, d)
         f = dual_functional(phi)
         lifted = transpose_conj(adjoint(phi))
@@ -587,10 +584,8 @@ def _suite_L10(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             x = rng.normal(size=(nm, nm)) + 1j * rng.normal(size=(nm, nm))
             lhs = f(x)
             rhs = trpi_eval(apply_second(lifted, x, d), d)
-            den = 1.0 + frob(phi.choi) * frob(x)
-            report.checks += 1
-            if abs(lhs - rhs) / den > idtol:
-                report.record_failure(trial, f"factorization probe {k}", abs(lhs - rhs) / den)
+            err = abs(lhs - rhs) / (1.0 + frob(phi.choi) * frob(x))
+            report.check(trial, f"factorization probe {k}", err, err > idtol)
 
 
 def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -603,13 +598,10 @@ def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         v = in_F(x, d, tol)
         va = pm_k_membership(x, d, [ident], tol)
         vb = pm_k_membership(x, d, [trans], tol)
-        report.checks += 1
-        if Status.UNDECIDED in (v.status, va.status, vb.status):
-            report.undecided += 1
-            continue
         joint_in = va.status is Status.IN and vb.status is Status.IN
-        if (v.status is Status.IN) != joint_in:
-            report.record_failure(trial, "meet-of-cones equivalence", _ppt_gap(x, d))
+        undecided = Status.UNDECIDED in (v.status, va.status, vb.status)
+        failed = None if undecided else (v.status is Status.IN) != joint_in
+        report.check(trial, "meet-of-cones equivalence", _ppt_gap(x, d) if failed else 0.0, failed)
 
 
 def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -622,14 +614,11 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             x /= frob(x)
             scale = 1.0 + frob(x)
             v = in_E(x, d, tol)
-            report.checks += 1
-            if v.status is not Status.IN:
-                report.record_failure(trial, "constructed decomposition not recovered", v.info["residual"])
+            failed = v.status is not Status.IN
+            report.check(trial, "constructed decomposition not recovered", v.info["residual"], failed)
             for idx, alpha in enumerate(pool):
                 lo = _min_eig(apply_second(alpha, x, d))
-                report.checks += 1
-                if lo < -tol * scale:
-                    report.record_failure(trial, f"p-cone sample {idx} broke membership", abs(lo))
+                report.check(trial, f"p-cone sample {idx} broke membership", abs(lo), lo < -tol * scale)
         else:
             x = random_hermitian(rng, d.total)
             x /= frob(x)
@@ -641,13 +630,9 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
                 # alpha_w maps M_m to M_n, so its Choi matrix has dims (m, n)
                 alpha_w = _witness_map(v.certificate.w, d)
                 lo = _min_eig(apply_second(alpha_w, x, d))
-                report.checks += 1
-                if lo >= 0.0:
-                    report.record_failure(trial, "constructive violating map failed", lo)
+                report.check(trial, "constructive violating map failed", lo, lo >= 0.0)
                 v = in_F(alpha_w.choi * (d.n / np.trace(alpha_w.choi).real), alpha_w.d, 1e-7)
-                report.checks += 1
-                if v.status is not Status.IN:
-                    report.record_failure(trial, "violating map left the p cone", 1.0)
+                report.check(trial, "violating map left the p cone", 1.0, v.status is not Status.IN)
 
 
 def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -660,14 +645,11 @@ def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         if trial % 2 == 0:
             phi = sample_map(ConeId.MAP_P, d, rng)
             v = in_F(phi.choi, d, tol)
-            report.checks += 1
-            if v.status is not Status.IN:
-                report.record_failure(trial, "p-cone sample without PPT Choi", 1.0)
+            report.check(trial, "p-cone sample without PPT Choi", 1.0, v.status is not Status.IN)
             for idx, alpha in enumerate(d_pool):
                 lo = _min_eig(apply_second(alpha, phi.choi, d))
-                report.checks += 1
-                if lo < -tol * (1.0 + frob(phi.choi)):
-                    report.record_failure(trial, f"d-cone sample {idx} broke f-membership", abs(lo))
+                failed = lo < -tol * (1.0 + frob(phi.choi))
+                report.check(trial, f"d-cone sample {idx} broke f-membership", abs(lo), failed)
         else:
             x = random_hermitian(rng, d.total)
             x /= frob(x)
@@ -677,15 +659,13 @@ def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             if Status.UNDECIDED in (v.status, *detectors):
                 report.undecided += 1
                 continue
-            report.checks += 1
-            if (v.status is Status.IN) == (Status.OUT in detectors):
-                report.record_failure(trial, "canonical detectors disagree with f", _ppt_gap(x, d))
+            failed = (v.status is Status.IN) == (Status.OUT in detectors)
+            gap = _ppt_gap(x, d) if failed else 0.0
+            report.check(trial, "canonical detectors disagree with f", gap, failed)
 
 
 def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Four-way agreement of the dual-cone conditions on random maps."""
-    if d.n != d.m:
-        raise ValueError("this suite needs square dimensions")
     pools = {
         cone: cone_generator_pool(cone, d, 16 if cone is ConeId.MAP_P else 12, seed + 17)
         for cone in _CONCRETE
@@ -695,22 +675,14 @@ def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         phi = _random_map(rng, d, trial)
         for cone in _CONCRETE:
             conds = theorem1_conditions(phi, cone, samples=pools[cone], tol=tol)
-            report.checks += 1
-            if conds.boundary:
-                report.undecided += 1
-                continue
-            if not conds.agree:
-                pattern = "".join("T" if b else "F" for b in conds.as_tuple())
-                margin = min(
-                    abs(v) for k, v in conds.margins.items() if k in ("i", "ii", "iii", "iv")
-                )
-                report.record_failure(trial, f"{cone.value} pattern {pattern}", margin)
+            # a boundary p-cone trial has no condition margins, and records no failure
+            margins = [abs(v) for k, v in conds.margins.items() if k in ("i", "ii", "iii", "iv")]
+            failed = None if conds.boundary else not conds.agree
+            report.check(trial, f"{cone.value} pattern {conds.pattern}", min(margins, default=0.0), failed)
 
 
 def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Double-dual consistency: primal and dual-characterized samples pair >= 0."""
-    if d.n != d.m:
-        raise ValueError("this suite needs square dimensions")
     cp_pool = cone_generator_pool(ConeId.MAP_CP, d, 6, seed + 3)
     pools = {c: cone_generator_pool(c, d, 8, seed + 5) for c in _CONCRETE}
     kd_pools = {c: kd_generators(pools[c]) for c in _CONCRETE}
@@ -728,11 +700,8 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         val = pairing(member, dual)
         val2 = pairing(dual, member)
         scale = 1.0 + frob(member.choi) * frob(dual.choi)
-        report.checks += 2
-        if val < -tol * scale:
-            report.record_failure(trial, f"{cone.value} forward pairing", abs(val))
-        if val2 < -tol * scale:
-            report.record_failure(trial, f"{cone.value} reverse pairing", abs(val2))
+        report.check(trial, f"{cone.value} forward pairing", abs(val), val < -tol * scale)
+        report.check(trial, f"{cone.value} reverse pairing", abs(val2), val2 < -tol * scale)
         if trial % 4 == 3 and cone is not ConeId.MAP_D:
             # a map outside the primal cone must be caught by a dual
             # sample built from its own escape certificate (skipped for
@@ -745,9 +714,8 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
                 report.undecided += 1
                 continue
             caught = _certificate_pairing(phi, cone, d, tol)
-            report.checks += 1
-            if caught >= -tol * (1 + frob(phi.choi)):
-                report.record_failure(trial, f"{cone.value} escape not caught", abs(margin))
+            failed = caught >= -tol * (1 + frob(phi.choi))
+            report.check(trial, f"{cone.value} escape not caught", abs(margin), failed)
 
 
 #: For K-positivity, the membership cone of the Choi matrix is the
@@ -806,8 +774,6 @@ def _certificate_pairing(phi: MapRep, cone: ConeId, d: Dims, tol: float) -> floa
 
 def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Sharp-cone duality for transpose-invariant cones, square case."""
-    if d.n != d.m:
-        raise ValueError("this suite needs square dimensions")
     pools = {c: cone_generator_pool(c, d, 8, seed + 11) for c in _CONCRETE}
     for trial in range(trials):
         rng = substream(seed, 0x20C, trial)
@@ -829,22 +795,17 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             # in_E's PPT witness w, as a sample: beta . map(w)* is not cp
             samples.append(map_from_choi(d.n, d.m, v.certificate.w))
         verdict = ksharp_membership(beta, samples, tol)
-        report.checks += 1
-        if verdict.status is Status.UNDECIDED:
-            report.undecided += 1
-        elif (verdict.status is Status.IN) != (closed is Status.IN):
-            report.record_failure(trial, f"{cone.value} sharp membership mismatch", 1.0)
+        undecided = verdict.status is Status.UNDECIDED
+        failed = None if undecided else (verdict.status is Status.IN) != (closed is Status.IN)
+        report.check(trial, f"{cone.value} sharp membership mismatch", 1.0, failed)
         # transpose symmetry of sharp membership through the adjoint
         if cone is not ConeId.MAP_P:
             adj = adjoint(beta)
             a = _kpositivity_margin(_PARTNER[cone], hermitian_part(adj.choi), d)
             b = _kpositivity_margin(_PARTNER[cone], hermitian_part(transpose_conj(adj).choi), d)
             sa, sb = classify(a, scale, tol), classify(b, scale, tol)
-            report.checks += 1
-            if Status.UNDECIDED in (sa, sb):
-                report.undecided += 1
-            elif sa is not sb:
-                report.record_failure(trial, f"{cone.value} transpose symmetry", min(abs(a), abs(b)))
+            failed = None if Status.UNDECIDED in (sa, sb) else sa is not sb
+            report.check(trial, f"{cone.value} transpose symmetry", min(abs(a), abs(b)), failed)
 
 
 def _suite_T13(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -856,25 +817,18 @@ def _suite_T13(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         scale = 1.0 + frob(phi.choi) * frob(psi.choi)
         v1 = pairing(phi, psi)
         v2 = pairing(psi, phi)
-        report.checks += 2
-        if v1 < -tol * scale:
-            report.record_failure(trial, "p against d pairing", abs(v1))
-        if v2 < -tol * scale:
-            report.record_failure(trial, "d against p pairing", abs(v2))
+        report.check(trial, "p against d pairing", abs(v1), v1 < -tol * scale)
+        report.check(trial, "d against p pairing", abs(v2), v2 < -tol * scale)
     if d == (3, 3):
         lam = fixtures.nondecomposable_map()
         w_state, _ = fixtures.ppt_entangled_state()
         val = pairing(lam, map_from_choi(3, 3, w_state))
-        report.checks += 1
         report.notes.append(f"fixture pairing value {val!r}")
-        if not val < -1e-6:
-            report.record_failure(trials, "fixture violation missing", abs(val))
+        report.check(trials, "fixture violation missing", abs(val), not val < -1e-6)
 
 
 def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """The sharp dual of the p cone is the decomposable cone."""
-    if d.n != d.m:
-        raise ValueError("this suite needs square dimensions")
     p_pool = cone_generator_pool(ConeId.MAP_P, d, 16, seed + 7)
     for trial in range(trials):
         rng = substream(seed, 0x212, trial)
@@ -883,9 +837,7 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         alpha = p_pool[trial % len(p_pool)]
         comp = compose_left(beta, adjoint(alpha))
         lo = _min_eig(comp.choi)
-        report.checks += 1
-        if lo < -tol * (1.0 + frob(comp.choi)):
-            report.record_failure(trial, "d-sample composition left cp", abs(lo))
+        report.check(trial, "d-sample composition left cp", abs(lo), lo < -tol * (1.0 + frob(comp.choi)))
         # agreement of the sampled sharp test with decomposability
         if trial % 3 == 0:
             if trial % 6 == 0:
@@ -902,11 +854,9 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             if not decomposable:
                 samples.append(map_from_choi(d.n, d.m, v.certificate.w))
             verdict = ksharp_membership(cand, samples, tol)
-            report.checks += 1
-            if verdict.status is Status.UNDECIDED:
-                report.undecided += 1
-            elif (verdict.status is Status.IN) != decomposable:
-                report.record_failure(trial, "sharp test vs decomposability", 1.0)
+            undecided = verdict.status is Status.UNDECIDED
+            failed = None if undecided else (verdict.status is Status.IN) != decomposable
+            report.check(trial, "sharp test vs decomposability", 1.0, failed)
 
 
 def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -920,13 +870,9 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         c = phi.hermitian_choi(tol)
         scale = 1.0 + frob(c)
         conds = theorem1_conditions(phi, ConeId.MAP_POS, samples=pool, tol=tol)
-        report.checks += 1
-        if conds.boundary:
-            report.undecided += 1
-            continue
-        if not conds.agree:
-            pattern = "".join("T" if b else "F" for b in conds.as_tuple())
-            report.record_failure(trial, f"conditions pattern {pattern}", 1.0)
+        failed = None if conds.boundary else not conds.agree
+        report.check(trial, f"conditions pattern {conds.pattern}", 1.0, failed)
+        if conds.boundary or not conds.agree:
             continue
         if exact:
             spectra = (_min_eig(c), _min_eig(partial_transpose(c, d)))
@@ -934,18 +880,13 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
                 report.undecided += 1
                 continue
             density = hermitian_part(both_transpose(c, d))
-            report.checks += 1
             if _min_eig(density) < -tol * scale:
                 # the functional is not even a state, hence not separable
-                sep_in = False
+                sep = Status.OUT
             else:
-                sep = is_separable(density / float(np.trace(density).real), d, tol)
-                if sep.status is Status.UNDECIDED:
-                    report.undecided += 1
-                    continue
-                sep_in = sep.status is Status.IN
-            if sep_in != conds.choi_membership:
-                report.record_failure(trial, "separability vs membership", min(abs(s) for s in spectra))
+                sep = is_separable(density / float(np.trace(density).real), d, tol).status
+            failed = None if sep is Status.UNDECIDED else (sep is Status.IN) != conds.choi_membership
+            report.check(trial, "separability vs membership", min(abs(s) for s in spectra), failed)
 
 
 def _certificate_problem(v, x: np.ndarray, d: Dims, tol: float) -> Optional[str]:
@@ -981,8 +922,6 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     and its pairing with the Choi matrix) and checks the violation-value
     identity on every witness.
     """
-    if d.n != d.m:
-        raise ValueError("this suite needs square dimensions")
     idtol = 1e-12
     for trial in range(trials):
         rng = substream(seed, 0x2D3, trial)
@@ -999,17 +938,13 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             report.undecided += 1
             continue
         problem = _certificate_problem(v, c, d, tol)
-        report.checks += 1
-        if problem is not None:
-            report.record_failure(trial, f"certificate re-validation: {problem}", 1.0)
+        report.check(trial, f"certificate re-validation: {problem}", 1.0, problem is not None)
         if v.status is Status.OUT and problem is None:
             w = v.certificate.w
             lhs = float(trace_pairing(c, w).real)
             rhs = d.n * omega_eval(hermitian_part(apply_second(adjoint(phi), w, d)), d.n)
-            report.checks += 1
-            den = 1.0 + frob(c) * frob(w)
-            if abs(lhs - rhs) / den > idtol:
-                report.record_failure(trial, "violation value identity", abs(lhs - rhs) / den)
+            err = abs(lhs - rhs) / (1.0 + frob(c) * frob(w))
+            report.check(trial, "violation value identity", err, err > idtol)
 
 
 SUPPORTED_THEOREMS = {
@@ -1029,6 +964,9 @@ SUPPORTED_THEOREMS = {
     "L17": _suite_L17,
 }
 
+#: The suites that need n = m; ``verify`` rejects other dimensions for them.
+_SQUARE_ONLY = frozenset({"T1", "T6", "T12", "T18", "C19", "L8", "L10"})
+
 
 def verify(
     theorem_id: str,
@@ -1042,8 +980,8 @@ def verify(
     The report is a pure function of the arguments; rerunning with the
     same arguments reproduces it exactly (the wall-time attribute is
     informational and excluded from serialization).  Raises ValueError
-    for an unknown id, invalid dims, ``trials < 1`` or a ``tol`` that is
-    not finite and positive.
+    for an unknown id, invalid dims, ``trials < 1``, a ``tol`` that is
+    not finite and positive, or n != m for a suite in ``_SQUARE_ONLY``.
     """
     theorem_id = theorem_id.upper()
     if theorem_id not in SUPPORTED_THEOREMS:
@@ -1053,8 +991,9 @@ def verify(
     d = Dims(*d).validate()
     if int(trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    _check_tol(tol)
+    if theorem_id in _SQUARE_ONLY and d.n != d.m:
+        raise ValueError("this suite needs square dimensions")
     report = TheoremReport(theorem_id, d.n, d.m, int(trials), int(seed), float(tol))
     start = time.perf_counter()
     SUPPORTED_THEOREMS[theorem_id](report, d, int(trials), int(seed), float(tol))

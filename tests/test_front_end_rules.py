@@ -1,0 +1,72 @@
+"""Source rules for the two front ends, the CLI and the verification suites.
+
+Certificates describe themselves, so ``cli.py`` names no certificate
+class, and only its ``main`` maps exceptions to exit codes.  Every suite
+counts its checks through ``TheoremReport.check``, so no suite function
+touches ``report.checks`` or calls ``record_failure`` itself.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import mapcones
+from mapcones import cones
+
+SRC = Path(mapcones.__file__).parent
+CERTIFICATES = [
+    "MinEigCert",
+    "PptSpectra",
+    "Decomposition",
+    "FWitness",
+    "ProductVectorCert",
+    "SeparableDecomposition",
+    "SeparableBall",
+]
+#: the exit codes of errors, which ``main`` alone returns
+ERROR_EXITS = {"EXIT_PARSE", "EXIT_DIMS", "EXIT_NAME", "EXIT_INTERNAL"}
+
+
+def _functions(name: str) -> list:
+    tree = ast.parse((SRC / name).read_text())
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+
+def _names(node) -> set:
+    """Every identifier that ``node`` reads, imports or looks up as an attribute."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+@pytest.mark.parametrize("name", CERTIFICATES)
+def test_certificate_describes_itself(name):
+    assert "describe" in vars(getattr(cones, name))
+
+
+def test_cli_names_no_certificate_class():
+    assert _names(ast.parse((SRC / "cli.py").read_text())) & set(CERTIFICATES) == set()
+
+
+def test_only_main_returns_error_exits():
+    users = [fn.name for fn in _functions("cli.py") if _names(fn) & ERROR_EXITS]
+    assert users == ["main"]
+
+
+def test_suites_count_checks_through_the_report():
+    suites = [fn for fn in _functions("theorems.py") if fn.name.startswith("_suite_")]
+    assert len(suites) == len(mapcones.theorems.SUPPORTED_THEOREMS)
+    sites = [
+        f"{fn.name}:{sub.lineno}"
+        for fn in suites
+        for sub in ast.walk(fn)
+        if isinstance(sub, ast.Attribute) and sub.attr in ("checks", "record_failure")
+    ]
+    assert sites == []

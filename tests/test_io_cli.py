@@ -59,6 +59,19 @@ class TestMatrixFiles:
         with pytest.raises(MapFileError):
             loads_matrix(json.dumps(obj))
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_boolean_dims_rejected(self, key, tmp_path, capsys):
+        # JSON true is a Python int: it once loaded as Dims(True, 2)
+        n, m = (1, 2) if key == "n" else (2, 1)
+        obj = json.loads(dumps_matrix(n, m, np.eye(2)))
+        obj[key] = True
+        with pytest.raises(MapFileError, match="dimensions must be positive integers"):
+            loads_matrix(json.dumps(obj))
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "cp"]) == 64
+        assert capsys.readouterr().out == ""
+
     def test_missing_field(self):
         with pytest.raises(MapFileError):
             loads_matrix(json.dumps({"n": 2, "m": 2}))
@@ -266,6 +279,15 @@ class TestArgumentValues:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: trials")
+
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    @pytest.mark.parametrize("cone", ["pos", "blockpos"])
+    def test_check_rejects_restarts_below_one(self, fixture_file, cone, restarts, capsys):
+        # once ran one restart and printed the count it was given
+        assert main(["check", fixture_file, cone, "--restarts", restarts]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: restarts must be >= 1, got {restarts}\n"
 
     def test_small_positive_tol_accepted(self, identity_file):
         assert main(["check", identity_file, "cp", "--tol", "1e-12"]) == 0

@@ -97,6 +97,13 @@ class TestBatchedSeesaw:
 
 
 class TestSolverInfo:
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+            is_block_positive(np.eye(4), Dims(2, 2), restarts=restarts)
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+            is_positive_map(nondecomposable_map(), restarts=restarts)
+
     def test_block_positive_out_reports_sweeps_and_restart(self):
         v = is_block_positive(-np.eye(4), Dims(2, 2), restarts=5)
         assert v.status is Status.OUT

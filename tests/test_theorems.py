@@ -19,6 +19,7 @@ from mapcones.linalg import Dims, frob, partial_transpose
 from mapcones.sampling import ConeSampler, cone_generator_pool, sample_map, substream
 from mapcones.theorems import (
     SUPPORTED_THEOREMS,
+    TheoremReport,
     emit_report,
     ksharp_membership,
     theorem1_conditions,
@@ -202,6 +203,15 @@ class TestReports:
         assert obj["worst_violation"] == 2.5e-7
         assert obj["violation_histogram"] == {"1e-7": 1}
 
+    def test_check_counts_failures_and_undecided(self):
+        report = TheoremReport("L4", 2, 2, 4, 0, 1e-9)
+        report.check(0, "passes", 5.0, False)
+        report.check(1, "fails", -2.5e-7, True)
+        report.check(2, "in the band", 5.0, None)
+        report.check(3, "nan margin", 5.0, np.nan > 1e-12)
+        assert (report.checks, report.undecided) == (4, 1)
+        assert report.failures == [{"trial": 1, "check": "fails", "violation": 2.5e-7}]
+
     def test_failures_empty_iff_worst_below_tol(self):
         report = verify("L4", Dims(2, 2), trials=2, seed=3)
         assert report.passed and report.worst_violation <= report.tol
@@ -322,3 +332,9 @@ class TestNonSquareDims:
             assert str(exc) == "this suite needs square dimensions"
         else:
             assert report.passed, report.failures
+
+    def test_square_check_follows_the_argument_checks(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify("T1", Dims(2, 3), trials=0, seed=1)
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            verify("T1", Dims(2, 3), trials=1, seed=1, tol=np.nan)
