@@ -3,9 +3,10 @@
 Reports are pure functions of their arguments, and a change that only
 simplifies how a suite reaches its verdicts must leave them byte for byte
 as they were.  The digests below are of ``emit_report(verify(...), "json")``
-with 6 trials at seed 1: every suite at 2x2, and the suites whose 3x3 runs
+with 6 trials at seed 1: every suite at 2x2; the suites whose 3x3 runs
 take other paths (the PPT entangled fixtures in T13, T18 and C19, and C2
-outside the dims where PPT is exact).  They were recorded with numpy 2.4;
+outside the dims where PPT is exact); and every suite of the benchmark's
+harness at the dims it runs them (3x3, and 2x3 for C2).  They were recorded with numpy 2.4;
 a different LAPACK may move the last bits of a reported value and with it
 a digest, so a mismatch there first calls for a look at the report itself.
 """
@@ -39,6 +40,14 @@ DIGESTS = {
     ("T18", 3, 3): "d15fab811f80e8f4723f3e34ea17a3418d398f3523a72895296a86e52a4f9965",
     ("C19", 3, 3): "f5a0c972172e96fe30739a6803a5a2e7541f01e70e9e43753afbd8af13fda66e",
     ("C2", 3, 3): "cf1e010a8923c42ee77819f6820a3a1a0da2841009887612b7c0aa326be93791",
+    ("L4", 3, 3): "63283e0fe1a23632591dc886f23bfd6aa95e2e890f6765d2f993f885725a6783",
+    ("L5", 3, 3): "d0770482f9ebf0abcb0ce3abc1aaec7c70e8be16f0a8aea9b9cdf1cda19bdab2",
+    ("L8", 3, 3): "fe60360a11773dedaefd7805f8fd90d708549a9f907194a6dc64db1573cd03f8",
+    ("L10", 3, 3): "73cec2c6835d3af31bc5014d498921d3e3405a2adde25eb7dac4caa41dfc1d6b",
+    ("L15", 3, 3): "9cc019bf66a756c408dab9814a7dc5d7dc14d815768a787d728b09dfbe4ab001",
+    ("L17", 3, 3): "9adcede96be7f69896038d8eafcc9faf5299c37a73317f9d16a5cc32db5378a9",
+    ("T6", 3, 3): "06f01b49ff0d3b526e13cedaeb45210be16769d795b56b2e30f16069029dbb22",
+    ("C2", 2, 3): "68211459286d99841ccfa5a67c3f66cca028763f9c5f115184fd16fb3d895692",
 }
 
 
