@@ -24,6 +24,7 @@ import numpy as np
 from .linalg import (
     Dims,
     as_operator,
+    as_operators,
     both_transpose,
     check_hermitian,
     trace_pairing,
@@ -180,19 +181,23 @@ def apply_second(alpha: MapRep | np.ndarray, x: np.ndarray, d: Dims) -> np.ndarr
     alpha maps M_m -> M_k, so the result lives on C^n (x) C^k.  The map
     is applied block by block; the full superoperator is never formed.
 
+    The contraction out[i u, j v] = sum_rs x[i r, j s] alpha[r u, s v] is
+    one matrix product of realigned operators: x with rows (i, j) and
+    columns (r, s), times the Choi matrix of alpha with rows (r, s) and
+    columns (u, v), gives out with rows (i, j) and columns (u, v), and one
+    axis swap puts it back on C^n (x) C^k.
+
     Batched form: ``alpha`` may also be an array of Choi matrices of maps
     M_m -> M_k with shape (..., mk, mk), and ``x`` may carry leading axes,
     shape (..., nm, nm).  The leading axes of both broadcast against each
-    other (numpy rules) in the one contraction, so K maps applied to K
+    other (numpy rules) in the one ``matmul``, so K maps applied to K
     operators, or one map to a stack, cost a single call; a single map
     on a single operator is the case without leading axes.
     """
     n, m = Dims(*d)
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim < 2 or x.shape[-2:] != (n * m, n * m):
+    x = as_operators(x)
+    if x.shape[-2:] != (n * m, n * m):
         raise ValueError(f"operator shape {x.shape} does not match dims {d}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("matrix contains non-finite entries")
     if isinstance(alpha, MapRep):
         if alpha.n != m:
             raise ValueError(f"map input dim {alpha.n} does not match second factor {m}")
@@ -204,9 +209,10 @@ def apply_second(alpha: MapRep | np.ndarray, x: np.ndarray, d: Dims) -> np.ndarr
                 f"Choi stack shape {a.shape} does not fit maps on M_{m}"
             )
     k = a.shape[-1] // m
-    x4 = x.reshape(x.shape[:-2] + (n, m, n, m))
-    a4 = a.reshape(a.shape[:-2] + (m, k, m, k))
-    out = np.einsum("...irjs,...rusv->...iujv", x4, a4)
+    xr = x.reshape(x.shape[:-2] + (n, m, n, m)).swapaxes(-3, -2)
+    ar = a.reshape(a.shape[:-2] + (m, k, m, k)).swapaxes(-3, -2)
+    out = xr.reshape(x.shape[:-2] + (n * n, m * m)) @ ar.reshape(a.shape[:-2] + (m * m, k * k))
+    out = out.reshape(out.shape[:-2] + (n, n, k, k)).swapaxes(-3, -2)
     return out.reshape(out.shape[:-4] + (n * k, n * k))
 
 
@@ -257,15 +263,16 @@ class DualFunctional:
 
     On product operators it evaluates as  a (x) b -> Tr(phi(a) b^T); its
     density operator is the Choi matrix of t . phi . t, so that the value
-    at any x is the trace pairing of that density with x.
+    at any x is the trace pairing of that density with x.  A stack of
+    operators (leading axes) gives one value per matrix.
     """
 
     d: Dims
     density: np.ndarray
 
-    def __call__(self, x: np.ndarray) -> complex:
-        x = as_operator(x)
-        if x.shape != self.density.shape:
+    def __call__(self, x: np.ndarray) -> complex | np.ndarray:
+        x = as_operators(x)
+        if x.shape[-2:] != self.density.shape:
             raise ValueError(
                 f"operator shape {x.shape} does not match functional on {self.density.shape}"
             )
@@ -289,26 +296,31 @@ def pairing(phi: MapRep, psi: MapRep, tol: float = 1e-9) -> float:
     return float(trace_pairing(a, b).real)
 
 
-def omega_eval(x: np.ndarray, n: int, tol: float = 1e-9) -> float:
-    """The maximally entangled state omega(x) = Tr(p x) / n on M_n (x) M_n."""
-    x = as_operator(x)
-    if x.shape != (n * n, n * n):
+def omega_eval(x: np.ndarray, n: int, tol: float = 1e-9) -> float | np.ndarray:
+    """The maximally entangled state omega(x) = Tr(p x) / n on M_n (x) M_n.
+
+    Leading axes of x index a stack; every matrix of it must pass the
+    Hermiticity gate, and the result holds one value per matrix.
+    """
+    x = as_operators(x)
+    if x.shape[-2:] != (n * n, n * n):
         raise ValueError(f"operator shape {x.shape}, expected {(n * n, n * n)}")
     x = check_hermitian(x, tol)
-    return float(trace_pairing(max_entangled_projector(n), x).real) / n
+    return trace_pairing(max_entangled_projector(n), x).real / n
 
 
-def trpi_eval(x: np.ndarray, d: Dims) -> complex:
+def trpi_eval(x: np.ndarray, d: Dims) -> complex | np.ndarray:
     """Trace of the multiplication functional a (x) b -> b^T a.
 
     Requires n = m.  On the block decomposition this is
     sum_ij (X_ij)_ij; it is positive on operators of the form y y*.
+    Leading axes of x index a stack, with one value per matrix.
     """
     n, m = Dims(*d)
     if n != m:
         raise ValueError(f"square factors required, got {d}")
-    x = as_operator(x)
-    if x.shape != (n * m, n * m):
+    x = as_operators(x)
+    if x.shape[-2:] != (n * m, n * m):
         raise ValueError(f"operator shape {x.shape} does not match dims {d}")
-    x4 = x.reshape(n, m, n, m)
-    return complex(np.einsum("iijj->", x4))
+    v = np.einsum("...iijj->...", x.reshape(x.shape[:-2] + (n, m, n, m)))
+    return complex(v) if v.ndim == 0 else v

@@ -76,11 +76,12 @@ def _cone(name: str) -> ConeId:
 
 def _describe(v: Verdict) -> str:
     parts = [v.status.value + (" (heuristic)" if v.heuristic else "")]
-    describe = getattr(v.certificate, "describe", None)
-    if describe is not None:
-        parts.append(describe())
+    if hasattr(v.certificate, "describe"):
+        parts.append(v.certificate.describe())
     for key, val in v.info.items():
-        if isinstance(val, float):
+        if hasattr(val, "describe"):
+            parts.append(f"{key}: {val.describe()}")
+        elif isinstance(val, float):
             parts.append(f"{key}={val:.6g}")
         elif val is not None and not isinstance(val, (np.ndarray, dict, list)):
             parts.append(f"{key}={val}")

@@ -22,6 +22,8 @@ recipe regenerating and re-validating them lives in the test suite
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .choi import MapRep, map_from_action, matrix_unit, max_entangled_projector
@@ -51,8 +53,13 @@ def nondecomposable_map_action(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
 def nondecomposable_map() -> MapRep:
-    """The positive non-decomposable map on M_3, as a Choi-matrix map."""
+    """The positive non-decomposable map on M_3, as a Choi-matrix map.
+
+    Built once and shared: a ``MapRep`` is frozen and its Choi matrix is
+    read-only.
+    """
     return map_from_action(3, 3, nondecomposable_map_action)
 
 

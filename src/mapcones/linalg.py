@@ -22,7 +22,9 @@ __all__ = [
     "Dims",
     "HermSpectrum",
     "as_operator",
+    "as_operators",
     "frob",
+    "frobs",
     "tensor",
     "full_transpose",
     "conj_transpose",
@@ -74,7 +76,19 @@ def as_operator(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
-    if not np.all(np.isfinite(a)):
+    return as_operators(a)
+
+
+def as_operators(x) -> np.ndarray:
+    """Validate and convert to a complex array of matrices with finite entries.
+
+    Axes before the last two index a stack; a single matrix is the case
+    without them.
+    """
+    a = np.asarray(x, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got array of ndim {a.ndim}")
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -84,14 +98,21 @@ def frob(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
+def frobs(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix over the leading axes of x."""
+    r = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    r = r.reshape(x.shape[:-2] + (-1,))
+    return np.sqrt((r * r).sum(axis=-1))
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product a (x) b in the composite index convention."""
     return np.kron(a, b)
 
 
 def full_transpose(x: np.ndarray) -> np.ndarray:
-    """Plain transpose without conjugation."""
-    return x.T.copy()
+    """Plain transpose without conjugation, matrix by matrix over leading axes."""
+    return x.swapaxes(-1, -2).copy()
 
 
 def conj_transpose(x: np.ndarray) -> np.ndarray:
@@ -156,18 +177,19 @@ def check_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     The gate is relative: ||x - x*||_F <= tol * (1 + ||x||_F).  ``tol``
     must be positive; ``tol = inf`` skips the gate.  A norm that
     overflows to infinity is rejected too, since every threshold scaled by
-    it would become infinite.
+    it would become infinite.  Leading axes of x index a stack, and every
+    matrix of it must pass; the message names the largest deviation.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     with np.errstate(over="ignore"):
-        norm = frob(x)
-    if not np.isfinite(norm):
+        norm = frobs(x)
+    if not np.isfinite(norm).all():
         raise ValueError("matrix norm is not finite: entries too large to gate")
-    dev = frob(x - x.conj().T)
-    if dev > tol * (1.0 + norm):
+    dev = frobs(x - x.conj().swapaxes(-1, -2))
+    if (dev > tol * (1.0 + norm)).any():
         raise ValueError(
-            f"matrix is not Hermitian: ||x - x*||_F = {dev:.3e} exceeds tolerance"
+            f"matrix is not Hermitian: ||x - x*||_F = {dev.max():.3e} exceeds tolerance"
         )
     return hermitian_part(x)
 
@@ -205,8 +227,13 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def trace_pairing(a: np.ndarray, b: np.ndarray) -> complex:
-    """Bilinear trace pairing Tr(a b)."""
-    if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
+def trace_pairing(a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
+    """Bilinear trace pairing Tr(a b).
+
+    Leading axes of b index a stack, paired one by one with the matrix a
+    into an array of values; a single b gives a complex number.
+    """
+    if b.ndim < 2 or a.shape[1] != b.shape[-2] or a.shape[0] != b.shape[-1]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    return complex(np.einsum("ij,ji->", a, b))
+    v = np.einsum("ij,...ji->...", a, b)
+    return complex(v) if v.ndim == 0 else v

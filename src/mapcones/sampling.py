@@ -208,13 +208,12 @@ def _conjugated_fixture(rng: np.random.Generator) -> MapRep:
 
 
 def _conj_choi(a: np.ndarray) -> np.ndarray:
-    """Choi matrix of x -> a x a*."""
+    """Choi matrix of x -> a x a*: block (i, j) is the outer product of columns i and j.
+
+    Entry [(i, r), (j, s)] is the one product a[r, i] conj(a[s, j]).
+    """
     k = a.shape[0]
-    blocks = np.zeros((k * k, k * k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            blocks[i * k : (i + 1) * k, j * k : (j + 1) * k] = np.outer(a[:, i], a[:, j].conj())
-    return blocks
+    return np.multiply.outer(a.T, a.T.conj()).reshape(k * k, k * k)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,7 @@ from .linalg import (
     Dims,
     both_transpose,
     frob,
+    frobs,
     full_transpose,
     hermitian_part,
     partial_transpose,
@@ -179,14 +180,15 @@ def _least(values) -> float:
     return float(np.min(values, initial=np.inf))
 
 
-def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tr(a b) for one matrix a against a stack b (leading axes kept)."""
-    return np.einsum("ij,...ji->...", a, b)
-
-
 def _pairings(c: np.ndarray, chois: np.ndarray) -> np.ndarray:
     """``pairing`` of a Hermitian Choi matrix c with each of a stack of Choi matrices."""
-    return _traces(c, hermitian_part(chois)).real
+    return trace_pairing(c, hermitian_part(chois)).real
+
+
+def _complex_normals(rng: np.random.Generator, count: int, shape: tuple) -> np.ndarray:
+    """``count`` draws of normal(shape) + 1j normal(shape), stacked, in sequential stream order."""
+    g = rng.normal(size=(count, 2, *shape))
+    return g[:, 0] + 1j * g[:, 1]
 
 
 def _choi_stack(maps: Sequence[MapRep], k: int) -> np.ndarray:
@@ -257,7 +259,7 @@ def theorem1_conditions(
     func = dual_functional(phi)
     probe = _bottom_projectors(apply_second(pool, func.density, d))
     probes = apply_second(adjoint_choi(pool, sq), probe, d)
-    m3 = _least(_traces(func.density, probes).real)
+    m3 = _least(func(probes).real)
 
     # (iv) complete positivity of the compositions alpha^t . phi
     m4 = _least(_min_eigs(apply_second(pool_t, phi.choi, d)))
@@ -320,7 +322,7 @@ def _theorem1_p_cone(
     m3 = float(func(v_t.certificate.w).real) if out else np.inf
     adv = _bottom_projectors(apply_second(probe_maps, func.density, d))
     probes = apply_second(adjoint_choi(probe_maps, d), adv, d)
-    m3 = min(m3, _least(_traces(func.density, probes).real))
+    m3 = min(m3, _least(func(probes).real))
 
     # (iv): sampled compositions, sharpened by the transposed-run verdict
     m4 = _least(_min_eigs(apply_second(both_transpose(comp_maps, d), phi.choi, d)))
@@ -506,18 +508,19 @@ def _suite_L4(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         report.check(trial, "choi-of-transpose-conj vs full transpose", r2, r2 > idtol)
         f = dual_functional(phi)
         ft = dual_functional(transpose_conj(phi))
-        for k in range(20):
-            x = rng.normal(size=c.shape) + 1j * rng.normal(size=c.shape)
-            den = 1.0 + frob(c) * frob(x)
-            v1 = abs(ft(x) - f(both_transpose(x, d))) / den
-            v2 = abs(ft(x) - f(full_transpose(x))) / den
-            report.check(trial, f"functional t(x)t identity probe {k}", v1, v1 > idtol)
-            report.check(trial, f"functional transpose identity probe {k}", v2, v2 > idtol)
+        x = _complex_normals(rng, 20, c.shape)
+        den = 1.0 + frob(c) * frobs(x)
+        v1 = np.abs(ft(x) - f(both_transpose(x, d))) / den
+        v2 = np.abs(ft(x) - f(full_transpose(x))) / den
+        for k in range(len(x)):
+            report.check(trial, f"functional t(x)t identity probe {k}", v1[k], v1[k] > idtol)
+            report.check(trial, f"functional transpose identity probe {k}", v2[k], v2[k] > idtol)
 
 
 def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Transposed-cone membership carried by t (x) t on operators."""
     idtol = 1e-11
+    sq = Dims(d.m, d.m)
     for trial in range(trials):
         rng = substream(seed, 0x105, trial)
         cone = _CONCRETE[trial % 4]
@@ -525,10 +528,11 @@ def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         x = _operator_sample(rng, d, trial)
         xt = both_transpose(x, d)
         scale = 1.0 + frob(x)
-        for idx, alpha in enumerate(pool):
-            lo_a = _min_eig(apply_second(transpose_conj(alpha), x, d))
-            lo_b = _min_eig(apply_second(alpha, xt, d))
-            gap = abs(lo_a - lo_b)
+        # t . alpha . t on x (row 0) and alpha on t(x)t (row 1), the whole pool at once
+        chois = _choi_stack(pool, sq.total)
+        images = apply_second(np.stack([both_transpose(chois, sq), chois]), np.stack([x, xt])[:, None], d)
+        lo_a, lo_b = _min_eigs(images)
+        for idx, gap in enumerate(np.abs(lo_a - lo_b)):
             report.check(trial, f"{cone.value} sample {idx} spectral transport", gap, gap > idtol * scale)
         va = pm_k_membership(x, d, k_t(pool), tol)
         vb = pm_k_membership(xt, d, pool, tol)
@@ -546,19 +550,17 @@ def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         phi = _random_map(rng, d, trial)
         c = phi.hermitian_choi(tol)
         scale = 1.0 + frob(c)
-        adj = adjoint(phi)
-        # bridge identity on random probes
-        for k in range(8):
-            x = random_psd(rng, n * n)
-            lhs = float(trace_pairing(c, x).real)
-            rhs = n * omega_eval(hermitian_part(apply_second(adj, x, d)), n)
-            err = abs(lhs - rhs) / (1.0 + frob(c) * frob(x))
-            report.check(trial, f"pairing bridge probe {k}", err, err > idtol)
-        # sign equivalence at the adversarial rank-one probe, the bottom
-        # eigenvector u of C: v* C v >= lambda_min(C) for every unit v
+        # the bridge identity on random probes, and the sign equivalence at the
+        # adversarial rank-one probe, the bottom eigenvector u of C:
+        # v* C v >= lambda_min(C) for every unit v; one stack for all of them
+        x = np.array([random_psd(rng, n * n) for _ in range(8)])
         w_eig, u = np.linalg.eigh(c)
-        x = np.outer(u[:, 0], u[:, 0].conj())
-        best = n * omega_eval(hermitian_part(apply_second(adj, x, d)), n)
+        probes = np.concatenate([x, np.outer(u[:, 0], u[:, 0].conj())[None]])
+        rhs = n * omega_eval(hermitian_part(apply_second(adjoint(phi), probes, d)), n)
+        err = np.abs(trace_pairing(c, x).real - rhs[:-1]) / (1.0 + frob(c) * frobs(x))
+        for k in range(len(x)):
+            report.check(trial, f"pairing bridge probe {k}", err[k], err[k] > idtol)
+        best = rhs[-1]
         cp, probe = classify(w_eig[0], scale, tol), classify(best, scale, tol)
         if Status.UNDECIDED in (cp, probe):
             report.undecided += 1
@@ -578,14 +580,12 @@ def _suite_L10(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         violation = abs(min(val.real, 0.0)) + abs(val.imag)
         report.check(trial, "positivity on y y*", violation, val.real < -bound or abs(val.imag) > bound)
         phi = _general_map(rng, d)
-        f = dual_functional(phi)
         lifted = transpose_conj(adjoint(phi))
-        for k in range(6):
-            x = rng.normal(size=(nm, nm)) + 1j * rng.normal(size=(nm, nm))
-            lhs = f(x)
-            rhs = trpi_eval(apply_second(lifted, x, d), d)
-            err = abs(lhs - rhs) / (1.0 + frob(phi.choi) * frob(x))
-            report.check(trial, f"factorization probe {k}", err, err > idtol)
+        x = _complex_normals(rng, 6, (nm, nm))
+        rhs = trpi_eval(apply_second(lifted, x, d), d)
+        err = np.abs(dual_functional(phi)(x) - rhs) / (1.0 + frob(phi.choi) * frobs(x))
+        for k in range(len(x)):
+            report.check(trial, f"factorization probe {k}", err[k], err[k] > idtol)
 
 
 def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -606,7 +606,7 @@ def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """The decomposable-operator cone as the p-cone membership set."""
-    pool = cone_generator_pool(ConeId.MAP_P, d, 4, seed)
+    pool = _choi_stack(cone_generator_pool(ConeId.MAP_P, d, 4, seed), d.m * d.m)
     for trial in range(trials):
         rng = substream(seed, 0x110, trial)
         if trial % 2 == 0:
@@ -616,8 +616,7 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             v = in_E(x, d, tol)
             failed = v.status is not Status.IN
             report.check(trial, "constructed decomposition not recovered", v.info["residual"], failed)
-            for idx, alpha in enumerate(pool):
-                lo = _min_eig(apply_second(alpha, x, d))
+            for idx, lo in enumerate(_min_eigs(apply_second(pool, x, d))):
                 report.check(trial, f"p-cone sample {idx} broke membership", abs(lo), lo < -tol * scale)
         else:
             x = random_hermitian(rng, d.total)
@@ -637,17 +636,16 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """PPT Choi matrices exactly represent the p-positive maps."""
-    ident = identity_map(d.m)
-    trans = transpose_map(d.m)
-    d_pool = cone_generator_pool(ConeId.MAP_D, d, 6, seed)
+    k = d.m * d.m
+    detectors = _choi_stack([identity_map(d.m), transpose_map(d.m)], k)
+    d_pool = _choi_stack(cone_generator_pool(ConeId.MAP_D, d, 6, seed), k)
     for trial in range(trials):
         rng = substream(seed, 0x111, trial)
         if trial % 2 == 0:
             phi = sample_map(ConeId.MAP_P, d, rng)
             v = in_F(phi.choi, d, tol)
             report.check(trial, "p-cone sample without PPT Choi", 1.0, v.status is not Status.IN)
-            for idx, alpha in enumerate(d_pool):
-                lo = _min_eig(apply_second(alpha, phi.choi, d))
+            for idx, lo in enumerate(_min_eigs(apply_second(d_pool, phi.choi, d))):
                 failed = lo < -tol * (1.0 + frob(phi.choi))
                 report.check(trial, f"d-cone sample {idx} broke f-membership", abs(lo), failed)
         else:
@@ -655,11 +653,11 @@ def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             x /= frob(x)
             scale = 1.0 + frob(x)
             v = in_F(x, d, tol)
-            detectors = [classify(_min_eig(apply_second(a, x, d)), scale, tol) for a in (ident, trans)]
-            if Status.UNDECIDED in (v.status, *detectors):
+            found = [classify(lo, scale, tol) for lo in _min_eigs(apply_second(detectors, x, d))]
+            if Status.UNDECIDED in (v.status, *found):
                 report.undecided += 1
                 continue
-            failed = (v.status is Status.IN) == (Status.OUT in detectors)
+            failed = (v.status is Status.IN) == (Status.OUT in found)
             gap = _ppt_gap(x, d) if failed else 0.0
             report.check(trial, "canonical detectors disagree with f", gap, failed)
 

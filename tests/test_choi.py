@@ -140,6 +140,59 @@ class TestApplySecondBatch:
             apply_second(identity_map(3), np.full((6, 6), np.nan), Dims(2, 3))
 
 
+def einsum_apply_second(alpha, x, d):
+    """Reference form of id (x) alpha: out[i u, j v] = sum_rs x[i r, j s] alpha[r u, s v]."""
+    n, m = d
+    k = alpha.shape[-1] // m
+    x4 = x.reshape(x.shape[:-2] + (n, m, n, m))
+    a4 = alpha.reshape(alpha.shape[:-2] + (m, k, m, k))
+    out = np.einsum("...irjs,...rusv->...iujv", x4, a4)
+    return out.reshape(out.shape[:-4] + (n * k, n * k))
+
+
+class TestApplySecondAgainstEinsum:
+    """The one-``matmul`` form against the einsum contraction, to 1e-13 relative."""
+
+    @pytest.mark.parametrize(
+        "maps,ops,n,m,k",
+        [
+            ((), (), 3, 3, 3),  # a single map on a single operator
+            ((7,), (), 3, 3, 3),  # K maps on one operator
+            ((), (7,), 3, 3, 3),  # one map on K operators
+            ((7,), (7,), 3, 3, 3),  # K maps on K operators
+            ((5,), (), 2, 3, 2),  # non-square maps M_3 -> M_2
+            ((5, 1), (1, 4), 2, 3, 2),  # broadcast, non-square
+            ((), (4,), 2, 3, 4),  # one map M_3 -> M_4 on a stack
+        ],
+    )
+    def test_matches_einsum(self, maps, ops, n, m, k):
+        g = rng(50 + n + m + k + len(maps) + 2 * len(ops))
+        alpha = random_complex(g, maps + (m * k, m * k))
+        x = random_complex(g, ops + (n * m, n * m))
+        d = Dims(n, m)
+        got = apply_second(alpha, x, d)
+        ref = einsum_apply_second(alpha, x, d)
+        assert got.shape == ref.shape
+        assert frob(got - ref) <= 1e-13 * frob(ref)
+        if not maps:
+            via_rep = apply_second(map_from_choi(m, k, alpha), x, d)
+            assert np.array_equal(via_rep, got)
+
+    def test_stack_entries_equal_single_calls(self):
+        g = rng(57)
+        alphas = random_complex(g, (6, 9, 9))
+        xs = random_complex(g, (6, 9, 9))
+        got = apply_second(alphas, xs, Dims(3, 3))
+        for j in range(6):
+            assert np.array_equal(got[j], apply_second(alphas[j], xs[j], Dims(3, 3)))
+
+    def test_rejects_non_finite_in_stack(self):
+        xs = random_complex(rng(58), (3, 9, 9))
+        xs[1, 2, 4] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_second(identity_map(3), xs, Dims(3, 3))
+
+
 class TestCompose:
     def test_identity_neutral(self):
         g = rng(24)
@@ -288,6 +341,70 @@ class TestDualFunctional:
             v = f(x)
             assert v.real >= -1e-12 * (1 + frob(x))
             assert abs(v.imag) <= 1e-12 * (1 + frob(x))
+
+
+class TestStackedFunctionals:
+    """``DualFunctional``, ``omega_eval`` and ``trpi_eval`` on stacks equal their per-matrix calls."""
+
+    def test_dual_functional_stack(self):
+        g = rng(60)
+        f = dual_functional(random_map(g, 2, 3))
+        xs = random_complex(g, (4, 5, 6, 6))
+        vals = f(xs)
+        assert vals.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            assert vals[idx] == f(xs[idx])
+        assert isinstance(f(xs[0, 0]), complex)
+
+    def test_omega_eval_stack(self):
+        g = rng(61)
+        xs = random_complex(g, (7, 9, 9))
+        xs = (xs + xs.conj().swapaxes(-1, -2)) / 2
+        vals = omega_eval(xs, 3)
+        assert vals.shape == (7,)
+        for j in range(7):
+            assert vals[j] == omega_eval(xs[j], 3)
+        assert isinstance(omega_eval(xs[0], 3), float)
+
+    def test_trpi_eval_stack(self):
+        g = rng(62)
+        xs = random_complex(g, (2, 3, 9, 9))
+        vals = trpi_eval(xs, Dims(3, 3))
+        assert vals.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert vals[idx] == trpi_eval(xs[idx], Dims(3, 3))
+        assert isinstance(trpi_eval(xs[0, 0], Dims(3, 3)), complex)
+
+    def test_one_non_finite_matrix_rejects_the_stack(self):
+        g = rng(63)
+        xs = random_complex(g, (5, 9, 9))
+        xs = (xs + xs.conj().swapaxes(-1, -2)) / 2
+        xs[3, 0, 0] = np.nan
+        f = dual_functional(random_map(g, 3, 3))
+        for call in (f, lambda x: omega_eval(x, 3), lambda x: trpi_eval(x, Dims(3, 3))):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(xs)
+
+    def test_one_non_hermitian_matrix_rejects_omega(self):
+        g = rng(64)
+        xs = random_complex(g, (5, 9, 9))
+        xs = (xs + xs.conj().swapaxes(-1, -2)) / 2
+        omega_eval(xs, 3)
+        xs[2] += 1e-3 * random_complex(g, (9, 9))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            omega_eval(xs, 3)
+
+    def test_stack_shape_gates(self):
+        g = rng(65)
+        f = dual_functional(random_map(g, 3, 3))
+        with pytest.raises(ValueError):
+            f(random_complex(g, (2, 4, 4)))
+        with pytest.raises(ValueError):
+            omega_eval(np.stack([np.eye(6)] * 2), 2)
+        with pytest.raises(ValueError):
+            trpi_eval(random_complex(g, (2, 4, 4)), Dims(3, 3))
+        with pytest.raises(ValueError):
+            f(np.ones(9))
 
 
 class TestPairing:

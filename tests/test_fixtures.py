@@ -11,7 +11,7 @@ import importlib.resources as resources
 import numpy as np
 import pytest
 
-from mapcones.choi import map_from_choi, pairing
+from mapcones.choi import map_from_action, map_from_choi, pairing
 from mapcones.cones import (
     Status,
     in_E,
@@ -44,6 +44,16 @@ class TestMapFixture:
             np.diag([1.0, 1.0, 0]).astype(complex),
         )
         assert lam.choi.shape == (9, 9)
+
+    def test_built_once_read_only_and_equal_to_a_fresh_build(self):
+        lam = nondecomposable_map()
+        assert nondecomposable_map() is lam
+        assert not lam.choi.flags.writeable
+        with pytest.raises(ValueError):
+            lam.choi[0, 0] = 0.0
+        fresh = map_from_action(3, 3, nondecomposable_map_action)
+        assert lam.d == fresh.d
+        assert np.array_equal(lam.choi, fresh.choi)
 
     def test_neither_cp_nor_cop(self):
         lam = nondecomposable_map()

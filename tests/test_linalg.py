@@ -16,11 +16,13 @@ from mapcones.choi import matrix_unit, max_entangled_projector, swap_operator
 from mapcones.linalg import (
     Dims,
     as_operator,
+    as_operators,
     both_transpose,
     check_hermitian,
     conj_transpose,
     eig_hermitian,
     frob,
+    frobs,
     full_transpose,
     hs_inner,
     is_psd,
@@ -250,3 +252,49 @@ class TestValidation:
     def test_rejects_vector(self):
         with pytest.raises(ValueError):
             as_operator(np.ones(4))
+
+
+class TestStacks:
+    """Leading axes index a stack: each matrix is treated as it is alone."""
+
+    def test_as_operators(self):
+        x = random_complex(rng(70), (3, 4, 4))
+        assert as_operators(x).shape == (3, 4, 4)
+        assert as_operators(x[0]).shape == (4, 4)
+        x[2, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            as_operators(x)
+        with pytest.raises(ValueError):
+            as_operators(np.ones(4))
+        with pytest.raises(ValueError):
+            as_operator(np.ones((2, 4, 4)))
+
+    def test_frobs(self):
+        x = random_complex(rng(71), (2, 3, 5, 5))
+        got = frobs(x)
+        assert got.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert got[idx] == pytest.approx(frob(x[idx]), rel=1e-15)
+        assert frobs(np.eye(4)) == pytest.approx(2.0, rel=1e-15)
+
+    def test_full_transpose_and_trace_pairing(self):
+        g = rng(72)
+        a = random_complex(g, (4, 4))
+        xs = random_complex(g, (5, 4, 4))
+        assert np.array_equal(full_transpose(xs)[3], full_transpose(xs[3]))
+        vals = trace_pairing(a, xs)
+        assert vals.shape == (5,)
+        for j in range(5):
+            assert vals[j] == trace_pairing(a, xs[j])
+
+    def test_hermitian_gate_per_matrix(self):
+        g = rng(73)
+        xs = random_hermitian(g, 6)[None] + np.zeros((4, 1, 1))
+        h = check_hermitian(xs)
+        assert np.array_equal(h[1], check_hermitian(xs[1]))
+        xs[2, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_hermitian(xs)
+        big = np.stack([np.eye(4), 1e155 * np.eye(4)])
+        with pytest.raises(ValueError, match="not finite"):
+            check_hermitian(big)

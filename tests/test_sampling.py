@@ -18,6 +18,7 @@ from mapcones.cones import (
 from mapcones.linalg import Dims, frob
 from mapcones.sampling import (
     ConeSampler,
+    _conj_choi,
     cone_generator_pool,
     k_t,
     kd_generators,
@@ -135,3 +136,22 @@ class TestStateGenerators:
         g = substream(3, 4)
         rho = random_separable_mixture(g, D22)
         assert in_F(rho, D22).status is Status.IN
+
+
+class TestConjChoi:
+    @staticmethod
+    def loop_form(a):
+        """Reference: block (i, j) is np.outer(a[:, i], conj(a[:, j]))."""
+        k = a.shape[0]
+        blocks = np.zeros((k * k, k * k), dtype=np.complex128)
+        for i in range(k):
+            for j in range(k):
+                blocks[i * k : (i + 1) * k, j * k : (j + 1) * k] = np.outer(a[:, i], a[:, j].conj())
+        return blocks
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bitwise_equal_to_loop_form(self, k):
+        g = np.random.default_rng(80 + k)
+        for _ in range(20):
+            a = np.eye(k) + 0.25 * (g.normal(size=(k, k)) + 1j * g.normal(size=(k, k)))
+            assert np.array_equal(_conj_choi(a), self.loop_form(a))

@@ -273,6 +273,48 @@ class TestEDecisionPath:
                 assert _certificate_holds(v, x, dd, tol)
 
 
+class TestStackedSuiteCounts:
+    """Each trial evaluates its probes and pool samples as one stack.
+
+    The call counts of one ``verify`` run at 3x3 (10 trials, seed 7) are
+    pinned, so a per-probe or per-sample loop coming back shows up as a
+    count that grows with the probe or pool size.  Before the stacks, the
+    same runs made 890 (L4), 260 (L8), 190 (L10) and 40 (L17) ``einsum``
+    calls and 90 (L8), 60 (L10) and 40 (L17) ``apply_second`` calls.
+    """
+
+    COUNTS = {
+        # suite: (einsum, apply_second, functional, eigvalsh, eigh)
+        "L4": (130, 0, 40, 2, 0),
+        "L8": (20, 10, 0, 2, 10),
+        "L10": (30, 10, 10, 0, 0),
+        "L17": (0, 10, 0, 20, 20),
+    }
+
+    @pytest.mark.parametrize("tid", sorted(COUNTS))
+    def test_counts(self, monkeypatch, tid):
+        import mapcones.choi as choi_mod
+
+        counts = dict.fromkeys(("einsum", "apply_second", "functional", "eigvalsh", "eigh"), 0)
+
+        def spy(name, f):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+
+            return counted
+
+        apply_spy = spy("apply_second", choi_mod.apply_second)
+        for mod in (choi_mod, cones_mod, theorems_mod):
+            monkeypatch.setattr(mod, "apply_second", apply_spy)
+        monkeypatch.setattr(choi_mod.DualFunctional, "__call__", spy("functional", choi_mod.DualFunctional.__call__))
+        monkeypatch.setattr(np, "einsum", spy("einsum", np.einsum))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        assert verify(tid, D33, 10, 7).passed
+        assert tuple(counts.values()) == self.COUNTS[tid]
+
+
 class TestSharpWitnessSample:
     """T12 and T18 sample ``in_E``'s own witness instead of a second solve."""
 
