@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from .linalg import (
     as_operator,
     check_hermitian,
     frob,
+    frobs,
     hermitian_part,
     is_psd,
     partial_trace,
@@ -112,6 +113,10 @@ class Status(Enum):
     IN = "IN"
     OUT = "OUT"
     UNDECIDED = "UNDECIDED"
+
+
+class _UnknownName(ValueError):
+    """An unknown cone or theorem name; the CLI exits 66 on it."""
 
 
 #: ``classify`` answers OUT for margins at or below -_OUT_BAND * tol * scale.
@@ -276,23 +281,36 @@ def _least_eig(y: np.ndarray, tol: float) -> tuple[Status, MinEigCert]:
     return classify(float(w[0]), 1.0 + frob(y), tol), MinEigCert(float(w[0]), u[:, 0].copy())
 
 
-def _sampled_least_eig(samples: Sequence, image: Callable, tol: float) -> Verdict:
-    """``_least_eig`` on the Hermitian part of ``image(s)`` for each sample s.
+def _sampled_least_eig(images: np.ndarray, tol: float) -> Verdict:
+    """``classify`` on the least eigenvalue of the Hermitian part of each image in a stack.
 
-    OUT at the first OUT sample (``violating_sample``), else UNDECIDED if
-    some sample is, else IN, heuristic as it holds only for these samples.
+    One batched ``eigh`` serves every image, each at its own scale
+    1 + ||image||_F.  OUT at the first image ``classify`` puts OUT
+    (``violating_sample``), else UNDECIDED if some image is, else IN,
+    heuristic as it holds only for these samples.
+    """
+    h = hermitian_part(images)
+    w, u = np.linalg.eigh(h)
+    status = [classify(float(lo), 1.0 + s, tol) for lo, s in zip(w[:, 0], frobs(h))]
+    if Status.OUT in status:
+        idx = status.index(Status.OUT)
+        cert = MinEigCert(float(w[idx, 0]), u[idx, :, 0].copy())
+        return Verdict(Status.OUT, cert, info={"violating_sample": idx, "min_eig": cert.value})
+    verdict = Status.UNDECIDED if Status.UNDECIDED in status else Status.IN
+    return Verdict(verdict, heuristic=verdict is Status.IN, info={"worst_min_eig": float(w[:, 0].min())})
+
+
+def _sample_chois(samples: Sequence[MapRep], n: int) -> np.ndarray:
+    """The Choi matrices of cone samples acting on M_n, stacked.
+
+    Raises ValueError for an empty sample set or a sample on another M_k.
     """
     if len(samples) == 0:
         raise ValueError("need at least one cone sample")
-    status, worst = Status.IN, np.inf
-    for idx, alpha in enumerate(samples):
-        s, cert = _least_eig(hermitian_part(image(alpha)), tol)
-        if s is Status.OUT:
-            return Verdict(s, cert, info={"violating_sample": idx, "min_eig": cert.value})
-        if s is Status.UNDECIDED:
-            status = s
-        worst = min(worst, cert.value)
-    return Verdict(status, heuristic=status is Status.IN, info={"worst_min_eig": worst})
+    for alpha in samples:
+        if alpha.n != n:
+            raise ValueError(f"map input dim {alpha.n} does not match second factor {n}")
+    return np.array([alpha.choi for alpha in samples])
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +395,7 @@ class FeasibilityResult:
 
 
 def _psd_within(x: np.ndarray, tol: float) -> bool:
-    return float(np.linalg.eigvalsh(x)[0]) >= -tol * (1.0 + frob(x))
+    return classify(float(np.linalg.eigvalsh(x)[0]), 1.0 + frob(x), tol) is Status.IN
 
 
 def dykstra_feasibility(x: np.ndarray, d: Dims, tol: float = 1e-9, optimum: bool = False) -> FeasibilityResult:
@@ -403,11 +421,16 @@ def dykstra_feasibility(x: np.ndarray, d: Dims, tol: float = 1e-9, optimum: bool
     b = bracket.y
     a = hermitian_part(x - partial_transpose(b, d)) - min(bracket.lower, 0.0) * np.eye(d.total)
     residual = frob(x - a - partial_transpose(b, d))
-    converged = bracket.stop == "in" and residual <= tol * scale and _psd_within(a, tol) and _psd_within(b, tol)
+    converged = (
+        bracket.stop == "in"
+        and classify(-residual, scale, tol) is Status.IN
+        and _psd_within(a, tol)
+        and _psd_within(b, tol)
+    )
     w = hermitian_part(bracket.w / np.trace(bracket.w).real)
     upper = float(trace_pairing(w, x).real)
     if not (
-        upper < -tol * scale
+        classify(upper, scale, tol) is not Status.IN
         and _psd_within(w, tol)
         and _psd_within(partial_transpose(w, d), tol)
         and abs(float(np.trace(w).real) - 1.0) <= 1e-9
@@ -756,9 +779,11 @@ def pm_k_membership(
 ) -> Verdict:
     """Sampled test of (id (x) alpha)(x) >= 0 over the given cone samples.
 
-    OUT with the violating sample index is exact; IN is only relative to
+    Every sample is applied in one ``apply_second`` on the stack of their
+    Choi matrices and classified from one batched ``eigh``.  OUT names the
+    first violating sample's index and is exact; IN is only relative to
     the samples and flagged heuristic.
     """
     d = Dims(*d)
     x = check_hermitian(as_operator(x), tol)
-    return _sampled_least_eig(k_samples, lambda alpha: apply_second(alpha, x, d), tol)
+    return _sampled_least_eig(apply_second(_sample_chois(k_samples, d.m), x, d), tol)

@@ -58,7 +58,9 @@ from .cones import (
     Status,
     Verdict,
     _check_tol,
+    _sample_chois,
     _sampled_least_eig,
+    _UnknownName,
     classify,
     in_E,
     in_F,
@@ -77,7 +79,6 @@ from .linalg import (
 )
 from .sampling import (
     cone_generator_pool,
-    k_t,
     kd_generators,
     random_cone_choi,
     random_hermitian,
@@ -111,12 +112,17 @@ def ksharp_membership(
 ) -> Verdict:
     """Sampled test that beta . alpha* is completely positive for all alpha.
 
-    OUT with the violating sample is exact; IN is relative to the sample
-    set and flagged heuristic.  Square dimensions only.
+    The Choi matrices of every beta . alpha* come from one
+    ``apply_second`` on the stacked adjoints.  OUT with the violating
+    sample is exact; IN is relative to the sample set and flagged
+    heuristic.  Square dimensions only.
     """
-    if beta.n != beta.m:
+    n = beta.n
+    if n != beta.m:
         raise ValueError("sharp-cone membership needs square dimensions")
-    return _sampled_least_eig(k_samples, lambda alpha: compose_left(beta, adjoint(alpha)).choi, tol)
+    chois = _sample_chois(k_samples, n)
+    k = chois.shape[-1] // n
+    return _sampled_least_eig(apply_second(beta, adjoint_choi(chois, Dims(n, k)), Dims(k, n)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +382,15 @@ class TheoremReport:
         elif failed:
             self.record_failure(trial, label, violation)
 
+    def check_margin(self, trial: int, label: str, margin: float, scale: float, tol: float) -> None:
+        """Count one check of a margin that must be IN, decided by ``classify``.
+
+        OUT is a failure with violation ``abs(margin)``, and a margin in
+        the band counts as UNDECIDED.
+        """
+        status = classify(margin, scale, tol)
+        self.check(trial, label, abs(margin), None if status is Status.UNDECIDED else status is Status.OUT)
+
     def record_failure(self, trial: int, check: str, violation: float) -> None:
         violation = float(abs(violation))
         self.failures.append(
@@ -534,8 +549,8 @@ def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         lo_a, lo_b = _min_eigs(images)
         for idx, gap in enumerate(np.abs(lo_a - lo_b)):
             report.check(trial, f"{cone.value} sample {idx} spectral transport", gap, gap > idtol * scale)
-        va = pm_k_membership(x, d, k_t(pool), tol)
-        vb = pm_k_membership(xt, d, pool, tol)
+        # (t . alpha . t)(x) >= 0 and alpha(t(x)t) >= 0 over the pool, from the same images
+        va, vb = (_sampled_least_eig(side, tol) for side in images)
         margin = min(abs(v.info.get("worst_min_eig", v.info.get("min_eig", 0.0))) for v in (va, vb))
         failed = None if Status.UNDECIDED in (va.status, vb.status) else va.status != vb.status
         report.check(trial, "membership verdicts disagree", margin, failed)
@@ -617,7 +632,7 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             failed = v.status is not Status.IN
             report.check(trial, "constructed decomposition not recovered", v.info["residual"], failed)
             for idx, lo in enumerate(_min_eigs(apply_second(pool, x, d))):
-                report.check(trial, f"p-cone sample {idx} broke membership", abs(lo), lo < -tol * scale)
+                report.check_margin(trial, f"p-cone sample {idx} broke membership", lo, scale, tol)
         else:
             x = random_hermitian(rng, d.total)
             x /= frob(x)
@@ -645,9 +660,9 @@ def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             phi = sample_map(ConeId.MAP_P, d, rng)
             v = in_F(phi.choi, d, tol)
             report.check(trial, "p-cone sample without PPT Choi", 1.0, v.status is not Status.IN)
+            scale = 1.0 + frob(phi.choi)
             for idx, lo in enumerate(_min_eigs(apply_second(d_pool, phi.choi, d))):
-                failed = lo < -tol * (1.0 + frob(phi.choi))
-                report.check(trial, f"d-cone sample {idx} broke f-membership", abs(lo), failed)
+                report.check_margin(trial, f"d-cone sample {idx} broke f-membership", lo, scale, tol)
         else:
             x = random_hermitian(rng, d.total)
             x /= frob(x)
@@ -698,8 +713,8 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         val = pairing(member, dual)
         val2 = pairing(dual, member)
         scale = 1.0 + frob(member.choi) * frob(dual.choi)
-        report.check(trial, f"{cone.value} forward pairing", abs(val), val < -tol * scale)
-        report.check(trial, f"{cone.value} reverse pairing", abs(val2), val2 < -tol * scale)
+        report.check_margin(trial, f"{cone.value} forward pairing", val, scale, tol)
+        report.check_margin(trial, f"{cone.value} reverse pairing", val2, scale, tol)
         if trial % 4 == 3 and cone is not ConeId.MAP_D:
             # a map outside the primal cone must be caught by a dual
             # sample built from its own escape certificate (skipped for
@@ -711,8 +726,8 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
             if classify(margin, 1 + frob(phi.choi), tol) is not Status.OUT:
                 report.undecided += 1
                 continue
-            caught = _certificate_pairing(phi, cone, d, tol)
-            failed = caught >= -tol * (1 + frob(phi.choi))
+            caught = classify(_certificate_pairing(phi, cone, d, tol), 1 + frob(phi.choi), tol)
+            failed = None if caught is Status.UNDECIDED else caught is Status.IN
             report.check(trial, f"{cone.value} escape not caught", abs(margin), failed)
 
 
@@ -815,8 +830,8 @@ def _suite_T13(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         scale = 1.0 + frob(phi.choi) * frob(psi.choi)
         v1 = pairing(phi, psi)
         v2 = pairing(psi, phi)
-        report.check(trial, "p against d pairing", abs(v1), v1 < -tol * scale)
-        report.check(trial, "d against p pairing", abs(v2), v2 < -tol * scale)
+        report.check_margin(trial, "p against d pairing", v1, scale, tol)
+        report.check_margin(trial, "d against p pairing", v2, scale, tol)
     if d == (3, 3):
         lam = fixtures.nondecomposable_map()
         w_state, _ = fixtures.ppt_entangled_state()
@@ -834,8 +849,7 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         beta = sample_map(ConeId.MAP_D, d, rng)
         alpha = p_pool[trial % len(p_pool)]
         comp = compose_left(beta, adjoint(alpha))
-        lo = _min_eig(comp.choi)
-        report.check(trial, "d-sample composition left cp", abs(lo), lo < -tol * (1.0 + frob(comp.choi)))
+        report.check_margin(trial, "d-sample composition left cp", _min_eig(comp.choi), 1.0 + frob(comp.choi), tol)
         # agreement of the sampled sharp test with decomposability
         if trial % 3 == 0:
             if trial % 6 == 0:
@@ -878,10 +892,9 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
                 report.undecided += 1
                 continue
             density = hermitian_part(both_transpose(c, d))
-            if _min_eig(density) < -tol * scale:
-                # the functional is not even a state, hence not separable
-                sep = Status.OUT
-            else:
+            # a functional that is not even a state (OUT) is not separable
+            sep = classify(_min_eig(density), scale, tol)
+            if sep is Status.IN:
                 sep = is_separable(density / float(np.trace(density).real), d, tol).status
             failed = None if sep is Status.UNDECIDED else (sep is Status.IN) != conds.choi_membership
             report.check(trial, "separability vs membership", min(abs(s) for s in spectra), failed)
@@ -892,13 +905,13 @@ def _certificate_problem(v, x: np.ndarray, d: Dims, tol: float) -> Optional[str]
     scale = 1.0 + frob(x)
 
     def psd(a):
-        return _min_eig(a) >= -tol * (1.0 + frob(a))
+        return classify(_min_eig(a), 1.0 + frob(a), tol) is Status.IN
 
     cert = v.certificate
     if v.status is Status.IN:
         if not (psd(cert.a) and psd(cert.b)):
             return "decomposition part not PSD"
-        if frob(x - cert.a - partial_transpose(cert.b, d)) > tol * scale:
+        if classify(-frob(x - cert.a - partial_transpose(cert.b, d)), scale, tol) is not Status.IN:
             return "decomposition residual"
         return None
     w = cert.w
@@ -981,11 +994,11 @@ def verify(
     for an unknown id, invalid dims, ``trials < 1``, a ``tol`` that is
     not finite and positive, or n != m for a suite in ``_SQUARE_ONLY``.
     """
-    theorem_id = theorem_id.upper()
-    if theorem_id not in SUPPORTED_THEOREMS:
-        raise ValueError(
-            f"unknown theorem id {theorem_id!r}; supported: {sorted(SUPPORTED_THEOREMS)}"
+    if theorem_id.upper() not in SUPPORTED_THEOREMS:
+        raise _UnknownName(
+            f"unknown theorem {theorem_id!r}; supported: {', '.join(sorted(SUPPORTED_THEOREMS))}"
         )
+    theorem_id = theorem_id.upper()
     d = Dims(*d).validate()
     if int(trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import mapcones
+import mapcones.theorems as theorems_mod
 from mapcones.choi import identity_map, map_from_choi, swap_operator, transpose_map
 from mapcones.cli import main
 from mapcones.cones import (
@@ -37,7 +38,7 @@ from mapcones.cones import (
 )
 from mapcones.io import save_matrix
 from mapcones.linalg import Dims, frob, partial_transpose
-from mapcones.theorems import ksharp_membership
+from mapcones.theorems import TheoremReport, ksharp_membership, verify
 
 TOL = 1e-9
 D22 = Dims(2, 2)
@@ -129,6 +130,28 @@ class TestPlantedMargins:
         assert v.heuristic == (status is Status.IN)
 
 
+@pytest.mark.parametrize("k,status", REGIONS, ids=REGION_IDS)
+def test_check_margin_planted(k, status):
+    """A suite margin that must be IN passes, is UNDECIDED in the band, and fails OUT."""
+    scale = 3.0
+    report = TheoremReport("T13", 2, 2, 1, 1, TOL)
+    report.check_margin(0, "planted", k * TOL * scale, scale, TOL)
+    assert report.checks == 1
+    assert report.undecided == (status is Status.UNDECIDED)
+    assert [f["violation"] for f in report.failures] == ([-k * TOL * scale] if status is Status.OUT else [])
+
+
+def test_band_pairing_is_undecided_in_a_suite(monkeypatch):
+    """T13 counts a pairing planted in the band as UNDECIDED, not as a failure."""
+
+    def planted_pairing(phi, psi, tol=TOL):
+        return -5.0 * TOL * (1.0 + frob(phi.choi) * frob(psi.choi))
+
+    monkeypatch.setattr(theorems_mod, "pairing", planted_pairing)
+    report = verify("T13", D22, trials=4, seed=1)
+    assert (report.checks, report.undecided, report.failures) == (8, 8, [])
+
+
 #: every public oracle, on an input where it would otherwise return a verdict
 ORACLES = {
     "is_cp": lambda tol: is_cp(map_from_choi(2, 2, -np.eye(4)), tol),
@@ -195,3 +218,36 @@ def test_dykstra_config_named_only_by_its_shim():
     paths = [p for p in sorted(src.glob("*.py")) if p.name not in ("cones.py", "__init__.py")]
     paths += sorted(demos.glob("*.py"))
     assert [p.name for p in paths if "DykstraConfig" in p.read_text()] == []
+
+
+#: the functions that may compare against ``tol`` itself: the band rule, its
+#: argument check, the Dykstra stop of ``project_F`` and ``in_S``'s trace gate
+TOL_COMPARISONS_ALLOWED = {"classify", "_check_tol", "project_F", "in_S"}
+
+
+def _names_tol(node):
+    """Whether ``tol`` is an operand of the expression, outside any call's arguments."""
+    if isinstance(node, ast.Call):
+        return False
+    if (isinstance(node, ast.Name) and node.id == "tol") or (isinstance(node, ast.Attribute) and node.attr == "tol"):
+        return True
+    return any(_names_tol(child) for child in ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", ["cones.py", "theorems.py"])
+def test_tol_compared_only_by_the_band_rule(module):
+    """Every verdict-level threshold in ``cones`` and ``theorems`` goes through ``classify``.
+
+    A comparison that names ``tol`` restates the band by hand, and may
+    count a margin in the band as a pass or a failure instead of UNDECIDED.
+    """
+    tree = ast.parse((Path(mapcones.__file__).parent / module).read_text())
+    allowed = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in TOL_COMPARISONS_ALLOWED:
+            allowed.update(range(fn.lineno, fn.end_lineno + 1))
+    sites = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and _names_tol(node) and node.lineno not in allowed
+    ]
+    assert sites == []

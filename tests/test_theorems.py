@@ -154,6 +154,12 @@ class TestVerifySmoke:
         with pytest.raises(ValueError):
             verify("T99", D33, trials=1, seed=0)
 
+    def test_unknown_id_names_the_id_as_given(self):
+        # the CLI prints this message, so the library and the CLI cannot drift apart
+        supported = ", ".join(sorted(SUPPORTED_THEOREMS))
+        with pytest.raises(cones_mod._UnknownName, match=f"^unknown theorem 't99'; supported: {supported}$"):
+            verify("t99", D33, trials=1, seed=0)
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, trials):
         # a run with no trials would report PASS on zero checks
@@ -281,14 +287,20 @@ class TestStackedSuiteCounts:
     count that grows with the probe or pool size.  Before the stacks, the
     same runs made 890 (L4), 260 (L8), 190 (L10) and 40 (L17) ``einsum``
     calls and 90 (L8), 60 (L10) and 40 (L17) ``apply_second`` calls.
+    Sampled membership classifies one stack of images: before that, L5
+    made 56 ``apply_second`` and 46 ``eigh`` calls, T12 59 and 60, and
+    T18 76 and 68.
     """
 
     COUNTS = {
         # suite: (einsum, apply_second, functional, eigvalsh, eigh)
         "L4": (130, 0, 40, 2, 0),
+        "L5": (0, 10, 0, 26, 20),
         "L8": (20, 10, 0, 2, 10),
         "L10": (30, 10, 10, 0, 0),
         "L17": (0, 10, 0, 20, 20),
+        "T12": (2, 10, 0, 60, 11),
+        "T18": (4, 14, 0, 68, 6),
     }
 
     @pytest.mark.parametrize("tid", sorted(COUNTS))
