@@ -344,9 +344,10 @@ def in_P(phi: MapRep, tol: float = 1e-9) -> Verdict:
 
 def in_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """The PPT cone: x PSD and PT(x) PSD."""
+    d = Dims(*d).validate()
     x = check_hermitian(as_operator(x), tol)
     s1, c1 = _least_eig(x, tol)
-    s2, c2 = _least_eig(partial_transpose(x, Dims(*d)), tol)
+    s2, c2 = _least_eig(partial_transpose(x, d), tol)
     spectra = PptSpectra(c1.value, c2.value)
     if s1 is Status.IN and s2 is Status.IN:
         return Verdict(Status.IN, spectra)
@@ -356,6 +357,7 @@ def in_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
 
 def is_ppt_state(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """PPT test for a density operator (trace must equal 1 within 1e-9)."""
+    d = Dims(*d).validate()
     rho = as_operator(rho)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-9:
@@ -414,7 +416,7 @@ def dykstra_feasibility(x: np.ndarray, d: Dims, tol: float = 1e-9, optimum: bool
     """
     tol = tol.tol if isinstance(tol, DykstraConfig) else tol
     _check_tol(tol)
-    d = Dims(*d)
+    d = Dims(*d).validate()
     x = hermitian_part(as_operator(x))
     scale = 1.0 + frob(x)
     bracket = sdp.solve(x, d, tol, optimum)
@@ -498,7 +500,7 @@ def in_E(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     decomposition ``residual``, the ``stop`` reason and the certified
     bracket ``lower <= lam* <= upper``.
     """
-    d = Dims(*d)
+    d = Dims(*d).validate()
     x = check_hermitian(as_operator(x), tol)
     scale = 1.0 + frob(x)
     feas = dykstra_feasibility(x, d, tol)
@@ -668,6 +670,32 @@ def _start_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([units, np.reshape(drawn, (-1, n))])
 
 
+def _halfstep_layouts(x4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two layouts of x that the see-saw's half-steps multiply against.
+
+    ``x4`` is x as (n, m, n, m) with axes (i, r, j, s).  The first layout
+    has rows i and columns (j, r, s), the second rows r and columns
+    (s, i, j), so that each half-step is a ``_forms`` over one of them.
+    """
+    n, m = x4.shape[:2]
+    return (
+        x4.transpose(0, 2, 1, 3).reshape(n, n * m * m),
+        x4.transpose(1, 3, 0, 2).reshape(m, m * n * n),
+    )
+
+
+def _forms(v: np.ndarray, layout: np.ndarray, q: int) -> np.ndarray:
+    """<v_k| x |v_k> on one factor for every row v_k: a (k, q, q) stack.
+
+    ``layout`` is one of ``_halfstep_layouts``, with the contracted
+    factor's bra index as rows.  One BLAS product contracts the bras of
+    all rows, and one batched vector-matrix product their kets.
+    """
+    k, p = v.shape
+    t = (v.conj() @ layout).reshape(k, p, q * q)
+    return (v[:, None, :] @ t).reshape(k, q, q)
+
+
 def _seesaw(
     x4: np.ndarray, xi: np.ndarray, stop_below: float, iters: int = 60
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -676,26 +704,27 @@ def _seesaw(
     ``x4`` is the operator reshaped to (n, m, n, m) and ``xi`` holds start
     vectors as rows.  A sweep takes, for each active row, the minimal
     eigenvector eta of <xi| x |xi> and then the minimal eigenvector xi of
-    <eta| x |eta>, one batched ``eigh`` per half-step.  A row freezes when
-    its value stops improving.  The batch stops when every row is frozen,
-    after ``iters`` sweeps, or once some row's value is below
-    ``stop_below``; values never increase, so that row would end below it
-    too.  Returns the rows of xi and eta, their values
-    <xi (x) eta| x |xi (x) eta> and the number of sweeps run.
+    <eta| x |eta>, one batched ``eigh`` per half-step.  Each half-step
+    forms its stack with one matrix product against a layout of x built
+    once per call (``_halfstep_layouts``) and one batched product with
+    the active rows.  A row freezes when its value stops improving.  The
+    batch stops when every row is frozen, after ``iters`` sweeps, or once
+    some row's value is below ``stop_below``; values never increase, so
+    that row would end below it too.  Returns the rows of xi and eta,
+    their values <xi (x) eta| x |xi (x) eta> and the number of sweeps run.
     """
+    n, m = x4.shape[:2]
+    on_first, on_second = _halfstep_layouts(x4)
     xi = np.array(xi, dtype=np.complex128)
-    eta = np.zeros((len(xi), x4.shape[1]), dtype=np.complex128)
+    eta = np.zeros((len(xi), m), dtype=np.complex128)
     val = np.full(len(xi), np.inf)
     active = np.arange(len(xi))
     sweeps = 0
     while active.size and sweeps < iters:
         sweeps += 1
-        x_a = xi[active]
         # Hermitian forms up to rounding; eigh reads only their lower triangles
-        a = np.einsum("ki,irjs,kj->krs", x_a.conj(), x4, x_a)
-        e = np.linalg.eigh(a)[1][:, :, 0]
-        b = np.einsum("kr,irjs,ks->kij", e.conj(), x4, e)
-        w, u = np.linalg.eigh(b)
+        e = np.linalg.eigh(_forms(xi[active], on_first, m))[1][:, :, 0]
+        w, u = np.linalg.eigh(_forms(e, on_second, n))
         eta[active] = e
         xi[active] = u[:, :, 0]
         new, old = w[:, 0], val[active]
@@ -732,7 +761,7 @@ def is_block_positive(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    d = Dims(*d)
+    d = Dims(*d).validate()
     n, m = d
     x = check_hermitian(as_operator(x), tol)
     if x.shape != (d.total, d.total):
@@ -784,6 +813,6 @@ def pm_k_membership(
     first violating sample's index and is exact; IN is only relative to
     the samples and flagged heuristic.
     """
-    d = Dims(*d)
+    d = Dims(*d).validate()
     x = check_hermitian(as_operator(x), tol)
     return _sampled_least_eig(apply_second(_sample_chois(k_samples, d.m), x, d), tol)

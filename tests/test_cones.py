@@ -703,6 +703,26 @@ class TestPmKMembership:
             pm_k_membership(np.eye(4), D22, [])
 
 
+#: every oracle that takes Dims, on an operator that passes its other input checks
+DIMS_ORACLES = {
+    "in_F": lambda d: in_F(np.eye(4), d),
+    "in_E": lambda d: in_E(np.eye(4), d),
+    "dykstra_feasibility": lambda d: dykstra_feasibility(np.eye(4), d),
+    "witness_search": lambda d: witness_search(np.eye(4), d),
+    "is_ppt_state": lambda d: is_ppt_state(np.eye(4) / 4, d),
+    "is_separable": lambda d: is_separable(np.eye(4) / 4, d),
+    "is_block_positive": lambda d: is_block_positive(np.eye(4), d),
+    "pm_k_membership": lambda d: pm_k_membership(np.eye(4), d, [identity_map(2)]),
+}
+
+
+@pytest.mark.parametrize("dims", [(0, 0), (0, 3), (-2, -2), (-1, -9)])
+@pytest.mark.parametrize("oracle", sorted(DIMS_ORACLES))
+def test_degenerate_dims_rejected(oracle, dims):
+    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+        DIMS_ORACLES[oracle](dims)
+
+
 class TestConeInclusions:
     def test_chain_on_random_instances(self):
         g = rng(73)

@@ -10,9 +10,15 @@ checked on separable states at 3x3 and 2x4, drawn so that one of its
 certificates holds in every frame: products and classical states, whose
 dephased residual is zero up to rounding (their marginal eigenvalues are
 distinct with probability one), and states at most 0.9 radii from I/D.
+Block positivity is checked on operators whose least product-vector
+value is far from the band either way: a PSD operator pushed down to
+-0.5 ||x||_F along one product vector (OUT), and a decomposable Choi
+matrix plus 0.05 I (IN, since a decomposable operator is block
+positive).
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
@@ -25,6 +31,7 @@ from mapcones.cones import (
     dykstra_feasibility,
     in_E,
     in_F,
+    is_block_positive,
     is_cp,
     is_separable,
 )
@@ -111,3 +118,37 @@ def test_verdicts_invariant(case, shift, seed, k):
     assert verdicts(_swap_factors(x, d), Dims(d.m, d.n)) == expected
     assert verdicts(both_transpose(x, d), d) == expected
     assert verdicts(10.0**k * x, d) == expected
+
+
+BP_DIMS = [Dims(2, 3), Dims(3, 2), Dims(2, 4), Dims(4, 2), Dims(3, 3), Dims(3, 4)]
+
+
+def block_positivity_case(family, d, rng):
+    """A unit-norm operator that is OUT ("planted") or IN ("decomposable") clear of the band."""
+    if family == "planted":
+        x = random_psd(rng, d.total)
+        x /= frob(x)
+        v = np.kron(random_psd(rng, d.n, 1)[:, 0], random_psd(rng, d.m, 1)[:, 0])
+        v /= np.linalg.norm(v)
+        x -= ((v.conj() @ x @ v).real + 0.5) * np.outer(v, v.conj())
+    else:
+        x = random_cone_choi(ConeId.MAP_D, d, rng)
+        x = x / frob(x) + 0.05 * np.eye(d.total)
+    return x / frob(x)
+
+
+@pytest.mark.parametrize("family, expected", [("planted", Status.OUT), ("decomposable", Status.IN)])
+@pytest.mark.parametrize("d", BP_DIMS)
+def test_block_positivity_invariant(d, family, expected):
+    for seed in range(15):
+        rng = np.random.default_rng([seed, d.n, d.m])
+        x = block_positivity_case(family, d, rng)
+        u = np.kron(unitary_group.rvs(d.n, random_state=rng), unitary_group.rvs(d.m, random_state=rng))
+        for y, dy in (
+            (x, d),
+            (u @ x @ u.conj().T, d),
+            (_swap_factors(x, d), Dims(d.m, d.n)),
+            (both_transpose(x, d), d),
+            (1e3 * x, d),
+        ):
+            assert is_block_positive(y, dy, tol=TOL).status is expected

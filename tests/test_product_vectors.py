@@ -2,16 +2,19 @@
 
 ``reference_seesaw_once`` and ``reference_starts`` are the sequential
 see-saw and its start vectors that the array code in ``mapcones.cones``
-replaced.
+replaced, and the ``einsum`` contractions in ``TestSeesawContractions``
+are the half-step forms that its matrix products replaced.
 """
 
 import numpy as np
 import pytest
 
-from _helpers import random_hermitian, random_psd, rng
+from _helpers import random_complex, random_hermitian, random_psd, rng
 from mapcones.cones import (
     ProductVectorCert,
     Status,
+    _forms,
+    _halfstep_layouts,
     _seesaw,
     _start_vectors,
     is_block_positive,
@@ -94,6 +97,48 @@ class TestBatchedSeesaw:
         assert isinstance(cert, ProductVectorCert) and cert.value < 0
         vec = np.kron(cert.xi, cert.eta)
         assert (vec.conj() @ x @ vec).real == pytest.approx(cert.value, abs=1e-10)
+
+
+#: non-square dims catch a layout whose factors are swapped
+CONTRACTION_DIMS = [Dims(2, 3), Dims(3, 2), Dims(2, 4), Dims(4, 2), Dims(3, 3), Dims(4, 4)]
+
+
+class TestSeesawContractions:
+    @pytest.mark.parametrize("d", CONTRACTION_DIMS)
+    def test_half_steps_match_einsum(self, d):
+        g = rng(360 + 10 * d.n + d.m)
+        x4 = random_hermitian(g, d.total).reshape(d.n, d.m, d.n, d.m)
+        on_first, on_second = _halfstep_layouts(x4)
+        xi = random_complex(g, (7, d.n))
+        eta = random_complex(g, (7, d.m))
+        a = _forms(xi, on_first, d.m)
+        b = _forms(eta, on_second, d.n)
+        ref_a = np.einsum("ki,irjs,kj->krs", xi.conj(), x4, xi)
+        ref_b = np.einsum("kr,irjs,ks->kij", eta.conj(), x4, eta)
+        assert a.shape == ref_a.shape and b.shape == ref_b.shape
+        assert np.abs(a - ref_a).max() <= 1e-13 * np.abs(ref_a).max()
+        assert np.abs(b - ref_b).max() <= 1e-13 * np.abs(ref_b).max()
+
+    @pytest.mark.parametrize("d", [Dims(2, 3), Dims(4, 2), Dims(3, 3)])
+    def test_two_eigh_per_sweep_and_no_einsum(self, d, monkeypatch):
+        calls = {"eigh": 0, "einsum": 0}
+        eigh, einsum = np.linalg.eigh, np.einsum
+
+        def counting_eigh(a):
+            calls["eigh"] += 1
+            return eigh(a)
+
+        def counting_einsum(*args, **kwargs):
+            calls["einsum"] += 1
+            return einsum(*args, **kwargs)
+
+        x = random_hermitian(rng(370 + d.total), d.total) + np.eye(d.total)
+        starts = _start_vectors(d.n, 20, rng(371))
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        sweeps = _seesaw(x.reshape(d.n, d.m, d.n, d.m), starts, -np.inf)[3]
+        assert sweeps >= 2
+        assert calls == {"eigh": 2 * sweeps, "einsum": 0}
 
 
 class TestSolverInfo:
