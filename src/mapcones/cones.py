@@ -37,13 +37,15 @@ trace-one PPT operators w, so that x is in ``e`` exactly when lam* >= 0.
 the primal-dual interior-point method of ``sdp``, whose iterates bracket
 lam* from both sides and stop once the sign is settled; the dual iterate
 gives the decomposition, the primal one the PPT witness, and both are
-re-validated before they are returned.  Each Newton step assembles
-and solves a dense system of (nm)^2 + 1 unknowns, O((nm)^6) flops and
-O((nm)^4) memory.  Measured medians per ``in_E`` call on one core
-(4-5 Newton steps): 6 ms at 3x3, 10 ms at 3x4, 20 ms at 4x4, 50 ms at
-4x5 and 125-145 ms at 5x5.  Closing the bracket, as ``witness_search``
-and points near the boundary need, takes 9-13 steps: 0.08 s at 4x4 and
-0.35 s at 5x5.  The ``f`` cone is an intersection of two spectrally
+re-validated before they are returned.  Each Newton step after the
+first assembles a dense system of (nm)^2 + 1 unknowns and solves it
+twice, or once when the step ends on its predictor: O((nm)^6) flops
+and O((nm)^4) memory.  Measured medians per ``in_E`` call on one core,
+on fixture embeddings shifted to 0.7 and 1.3 times the optimum (3-4
+Newton steps): 3.7 ms at 3x3, 5.0 ms at 3x4, 8.0 ms at 4x4, 26 ms at
+4x5 and 63 ms at 5x5.  Closing the bracket, as ``witness_search`` and
+points near the boundary need, takes 9-10 steps: 0.034 s at 4x4 and
+0.29 s at 5x5.  The ``f`` cone is an intersection of two spectrally
 projectable cones; ``project_F`` needs the nearest point of it and so
 uses Dykstra's scheme.
 """
@@ -382,7 +384,8 @@ class FeasibilityResult:
     ||x - a - PT(b)||_F; ``converged`` means that this pair re-validated
     as a decomposition within tolerance.  ``w`` is the final trace-one
     PPT operator, kept only when it re-validated with
-    Tr(w x) = ``upper`` < -tol * scale.
+    Tr(w x) = ``upper`` < -tol * scale.  ``iterations`` counts the Newton
+    steps and ``solves`` the dense Schur solves they made.
     """
 
     a: np.ndarray
@@ -394,6 +397,7 @@ class FeasibilityResult:
     lower: float
     upper: float
     w: Optional[np.ndarray] = None
+    solves: int = 0
 
 
 def _psd_within(x: np.ndarray, tol: float) -> bool:
@@ -441,7 +445,9 @@ def dykstra_feasibility(x: np.ndarray, d: Dims, tol: float = 1e-9, optimum: bool
     stop = bracket.stop
     if (stop == "in" and not converged) or (stop == "out" and w is None):
         stop = "breakdown"
-    return FeasibilityResult(a, b, residual, bracket.iterations, converged, stop, bracket.lower, upper, w)
+    return FeasibilityResult(
+        a, b, residual, bracket.iterations, converged, stop, bracket.lower, upper, w, bracket.solves
+    )
 
 
 #: Dykstra sweeps ``project_F`` runs before it gives up
@@ -496,9 +502,9 @@ def in_E(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     IN comes with the decomposition, OUT with a PPT witness w whose value
     Tr(w x) ``classify`` puts OUT, and everything else (a bracket that
     closed inside the band, a broken-down solve) is UNDECIDED.  ``info``
-    carries, on every status, the solve's ``iterations``, the
-    decomposition ``residual``, the ``stop`` reason and the certified
-    bracket ``lower <= lam* <= upper``.
+    carries, on every status, the solve's ``iterations`` and dense Schur
+    ``solves``, the decomposition ``residual``, the ``stop`` reason and
+    the certified bracket ``lower <= lam* <= upper``.
     """
     d = Dims(*d).validate()
     x = check_hermitian(as_operator(x), tol)
@@ -506,6 +512,7 @@ def in_E(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     feas = dykstra_feasibility(x, d, tol)
     info = {
         "iterations": feas.iterations,
+        "solves": feas.solves,
         "residual": feas.residual,
         "stop": feas.stop,
         "lower": feas.lower,

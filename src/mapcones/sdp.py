@@ -13,32 +13,34 @@ Tr(x X1) < 0 is a witness that it is not.
 
 The solver keeps both iterates feasible: X1 has trace one and X2 is
 PT(X1), and Z1 is recomputed from (y0, Y).  So every iterate brackets
-the optimum, y0 <= lam* <= Tr(x X1), and ``solve`` stops as soon as the
+the optimum, y0 + lambda_min(Z1) <= lam* <= Tr(x X1), the lower end
+being the largest y0 that Y admits, and ``solve`` stops as soon as the
 bracket settles the sign (or closes).  Steps follow the HKM direction
 with Mehrotra's predictor-corrector (Helmberg, Rendl, Vanderbei and
-Wolkowicz 1996).  Each Newton system has (nm)^2 + 1 real unknowns, the
-coordinates of (dy0, dY) in an orthonormal Hermitian basis.  The first
-step starts at X1 = X2 = I/nm, Y = tI, where the system is diagonal in
-the eigenbasis of Z1 and is solved in closed form from one nm x nm
-``eigh``.  From the second step on, the Schur matrix is assembled from
-Kronecker-structured entries of the iterates, 2nm rows (nm pairs of
-basis rows) at a time and only from each block's own columns onward,
-the strict lower block triangle being the transpose of the upper one,
-with the index work for each ``Dims`` computed once and cached.  It is
-solved exactly with ``np.linalg.solve``, once for the predictor and
-once for the corrector: O((nm)^6) flops for each solve, O((nm)^4)
-memory for the matrix and its LU copy, and a workspace of a few
-2nm x (nm)^2 complex blocks beyond them.  The four Cholesky factors of
-a step are taken in one stacked call, and so are the four eigenvalue
-problems of each step length, which keeps every iterate strictly
-inside the cones.
+Wolkowicz 1996), and a step ends on its predictor iterate, without a
+corrector, when the bracket there already stops the solve.  Each
+Newton system has (nm)^2 + 1 real unknowns, the coordinates of
+(dy0, dY) in an orthonormal Hermitian basis.  The first step starts at
+X1 = X2 = I/nm, Y = tI, where the system is diagonal in the eigenbasis
+of Z1 and is solved in closed form from one nm x nm ``eigh``.  From the
+second step on, the Schur matrix is assembled from Kronecker-structured
+entries of the iterates, 2nm rows (nm pairs of basis rows) at a time
+and only from each block's own columns onward, the strict lower block
+triangle being the transpose of the upper one, with the index work for
+each ``Dims`` computed once and cached.  It is solved exactly with
+``np.linalg.solve``, twice per step or once when the step ends on its
+predictor: O((nm)^6) flops for each solve, O((nm)^4) memory for the
+matrix and its LU copy, and a workspace of a few 2nm x (nm)^2 complex
+blocks beyond them.  The four Cholesky factors of a step are taken in
+one stacked call, and so are the four eigenvalue problems of each step
+length, which keeps every iterate strictly inside the cones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,10 +62,13 @@ _SLOW_STEPS = 2
 class Bracket:
     """Final iterate of ``solve`` and the bounds it certifies.
 
-    ``lower`` is the dual objective y0 of the PSD pair (Z1, Y) with
-    x = Z1 + y0 I + PT(Y); ``upper`` is Tr(x w) for the trace-one PPT
-    operator ``w``; lower <= lam* <= upper.  ``stop`` is ``"in"``,
-    ``"out"``, ``"gap"`` or ``"breakdown"``.
+    ``lower`` is the largest y0 that the PSD ``y`` admits: x - lower I - PT(y)
+    is PSD, being Z1 - lambda_min(Z1) I for the final dual iterate
+    x = Z1 + y0 I + PT(y).  ``upper`` is Tr(x w) for the trace-one PPT
+    operator ``w``; lower <= lam* <= upper.
+    ``iterations`` counts the Newton steps and ``solves`` the dense Schur
+    solves they made.  ``stop`` is ``"in"``, ``"out"``, ``"gap"`` or
+    ``"breakdown"``.
     """
 
     lower: float
@@ -71,6 +76,7 @@ class Bracket:
     y: np.ndarray
     w: np.ndarray
     iterations: int
+    solves: int
     stop: str
 
 
@@ -204,13 +210,34 @@ class _Start:
         return u0, partial_transpose(_herm(e @ (bt / den) @ e.conj().T), self.d)
 
 
+class _Point(NamedTuple):
+    """An iterate of ``solve`` and the bracket lower <= lam* <= upper it certifies, for x / ||x||."""
+
+    x1: np.ndarray
+    y0: float
+    y: np.ndarray
+    z1: np.ndarray
+    lower: float
+    upper: float
+
+
+def _point(xs, x1, y0, y, d: Dims) -> _Point:
+    """The iterate (X1, y0, Y) with Z1 = xs - y0 I - PT(Y) and its bracket."""
+    z1 = _herm(xs - y0 * np.eye(len(x1)) - partial_transpose(y, d))
+    return _Point(x1, y0, y, z1, y0 + float(np.linalg.eigvalsh(z1)[0]), float(np.trace(xs @ x1).real))
+
+
 def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
     """Bracket lam* for a Hermitian x until its sign is settled.
 
-    Thresholds are relative to scale = 1 + ||x||_F.  The loop stops with
+    Every iterate (X1, y0, Y) certifies lower = y0 + lambda_min(Z1) <= lam*
+    <= upper = Tr(x X1): x - lower I - PT(Y) = Z1 - lambda_min(Z1) I is
+    PSD, so ``lower`` is the largest y0 that Y admits.  Thresholds are
+    relative to scale = 1 + ||x||_F.  The loop stops with
 
     * ``"in"`` once sqrt(nm) * max(0, -lower) <= tol * scale: the PSD pair
-      (Z1 + max(y0, 0) I, Y) then decomposes x up to that residual;
+      (x - PT(Y) - min(lower, 0) I, Y) then decomposes x up to that
+      residual;
     * ``"out"`` once upper <= -10 tol * scale and upper <= lower / 2, so
       that the witness is clear of the band and at least half as deep as
       the optimum (skipped when ``optimum`` is set);
@@ -218,6 +245,11 @@ def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
     * ``"breakdown"`` when a factorization fails, a direction is not
       finite, a step is too short, or three steps in a row leave the gap
       above half its best value (a stall near a degenerate optimum).
+
+    The first three tests are also made on each step's predictor
+    iterate, and a step ends there when one of them fires, without its
+    corrector.  ``solves`` counts the dense Schur solves: 2 (k - 1) for
+    k Newton steps, one fewer when the last step ends on its predictor.
 
     The dual points (lambda_min(x), 0) and (lambda_min(PT x),
     PT(x) - lambda_min(PT x) I) are feasible, so a PSD or co-PSD x stops
@@ -243,60 +275,66 @@ def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
     upper = float(np.trace(x).real) / nm
     if max(lo_x, lo_pt) * root >= -tol * scale:
         if lo_x >= lo_pt:
-            return Bracket(lo_x, upper, np.zeros_like(x), w, 0, "in")
-        return Bracket(lo_pt, upper, pt_x - lo_pt * eye, w, 0, "in")
+            return Bracket(lo_x, upper, np.zeros_like(x), w, 0, 0, "in")
+        return Bracket(lo_pt, upper, pt_x - lo_pt * eye, w, 0, 0, "in")
 
     # work on x / ||x||: every quantity below is of order one
     xs = x / norm
     t = 1.0 / root
-    x1 = w.astype(np.complex128)
-    x2 = x1.copy()
-    y = t * eye.astype(np.complex128)
-    y0 = lo_x / norm - 2 * t
-    z1 = _herm(xs - y0 * eye - partial_transpose(y, d))
+    point = _point(xs, w.astype(np.complex128), lo_x / norm - 2 * t, t * eye.astype(np.complex128), d)
     # the "in" and "gap" thresholds, both tol * scale / sqrt(nm), in units of ||x||
     close = tol * scale / (root * norm)
     band = 10 * tol * scale / norm
-    it = 0
+
+    def settled(p: _Point) -> Optional[str]:
+        if max(0.0, -p.lower) <= close:
+            return "in"
+        if not optimum and p.upper <= -band and p.upper <= p.lower / 2:
+            return "out"
+        if p.upper - p.lower <= close:
+            return "gap"
+        return None
+
+    it = solves = 0
     best, slow = np.inf, 0
     while True:
-        upper_s = float(np.trace(xs @ x1).real)
-        gap = upper_s - y0
-        if max(0.0, -y0) <= close:
-            stop = "in"
+        stop = settled(point)
+        if stop:
             break
-        if not optimum and upper_s <= -band and upper_s <= y0 / 2:
-            stop = "out"
-            break
-        if gap <= close:
-            stop = "gap"
-            break
+        gap = point.upper - point.lower
         best, slow = (gap, 0) if gap <= best / 2 else (best, slow + 1)
         if slow > _SLOW_STEPS:
             stop = "breakdown"
             break
         it += 1
         try:
-            step = _newton_step(xs, x1, x2, y0, y, z1, d, _Start(z1, t, d) if it == 1 else None)
+            step = _newton_step(xs, point, d, settled, _Start(point.z1, t, d) if it == 1 else None)
         except np.linalg.LinAlgError:
             stop = "breakdown"
             break
         if step is None:
             stop = "breakdown"
             break
-        x1, y0, y = step
-        x2 = partial_transpose(x1, d)
-        z1 = _herm(xs - y0 * eye - partial_transpose(y, d))
-    return Bracket(float(y0 * norm), float(np.trace(x @ x1).real), y * norm, x1, it, stop)
+        point, made = step
+        solves += made
+    x1 = point.x1
+    return Bracket(float(point.lower * norm), float(np.trace(x @ x1).real), point.y * norm, x1, it, solves, stop)
 
 
-def _newton_step(xs, x1, x2, y0, y, z1, d: Dims, schur=None):
-    """One Mehrotra predictor-corrector step; None when it is too short or not finite.
+def _newton_step(xs, point: _Point, d: Dims, settled, schur=None):
+    """One Mehrotra predictor-corrector step: the next point and the dense solves it made.
 
-    ``schur`` solves the step's Schur system; by default it is assembled.
+    None when a direction is not finite or the corrector's step is too
+    short.  The step ends on its predictor iterate, one solve early, when
+    that iterate passes the same checks and ``settled`` stops the loop
+    there.  ``schur`` solves the step's Schur system; by default it is
+    assembled, and only then are its solves dense.
     """
+    x1, y0, y, z1 = point.x1, point.y0, point.y, point.z1
     nm = len(x1)
     eye = np.eye(nm)
+    x2 = partial_transpose(x1, d)
+    dense = int(schur is None)
     # inverse Cholesky factors of x1, x2, z1 and y; LinAlgError unless all are positive definite
     linv = np.linalg.inv(np.linalg.cholesky(np.stack((x1, x2, z1, y))))
     linv_h = linv.conj().swapaxes(-1, -2)
@@ -318,10 +356,21 @@ def _newton_step(xs, x1, x2, y0, y, z1, d: Dims, schur=None):
         top = [np.inf if v >= 0.0 else -1.0 / v for v in lo]
         return min(1.0, _STEP * min(top[:2])), min(1.0, _STEP * min(top[2:]))
 
+    def advance(ap, ad, u0, u, dx1):
+        x1n = _herm(x1 + ap * dx1)
+        x1n /= np.trace(x1n).real
+        return _point(xs, x1n, y0 + ad * u0, _herm(y + ad * u), d)
+
     zero = np.zeros_like(x1)
     u0, u, dx1, dz1 = direction(zero, zero)
+    if not (np.all(np.isfinite(dx1)) and np.all(np.isfinite(dz1))):
+        return None
     dx2 = partial_transpose(dx1, d)
     ap, ad = lengths(dx1, dx2, dz1, u)
+    if max(ap, ad) >= _MIN_STEP:
+        predictor = advance(ap, ad, u0, u, dx1)
+        if settled(predictor):
+            return predictor, dense
     mu_aff = float(
         np.trace((x1 + ap * dx1) @ (z1 + ad * dz1)).real + np.trace((x2 + ap * dx2) @ (y + ad * u)).real
     ) / (2 * nm)
@@ -334,6 +383,4 @@ def _newton_step(xs, x1, x2, y0, y, z1, d: Dims, schur=None):
     ap, ad = lengths(dx1, partial_transpose(dx1, d), dz1, u)
     if max(ap, ad) < _MIN_STEP:
         return None
-    x1 = _herm(x1 + ap * dx1)
-    x1 /= np.trace(x1).real
-    return x1, y0 + ad * u0, _herm(y + ad * u)
+    return advance(ap, ad, u0, u, dx1), 2 * dense

@@ -456,7 +456,7 @@ class TestFixtureOptimum:
         j = np.kron(np.eye(n)[:, :3], np.eye(m)[:, :3])
         x = j @ nondecomposable_map().choi @ j.T
         wit = witness_search(x, Dims(n, m), TOL)
-        assert wit.value == pytest.approx(-S_STAR, abs=1e-7)
+        assert wit.value == pytest.approx(-S_STAR, abs=1e-8)
         w = wit.w
         assert np.linalg.eigvalsh(w)[0] >= -1e-9 * (1 + np.linalg.norm(w))
         assert np.linalg.eigvalsh(brute_partial_transpose(w, Dims(n, m)))[0] >= -1e-9 * (1 + np.linalg.norm(w))

@@ -66,7 +66,8 @@ COARSE_DIGESTS = {
     ("L16", 2, 2): "c042d3a2affbf8b2801242001631bb7d466cd6144e31740bff0ae30d29d51b1b",
     ("L17", 2, 2): "08a9848e837b01ed0e8dea396b63ccc1b0d2ff25e7735a2abc4cc79a972214ea",
     ("C2", 2, 2): "7d492dff9da6f4546dc2c2dd2997c192fce16b5fe0b2425db6239bf3efe8d001",
-    ("C19", 2, 2): "2feb03cd25db368f5dbbde947fae671fc51401427cd6d34050435558a02dd62c",
+    # one trial left UNDECIDED before the e-cone bound read y0 + lambda_min(Z1) is decided now
+    ("C19", 2, 2): "6648661d8ec8af3e73412ff688f20af6fd0338d3b4fdb998d4e78cd93f865d9d",
     ("T6", 3, 3): "0d6601d9750f6a7cc45859b5684f36af7c137f9df4b72ce93f56c2c9cb5a4430",
     ("T13", 3, 3): "5d44dfa34e92ef5d76f0da6a8549ca84b57e4e038437e485c8e5c8ad99fb4b61",
     ("T18", 3, 3): "6737dde439aefa2ecd3f38663d517ae403664ac9e3382d6db96ae0332412c89d",

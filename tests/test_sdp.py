@@ -9,7 +9,10 @@ index map that mixes up the two factors.  The blocked assembly is also
 checked entry for entry against the one-pair-at-a-time loop it replaced,
 on the upper block triangle that it computes.  ``_Start``, the closed-form
 solve of the first step, is checked against the same operator at the
-start point.
+start point.  Every bracket the solve returns is checked to be
+certified, a step that ends on its predictor to leave a strictly
+feasible iterate, and a labelled corpus that mirrors the benchmark's
+e-in and e-out families to keep its labels at a pinned amount of work.
 """
 
 import tracemalloc
@@ -18,8 +21,8 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from _helpers import random_complex, random_hermitian, rng
-from mapcones.cones import dykstra_feasibility
+from _helpers import brute_partial_transpose, random_complex, random_hermitian, random_psd, rng
+from mapcones.cones import Status, dykstra_feasibility, in_E
 from mapcones.fixtures import nondecomposable_map
 from mapcones.linalg import Dims, frob, partial_transpose
 from mapcones import sdp
@@ -158,13 +161,20 @@ def test_start_solves_the_first_system_in_closed_form(n, m):
 
 
 def test_first_step_assembles_nothing(monkeypatch):
-    # k Newton steps build k - 1 Schur matrices and make 2 (k - 1) dense solves
+    # k Newton steps build k - 1 Schur matrices and make 2 (k - 1) dense
+    # solves, minus one when the last step ends on its predictor; the
+    # fixture's last step does so in both modes
     built, solves = [], []
 
     class Spy(sdp._Schur):
         def __init__(self, *args):
-            built.append(1)
             super().__init__(*args)
+            self.calls = 0
+            built.append(self)
+
+        def solve(self, b0, b):
+            self.calls += 1
+            return super().solve(b0, b)
 
     def counted_solve(a, b):
         solves.append(1)
@@ -180,7 +190,8 @@ def test_first_step_assembles_nothing(monkeypatch):
         res = sdp.solve(x, Dims(3, 3), 1e-9, optimum)
         assert res.iterations >= 2
         assert len(built) == res.iterations - 1
-        assert len(solves) == 2 * (res.iterations - 1)
+        assert [s.calls for s in built] == [2] * (res.iterations - 2) + [1]
+        assert len(solves) == 2 * (res.iterations - 1) - 1 == res.solves
 
 
 def _fixture_perturbations(count):
@@ -236,3 +247,147 @@ def test_steps_stay_below_the_bound_at_the_boundary(n, m):
                     res = dykstra_feasibility(y, d, tol, optimum)
                     assert res.stop in ("in", "out", "gap", "breakdown")
                     assert res.iterations < step_bound(d.total, tol), (tol, optimum, res.iterations)
+
+
+#: the fixture map's optimum over trace-one PPT witnesses is -S_STAR
+S_STAR = 2 / np.sqrt(3) - 1
+CERT_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
+
+
+def _shifted_draws(n, m):
+    """Random Hermitian x moved so that lam* lies at each of several offsets from zero.
+
+    The offsets reach the ``"out"``, ``"gap"`` and ``"in"`` stops, and the
+    largest makes x PSD, which stops before any step.
+    """
+    d = Dims(n, m)
+    nm = d.total
+    g = rng(800 + 10 * n + m)
+    for _ in range(2):
+        x = random_hermitian(g, nm)
+        opt = sdp.solve(x, d, 1e-9, optimum=True)
+        x0 = x - (opt.lower + opt.upper) / 2 * np.eye(nm)
+        for offset in (-0.3, -1e-3, -1e-10, 0.0, 1e-10, 1e-3, 0.3, 10.0):
+            yield x0 + offset * frob(x0) * np.eye(nm)
+
+
+@pytest.mark.parametrize("n,m", CERT_DIMS)
+def test_every_bracket_is_certified(n, m):
+    # x - lower I - PT(y) is ||x|| (Z1 - lambda_min(Z1) I) for the final dual
+    # iterate, PSD up to rounding, whichever way the solve stopped
+    d = Dims(n, m)
+    stops = set()
+    for x in _shifted_draws(n, m):
+        for optimum in (False, True):
+            res = sdp.solve(x, d, 1e-9, optimum)
+            stops.add(res.stop)
+            slack = x - res.lower * np.eye(d.total) - brute_partial_transpose(res.y, d)
+            assert np.linalg.eigvalsh(slack)[0] >= -1e-12 * (1 + frob(x))
+            assert res.lower <= res.upper
+    assert {"in", "out", "gap"} <= stops
+
+
+@pytest.mark.parametrize("n,m", CERT_DIMS)
+def test_a_step_that_ends_on_its_predictor_is_strictly_feasible(monkeypatch, n, m):
+    # a step that made one Schur solve (closed-form or dense) took no corrector
+    calls, ended = [], []
+
+    def counted(f):
+        def solve(self, b0, b):
+            calls.append(1)
+            return f(self, b0, b)
+
+        return solve
+
+    for cls in (sdp._Schur, sdp._Start):
+        monkeypatch.setattr(cls, "solve", counted(cls.solve))
+    real_step = sdp._newton_step
+
+    def step(xs, point, d, settled, schur=None):
+        before = len(calls)
+        out = real_step(xs, point, d, settled, schur)
+        if out is not None and len(calls) - before == 1:
+            ended.append((xs, out[0], settled(out[0])))
+        return out
+
+    monkeypatch.setattr(sdp, "_newton_step", step)
+    d = Dims(n, m)
+    for x in _shifted_draws(n, m):
+        for optimum in (False, True):
+            sdp.solve(x, d, 1e-9, optimum)
+    assert ended
+    for xs, p, stop in ended:
+        assert stop in ("in", "out", "gap")
+        for a in (p.x1, brute_partial_transpose(p.x1, d), p.y, p.z1):
+            assert np.linalg.eigvalsh(a)[0] > 0
+        assert abs(np.trace(p.x1).real - 1.0) <= 1e-12
+        assert frob(p.z1 - (xs - p.y0 * np.eye(d.total) - brute_partial_transpose(p.y, d))) <= 1e-12
+
+
+def _isometry(g, k):
+    """The first three columns of a Haar-random k x k unitary."""
+    return unitary_group.rvs(k, random_state=g)[:, :3]
+
+
+def _labelled_corpus():
+    """Seeded (id, dims, x, label) mirroring the benchmark's e-in and e-out families.
+
+    The fixture C embedded by Haar isometries and shifted by s I is
+    decomposable exactly when s > S_STAR; the low-rank A + PT(B), plus
+    mu Tr/nm I and scaled to trace nm, are decomposable by construction.
+    """
+    base = nondecomposable_map().choi
+    g = rng(900)
+    corpus = []
+    for n, m in ((3, 3), (3, 4), (4, 4)):
+        for factor in (0.3, 0.7, 0.9, 1.1, 1.3, 2.0):
+            pq = np.kron(_isometry(g, n), _isometry(g, m))
+            x = pq @ base @ pq.conj().T + factor * S_STAR * np.eye(n * m)
+            label = Status.IN if factor > 1 else Status.OUT
+            corpus.append((f"fixture-{n}x{m}-{factor}", Dims(n, m), x, label))
+    for n, m in ((2, 4), (3, 3), (4, 4)):
+        d = Dims(n, m)
+        for mu in (0.1, 0.01):
+            a = random_psd(g, d.total, int(g.integers(1, 4)))
+            b = random_psd(g, d.total, int(g.integers(1, 4)))
+            x = a + brute_partial_transpose(b, d)
+            x = x + mu * np.trace(x).real / d.total * np.eye(d.total)
+            corpus.append((f"lowrank-{n}x{m}-{mu}", d, x * d.total / np.trace(x).real, Status.IN))
+    return corpus
+
+
+#: Newton steps and dense Schur solves over the whole corpus; a change that
+#: makes a decision cost more work moves them.  Before steps could end on
+#: their predictor and the lower bound read y0 + lambda_min(Z1), the
+#: corpus took 78 steps and 108 solves.
+CORPUS_STEPS = 74
+CORPUS_SOLVES = 86
+
+
+@pytest.fixture(scope="module")
+def corpus_verdicts():
+    return [(d, x, label, in_E(x, d)) for _, d, x, label in _labelled_corpus()]
+
+
+def test_corpus_keeps_its_labels(corpus_verdicts):
+    # each certificate re-validated with plain spectra and the loop partial transpose
+    for d, x, label, v in corpus_verdicts:
+        assert v.status is label
+        scale = 1 + frob(x)
+        if label is Status.IN:
+            a, b = v.certificate.a, v.certificate.b
+            assert np.linalg.eigvalsh(a)[0] >= -1e-9 * (1 + frob(a))
+            assert np.linalg.eigvalsh(b)[0] >= -1e-9 * (1 + frob(b))
+            assert frob(x - a - brute_partial_transpose(b, d)) <= 1e-9 * scale
+        else:
+            w = v.certificate.w
+            assert np.linalg.eigvalsh(w)[0] >= -1e-9 * (1 + frob(w))
+            assert np.linalg.eigvalsh(brute_partial_transpose(w, d))[0] >= -1e-9 * (1 + frob(w))
+            assert abs(np.trace(w).real - 1.0) <= 1e-9
+            assert np.trace(w @ x).real <= -10 * 1e-9 * scale
+
+
+def test_corpus_work_counts(corpus_verdicts):
+    steps = sum(v.info["iterations"] for *_, v in corpus_verdicts)
+    solves = sum(v.info["solves"] for *_, v in corpus_verdicts)
+    assert (steps, solves) == (CORPUS_STEPS, CORPUS_SOLVES)
