@@ -43,11 +43,10 @@ from .cones import (
     is_cp,
     is_decomposable,
     is_positive_map,
-    is_psd,
     is_separable,
 )
 from .io import MapFileError, load_matrix, save_matrix
-from .linalg import Dims, frob
+from .linalg import Dims, frob, is_psd
 from .sampling import sample_map, substream
 from .theorems import emit_report, verify
 

@@ -28,7 +28,9 @@ certificates where the cone admits them (decompositions, spectra,
 separable mixtures, a distance within the separable ball around I/D).
 Memberships that cannot be certified either way come back UNDECIDED
 rather than forced.  Every certificate's ``describe()`` gives the text
-that the ``check`` command prints for it.
+that the ``check`` command prints for it.  Every operator oracle reads its
+input through one gate, ``_operator``: valid dims, finite entries, shape
+(nm, nm) and Hermitian within tol.
 
 The ``e`` cone is decided by one semidefinite program, the first level
 of the Doherty-Parrilo-Spedalieri hierarchy: lam* = min Tr(w x) over
@@ -36,8 +38,8 @@ trace-one PPT operators w, so that x is in ``e`` exactly when lam* >= 0.
 ``dykstra_feasibility`` (a name kept for API stability) solves it with
 the primal-dual interior-point method of ``sdp``, whose iterates bracket
 lam* from both sides and stop once the sign is settled; the dual iterate
-gives the decomposition, the primal one the PPT witness, and both are
-re-validated before they are returned.  Each Newton step after the
+gives the decomposition, the primal one the PPT witness, and each is kept
+only when its own ``problem()`` check passes.  Each Newton step after the
 first assembles a dense system of (nm)^2 + 1 unknowns and solves it
 twice, or once when the step ends on its predictor: O((nm)^6) flops
 and O((nm)^4) memory.  Measured medians per ``in_E`` call on one core,
@@ -72,7 +74,6 @@ from .linalg import (
     frob,
     frobs,
     hermitian_part,
-    is_psd,
     partial_trace,
     partial_transpose,
     trace_pairing,
@@ -197,6 +198,17 @@ class Decomposition:
     def describe(self) -> str:
         return f"decomposition residual {self.residual:.12g}"
 
+    def problem(self, x: np.ndarray, d: Dims, tol: float) -> Optional[str]:
+        """None when the re-derived residual x - a - PT(b) is IN and a, b are PSD, else the reason.
+
+        The residual, which needs no eigensolve, is checked first.
+        """
+        if classify(-frob(x - self.a - partial_transpose(self.b, d)), 1.0 + frob(x), tol) is not Status.IN:
+            return "decomposition residual"
+        if not (_psd_within(self.a, tol) and _psd_within(self.b, tol)):
+            return "decomposition part not PSD"
+        return None
+
 
 @dataclass(frozen=True)
 class FWitness:
@@ -207,6 +219,19 @@ class FWitness:
 
     def describe(self) -> str:
         return f"PPT witness with pairing {self.value:.12g}"
+
+    def problem(self, x: np.ndarray, d: Dims, tol: float) -> Optional[str]:
+        """None when the re-derived Tr(w x) is OUT, w and PT(w) PSD and Tr w = 1, else the reason.
+
+        The pairing, which needs no eigensolve, is checked first.
+        """
+        if classify(float(trace_pairing(self.w, x).real), 1.0 + frob(x), tol) is not Status.OUT:
+            return "witness inside the band"
+        if not (_psd_within(self.w, tol) and _psd_within(partial_transpose(self.w, d), tol)):
+            return "witness not PPT"
+        if abs(float(np.trace(self.w).real) - 1.0) > 1e-9:
+            return "witness trace"
+        return None
 
 
 @dataclass(frozen=True)
@@ -275,6 +300,24 @@ def psd_project(x: np.ndarray) -> np.ndarray:
         return h
     w = np.maximum(w, 0.0)
     return (u * w) @ u.conj().T
+
+
+def _operator(x, d: Dims, tol: float) -> tuple[np.ndarray, Dims]:
+    """The operator oracles' entry gate: x as a Hermitian (nm, nm) array, d as ``Dims``.
+
+    Raises ValueError for dims below 1, a non-finite entry, any shape
+    other than (nm, nm), or x not Hermitian within tol.
+    """
+    d = Dims(*d).validate()
+    x = as_operator(x)
+    if x.shape != (d.total, d.total):
+        raise ValueError(f"operator shape {x.shape} does not match dims {d}")
+    return check_hermitian(x, tol), d
+
+
+def _psd_within(x: np.ndarray, tol: float) -> bool:
+    """``classify`` puts the least eigenvalue of a Hermitian x IN at scale 1 + ||x||_F."""
+    return classify(float(np.linalg.eigvalsh(x)[0]), 1.0 + frob(x), tol) is Status.IN
 
 
 def _least_eig(y: np.ndarray, tol: float) -> tuple[Status, MinEigCert]:
@@ -346,8 +389,11 @@ def in_P(phi: MapRep, tol: float = 1e-9) -> Verdict:
 
 def in_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """The PPT cone: x PSD and PT(x) PSD."""
-    d = Dims(*d).validate()
-    x = check_hermitian(as_operator(x), tol)
+    return _ppt(*_operator(x, d, tol), tol)
+
+
+def _ppt(x: np.ndarray, d: Dims, tol: float) -> Verdict:
+    """``in_F`` on an x that has passed the ``_operator`` gate."""
     s1, c1 = _least_eig(x, tol)
     s2, c2 = _least_eig(partial_transpose(x, d), tol)
     spectra = PptSpectra(c1.value, c2.value)
@@ -359,7 +405,6 @@ def in_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
 
 def is_ppt_state(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """PPT test for a density operator (trace must equal 1 within 1e-9)."""
-    d = Dims(*d).validate()
     rho = as_operator(rho)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-9:
@@ -381,10 +426,11 @@ class FeasibilityResult:
     ``"gap"`` or ``"breakdown"`` (see ``sdp.solve``).
     ``a`` and ``b`` are the PSD pair a = x - PT(Y) - min(lower, 0) I,
     b = Y of the final dual iterate, and ``residual`` is
-    ||x - a - PT(b)||_F; ``converged`` means that this pair re-validated
-    as a decomposition within tolerance.  ``w`` is the final trace-one
-    PPT operator, kept only when it re-validated with
-    Tr(w x) = ``upper`` < -tol * scale.  ``iterations`` counts the Newton
+    ||x - a - PT(b)||_F; ``converged`` means that the solve stopped
+    ``"in"`` and ``Decomposition.problem`` passes this pair.  ``upper``
+    is Tr(w x) for the final trace-one PPT operator w, and ``w`` is kept
+    only when ``FWitness.problem`` passes it, so ``classify`` puts
+    ``upper`` OUT whenever ``w`` is set.  ``iterations`` counts the Newton
     steps and ``solves`` the dense Schur solves they made.
     """
 
@@ -400,47 +446,32 @@ class FeasibilityResult:
     solves: int = 0
 
 
-def _psd_within(x: np.ndarray, tol: float) -> bool:
-    return classify(float(np.linalg.eigvalsh(x)[0]), 1.0 + frob(x), tol) is Status.IN
-
-
 def dykstra_feasibility(x: np.ndarray, d: Dims, tol: float = 1e-9, optimum: bool = False) -> FeasibilityResult:
     """Decide x ~ A + PT(B) with A, B PSD by one primal-dual interior-point solve.
 
     ``sdp.solve`` brackets lam* = min{Tr(w x) : w PPT, Tr w = 1} and stops
     once the sign is settled, or, with ``optimum``, once the bracket has
-    closed.  Both certificates are re-validated here with ``eigvalsh``: the
-    decomposition (both parts PSD, residual within tol * scale) and the
-    witness (w and PT(w) PSD, unit trace, Tr(w x) < -tol * scale).  A
-    certificate that fails its check is not used, and an ``"in"`` or
-    ``"out"`` stop becomes ``"breakdown"``, so a numerical failure of the
-    solve can cost a decision but never produce a wrong one.  The
-    function keeps its name, and a deprecated ``DykstraConfig`` in place
-    of ``tol``, for API stability.
+    closed.  x passes the ``_operator`` gate first, so a non-Hermitian x
+    raises.  The decomposition of an ``"in"`` stop is kept only when
+    ``Decomposition.problem`` passes it, and the witness only when
+    ``FWitness.problem`` does, which drops a witness whose value lies in
+    the band.  A certificate that fails its check is not used, and an
+    ``"in"`` or ``"out"`` stop becomes ``"breakdown"``, so a numerical
+    failure of the solve can cost a decision but never produce a wrong
+    one.  The function keeps its name, and a deprecated ``DykstraConfig``
+    in place of ``tol``, for API stability.
     """
     tol = tol.tol if isinstance(tol, DykstraConfig) else tol
     _check_tol(tol)
-    d = Dims(*d).validate()
-    x = hermitian_part(as_operator(x))
-    scale = 1.0 + frob(x)
+    x, d = _operator(x, d, tol)
     bracket = sdp.solve(x, d, tol, optimum)
     b = bracket.y
     a = hermitian_part(x - partial_transpose(b, d)) - min(bracket.lower, 0.0) * np.eye(d.total)
     residual = frob(x - a - partial_transpose(b, d))
-    converged = (
-        bracket.stop == "in"
-        and classify(-residual, scale, tol) is Status.IN
-        and _psd_within(a, tol)
-        and _psd_within(b, tol)
-    )
+    converged = bracket.stop == "in" and Decomposition(a, b, residual).problem(x, d, tol) is None
     w = hermitian_part(bracket.w / np.trace(bracket.w).real)
     upper = float(trace_pairing(w, x).real)
-    if not (
-        classify(upper, scale, tol) is not Status.IN
-        and _psd_within(w, tol)
-        and _psd_within(partial_transpose(w, d), tol)
-        and abs(float(np.trace(w).real) - 1.0) <= 1e-9
-    ):
+    if FWitness(w, upper).problem(x, d, tol) is not None:
         w = None
     stop = bracket.stop
     if (stop == "in" and not converged) or (stop == "out" and w is None):
@@ -485,13 +516,13 @@ def project_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> np.ndarray:
 
 
 def witness_search(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Optional[FWitness]:
-    """The optimal trace-one PPT operator w against x, if Tr(w x) < -tol * scale.
+    """The optimal trace-one PPT operator w against x, if ``classify`` puts Tr(w x) OUT.
 
-    Runs the ``in_E`` solve on to the optimum and returns its re-validated
-    witness; None when x is decomposable within tolerance or the solve
-    found no validated witness.
+    Runs the ``in_E`` solve on to the optimum and returns its witness,
+    which ``FWitness.problem`` has passed; so only OUT witnesses come
+    back, and None when x is decomposable within tolerance, the optimum
+    lies in the band or the solve found no witness that passes.
     """
-    x = check_hermitian(as_operator(x), tol)
     feas = dykstra_feasibility(x, d, tol, optimum=True)
     return None if feas.w is None else FWitness(feas.w, feas.upper)
 
@@ -504,11 +535,9 @@ def in_E(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     closed inside the band, a broken-down solve) is UNDECIDED.  ``info``
     carries, on every status, the solve's ``iterations`` and dense Schur
     ``solves``, the decomposition ``residual``, the ``stop`` reason and
-    the certified bracket ``lower <= lam* <= upper``.
+    the certified bracket ``lower <= lam* <= upper``.  Both certificates
+    come checked from ``dykstra_feasibility``.
     """
-    d = Dims(*d).validate()
-    x = check_hermitian(as_operator(x), tol)
-    scale = 1.0 + frob(x)
     feas = dykstra_feasibility(x, d, tol)
     info = {
         "iterations": feas.iterations,
@@ -520,7 +549,7 @@ def in_E(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     }
     if feas.converged:
         return Verdict(Status.IN, Decomposition(feas.a, feas.b, feas.residual), info=info)
-    if feas.w is not None and classify(feas.upper, scale, tol) is Status.OUT:
+    if feas.w is not None:
         return Verdict(Status.OUT, FWitness(feas.w, feas.upper), info=info)
     return Verdict(Status.UNDECIDED, info=info)
 
@@ -623,24 +652,20 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     Otherwise a positive-map detection is a certified OUT and anything
     else is UNDECIDED.
     """
-    d = Dims(*d).validate()
-    rho = as_operator(rho)
-    if rho.shape != (d.total, d.total):
-        raise ValueError(f"state shape {rho.shape} does not match dims {d}")
-    rho = check_hermitian(rho, tol)
-    ok, lo = is_psd(rho, tol)
-    if not ok:
-        raise ValueError(f"not a state: minimum eigenvalue {lo:.3e}")
+    rho, d = _operator(rho, d, tol)
+    scale = 1.0 + frob(rho)
+    # the state check reads rho's least eigenvalue from the PPT test's spectra
+    ppt = _ppt(rho, d, tol)
+    spectra = ppt.certificate if ppt.status is Status.IN else ppt.info["spectra"]
+    if classify(spectra.min_eig, scale, tol) is not Status.IN:
+        raise ValueError(f"not a state: minimum eigenvalue {spectra.min_eig:.3e}")
     if abs(complex(np.trace(rho)) - 1.0) > 1e-9:
         raise ValueError(f"not a state: trace = {complex(np.trace(rho)):.12f}")
-
-    ppt = in_F(rho, d, tol)
     if ppt.status is not Status.IN:
         return ppt
     if tuple(sorted(d)) in _EXACT_PPT_DIMS:
         return Verdict(Status.IN, ppt.certificate, info={"regime": "ppt-exact"})
 
-    scale = 1.0 + frob(rho)
     dec = _dephased(rho, d)
     if classify(-dec.residual, scale, tol) is Status.IN:
         return Verdict(Status.IN, dec, info={"regime": "dephased"})
@@ -768,11 +793,8 @@ def is_block_positive(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    d = Dims(*d).validate()
+    x, d = _operator(x, d, tol)
     n, m = d
-    x = check_hermitian(as_operator(x), tol)
-    if x.shape != (d.total, d.total):
-        raise ValueError(f"operator shape {x.shape} does not match dims {d}")
     scale = 1.0 + frob(x)
     x4 = x.reshape(n, m, n, m)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xB10C)))
@@ -820,6 +842,5 @@ def pm_k_membership(
     first violating sample's index and is exact; IN is only relative to
     the samples and flagged heuristic.
     """
-    d = Dims(*d).validate()
-    x = check_hermitian(as_operator(x), tol)
+    x, d = _operator(x, d, tol)
     return _sampled_least_eig(apply_second(_sample_chois(k_samples, d.m), x, d), tol)

@@ -900,38 +900,14 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
             report.check(trial, "separability vs membership", min(abs(s) for s in spectra), failed)
 
 
-def _certificate_problem(v, x: np.ndarray, d: Dims, tol: float) -> Optional[str]:
-    """Re-derive an ``in_E`` certificate with plain eigenvalue checks; None when it holds."""
-    scale = 1.0 + frob(x)
-
-    def psd(a):
-        return classify(_min_eig(a), 1.0 + frob(a), tol) is Status.IN
-
-    cert = v.certificate
-    if v.status is Status.IN:
-        if not (psd(cert.a) and psd(cert.b)):
-            return "decomposition part not PSD"
-        if classify(-frob(x - cert.a - partial_transpose(cert.b, d)), scale, tol) is not Status.IN:
-            return "decomposition residual"
-        return None
-    w = cert.w
-    if not (psd(w) and psd(partial_transpose(w, d))):
-        return "witness not PPT"
-    if abs(float(np.trace(w).real) - 1.0) > 1e-9:
-        return "witness trace"
-    if classify(float(trace_pairing(w, x).real), scale, tol) is not Status.OUT:
-        return "witness inside the band"
-    return None
-
-
 def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Decomposability matches the absence of a PPT witness.
 
     ``in_E`` answers with a decomposition (IN) or a PPT witness (OUT);
-    the suite re-derives that certificate independently (the spectra of
-    both parts and the residual, or the spectra of w and PT(w), its trace
-    and its pairing with the Choi matrix) and checks the violation-value
-    identity on every witness.
+    the suite runs that certificate's own ``problem()`` check on the
+    Choi matrix once more (the residual and the spectra of both parts, or
+    the pairing, the spectra of w and PT(w) and its trace) and checks the
+    violation-value identity on every witness.
     """
     idtol = 1e-12
     for trial in range(trials):
@@ -948,7 +924,7 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         if v.status is Status.UNDECIDED:
             report.undecided += 1
             continue
-        problem = _certificate_problem(v, c, d, tol)
+        problem = v.certificate.problem(c, d, tol)
         report.check(trial, f"certificate re-validation: {problem}", 1.0, problem is not None)
         if v.status is Status.OUT and problem is None:
             w = v.certificate.w

@@ -313,27 +313,63 @@ class TestInE:
             assert v.info["residual"] >= 0.0
             assert v.info["lower"] <= v.info["upper"]
 
-    def test_band_gap_skips_witness_search(self, monkeypatch):
+    def test_band_gap_is_one_sign_solve(self, monkeypatch):
         # lam* = -1.5e-8 lies inside the band: the bracket closes there and
-        # in_E answers UNDECIDED from its one solve, without a witness search
+        # in_E answers UNDECIDED from one sign solve, not an optimum solve
         import mapcones.cones as cones_mod
 
         lam = nondecomposable_map()
         s = S_STAR * (1 - 1e-7)
         x = lam.choi + s * np.eye(9)
         calls = []
+        solve = cones_mod.sdp.solve
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return witness_search(*args, **kwargs)
+        def counting(x, d, tol, optimum):
+            calls.append(optimum)
+            return solve(x, d, tol, optimum)
 
-        monkeypatch.setattr(cones_mod, "witness_search", counting)
+        monkeypatch.setattr(cones_mod.sdp, "solve", counting)
         v = in_E(x, D33, TOL)
         assert v.status is Status.UNDECIDED
         assert v.info["stop"] == "gap"
         assert v.info["lower"] <= s - S_STAR <= v.info["upper"]
         assert v.info["upper"] - v.info["lower"] <= TOL * (1 + frob(x))
-        assert calls == []
+        assert calls == [False]
+
+    def test_band_witness_is_dropped(self):
+        # the optimum solve closes on a witness of value about -1.5e-8,
+        # which the band makes UNDECIDED, so no witness comes back
+        x = nondecomposable_map().choi + S_STAR * (1 - 1e-7) * np.eye(9)
+        assert witness_search(x, D33, TOL) is None
+        feas = dykstra_feasibility(x, D33, TOL, optimum=True)
+        assert feas.w is None and feas.stop == "gap"
+        assert feas.lower <= -S_STAR * 1e-7 <= feas.upper < 0
+
+    @pytest.mark.parametrize("stop", ["in", "out"])
+    def test_failed_certificate_is_a_breakdown(self, monkeypatch, stop):
+        # a solve that claims "in" with a non-PSD dual y, or "out" with a
+        # non-PPT w, costs the decision: in_E is UNDECIDED, never IN or OUT
+        import mapcones.cones as cones_mod
+        from mapcones.sdp import Bracket
+
+        phi = max_entangled_projector(2) / 2  # PSD, trace one, PT(phi) has eigenvalue -1/2
+        if stop == "in":
+            x = np.eye(4)
+            bracket = Bracket(0.25, 0.25, -0.5 * np.eye(4), np.eye(4) / 4, 1, 1, "in")
+            reason = "decomposition part not PSD"
+        else:
+            x = 0.1 * np.eye(4) - phi
+            bracket = Bracket(-1.0, -0.9, np.zeros((4, 4)), phi, 1, 1, "out")
+            reason = "witness not PPT"
+        monkeypatch.setattr(cones_mod.sdp, "solve", lambda *args: bracket)
+        feas = dykstra_feasibility(x, D22, TOL)
+        if stop == "in":
+            assert Decomposition(feas.a, feas.b, feas.residual).problem(x, D22, TOL) == reason
+        else:
+            assert FWitness(bracket.w, feas.upper).problem(x, D22, TOL) == reason
+        v = in_E(x, D22, TOL)
+        assert v.status is Status.UNDECIDED and v.certificate is None
+        assert v.info["stop"] == "breakdown"
 
     @pytest.mark.parametrize(
         "dims, seed", [((2, 4), 3), ((4, 4), 4), ((4, 4), 5), ((3, 3), None)]
@@ -721,6 +757,25 @@ DIMS_ORACLES = {
 def test_degenerate_dims_rejected(oracle, dims):
     with pytest.raises(ValueError, match="dimensions must be >= 1"):
         DIMS_ORACLES[oracle](dims)
+
+
+@pytest.mark.parametrize("oracle", sorted(DIMS_ORACLES))
+def test_mis_shaped_operator_rejected(oracle, monkeypatch):
+    # a 4x4 operator at dims (3, 3) fails the entry gate before any eigensolve
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the shape gate")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    with pytest.raises(ValueError, match="does not match dims"):
+        DIMS_ORACLES[oracle]((3, 3))
+
+
+def test_dykstra_feasibility_rejects_non_hermitian():
+    x = np.eye(4, dtype=complex)
+    x[0, 1] = 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dykstra_feasibility(x, D22)
 
 
 class TestConeInclusions:

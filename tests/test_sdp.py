@@ -13,16 +13,21 @@ start point.  Every bracket the solve returns is checked to be
 certified, a step that ends on its predictor to leave a strictly
 feasible iterate, and a labelled corpus that mirrors the benchmark's
 e-in and e-out families to keep its labels at a pinned amount of work.
+Each corpus certificate passes its own ``problem()`` check, fails it once
+one field is mutated, and gets the same accept-or-reject answer from the
+benchmark's independent validator, ``perfbench/certs.py``.
 """
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
 from _helpers import brute_partial_transpose, random_complex, random_hermitian, random_psd, rng
-from mapcones.cones import Status, dykstra_feasibility, in_E
+from mapcones.cones import Decomposition, FWitness, Status, dykstra_feasibility, in_E
 from mapcones.fixtures import nondecomposable_map
 from mapcones.linalg import Dims, frob, partial_transpose
 from mapcones import sdp
@@ -391,3 +396,77 @@ def test_corpus_work_counts(corpus_verdicts):
     steps = sum(v.info["iterations"] for *_, v in corpus_verdicts)
     solves = sum(v.info["solves"] for *_, v in corpus_verdicts)
     assert (steps, solves) == (CORPUS_STEPS, CORPUS_SOLVES)
+
+
+TOL = 1e-9
+
+
+def _mutations(d, x, cert):
+    """(label, operator, certificate, reason) for one-field mutations of a corpus certificate.
+
+    Each reason is the first check that ``problem()`` finds failing: the
+    residual before the spectra of a decomposition, and the pairing before
+    the spectra and the trace of a witness.
+    """
+    nm = d.total
+    eye = np.eye(nm)
+    scale = 1 + frob(x)
+    if isinstance(cert, Decomposition):
+        a, b, res = cert.a, cert.b, cert.residual
+        # a - shift I has least eigenvalue -1e-4 scale, far past the band
+        shift = np.linalg.eigvalsh(a)[0] + 1e-4 * scale
+        yield "a shifted past the band", x, Decomposition(a - shift * eye, b, res), "decomposition residual"
+        yield "b perturbed off the residual", x, Decomposition(a, b + shift * eye, res), "decomposition residual"
+        # PT(I) = I, so the sum and the residual stay; a is no longer PSD
+        yield "shift moved from a to b", x, Decomposition(a - shift * eye, b + shift * eye, res), \
+            "decomposition part not PSD"
+        return
+    w, value = cert.w, cert.value
+    yield "w negated", x, FWitness(-w, value), "witness inside the band"
+    yield "w negated against -x", -x, FWitness(-w, value), "witness not PPT"
+    yield "w scaled by 1.1", x, FWitness(1.1 * w, value), "witness trace"
+    # Tr w = 1, so x + s I pairs with w to value + s: here -5 tol scale, inside the band
+    s = -value - 5 * TOL * (1 + frob(x - value * eye))
+    yield "x shifted into the band", x + s * eye, cert, "witness inside the band"
+    yield "x shifted past zero", x - 2 * value * eye, cert, "witness inside the band"
+
+
+def test_mutated_certificates_fail_problem(corpus_verdicts):
+    for d, x, _, v in corpus_verdicts:
+        assert v.certificate.problem(x, d, TOL) is None
+        for label, xm, cert, reason in _mutations(d, x, v.certificate):
+            assert cert.problem(xm, d, TOL) == reason, label
+
+
+def _load_certs():
+    """``perfbench/certs.py``, loaded by path; it imports nothing from mapcones."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "certs.py"
+    text = path.read_text()
+    assert "import mapcones" not in text and "from mapcones" not in text
+    spec = importlib.util.spec_from_file_location("perfbench_certs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_problem_agrees_with_the_benchmark_validator(corpus_verdicts):
+    # certs.f_witness accepts a value in the band by design, so only witness
+    # values at least 100 tol scale from the band take part; the unmutated
+    # decompositions sit at the IN edge, where both validators read
+    # -tol scale (certs adds 1e-12 scale to the residual's)
+    certs = _load_certs()
+    skipped = 0
+    for d, x, _, v in corpus_verdicts:
+        cases = [(x, v.certificate), *((xm, cert) for _, xm, cert, _ in _mutations(d, x, v.certificate))]
+        for xm, cert in cases:
+            if isinstance(cert, FWitness):
+                value, s = np.trace(cert.w @ xm).real, TOL * (1 + frob(xm))
+                if -110 * s < value < 99 * s:
+                    skipped += 1
+                    continue
+                independent = certs.f_witness(xm, d.n, d.m, cert)
+            else:
+                independent = certs.decomposition(xm, d.n, d.m, cert)
+            assert (cert.problem(xm, d, TOL) is None) == (independent is None), (d, independent)
+    # only the shifts into the band, one per witness
+    assert skipped == sum(v.status is Status.OUT for *_, v in corpus_verdicts)

@@ -291,7 +291,11 @@ class TestStackedSuiteCounts:
     made 56 ``apply_second`` and 46 ``eigh`` calls, T12 59 and 60, and
     T18 76 and 68.  Each e-cone iterate reads its certified lower bound
     from one more ``eigvalsh`` (of Z1), which took T12 from 60 to 61 and
-    T18 from 68 to 78.
+    T18 from 68 to 78.  Every e-cone decision runs ``FWitness.problem``,
+    which re-derives Tr(w x) with one ``einsum`` before any eigensolve:
+    that took T12 from 2 to 4, T18 from 4 to 8 and C19 from 19 to 29
+    ``einsum`` calls, with no ``eigvalsh`` added.  C19 is pinned so that
+    a certificate checked once more per decision shows up as a count.
     """
 
     COUNTS = {
@@ -301,8 +305,9 @@ class TestStackedSuiteCounts:
         "L8": (20, 10, 0, 2, 10),
         "L10": (30, 10, 10, 0, 0),
         "L17": (0, 10, 0, 20, 20),
-        "T12": (2, 10, 0, 61, 11),
-        "T18": (4, 14, 0, 78, 6),
+        "T12": (4, 10, 0, 61, 11),
+        "T18": (8, 14, 0, 78, 6),
+        "C19": (29, 3, 0, 121, 7),
     }
 
     @pytest.mark.parametrize("tid", sorted(COUNTS))
