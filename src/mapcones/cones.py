@@ -199,14 +199,20 @@ class Decomposition:
         return f"decomposition residual {self.residual:.12g}"
 
     def problem(self, x: np.ndarray, d: Dims, tol: float) -> Optional[str]:
-        """None when the re-derived residual x - a - PT(b) is IN and a, b are PSD, else the reason.
+        """None when the re-derived residual ||x - a - PT(b)||_F is IN and a, b are PSD, else the reason.
 
-        The residual, which needs no eigensolve, is checked first.
+        The residual, which needs no eigensolve, is checked first, and the
+        stored ``residual`` last: ``classify`` must put its distance from
+        the re-derived one IN.
         """
-        if classify(-frob(x - self.a - partial_transpose(self.b, d)), 1.0 + frob(x), tol) is not Status.IN:
+        scale = 1.0 + frob(x)
+        residual = frob(x - self.a - partial_transpose(self.b, d))
+        if classify(-residual, scale, tol) is not Status.IN:
             return "decomposition residual"
         if not (_psd_within(self.a, tol) and _psd_within(self.b, tol)):
             return "decomposition part not PSD"
+        if classify(-abs(residual - self.residual), scale, tol) is not Status.IN:
+            return "decomposition residual does not re-derive"
         return None
 
 
@@ -223,14 +229,20 @@ class FWitness:
     def problem(self, x: np.ndarray, d: Dims, tol: float) -> Optional[str]:
         """None when the re-derived Tr(w x) is OUT, w and PT(w) PSD and Tr w = 1, else the reason.
 
-        The pairing, which needs no eigensolve, is checked first.
+        The pairing, which needs no eigensolve, is checked first, and the
+        stored ``value`` last: ``classify`` must put its distance from the
+        re-derived Tr(w x) IN.
         """
-        if classify(float(trace_pairing(self.w, x).real), 1.0 + frob(x), tol) is not Status.OUT:
+        scale = 1.0 + frob(x)
+        value = float(trace_pairing(self.w, x).real)
+        if classify(value, scale, tol) is not Status.OUT:
             return "witness inside the band"
         if not (_psd_within(self.w, tol) and _psd_within(partial_transpose(self.w, d), tol)):
             return "witness not PPT"
         if abs(float(np.trace(self.w).real) - 1.0) > 1e-9:
             return "witness trace"
+        if classify(-abs(value - self.value), scale, tol) is not Status.IN:
+            return "witness value does not re-derive"
         return None
 
 
@@ -326,16 +338,21 @@ def _least_eig(y: np.ndarray, tol: float) -> tuple[Status, MinEigCert]:
     return classify(float(w[0]), 1.0 + frob(y), tol), MinEigCert(float(w[0]), u[:, 0].copy())
 
 
-def _sampled_least_eig(images: np.ndarray, tol: float) -> Verdict:
-    """``classify`` on the least eigenvalue of the Hermitian part of each image in a stack.
+def _hermitian_eigh(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermitian parts h of a stack of images and their batched ``eigh`` (w, u)."""
+    h = hermitian_part(images)
+    return (h, *np.linalg.eigh(h))
 
-    One batched ``eigh`` serves every image, each at its own scale
-    1 + ||image||_F.  OUT at the first image ``classify`` puts OUT
+
+def _sampled_least_eig(h: np.ndarray, w: np.ndarray, u: np.ndarray, tol: float) -> Verdict:
+    """``classify`` on the least eigenvalue of each Hermitian image in a stack, given its spectrum.
+
+    ``h`` is the stack of Hermitian images and (w, u) their ``eigh``, as
+    ``_hermitian_eigh`` returns them; each image is classified at its own
+    scale 1 + ||image||_F.  OUT at the first image ``classify`` puts OUT
     (``violating_sample``), else UNDECIDED if some image is, else IN,
     heuristic as it holds only for these samples.
     """
-    h = hermitian_part(images)
-    w, u = np.linalg.eigh(h)
     status = [classify(float(lo), 1.0 + s, tol) for lo, s in zip(w[:, 0], frobs(h))]
     if Status.OUT in status:
         idx = status.index(Status.OUT)
@@ -561,8 +578,7 @@ def is_decomposable(phi: MapRep, tol: float = 1e-9) -> Verdict:
     Tr(C w), which for square dimensions equals n times the maximally
     entangled state applied to (id (x) phi*)(w).
     """
-    c = phi.hermitian_choi(tol)
-    v = in_E(c, phi.d, tol)
+    v = in_E(phi.choi, phi.d, tol)
     if v.status is Status.OUT and isinstance(v.certificate, FWitness):
         info = dict(v.info)
         info["violation"] = v.certificate.value
@@ -843,4 +859,4 @@ def pm_k_membership(
     the samples and flagged heuristic.
     """
     x, d = _operator(x, d, tol)
-    return _sampled_least_eig(apply_second(_sample_chois(k_samples, d.m), x, d), tol)
+    return _sampled_least_eig(*_hermitian_eigh(apply_second(_sample_chois(k_samples, d.m), x, d)), tol)

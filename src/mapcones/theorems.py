@@ -12,7 +12,9 @@ disagreement beyond tolerance.  The four dual-cone conditions
 are computed exactly for the cp / cop / p / d cones via the closed-form
 operator oracles (PSD, PT-PSD, the ``f`` spectra, and ``cones.in_E`` for
 the ``e`` cone), and by sampling plus one certificate-guided adversarial
-probe per sample for everything else.  Every ``e``-cone decision is the
+probe per sample for everything else.  T1 and C2 draw every trial's map
+first and evaluate the four conditions for all of them at once, over a
+(trials x pool) stack.  Every ``e``-cone decision is the
 status of one ``in_E`` call, whose OUT certificate is the PPT witness the
 suite builds its probes from; T12 and T18 add that witness itself to the
 p-cone samples of the sharp test.  Every margin becomes IN, OUT or
@@ -58,6 +60,7 @@ from .cones import (
     Status,
     Verdict,
     _check_tol,
+    _hermitian_eigh,
     _sample_chois,
     _sampled_least_eig,
     _UnknownName,
@@ -70,6 +73,7 @@ from .cones import (
 from .linalg import (
     Dims,
     both_transpose,
+    check_hermitian,
     frob,
     frobs,
     full_transpose,
@@ -122,7 +126,7 @@ def ksharp_membership(
         raise ValueError("sharp-cone membership needs square dimensions")
     chois = _sample_chois(k_samples, n)
     k = chois.shape[-1] // n
-    return _sampled_least_eig(apply_second(beta, adjoint_choi(chois, Dims(n, k)), Dims(k, n)), tol)
+    return _sampled_least_eig(*_hermitian_eigh(apply_second(beta, adjoint_choi(chois, Dims(n, k)), Dims(k, n))), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +212,11 @@ def _bottom_projectors(y: np.ndarray) -> np.ndarray:
     return v @ v.conj().swapaxes(-1, -2)
 
 
+#: Entries (complex128) of the largest (maps x pool) stack of images that
+#: ``_theorem1_stack`` builds at once, 1 MiB; longer runs of maps go in chunks.
+_STACK_ENTRIES = 1 << 16
+
+
 def theorem1_conditions(
     phi: MapRep,
     cone: ConeId,
@@ -221,58 +230,88 @@ def theorem1_conditions(
     (square maps on M_m); when omitted a small seeded pool with the
     canonical elements is drawn.  For the cp / cop / p / d cones the
     verdicts are exact: spectral for the first three families and via
-    ``cones.in_E`` for the p cone.
-
-    Each condition runs over the whole pool at once: the samples' Choi
-    matrices are stacked, ``apply_second`` and ``adjoint_choi`` act on the
-    stack, and one batched eigensolver call serves every sample.  Conditions
-    (i) and (iii) probe each sample at its adversarial point only: the
-    bottom eigenvector minimizes the pairing over all probes of that
-    sample, so no other probe can set a margin.
+    ``cones.in_E`` for the p cone.  This is ``_theorem1_stack`` on a
+    stack of one map, which the suites call on all their trials at once.
     """
     if not cone.is_map_cone:
         raise ValueError(f"{cone} is not a map cone")
-    c = phi.hermitian_choi(tol)
-    d = phi.d
-    sq = Dims(d.m, d.m)
-    scale = 1.0 + frob(c)
-
     if samples is None:
-        samples = cone_generator_pool(cone, d, 8, seed)
+        samples = cone_generator_pool(cone, phi.d, 8, seed)
+    return _theorem1_stack([phi], cone, samples, tol)[0]
 
+
+def _theorem1_stack(
+    phis: Sequence[MapRep],
+    cone: ConeId,
+    samples: Sequence[MapRep],
+    tol: float,
+) -> list[Theorem1Conditions]:
+    """The four dual-cone conditions for each of one or more maps of equal dims, against one pool.
+
+    Each Choi matrix passes the Hermiticity gate once, and the pool's
+    transforms (its transpose conjugates, the dual-side generators
+    t . alpha* . t and both adjoints) are built once.  Each condition is
+    then one ``apply_second`` over the (maps x pool) stack and one batched
+    ``eigh`` or ``eigvalsh``; maps are taken in chunks of at most
+    ``_STACK_ENTRIES`` stack entries, so memory does not grow with the
+    number of maps.  Conditions (i) and (iii) probe each sample only at
+    its adversarial point, the bottom eigenvector, which minimizes the
+    pairing over every probe of that sample; their pairings run map by
+    map, as the single-map evaluation does, so every margin is bit for
+    bit the one a stack of one gives.  The p cone decides each map by
+    ``cones.in_E`` in ``_theorem1_p_cone``.
+    """
+    d = phis[0].d
+    raw = _choi_stack(phis, d.total)
+    try:
+        chois = check_hermitian(raw, tol)
+    except ValueError:
+        # the first map that fails raises its own error, as a map-by-map gate would
+        for phi in phis:
+            phi.hermitian_choi(tol)
+        raise
     if cone is ConeId.MAP_P:
-        return _theorem1_p_cone(phi, c, samples, tol)
-
+        return [_theorem1_p_cone(phi, c, samples, tol) for phi, c in zip(phis, chois)]
+    sq = Dims(d.m, d.m)
     pool = _choi_stack(samples, sq.total)
     pool_t = both_transpose(pool, sq)
-    # the generators t . alpha* . t of the dual side, stacked
-    kd = both_transpose(adjoint_choi(pool, sq), sq)
+    pool_adj = adjoint_choi(pool, sq)
+    # the generators t . alpha* . t of the dual side, and their adjoints
+    kd = both_transpose(pool_adj, sq)
+    kd_adj = adjoint_choi(kd, sq)
+    step = max(1, _STACK_ENTRIES // (max(len(pool), 1) * d.total**2))
+    out = []
+    for start in range(0, len(phis), step):
+        c, r = chois[start : start + step], raw[start : start + step]
 
-    # (ii) membership of the Choi matrix in the partner operator cone
-    if cone in _PARTNER:
-        m2 = _kpositivity_margin(_PARTNER[cone], c, d)
-    else:
-        # generic cone: sampled membership through the transposed samples
-        m2 = _least(_min_eigs(apply_second(pool_t, c, d)))
+        # (ii) membership of the Choi matrix in the partner operator cone
+        if cone in _PARTNER:
+            m2 = _kpositivity_margins(_PARTNER[cone], c, d)
+        else:
+            # generic cone: sampled membership through the transposed samples
+            m2 = np.min(_min_eigs(apply_second(pool_t, c[:, None], d)), axis=-1, initial=np.inf)
 
-    # (i) pairing against generators alpha . psi of the primal cone, per
-    # alpha at the adversarial psi: the bottom of (id (x) alpha*)(C)
-    psi = _bottom_projectors(apply_second(adjoint_choi(kd, sq), c, d))
-    m1 = _least(_pairings(c, apply_second(kd, psi, d)))
+        # (i) pairing against generators alpha . psi of the primal cone, per
+        # alpha at the adversarial psi: the bottom of (id (x) alpha*)(C)
+        psi = _bottom_projectors(apply_second(kd_adj, c[:, None], d))
+        m1 = [_least(_pairings(ck, yk)) for ck, yk in zip(c, apply_second(kd, psi, d))]
 
-    # (iii) positivity of the induced functional on transformed probes,
-    # per alpha at the adversarial rank-one probe
-    func = dual_functional(phi)
-    probe = _bottom_projectors(apply_second(pool, func.density, d))
-    probes = apply_second(adjoint_choi(pool, sq), probe, d)
-    m3 = _least(func(probes).real)
+        # (iii) positivity of the induced functional, whose density is
+        # C_{t.phi.t}, per alpha at the adversarial rank-one probe
+        density = both_transpose(r, d)
+        probe = _bottom_projectors(apply_second(pool, density[:, None], d))
+        probes = apply_second(pool_adj, probe, d)
+        m3 = [_least(trace_pairing(fk, pk).real) for fk, pk in zip(density, probes)]
 
-    # (iv) complete positivity of the compositions alpha^t . phi
-    m4 = _least(_min_eigs(apply_second(pool_t, phi.choi, d)))
+        # (iv) complete positivity of the compositions alpha^t . phi
+        m4 = np.min(_min_eigs(apply_second(pool_t, r[:, None], d)), axis=-1, initial=np.inf)
 
-    margins = {"i": float(m1), "ii": float(m2), "iii": float(m3), "iv": float(m4)}
-    status = [classify(v, scale, tol) for v in margins.values()]
-    return Theorem1Conditions(*(s is Status.IN for s in status), Status.UNDECIDED in status, margins)
+        for k, ck in enumerate(c):
+            margins = {"i": float(m1[k]), "ii": float(m2[k]), "iii": float(m3[k]), "iv": float(m4[k])}
+            scale = 1.0 + frob(ck)
+            status = [classify(v, scale, tol) for v in margins.values()]
+            out.append(Theorem1Conditions(*(s is Status.IN for s in status), Status.UNDECIDED in status, margins))
+    return out
 
 
 def _theorem1_p_cone(
@@ -546,11 +585,12 @@ def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         # t . alpha . t on x (row 0) and alpha on t(x)t (row 1), the whole pool at once
         chois = _choi_stack(pool, sq.total)
         images = apply_second(np.stack([both_transpose(chois, sq), chois]), np.stack([x, xt])[:, None], d)
-        lo_a, lo_b = _min_eigs(images)
-        for idx, gap in enumerate(np.abs(lo_a - lo_b)):
+        # one batched eigh of their Hermitian parts serves both checks
+        h, w, u = _hermitian_eigh(images)
+        for idx, gap in enumerate(np.abs(w[0, :, 0] - w[1, :, 0])):
             report.check(trial, f"{cone.value} sample {idx} spectral transport", gap, gap > idtol * scale)
-        # (t . alpha . t)(x) >= 0 and alpha(t(x)t) >= 0 over the pool, from the same images
-        va, vb = (_sampled_least_eig(side, tol) for side in images)
+        # (t . alpha . t)(x) >= 0 and alpha(t(x)t) >= 0 over the pool, from the same spectra
+        va, vb = (_sampled_least_eig(h[k], w[k], u[k], tol) for k in (0, 1))
         margin = min(abs(v.info.get("worst_min_eig", v.info.get("min_eig", 0.0))) for v in (va, vb))
         failed = None if Status.UNDECIDED in (va.status, vb.status) else va.status != vb.status
         report.check(trial, "membership verdicts disagree", margin, failed)
@@ -678,16 +718,21 @@ def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 
 def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """Four-way agreement of the dual-cone conditions on random maps."""
+    """Four-way agreement of the dual-cone conditions on random maps.
+
+    Every trial's map is drawn first, from its own substream, and each
+    cone's conditions run once over all of them through
+    ``_theorem1_stack``; the checks are then recorded trial by trial.
+    """
     pools = {
         cone: cone_generator_pool(cone, d, 16 if cone is ConeId.MAP_P else 12, seed + 17)
         for cone in _CONCRETE
     }
+    phis = [_random_map(substream(seed, 0x201, trial), d, trial) for trial in range(trials)]
+    results = {cone: _theorem1_stack(phis, cone, pools[cone], tol) for cone in _CONCRETE}
     for trial in range(trials):
-        rng = substream(seed, 0x201, trial)
-        phi = _random_map(rng, d, trial)
         for cone in _CONCRETE:
-            conds = theorem1_conditions(phi, cone, samples=pools[cone], tol=tol)
+            conds = results[cone][trial]
             # a boundary p-cone trial has no condition margins, and records no failure
             margins = [abs(v) for k, v in conds.margins.items() if k in ("i", "ii", "iii", "iv")]
             failed = None if conds.boundary else not conds.agree
@@ -742,19 +787,24 @@ _PARTNER = {
 }
 
 
-def _kpositivity_margin(cone: ConeId, c: np.ndarray, d: Dims) -> float:
-    """Spectral margin of K-positivity of a map with Choi matrix c.
+def _kpositivity_margins(cone: ConeId, c: np.ndarray, d: Dims) -> np.ndarray:
+    """Spectral margin of K-positivity of maps with Choi matrices c, over leading axes.
 
     K-positive maps have Choi matrices in {PSD, PT-PSD, the f cone} for
     K in {cp, cop, p}; the d instance has no spectral form.
     """
     if cone is ConeId.MAP_CP:
-        return _min_eig(c)
+        return _min_eigs(c)
     if cone is ConeId.MAP_COP:
-        return _min_eig(partial_transpose(c, d))
+        return _min_eigs(partial_transpose(c, d))
     if cone is ConeId.MAP_P:
-        return min(_min_eig(c), _min_eig(partial_transpose(c, d)))
+        return np.minimum(_min_eigs(c), _min_eigs(partial_transpose(c, d)))
     raise ValueError(f"no spectral K-positivity margin for {cone}")
+
+
+def _kpositivity_margin(cone: ConeId, c: np.ndarray, d: Dims) -> float:
+    """``_kpositivity_margins`` of a single Choi matrix."""
+    return float(_kpositivity_margins(cone, c, d))
 
 
 def _ppt_gap(x: np.ndarray, d: Dims) -> float:
@@ -872,32 +922,41 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 
 def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """The positive-maps instance, with the separability condition."""
+    """The positive-maps instance, with the separability condition.
+
+    Every trial's map is drawn first, from its own substream, and the
+    conditions run once over all of them through ``_theorem1_stack``.  At
+    the PPT-exact dims the least eigenvalues of C, PT(C) and the state
+    density (t (x) t)(C) of every trial come from one batched
+    ``eigvalsh``.  The checks are then recorded trial by trial.
+    """
     exact = tuple(sorted(d)) in _EXACT_PPT_DIMS
     pool = cone_generator_pool(ConeId.MAP_POS, d, 10, seed + 19)
     families = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_S, ConeId.MAP_POS)
-    for trial in range(trials):
-        rng = substream(seed, 0x2C2, trial)
-        phi = sample_map(families[trial % len(families)], d, rng)
-        c = phi.hermitian_choi(tol)
-        scale = 1.0 + frob(c)
-        conds = theorem1_conditions(phi, ConeId.MAP_POS, samples=pool, tol=tol)
+    phis = [sample_map(families[trial % len(families)], d, substream(seed, 0x2C2, trial)) for trial in range(trials)]
+    results = _theorem1_stack(phis, ConeId.MAP_POS, pool, tol)
+    if exact:
+        # the Choi matrices passed their gate in _theorem1_stack
+        c = hermitian_part(_choi_stack(phis, d.total))
+        density = hermitian_part(both_transpose(c, d))
+        spectra = _min_eigs(np.stack([c, partial_transpose(c, d), density], axis=1))
+    for trial, conds in enumerate(results):
         failed = None if conds.boundary else not conds.agree
         report.check(trial, f"conditions pattern {conds.pattern}", 1.0, failed)
-        if conds.boundary or not conds.agree:
+        if conds.boundary or not conds.agree or not exact:
             continue
-        if exact:
-            spectra = (_min_eig(c), _min_eig(partial_transpose(c, d)))
-            if any(classify(s, scale, tol) is Status.UNDECIDED for s in spectra):
-                report.undecided += 1
-                continue
-            density = hermitian_part(both_transpose(c, d))
-            # a functional that is not even a state (OUT) is not separable
-            sep = classify(_min_eig(density), scale, tol)
-            if sep is Status.IN:
-                sep = is_separable(density / float(np.trace(density).real), d, tol).status
-            failed = None if sep is Status.UNDECIDED else (sep is Status.IN) != conds.choi_membership
-            report.check(trial, "separability vs membership", min(abs(s) for s in spectra), failed)
+        scale = 1.0 + frob(c[trial])
+        lo, lo_pt, lo_state = spectra[trial]
+        if any(classify(s, scale, tol) is Status.UNDECIDED for s in (lo, lo_pt)):
+            report.undecided += 1
+            continue
+        # a functional that is not even a state (OUT) is not separable
+        sep = classify(lo_state, scale, tol)
+        if sep is Status.IN:
+            state = density[trial]
+            sep = is_separable(state / float(np.trace(state).real), d, tol).status
+        failed = None if sep is Status.UNDECIDED else (sep is Status.IN) != conds.choi_membership
+        report.check(trial, "separability vs membership", min(abs(lo), abs(lo_pt)), failed)
 
 
 def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:

@@ -437,6 +437,27 @@ class TestIsDecomposable:
         assert v.info["violation"] == pytest.approx(v.info["violation_omega"], abs=1e-12)
         assert v.info["violation"] < -1e-6
 
+    @pytest.mark.parametrize("phi", [identity_map(3), nondecomposable_map()], ids=["in", "out"])
+    def test_choi_gated_once(self, phi, monkeypatch):
+        # in_E's gate returns the Hermitian part is_decomposable used to
+        # pass it, bit for bit, since hermitian_part is idempotent
+        import mapcones.choi as choi_mod
+        import mapcones.cones as cones_mod
+
+        gated = []
+        for mod in (choi_mod, cones_mod):
+            def spy(x, tol=1e-9, original=mod.check_hermitian):
+                gated.append(x.shape == phi.choi.shape and np.array_equal(x, phi.choi))
+                return original(x, tol)
+
+            monkeypatch.setattr(mod, "check_hermitian", spy)
+        is_decomposable(phi, TOL)
+        assert gated.count(True) == 1
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            is_decomposable(map_from_choi(2, 2, np.triu(np.ones((4, 4)))), TOL)
+
 
 class TestWitnessSearch:
     def test_none_for_psd(self):

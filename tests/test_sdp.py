@@ -406,7 +406,8 @@ def _mutations(d, x, cert):
 
     Each reason is the first check that ``problem()`` finds failing: the
     residual before the spectra of a decomposition, and the pairing before
-    the spectra and the trace of a witness.
+    the spectra and the trace of a witness.  The stored number (the
+    residual, the value) is checked last, against the re-derived one.
     """
     nm = d.total
     eye = np.eye(nm)
@@ -420,11 +421,14 @@ def _mutations(d, x, cert):
         # PT(I) = I, so the sum and the residual stay; a is no longer PSD
         yield "shift moved from a to b", x, Decomposition(a - shift * eye, b + shift * eye, res), \
             "decomposition part not PSD"
+        yield "residual stale", x, Decomposition(a, b, res + 1e-4 * scale), \
+            "decomposition residual does not re-derive"
         return
     w, value = cert.w, cert.value
     yield "w negated", x, FWitness(-w, value), "witness inside the band"
     yield "w negated against -x", -x, FWitness(-w, value), "witness not PPT"
     yield "w scaled by 1.1", x, FWitness(1.1 * w, value), "witness trace"
+    yield "value stale", x, FWitness(w, value - 1e-4 * scale), "witness value does not re-derive"
     # Tr w = 1, so x + s I pairs with w to value + s: here -5 tol scale, inside the band
     s = -value - 5 * TOL * (1 + frob(x - value * eye))
     yield "x shifted into the band", x + s * eye, cert, "witness inside the band"
@@ -453,11 +457,14 @@ def test_problem_agrees_with_the_benchmark_validator(corpus_verdicts):
     # certs.f_witness accepts a value in the band by design, so only witness
     # values at least 100 tol scale from the band take part; the unmutated
     # decompositions sit at the IN edge, where both validators read
-    # -tol scale (certs adds 1e-12 scale to the residual's)
+    # -tol scale (certs adds 1e-12 scale to the residual's).  The stale
+    # residual stays out: certs.decomposition re-derives the residual and
+    # never reads the stored one
     certs = _load_certs()
     skipped = 0
     for d, x, _, v in corpus_verdicts:
-        cases = [(x, v.certificate), *((xm, cert) for _, xm, cert, _ in _mutations(d, x, v.certificate))]
+        mutations = _mutations(d, x, v.certificate)
+        cases = [(x, v.certificate), *((xm, cert) for label, xm, cert, _ in mutations if label != "residual stale")]
         for xm, cert in cases:
             if isinstance(cert, FWitness):
                 value, s = np.trace(cert.w @ xm).real, TOL * (1 + frob(xm))

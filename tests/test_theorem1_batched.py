@@ -11,6 +11,11 @@ The references still pair every sample against random probes as well as
 the adversarial one; ``theorem1_conditions`` keeps only the adversarial
 probe.  Equal margins therefore also show that the random probes never
 set one.
+
+``theorem1_conditions`` is the stack of one of ``_theorem1_stack``, which
+the suites call on all their trials at once.  The last tests require the
+stacked core to give every map bit for bit what its stack of one gives,
+also when the stack is cut into chunks.
 """
 
 import numpy as np
@@ -37,7 +42,8 @@ from mapcones.sampling import (
     random_unit_vector,
     substream,
 )
-from mapcones.theorems import Theorem1Conditions, theorem1_conditions
+from mapcones.cli import main
+from mapcones.theorems import Theorem1Conditions, _theorem1_stack, theorem1_conditions
 
 
 def _min_eig(x) -> float:
@@ -215,3 +221,76 @@ def test_empty_pool_gives_infinite_margins():
     assert got.margins == ref.margins
     assert got.as_tuple() == ref.as_tuple()
 
+
+
+STACK_CONES = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_POS, ConeId.MAP_S)
+STACK_DIMS = (Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(3, 3), Dims(2, 4))
+
+
+def _assert_bit_equal(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert (g.as_tuple(), g.boundary) == (r.as_tuple(), r.boundary)
+        assert g.margins == r.margins
+
+
+@pytest.mark.parametrize("d", STACK_DIMS, ids=lambda d: f"{d.n}x{d.m}")
+@pytest.mark.parametrize("cone", STACK_CONES, ids=lambda c: c.value)
+def test_stack_is_bit_equal_to_stacks_of_one(cone, d, monkeypatch):
+    pool = cone_generator_pool(cone, d, 8, 5)
+    phis = [_phi(d, seed) for seed in range(10)]
+    ones = [theorem1_conditions(phi, cone, samples=pool) for phi in phis]
+    _assert_bit_equal(_theorem1_stack(phis, cone, pool, 1e-9), ones)
+    # a budget of three maps' stacks cuts the ten maps into chunks of 3, 3, 3 and 1
+    monkeypatch.setattr(theorems_mod, "_STACK_ENTRIES", 3 * len(pool) * d.total**2)
+    _assert_bit_equal(_theorem1_stack(phis, cone, pool, 1e-9), ones)
+
+
+@pytest.mark.parametrize("d", (Dims(2, 2), Dims(3, 3)), ids=lambda d: f"{d.n}x{d.m}")
+def test_p_cone_stack_is_bit_equal_to_stacks_of_one(d):
+    pool = cone_generator_pool(ConeId.MAP_P, d, 8, 5)
+    phis = [_phi(d, seed) for seed in range(10)]
+    _assert_bit_equal(_theorem1_stack(phis, ConeId.MAP_P, pool, 1e-9),
+                      [theorem1_conditions(phi, ConeId.MAP_P, samples=pool) for phi in phis])
+
+
+@pytest.mark.parametrize("cone", (ConeId.MAP_S, ConeId.MAP_POS), ids=lambda c: c.value)
+def test_stack_on_the_empty_pool(cone):
+    phis = [_phi(Dims(2, 3), seed) for seed in range(10)]
+    got = _theorem1_stack(phis, cone, [], 1e-9)
+    _assert_bit_equal(got, [theorem1_conditions(phi, cone, samples=[]) for phi in phis])
+    assert all(g.margins["i"] == g.margins["iv"] == np.inf for g in got)
+
+
+def test_non_hermitian_map_in_a_stack_raises_its_own_error():
+    d = Dims(2, 3)
+    good = [_phi(d, seed) for seed in range(4)]
+    g = np.random.default_rng(3).normal(size=(6, 6))
+    # the first bad map deviates less than the second, whose message a
+    # single gate of the whole stack would carry
+    bad = [map_from_choi(2, 3, good[0].choi + s * g) for s in (1e-3, 1e-1)]
+    with pytest.raises(ValueError) as single:
+        theorem1_conditions(bad[0], ConeId.MAP_POS)
+    assert "matrix is not Hermitian" in str(single.value)
+    pool = cone_generator_pool(ConeId.MAP_POS, d, 8, 0)
+    for cone in (ConeId.MAP_POS, ConeId.MAP_CP):
+        with pytest.raises(ValueError) as stacked:
+            _theorem1_stack(good[:2] + bad + good[2:], cone, pool, 1e-9)
+        assert str(stacked.value) == str(single.value)
+
+
+def test_long_runs_stay_within_the_stack_budget(monkeypatch, capsys):
+    sizes = []
+    original = theorems_mod.apply_second
+
+    def spy(alpha, x, d):
+        out = original(alpha, x, d)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(theorems_mod, "apply_second", spy)
+    assert main(["verify", "C2", "3", "3", "--trials", "200"]) == 0
+    capsys.readouterr()
+    # the pool has 10 maps on M_3, so one trial's stack holds 10 * 81 entries
+    assert max(sizes) <= theorems_mod._STACK_ENTRIES
+    assert max(sizes) > 10 * 81

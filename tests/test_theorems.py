@@ -296,17 +296,27 @@ class TestStackedSuiteCounts:
     that took T12 from 2 to 4, T18 from 4 to 8 and C19 from 19 to 29
     ``einsum`` calls, with no ``eigvalsh`` added.  C19 is pinned so that
     a certificate checked once more per decision shows up as a count.
+    L5 reads its spectral-transport gaps and both membership verdicts
+    from one batched ``eigh``, which took it from 26 to 16 ``eigvalsh``
+    and from 20 to 10 ``eigh`` calls.  T1 and C2 evaluate the Theorem 1
+    conditions for all their trials as one stack; one condition per trial
+    took C2 78 ``apply_second``, 20 ``eigvalsh`` and 20 ``eigh`` calls at
+    3x3 and 74, 50 and 36 at 2x3 (``"C2/2x3"``, whose exact-dims spectra
+    are one stack now too), and T1 180, 252 and 78.
     """
 
     COUNTS = {
-        # suite: (einsum, apply_second, functional, eigvalsh, eigh)
+        # suite[/dims, 3x3 when omitted]: (einsum, apply_second, functional, eigvalsh, eigh)
         "L4": (130, 0, 40, 2, 0),
-        "L5": (0, 10, 0, 26, 20),
+        "L5": (0, 10, 0, 16, 10),
         "L8": (20, 10, 0, 2, 10),
         "L10": (30, 10, 10, 0, 0),
         "L17": (0, 10, 0, 20, 20),
+        "T1": (124, 45, 12, 189, 24),
         "T12": (4, 10, 0, 61, 11),
         "T18": (8, 14, 0, 78, 6),
+        "C2": (20, 24, 0, 2, 2),
+        "C2/2x3": (20, 20, 0, 3, 18),
         "C19": (29, 3, 0, 121, 7),
     }
 
@@ -330,7 +340,9 @@ class TestStackedSuiteCounts:
         monkeypatch.setattr(np, "einsum", spy("einsum", np.einsum))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
-        assert verify(tid, D33, 10, 7).passed
+        suite, _, dims = tid.partition("/")
+        d = Dims(*map(int, dims.split("x"))) if dims else D33
+        assert verify(suite, d, 10, 7).passed
         assert tuple(counts.values()) == self.COUNTS[tid]
 
 
