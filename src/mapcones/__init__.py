@@ -3,7 +3,7 @@
 The package provides:
 
 * ``linalg``   dense complex bipartite operator algebra (tensor products,
-  partial transpose and trace, Hermitian eigendecomposition, PSD tests);
+  partial transpose and trace, the Hermiticity gate, a PSD test);
 * ``choi``     maps stored as Choi matrices: actions, adjoints, transpose
   conjugates, compositions, induced functionals, trace pairings;
 * ``cones``    membership oracles with certificates for the cp / cop /
@@ -23,11 +23,9 @@ The package provides:
 
 from .linalg import (
     Dims,
-    HermSpectrum,
     as_operator,
     both_transpose,
     conj_transpose,
-    eig_hermitian,
     frob,
     full_transpose,
     hs_inner,

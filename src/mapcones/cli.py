@@ -33,7 +33,6 @@ from .cones import (
     Status,
     Verdict,
     _UnknownName,
-    classify,
     in_E,
     in_F,
     in_P,
@@ -43,10 +42,9 @@ from .cones import (
     is_cp,
     is_decomposable,
     is_positive_map,
-    is_separable,
 )
 from .io import MapFileError, load_matrix, save_matrix
-from .linalg import Dims, frob, is_psd
+from .linalg import Dims
 from .sampling import sample_map, substream
 from .theorems import emit_report, verify
 
@@ -84,20 +82,10 @@ def _describe(v: Verdict) -> str:
     return "; ".join(parts)
 
 
-def _check_psd(x: np.ndarray, tol: float) -> Verdict:
-    lo = is_psd(x, tol)[1]
-    return Verdict(classify(lo, 1.0 + frob(x), tol), info={"min_eig": lo})
-
-
-def _check_sep(x: np.ndarray, d: Dims, tol: float) -> Verdict:
-    tr = float(np.trace(x).real)
-    if tr <= tol:
-        raise ValueError("state trace is not positive")
-    return is_separable(x / tr, d, tol)
-
-
 #: The oracle ``check`` runs for each cone, as oracle(x, d, args): x is
 #: the file's map for a map cone and its matrix for an operator cone.
+#: ``psd`` and ``sep`` hold the operator as the Choi matrix of a map and
+#: run the oracle of their map-cone twin, ``cp`` and ``s``.
 _CHECKS = {
     ConeId.MAP_CP: lambda x, d, a: is_cp(x, a.tol),
     ConeId.MAP_COP: lambda x, d, a: is_cop(x, a.tol),
@@ -105,10 +93,10 @@ _CHECKS = {
     ConeId.MAP_D: lambda x, d, a: is_decomposable(x, a.tol),
     ConeId.MAP_S: lambda x, d, a: in_S(x, a.tol),
     ConeId.MAP_POS: lambda x, d, a: is_positive_map(x, restarts=a.restarts, tol=a.tol, seed=a.seed),
-    ConeId.OP_PSD: lambda x, d, a: _check_psd(x, a.tol),
+    ConeId.OP_PSD: lambda x, d, a: is_cp(map_from_choi(d.n, d.m, x), a.tol),
     ConeId.OP_F: lambda x, d, a: in_F(x, d, a.tol),
     ConeId.OP_E: lambda x, d, a: in_E(x, d, a.tol),
-    ConeId.OP_SEP: lambda x, d, a: _check_sep(x, d, a.tol),
+    ConeId.OP_SEP: lambda x, d, a: in_S(map_from_choi(d.n, d.m, x), a.tol),
     ConeId.OP_BLOCKPOS: lambda x, d, a: is_block_positive(x, d, restarts=a.restarts, tol=a.tol, seed=a.seed),
 }
 

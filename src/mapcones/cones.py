@@ -17,6 +17,10 @@ Operator cones (acting on arrays with declared ``Dims``):
 * ``sep``       separable
 * ``blockpos``  block-positive (heuristic IN only)
 
+Each map cone runs the code of its operator twin (cp/psd, p/f, s/sep,
+pos/blockpos, d/e): the Choi matrix is gated once and handed to the
+operator core, and ``check psd`` runs ``is_cp``.
+
 Verdicts are IN / OUT / UNDECIDED.  Each test reads a margin (a least
 eigenvalue, a product-vector value, a PPT witness value Tr(w x)), and
 ``classify`` alone turns it into a verdict: IN at margin >= -tol * scale,
@@ -362,17 +366,18 @@ def _sampled_least_eig(h: np.ndarray, w: np.ndarray, u: np.ndarray, tol: float) 
     return Verdict(verdict, heuristic=verdict is Status.IN, info={"worst_min_eig": float(w[:, 0].min())})
 
 
-def _sample_chois(samples: Sequence[MapRep], n: int) -> np.ndarray:
-    """The Choi matrices of cone samples acting on M_n, stacked.
+def _choi_stack(maps: Sequence[MapRep], k: int) -> np.ndarray:
+    """The k x k Choi matrices of ``maps`` stacked along a leading axis."""
+    return np.array([a.choi for a in maps], dtype=np.complex128).reshape(-1, k, k)
 
-    Raises ValueError for an empty sample set or a sample on another M_k.
-    """
+
+def _check_samples(samples: Sequence[MapRep], n: int) -> None:
+    """Raise ValueError for an empty set of cone samples or a sample that does not act on M_n."""
     if len(samples) == 0:
         raise ValueError("need at least one cone sample")
     for alpha in samples:
         if alpha.n != n:
             raise ValueError(f"map input dim {alpha.n} does not match second factor {n}")
-    return np.array([alpha.choi for alpha in samples])
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +398,8 @@ def is_cop(phi: MapRep, tol: float = 1e-9) -> Verdict:
 
 
 def in_P(phi: MapRep, tol: float = 1e-9) -> Verdict:
-    """Membership in the cone of maps that are both cp and cop."""
-    v_cp = is_cp(phi, tol)
-    if v_cp.status is Status.OUT:
-        return Verdict(Status.OUT, v_cp.certificate, info={"failed": "cp", **v_cp.info})
-    v_cop = is_cop(phi, tol)
-    if v_cop.status is Status.OUT:
-        return Verdict(Status.OUT, v_cop.certificate, info={"failed": "cop", **v_cop.info})
-    spectra = PptSpectra(v_cp.info["min_eig"], v_cop.info["min_eig_pt"])
-    return Verdict(v_cop.status if v_cp.status is Status.IN else v_cp.status, spectra)
+    """Maps both cp and cop: ``in_F``'s verdict on the gated Choi matrix."""
+    return _ppt(phi.hermitian_choi(tol), phi.d, tol)
 
 
 def in_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
@@ -422,11 +420,11 @@ def _ppt(x: np.ndarray, d: Dims, tol: float) -> Verdict:
 
 def is_ppt_state(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """PPT test for a density operator (trace must equal 1 within 1e-9)."""
-    rho = as_operator(rho)
+    rho, d = _operator(rho, d, tol)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-9:
         raise ValueError(f"not a density operator: trace = {tr}")
-    return in_F(rho, d, tol)
+    return _ppt(rho, d, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +666,11 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     Otherwise a positive-map detection is a certified OUT and anything
     else is UNDECIDED.
     """
-    rho, d = _operator(rho, d, tol)
+    return _separable(*_operator(rho, d, tol), tol)
+
+
+def _separable(rho: np.ndarray, d: Dims, tol: float) -> Verdict:
+    """``is_separable`` on a rho that has passed the ``_operator`` gate."""
     scale = 1.0 + frob(rho)
     # the state check reads rho's least eigenvalue from the PPT test's spectra
     ppt = _ppt(rho, d, tol)
@@ -697,12 +699,16 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
 
 
 def in_S(phi: MapRep, tol: float = 1e-9) -> Verdict:
-    """Entanglement-breaking cone: the normalized Choi matrix is separable."""
+    """Entanglement-breaking cone: ``is_separable``'s verdict on C / Tr C, C the gated Choi matrix.
+
+    Raises ValueError unless Tr C is above ``tol``.
+    """
     c = phi.hermitian_choi(tol)
     tr = float(np.trace(c).real)
     if tr <= tol:
         raise ValueError(f"Choi trace {tr:.3e} is not above tol = {tol!r}")
-    return is_separable(c / tr, phi.d, tol)
+    # c is exactly Hermitian, so c / tr is the matrix the gate would return
+    return _separable(c / tr, phi.d, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +750,11 @@ def _forms(v: np.ndarray, layout: np.ndarray, q: int) -> np.ndarray:
     return (v[:, None, :] @ t).reshape(k, q, q)
 
 
-def _seesaw(
-    x4: np.ndarray, xi: np.ndarray, stop_below: float, iters: int = 60
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+#: See-saw sweeps ``_seesaw`` runs at most
+_SEESAW_SWEEPS = 60
+
+
+def _seesaw(x4: np.ndarray, xi: np.ndarray, stop_below: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """See-saw descent from every row of ``xi`` at once.
 
     ``x4`` is the operator reshaped to (n, m, n, m) and ``xi`` holds start
@@ -756,7 +764,7 @@ def _seesaw(
     forms its stack with one matrix product against a layout of x built
     once per call (``_halfstep_layouts``) and one batched product with
     the active rows.  A row freezes when its value stops improving.  The
-    batch stops when every row is frozen, after ``iters`` sweeps, or once
+    batch stops when every row is frozen, after ``_SEESAW_SWEEPS`` sweeps, or once
     some row's value is below ``stop_below``; values never increase, so
     that row would end below it too.  Returns the rows of xi and eta,
     their values <xi (x) eta| x |xi (x) eta> and the number of sweeps run.
@@ -768,7 +776,7 @@ def _seesaw(
     val = np.full(len(xi), np.inf)
     active = np.arange(len(xi))
     sweeps = 0
-    while active.size and sweeps < iters:
+    while active.size and sweeps < _SEESAW_SWEEPS:
         sweeps += 1
         # Hermitian forms up to rounding; eigh reads only their lower triangles
         e = np.linalg.eigh(_forms(xi[active], on_first, m))[1][:, :, 0]
@@ -859,4 +867,6 @@ def pm_k_membership(
     the samples and flagged heuristic.
     """
     x, d = _operator(x, d, tol)
-    return _sampled_least_eig(*_hermitian_eigh(apply_second(_sample_chois(k_samples, d.m), x, d)), tol)
+    _check_samples(k_samples, d.m)
+    chois = _choi_stack(k_samples, d.m * k_samples[0].m)
+    return _sampled_least_eig(*_hermitian_eigh(apply_second(chois, x, d)), tol)

@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "Dims",
-    "HermSpectrum",
     "as_operator",
     "as_operators",
     "frob",
@@ -31,17 +30,12 @@ __all__ = [
     "partial_transpose",
     "both_transpose",
     "partial_trace",
-    "eig_hermitian",
     "is_psd",
     "hs_inner",
     "trace_pairing",
     "hermitian_part",
     "check_hermitian",
 ]
-
-#: Relative tolerance used by default for Hermiticity and PSD gates.
-DEFAULT_TOL = 1e-9
-
 
 class Dims(NamedTuple):
     """Dimensions of a bipartite operator space: first factor n, second m."""
@@ -57,18 +51,6 @@ class Dims(NamedTuple):
         if self.n < 1 or self.m < 1:
             raise ValueError(f"dimensions must be >= 1, got {self}")
         return self
-
-
-class HermSpectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and sorted in nonincreasing order;
-    ``eigenvectors`` is unitary with the k-th column the eigenvector of
-    the k-th eigenvalue, so that  x = U diag(w) U*.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_operator(x) -> np.ndarray:
@@ -171,7 +153,7 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
-def check_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_hermitian(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Return the Hermitian part of x; raise if x is not Hermitian within tol.
 
     The gate is relative: ||x - x*||_F <= tol * (1 + ||x||_F).  ``tol``
@@ -194,19 +176,7 @@ def check_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return hermitian_part(x)
 
 
-def eig_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL) -> HermSpectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues nonincreasing.
-
-    The input is validated against the Hermiticity gate and symmetrized
-    before factorization.  Raises ValueError for non-Hermitian input and
-    propagates LinAlgError if the factorization fails to converge.
-    """
-    h = check_hermitian(as_operator(x), tol)
-    w, u = np.linalg.eigh(h)
-    return HermSpectrum(w[::-1].copy(), u[:, ::-1].copy())
-
-
-def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+def is_psd(x: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
     """Test positive semidefiniteness of a Hermitian matrix.
 
     Returns (verdict, min_eigenvalue) where the verdict is True iff the
@@ -215,8 +185,7 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     matrix at a positivity check signals a caller bug.
     """
     x = as_operator(x)
-    spectrum = eig_hermitian(x, tol)
-    lo = float(spectrum.eigenvalues[-1])
+    lo = float(np.linalg.eigh(check_hermitian(x, tol))[0][0])
     return lo >= -tol * (1.0 + frob(x)), lo
 
 

@@ -59,14 +59,18 @@ from .cones import (
     ConeId,
     Status,
     Verdict,
+    _check_samples,
     _check_tol,
+    _choi_stack,
     _hermitian_eigh,
-    _sample_chois,
     _sampled_least_eig,
     _UnknownName,
     classify,
     in_E,
     in_F,
+    in_P,
+    is_cop,
+    is_cp,
     is_separable,
     pm_k_membership,
 )
@@ -124,8 +128,9 @@ def ksharp_membership(
     n = beta.n
     if n != beta.m:
         raise ValueError("sharp-cone membership needs square dimensions")
-    chois = _sample_chois(k_samples, n)
-    k = chois.shape[-1] // n
+    _check_samples(k_samples, n)
+    k = k_samples[0].m
+    chois = _choi_stack(k_samples, n * k)
     return _sampled_least_eig(*_hermitian_eigh(apply_second(beta, adjoint_choi(chois, Dims(n, k)), Dims(k, n))), tol)
 
 
@@ -199,11 +204,6 @@ def _complex_normals(rng: np.random.Generator, count: int, shape: tuple) -> np.n
     """``count`` draws of normal(shape) + 1j normal(shape), stacked, in sequential stream order."""
     g = rng.normal(size=(count, 2, *shape))
     return g[:, 0] + 1j * g[:, 1]
-
-
-def _choi_stack(maps: Sequence[MapRep], k: int) -> np.ndarray:
-    """The k x k Choi matrices of ``maps`` stacked along a leading axis."""
-    return np.array([a.choi for a in maps], dtype=np.complex128).reshape(-1, k, k)
 
 
 def _bottom_projectors(y: np.ndarray) -> np.ndarray:
@@ -766,14 +766,24 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
             # K = d, whose escape needs the feasibility engine and is
             # exercised by the C19 and T18 suites)
             phi = _random_map(rng, d, trial)
-            margin = _kpositivity_margin(cone, phi.hermitian_choi(tol), d)
+            v = _SPECTRAL_ORACLE[cone](phi, tol)
             # only a map that classify puts OUT has an escape to catch
-            if classify(margin, 1 + frob(phi.choi), tol) is not Status.OUT:
+            if v.status is not Status.OUT:
                 report.undecided += 1
                 continue
-            caught = classify(_certificate_pairing(phi, cone, d, tol), 1 + frob(phi.choi), tol)
+            # dual-side elements from the certificate's eigenvector u: u u*
+            # lies in P(M, K^t) unless K = cop, PT(u u*) unless K = cp
+            u = v.certificate.vector[:, None]
+            rank_one = u @ u.conj().T
+            duals = []
+            if cone is not ConeId.MAP_COP:
+                duals.append(rank_one)
+            if cone is not ConeId.MAP_CP:
+                duals.append(partial_transpose(rank_one, d))
+            best = min(pairing(phi, map_from_choi(d.n, d.m, y), tol=np.inf) for y in duals)
+            caught = classify(best, 1 + frob(phi.choi), tol)
             failed = None if caught is Status.UNDECIDED else caught is Status.IN
-            report.check(trial, f"{cone.value} escape not caught", abs(margin), failed)
+            report.check(trial, f"{cone.value} escape not caught", abs(v.certificate.value), failed)
 
 
 #: For K-positivity, the membership cone of the Choi matrix is the
@@ -785,6 +795,9 @@ _PARTNER = {
     ConeId.MAP_P: ConeId.MAP_D,
     ConeId.MAP_D: ConeId.MAP_P,
 }
+
+#: The exact oracle of each spectral cone; its OUT certificate is a ``MinEigCert``.
+_SPECTRAL_ORACLE = {ConeId.MAP_CP: is_cp, ConeId.MAP_COP: is_cop, ConeId.MAP_P: in_P}
 
 
 def _kpositivity_margins(cone: ConeId, c: np.ndarray, d: Dims) -> np.ndarray:
@@ -810,29 +823,6 @@ def _kpositivity_margin(cone: ConeId, c: np.ndarray, d: Dims) -> float:
 def _ppt_gap(x: np.ndarray, d: Dims) -> float:
     """The smaller distance from zero of the least eigenvalues of x and PT(x)."""
     return min(abs(_min_eig(x)), abs(_min_eig(partial_transpose(x, d))))
-
-
-def _certificate_pairing(phi: MapRep, cone: ConeId, d: Dims, tol: float) -> float:
-    """Best pairing of phi against certificate-derived dual-side elements.
-
-    The candidates are rank-one (or partially transposed rank-one)
-    Choi matrices taken from the negative eigenspaces; each lies in the
-    dual-side cone P(M, K^t) of the instance that uses it.
-    """
-    c = phi.hermitian_choi(tol)
-    vals = []
-    if cone in (ConeId.MAP_CP, ConeId.MAP_P):
-        w, u = np.linalg.eigh(c)
-        v = u[:, [0]]
-        vals.append(pairing(phi, map_from_choi(d.n, d.m, v @ v.conj().T), tol=np.inf))
-    if cone in (ConeId.MAP_COP, ConeId.MAP_P):
-        pt = hermitian_part(partial_transpose(c, d))
-        w2, u2 = np.linalg.eigh(pt)
-        v2 = u2[:, [0]]
-        vals.append(
-            pairing(phi, map_from_choi(d.n, d.m, partial_transpose(v2 @ v2.conj().T, d)), tol=np.inf)
-        )
-    return min(vals)
 
 
 def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:

@@ -178,3 +178,37 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("case", CASES)
 def test_cli_transcript(case, tmp_path):
     assert run_case(case.split(), tmp_path) == _recorded()[case]
+
+
+#: a map cone and the operator cone its Choi matrices fill: ``check``
+#: prints one verdict for both on every file
+TWINS = [("cp", "psd"), ("p", "f"), ("s", "sep"), ("pos", "blockpos")]
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("corpus")
+    write_corpus(directory)
+    return directory
+
+
+def _check(directory: Path, name: str, cone: str) -> tuple:
+    """Exit code, the text after ``cone @ n x m:`` and stderr of ``check name cone``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(directory), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", name, cone])
+    return code, out.getvalue().rstrip("\n").partition(":")[2], err.getvalue()
+
+
+@pytest.mark.parametrize("map_cone, op_cone", TWINS)
+def test_twin_cones_print_one_verdict(corpus, map_cone, op_cone):
+    for path in sorted(corpus.iterdir()):
+        assert _check(corpus, path.name, map_cone) == _check(corpus, path.name, op_cone), path.name
+
+
+def test_e_line_is_a_prefix_of_the_d_line(corpus):
+    for path in sorted(corpus.iterdir()):
+        code_d, text_d, err_d = _check(corpus, path.name, "d")
+        code_e, text_e, err_e = _check(corpus, path.name, "e")
+        assert (code_e, err_e) == (code_d, err_d), path.name
+        assert text_d.startswith(text_e), path.name

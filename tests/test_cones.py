@@ -138,9 +138,16 @@ class TestPCone:
         assert in_P(depolarizing_map(3, 3)).status is Status.IN
 
     def test_identity_out(self):
-        v = in_P(identity_map(2))
+        # the Choi matrix of id on M_2 is PSD and its partial transpose is
+        # the swap, so the certificate is the swap's eigenvector at -1
+        phi = identity_map(2)
+        v = in_P(phi)
         assert v.status is Status.OUT
-        assert v.info["failed"] == "cop"
+        cert = v.certificate
+        assert isinstance(cert, MinEigCert)
+        assert cert.value == pytest.approx(-1.0, abs=1e-12)
+        pt = partial_transpose(phi.choi, D22)
+        assert np.allclose(pt @ cert.vector, -cert.vector, atol=1e-12)
 
     def test_convexity(self):
         g = rng(53)
@@ -174,6 +181,11 @@ class TestFCone:
     def test_trace_gate(self):
         with pytest.raises(ValueError):
             is_ppt_state(np.eye(4), D22)
+
+    def test_hermiticity_gate_before_trace_gate(self):
+        # neither Hermitian nor of trace one: the Hermiticity error comes first
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            is_ppt_state(np.triu(np.ones((4, 4))), D22)
 
     def test_non_hermitian_rejected(self):
         g = rng(55)
@@ -457,6 +469,34 @@ class TestIsDecomposable:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="matrix is not Hermitian"):
             is_decomposable(map_from_choi(2, 2, np.triu(np.ones((4, 4)))), TOL)
+
+
+#: calls that must run the Hermiticity gate once: in_S and in_P gate the
+#: Choi matrix and hand it to the operator cores, is_ppt_state gates once
+ONE_GATE = {
+    "in_S ppt-exact": lambda: in_S(map_from_choi(2, 3, np.eye(6)), TOL),
+    "in_S ppt OUT": lambda: in_S(identity_map(3), TOL),
+    "in_S dephased": lambda: in_S(map_from_choi(3, 3, np.eye(9)), TOL),
+    "in_S detected": lambda: in_S(map_from_choi(3, 3, ppt_entangled_state()[0]), TOL),
+    "in_P": lambda: in_P(identity_map(2), TOL),
+    "is_ppt_state": lambda: is_ppt_state(np.eye(6) / 6, D23, TOL),
+}
+
+
+@pytest.mark.parametrize("call", list(ONE_GATE.values()), ids=list(ONE_GATE))
+def test_hermiticity_gate_runs_once(call, monkeypatch):
+    import mapcones.choi as choi_mod
+    import mapcones.cones as cones_mod
+
+    gated = []
+    for mod in (choi_mod, cones_mod):
+        def spy(x, tol=1e-9, original=mod.check_hermitian):
+            gated.append(x.shape)
+            return original(x, tol)
+
+        monkeypatch.setattr(mod, "check_hermitian", spy)
+    call()
+    assert len(gated) == 1
 
 
 class TestWitnessSearch:

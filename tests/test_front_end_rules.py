@@ -1,7 +1,9 @@
 """Source rules for the two front ends, the CLI and the verification suites.
 
 Certificates describe themselves, so ``cli.py`` names no certificate
-class, and only its ``main`` maps exceptions to exit codes.  Every suite
+class, and only its ``main`` maps exceptions to exit codes.  Every cone
+that ``check`` accepts runs a ``cones`` oracle, so ``cli.py`` computes no
+verdict of its own and needs nothing from ``linalg`` but ``Dims``.  Every suite
 counts its checks through ``TheoremReport.check``, so no suite function
 touches ``report.checks`` or calls ``record_failure`` itself.
 """
@@ -53,6 +55,33 @@ def test_certificate_describes_itself(name):
 
 def test_cli_names_no_certificate_class():
     assert _names(ast.parse((SRC / "cli.py").read_text())) & set(CERTIFICATES) == set()
+
+
+def test_every_check_runs_a_cones_oracle():
+    # each entry of the cone-to-oracle table calls one public cones oracle,
+    # at most after wrapping the operator as a map with map_from_choi
+    tree = ast.parse((SRC / "cli.py").read_text())
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_CHECKS"]
+    )
+    assert len(table.values) == len(cones.ConeId)
+    for entry in table.values:
+        called = {sub.func.id for sub in ast.walk(entry) if isinstance(sub, ast.Call)}
+        assert len(called & set(cones.__all__)) == 1, ast.unparse(entry)
+        assert called - set(cones.__all__) <= {"map_from_choi"}, ast.unparse(entry)
+
+
+def test_cli_imports_only_dims_from_linalg():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+        for alias in node.names
+    ]
+    assert imported == ["Dims"]
 
 
 def test_only_main_returns_error_exits():

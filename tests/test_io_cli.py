@@ -14,7 +14,7 @@ from _helpers import random_complex, rng
 import mapcones.cli as cli_mod
 from mapcones.choi import identity_map
 from mapcones.cli import main
-from mapcones.cones import Status, in_F
+from mapcones.cones import ConeId, MinEigCert, Status, in_F
 from mapcones.fixtures import nondecomposable_map
 from mapcones.io import MapFileError, dumps_matrix, load_matrix, loads_matrix, save_matrix
 from mapcones.linalg import Dims
@@ -112,6 +112,16 @@ class TestCheckCommand:
 
     def test_psd_operator_check(self, identity_file):
         assert main(["check", identity_file, "psd"]) == 0
+
+    def test_psd_out_carries_an_eigenvector(self, fixture_file):
+        d, mat = load_matrix(fixture_file)
+        args = cli_mod.build_parser().parse_args(["check", fixture_file, "psd"])
+        v = cli_mod._CHECKS[ConeId.OP_PSD](mat, d, args)
+        assert v.status is Status.OUT
+        assert isinstance(v.certificate, MinEigCert)
+        u = v.certificate.vector
+        assert np.vdot(u, mat @ u).real == pytest.approx(v.certificate.value, abs=1e-12)
+        assert v.certificate.value < -0.5
 
     def test_unknown_cone(self, identity_file):
         assert main(["check", identity_file, "nosuchcone"]) == 66

@@ -20,7 +20,6 @@ from mapcones.linalg import (
     both_transpose,
     check_hermitian,
     conj_transpose,
-    eig_hermitian,
     frob,
     frobs,
     full_transpose,
@@ -152,38 +151,6 @@ class TestPartialTrace:
     def test_bad_factor(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), Dims(2, 2), 3)
-
-
-class TestEigHermitian:
-    def test_diagonal(self):
-        spec = eig_hermitian(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(spec.eigenvalues, [3.0, 2.0, 1.0], atol=0)
-
-    def test_swap_two_by_two(self):
-        spec = eig_hermitian(swap_operator(2))
-        assert np.allclose(spec.eigenvalues, [1.0, 1.0, 1.0, -1.0], atol=1e-14)
-
-    def test_rank_one_projector(self):
-        g = rng(17)
-        v = random_complex(g, 5)
-        v /= np.linalg.norm(v)
-        spec = eig_hermitian(np.outer(v, v.conj()))
-        assert abs(spec.eigenvalues[0] - 1.0) <= 1e-10
-        assert np.max(np.abs(spec.eigenvalues[1:])) <= 1e-10
-
-    @pytest.mark.parametrize("k", [4, 9, 27, 81])
-    def test_reconstruction_and_orthonormality(self, k):
-        g = rng(100 + k)
-        x = random_hermitian(g, k)
-        spec = eig_hermitian(x)
-        u, w = spec.eigenvectors, spec.eigenvalues
-        assert np.all(np.diff(w) <= 1e-12)
-        assert frob(x - (u * w) @ u.conj().T) <= 1e-10 * (1 + frob(x))
-        assert np.max(np.abs(u.conj().T @ u - np.eye(k))) <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestIsPsd:
