@@ -5,6 +5,17 @@ from ``numpy.random.SeedSequence`` with entropy (seed, stream tag,
 index), so independent draws can run concurrently and reproduce exactly.
 Choi matrices of sampled maps are trace-normalized to Tr C = n, the same
 scale as the identity map.
+
+The map-cone draws run as stacks: ``_sample_chois`` draws one map from
+each of several generators at once.  Each generator gives up exactly
+the numbers, in the same order, that a single draw takes (consecutive
+``normal`` calls become one), and the arithmetic is the single draw's,
+applied over the stack: one batched ``matmul`` for the Gram products,
+batched partial transposes and spectra, broadcast Kronecker products.
+Every matrix of a stack is therefore bit for bit the draw its generator
+gives alone.  ``sample_map`` and ``random_cone_choi`` are stacks of one,
+and ``ConeSampler.take`` and ``cone_generator_pool`` draw all their
+samples as one stack.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from . import fixtures
 from .choi import (
     MapRep,
     adjoint,
-    compose_left,
+    apply_second,
     depolarizing_map,
     identity_map,
     map_from_choi,
@@ -128,11 +139,75 @@ def random_separable_mixture(rng: np.random.Generator, d: Dims, terms: Optional[
     return rho
 
 
+def _normals(rngs: Sequence[np.random.Generator], size: int) -> np.ndarray:
+    """``size`` normals from each generator, as rows of a (k, size) array.
+
+    One call takes from a generator exactly the numbers, in the same
+    order, that consecutive ``normal`` calls of the same total size take.
+    """
+    if len(rngs) == 1:
+        return rngs[0].normal(size=(1, size))
+    return np.array([rng.normal(size=size) for rng in rngs])
+
+
+def _complex_normals(x: np.ndarray, k: int) -> np.ndarray:
+    """Complex k x k Gaussians read from the last axis of x, a multiple of 2 k^2 long.
+
+    Each run of 2 k^2 normals becomes ``normal((k, k)) + 1j * normal((k, k))``
+    in stream order, so the result has shape ``x.shape[:-1] + (count, k, k)``.
+    """
+    x = x.reshape(x.shape[:-1] + (-1, 2, k, k))
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
+def _gram(g: np.ndarray) -> np.ndarray:
+    """g g* for each matrix over the leading axes of g, in one batched ``matmul``."""
+    return g @ g.conj().swapaxes(-1, -2)
+
+
 def _normalize_choi(choi: np.ndarray, n: int) -> np.ndarray:
-    tr = float(np.trace(choi).real)
-    if tr <= 1e-12:
+    """Scale each Choi matrix of a (k, nm, nm) stack to trace n."""
+    tr = choi.trace(axis1=1, axis2=2).real
+    if min(tr.tolist()) <= 1e-12:
         raise ValueError("degenerate draw: nonpositive trace")
-    return choi * (n / tr)
+    return choi * (n / tr)[:, None, None]
+
+
+#: The cones ``random_cone_choi`` draws from.
+_CLOSED_FORM = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_P)
+
+
+def _gaussians(cone: ConeId) -> int:
+    """Complex nm x nm Gaussian matrices per draw of ``random_cone_choi``.
+
+    One Wishart factor for cp and cop, two for d, one Hermitian matrix for p.
+    """
+    return 2 if cone is ConeId.MAP_D else 1
+
+
+def _cone_chois(cone: ConeId, d: Dims, x: np.ndarray) -> np.ndarray:
+    """``random_cone_choi`` of each row of normals x, as a (k, nm, nm) stack."""
+    nm = d.total
+    g = _complex_normals(x, nm)
+    if cone is ConeId.MAP_P:
+        h = hermitian_part(g[:, 0])
+        low = np.minimum(np.linalg.eigvalsh(h)[:, 0], np.linalg.eigvalsh(partial_transpose(h, d))[:, 0])
+        shift = [max(0.0, -lo) + 0.05 * frob(a) / np.sqrt(nm) for lo, a in zip(low, h)]
+        return h + np.multiply.outer(shift, np.eye(nm))
+    w = _gram(g)
+    if cone is ConeId.MAP_CP:
+        return w[:, 0]
+    if cone is ConeId.MAP_COP:
+        return partial_transpose(w[:, 0], d)
+    return w[:, 0] + partial_transpose(w[:, 1], d)
+
+
+def _random_cone_chois(cone: ConeId, d: Dims, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """``random_cone_choi`` drawn once from each generator, as a (k, nm, nm) stack."""
+    if cone not in _CLOSED_FORM:
+        raise ValueError(f"no closed-form sampler for {cone}")
+    d = Dims(*d)
+    return _cone_chois(cone, d, _normals(rngs, 2 * _gaussians(cone) * d.total**2))
 
 
 def random_cone_choi(cone: ConeId, d: Dims, rng: np.random.Generator) -> np.ndarray:
@@ -145,20 +220,66 @@ def random_cone_choi(cone: ConeId, d: Dims, rng: np.random.Generator) -> np.ndar
     strictly inside the PPT cone, with
     ``min(lambda_min C, lambda_min PT C) >= 0.05 / (sqrt(nm) (1.05 + sqrt(nm))) ||C||_F``.
     """
-    d = Dims(*d)
+    return _random_cone_chois(cone, d, [rng])[0]
+
+
+def _sample_chois(cone: ConeId, d: Dims, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """``sample_map``'s Choi matrix drawn once from each generator, as a (k, nm, nm) stack.
+
+    Each generator gives up exactly the numbers a single draw takes, in
+    the same order, and every product, spectrum and sum is the one a
+    single draw computes, so each matrix of the stack is bit for bit that
+    draw.  The arithmetic runs over the whole stack: one ``matmul`` for
+    the Gram products, one ``eigvalsh`` per spectrum of the p shift, one
+    broadcast product for the Kronecker terms of the s cone (added in
+    the same order), and at 3 x 3 two ``apply_second`` calls that
+    conjugate the shipped map for the pos cone.
+    """
+    n, m = d
     nm = d.total
-    if cone is ConeId.MAP_CP:
-        return random_psd(rng, nm)
-    if cone is ConeId.MAP_COP:
-        return partial_transpose(random_psd(rng, nm), d)
-    if cone is ConeId.MAP_D:
-        return random_psd(rng, nm) + partial_transpose(random_psd(rng, nm), d)
-    if cone is ConeId.MAP_P:
-        g = random_hermitian(rng, nm)
-        low = min(np.linalg.eigvalsh(g)[0], np.linalg.eigvalsh(partial_transpose(g, d))[0])
-        shift = max(0.0, -low) + 0.05 * frob(g) / np.sqrt(nm)
-        return g + shift * np.eye(nm)
-    raise ValueError(f"no closed-form sampler for {cone}")
+    if cone is ConeId.MAP_S:
+        x = _normals(rngs, nm * 2 * (n * n + m * m)).reshape(len(rngs), nm, -1)
+        a = _gram(_complex_normals(x[..., : 2 * n * n], n)[:, :, 0])
+        b = _gram(_complex_normals(x[..., 2 * n * n :], m)[:, :, 0])
+        terms = (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(len(rngs), nm, nm, nm)
+        choi = np.zeros((len(rngs), nm, nm), dtype=np.complex128)
+        for j in range(nm):
+            choi += terms[:, j]
+    elif cone is ConeId.MAP_POS:
+        size = 4 * nm * nm
+        fixture = n == m == 3
+        x = _normals(rngs, size + 36 * fixture)
+        choi = _normalize_choi(_cone_chois(ConeId.MAP_D, d, x[:, :size]), n)
+        if fixture:
+            t = np.array([rng.uniform(0.3, 0.9) for rng in rngs])[:, None, None]
+            choi = (1 - t) * choi + t * _normalize_choi(_conjugated_fixtures(x[:, size:]), n)
+    else:
+        choi = _cone_chois(cone, d, _normals(rngs, 2 * _gaussians(cone) * nm * nm))
+    return _normalize_choi(choi, n)
+
+
+def _conjugated_fixtures(x: np.ndarray) -> np.ndarray:
+    """Choi matrices of x -> a L(b x b*) a* for the shipped map L, one per row of 36 normals.
+
+    a and b are near-identity, I + 0.25 G for complex Gaussian G, drawn
+    in that order.  Two-sided conjugation by completely positive rank-one
+    maps keeps the sample inside the cone of positive maps while varying it.
+    """
+    ab = np.eye(3) + 0.25 * _complex_normals(x, 3)
+    conj = _conj_choi(ab)
+    d = Dims(3, 3)
+    return apply_second(conj[:, 0], apply_second(fixtures.nondecomposable_map(), conj[:, 1], d), d)
+
+
+def _conj_choi(a: np.ndarray) -> np.ndarray:
+    """Choi matrix of x -> a x a*: block (i, j) is the outer product of columns i and j.
+
+    Entry [(i, r), (j, s)] is the one product a[r, i] conj(a[s, j]).
+    Leading axes of a index a stack of matrices.
+    """
+    k = a.shape[-1]
+    at = a.swapaxes(-1, -2)
+    return (at[..., None, None] * at.conj()[..., None, None, :, :]).reshape(a.shape[:-2] + (k * k, k * k))
 
 
 def sample_map(cone: ConeId, d: Dims, seed_or_rng) -> MapRep:
@@ -169,51 +290,20 @@ def sample_map(cone: ConeId, d: Dims, seed_or_rng) -> MapRep:
     maps come from product-form Choi matrices, and positive maps from a
     decomposable draw, mixed at 3 x 3 with a conjugated copy of the
     shipped non-decomposable map.  Every construction has a positive
-    trace, so no draw is retried.
+    trace, so no draw is retried.  This is the stacked draw of
+    ``ConeSampler.take`` for a single generator.
     """
+    return _sample_maps(cone, d, [_rng_of(seed_or_rng)])[0]
+
+
+def _sample_maps(cone: ConeId, d: Dims, rngs: Sequence[np.random.Generator]) -> list[MapRep]:
+    """``sample_map`` drawn once from each generator, through one stacked draw."""
+    if not rngs:
+        return []
     d = Dims(*d).validate()
     if not cone.is_map_cone:
         raise ValueError(f"{cone} is not a map cone")
-    rng = _rng_of(seed_or_rng)
-    n, m = d
-    nm = d.total
-    if cone is ConeId.MAP_S:
-        choi = np.zeros((nm, nm), dtype=np.complex128)
-        for _ in range(nm):
-            choi += np.kron(random_psd(rng, n), random_psd(rng, m))
-    elif cone is ConeId.MAP_POS:
-        choi = _normalize_choi(random_cone_choi(ConeId.MAP_D, d, rng), n)
-        if n == m == 3:
-            lam = _conjugated_fixture(rng)
-            lam_choi = _normalize_choi(lam.choi.copy(), n)
-            t = rng.uniform(0.3, 0.9)
-            choi = (1 - t) * choi + t * lam_choi
-    else:
-        choi = random_cone_choi(cone, d, rng)
-    return map_from_choi(n, m, _normalize_choi(choi, n))
-
-
-def _conjugated_fixture(rng: np.random.Generator) -> MapRep:
-    """x -> a L(b x b*) a* for the shipped map L and random near-identity a, b.
-
-    Two-sided conjugation by completely positive rank-one maps keeps the
-    sample inside the cone of positive maps while varying it.
-    """
-    lam = fixtures.nondecomposable_map()
-    a = np.eye(3) + 0.25 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    b = np.eye(3) + 0.25 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    left = map_from_choi(3, 3, _conj_choi(a))
-    right = map_from_choi(3, 3, _conj_choi(b))
-    return compose_left(left, compose_left(lam, right))
-
-
-def _conj_choi(a: np.ndarray) -> np.ndarray:
-    """Choi matrix of x -> a x a*: block (i, j) is the outer product of columns i and j.
-
-    Entry [(i, r), (j, s)] is the one product a[r, i] conj(a[s, j]).
-    """
-    k = a.shape[0]
-    return np.multiply.outer(a.T, a.T.conj()).reshape(k * k, k * k)
+    return [map_from_choi(d.n, d.m, c) for c in _sample_chois(cone, d, rngs)]
 
 
 @dataclass(frozen=True)
@@ -221,19 +311,52 @@ class ConeSampler:
     """Deterministic stream of samples from one cone.
 
     ``draw(k)`` is a pure function of (cone, d, seed, k); distinct
-    indices use independent substreams.
+    indices use independent substreams.  ``take`` draws a run of indices
+    as one stack, bit for bit the maps ``draw`` gives one at a time.
     """
 
     cone: ConeId
     d: Dims
     seed: int
 
+    def _rngs(self, indices) -> list[np.random.Generator]:
+        tag = _STREAM[self.cone.value]
+        return [substream(self.seed, tag, i) for i in indices]
+
     def draw(self, index: int) -> MapRep:
-        rng = substream(self.seed, _STREAM[self.cone.value], index)
-        return sample_map(self.cone, self.d, rng)
+        return sample_map(self.cone, self.d, self._rngs([index])[0])
 
     def take(self, count: int, start: int = 0) -> list[MapRep]:
-        return [self.draw(start + i) for i in range(count)]
+        return _sample_maps(self.cone, self.d, self._rngs(range(start, start + count)))
+
+
+def _canonical_elements(cone: ConeId, d: Dims) -> list[MapRep]:
+    """The canonical elements that prefix a generator pool of the cone at dims d."""
+    n, m = d
+    if cone is ConeId.MAP_CP:
+        return [identity_map(m)] if n == m else []
+    if cone is ConeId.MAP_COP:
+        return [transpose_map(m)]
+    if cone is ConeId.MAP_P or cone is ConeId.MAP_S:
+        return [depolarizing_map(m, m)]
+    if cone is ConeId.MAP_D:
+        return [identity_map(m), transpose_map(m)]
+    if cone is ConeId.MAP_POS:
+        canonical = [identity_map(m), transpose_map(m)]
+        if m == 3:
+            canonical.append(map_from_choi(3, 3, _normalize_choi(fixtures.nondecomposable_map().choi[None], 3)[0]))
+        return canonical
+    return []
+
+
+def _generator_pools(cone: ConeId, d: Dims, count: int, seeds: Sequence[int]) -> list[list[MapRep]]:
+    """``cone_generator_pool`` for each seed, with every seed's samples in one stacked draw."""
+    d = Dims(*d)
+    canonical = _canonical_elements(cone, d)
+    k = max(count - len(canonical), 0)
+    rngs = [r for seed in seeds for r in ConeSampler(cone, Dims(d.m, d.m), seed)._rngs(range(k))]
+    draws = _sample_maps(cone, Dims(d.m, d.m), rngs)
+    return [canonical + draws[i * k : (i + 1) * k] for i in range(len(seeds))]
 
 
 def cone_generator_pool(cone: ConeId, d: Dims, count: int, seed: int) -> list[MapRep]:
@@ -242,29 +365,12 @@ def cone_generator_pool(cone: ConeId, d: Dims, count: int, seed: int) -> list[Ma
     The canonical elements (identity for cp, transpose for cop, both for
     d, the trace map for p and s, and additionally the shipped
     non-decomposable map for pos at 3 x 3) pin the extreme directions
-    that random draws essentially never land on.
+    that random draws essentially never land on.  A pool never drops a
+    canonical element: it holds max(count, number of canonical elements)
+    maps, the canonical ones first and then ``count`` minus their number
+    samples, drawn as one stack.
     """
-    d = Dims(*d)
-    n, m = d
-    canonical: list[MapRep] = []
-    if cone is ConeId.MAP_CP:
-        canonical = [identity_map(m)] if n == m else []
-    elif cone is ConeId.MAP_COP:
-        canonical = [transpose_map(m)]
-    elif cone is ConeId.MAP_P:
-        canonical = [depolarizing_map(m, m)]
-    elif cone is ConeId.MAP_D:
-        canonical = [identity_map(m), transpose_map(m)]
-    elif cone is ConeId.MAP_S:
-        canonical = [depolarizing_map(m, m)]
-    elif cone is ConeId.MAP_POS:
-        canonical = [identity_map(m), transpose_map(m)]
-        if m == 3:
-            lam = fixtures.nondecomposable_map()
-            canonical.append(map_from_choi(3, 3, _normalize_choi(lam.choi.copy(), 3)))
-    sampler = ConeSampler(cone, Dims(m, m), seed)
-    pool = canonical + sampler.take(max(count - len(canonical), 0))
-    return pool[:count] if count >= len(canonical) else pool
+    return _generator_pools(cone, d, count, [seed])[0]
 
 
 def kd_generators(k_samples: Sequence[MapRep]) -> list[MapRep]:

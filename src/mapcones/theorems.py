@@ -86,12 +86,14 @@ from .linalg import (
     trace_pairing,
 )
 from .sampling import (
+    _generator_pools,
+    _random_cone_chois,
+    _sample_maps,
     cone_generator_pool,
     kd_generators,
     random_cone_choi,
     random_hermitian,
     random_psd,
-    sample_map,
     substream,
 )
 
@@ -533,10 +535,29 @@ def _operator_sample(rng: np.random.Generator, d: Dims, family: int) -> np.ndarr
     return x / max(frob(x), 1e-12)
 
 
-def _dual_side_choi(rng: np.random.Generator, cone: ConeId, d: Dims) -> np.ndarray:
-    """A random trace-one Choi matrix in P(M, K^t), the dual-side operator cone."""
-    x = random_cone_choi(_PARTNER[cone], d, rng)
-    return x / float(np.trace(x).real)
+def _dual_side_chois(cones: Sequence[ConeId], d: Dims, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """A random trace-one Choi matrix in P(M, K^t), the dual-side operator cone of K = cones[k].
+
+    Matrix k is drawn from rngs[k]; the draws run as one stack per partner cone.
+    """
+    partners = [_PARTNER[c] for c in cones]
+    x = np.array(_per_cone(partners, rngs, lambda cone, part: _random_cone_chois(cone, d, part)), dtype=np.complex128)
+    x = x.reshape(len(rngs), d.total, d.total)
+    return x / x.trace(axis1=1, axis2=2).real[:, None, None]
+
+
+def _per_cone(cones: Sequence[ConeId], items: Sequence, draw) -> list:
+    """``draw(cone, items)`` once per distinct cone, over the items of that cone.
+
+    The results come back in the order of ``items``: entry k is drawn
+    for ``cones[k]`` from ``items[k]``.
+    """
+    out = [None] * len(items)
+    for cone in dict.fromkeys(cones):
+        idx = [k for k, c in enumerate(cones) if c is cone]
+        for k, x in zip(idx, draw(cone, [items[k] for k in idx])):
+            out[k] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +596,11 @@ def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     """Transposed-cone membership carried by t (x) t on operators."""
     idtol = 1e-11
     sq = Dims(d.m, d.m)
-    for trial in range(trials):
+    # every trial's pool, as cone_generator_pool(cone, d, 4, seed + trial), one stacked draw per cone
+    cones = [_CONCRETE[trial % 4] for trial in range(trials)]
+    pools = _per_cone(cones, [seed + trial for trial in range(trials)], lambda c, seeds: _generator_pools(c, d, 4, seeds))
+    for trial, (cone, pool) in enumerate(zip(cones, pools)):
         rng = substream(seed, 0x105, trial)
-        cone = _CONCRETE[trial % 4]
-        pool = cone_generator_pool(cone, d, 4, seed + trial)
         x = _operator_sample(rng, d, trial)
         xt = both_transpose(x, d)
         scale = 1.0 + frob(x)
@@ -694,10 +716,12 @@ def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     k = d.m * d.m
     detectors = _choi_stack([identity_map(d.m), transpose_map(d.m)], k)
     d_pool = _choi_stack(cone_generator_pool(ConeId.MAP_D, d, 6, seed), k)
-    for trial in range(trials):
-        rng = substream(seed, 0x111, trial)
+    rngs = [substream(seed, 0x111, trial) for trial in range(trials)]
+    # the even trials' p-cone maps, drawn first from their own substreams as one stack
+    p_maps = _sample_maps(ConeId.MAP_P, d, rngs[::2])
+    for trial, rng in enumerate(rngs):
         if trial % 2 == 0:
-            phi = sample_map(ConeId.MAP_P, d, rng)
+            phi = p_maps[trial // 2]
             v = in_F(phi.choi, d, tol)
             report.check(trial, "p-cone sample without PPT Choi", 1.0, v.status is not Status.IN)
             scale = 1.0 + frob(phi.choi)
@@ -744,17 +768,22 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     cp_pool = cone_generator_pool(ConeId.MAP_CP, d, 6, seed + 3)
     pools = {c: cone_generator_pool(c, d, 8, seed + 5) for c in _CONCRETE}
     kd_pools = {c: kd_generators(pools[c]) for c in _CONCRETE}
-    for trial in range(trials):
-        rng = substream(seed, 0x206, trial)
-        cone = _CONCRETE[trial % 4]
+    rngs = [substream(seed, 0x206, trial) for trial in range(trials)]
+    cones = [_CONCRETE[trial % 4] for trial in range(trials)]
+    # each substream gives, in order: the even trials' pool picks or the odd
+    # trials' member draw, then the dual sample, then the escape check's map;
+    # the member and dual draws run over all trials as stacks
+    picks = [(int(rng.integers(len(kd_pools[cone]))), int(rng.integers(len(cp_pool)))) for rng, cone in zip(rngs[::2], cones[::2])]
+    member_chois = _dual_side_chois([_PARTNER[c] for c in cones[1::2]], d, rngs[1::2])
+    dual_chois = _dual_side_chois(cones, d, rngs)
+    for trial, (rng, cone) in enumerate(zip(rngs, cones)):
         # primal-side member of the K-positive cone
         if trial % 2 == 0:
-            alpha = kd_pools[cone][int(rng.integers(len(kd_pools[cone])))]
-            psi = cp_pool[int(rng.integers(len(cp_pool)))]
-            member = compose_left(alpha, psi)
+            a, p = picks[trial // 2]
+            member = compose_left(kd_pools[cone][a], cp_pool[p])
         else:
-            member = map_from_choi(d.n, d.m, d.n * _dual_side_choi(rng, _PARTNER[cone], d))
-        dual = map_from_choi(d.n, d.m, d.n * _dual_side_choi(rng, cone, d))
+            member = map_from_choi(d.n, d.m, d.n * member_chois[trial // 2])
+        dual = map_from_choi(d.n, d.m, d.n * dual_chois[trial])
         val = pairing(member, dual)
         val2 = pairing(dual, member)
         scale = 1.0 + frob(member.choi) * frob(dual.choi)
@@ -863,10 +892,11 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 def _suite_T13(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Nonnegative pairing between the p cone and the decomposable cone."""
-    for trial in range(trials):
-        rng = substream(seed, 0x20D, trial)
-        phi = sample_map(ConeId.MAP_P, d, rng)
-        psi = sample_map(ConeId.MAP_D, d, rng)
+    # each trial's substream draws its p map, then its d map: all p maps first, then all d maps
+    rngs = [substream(seed, 0x20D, trial) for trial in range(trials)]
+    phis = _sample_maps(ConeId.MAP_P, d, rngs)
+    psis = _sample_maps(ConeId.MAP_D, d, rngs)
+    for trial, (phi, psi) in enumerate(zip(phis, psis)):
         scale = 1.0 + frob(phi.choi) * frob(psi.choi)
         v1 = pairing(phi, psi)
         v2 = pairing(psi, phi)
@@ -883,10 +913,11 @@ def _suite_T13(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """The sharp dual of the p cone is the decomposable cone."""
     p_pool = cone_generator_pool(ConeId.MAP_P, d, 16, seed + 7)
-    for trial in range(trials):
-        rng = substream(seed, 0x212, trial)
+    # each trial's d map comes first in its substream, so all of them are one stack
+    rngs = [substream(seed, 0x212, trial) for trial in range(trials)]
+    betas = _sample_maps(ConeId.MAP_D, d, rngs)
+    for trial, (rng, beta) in enumerate(zip(rngs, betas)):
         # exact inclusion direction: decomposable . p-adjoint stays cp
-        beta = sample_map(ConeId.MAP_D, d, rng)
         alpha = p_pool[trial % len(p_pool)]
         comp = compose_left(beta, adjoint(alpha))
         report.check_margin(trial, "d-sample composition left cp", _min_eig(comp.choi), 1.0 + frob(comp.choi), tol)
@@ -923,7 +954,9 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     exact = tuple(sorted(d)) in _EXACT_PPT_DIMS
     pool = cone_generator_pool(ConeId.MAP_POS, d, 10, seed + 19)
     families = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_S, ConeId.MAP_POS)
-    phis = [sample_map(families[trial % len(families)], d, substream(seed, 0x2C2, trial)) for trial in range(trials)]
+    cones = [families[trial % len(families)] for trial in range(trials)]
+    rngs = [substream(seed, 0x2C2, trial) for trial in range(trials)]
+    phis = _per_cone(cones, rngs, lambda cone, part: _sample_maps(cone, d, part))
     results = _theorem1_stack(phis, ConeId.MAP_POS, pool, tol)
     if exact:
         # the Choi matrices passed their gate in _theorem1_stack
@@ -959,11 +992,13 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     violation-value identity on every witness.
     """
     idtol = 1e-12
-    for trial in range(trials):
-        rng = substream(seed, 0x2D3, trial)
+    rngs = [substream(seed, 0x2D3, trial) for trial in range(trials)]
+    # the d maps of every third trial, the first draw of their substreams, as one stack
+    d_maps = _sample_maps(ConeId.MAP_D, d, rngs[::3])
+    for trial, rng in enumerate(rngs):
         k = trial % 3
         if k == 0:
-            phi = sample_map(ConeId.MAP_D, d, rng)
+            phi = d_maps[trial // 3]
         elif k == 1 and d == (3, 3):
             phi = _fixture_perturbation(rng)
         else:

@@ -6,6 +6,12 @@ the suite helpers used before every cp/cop/d/p draw went through
 Hermitian matrix onto the PPT cone with ``project_F``.  Every draw other
 than a p draw must stay bitwise equal, and a p draw must consume exactly
 the randomness the projection-based draw consumed.
+
+Every draw is now one matrix of a stacked draw over several generators.
+A stack must equal, bit for bit, the per-draw construction applied to
+each generator in turn (``_reference_draw``, whose p draw is the shifted
+Hermitian matrix and whose pos draw conjugates the shipped map through
+``compose_left``), and take from each generator the same numbers.
 """
 
 import numpy as np
@@ -14,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mapcones.theorems as theorems_mod
-from mapcones.choi import map_from_choi
+from mapcones import fixtures
+from mapcones.choi import compose_left, map_from_choi
 from mapcones.cones import (
     ConeId,
     Status,
@@ -26,7 +33,8 @@ from mapcones.cones import (
 )
 from mapcones.linalg import Dims, frob, partial_transpose
 from mapcones.sampling import (
-    _conjugated_fixture,
+    ConeSampler,
+    _sample_chois,
     random_cone_choi,
     random_hermitian,
     random_psd,
@@ -41,6 +49,18 @@ CP, COP, P, D, S, POS = (ConeId(c) for c in ("cp", "cop", "p", "d", "s", "pos"))
 
 def _reference_normalize(choi, n):
     return choi * (n / float(np.trace(choi).real))
+
+
+def _reference_conjugated_fixture(rng):
+    """x -> a L(b x b*) a* for the shipped map L and near-identity a, b, one map at a time."""
+
+    def conj_map(a):
+        return map_from_choi(3, 3, np.multiply.outer(a.T, a.T.conj()).reshape(9, 9))
+
+    lam = fixtures.nondecomposable_map()
+    a = np.eye(3) + 0.25 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    b = np.eye(3) + 0.25 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return compose_left(conj_map(a), compose_left(lam, conj_map(b)))
 
 
 def _reference_sample_choi(cone, d, rng):
@@ -67,11 +87,26 @@ def _reference_sample_choi(cone, d, rng):
         base = random_psd(rng, nm) + partial_transpose(random_psd(rng, nm), d)
         choi = _reference_normalize(base, n)
         if n == m == 3:
-            lam = _conjugated_fixture(rng)
+            lam = _reference_conjugated_fixture(rng)
             lam_choi = _reference_normalize(lam.choi.copy(), n)
             t = rng.uniform(0.3, 0.9)
             choi = (1 - t) * choi + t * lam_choi
     return _reference_normalize(choi, n)
+
+
+def _reference_shifted_p(rng, d):
+    """The per-draw p construction: a random Hermitian G shifted until G and PT(G) are PSD."""
+    nm = d.total
+    g = random_hermitian(rng, nm)
+    low = min(np.linalg.eigvalsh(g)[0], np.linalg.eigvalsh(partial_transpose(g, d))[0])
+    return g + (max(0.0, -low) + 0.05 * frob(g) / np.sqrt(nm)) * np.eye(nm)
+
+
+def _reference_draw(cone, d, rng):
+    """One ``sample_map`` Choi matrix, built draw by draw."""
+    if cone is P:
+        return _reference_normalize(_reference_shifted_p(rng, d), d.n)
+    return _reference_sample_choi(cone, d, rng)
 
 
 def _reference_random_map_choi(rng, d, family):
@@ -117,7 +152,7 @@ def _reference_operator_sample(rng, d, family):
 
 
 def _reference_dual_side_choi(rng, cone, d):
-    """The earlier ``theorems._dual_side_choi``."""
+    """The earlier ``theorems._dual_side_choi``, one draw at a time."""
     nm = d.total
     if cone is CP:
         x = random_psd(rng, nm)
@@ -174,9 +209,10 @@ class TestBitwiseAgainstReference:
     @pytest.mark.parametrize("cone", [CP, COP, P])
     @pytest.mark.parametrize("d", DIMS)
     def test_dual_side_choi(self, cone, d):
-        for seed in SEEDS:
-            new, old = _pair(seed, 0x34)
-            x = theorems_mod._dual_side_choi(new, cone, d)
+        news = [substream(seed, 0x34) for seed in SEEDS]
+        xs = theorems_mod._dual_side_chois([cone] * len(news), d, news)
+        for seed, new, x in zip(SEEDS, news, xs):
+            old = substream(seed, 0x34)
             assert np.array_equal(x, _reference_dual_side_choi(old, cone, d))
             assert _same_next_draw(new, old)
 
@@ -203,9 +239,61 @@ class TestPDrawRandomness:
             assert _same_next_draw(new, old)
 
             new, old = _pair(seed, 0x38)
-            theorems_mod._dual_side_choi(new, D, d)
+            theorems_mod._dual_side_chois([D], d, [new])
             _reference_dual_side_choi(old, D, d)
             assert _same_next_draw(new, old)
+
+
+STACK_DIMS = [Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(3, 3), Dims(2, 4), Dims(3, 4)]
+
+
+class TestStackedDraws:
+    """A stacked draw is, bit for bit, one draw per generator."""
+
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("d", STACK_DIMS, ids=str)
+    @pytest.mark.parametrize("cone", [CP, COP, P, D, S, POS], ids=lambda c: c.value)
+    def test_stack_equals_single_draws(self, cone, d, k):
+        def rngs():
+            return [substream(9, 0x39, i) for i in range(k)]
+
+        stacked, refs = rngs(), rngs()
+        chois = _sample_chois(cone, d, stacked)
+        assert chois.shape == (k, d.total, d.total)
+        singles = [sample_map(cone, d, rng).choi for rng in rngs()]
+        for c, single, rng, ref in zip(chois, singles, stacked, refs):
+            assert np.array_equal(c, single)
+            assert np.array_equal(c, _reference_draw(cone, d, ref))
+            assert _same_next_draw(rng, ref)
+
+    @pytest.mark.parametrize("cone", [CP, COP, P, D, S, POS], ids=lambda c: c.value)
+    def test_take_equals_draws(self, cone):
+        sampler = ConeSampler(cone, Dims(3, 3), seed=4)
+        taken = sampler.take(5, start=3)
+        assert len(taken) == 5
+        for i, phi in enumerate(taken):
+            assert np.array_equal(phi.choi, sampler.draw(3 + i).choi)
+        assert sampler.take(0) == []
+
+    @pytest.mark.parametrize("cone", [CP, COP, P, D], ids=lambda c: c.value)
+    def test_random_cone_choi_is_a_stack_of_one(self, cone):
+        d = Dims(2, 3)
+        for seed in SEEDS:
+            new, old = _pair(seed, 0x3B)
+            c = random_cone_choi(cone, d, new)
+            ref = _reference_shifted_p(old, d) if cone is P else _reference_wishart_choi(cone, d, old)
+            assert np.array_equal(c, ref)
+            assert _same_next_draw(new, old)
+
+
+def _reference_wishart_choi(cone, d, rng):
+    """The per-draw cp, cop and d constructions, unnormalized."""
+    nm = d.total
+    if cone is CP:
+        return random_psd(rng, nm)
+    if cone is COP:
+        return partial_transpose(random_psd(rng, nm), d)
+    return random_psd(rng, nm) + partial_transpose(random_psd(rng, nm), d)
 
 
 _ORACLE = {CP: is_cp, COP: is_cop, P: in_P, D: is_decomposable}

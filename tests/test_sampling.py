@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import mapcones.sampling as sampling_mod
+from mapcones import fixtures
 from mapcones.choi import adjoint, identity_map, transpose_conj, transpose_map
 from mapcones.cones import (
     ConeId,
@@ -116,6 +118,44 @@ class TestGeneratorTransforms:
         assert frob(pool[0].choi - identity_map(3).choi) == 0.0
         assert frob(pool[1].choi - transpose_map(3).choi) == 0.0
         assert len(pool) == 6
+
+    def test_pool_keeps_every_canonical_element(self):
+        # a count below the number of canonical elements still returns all of them
+        pool = cone_generator_pool(ConeId.MAP_POS, D33, 1, seed=1)
+        lam = fixtures.nondecomposable_map().choi
+        expected = [identity_map(3).choi, transpose_map(3).choi, lam * (3 / np.trace(lam).real)]
+        assert len(pool) == 3
+        for phi, c in zip(pool, expected):
+            assert np.array_equal(phi.choi, c)
+        assert len(cone_generator_pool(ConeId.MAP_D, D33, 0, seed=1)) == 2
+
+
+class TestStackedDrawCounts:
+    """A stacked draw makes the same kernel calls whatever the number of draws."""
+
+    @staticmethod
+    def spied(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("count", [2, 5, 16])
+    def test_p_pool_reads_two_spectra(self, monkeypatch, count):
+        calls = self.spied(monkeypatch, np.linalg, "eigvalsh")
+        assert len(cone_generator_pool(ConeId.MAP_P, D33, count, seed=2)) == count
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("count", [1, 4, 9])
+    def test_pos_stack_conjugates_with_two_products(self, monkeypatch, count):
+        calls = self.spied(monkeypatch, sampling_mod, "apply_second")
+        assert len(ConeSampler(ConeId.MAP_POS, D33, seed=3).take(count)) == count
+        assert len(calls) == 2
 
 
 class TestStateGenerators:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mapcones.cones as cones_mod
+import mapcones.sampling as sampling_mod
 import mapcones.theorems as theorems_mod
 from _helpers import random_psd, rng
 from mapcones.choi import adjoint, adjoint_choi, identity_map, map_from_choi, transpose_map
@@ -302,21 +303,30 @@ class TestStackedSuiteCounts:
     conditions for all their trials as one stack; one condition per trial
     took C2 78 ``apply_second``, 20 ``eigvalsh`` and 20 ``eigh`` calls at
     3x3 and 74, 50 and 36 at 2x3 (``"C2/2x3"``, whose exact-dims spectra
-    are one stack now too), and T1 180, 252 and 78.
+    are one stack now too), and T1 180, 252 and 78.  The cone samplers
+    draw each pool, and each suite's trial maps where the stream order
+    allows, as one stack, and ``sampling``'s own ``apply_second`` calls
+    are spied too: a p-cone pool reads its shifts from 2 ``eigvalsh``
+    calls instead of 2 per sample, which took L5 from 16 to 6 (its pools
+    of all trials are one stack per cone), L17 from 20 to 12, T1 from 189
+    to 161, T12 from 61 to 49 and T18 from 78 to 50 ``eigvalsh`` calls;
+    a stack of pos draws at 3x3 conjugates the shipped map with 2
+    ``apply_second`` calls instead of 2 ``compose_left`` per draw, which
+    took C2 from 24 to 10 and C2/2x3 from 20 to 8.
     """
 
     COUNTS = {
         # suite[/dims, 3x3 when omitted]: (einsum, apply_second, functional, eigvalsh, eigh)
         "L4": (130, 0, 40, 2, 0),
-        "L5": (0, 10, 0, 16, 10),
+        "L5": (0, 10, 0, 6, 10),
         "L8": (20, 10, 0, 2, 10),
         "L10": (30, 10, 10, 0, 0),
-        "L17": (0, 10, 0, 20, 20),
-        "T1": (124, 45, 12, 189, 24),
-        "T12": (4, 10, 0, 61, 11),
-        "T18": (8, 14, 0, 78, 6),
-        "C2": (20, 24, 0, 2, 2),
-        "C2/2x3": (20, 20, 0, 3, 18),
+        "L17": (0, 10, 0, 12, 20),
+        "T1": (124, 45, 12, 161, 24),
+        "T12": (4, 10, 0, 49, 11),
+        "T18": (8, 14, 0, 50, 6),
+        "C2": (20, 10, 0, 2, 2),
+        "C2/2x3": (20, 8, 0, 3, 18),
         "C19": (29, 3, 0, 121, 7),
     }
 
@@ -334,7 +344,7 @@ class TestStackedSuiteCounts:
             return counted
 
         apply_spy = spy("apply_second", choi_mod.apply_second)
-        for mod in (choi_mod, cones_mod, theorems_mod):
+        for mod in (choi_mod, cones_mod, sampling_mod, theorems_mod):
             monkeypatch.setattr(mod, "apply_second", apply_spy)
         monkeypatch.setattr(choi_mod.DualFunctional, "__call__", spy("functional", choi_mod.DualFunctional.__call__))
         monkeypatch.setattr(np, "einsum", spy("einsum", np.einsum))
