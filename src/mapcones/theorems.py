@@ -789,13 +789,15 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         scale = 1.0 + frob(member.choi) * frob(dual.choi)
         report.check_margin(trial, f"{cone.value} forward pairing", val, scale, tol)
         report.check_margin(trial, f"{cone.value} reverse pairing", val2, scale, tol)
-        if trial % 4 == 3 and cone is not ConeId.MAP_D:
-            # a map outside the primal cone must be caught by a dual
-            # sample built from its own escape certificate (skipped for
-            # K = d, whose escape needs the feasibility engine and is
-            # exercised by the C19 and T18 suites)
+        if trial % 4 == 3:
+            # a map outside a primal cone must be caught by a dual sample
+            # built from its own escape certificate.  The pairing trials
+            # here are K = d, whose escape needs the feasibility engine (the
+            # C19 and T18 suites exercise it), so the escape cone takes
+            # cp, cop and p in turn from its own counter
+            escape = _CONCRETE[(trial // 4) % 3]
             phi = _random_map(rng, d, trial)
-            v = _SPECTRAL_ORACLE[cone](phi, tol)
+            v = _SPECTRAL_ORACLE[escape](phi, tol)
             # only a map that classify puts OUT has an escape to catch
             if v.status is not Status.OUT:
                 report.undecided += 1
@@ -805,14 +807,14 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
             u = v.certificate.vector[:, None]
             rank_one = u @ u.conj().T
             duals = []
-            if cone is not ConeId.MAP_COP:
+            if escape is not ConeId.MAP_COP:
                 duals.append(rank_one)
-            if cone is not ConeId.MAP_CP:
+            if escape is not ConeId.MAP_CP:
                 duals.append(partial_transpose(rank_one, d))
             best = min(pairing(phi, map_from_choi(d.n, d.m, y), tol=np.inf) for y in duals)
             caught = classify(best, 1 + frob(phi.choi), tol)
             failed = None if caught is Status.UNDECIDED else caught is Status.IN
-            report.check(trial, f"{cone.value} escape not caught", abs(v.certificate.value), failed)
+            report.check(trial, f"{escape.value} escape not caught", abs(v.certificate.value), failed)
 
 
 #: For K-positivity, the membership cone of the Choi matrix is the

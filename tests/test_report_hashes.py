@@ -39,7 +39,8 @@ DIGESTS = {
     ("T12", 2, 2): "d6436a622b5d664ae12e305e435ce83cdffaddf1f7206f9ee9c44e8d8a7b9095",
     ("T13", 2, 2): "f2537ac25a210e7980d3d1ccb34215ac6a8c6e743852f4f64dccf99acc8325d6",
     ("T18", 2, 2): "a946488cb8ea71b603a61913844d279ca1690a7014e235ebe24bfbda3e7b6f4c",
-    ("T6", 2, 2): "ff0d36d4b449d8644fd6def14724df3ae9d462117a662620a4edcd040a42edb5",
+    # T6's escape check runs on every fourth trial, its cone taken from its own counter
+    ("T6", 2, 2): "6d1a884ea8ede86836520ffbc72493bd5bc38d7fc699abf5a6f4b0b9efb85e51",
     ("T13", 3, 3): "6d59c46a9326e49beb960ef1c8437fb2a56d7e19118ea7fac862acd9af0ee16e",
     ("T18", 3, 3): "d15fab811f80e8f4723f3e34ea17a3418d398f3523a72895296a86e52a4f9965",
     ("C19", 3, 3): "f5a0c972172e96fe30739a6803a5a2e7541f01e70e9e43753afbd8af13fda66e",
@@ -50,7 +51,7 @@ DIGESTS = {
     ("L10", 3, 3): "73cec2c6835d3af31bc5014d498921d3e3405a2adde25eb7dac4caa41dfc1d6b",
     ("L15", 3, 3): "9cc019bf66a756c408dab9814a7dc5d7dc14d815768a787d728b09dfbe4ab001",
     ("L17", 3, 3): "9adcede96be7f69896038d8eafcc9faf5299c37a73317f9d16a5cc32db5378a9",
-    ("T6", 3, 3): "06f01b49ff0d3b526e13cedaeb45210be16769d795b56b2e30f16069029dbb22",
+    ("T6", 3, 3): "012672a51a26741b2c9e193cf73bc8d215990dad4553be5fdf9431e776ca63bc",
     ("C2", 2, 3): "68211459286d99841ccfa5a67c3f66cca028763f9c5f115184fd16fb3d895692",
     ("L16", 3, 3): "c1eb1082eb3674032f8f7f4242f956363f3d753c907295e88f88aac4940e0b35",
     ("T1", 3, 3): "0bcfb80e984b109cfdee2670f6a33db6fa825d8f30a80b1cabd3c6dea03127ed",
@@ -60,7 +61,7 @@ DIGESTS = {
 COARSE_TOL = 0.05
 
 COARSE_DIGESTS = {
-    ("T6", 2, 2): "377f2fea96f9b200716b541d2d3d589198e750a5c4cc7bc79e691972e2c52738",
+    ("T6", 2, 2): "1d3a765d2e8e30cc7f3f388341a8c90a3b01c1b83517f1c6aef98b437bab7256",
     ("T13", 2, 2): "a77615b12bcbc3b8960387ef83c5c18392fc5989fd066533ba72a32904857651",
     ("T18", 2, 2): "3cff61996d18c70f3d1c2046d7da279918e199f02f52ad6a49b2b03dfe2df83b",
     ("L16", 2, 2): "c042d3a2affbf8b2801242001631bb7d466cd6144e31740bff0ae30d29d51b1b",
@@ -68,7 +69,7 @@ COARSE_DIGESTS = {
     ("C2", 2, 2): "7d492dff9da6f4546dc2c2dd2997c192fce16b5fe0b2425db6239bf3efe8d001",
     # one trial left UNDECIDED before the e-cone bound read y0 + lambda_min(Z1) is decided now
     ("C19", 2, 2): "6648661d8ec8af3e73412ff688f20af6fd0338d3b4fdb998d4e78cd93f865d9d",
-    ("T6", 3, 3): "0d6601d9750f6a7cc45859b5684f36af7c137f9df4b72ce93f56c2c9cb5a4430",
+    ("T6", 3, 3): "4d2a54e726aceaee5d4aef0dd1da171a6cc5631c6f1d3868810310e07ac5a496",
     ("T13", 3, 3): "5d44dfa34e92ef5d76f0da6a8549ca84b57e4e038437e485c8e5c8ad99fb4b61",
     ("T18", 3, 3): "6737dde439aefa2ecd3f38663d517ae403664ac9e3382d6db96ae0332412c89d",
     ("L16", 3, 3): "aa17b945edaa8fa5f89c4b3f4a09812f3fa72a26a9429c09578fd66b59184623",

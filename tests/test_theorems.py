@@ -134,6 +134,19 @@ class TestVerifySmoke:
     def test_t6_small(self):
         _passes_decided(verify("T6", D33, trials=12, seed=10))
 
+    def test_t6_escape_check_runs_for_every_spectral_cone(self, monkeypatch):
+        # every fourth trial checks an escape, its cone cp, cop and p in turn
+        looked_up = []
+
+        class Spy(dict):
+            def __getitem__(self, cone):
+                looked_up.append(cone)
+                return super().__getitem__(cone)
+
+        monkeypatch.setattr(theorems_mod, "_SPECTRAL_ORACLE", Spy(theorems_mod._SPECTRAL_ORACLE))
+        _passes_decided(verify("T6", D33, trials=12, seed=10))
+        assert looked_up == [ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_P]
+
     def test_t12_small(self):
         _passes_decided(verify("T12", D33, trials=8, seed=11))
 
