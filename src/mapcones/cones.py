@@ -418,12 +418,17 @@ def _ppt(x: np.ndarray, d: Dims, tol: float) -> Verdict:
     return Verdict(status, c1 if s1 is status else c2, info={"spectra": spectra})
 
 
+def _check_unit_trace(rho: np.ndarray) -> None:
+    """The state oracles' trace gate: raise unless Tr rho = 1 within 1e-9."""
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > 1e-9:
+        raise ValueError(f"not a state: trace = {tr:.12f}")
+
+
 def is_ppt_state(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """PPT test for a density operator (trace must equal 1 within 1e-9)."""
     rho, d = _operator(rho, d, tol)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"not a density operator: trace = {tr}")
+    _check_unit_trace(rho)
     return _ppt(rho, d, tol)
 
 
@@ -677,8 +682,7 @@ def _separable(rho: np.ndarray, d: Dims, tol: float) -> Verdict:
     spectra = ppt.certificate if ppt.status is Status.IN else ppt.info["spectra"]
     if classify(spectra.min_eig, scale, tol) is not Status.IN:
         raise ValueError(f"not a state: minimum eigenvalue {spectra.min_eig:.3e}")
-    if abs(complex(np.trace(rho)) - 1.0) > 1e-9:
-        raise ValueError(f"not a state: trace = {complex(np.trace(rho)):.12f}")
+    _check_unit_trace(rho)
     if ppt.status is not Status.IN:
         return ppt
     if tuple(sorted(d)) in _EXACT_PPT_DIMS:

@@ -182,6 +182,14 @@ class TestFCone:
         with pytest.raises(ValueError):
             is_ppt_state(np.eye(4), D22)
 
+    def test_one_trace_gate_for_both_state_oracles(self):
+        messages = []
+        for oracle in (is_ppt_state, is_separable):
+            with pytest.raises(ValueError) as err:
+                oracle(np.eye(4) / 2, D22)
+            messages.append(str(err.value))
+        assert messages == ["not a state: trace = 2.000000000000+0.000000000000j"] * 2
+
     def test_hermiticity_gate_before_trace_gate(self):
         # neither Hermitian nor of trace one: the Hermiticity error comes first
         with pytest.raises(ValueError, match="matrix is not Hermitian"):
