@@ -9,7 +9,11 @@ outside the dims where PPT is exact); and every suite of the benchmark's
 harness at the dims it runs them (3x3, and 2x3 for C2), with L16, T1
 and T12 at 3x3 as well.  A second table pins the suites whose checks read
 a margin against the band (T6, T13, T18, L16, L17, C2 and C19) at a
-coarse tol of 0.05, where the band is wide enough to matter.  They were
+coarse tol of 0.05, where the band is wide enough to matter.  A third
+table pins the suites that evaluate all their trials as stacks (L5, L8,
+L10, L15, L17 and T6) at 12 trials, both tols, 2x2 and 3x3, and 2x3 for
+the suites that take non-square dims: 12 trials reach T6's cop and p
+escape checks (trials 7 and 11), which 6 trials never run.  They were
 recorded with numpy 2.4; a different LAPACK may move the last bits of a
 reported value and with it a digest, so a mismatch there first calls for
 a look at the report itself.
@@ -93,3 +97,46 @@ def test_report_digest(tid, n, m):
 def test_report_digest_at_coarse_tol(tid, n, m):
     report = emit_report(verify(tid, Dims(n, m), TRIALS, SEED, COARSE_TOL), "json")
     assert hashlib.sha256(report.encode()).hexdigest() == COARSE_DIGESTS[(tid, n, m)]
+
+
+LONG_TRIALS = 12
+
+LONG_DIGESTS = {
+    # (suite, n, m, tol)
+    ("L5", 2, 2, 1e-9): "8bfedc0005a46340251578d3d4f9a393b0a818d1b0b89e94034c19a64572c74f",
+    ("L5", 3, 3, 1e-9): "94eafe908bb5eb1b7876940e5678412b47045bcd71eb00b010399651d1d7fd5a",
+    ("L5", 2, 3, 1e-9): "f879abda384413e8fc9229a0d052e56f097c1f76e66d4c334a36c7800ec05dc8",
+    ("L8", 2, 2, 1e-9): "9c20a2a840ca3b6b4b69b0ab67b1184093ed54df32a95d8ec7116e251842fb8e",
+    ("L8", 3, 3, 1e-9): "acb86bda019467de1e29bea55059b20af09f240fd4963ce415f549f90d6178ef",
+    ("L10", 2, 2, 1e-9): "b079c3836a7e36e43bbc26c3a1dc3b5677606e28d827ce218110116c72d4f02a",
+    ("L10", 3, 3, 1e-9): "62579ebe11149f3f17100501b4a6b22c900775f8a5fa40eaec52299eaca2952d",
+    ("L15", 2, 2, 1e-9): "55ee5e5e0843731cd9f3ed59efb8727e40a1e6c4deb375159cdf032be6347d9c",
+    ("L15", 3, 3, 1e-9): "365f0bf172c3bce09d78a7ea0413ac2e6eff0c0720cc54ad6b065280b22dc71a",
+    ("L15", 2, 3, 1e-9): "3bd4a6ed9781c2fc1591cd517deb44bfde2cf7206f6700c99ceb5d589c7efc02",
+    ("L17", 2, 2, 1e-9): "a00a7a13b72a347d18de1044998840167a3fb9c2a8d7854e2f7547b7f6a07746",
+    ("L17", 3, 3, 1e-9): "1bdc06e619c66cf84f4280384304570f362550ca180ab7524ca05a6115bc3cf2",
+    ("L17", 2, 3, 1e-9): "fca52769aee1d0099bc5e1c025f9054e2c18e7093411c1e3e4accb5f76efcc20",
+    ("T6", 2, 2, 1e-9): "0a71cc549a8e862298d9389c0478df59ab625138bcba191a4ecca8ee8d912b31",
+    ("T6", 3, 3, 1e-9): "81c59cf67f6022460053044b84ad5951a4936cadc0ce91452817470a27622636",
+    ("L5", 2, 2, 0.05): "04ea24c5aa8b97d46bf48bb51e0bdf71bb1392c11a05992c9f06c21435d95676",
+    ("L5", 3, 3, 0.05): "72c72fbe041122ea3b76b4ed45992b9c960256b6da1a61adddb6d7729562d59f",
+    ("L5", 2, 3, 0.05): "2b687f40e5d0db4e9b23bdeab8db6db569676deff17e1e7590faad18cc2c05aa",
+    ("L8", 2, 2, 0.05): "82a0eb4fb2eb25de2563692d52288b4d59dd1981c71010c271f2ad297e64c4a8",
+    ("L8", 3, 3, 0.05): "8245653d165667a8baa29f32773b53b809fedac95900857fa418867763471ab2",
+    ("L10", 2, 2, 0.05): "7b120b8424ad9daa7e1b9ee5d8c0f61e7de0bc38990f95b3b833617ca8bd9168",
+    ("L10", 3, 3, 0.05): "943ae7ab71abaaa874f5370301519d6d0a8221efe9d7b34e10931f2236b830b4",
+    ("L15", 2, 2, 0.05): "6e6f9f06d25d3f2920090c86580b4e6bfbc18899753109bf017138e99a297e9e",
+    ("L15", 3, 3, 0.05): "a48ef10cff22ca38309e26626ce299417302cc07b0f5625548524e422f45780b",
+    ("L15", 2, 3, 0.05): "3852ad1153932a8fe2a4e82ed353d6ff61711701c9def6b6380d2fd2b7cab820",
+    ("L17", 2, 2, 0.05): "0a07505e2744c4d7a5a08b302d97e8d10e8d5512ad68d54de3a06be291b2c2e6",
+    ("L17", 3, 3, 0.05): "55a57080d4f64b57a32b3d0a3473c66be230c6edb919a136ae0b8c50ec4fb025",
+    ("L17", 2, 3, 0.05): "d834a801079934cc9efbc5ea66b7a3ed9eebe56ac1df850ea1b4c5141a012e82",
+    ("T6", 2, 2, 0.05): "70c4d8155d118ab602639b30d8832f45a9cb76994c3df758bcd6ade3eb1451f8",
+    ("T6", 3, 3, 0.05): "1b9b98d81e472903feea05ea2bff525151969131d03c33f8f8fb907aa580f0b4",
+}
+
+
+@pytest.mark.parametrize("tid,n,m,tol", sorted(LONG_DIGESTS), ids=lambda v: str(v))
+def test_report_digest_at_12_trials(tid, n, m, tol):
+    report = emit_report(verify(tid, Dims(n, m), LONG_TRIALS, SEED, tol), "json")
+    assert hashlib.sha256(report.encode()).hexdigest() == LONG_DIGESTS[(tid, n, m, tol)]
