@@ -338,8 +338,16 @@ def _psd_within(x: np.ndarray, tol: float) -> bool:
 
 def _least_eig(y: np.ndarray, tol: float) -> tuple[Status, MinEigCert]:
     """``classify`` on the least eigenvalue of a Hermitian y at scale 1 + ||y||_F."""
+    return _least_eigs(y[None], tol)[0]
+
+
+def _least_eigs(y: np.ndarray, tol: float) -> list[tuple[Status, MinEigCert]]:
+    """``_least_eig`` of each matrix of a (k, N, N) stack, from one batched ``eigh``."""
     w, u = np.linalg.eigh(y)
-    return classify(float(w[0]), 1.0 + frob(y), tol), MinEigCert(float(w[0]), u[:, 0].copy())
+    return [
+        (classify(float(wk[0]), 1.0 + frob(yk), tol), MinEigCert(float(wk[0]), uk[:, 0].copy()))
+        for yk, wk, uk in zip(y, w, u)
+    ]
 
 
 def _hermitian_eigh(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,14 +395,22 @@ def _check_samples(samples: Sequence[MapRep], n: int) -> None:
 
 def is_cp(phi: MapRep, tol: float = 1e-9) -> Verdict:
     """Complete positivity: the Choi matrix is PSD."""
-    status, cert = _least_eig(phi.hermitian_choi(tol), tol)
-    return Verdict(status, cert, info={"min_eig": cert.value})
+    return _cp_stack(phi.hermitian_choi(tol)[None], phi.d, tol)[0]
+
+
+def _cp_stack(c: np.ndarray, d: Dims, tol: float) -> list[Verdict]:
+    """``is_cp`` on each gated Choi matrix of a (k, nm, nm) stack."""
+    return [Verdict(s, cert, info={"min_eig": cert.value}) for s, cert in _least_eigs(c, tol)]
 
 
 def is_cop(phi: MapRep, tol: float = 1e-9) -> Verdict:
     """Copositivity: the partially transposed Choi matrix is PSD."""
-    status, cert = _least_eig(partial_transpose(phi.hermitian_choi(tol), phi.d), tol)
-    return Verdict(status, cert, info={"min_eig_pt": cert.value})
+    return _cop_stack(phi.hermitian_choi(tol)[None], phi.d, tol)[0]
+
+
+def _cop_stack(c: np.ndarray, d: Dims, tol: float) -> list[Verdict]:
+    """``is_cop`` on each gated Choi matrix of a (k, nm, nm) stack."""
+    return [Verdict(s, cert, info={"min_eig_pt": cert.value}) for s, cert in _least_eigs(partial_transpose(c, d), tol)]
 
 
 def in_P(phi: MapRep, tol: float = 1e-9) -> Verdict:
@@ -409,13 +425,24 @@ def in_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
 
 def _ppt(x: np.ndarray, d: Dims, tol: float) -> Verdict:
     """``in_F`` on an x that has passed the ``_operator`` gate."""
-    s1, c1 = _least_eig(x, tol)
-    s2, c2 = _least_eig(partial_transpose(x, d), tol)
-    spectra = PptSpectra(c1.value, c2.value)
-    if s1 is Status.IN and s2 is Status.IN:
-        return Verdict(Status.IN, spectra)
-    status = Status.OUT if Status.OUT in (s1, s2) else Status.UNDECIDED
-    return Verdict(status, c1 if s1 is status else c2, info={"spectra": spectra})
+    return _ppt_stack(x[None], d, tol)[0]
+
+
+def _ppt_stack(x: np.ndarray, d: Dims, tol: float) -> list[Verdict]:
+    """``in_F`` on each matrix of a (k, nm, nm) stack that has passed the gate.
+
+    The spectra of every x and PT(x) come from one batched ``eigh``.
+    """
+    both = _least_eigs(np.stack([x, partial_transpose(x, d)], axis=1).reshape(-1, *x.shape[1:]), tol)
+    out = []
+    for (s1, c1), (s2, c2) in zip(both[::2], both[1::2]):
+        spectra = PptSpectra(c1.value, c2.value)
+        if s1 is Status.IN and s2 is Status.IN:
+            out.append(Verdict(Status.IN, spectra))
+            continue
+        status = Status.OUT if Status.OUT in (s1, s2) else Status.UNDECIDED
+        out.append(Verdict(status, c1 if s1 is status else c2, info={"spectra": spectra}))
+    return out
 
 
 def _check_unit_trace(rho: np.ndarray) -> None:

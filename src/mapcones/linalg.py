@@ -83,7 +83,7 @@ def frob(x: np.ndarray) -> float:
 def frobs(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix over the leading axes of x."""
     r = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
-    r = r.reshape(x.shape[:-2] + (-1,))
+    r = r.reshape(x.shape[:-2] + (2 * x.shape[-2] * x.shape[-1],))
     return np.sqrt((r * r).sum(axis=-1))
 
 

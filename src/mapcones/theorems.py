@@ -14,7 +14,14 @@ operator oracles (PSD, PT-PSD, the ``f`` spectra, and ``cones.in_E`` for
 the ``e`` cone), and by sampling plus one certificate-guided adversarial
 probe per sample for everything else.  T1 and C2 draw every trial's map
 first and evaluate the four conditions for all of them at once, over a
-(trials x pool) stack.  Every ``e``-cone decision is the
+(trials x pool) stack.  L5, L8, L10, L15, L17 and T6 do the same for
+their own checks: every trial's inputs are drawn first, each stack
+passes one Hermiticity gate, and each check is one ``apply_second`` and
+one batched eigensolver call over the (trials x probes or pool) stack,
+whose verdicts come from the stacked cores of the oracles the suite
+cross-checks (``in_F``, ``pm_k_membership``'s ``_sampled_least_eig``
+and the spectral oracles).  Checks are still recorded trial by trial,
+in their old order.  Every ``e``-cone decision is the
 status of one ``in_E`` call, whose OUT certificate is the PPT witness the
 suite builds its probes from; T12 and T18 add that witness itself to the
 p-cone samples of the sharp test.  Every margin becomes IN, OUT or
@@ -38,6 +45,7 @@ import numpy as np
 
 from . import fixtures
 from .choi import (
+    DualFunctional,
     MapRep,
     adjoint,
     adjoint_choi,
@@ -62,17 +70,17 @@ from .cones import (
     _check_samples,
     _check_tol,
     _choi_stack,
+    _cop_stack,
+    _cp_stack,
     _hermitian_eigh,
+    _operator,
+    _ppt_stack,
     _sampled_least_eig,
     _UnknownName,
     classify,
     in_E,
     in_F,
-    in_P,
-    is_cop,
-    is_cp,
     is_separable,
-    pm_k_membership,
 )
 from .linalg import (
     Dims,
@@ -87,11 +95,11 @@ from .linalg import (
 )
 from .sampling import (
     _generator_pools,
+    _gram,
+    _normals,
     _random_cone_chois,
     _sample_maps,
     cone_generator_pool,
-    kd_generators,
-    random_cone_choi,
     random_hermitian,
     random_psd,
     substream,
@@ -202,21 +210,46 @@ def _pairings(c: np.ndarray, chois: np.ndarray) -> np.ndarray:
     return trace_pairing(c, hermitian_part(chois)).real
 
 
-def _complex_normals(rng: np.random.Generator, count: int, shape: tuple) -> np.ndarray:
-    """``count`` draws of normal(shape) + 1j normal(shape), stacked, in sequential stream order."""
-    g = rng.normal(size=(count, 2, *shape))
-    return g[:, 0] + 1j * g[:, 1]
-
-
 def _bottom_projectors(y: np.ndarray) -> np.ndarray:
     """v v* for the bottom eigenvector v of the Hermitian part of each matrix in a stack."""
     v = np.linalg.eigh(hermitian_part(y))[1][..., :1]
     return v @ v.conj().swapaxes(-1, -2)
 
 
-#: Entries (complex128) of the largest (maps x pool) stack of images that
-#: ``_theorem1_stack`` builds at once, 1 MiB; longer runs of maps go in chunks.
+#: Entries (complex128) of the largest stack of images, (maps x pool) in
+#: ``_theorem1_stack`` and (trials x probes or pool) in a suite, that is
+#: built at once, 1 MiB; longer runs go in chunks.
 _STACK_ENTRIES = 1 << 16
+
+
+def _runs(count: int, entries: int) -> list[slice]:
+    """Consecutive runs over ``count`` items, each of at most ``_STACK_ENTRIES // entries`` (at least one).
+
+    ``entries`` is the size of one item's stack of images.
+    """
+    step = max(1, _STACK_ENTRIES // entries)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _in_runs(count: int, entries: int, f) -> np.ndarray:
+    """``f(run)`` for each of ``_runs(count, entries)``, concatenated along the first axis."""
+    parts = [f(run) for run in _runs(count, entries)]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _gated(raw: np.ndarray, tol: float, one=check_hermitian) -> np.ndarray:
+    """The Hermitian parts of a stack of matrices, through one ``check_hermitian``.
+
+    If the stack fails, ``one(x, tol)`` gates its matrices in order, so
+    that the first matrix that fails raises its own error, as a
+    matrix-by-matrix gate would.
+    """
+    try:
+        return check_hermitian(raw, tol)
+    except ValueError:
+        for x in raw:
+            one(x, tol)
+        raise
 
 
 def theorem1_conditions(
@@ -265,13 +298,7 @@ def _theorem1_stack(
     """
     d = phis[0].d
     raw = _choi_stack(phis, d.total)
-    try:
-        chois = check_hermitian(raw, tol)
-    except ValueError:
-        # the first map that fails raises its own error, as a map-by-map gate would
-        for phi in phis:
-            phi.hermitian_choi(tol)
-        raise
+    chois = _gated(raw, tol)
     if cone is ConeId.MAP_P:
         return [_theorem1_p_cone(phi, c, samples, tol) for phi, c in zip(phis, chois)]
     sq = Dims(d.m, d.m)
@@ -281,10 +308,9 @@ def _theorem1_stack(
     # the generators t . alpha* . t of the dual side, and their adjoints
     kd = both_transpose(pool_adj, sq)
     kd_adj = adjoint_choi(kd, sq)
-    step = max(1, _STACK_ENTRIES // (max(len(pool), 1) * d.total**2))
     out = []
-    for start in range(0, len(phis), step):
-        c, r = chois[start : start + step], raw[start : start + step]
+    for run in _runs(len(phis), max(len(pool), 1) * d.total**2):
+        c, r = chois[run], raw[run]
 
         # (ii) membership of the Choi matrix in the partner operator cone
         if cone in _PARTNER:
@@ -500,18 +526,42 @@ def emit_report(report: TheoremReport, fmt: str = "json") -> str:
 _FAMILY_CONES = {1: ConeId.MAP_CP, 2: ConeId.MAP_COP, 3: ConeId.MAP_D, 4: ConeId.MAP_P}
 
 
+def _gaussian_stack(rngs: Sequence[np.random.Generator], count: int, k: int) -> np.ndarray:
+    """``count`` draws of normal((k, k)) + 1j normal((k, k)) from each generator, in stream order.
+
+    The result has shape (len(rngs), count, k, k).
+    """
+    x = _normals(rngs, 2 * count * k * k).reshape(len(rngs), count, 2, k, k)
+    return x[:, :, 0] + 1j * x[:, :, 1]
+
+
+def _hermitian_stack(rngs: Sequence[np.random.Generator], k: int) -> np.ndarray:
+    """``random_hermitian(rng, k)`` drawn once from each generator, as a (len(rngs), k, k) stack."""
+    return hermitian_part(_gaussian_stack(rngs, 1, k)[:, 0])
+
+
 def _random_map(rng: np.random.Generator, d: Dims, family: int) -> MapRep:
     """Mixed families of Hermitian-Choi maps, normalized to ||C||_F = n."""
-    n, m = d
+    return map_from_choi(d.n, d.m, _random_map_chois(d, [rng], [family])[0])
+
+
+def _random_map_chois(d: Dims, rngs: Sequence[np.random.Generator], families: Sequence[int]) -> np.ndarray:
+    """The Choi matrix of ``_random_map(rng, d, family)`` for each generator and family, as a stack.
+
+    The generators of each family draw as one stack, in their own stream order.
+    """
     nm = d.total
-    k = family % 6
-    if k == 0:
-        c = random_hermitian(rng, nm)
-    elif k in _FAMILY_CONES:
-        c = random_cone_choi(_FAMILY_CONES[k], d, rng)
-    else:
-        c = random_hermitian(rng, nm) + 0.5 * random_psd(rng, nm)
-    return map_from_choi(n, m, c * (n / max(frob(c), 1e-12)))
+
+    def draw(k, part):
+        if k == 0:
+            return _hermitian_stack(part, nm)
+        if k in _FAMILY_CONES:
+            return _random_cone_chois(_FAMILY_CONES[k], d, part)
+        g = _gaussian_stack(part, 2, nm)
+        return hermitian_part(g[:, 0]) + 0.5 * _gram(g[:, 1])
+
+    c = np.array(_grouped([f % 6 for f in families], rngs, draw), dtype=np.complex128).reshape(len(rngs), nm, nm)
+    return c * np.array([d.n / max(frob(ck), 1e-12) for ck in c])[:, None, None]
 
 
 def _general_map(rng: np.random.Generator, d: Dims) -> MapRep:
@@ -529,10 +579,18 @@ def _fixture_perturbation(rng: np.random.Generator, eps: float = 0.005) -> MapRe
 
 
 def _operator_sample(rng: np.random.Generator, d: Dims, family: int) -> np.ndarray:
-    """Mixed Hermitian operators: generic, PSD, PT-PSD, e-cone, f-cone."""
-    k = family % 5
-    x = random_hermitian(rng, d.total) if k == 0 else random_cone_choi(_FAMILY_CONES[k], d, rng)
-    return x / max(frob(x), 1e-12)
+    """Mixed Hermitian operators: generic, PSD, PT-PSD, e-cone, f-cone, of unit norm."""
+    return _operator_samples(d, [rng], [family])[0]
+
+
+def _operator_samples(d: Dims, rngs: Sequence[np.random.Generator], families: Sequence[int]) -> np.ndarray:
+    """``_operator_sample(rng, d, family)`` for each generator and family, one stack per family."""
+
+    def draw(k, part):
+        return _hermitian_stack(part, d.total) if k == 0 else _random_cone_chois(_FAMILY_CONES[k], d, part)
+
+    x = np.array(_grouped([f % 5 for f in families], rngs, draw), dtype=np.complex128).reshape(len(rngs), d.total, d.total)
+    return x / np.array([max(frob(xk), 1e-12) for xk in x])[:, None, None]
 
 
 def _dual_side_chois(cones: Sequence[ConeId], d: Dims, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -541,21 +599,22 @@ def _dual_side_chois(cones: Sequence[ConeId], d: Dims, rngs: Sequence[np.random.
     Matrix k is drawn from rngs[k]; the draws run as one stack per partner cone.
     """
     partners = [_PARTNER[c] for c in cones]
-    x = np.array(_per_cone(partners, rngs, lambda cone, part: _random_cone_chois(cone, d, part)), dtype=np.complex128)
+    x = np.array(_grouped(partners, rngs, lambda cone, part: _random_cone_chois(cone, d, part)), dtype=np.complex128)
     x = x.reshape(len(rngs), d.total, d.total)
     return x / x.trace(axis1=1, axis2=2).real[:, None, None]
 
 
-def _per_cone(cones: Sequence[ConeId], items: Sequence, draw) -> list:
-    """``draw(cone, items)`` once per distinct cone, over the items of that cone.
+def _grouped(keys: Sequence, items: Sequence, draw) -> list:
+    """``draw(key, items)`` once per distinct key (a cone, a family), over the items of that key.
 
-    The results come back in the order of ``items``: entry k is drawn
-    for ``cones[k]`` from ``items[k]``.
+    The keys are taken in the order they first appear, and the results
+    come back in the order of ``items``: entry k is drawn for
+    ``keys[k]`` from ``items[k]``.
     """
     out = [None] * len(items)
-    for cone in dict.fromkeys(cones):
-        idx = [k for k, c in enumerate(cones) if c is cone]
-        for k, x in zip(idx, draw(cone, [items[k] for k in idx])):
+    for key in dict.fromkeys(keys):
+        idx = [k for k, c in enumerate(keys) if c == key]
+        for k, x in zip(idx, draw(key, [items[k] for k in idx])):
             out[k] = x
     return out
 
@@ -583,7 +642,7 @@ def _suite_L4(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         report.check(trial, "choi-of-transpose-conj vs full transpose", r2, r2 > idtol)
         f = dual_functional(phi)
         ft = dual_functional(transpose_conj(phi))
-        x = _complex_normals(rng, 20, c.shape)
+        x = _gaussian_stack([rng], 20, d.total)[0]
         den = 1.0 + frob(c) * frobs(x)
         v1 = np.abs(ft(x) - f(both_transpose(x, d))) / den
         v2 = np.abs(ft(x) - f(full_transpose(x))) / den
@@ -593,52 +652,71 @@ def _suite_L4(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
 
 
 def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """Transposed-cone membership carried by t (x) t on operators."""
+    """Transposed-cone membership carried by t (x) t on operators.
+
+    Every trial's operator sample (the first draw of its substream, one
+    stack per family) and pool (one stack per cone) are drawn first.  For
+    a run of trials, t . alpha . t on x and alpha on t(x)t over each
+    trial's pool are one ``apply_second``, and one batched ``eigh`` of
+    their Hermitian parts gives both the spectral-transport gaps and the
+    two membership verdicts, which ``_sampled_least_eig`` reads from
+    slices of it.
+    """
     idtol = 1e-11
     sq = Dims(d.m, d.m)
     # every trial's pool, as cone_generator_pool(cone, d, 4, seed + trial), one stacked draw per cone
     cones = [_CONCRETE[trial % 4] for trial in range(trials)]
-    pools = _per_cone(cones, [seed + trial for trial in range(trials)], lambda c, seeds: _generator_pools(c, d, 4, seeds))
-    for trial, (cone, pool) in enumerate(zip(cones, pools)):
-        rng = substream(seed, 0x105, trial)
-        x = _operator_sample(rng, d, trial)
-        xt = both_transpose(x, d)
-        scale = 1.0 + frob(x)
-        # t . alpha . t on x (row 0) and alpha on t(x)t (row 1), the whole pool at once
-        chois = _choi_stack(pool, sq.total)
-        images = apply_second(np.stack([both_transpose(chois, sq), chois]), np.stack([x, xt])[:, None], d)
-        # one batched eigh of their Hermitian parts serves both checks
-        h, w, u = _hermitian_eigh(images)
-        for idx, gap in enumerate(np.abs(w[0, :, 0] - w[1, :, 0])):
-            report.check(trial, f"{cone.value} sample {idx} spectral transport", gap, gap > idtol * scale)
-        # (t . alpha . t)(x) >= 0 and alpha(t(x)t) >= 0 over the pool, from the same spectra
-        va, vb = (_sampled_least_eig(h[k], w[k], u[k], tol) for k in (0, 1))
-        margin = min(abs(v.info.get("worst_min_eig", v.info.get("min_eig", 0.0))) for v in (va, vb))
-        failed = None if Status.UNDECIDED in (va.status, vb.status) else va.status != vb.status
-        report.check(trial, "membership verdicts disagree", margin, failed)
+    pools = _grouped(cones, [seed + trial for trial in range(trials)], lambda c, seeds: _generator_pools(c, d, 4, seeds))
+    chois = _choi_stack([a for pool in pools for a in pool], sq.total).reshape(trials, -1, sq.total, sq.total)
+    # row 0: t . alpha . t on x; row 1: alpha on t(x)t
+    alphas = np.stack([both_transpose(chois, sq), chois], axis=1)
+    x = _operator_samples(d, [substream(seed, 0x105, trial) for trial in range(trials)], range(trials))
+    xs = np.stack([x, both_transpose(x, d)], axis=1)[:, :, None]
+    for run in _runs(trials, 2 * chois.shape[1] * d.total**2):
+        h, w, u = _hermitian_eigh(apply_second(alphas[run], xs[run], d))
+        for trial, hk, wk, uk in zip(range(trials)[run], h, w, u):
+            scale = 1.0 + frob(x[trial])
+            for idx, gap in enumerate(np.abs(wk[0, :, 0] - wk[1, :, 0])):
+                report.check(trial, f"{cones[trial].value} sample {idx} spectral transport", gap, gap > idtol * scale)
+            # (t . alpha . t)(x) >= 0 and alpha(t(x)t) >= 0 over the pool, from the same spectra
+            va, vb = (_sampled_least_eig(hk[j], wk[j], uk[j], tol) for j in (0, 1))
+            margin = min(abs(v.info.get("worst_min_eig", v.info.get("min_eig", 0.0))) for v in (va, vb))
+            failed = None if Status.UNDECIDED in (va.status, vb.status) else va.status != vb.status
+            report.check(trial, "membership verdicts disagree", margin, failed)
 
 
 def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """The maximally entangled state criterion for complete positivity."""
+    """The maximally entangled state criterion for complete positivity.
+
+    Each substream gives its trial's map, then 8 random PSD probes; the
+    maps are drawn as one stack per family, then the probes as one
+    stack.  The Choi matrices pass one gate and one batched ``eigh``, and
+    for a run of trials the adjoints act on all probes in one
+    ``apply_second``.  The pairings run trial by trial.
+    """
     n = d.n
     idtol = 1e-12
-    for trial in range(trials):
-        rng = substream(seed, 0x108, trial)
-        phi = _random_map(rng, d, trial)
-        c = phi.hermitian_choi(tol)
-        scale = 1.0 + frob(c)
-        # the bridge identity on random probes, and the sign equivalence at the
-        # adversarial rank-one probe, the bottom eigenvector u of C:
-        # v* C v >= lambda_min(C) for every unit v; one stack for all of them
-        x = np.array([random_psd(rng, n * n) for _ in range(8)])
-        w_eig, u = np.linalg.eigh(c)
-        probes = np.concatenate([x, np.outer(u[:, 0], u[:, 0].conj())[None]])
-        rhs = n * omega_eval(hermitian_part(apply_second(adjoint(phi), probes, d)), n)
-        err = np.abs(trace_pairing(c, x).real - rhs[:-1]) / (1.0 + frob(c) * frobs(x))
-        for k in range(len(x)):
+    rngs = [substream(seed, 0x108, trial) for trial in range(trials)]
+    raw = _random_map_chois(d, rngs, range(trials))
+    x = _gram(_gaussian_stack(rngs, 8, n * n))
+    c = _gated(raw, tol)
+    # the adversarial rank-one probe, the bottom eigenvector u of C:
+    # v* C v >= lambda_min(C) for every unit v
+    w_eig, u = np.linalg.eigh(c)
+    probes = np.concatenate([x, (u[:, :, :1] * u[:, None, :, 0].conj())[:, None]], axis=1)
+    adj = adjoint_choi(raw, d)
+    rhs = _in_runs(
+        trials,
+        probes[0].size,
+        lambda run: n * omega_eval(hermitian_part(apply_second(adj[run, None], probes[run], d)), n),
+    )
+    for trial, ck in enumerate(c):
+        scale = 1.0 + frob(ck)
+        err = np.abs(trace_pairing(ck, x[trial]).real - rhs[trial, :-1]) / (1.0 + frob(ck) * frobs(x[trial]))
+        for k in range(len(err)):
             report.check(trial, f"pairing bridge probe {k}", err[k], err[k] > idtol)
-        best = rhs[-1]
-        cp, probe = classify(w_eig[0], scale, tol), classify(best, scale, tol)
+        best = rhs[trial, -1]
+        cp, probe = classify(w_eig[trial, 0], scale, tol), classify(best, scale, tol)
         if Status.UNDECIDED in (cp, probe):
             report.undecided += 1
             continue
@@ -646,39 +724,55 @@ def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
 
 
 def _suite_L10(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """Positivity and factorization of the multiplication functional."""
+    """Positivity and factorization of the multiplication functional.
+
+    Each substream gives y, then a general map's Choi matrix, then 6
+    probes: all of them are drawn first as one stack.  The y y* of every
+    trial are one batched product, and for a run of trials the lifted
+    maps act on all probes in one ``apply_second``.  The functionals,
+    whose densities are transposed as one stack, run trial by trial.
+    """
     idtol = 1e-12
     nm = d.total
+    g = _gaussian_stack([substream(seed, 0x10A, trial) for trial in range(trials)], 8, nm)
+    y, choi, x = g[:, 0], g[:, 1], g[:, 2:]
+    val = trpi_eval(_gram(y), d)
+    lifted = both_transpose(adjoint_choi(choi, d), d)
+    rhs = _in_runs(trials, x[0].size, lambda run: trpi_eval(apply_second(lifted[run, None], x[run], d), d))
+    # dual_functional(phi) has density C_{t . phi . t}
+    density = both_transpose(choi, d)
     for trial in range(trials):
-        rng = substream(seed, 0x10A, trial)
-        g = rng.normal(size=(nm, nm)) + 1j * rng.normal(size=(nm, nm))
-        val = trpi_eval(g @ g.conj().T, d)
-        bound = idtol * (1.0 + frob(g) ** 2)
-        violation = abs(min(val.real, 0.0)) + abs(val.imag)
-        report.check(trial, "positivity on y y*", violation, val.real < -bound or abs(val.imag) > bound)
-        phi = _general_map(rng, d)
-        lifted = transpose_conj(adjoint(phi))
-        x = _complex_normals(rng, 6, (nm, nm))
-        rhs = trpi_eval(apply_second(lifted, x, d), d)
-        err = np.abs(dual_functional(phi)(x) - rhs) / (1.0 + frob(phi.choi) * frobs(x))
-        for k in range(len(x)):
+        v = complex(val[trial])
+        bound = idtol * (1.0 + frob(y[trial]) ** 2)
+        violation = abs(min(v.real, 0.0)) + abs(v.imag)
+        report.check(trial, "positivity on y y*", violation, v.real < -bound or abs(v.imag) > bound)
+        lhs = DualFunctional(d, density[trial])(x[trial])
+        err = np.abs(lhs - rhs[trial]) / (1.0 + frob(choi[trial]) * frobs(x[trial]))
+        for k in range(len(err)):
             report.check(trial, f"factorization probe {k}", err[k], err[k] > idtol)
 
 
 def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """The PPT cone as the meet of the cp and cop instances."""
-    ident = identity_map(d.m)
-    trans = transpose_map(d.m)
-    for trial in range(trials):
-        rng = substream(seed, 0x10F, trial)
-        x = _operator_sample(rng, d, trial)
-        v = in_F(x, d, tol)
-        va = pm_k_membership(x, d, [ident], tol)
-        vb = pm_k_membership(x, d, [trans], tol)
-        joint_in = va.status is Status.IN and vb.status is Status.IN
-        undecided = Status.UNDECIDED in (v.status, va.status, vb.status)
-        failed = None if undecided else (v.status is Status.IN) != joint_in
-        report.check(trial, "meet-of-cones equivalence", _ppt_gap(x, d) if failed else 0.0, failed)
+    """The PPT cone as the meet of the cp and cop instances.
+
+    Every trial's operator sample (the first draw of its substream, one
+    stack per family) passes one gate.  ``in_F``'s verdicts come from
+    its stacked core, and the two ``pm_k_membership`` verdicts, against
+    the identity and against the transpose, from slices of one batched
+    ``eigh`` over the images of a run of trials.
+    """
+    x = _operator_samples(d, [substream(seed, 0x10F, trial) for trial in range(trials)], range(trials))
+    xs = _gated(x, tol, lambda xk, t: _operator(xk, d, t))
+    v = _ppt_stack(xs, d, tol)
+    detectors = _choi_stack([identity_map(d.m), transpose_map(d.m)], d.m * d.m)[:, None]
+    for run in _runs(trials, 2 * d.total**2):
+        h, w, u = _hermitian_eigh(apply_second(detectors, xs[run, None, None], d))
+        for trial, hk, wk, uk in zip(range(trials)[run], h, w, u):
+            va, vb = (_sampled_least_eig(hk[j], wk[j], uk[j], tol) for j in (0, 1))
+            joint_in = va.status is Status.IN and vb.status is Status.IN
+            undecided = Status.UNDECIDED in (v[trial].status, va.status, vb.status)
+            failed = None if undecided else (v[trial].status is Status.IN) != joint_in
+            report.check(trial, "meet-of-cones equivalence", _ppt_gap(x[trial], d) if failed else 0.0, failed)
 
 
 def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -712,33 +806,43 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 
 def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """PPT Choi matrices exactly represent the p-positive maps."""
+    """PPT Choi matrices exactly represent the p-positive maps.
+
+    Each substream gives one draw: a p-cone map on even trials, a
+    Hermitian operator on odd ones, each kind drawn as one stack.  All
+    of them pass one gate and ``in_F``'s stacked core; the d-cone pool
+    acts on the even trials, and the canonical detectors on the odd
+    ones, in one ``apply_second`` and one batched ``eigvalsh`` per run.
+    """
     k = d.m * d.m
     detectors = _choi_stack([identity_map(d.m), transpose_map(d.m)], k)
     d_pool = _choi_stack(cone_generator_pool(ConeId.MAP_D, d, 6, seed), k)
     rngs = [substream(seed, 0x111, trial) for trial in range(trials)]
-    # the even trials' p-cone maps, drawn first from their own substreams as one stack
-    p_maps = _sample_maps(ConeId.MAP_P, d, rngs[::2])
-    for trial, rng in enumerate(rngs):
+    ops = np.empty((trials, d.total, d.total), dtype=np.complex128)
+    ops[::2] = _choi_stack(_sample_maps(ConeId.MAP_P, d, rngs[::2]), d.total)
+    x = _hermitian_stack(rngs[1::2], d.total)
+    ops[1::2] = x / np.array([frob(xk) for xk in x])[:, None, None]
+    v = _ppt_stack(_gated(ops, tol, lambda xk, t: _operator(xk, d, t)), d, tol)
+
+    def least(pool, part):
+        return _in_runs(len(part), len(pool) * d.total**2, lambda run: _min_eigs(apply_second(pool, part[run, None], d)))
+
+    lows = {0: least(d_pool, ops[::2]), 1: least(detectors, ops[1::2])}
+    for trial in range(trials):
+        scale = 1.0 + frob(ops[trial])
+        lo = lows[trial % 2][trial // 2]
         if trial % 2 == 0:
-            phi = p_maps[trial // 2]
-            v = in_F(phi.choi, d, tol)
-            report.check(trial, "p-cone sample without PPT Choi", 1.0, v.status is not Status.IN)
-            scale = 1.0 + frob(phi.choi)
-            for idx, lo in enumerate(_min_eigs(apply_second(d_pool, phi.choi, d))):
-                report.check_margin(trial, f"d-cone sample {idx} broke f-membership", lo, scale, tol)
-        else:
-            x = random_hermitian(rng, d.total)
-            x /= frob(x)
-            scale = 1.0 + frob(x)
-            v = in_F(x, d, tol)
-            found = [classify(lo, scale, tol) for lo in _min_eigs(apply_second(detectors, x, d))]
-            if Status.UNDECIDED in (v.status, *found):
-                report.undecided += 1
-                continue
-            failed = (v.status is Status.IN) == (Status.OUT in found)
-            gap = _ppt_gap(x, d) if failed else 0.0
-            report.check(trial, "canonical detectors disagree with f", gap, failed)
+            report.check(trial, "p-cone sample without PPT Choi", 1.0, v[trial].status is not Status.IN)
+            for idx, lo_k in enumerate(lo):
+                report.check_margin(trial, f"d-cone sample {idx} broke f-membership", lo_k, scale, tol)
+            continue
+        found = [classify(lo_k, scale, tol) for lo_k in lo]
+        if Status.UNDECIDED in (v[trial].status, *found):
+            report.undecided += 1
+            continue
+        failed = (v[trial].status is Status.IN) == (Status.OUT in found)
+        gap = _ppt_gap(ops[trial], d) if failed else 0.0
+        report.check(trial, "canonical detectors disagree with f", gap, failed)
 
 
 def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -764,54 +868,82 @@ def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
 
 
 def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """Double-dual consistency: primal and dual-characterized samples pair >= 0."""
-    cp_pool = cone_generator_pool(ConeId.MAP_CP, d, 6, seed + 3)
-    pools = {c: cone_generator_pool(c, d, 8, seed + 5) for c in _CONCRETE}
-    kd_pools = {c: kd_generators(pools[c]) for c in _CONCRETE}
+    """Double-dual consistency: primal and dual-characterized samples pair >= 0.
+
+    Every trial's draws come first, each kind as one stack: the even
+    trials' members are composed in one ``apply_second``, and every
+    member, dual sample and escape map passes one gate per stack.  The
+    escape maps are decided by each spectral oracle's stacked core, one
+    batched ``eigh`` per escape cone.  The pairings run trial by trial.
+    """
+    sq = Dims(d.m, d.m)
+    cp_pool = _choi_stack(cone_generator_pool(ConeId.MAP_CP, d, 6, seed + 3), sq.total)
+    # the generators t . alpha* . t of each cone's pool
+    kd_pools = {
+        c: both_transpose(adjoint_choi(_choi_stack(cone_generator_pool(c, d, 8, seed + 5), sq.total), sq), sq)
+        for c in _CONCRETE
+    }
     rngs = [substream(seed, 0x206, trial) for trial in range(trials)]
     cones = [_CONCRETE[trial % 4] for trial in range(trials)]
     # each substream gives, in order: the even trials' pool picks or the odd
     # trials' member draw, then the dual sample, then the escape check's map;
-    # the member and dual draws run over all trials as stacks
+    # each kind of draw runs over all trials as one stack
     picks = [(int(rng.integers(len(kd_pools[cone]))), int(rng.integers(len(cp_pool)))) for rng, cone in zip(rngs[::2], cones[::2])]
     member_chois = _dual_side_chois([_PARTNER[c] for c in cones[1::2]], d, rngs[1::2])
     dual_chois = _dual_side_chois(cones, d, rngs)
-    for trial, (rng, cone) in enumerate(zip(rngs, cones)):
-        # primal-side member of the K-positive cone
-        if trial % 2 == 0:
-            a, p = picks[trial // 2]
-            member = compose_left(kd_pools[cone][a], cp_pool[p])
-        else:
-            member = map_from_choi(d.n, d.m, d.n * member_chois[trial // 2])
-        dual = map_from_choi(d.n, d.m, d.n * dual_chois[trial])
-        val = pairing(member, dual)
-        val2 = pairing(dual, member)
-        scale = 1.0 + frob(member.choi) * frob(dual.choi)
+    # a map outside a primal cone must be caught by a dual sample built
+    # from its own escape certificate.  The pairing trials of every fourth
+    # trial are K = d, whose escape needs the feasibility engine (the C19
+    # and T18 suites exercise it), so the escape cone takes cp, cop and p
+    # in turn from its own counter
+    escape_trials = range(3, trials, 4)
+    escapes = [_CONCRETE[(trial // 4) % 3] for trial in escape_trials]
+    phis = _random_map_chois(d, [rngs[trial] for trial in escape_trials], escape_trials)
+
+    # primal-side members of the K-positive cone: t . alpha* . t composed with a cp sample
+    alphas = np.array([kd_pools[cone][a] for cone, (a, _) in zip(cones[::2], picks)]).reshape(-1, sq.total, sq.total)
+    members = np.empty((trials, d.total, d.total), dtype=np.complex128)
+    cps = cp_pool[[p for _, p in picks]]
+    members[::2] = _in_runs(len(picks), d.total**2, lambda run: apply_second(alphas[run], cps[run], d))
+    members[1::2] = d.n * member_chois
+    duals = d.n * dual_chois
+    try:
+        # pairing gates at its default tol, the escape oracles at the suite's
+        gated_members, gated_duals = check_hermitian(members, 1e-9), check_hermitian(duals, 1e-9)
+        gated_phis = check_hermitian(phis, tol)
+    except ValueError:
+        # the first matrix that fails raises its own error, in the order the trials gate them
+        for trial in range(trials):
+            check_hermitian(members[trial], 1e-9)
+            check_hermitian(duals[trial], 1e-9)
+            if trial % 4 == 3:
+                check_hermitian(phis[trial // 4], tol)
+        raise
+    verdicts = _grouped(escapes, list(gated_phis), lambda cone, part: _SPECTRAL_ORACLE[cone](np.array(part), d, tol))
+
+    for trial, cone in enumerate(cones):
+        val = float(trace_pairing(gated_members[trial], gated_duals[trial]).real)
+        val2 = float(trace_pairing(gated_duals[trial], gated_members[trial]).real)
+        scale = 1.0 + frob(members[trial]) * frob(duals[trial])
         report.check_margin(trial, f"{cone.value} forward pairing", val, scale, tol)
         report.check_margin(trial, f"{cone.value} reverse pairing", val2, scale, tol)
         if trial % 4 == 3:
-            # a map outside a primal cone must be caught by a dual sample
-            # built from its own escape certificate.  The pairing trials
-            # here are K = d, whose escape needs the feasibility engine (the
-            # C19 and T18 suites exercise it), so the escape cone takes
-            # cp, cop and p in turn from its own counter
-            escape = _CONCRETE[(trial // 4) % 3]
-            phi = _random_map(rng, d, trial)
-            v = _SPECTRAL_ORACLE[escape](phi, tol)
+            escape, v = escapes[trial // 4], verdicts[trial // 4]
             # only a map that classify puts OUT has an escape to catch
             if v.status is not Status.OUT:
                 report.undecided += 1
                 continue
+            phi = map_from_choi(d.n, d.m, phis[trial // 4])
             # dual-side elements from the certificate's eigenvector u: u u*
             # lies in P(M, K^t) unless K = cop, PT(u u*) unless K = cp
             u = v.certificate.vector[:, None]
             rank_one = u @ u.conj().T
-            duals = []
+            duals_k = []
             if escape is not ConeId.MAP_COP:
-                duals.append(rank_one)
+                duals_k.append(rank_one)
             if escape is not ConeId.MAP_CP:
-                duals.append(partial_transpose(rank_one, d))
-            best = min(pairing(phi, map_from_choi(d.n, d.m, y), tol=np.inf) for y in duals)
+                duals_k.append(partial_transpose(rank_one, d))
+            best = min(pairing(phi, map_from_choi(d.n, d.m, y), tol=np.inf) for y in duals_k)
             caught = classify(best, 1 + frob(phi.choi), tol)
             failed = None if caught is Status.UNDECIDED else caught is Status.IN
             report.check(trial, f"{escape.value} escape not caught", abs(v.certificate.value), failed)
@@ -827,8 +959,9 @@ _PARTNER = {
     ConeId.MAP_D: ConeId.MAP_P,
 }
 
-#: The exact oracle of each spectral cone; its OUT certificate is a ``MinEigCert``.
-_SPECTRAL_ORACLE = {ConeId.MAP_CP: is_cp, ConeId.MAP_COP: is_cop, ConeId.MAP_P: in_P}
+#: The stacked core of each spectral cone's exact oracle (``is_cp``, ``is_cop``,
+#: ``in_P``) on gated Choi matrices; its OUT certificate is a ``MinEigCert``.
+_SPECTRAL_ORACLE = {ConeId.MAP_CP: _cp_stack, ConeId.MAP_COP: _cop_stack, ConeId.MAP_P: _ppt_stack}
 
 
 def _kpositivity_margins(cone: ConeId, c: np.ndarray, d: Dims) -> np.ndarray:
@@ -958,7 +1091,7 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     families = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_S, ConeId.MAP_POS)
     cones = [families[trial % len(families)] for trial in range(trials)]
     rngs = [substream(seed, 0x2C2, trial) for trial in range(trials)]
-    phis = _per_cone(cones, rngs, lambda cone, part: _sample_maps(cone, d, part))
+    phis = _grouped(cones, rngs, lambda cone, part: _sample_maps(cone, d, part))
     results = _theorem1_stack(phis, ConeId.MAP_POS, pool, tol)
     if exact:
         # the Choi matrices passed their gate in _theorem1_stack

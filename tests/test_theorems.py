@@ -325,21 +325,34 @@ class TestStackedSuiteCounts:
     to 161, T12 from 61 to 49 and T18 from 78 to 50 ``eigvalsh`` calls;
     a stack of pos draws at 3x3 conjugates the shipped map with 2
     ``apply_second`` calls instead of 2 ``compose_left`` per draw, which
-    took C2 from 24 to 10 and C2/2x3 from 20 to 8.
+    took C2 from 24 to 10 and C2/2x3 from 20 to 8.  L5, L8, L10, L15,
+    L17 and T6 draw every trial's inputs first and evaluate each check
+    with one ``apply_second`` and one batched eigensolver call over all
+    trials: that took ``apply_second`` from 10 to 1 (L5, L8, L10), from
+    10 to 2 (L17), from 20 to 1 (L15) and from 5 to 1 (T6); ``eigh``
+    from 10 to 1 (L5, L8), from 20 to 1 (L17) and from 40 to 2 (L15);
+    ``eigvalsh`` from 6 to 4 (L5, whose p-family operator samples are one
+    draw), from 12 to 4 (L17) and from 4 to 2 (L15); and ``einsum`` from
+    20 to 11 (L8) and from 30 to 12 (L10), whose stacked ``omega_eval``
+    and ``trpi_eval`` calls are one ``einsum`` each.  ``in_F``'s core reads
+    the spectra of x and PT(x) from one ``eigh``, which took C2/2x3, whose
+    separability checks run it, from 18 to 10.
     """
 
     COUNTS = {
         # suite[/dims, 3x3 when omitted]: (einsum, apply_second, functional, eigvalsh, eigh)
         "L4": (130, 0, 40, 2, 0),
-        "L5": (0, 10, 0, 6, 10),
-        "L8": (20, 10, 0, 2, 10),
-        "L10": (30, 10, 10, 0, 0),
-        "L17": (0, 10, 0, 12, 20),
+        "L5": (0, 1, 0, 4, 1),
+        "L8": (11, 1, 0, 2, 1),
+        "L10": (12, 1, 10, 0, 0),
+        "L15": (0, 1, 0, 2, 2),
+        "L17": (0, 2, 0, 4, 1),
+        "T6": (22, 1, 0, 4, 2),
         "T1": (124, 45, 12, 161, 24),
         "T12": (4, 10, 0, 49, 11),
         "T18": (8, 14, 0, 50, 6),
         "C2": (20, 10, 0, 2, 2),
-        "C2/2x3": (20, 8, 0, 3, 18),
+        "C2/2x3": (20, 8, 0, 3, 10),
         "C19": (29, 3, 0, 121, 7),
     }
 
