@@ -929,9 +929,11 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         report.check_margin(trial, f"{cone.value} reverse pairing", val2, scale, tol)
         if trial % 4 == 3:
             escape, v = escapes[trial // 4], verdicts[trial // 4]
-            # only a map that classify puts OUT has an escape to catch
-            if v.status is not Status.OUT:
+            # only a map that classify puts OUT has an escape to catch; a map
+            # inside the cone records nothing, and one in the band is UNDECIDED
+            if v.status is Status.UNDECIDED:
                 report.undecided += 1
+            if v.status is not Status.OUT:
                 continue
             phi = map_from_choi(d.n, d.m, phis[trial // 4])
             # dual-side elements from the certificate's eigenvector u: u u*

@@ -43,8 +43,9 @@ DIGESTS = {
     ("T12", 2, 2): "d6436a622b5d664ae12e305e435ce83cdffaddf1f7206f9ee9c44e8d8a7b9095",
     ("T13", 2, 2): "f2537ac25a210e7980d3d1ccb34215ac6a8c6e743852f4f64dccf99acc8325d6",
     ("T18", 2, 2): "a946488cb8ea71b603a61913844d279ca1690a7014e235ebe24bfbda3e7b6f4c",
-    # T6's escape check runs on every fourth trial, its cone taken from its own counter
-    ("T6", 2, 2): "6d1a884ea8ede86836520ffbc72493bd5bc38d7fc699abf5a6f4b0b9efb85e51",
+    # T6's escape check runs on every fourth trial, its cone taken from its own
+    # counter; an escape map inside its cone is not counted UNDECIDED
+    ("T6", 2, 2): "ff0d36d4b449d8644fd6def14724df3ae9d462117a662620a4edcd040a42edb5",
     ("T13", 3, 3): "6d59c46a9326e49beb960ef1c8437fb2a56d7e19118ea7fac862acd9af0ee16e",
     ("T18", 3, 3): "d15fab811f80e8f4723f3e34ea17a3418d398f3523a72895296a86e52a4f9965",
     ("C19", 3, 3): "f5a0c972172e96fe30739a6803a5a2e7541f01e70e9e43753afbd8af13fda66e",
@@ -65,7 +66,8 @@ DIGESTS = {
 COARSE_TOL = 0.05
 
 COARSE_DIGESTS = {
-    ("T6", 2, 2): "1d3a765d2e8e30cc7f3f388341a8c90a3b01c1b83517f1c6aef98b437bab7256",
+    # an escape map inside its cone is not counted UNDECIDED (T6 here and below)
+    ("T6", 2, 2): "377f2fea96f9b200716b541d2d3d589198e750a5c4cc7bc79e691972e2c52738",
     ("T13", 2, 2): "a77615b12bcbc3b8960387ef83c5c18392fc5989fd066533ba72a32904857651",
     ("T18", 2, 2): "3cff61996d18c70f3d1c2046d7da279918e199f02f52ad6a49b2b03dfe2df83b",
     ("L16", 2, 2): "c042d3a2affbf8b2801242001631bb7d466cd6144e31740bff0ae30d29d51b1b",
@@ -73,7 +75,7 @@ COARSE_DIGESTS = {
     ("C2", 2, 2): "7d492dff9da6f4546dc2c2dd2997c192fce16b5fe0b2425db6239bf3efe8d001",
     # one trial left UNDECIDED before the e-cone bound read y0 + lambda_min(Z1) is decided now
     ("C19", 2, 2): "6648661d8ec8af3e73412ff688f20af6fd0338d3b4fdb998d4e78cd93f865d9d",
-    ("T6", 3, 3): "4d2a54e726aceaee5d4aef0dd1da171a6cc5631c6f1d3868810310e07ac5a496",
+    ("T6", 3, 3): "0d6601d9750f6a7cc45859b5684f36af7c137f9df4b72ce93f56c2c9cb5a4430",
     ("T13", 3, 3): "5d44dfa34e92ef5d76f0da6a8549ca84b57e4e038437e485c8e5c8ad99fb4b61",
     ("T18", 3, 3): "6737dde439aefa2ecd3f38663d517ae403664ac9e3382d6db96ae0332412c89d",
     ("L16", 3, 3): "aa17b945edaa8fa5f89c4b3f4a09812f3fa72a26a9429c09578fd66b59184623",
@@ -116,7 +118,8 @@ LONG_DIGESTS = {
     ("L17", 2, 2, 1e-9): "a00a7a13b72a347d18de1044998840167a3fb9c2a8d7854e2f7547b7f6a07746",
     ("L17", 3, 3, 1e-9): "1bdc06e619c66cf84f4280384304570f362550ca180ab7524ca05a6115bc3cf2",
     ("L17", 2, 3, 1e-9): "fca52769aee1d0099bc5e1c025f9054e2c18e7093411c1e3e4accb5f76efcc20",
-    ("T6", 2, 2, 1e-9): "0a71cc549a8e862298d9389c0478df59ab625138bcba191a4ecca8ee8d912b31",
+    # an escape map inside its cone is not counted UNDECIDED (the T6 pins but 3x3 at 1e-9)
+    ("T6", 2, 2, 1e-9): "2941c8d4b1d6d775a5db96987ed6e9bf846a096a1650a9e59a9413eb67dbde01",
     ("T6", 3, 3, 1e-9): "81c59cf67f6022460053044b84ad5951a4936cadc0ce91452817470a27622636",
     ("L5", 2, 2, 0.05): "04ea24c5aa8b97d46bf48bb51e0bdf71bb1392c11a05992c9f06c21435d95676",
     ("L5", 3, 3, 0.05): "72c72fbe041122ea3b76b4ed45992b9c960256b6da1a61adddb6d7729562d59f",
@@ -131,8 +134,8 @@ LONG_DIGESTS = {
     ("L17", 2, 2, 0.05): "0a07505e2744c4d7a5a08b302d97e8d10e8d5512ad68d54de3a06be291b2c2e6",
     ("L17", 3, 3, 0.05): "55a57080d4f64b57a32b3d0a3473c66be230c6edb919a136ae0b8c50ec4fb025",
     ("L17", 2, 3, 0.05): "d834a801079934cc9efbc5ea66b7a3ed9eebe56ac1df850ea1b4c5141a012e82",
-    ("T6", 2, 2, 0.05): "70c4d8155d118ab602639b30d8832f45a9cb76994c3df758bcd6ade3eb1451f8",
-    ("T6", 3, 3, 0.05): "1b9b98d81e472903feea05ea2bff525151969131d03c33f8f8fb907aa580f0b4",
+    ("T6", 2, 2, 0.05): "0608f24a129d49d5282fab198beb24875372da2271e8cbe1d3723302bfa6e375",
+    ("T6", 3, 3, 0.05): "f3473eba1b7a1417ef19e1992baa3d7329043eb2acf4b8ce726675c03a37cefc",
 }
 
 

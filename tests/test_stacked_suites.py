@@ -195,8 +195,9 @@ def _ref_T6(report, d, trials, seed, tol):
             escape = CONCRETE[(trial // 4) % 3]
             phi = _random_map(rng, d, trial)
             v = oracle[escape](phi, tol)
-            if v.status is not Status.OUT:
+            if v.status is Status.UNDECIDED:
                 report.undecided += 1
+            if v.status is not Status.OUT:
                 continue
             u = v.certificate.vector[:, None]
             rank_one = u @ u.conj().T

@@ -147,6 +147,20 @@ class TestVerifySmoke:
         _passes_decided(verify("T6", D33, trials=12, seed=10))
         assert looked_up == [ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_P]
 
+    def test_t6_in_escape_map_leaves_undecided_unchanged(self, monkeypatch):
+        # an escape map inside its cone has no escape to catch: it records
+        # no check and counts nothing, while one in the band counts UNDECIDED
+        reports = {}
+        for status in (Status.IN, Status.UNDECIDED):
+            forced = {cone: (lambda s: lambda c, d, tol: [cones_mod.Verdict(s) for _ in c])(status)
+                      for cone in theorems_mod._SPECTRAL_ORACLE}
+            monkeypatch.setattr(theorems_mod, "_SPECTRAL_ORACLE", forced)
+            reports[status] = verify("T6", D33, trials=12, seed=10)
+        # trials 3, 7 and 11 check escapes, and none of the 24 pairing checks is UNDECIDED
+        assert reports[Status.IN].checks == reports[Status.UNDECIDED].checks == 24
+        assert reports[Status.IN].undecided == 0
+        assert reports[Status.UNDECIDED].undecided == 3
+
     def test_t12_small(self):
         _passes_decided(verify("T12", D33, trials=8, seed=11))
 
