@@ -19,7 +19,11 @@ Operator cones (acting on arrays with declared ``Dims``):
 
 Each map cone runs the code of its operator twin (cp/psd, p/f, s/sep,
 pos/blockpos, d/e): the Choi matrix is gated once and handed to the
-operator core, and ``check psd`` runs ``is_cp``.
+operator core, and ``check psd`` runs ``is_cp``.  The spectral oracles
+``is_cp``, ``is_cop`` and ``in_F`` (with ``in_P``) are each the stack of
+one of a private core that decides a whole stack of gated matrices from
+one batched ``eigh``, which the randomized suites call on all their
+trials at once.
 
 Verdicts are IN / OUT / UNDECIDED.  Each test reads a margin (a least
 eigenvalue, a product-vector value, a PPT witness value Tr(w x)), and
@@ -345,8 +349,8 @@ def _least_eigs(y: np.ndarray, tol: float) -> list[tuple[Status, MinEigCert]]:
     """``_least_eig`` of each matrix of a (k, N, N) stack, from one batched ``eigh``."""
     w, u = np.linalg.eigh(y)
     return [
-        (classify(float(wk[0]), 1.0 + frob(yk), tol), MinEigCert(float(wk[0]), uk[:, 0].copy()))
-        for yk, wk, uk in zip(y, w, u)
+        (classify(lo, 1.0 + frob(yk), tol), MinEigCert(lo, vk.copy()))
+        for lo, yk, vk in zip(w[:, 0].tolist(), y, u[:, :, 0])
     ]
 
 

@@ -664,7 +664,8 @@ def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     """
     idtol = 1e-11
     sq = Dims(d.m, d.m)
-    # every trial's pool, as cone_generator_pool(cone, d, 4, seed + trial), one stacked draw per cone
+    # every trial's pool, as cone_generator_pool(cone, d, 4, seed + trial), one stacked draw per
+    # cone; no cone here has more than 4 canonical elements, so every pool holds 4 maps
     cones = [_CONCRETE[trial % 4] for trial in range(trials)]
     pools = _grouped(cones, [seed + trial for trial in range(trials)], lambda c, seeds: _generator_pools(c, d, 4, seeds))
     chois = _choi_stack([a for pool in pools for a in pool], sq.total).reshape(trials, -1, sq.total, sq.total)
