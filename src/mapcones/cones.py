@@ -437,9 +437,9 @@ def _ppt_stack(x: np.ndarray, d: Dims, tol: float) -> list[Verdict]:
 
     The spectra of every x and PT(x) come from one batched ``eigh``.
     """
-    both = _least_eigs(np.stack([x, partial_transpose(x, d)], axis=1).reshape(-1, *x.shape[1:]), tol)
+    both = _least_eigs(np.concatenate([x, partial_transpose(x, d)]), tol)
     out = []
-    for (s1, c1), (s2, c2) in zip(both[::2], both[1::2]):
+    for (s1, c1), (s2, c2) in zip(both[: len(x)], both[len(x) :]):
         spectra = PptSpectra(c1.value, c2.value)
         if s1 is Status.IN and s2 is Status.IN:
             out.append(Verdict(Status.IN, spectra))
