@@ -13,9 +13,11 @@ the numbers, in the same order, that a single draw takes (consecutive
 applied over the stack: one batched ``matmul`` for the Gram products,
 batched partial transposes and spectra, broadcast Kronecker products.
 Every matrix of a stack is therefore bit for bit the draw its generator
-gives alone.  ``sample_map`` and ``random_cone_choi`` are stacks of one,
-and ``ConeSampler.take`` and ``cone_generator_pool`` draw all their
-samples as one stack.
+gives alone, and a stack over no generators has shape (0, nm, nm).
+Generator pools are Choi stacks too, as the suites in ``theorems`` take
+them.  ``MapRep`` appears only at the public edge: ``sample_map``,
+``ConeSampler.take`` and ``cone_generator_pool`` wrap the matrices of
+one stacked draw.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from .choi import (
     MapRep,
     adjoint,
     apply_second,
-    depolarizing_map,
-    identity_map,
     map_from_choi,
+    max_entangled_projector,
+    swap_operator,
     transpose_conj,
-    transpose_map,
 )
 from .cones import ConeId
 from .linalg import Dims, frob, hermitian_part, partial_transpose
@@ -147,7 +148,7 @@ def _normals(rngs: Sequence[np.random.Generator], size: int) -> np.ndarray:
     """
     if len(rngs) == 1:
         return rngs[0].normal(size=(1, size))
-    return np.array([rng.normal(size=size) for rng in rngs])
+    return np.array([rng.normal(size=size) for rng in rngs]).reshape(len(rngs), size)
 
 
 def _complex_normals(x: np.ndarray, k: int) -> np.ndarray:
@@ -156,7 +157,7 @@ def _complex_normals(x: np.ndarray, k: int) -> np.ndarray:
     Each run of 2 k^2 normals becomes ``normal((k, k)) + 1j * normal((k, k))``
     in stream order, so the result has shape ``x.shape[:-1] + (count, k, k)``.
     """
-    x = x.reshape(x.shape[:-1] + (-1, 2, k, k))
+    x = x.reshape(x.shape[:-1] + (x.shape[-1] // (2 * k * k), 2, k, k))
     return x[..., 0, :, :] + 1j * x[..., 1, :, :]
 
 
@@ -168,7 +169,7 @@ def _gram(g: np.ndarray) -> np.ndarray:
 def _normalize_choi(choi: np.ndarray, n: int) -> np.ndarray:
     """Scale each Choi matrix of a (k, nm, nm) stack to trace n."""
     tr = choi.trace(axis1=1, axis2=2).real
-    if min(tr.tolist()) <= 1e-12:
+    if (tr <= 1e-12).any():
         raise ValueError("degenerate draw: nonpositive trace")
     return choi * (n / tr)[:, None, None]
 
@@ -238,7 +239,7 @@ def _sample_chois(cone: ConeId, d: Dims, rngs: Sequence[np.random.Generator]) ->
     n, m = d
     nm = d.total
     if cone is ConeId.MAP_S:
-        x = _normals(rngs, nm * 2 * (n * n + m * m)).reshape(len(rngs), nm, -1)
+        x = _normals(rngs, nm * 2 * (n * n + m * m)).reshape(len(rngs), nm, 2 * (n * n + m * m))
         a = _gram(_complex_normals(x[..., : 2 * n * n], n)[:, :, 0])
         b = _gram(_complex_normals(x[..., 2 * n * n :], m)[:, :, 0])
         terms = (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(len(rngs), nm, nm, nm)
@@ -298,8 +299,6 @@ def sample_map(cone: ConeId, d: Dims, seed_or_rng) -> MapRep:
 
 def _sample_maps(cone: ConeId, d: Dims, rngs: Sequence[np.random.Generator]) -> list[MapRep]:
     """``sample_map`` drawn once from each generator, through one stacked draw."""
-    if not rngs:
-        return []
     d = Dims(*d).validate()
     if not cone.is_map_cone:
         raise ValueError(f"{cone} is not a map cone")
@@ -330,33 +329,33 @@ class ConeSampler:
         return _sample_maps(self.cone, self.d, self._rngs(range(start, start + count)))
 
 
-def _canonical_elements(cone: ConeId, d: Dims) -> list[MapRep]:
-    """The canonical elements that prefix a generator pool of the cone at dims d."""
+def _canonical_chois(cone: ConeId, d: Dims) -> np.ndarray:
+    """The Choi matrices of the canonical elements that prefix a generator pool of the cone at dims d."""
     n, m = d
     if cone is ConeId.MAP_CP:
-        return [identity_map(m)] if n == m else []
-    if cone is ConeId.MAP_COP:
-        return [transpose_map(m)]
-    if cone is ConeId.MAP_P or cone is ConeId.MAP_S:
-        return [depolarizing_map(m, m)]
-    if cone is ConeId.MAP_D:
-        return [identity_map(m), transpose_map(m)]
-    if cone is ConeId.MAP_POS:
-        canonical = [identity_map(m), transpose_map(m)]
-        if m == 3:
-            canonical.append(map_from_choi(3, 3, _normalize_choi(fixtures.nondecomposable_map().choi[None], 3)[0]))
-        return canonical
-    return []
+        canonical = [max_entangled_projector(m)] if n == m else []
+    elif cone is ConeId.MAP_COP:
+        canonical = [swap_operator(m)]
+    elif cone is ConeId.MAP_P or cone is ConeId.MAP_S:
+        canonical = [np.eye(m * m) / m]  # the trace map x -> Tr(x) I / m
+    elif cone is ConeId.MAP_D or cone is ConeId.MAP_POS:
+        canonical = [max_entangled_projector(m), swap_operator(m)]
+        if cone is ConeId.MAP_POS and m == 3:
+            canonical.append(_normalize_choi(fixtures.nondecomposable_map().choi[None], 3)[0])
+    else:
+        canonical = []
+    return np.array(canonical, dtype=np.complex128).reshape(-1, m * m, m * m)
 
 
-def _generator_pools(cone: ConeId, d: Dims, count: int, seeds: Sequence[int]) -> list[list[MapRep]]:
-    """``cone_generator_pool`` for each seed, with every seed's samples in one stacked draw."""
+def _generator_pool_chois(cone: ConeId, d: Dims, count: int, seeds: Sequence[int]) -> np.ndarray:
+    """``cone_generator_pool`` for each seed as one (len(seeds), size, m^2, m^2) Choi stack, from one stacked draw."""
     d = Dims(*d)
-    canonical = _canonical_elements(cone, d)
+    sq = Dims(d.m, d.m).validate()
+    canonical = _canonical_chois(cone, d)
     k = max(count - len(canonical), 0)
-    rngs = [r for seed in seeds for r in ConeSampler(cone, Dims(d.m, d.m), seed)._rngs(range(k))]
-    draws = _sample_maps(cone, Dims(d.m, d.m), rngs)
-    return [canonical + draws[i * k : (i + 1) * k] for i in range(len(seeds))]
+    rngs = [r for seed in seeds for r in ConeSampler(cone, sq, seed)._rngs(range(k))]
+    draws = _sample_chois(cone, sq, rngs).reshape(len(seeds), k, sq.total, sq.total)
+    return np.concatenate([np.broadcast_to(canonical, (len(seeds),) + canonical.shape), draws], axis=1)
 
 
 def cone_generator_pool(cone: ConeId, d: Dims, count: int, seed: int) -> list[MapRep]:
@@ -368,9 +367,11 @@ def cone_generator_pool(cone: ConeId, d: Dims, count: int, seed: int) -> list[Ma
     that random draws essentially never land on.  A pool never drops a
     canonical element: it holds max(count, number of canonical elements)
     maps, the canonical ones first and then ``count`` minus their number
-    samples, drawn as one stack.
+    samples, drawn as one stack.  This wraps ``_generator_pool_chois``
+    for one seed.
     """
-    return _generator_pools(cone, d, count, [seed])[0]
+    d = Dims(*d)
+    return [map_from_choi(d.m, d.m, c) for c in _generator_pool_chois(cone, d, count, [seed])[0]]
 
 
 def kd_generators(k_samples: Sequence[MapRep]) -> list[MapRep]:

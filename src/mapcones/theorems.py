@@ -29,6 +29,12 @@ UNDECIDED through ``cones.classify``; a trial that compares a margin
 ``classify`` puts in the band is counted UNDECIDED and excluded from
 pass/fail accounting rather than silently counted as a pass.
 
+The suites hold their maps, draws and generator pools as Choi stacks,
+the pools from ``sampling._generator_pool_chois``.  ``MapRep`` appears
+only in the public wrappers ``theorem1_conditions`` and
+``ksharp_membership``, which convert once, and in L4 and T13, which test
+``MapRep`` identities and ``pairing``.
+
 Reports are pure functions of (theorem id, dims, trials, seed, tol):
 identical arguments produce byte-identical serialized reports.  Wall
 time is tracked on the report object but never serialized.
@@ -47,19 +53,15 @@ from . import fixtures
 from .choi import (
     DualFunctional,
     MapRep,
-    adjoint,
     adjoint_choi,
     apply_map,
     apply_second,
-    compose_left,
     dual_functional,
-    identity_map,
     map_from_action,
     map_from_choi,
     omega_eval,
     pairing,
     transpose_conj,
-    transpose_map,
     trpi_eval,
 )
 from .cones import (
@@ -94,12 +96,14 @@ from .linalg import (
     trace_pairing,
 )
 from .sampling import (
-    _generator_pools,
+    _canonical_chois,
+    _complex_normals,
+    _generator_pool_chois,
     _gram,
     _normals,
     _random_cone_chois,
+    _sample_chois,
     _sample_maps,
-    cone_generator_pool,
     random_hermitian,
     random_psd,
     substream,
@@ -130,18 +134,26 @@ def ksharp_membership(
 ) -> Verdict:
     """Sampled test that beta . alpha* is completely positive for all alpha.
 
-    The Choi matrices of every beta . alpha* come from one
-    ``apply_second`` on the stacked adjoints.  OUT with the violating
-    sample is exact; IN is relative to the sample set and flagged
-    heuristic.  Square dimensions only.
+    OUT with the violating sample is exact; IN is relative to the sample
+    set and flagged heuristic.  Square dimensions only.  This wraps
+    ``_ksharp_stack`` on the samples' Choi stack.
     """
     n = beta.n
     if n != beta.m:
         raise ValueError("sharp-cone membership needs square dimensions")
     _check_samples(k_samples, n)
-    k = k_samples[0].m
-    chois = _choi_stack(k_samples, n * k)
-    return _sampled_least_eig(*_hermitian_eigh(apply_second(beta, adjoint_choi(chois, Dims(n, k)), Dims(k, n))), tol)
+    return _ksharp_stack(beta.choi, _choi_stack(k_samples, n * k_samples[0].m), n, tol)
+
+
+def _ksharp_stack(beta_choi: np.ndarray, pool: np.ndarray, n: int, tol: float) -> Verdict:
+    """``ksharp_membership`` of the map with Choi matrix beta_choi on M_n, against a pool of Choi matrices.
+
+    The pool is a (samples, nk, nk) stack of maps M_n -> M_k.  The Choi
+    matrices of every beta . alpha* come from one ``apply_second`` on the
+    stacked adjoints.
+    """
+    k = pool.shape[-1] // n
+    return _sampled_least_eig(*_hermitian_eigh(apply_second(beta_choi, adjoint_choi(pool, Dims(n, k)), Dims(k, n))), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +191,15 @@ class Theorem1Conditions:
         return "".join("T" if b else "F" for b in self.as_tuple())
 
 
-def _witness_map(w: np.ndarray, d: Dims) -> MapRep:
-    """The cone-p map whose induced functional has density w.
+def _witness_choi(w: np.ndarray, d: Dims) -> np.ndarray:
+    """The Choi matrix, of dims (m, n), of the cone-p map whose induced functional has density w.
 
     For w in the PPT cone the map with Choi matrix w^T is both cp and
     cop; its adjoint composed with transpose conjugation is again in the
     p cone and violates positivity on any operator pairing negatively
     with w.  This is the constructive route around the Hahn-Banach step.
     """
-    beta = map_from_choi(d.n, d.m, both_transpose(w, d))
-    return transpose_conj(adjoint(beta))
+    return both_transpose(adjoint_choi(both_transpose(w, d), d), Dims(d.m, d.n))
 
 
 def _min_eigs(x) -> np.ndarray:
@@ -266,26 +277,23 @@ def theorem1_conditions(
     canonical elements is drawn.  For the cp / cop / p / d cones the
     verdicts are exact: spectral for the first three families and via
     ``cones.in_E`` for the p cone.  This is ``_theorem1_stack`` on a
-    stack of one map, which the suites call on all their trials at once.
+    stack of one map and the samples' Choi stack; the suites call it on
+    all their trials at once.
     """
     if not cone.is_map_cone:
         raise ValueError(f"{cone} is not a map cone")
-    if samples is None:
-        samples = cone_generator_pool(cone, phi.d, 8, seed)
-    return _theorem1_stack([phi], cone, samples, tol)[0]
+    d = phi.d
+    pool = _generator_pool_chois(cone, d, 8, [seed])[0] if samples is None else _choi_stack(samples, d.m * d.m)
+    return _theorem1_stack(phi.choi[None], d, cone, pool, tol)[0]
 
 
-def _theorem1_stack(
-    phis: Sequence[MapRep],
-    cone: ConeId,
-    samples: Sequence[MapRep],
-    tol: float,
-) -> list[Theorem1Conditions]:
-    """The four dual-cone conditions for each of one or more maps of equal dims, against one pool.
+def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, tol: float) -> list[Theorem1Conditions]:
+    """The four dual-cone conditions for each of a (maps, nm, nm) stack of Choi matrices, against one pool.
 
-    Each Choi matrix passes the Hermiticity gate once, and the pool's
-    transforms (its transpose conjugates, the dual-side generators
-    t . alpha* . t and both adjoints) are built once.  Each condition is
+    The pool is a (samples, m^2, m^2) stack of Choi matrices of cone
+    elements on M_m.  Each Choi matrix passes the Hermiticity gate once,
+    and the pool's transforms (its transpose conjugates, the dual-side
+    generators t . alpha* . t and both adjoints) are built once.  Each condition is
     then one ``apply_second`` over the (maps x pool) stack and one batched
     ``eigh`` or ``eigvalsh``; maps are taken in chunks of at most
     ``_STACK_ENTRIES`` stack entries, so memory does not grow with the
@@ -296,20 +304,17 @@ def _theorem1_stack(
     bit the one a stack of one gives.  The p cone decides each map by
     ``cones.in_E`` in ``_theorem1_p_cone``.
     """
-    d = phis[0].d
-    raw = _choi_stack(phis, d.total)
     chois = _gated(raw, tol)
     if cone is ConeId.MAP_P:
-        return [_theorem1_p_cone(phi, c, samples, tol) for phi, c in zip(phis, chois)]
+        return [_theorem1_p_cone(r, c, d, pool, tol) for r, c in zip(raw, chois)]
     sq = Dims(d.m, d.m)
-    pool = _choi_stack(samples, sq.total)
     pool_t = both_transpose(pool, sq)
     pool_adj = adjoint_choi(pool, sq)
     # the generators t . alpha* . t of the dual side, and their adjoints
     kd = both_transpose(pool_adj, sq)
     kd_adj = adjoint_choi(kd, sq)
     out = []
-    for run in _runs(len(phis), max(len(pool), 1) * d.total**2):
+    for run in _runs(len(raw), max(len(pool), 1) * d.total**2):
         c, r = chois[run], raw[run]
 
         # (ii) membership of the Choi matrix in the partner operator cone
@@ -342,13 +347,8 @@ def _theorem1_stack(
     return out
 
 
-def _theorem1_p_cone(
-    phi: MapRep,
-    c,
-    samples: Sequence[MapRep],
-    tol: float,
-) -> Theorem1Conditions:
-    """The p-cone instance, decided by ``cones.in_E``.
+def _theorem1_p_cone(r: np.ndarray, c: np.ndarray, d: Dims, pool: np.ndarray, tol: float) -> Theorem1Conditions:
+    """The p-cone instance for the Choi matrix r, whose gated form is c, decided by ``cones.in_E``.
 
     Both the Choi matrix and its full transpose go through ``in_E``; an
     UNDECIDED or a disagreement marks the trial as boundary.  Condition
@@ -359,7 +359,6 @@ def _theorem1_p_cone(
     samples serve as Choi matrices of maps M_n -> M_m, so n = m is
     required.
     """
-    d = phi.d
     n, m = d
     if n != m:
         raise ValueError("the p-cone instance needs square dimensions")
@@ -375,30 +374,29 @@ def _theorem1_p_cone(
     if v_c.status is Status.UNDECIDED or v_c.status is not v_t.status:
         return Theorem1Conditions(False, False, False, False, True, margins)
     out = v_c.status is Status.OUT
-    pool = _choi_stack(samples, m * m)
     probe_maps = pool[:8]
     comp_maps = probe_maps
     if out:
-        wit = _witness_map(v_t.certificate.w, d)
-        probe_maps = np.concatenate([probe_maps, wit.choi[None]])
-        comp_wit = transpose_conj(_witness_map(v_c.certificate.w, d))
-        comp_maps = np.concatenate([comp_maps, comp_wit.choi[None]])
+        probe_maps = np.concatenate([probe_maps, _witness_choi(v_t.certificate.w, d)[None]])
+        comp_maps = np.concatenate([comp_maps, both_transpose(_witness_choi(v_c.certificate.w, d), d)[None]])
 
     # (i): pairings with PPT Choi matrices (the Chois of p-positive maps)
     g = pool / np.trace(pool, axis1=-2, axis2=-1).real[:, None, None]
     m1 = _least(_pairings(c, g))
     if out:
-        m1 = min(m1, pairing(phi, map_from_choi(n, m, v_c.certificate.w), tol=np.inf))
+        # the pairing with the witness w, ungated: the trace pairing of the Hermitian parts
+        m1 = min(m1, float(trace_pairing(c, hermitian_part(v_c.certificate.w)).real))
 
-    # (iii): functional positivity on (id (x) alpha*)(probe) constructions
-    func = dual_functional(phi)
+    # (iii): functional positivity on (id (x) alpha*)(probe) constructions,
+    # whose density is C_{t . phi . t}
+    func = DualFunctional(d, both_transpose(r, d))
     m3 = float(func(v_t.certificate.w).real) if out else np.inf
     adv = _bottom_projectors(apply_second(probe_maps, func.density, d))
     probes = apply_second(adjoint_choi(probe_maps, d), adv, d)
     m3 = min(m3, _least(func(probes).real))
 
     # (iv): sampled compositions, sharpened by the transposed-run verdict
-    m4 = _least(_min_eigs(apply_second(both_transpose(comp_maps, d), phi.choi, d)))
+    m4 = _least(_min_eigs(apply_second(both_transpose(comp_maps, d), r, d)))
 
     status = [classify(v, scale, tol) for v in (m1, m3, m4)]
     b1, b3, b4 = (s is Status.IN for s in status)
@@ -522,7 +520,7 @@ def emit_report(report: TheoremReport, fmt: str = "json") -> str:
 # ---------------------------------------------------------------------------
 
 
-#: The cone that families 1-4 of ``_random_map`` and ``_operator_sample`` draw from.
+#: The cone that families 1-4 of ``_random_map_chois`` and ``_operator_samples`` draw from.
 _FAMILY_CONES = {1: ConeId.MAP_CP, 2: ConeId.MAP_COP, 3: ConeId.MAP_D, 4: ConeId.MAP_P}
 
 
@@ -531,8 +529,7 @@ def _gaussian_stack(rngs: Sequence[np.random.Generator], count: int, k: int) -> 
 
     The result has shape (len(rngs), count, k, k).
     """
-    x = _normals(rngs, 2 * count * k * k).reshape(len(rngs), count, 2, k, k)
-    return x[:, :, 0] + 1j * x[:, :, 1]
+    return _complex_normals(_normals(rngs, 2 * count * k * k), k)
 
 
 def _hermitian_stack(rngs: Sequence[np.random.Generator], k: int) -> np.ndarray:
@@ -571,20 +568,18 @@ def _general_map(rng: np.random.Generator, d: Dims) -> MapRep:
     return map_from_choi(d.n, d.m, g)
 
 
-def _fixture_perturbation(rng: np.random.Generator, eps: float = 0.005) -> MapRep:
-    lam = fixtures.nondecomposable_map()
+def _fixture_perturbation(rng: np.random.Generator, eps: float = 0.005) -> np.ndarray:
+    """The shipped map's Choi matrix plus a random Hermitian matrix of relative norm eps."""
+    lam = fixtures.nondecomposable_map().choi
     h = random_hermitian(rng, 9)
-    c = lam.choi + eps * frob(lam.choi) / max(frob(h), 1e-12) * h
-    return map_from_choi(3, 3, c)
-
-
-def _operator_sample(rng: np.random.Generator, d: Dims, family: int) -> np.ndarray:
-    """Mixed Hermitian operators: generic, PSD, PT-PSD, e-cone, f-cone, of unit norm."""
-    return _operator_samples(d, [rng], [family])[0]
+    return lam + eps * frob(lam) / max(frob(h), 1e-12) * h
 
 
 def _operator_samples(d: Dims, rngs: Sequence[np.random.Generator], families: Sequence[int]) -> np.ndarray:
-    """``_operator_sample(rng, d, family)`` for each generator and family, one stack per family."""
+    """Mixed Hermitian operators of unit norm, one per generator, drawn as one stack per family.
+
+    Family k mod 5 is generic, PSD, PT-PSD, e-cone or f-cone.
+    """
 
     def draw(k, part):
         return _hermitian_stack(part, d.total) if k == 0 else _random_cone_chois(_FAMILY_CONES[k], d, part)
@@ -664,11 +659,11 @@ def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     """
     idtol = 1e-11
     sq = Dims(d.m, d.m)
-    # every trial's pool, as cone_generator_pool(cone, d, 4, seed + trial), one stacked draw per
-    # cone; no cone here has more than 4 canonical elements, so every pool holds 4 maps
+    # every trial's pool of Choi matrices, the generator pool of its cone for seed + trial, one
+    # stacked draw per cone; no cone here has more than 4 canonical elements, so every pool holds 4
     cones = [_CONCRETE[trial % 4] for trial in range(trials)]
-    pools = _grouped(cones, [seed + trial for trial in range(trials)], lambda c, seeds: _generator_pools(c, d, 4, seeds))
-    chois = _choi_stack([a for pool in pools for a in pool], sq.total).reshape(trials, -1, sq.total, sq.total)
+    seeds = [seed + trial for trial in range(trials)]
+    chois = np.array(_grouped(cones, seeds, lambda c, part: _generator_pool_chois(c, d, 4, part)))
     # row 0: t . alpha . t on x; row 1: alpha on t(x)t
     alphas = np.stack([both_transpose(chois, sq), chois], axis=1)
     x = _operator_samples(d, [substream(seed, 0x105, trial) for trial in range(trials)], range(trials))
@@ -765,7 +760,8 @@ def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     x = _operator_samples(d, [substream(seed, 0x10F, trial) for trial in range(trials)], range(trials))
     xs = _gated(x, tol, lambda xk, t: _operator(xk, d, t))
     v = _ppt_stack(xs, d, tol)
-    detectors = _choi_stack([identity_map(d.m), transpose_map(d.m)], d.m * d.m)[:, None]
+    # the d cone's canonical elements: the Choi matrices of the identity and the transpose
+    detectors = _canonical_chois(ConeId.MAP_D, d)[:, None]
     for run in _runs(trials, 2 * d.total**2):
         h, w, u = _hermitian_eigh(apply_second(detectors, xs[run, None, None], d))
         for trial, hk, wk, uk in zip(range(trials)[run], h, w, u):
@@ -778,7 +774,7 @@ def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """The decomposable-operator cone as the p-cone membership set."""
-    pool = _choi_stack(cone_generator_pool(ConeId.MAP_P, d, 4, seed), d.m * d.m)
+    pool = _generator_pool_chois(ConeId.MAP_P, d, 4, [seed])[0]
     for trial in range(trials):
         rng = substream(seed, 0x110, trial)
         if trial % 2 == 0:
@@ -799,10 +795,10 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
                 continue
             if v.status is Status.OUT:
                 # alpha_w maps M_m to M_n, so its Choi matrix has dims (m, n)
-                alpha_w = _witness_map(v.certificate.w, d)
+                alpha_w = _witness_choi(v.certificate.w, d)
                 lo = _min_eig(apply_second(alpha_w, x, d))
                 report.check(trial, "constructive violating map failed", lo, lo >= 0.0)
-                v = in_F(alpha_w.choi * (d.n / np.trace(alpha_w.choi).real), alpha_w.d, 1e-7)
+                v = in_F(alpha_w * (d.n / np.trace(alpha_w).real), Dims(d.m, d.n), 1e-7)
                 report.check(trial, "violating map left the p cone", 1.0, v.status is not Status.IN)
 
 
@@ -815,12 +811,12 @@ def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     acts on the even trials, and the canonical detectors on the odd
     ones, in one ``apply_second`` and one batched ``eigvalsh`` per run.
     """
-    k = d.m * d.m
-    detectors = _choi_stack([identity_map(d.m), transpose_map(d.m)], k)
-    d_pool = _choi_stack(cone_generator_pool(ConeId.MAP_D, d, 6, seed), k)
+    # the d cone's canonical elements: the Choi matrices of the identity and the transpose
+    detectors = _canonical_chois(ConeId.MAP_D, d)
+    d_pool = _generator_pool_chois(ConeId.MAP_D, d, 6, [seed])[0]
     rngs = [substream(seed, 0x111, trial) for trial in range(trials)]
     ops = np.empty((trials, d.total, d.total), dtype=np.complex128)
-    ops[::2] = _choi_stack(_sample_maps(ConeId.MAP_P, d, rngs[::2]), d.total)
+    ops[::2] = _sample_chois(ConeId.MAP_P, d, rngs[::2])
     x = _hermitian_stack(rngs[1::2], d.total)
     ops[1::2] = x / np.array([frob(xk) for xk in x])[:, None, None]
     v = _ppt_stack(_gated(ops, tol, lambda xk, t: _operator(xk, d, t)), d, tol)
@@ -853,12 +849,9 @@ def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     cone's conditions run once over all of them through
     ``_theorem1_stack``; the checks are then recorded trial by trial.
     """
-    pools = {
-        cone: cone_generator_pool(cone, d, 16 if cone is ConeId.MAP_P else 12, seed + 17)
-        for cone in _CONCRETE
-    }
-    phis = [_random_map(substream(seed, 0x201, trial), d, trial) for trial in range(trials)]
-    results = {cone: _theorem1_stack(phis, cone, pools[cone], tol) for cone in _CONCRETE}
+    pools = {c: _generator_pool_chois(c, d, 16 if c is ConeId.MAP_P else 12, [seed + 17])[0] for c in _CONCRETE}
+    raw = _random_map_chois(d, [substream(seed, 0x201, trial) for trial in range(trials)], range(trials))
+    results = {cone: _theorem1_stack(raw, d, cone, pools[cone], tol) for cone in _CONCRETE}
     for trial in range(trials):
         for cone in _CONCRETE:
             conds = results[cone][trial]
@@ -878,12 +871,9 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     batched ``eigh`` per escape cone.  The pairings run trial by trial.
     """
     sq = Dims(d.m, d.m)
-    cp_pool = _choi_stack(cone_generator_pool(ConeId.MAP_CP, d, 6, seed + 3), sq.total)
+    cp_pool = _generator_pool_chois(ConeId.MAP_CP, d, 6, [seed + 3])[0]
     # the generators t . alpha* . t of each cone's pool
-    kd_pools = {
-        c: both_transpose(adjoint_choi(_choi_stack(cone_generator_pool(c, d, 8, seed + 5), sq.total), sq), sq)
-        for c in _CONCRETE
-    }
+    kd_pools = {c: both_transpose(adjoint_choi(_generator_pool_chois(c, d, 8, [seed + 5])[0], sq), sq) for c in _CONCRETE}
     rngs = [substream(seed, 0x206, trial) for trial in range(trials)]
     cones = [_CONCRETE[trial % 4] for trial in range(trials)]
     # each substream gives, in order: the even trials' pool picks or the odd
@@ -936,7 +926,6 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
                 report.undecided += 1
             if v.status is not Status.OUT:
                 continue
-            phi = map_from_choi(d.n, d.m, phis[trial // 4])
             # dual-side elements from the certificate's eigenvector u: u u*
             # lies in P(M, K^t) unless K = cop, PT(u u*) unless K = cp
             u = v.certificate.vector[:, None]
@@ -946,8 +935,9 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
                 duals_k.append(rank_one)
             if escape is not ConeId.MAP_CP:
                 duals_k.append(partial_transpose(rank_one, d))
-            best = min(pairing(phi, map_from_choi(d.n, d.m, y), tol=np.inf) for y in duals_k)
-            caught = classify(best, 1 + frob(phi.choi), tol)
+            # the pairings with the map, ungated: trace pairings of the Hermitian parts
+            best = min(float(trace_pairing(gated_phis[trial // 4], hermitian_part(y)).real) for y in duals_k)
+            caught = classify(best, 1 + frob(phis[trial // 4]), tol)
             failed = None if caught is Status.UNDECIDED else caught is Status.IN
             report.check(trial, f"{escape.value} escape not caught", abs(v.certificate.value), failed)
 
@@ -994,12 +984,11 @@ def _ppt_gap(x: np.ndarray, d: Dims) -> float:
 
 def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Sharp-cone duality for transpose-invariant cones, square case."""
-    pools = {c: cone_generator_pool(c, d, 8, seed + 11) for c in _CONCRETE}
+    pools = {c: _generator_pool_chois(c, d, 8, [seed + 11])[0] for c in _CONCRETE}
     for trial in range(trials):
-        rng = substream(seed, 0x20C, trial)
         cone = _CONCRETE[trial % 4]
-        beta = _random_map(rng, d, trial + 1)
-        c = beta.hermitian_choi(tol)
+        beta = _random_map_chois(d, [substream(seed, 0x20C, trial)], [trial + 1])[0]
+        c = check_hermitian(beta, tol)
         scale = 1.0 + frob(c)
         # closed-form membership in K-sharp
         if cone is ConeId.MAP_P:  # sharp cone is d
@@ -1010,19 +999,19 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         if closed is Status.UNDECIDED:
             report.undecided += 1
             continue
-        samples = list(pools[cone])
+        pool = pools[cone]
         if cone is ConeId.MAP_P and closed is Status.OUT:
             # in_E's PPT witness w, as a sample: beta . map(w)* is not cp
-            samples.append(map_from_choi(d.n, d.m, v.certificate.w))
-        verdict = ksharp_membership(beta, samples, tol)
+            pool = np.concatenate([pool, v.certificate.w[None]])
+        verdict = _ksharp_stack(beta, pool, d.n, tol)
         undecided = verdict.status is Status.UNDECIDED
         failed = None if undecided else (verdict.status is Status.IN) != (closed is Status.IN)
         report.check(trial, f"{cone.value} sharp membership mismatch", 1.0, failed)
         # transpose symmetry of sharp membership through the adjoint
         if cone is not ConeId.MAP_P:
-            adj = adjoint(beta)
-            a = _kpositivity_margin(_PARTNER[cone], hermitian_part(adj.choi), d)
-            b = _kpositivity_margin(_PARTNER[cone], hermitian_part(transpose_conj(adj).choi), d)
+            adj = adjoint_choi(beta, d)
+            a = _kpositivity_margin(_PARTNER[cone], hermitian_part(adj), d)
+            b = _kpositivity_margin(_PARTNER[cone], hermitian_part(both_transpose(adj, d)), d)
             sa, sb = classify(a, scale, tol), classify(b, scale, tol)
             failed = None if Status.UNDECIDED in (sa, sb) else sa is not sb
             report.check(trial, f"{cone.value} transpose symmetry", min(abs(a), abs(b)), failed)
@@ -1050,31 +1039,28 @@ def _suite_T13(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """The sharp dual of the p cone is the decomposable cone."""
-    p_pool = cone_generator_pool(ConeId.MAP_P, d, 16, seed + 7)
+    p_pool = _generator_pool_chois(ConeId.MAP_P, d, 16, [seed + 7])[0]
     # each trial's d map comes first in its substream, so all of them are one stack
     rngs = [substream(seed, 0x212, trial) for trial in range(trials)]
-    betas = _sample_maps(ConeId.MAP_D, d, rngs)
+    betas = _sample_chois(ConeId.MAP_D, d, rngs)
     for trial, (rng, beta) in enumerate(zip(rngs, betas)):
         # exact inclusion direction: decomposable . p-adjoint stays cp
-        alpha = p_pool[trial % len(p_pool)]
-        comp = compose_left(beta, adjoint(alpha))
-        report.check_margin(trial, "d-sample composition left cp", _min_eig(comp.choi), 1.0 + frob(comp.choi), tol)
+        comp = apply_second(beta, adjoint_choi(p_pool[trial % len(p_pool)], d), d)
+        report.check_margin(trial, "d-sample composition left cp", _min_eig(comp), 1.0 + frob(comp), tol)
         # agreement of the sampled sharp test with decomposability
         if trial % 3 == 0:
-            if trial % 6 == 0:
-                cand = _fixture_perturbation(rng) if d == (3, 3) else _random_map(rng, d, trial)
+            if trial % 6 == 0 and d == (3, 3):
+                cand = _fixture_perturbation(rng)
             else:
-                cand = _random_map(rng, d, trial)
-            c = cand.hermitian_choi(tol)
+                cand = _random_map_chois(d, [rng], [trial])[0]
+            c = check_hermitian(cand, tol)
             v = in_E(c, d, tol)
             if v.status is Status.UNDECIDED:
                 report.undecided += 1
                 continue
             decomposable = v.status is Status.IN
-            samples = list(p_pool)
-            if not decomposable:
-                samples.append(map_from_choi(d.n, d.m, v.certificate.w))
-            verdict = ksharp_membership(cand, samples, tol)
+            pool = p_pool if decomposable else np.concatenate([p_pool, v.certificate.w[None]])
+            verdict = _ksharp_stack(cand, pool, d.n, tol)
             undecided = verdict.status is Status.UNDECIDED
             failed = None if undecided else (verdict.status is Status.IN) != decomposable
             report.check(trial, "sharp test vs decomposability", 1.0, failed)
@@ -1090,15 +1076,15 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     ``eigvalsh``.  The checks are then recorded trial by trial.
     """
     exact = tuple(sorted(d)) in _EXACT_PPT_DIMS
-    pool = cone_generator_pool(ConeId.MAP_POS, d, 10, seed + 19)
+    pool = _generator_pool_chois(ConeId.MAP_POS, d, 10, [seed + 19])[0]
     families = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_S, ConeId.MAP_POS)
     cones = [families[trial % len(families)] for trial in range(trials)]
     rngs = [substream(seed, 0x2C2, trial) for trial in range(trials)]
-    phis = _grouped(cones, rngs, lambda cone, part: _sample_maps(cone, d, part))
-    results = _theorem1_stack(phis, ConeId.MAP_POS, pool, tol)
+    raw = np.array(_grouped(cones, rngs, lambda cone, part: _sample_chois(cone, d, part)))
+    results = _theorem1_stack(raw, d, ConeId.MAP_POS, pool, tol)
     if exact:
         # the Choi matrices passed their gate in _theorem1_stack
-        c = hermitian_part(_choi_stack(phis, d.total))
+        c = hermitian_part(raw)
         density = hermitian_part(both_transpose(c, d))
         spectra = _min_eigs(np.stack([c, partial_transpose(c, d), density], axis=1))
     for trial, conds in enumerate(results):
@@ -1132,16 +1118,16 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     idtol = 1e-12
     rngs = [substream(seed, 0x2D3, trial) for trial in range(trials)]
     # the d maps of every third trial, the first draw of their substreams, as one stack
-    d_maps = _sample_maps(ConeId.MAP_D, d, rngs[::3])
+    d_chois = _sample_chois(ConeId.MAP_D, d, rngs[::3])
     for trial, rng in enumerate(rngs):
         k = trial % 3
         if k == 0:
-            phi = d_maps[trial // 3]
+            raw = d_chois[trial // 3]
         elif k == 1 and d == (3, 3):
-            phi = _fixture_perturbation(rng)
+            raw = _fixture_perturbation(rng)
         else:
-            phi = _random_map(rng, d, trial)
-        c = phi.hermitian_choi(tol)
+            raw = _random_map_chois(d, [rng], [trial])[0]
+        c = check_hermitian(raw, tol)
         v = in_E(c, d, tol)
         if v.status is Status.UNDECIDED:
             report.undecided += 1
@@ -1151,7 +1137,7 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         if v.status is Status.OUT and problem is None:
             w = v.certificate.w
             lhs = float(trace_pairing(c, w).real)
-            rhs = d.n * omega_eval(hermitian_part(apply_second(adjoint(phi), w, d)), d.n)
+            rhs = d.n * omega_eval(hermitian_part(apply_second(adjoint_choi(raw, d), w, d)), d.n)
             err = abs(lhs - rhs) / (1.0 + frob(c) * frob(w))
             report.check(trial, "violation value identity", err, err > idtol)
 

@@ -171,6 +171,11 @@ def _ppt_margin(c, d):
     return min(np.linalg.eigvalsh(c)[0], np.linalg.eigvalsh(partial_transpose(c, d))[0])
 
 
+def _operator_sample(rng, d, family):
+    """One operator sample, the stack of one of ``theorems._operator_samples``."""
+    return theorems_mod._operator_samples(d, [rng], [family])[0]
+
+
 def _pair(seed, tag):
     return substream(seed, tag), substream(seed, tag)
 
@@ -202,7 +207,7 @@ class TestBitwiseAgainstReference:
     def test_operator_sample(self, family, d):
         for seed in SEEDS:
             new, old = _pair(seed, 0x33)
-            x = theorems_mod._operator_sample(new, d, family)
+            x = _operator_sample(new, d, family)
             assert np.array_equal(x, _reference_operator_sample(old, d, family))
             assert _same_next_draw(new, old)
 
@@ -234,7 +239,7 @@ class TestPDrawRandomness:
             assert _same_next_draw(new, old)
 
             new, old = _pair(seed, 0x37)
-            theorems_mod._operator_sample(new, d, 4)
+            _operator_sample(new, d, 4)
             _reference_operator_sample(old, d, 4)
             assert _same_next_draw(new, old)
 

@@ -5,7 +5,12 @@ class, and only its ``main`` maps exceptions to exit codes.  Every cone
 that ``check`` accepts runs a ``cones`` oracle, so ``cli.py`` computes no
 verdict of its own and needs nothing from ``linalg`` but ``Dims``.  Every suite
 counts its checks through ``TheoremReport.check``, so no suite function
-touches ``report.checks`` or calls ``record_failure`` itself.
+touches ``report.checks`` or calls ``record_failure`` itself.  The
+suites and the Theorem 1 cores take their generator pools as Choi
+stacks from ``sampling._generator_pool_chois``, so no ``_suite_*`` or
+``_theorem1_*`` function names ``cone_generator_pool``, ``_choi_stack``
+or ``_generator_pools``: ``MapRep`` lists are built only at the public
+edge.
 """
 
 import ast
@@ -97,5 +102,16 @@ def test_suites_count_checks_through_the_report():
         for fn in suites
         for sub in ast.walk(fn)
         if isinstance(sub, ast.Attribute) and sub.attr in ("checks", "record_failure")
+    ]
+    assert sites == []
+
+
+def test_suites_take_pools_as_choi_stacks():
+    cores = [fn for fn in _functions("theorems.py") if fn.name.startswith(("_suite_", "_theorem1_"))]
+    assert {"_suite_T1", "_theorem1_stack", "_theorem1_p_cone"} <= {fn.name for fn in cores}
+    sites = [
+        f"{fn.name}: {name}"
+        for fn in cores
+        for name in sorted(_names(fn) & {"cone_generator_pool", "_choi_stack", "_generator_pools"})
     ]
     assert sites == []

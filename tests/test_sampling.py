@@ -5,7 +5,7 @@ import pytest
 
 import mapcones.sampling as sampling_mod
 from mapcones import fixtures
-from mapcones.choi import adjoint, identity_map, transpose_conj, transpose_map
+from mapcones.choi import adjoint, depolarizing_map, identity_map, transpose_conj, transpose_map
 from mapcones.cones import (
     ConeId,
     Status,
@@ -21,6 +21,9 @@ from mapcones.linalg import Dims, frob
 from mapcones.sampling import (
     ConeSampler,
     _conj_choi,
+    _generator_pool_chois,
+    _random_cone_chois,
+    _sample_chois,
     cone_generator_pool,
     k_t,
     kd_generators,
@@ -128,6 +131,56 @@ class TestGeneratorTransforms:
         for phi, c in zip(pool, expected):
             assert np.array_equal(phi.choi, c)
         assert len(cone_generator_pool(ConeId.MAP_D, D33, 0, seed=1)) == 2
+
+
+MAP_CONES = [ConeId(c) for c in ("cp", "cop", "p", "d", "s", "pos")]
+
+
+def _reference_canonical(cone, d):
+    """The canonical elements of a pool, built from the public maps."""
+    n, m = d
+    lam = fixtures.nondecomposable_map().choi
+    return {
+        ConeId.MAP_CP: [identity_map(m).choi] if n == m else [],
+        ConeId.MAP_COP: [transpose_map(m).choi],
+        ConeId.MAP_P: [depolarizing_map(m, m).choi],
+        ConeId.MAP_S: [depolarizing_map(m, m).choi],
+        ConeId.MAP_D: [identity_map(m).choi, transpose_map(m).choi],
+        ConeId.MAP_POS: [identity_map(m).choi, transpose_map(m).choi] + ([lam * (3 / np.trace(lam).real)] if m == 3 else []),
+    }[cone]
+
+
+class TestGeneratorPoolChois:
+    """Each seed's slice of a pool stack is the canonical Choi matrices, then ``ConeSampler.take``."""
+
+    @pytest.mark.parametrize("count", [0, 1, "canonical", 8, 16])
+    @pytest.mark.parametrize("d", [D22, Dims(2, 3), Dims(3, 2), D33], ids=str)
+    @pytest.mark.parametrize("cone", MAP_CONES, ids=lambda c: c.value)
+    def test_slices_equal_the_reference(self, cone, d, count):
+        canonical = _reference_canonical(cone, d)
+        count = len(canonical) if count == "canonical" else count
+        seeds = [0, 3, 11]
+        m2 = d.m * d.m
+        pools = _generator_pool_chois(cone, d, count, seeds)
+        assert pools.shape == (len(seeds), max(count, len(canonical)), m2, m2)
+        for seed, pool in zip(seeds, pools):
+            drawn = [phi.choi for phi in ConeSampler(cone, Dims(d.m, d.m), seed).take(max(count - len(canonical), 0))]
+            ref = canonical + drawn
+            assert len(pool) == len(ref)
+            for got, want in zip(pool, ref):
+                assert np.array_equal(got, want)
+        assert _generator_pool_chois(cone, d, count, []).shape == (0,) + pools.shape[1:]
+
+
+class TestEmptyStacks:
+    """A stacked draw over no generators is an empty stack of the draw's shape."""
+
+    @pytest.mark.parametrize("d", [D22, Dims(2, 3), D33], ids=str)
+    @pytest.mark.parametrize("cone", MAP_CONES, ids=lambda c: c.value)
+    def test_empty_draws(self, cone, d):
+        assert _sample_chois(cone, d, []).shape == (0, d.total, d.total)
+        if cone in sampling_mod._CLOSED_FORM:
+            assert _random_cone_chois(cone, d, []).shape == (0, d.total, d.total)
 
 
 class TestStackedDrawCounts:

@@ -52,17 +52,21 @@ from mapcones.linalg import (
     trace_pairing,
 )
 from mapcones.sampling import (
-    _generator_pools,
-    _sample_maps,
     cone_generator_pool,
     kd_generators,
     random_hermitian,
     random_psd,
+    sample_map,
     substream,
 )
-from mapcones.theorems import TheoremReport, _operator_sample, _random_map
+from mapcones.theorems import TheoremReport, _operator_samples, _random_map
 
 CONCRETE = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_P, ConeId.MAP_D)
+
+
+def _operator_sample(rng, d, family):
+    """One operator sample, the stack of one of ``_operator_samples``."""
+    return _operator_samples(d, [rng], [family])[0]
 
 
 def _min_eigs(x):
@@ -81,7 +85,7 @@ def _ref_L5(report, d, trials, seed, tol):
     sq = Dims(d.m, d.m)
     for trial in range(trials):
         cone = CONCRETE[trial % 4]
-        pool = _generator_pools(cone, d, 4, [seed + trial])[0]
+        pool = cone_generator_pool(cone, d, 4, seed + trial)
         x = _operator_sample(substream(seed, 0x105, trial), d, trial)
         xt = both_transpose(x, d)
         scale = 1.0 + frob(x)
@@ -155,7 +159,7 @@ def _ref_L17(report, d, trials, seed, tol):
     for trial in range(trials):
         rng = substream(seed, 0x111, trial)
         if trial % 2 == 0:
-            phi = _sample_maps(ConeId.MAP_P, d, [rng])[0]
+            phi = sample_map(ConeId.MAP_P, d, rng)
             v = in_F(phi.choi, d, tol)
             report.check(trial, "p-cone sample without PPT Choi", 1.0, v.status is not Status.IN)
             scale = 1.0 + frob(phi.choi)

@@ -50,6 +50,11 @@ def _min_eig(x) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(x))[0])
 
 
+def _witness_map(w, d):
+    """The cone-p map t . beta* . t for the map beta with Choi matrix w^T, whose functional has density w."""
+    return transpose_conj(adjoint(map_from_choi(d.n, d.m, both_transpose(w, d))))
+
+
 def reference_conditions(phi, cone, samples=None, tol=1e-9, n_probes=8, seed=0, kd_samples=None):
     """Per-sample loops of the four conditions (the pre-batching code)."""
     c = phi.hermitian_choi(tol)
@@ -141,7 +146,7 @@ def reference_p_cone(phi, c, samples, tol, n_probes):
     m3 = np.inf
     probe_maps = list(samples[: max(n_probes, 2)])
     if out:
-        probe_maps.append(theorems_mod._witness_map(v_t.certificate.w, d))
+        probe_maps.append(_witness_map(v_t.certificate.w, d))
         m3 = min(m3, float(func(v_t.certificate.w).real))
     for alpha in probe_maps:
         y = hermitian_part(apply_second(alpha, func.density, d))
@@ -154,7 +159,7 @@ def reference_p_cone(phi, c, samples, tol, n_probes):
     m4 = np.inf
     comp_maps = list(samples[: max(n_probes, 2)])
     if out:
-        comp_maps.append(transpose_conj(theorems_mod._witness_map(v_c.certificate.w, d)))
+        comp_maps.append(transpose_conj(_witness_map(v_c.certificate.w, d)))
     for alpha in comp_maps:
         comp = compose_left(transpose_conj(alpha), phi)
         m4 = min(m4, _min_eig(comp.choi))
@@ -227,6 +232,13 @@ STACK_CONES = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_POS, Cone
 STACK_DIMS = (Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(3, 3), Dims(2, 4))
 
 
+def _stack(phis, cone, pool):
+    """``_theorem1_stack`` on the Choi stacks of the maps and the pool."""
+    d = phis[0].d
+    pool = np.array([a.choi for a in pool]).reshape(-1, d.m * d.m, d.m * d.m)
+    return _theorem1_stack(np.array([phi.choi for phi in phis]), d, cone, pool, 1e-9)
+
+
 def _assert_bit_equal(got, ref):
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
@@ -240,24 +252,24 @@ def test_stack_is_bit_equal_to_stacks_of_one(cone, d, monkeypatch):
     pool = cone_generator_pool(cone, d, 8, 5)
     phis = [_phi(d, seed) for seed in range(10)]
     ones = [theorem1_conditions(phi, cone, samples=pool) for phi in phis]
-    _assert_bit_equal(_theorem1_stack(phis, cone, pool, 1e-9), ones)
+    _assert_bit_equal(_stack(phis, cone, pool), ones)
     # a budget of three maps' stacks cuts the ten maps into chunks of 3, 3, 3 and 1
     monkeypatch.setattr(theorems_mod, "_STACK_ENTRIES", 3 * len(pool) * d.total**2)
-    _assert_bit_equal(_theorem1_stack(phis, cone, pool, 1e-9), ones)
+    _assert_bit_equal(_stack(phis, cone, pool), ones)
 
 
 @pytest.mark.parametrize("d", (Dims(2, 2), Dims(3, 3)), ids=lambda d: f"{d.n}x{d.m}")
 def test_p_cone_stack_is_bit_equal_to_stacks_of_one(d):
     pool = cone_generator_pool(ConeId.MAP_P, d, 8, 5)
     phis = [_phi(d, seed) for seed in range(10)]
-    _assert_bit_equal(_theorem1_stack(phis, ConeId.MAP_P, pool, 1e-9),
+    _assert_bit_equal(_stack(phis, ConeId.MAP_P, pool),
                       [theorem1_conditions(phi, ConeId.MAP_P, samples=pool) for phi in phis])
 
 
 @pytest.mark.parametrize("cone", (ConeId.MAP_S, ConeId.MAP_POS), ids=lambda c: c.value)
 def test_stack_on_the_empty_pool(cone):
     phis = [_phi(Dims(2, 3), seed) for seed in range(10)]
-    got = _theorem1_stack(phis, cone, [], 1e-9)
+    got = _stack(phis, cone, [])
     _assert_bit_equal(got, [theorem1_conditions(phi, cone, samples=[]) for phi in phis])
     assert all(g.margins["i"] == g.margins["iv"] == np.inf for g in got)
 
@@ -275,7 +287,7 @@ def test_non_hermitian_map_in_a_stack_raises_its_own_error():
     pool = cone_generator_pool(ConeId.MAP_POS, d, 8, 0)
     for cone in (ConeId.MAP_POS, ConeId.MAP_CP):
         with pytest.raises(ValueError) as stacked:
-            _theorem1_stack(good[:2] + bad + good[2:], cone, pool, 1e-9)
+            _stack(good[:2] + bad + good[2:], cone, pool)
         assert str(stacked.value) == str(single.value)
 
 
