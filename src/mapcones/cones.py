@@ -63,8 +63,9 @@ uses Dykstra's scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -340,13 +341,11 @@ def _psd_within(x: np.ndarray, tol: float) -> bool:
     return classify(float(np.linalg.eigvalsh(x)[0]), 1.0 + frob(x), tol) is Status.IN
 
 
-def _least_eig(y: np.ndarray, tol: float) -> tuple[Status, MinEigCert]:
-    """``classify`` on the least eigenvalue of a Hermitian y at scale 1 + ||y||_F."""
-    return _least_eigs(y[None], tol)[0]
-
-
 def _least_eigs(y: np.ndarray, tol: float) -> list[tuple[Status, MinEigCert]]:
-    """``_least_eig`` of each matrix of a (k, N, N) stack, from one batched ``eigh``."""
+    """``classify`` on the least eigenvalue of each Hermitian matrix y of a (k, N, N) stack.
+
+    Each at scale 1 + ||y||_F, from one batched ``eigh``.
+    """
     w, u = np.linalg.eigh(y)
     return [
         (classify(lo, 1.0 + frob(yk), tol), MinEigCert(lo, vk.copy()))
@@ -635,28 +634,50 @@ def _swap_factors(x: np.ndarray, d: Dims) -> np.ndarray:
     return x.reshape(n, m, n, m).transpose(1, 0, 3, 2).reshape(n * m, n * m)
 
 
-def _dephased(rho: np.ndarray, d: Dims) -> SeparableDecomposition:
-    """rho dephased in the product of its marginals' eigenbases.
+class _Dephasing(NamedTuple):
+    """rho dephased in the product U (x) V of its marginals' eigenbases.
+
+    ``residual`` is ||rho - sum_k w_k L_k (x) R_k||_F over the kept terms,
+    and ``keep`` indexes the product basis vectors with positive weight.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    weights: np.ndarray
+    keep: np.ndarray
+    residual: float
+
+    def decomposition(self, m: int) -> SeparableDecomposition:
+        """The kept terms as a ``SeparableDecomposition``: weights and the projectors onto the basis vectors."""
+        i, j = np.divmod(self.keep, m)
+        return SeparableDecomposition(
+            weights=self.weights[self.keep],
+            left=tuple(np.outer(self.u[:, k], self.u[:, k].conj()) for k in i),
+            right=tuple(np.outer(self.v[:, k], self.v[:, k].conj()) for k in j),
+            residual=self.residual,
+        )
+
+
+def _dephased(rho: np.ndarray, d: Dims) -> _Dephasing:
+    """rho dephased in the product of its marginals' eigenbases, residual first.
 
     With U, V the eigenvectors of the two marginals, the weights are the
     diagonal of (U (x) V)* rho (U (x) V) and the factors the projectors
     onto the basis vectors; terms without positive weight are dropped.
-    The residual ||rho - sum_k w_k L_k (x) R_k||_F is recomputed from the
-    returned terms, so it is the off-diagonal norm plus what was dropped.
+    The residual is the off-diagonal norm plus what was dropped, computed
+    from the fit before any product term exists: ``_separable`` builds the
+    decomposition (``_Dephasing.decomposition``) only for an IN.  U (x) V
+    is one broadcast product of the same single multiplies ``np.kron``
+    makes.
     """
     u = np.linalg.eigh(hermitian_part(partial_trace(rho, d, 2)))[1]
     v = np.linalg.eigh(hermitian_part(partial_trace(rho, d, 1)))[1]
-    uv = np.kron(u, v)
+    n, m = d
+    uv = (u[:, None, :, None] * v[None, :, None, :]).reshape(n * m, n * m)
     weights = (uv.conj() * (rho @ uv)).sum(axis=0).real
     keep = np.flatnonzero(weights > 0)
     fit = (uv[:, keep] * weights[keep]) @ uv[:, keep].conj().T
-    i, j = np.divmod(keep, d.m)
-    return SeparableDecomposition(
-        weights=weights[keep],
-        left=tuple(np.outer(u[:, k], u[:, k].conj()) for k in i),
-        right=tuple(np.outer(v[:, k], v[:, k].conj()) for k in j),
-        residual=frob(rho - fit),
-    )
+    return _Dephasing(u, v, weights, keep, frob(rho - fit))
 
 
 def _positive_map_detection(rho: np.ndarray, d: Dims, tol: float) -> Optional[tuple[np.ndarray, float]]:
@@ -664,22 +685,27 @@ def _positive_map_detection(rho: np.ndarray, d: Dims, tol: float) -> Optional[tu
 
     Returns a block-positive witness W and Tr(W rho) < 0 when the map,
     applied to either factor of dimension 3, breaks positivity by a
-    least eigenvalue that ``classify`` puts OUT.
+    least eigenvalue that ``classify`` puts OUT; the second factor is
+    tried first.  Both candidates exist only at 3 (x) 3, where they are
+    one stack through one ``apply_second`` and one batched ``eigh``.
     """
     n, m = d
     candidates = []
     if m == 3:
-        candidates.append((rho, Dims(n, 3), False))
+        candidates.append((rho, False))
     if n == 3:
-        candidates.append((_swap_factors(rho, d), Dims(m, 3), True))
+        candidates.append((_swap_factors(rho, d), True))
+    if not candidates:
+        return None
+    dd = Dims(n if m == 3 else m, 3)
     lam = fixtures.nondecomposable_map()
-    for mat, dd, swapped in candidates:
-        status, cert = _least_eig(hermitian_part(apply_second(lam, mat, dd)), tol)
+    images = hermitian_part(apply_second(lam, np.array([mat for mat, _ in candidates]), dd))
+    for (status, cert), (_, swapped) in zip(_least_eigs(images, tol), candidates):
         if status is Status.OUT:
             v = cert.vector[:, None]
             wit = hermitian_part(apply_second(adjoint(lam), v @ v.conj().T, dd))
             if swapped:
-                wit = _swap_factors(wit, Dims(dd.n, 3))
+                wit = _swap_factors(wit, dd)
             return wit, cert.value
     return None
 
@@ -694,7 +720,8 @@ def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
 
     * ``"dephased"``: rho is diagonal in the product of its marginals'
       eigenbases, and the certificate is that diagonal as a
-      ``SeparableDecomposition`` whose residual ``classify`` puts IN;
+      ``SeparableDecomposition`` whose residual ``classify`` puts IN,
+      built only once the residual, which needs no term, is IN;
     * ``"ball"``: rho lies in the Gurvits-Barnum ball
       ||rho - I/D||_F <= 1/sqrt(D(D-1)) of separable states, D = nm, and
       the certificate is the ``SeparableBall`` of that distance.
@@ -719,9 +746,9 @@ def _separable(rho: np.ndarray, d: Dims, tol: float) -> Verdict:
     if tuple(sorted(d)) in _EXACT_PPT_DIMS:
         return Verdict(Status.IN, ppt.certificate, info={"regime": "ppt-exact"})
 
-    dec = _dephased(rho, d)
-    if classify(-dec.residual, scale, tol) is Status.IN:
-        return Verdict(Status.IN, dec, info={"regime": "dephased"})
+    dephasing = _dephased(rho, d)
+    if classify(-dephasing.residual, scale, tol) is Status.IN:
+        return Verdict(Status.IN, dephasing.decomposition(d.m), info={"regime": "dephased"})
     dim = d.total
     ball = SeparableBall(frob(rho - np.eye(dim) / dim), (dim * (dim - 1)) ** -0.5)
     if classify(ball.radius - ball.distance, scale, tol) is Status.IN:
@@ -757,6 +784,18 @@ def _start_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(max(count - n, 0), 2, n))
     drawn = [v / np.linalg.norm(v) for v in g[:, 0] + 1j * g[:, 1]]
     return np.concatenate([units, np.reshape(drawn, (-1, n))])
+
+
+@lru_cache(maxsize=64)
+def _seesaw_starts(n: int, restarts: int, seed: int) -> np.ndarray:
+    """``is_block_positive``'s start vectors, drawn once per (n, restarts, seed) and read-only.
+
+    They depend on nothing else, so repeated calls share one array, which
+    ``_seesaw`` copies before it descends.
+    """
+    starts = _start_vectors(n, restarts, np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xB10C))))
+    starts.flags.writeable = False
+    return starts
 
 
 def _halfstep_layouts(x4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -841,8 +880,9 @@ def is_block_positive(
 
     See-saw minimization over product vectors: with one factor fixed the
     optimal other factor is a minimal eigenvector.  The ``restarts`` start
-    vectors (the unit vectors, then seeded random ones) descend as one
-    batch of at most 60 sweeps, which stops early once ``classify`` puts
+    vectors (the unit vectors, then seeded random ones, drawn once per
+    (n, restarts, seed) and shared by later calls) descend as one batch of
+    at most 60 sweeps, which stops early once ``classify`` puts
     some value OUT.  Such a value is a certified OUT, a best value in the
     band is UNDECIDED, and survival of all restarts is only a heuristic
     IN, since the problem has no efficient exact certificate in general.
@@ -856,10 +896,7 @@ def is_block_positive(
     n, m = d
     scale = 1.0 + frob(x)
     x4 = x.reshape(n, m, n, m)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xB10C)))
-
-    starts = _start_vectors(n, restarts, rng)
-    xi, eta, val, sweeps = _seesaw(x4, starts, -_OUT_BAND * tol * scale)
+    xi, eta, val, sweeps = _seesaw(x4, _seesaw_starts(n, restarts, seed), -_OUT_BAND * tol * scale)
     r = int(np.argmin(val))
     best = float(val[r])
     cert = ProductVectorCert(xi[r], eta[r], best)
