@@ -985,9 +985,10 @@ def _ppt_gap(x: np.ndarray, d: Dims) -> float:
 def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Sharp-cone duality for transpose-invariant cones, square case."""
     pools = {c: _generator_pool_chois(c, d, 8, [seed + 11])[0] for c in _CONCRETE}
-    for trial in range(trials):
+    # each trial's map is the only draw of its substream: all trials' maps are one stack
+    betas = _random_map_chois(d, [substream(seed, 0x20C, t) for t in range(trials)], [t + 1 for t in range(trials)])
+    for trial, beta in enumerate(betas):
         cone = _CONCRETE[trial % 4]
-        beta = _random_map_chois(d, [substream(seed, 0x20C, trial)], [trial + 1])[0]
         c = check_hermitian(beta, tol)
         scale = 1.0 + frob(c)
         # closed-form membership in K-sharp

@@ -339,7 +339,9 @@ class TestStackedSuiteCounts:
     to 161, T12 from 61 to 49 and T18 from 78 to 50 ``eigvalsh`` calls;
     a stack of pos draws at 3x3 conjugates the shipped map with 2
     ``apply_second`` calls instead of 2 ``compose_left`` per draw, which
-    took C2 from 24 to 10 and C2/2x3 from 20 to 8.  L5, L8, L10, L15,
+    took C2 from 24 to 10 and C2/2x3 from 20 to 8.  T12 draws the maps of
+    all its trials as one stack, so its p-family maps share their two
+    ``eigvalsh`` shift spectra, which took it from 49 to 47.  L5, L8, L10, L15,
     L17 and T6 draw every trial's inputs first and evaluate each check
     with one ``apply_second`` and one batched eigensolver call over all
     trials: that took ``apply_second`` from 10 to 1 (L5, L8, L10), from
@@ -363,7 +365,7 @@ class TestStackedSuiteCounts:
         "L17": (0, 2, 0, 4, 1),
         "T6": (22, 1, 0, 4, 2),
         "T1": (124, 45, 12, 161, 24),
-        "T12": (4, 10, 0, 49, 11),
+        "T12": (4, 10, 0, 47, 11),
         "T18": (8, 14, 0, 50, 6),
         "C2": (20, 10, 0, 2, 2),
         "C2/2x3": (20, 8, 0, 3, 10),
