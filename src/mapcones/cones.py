@@ -63,8 +63,8 @@ uses Dykstra's scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -342,9 +342,9 @@ def _psd_within(x: np.ndarray, tol: float) -> bool:
 
 
 def _least_eigs(y: np.ndarray, tol: float) -> list[tuple[Status, MinEigCert]]:
-    """``classify`` on the least eigenvalue of each Hermitian matrix y of a (k, N, N) stack.
+    """``classify`` on the least eigenvalue of each Hermitian y of a (k, N, N) stack, at scale 1 + ||y||_F.
 
-    Each at scale 1 + ||y||_F, from one batched ``eigh``.
+    All k spectra come from one batched ``eigh``.
     """
     w, u = np.linalg.eigh(y)
     return [
@@ -647,9 +647,9 @@ class _Dephasing(NamedTuple):
     keep: np.ndarray
     residual: float
 
-    def decomposition(self, m: int) -> SeparableDecomposition:
+    def decomposition(self) -> SeparableDecomposition:
         """The kept terms as a ``SeparableDecomposition``: weights and the projectors onto the basis vectors."""
-        i, j = np.divmod(self.keep, m)
+        i, j = np.divmod(self.keep, len(self.v))
         return SeparableDecomposition(
             weights=self.weights[self.keep],
             left=tuple(np.outer(self.u[:, k], self.u[:, k].conj()) for k in i),
@@ -748,7 +748,7 @@ def _separable(rho: np.ndarray, d: Dims, tol: float) -> Verdict:
 
     dephasing = _dephased(rho, d)
     if classify(-dephasing.residual, scale, tol) is Status.IN:
-        return Verdict(Status.IN, dephasing.decomposition(d.m), info={"regime": "dephased"})
+        return Verdict(Status.IN, dephasing.decomposition(), info={"regime": "dephased"})
     dim = d.total
     ball = SeparableBall(frob(rho - np.eye(dim) / dim), (dim * (dim - 1)) ** -0.5)
     if classify(ball.radius - ball.distance, scale, tol) is Status.IN:

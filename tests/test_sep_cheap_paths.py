@@ -124,7 +124,7 @@ class TestDephasedResidualFirst:
             dephasing = _dephased(rho, d)
             assert classify(-dephasing.residual, 1.0 + frob(rho), 1e-9) is not Status.IN
             assert dephasing.residual == ref.residual
-            assert_same_decomposition(dephasing.decomposition(d.m), ref)
+            assert_same_decomposition(dephasing.decomposition(), ref)
 
 
 class TestCachedStarts:
