@@ -50,14 +50,10 @@ gives the decomposition, the primal one the PPT witness, and each is kept
 only when its own ``problem()`` check passes.  Each Newton step after the
 first assembles a dense system of (nm)^2 + 1 unknowns and solves it
 twice, or once when the step ends on its predictor: O((nm)^6) flops
-and O((nm)^4) memory.  Measured medians per ``in_E`` call on one core,
-on fixture embeddings shifted to 0.7 and 1.3 times the optimum (3-4
-Newton steps): 3.7 ms at 3x3, 5.0 ms at 3x4, 8.0 ms at 4x4, 26 ms at
-4x5 and 63 ms at 5x5.  Closing the bracket, as ``witness_search`` and
-points near the boundary need, takes 9-10 steps: 0.034 s at 4x4 and
-0.29 s at 5x5.  The ``f`` cone is an intersection of two spectrally
-projectable cones; ``project_F`` needs the nearest point of it and so
-uses Dykstra's scheme.
+and O((nm)^4) memory.  README.md gives measured ``in_E`` times per
+size, with the method that produced them.  The ``f`` cone is an
+intersection of two spectrally projectable cones; ``project_F`` needs
+the nearest point of it and so uses Dykstra's scheme.
 """
 
 from __future__ import annotations

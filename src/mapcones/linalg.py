@@ -160,18 +160,21 @@ def check_hermitian(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     must be positive; ``tol = inf`` skips the gate.  A norm that
     overflows to infinity is rejected too, since every threshold scaled by
     it would become infinite.  Leading axes of x index a stack, and every
-    matrix of it must pass; the message names the largest deviation.
+    matrix of it must pass; the first matrix that fails, in stack order,
+    raises the error that gating it alone raises.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         norm = frobs(x)
-    if not np.isfinite(norm).all():
-        raise ValueError("matrix norm is not finite: entries too large to gate")
-    dev = frobs(x - x.conj().swapaxes(-1, -2))
-    if (dev > tol * (1.0 + norm)).any():
+        dev = frobs(x - x.conj().swapaxes(-1, -2))
+        bad = ~np.isfinite(norm) | (dev > tol * (1.0 + norm))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        if not np.isfinite(norm.flat[k]):
+            raise ValueError("matrix norm is not finite: entries too large to gate")
         raise ValueError(
-            f"matrix is not Hermitian: ||x - x*||_F = {dev.max():.3e} exceeds tolerance"
+            f"matrix is not Hermitian: ||x - x*||_F = {dev.flat[k]:.3e} exceeds tolerance"
         )
     return hermitian_part(x)
 

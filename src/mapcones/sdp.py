@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import Dims, partial_transpose
+from .linalg import Dims, hermitian_part, partial_transpose
 
 __all__ = ["Bracket", "solve"]
 
@@ -78,10 +78,6 @@ class Bracket:
     iterations: int
     solves: int
     stop: str
-
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
 
 
 def _rotate(y: np.ndarray, sign: int) -> np.ndarray:
@@ -207,7 +203,7 @@ class _Start:
         r = w / np.diagonal(den)
         u0 = float(self.t * (nm * b0 - r @ np.diagonal(bt).real) / r.sum())
         bt[np.diag_indices(nm)] -= u0 * w
-        return u0, partial_transpose(_herm(e @ (bt / den) @ e.conj().T), self.d)
+        return u0, partial_transpose(hermitian_part(e @ (bt / den) @ e.conj().T), self.d)
 
 
 class _Point(NamedTuple):
@@ -223,7 +219,7 @@ class _Point(NamedTuple):
 
 def _point(xs, x1, y0, y, d: Dims) -> _Point:
     """The iterate (X1, y0, Y) with Z1 = xs - y0 I - PT(Y) and its bracket."""
-    z1 = _herm(xs - y0 * np.eye(len(x1)) - partial_transpose(y, d))
+    z1 = hermitian_part(xs - y0 * np.eye(len(x1)) - partial_transpose(y, d))
     return _Point(x1, y0, y, z1, y0 + float(np.linalg.eigvalsh(z1)[0]), float(np.trace(xs @ x1).real))
 
 
@@ -347,7 +343,7 @@ def _newton_step(xs, point: _Point, d: Dims, settled, schur=None):
         b = g2 - partial_transpose(g1, d)
         u0, u = schur.solve(1.0 - float(np.trace(g1).real), b)
         dz1 = -(u0 * eye + partial_transpose(u, d))
-        dx1 = g1 - x1 - _herm(x1 @ dz1 @ w1)
+        dx1 = g1 - x1 - hermitian_part(x1 @ dz1 @ w1)
         return u0, u, dx1, dz1
 
     def lengths(dx1, dx2, dz1, du):
@@ -357,9 +353,9 @@ def _newton_step(xs, point: _Point, d: Dims, settled, schur=None):
         return min(1.0, _STEP * min(top[:2])), min(1.0, _STEP * min(top[2:]))
 
     def advance(ap, ad, u0, u, dx1):
-        x1n = _herm(x1 + ap * dx1)
+        x1n = hermitian_part(x1 + ap * dx1)
         x1n /= np.trace(x1n).real
-        return _point(xs, x1n, y0 + ad * u0, _herm(y + ad * u), d)
+        return _point(xs, x1n, y0 + ad * u0, hermitian_part(y + ad * u), d)
 
     zero = np.zeros_like(x1)
     u0, u, dx1, dz1 = direction(zero, zero)
@@ -375,8 +371,8 @@ def _newton_step(xs, point: _Point, d: Dims, settled, schur=None):
         np.trace((x1 + ap * dx1) @ (z1 + ad * dz1)).real + np.trace((x2 + ap * dx2) @ (y + ad * u)).real
     ) / (2 * nm)
     sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
-    g1 = _herm((sigma * mu * eye - dx1 @ dz1) @ w1)
-    g2 = _herm((sigma * mu * eye - dx2 @ u) @ w2)
+    g1 = hermitian_part((sigma * mu * eye - dx1 @ dz1) @ w1)
+    g2 = hermitian_part((sigma * mu * eye - dx2 @ u) @ w2)
     u0, u, dx1, dz1 = direction(g1, g2)
     if not (np.all(np.isfinite(dx1)) and np.all(np.isfinite(dz1))):
         return None

@@ -75,7 +75,6 @@ from .cones import (
     _cop_stack,
     _cp_stack,
     _hermitian_eigh,
-    _operator,
     _ppt_stack,
     _sampled_least_eig,
     _UnknownName,
@@ -248,21 +247,6 @@ def _in_runs(count: int, entries: int, f) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _gated(raw: np.ndarray, tol: float, one=check_hermitian) -> np.ndarray:
-    """The Hermitian parts of a stack of matrices, through one ``check_hermitian``.
-
-    If the stack fails, ``one(x, tol)`` gates its matrices in order, so
-    that the first matrix that fails raises its own error, as a
-    matrix-by-matrix gate would.
-    """
-    try:
-        return check_hermitian(raw, tol)
-    except ValueError:
-        for x in raw:
-            one(x, tol)
-        raise
-
-
 def theorem1_conditions(
     phi: MapRep,
     cone: ConeId,
@@ -304,7 +288,7 @@ def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, to
     bit the one a stack of one gives.  The p cone decides each map by
     ``cones.in_E`` in ``_theorem1_p_cone``.
     """
-    chois = _gated(raw, tol)
+    chois = check_hermitian(raw, tol)
     if cone is ConeId.MAP_P:
         return [_theorem1_p_cone(r, c, d, pool, tol) for r, c in zip(raw, chois)]
     sq = Dims(d.m, d.m)
@@ -695,7 +679,7 @@ def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     rngs = [substream(seed, 0x108, trial) for trial in range(trials)]
     raw = _random_map_chois(d, rngs, range(trials))
     x = _gram(_gaussian_stack(rngs, 8, n * n))
-    c = _gated(raw, tol)
+    c = check_hermitian(raw, tol)
     # the adversarial rank-one probe, the bottom eigenvector u of C:
     # v* C v >= lambda_min(C) for every unit v
     w_eig, u = np.linalg.eigh(c)
@@ -758,7 +742,7 @@ def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     ``eigh`` over the images of a run of trials.
     """
     x = _operator_samples(d, [substream(seed, 0x10F, trial) for trial in range(trials)], range(trials))
-    xs = _gated(x, tol, lambda xk, t: _operator(xk, d, t))
+    xs = check_hermitian(x, tol)
     v = _ppt_stack(xs, d, tol)
     # the d cone's canonical elements: the Choi matrices of the identity and the transpose
     detectors = _canonical_chois(ConeId.MAP_D, d)[:, None]
@@ -819,7 +803,7 @@ def _suite_L17(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     ops[::2] = _sample_chois(ConeId.MAP_P, d, rngs[::2])
     x = _hermitian_stack(rngs[1::2], d.total)
     ops[1::2] = x / np.array([frob(xk) for xk in x])[:, None, None]
-    v = _ppt_stack(_gated(ops, tol, lambda xk, t: _operator(xk, d, t)), d, tol)
+    v = _ppt_stack(check_hermitian(ops, tol), d, tol)
 
     def least(pool, part):
         return _in_runs(len(part), len(pool) * d.total**2, lambda run: _min_eigs(apply_second(pool, part[run, None], d)))
@@ -898,18 +882,9 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     members[::2] = _in_runs(len(picks), d.total**2, lambda run: apply_second(alphas[run], cps[run], d))
     members[1::2] = d.n * member_chois
     duals = d.n * dual_chois
-    try:
-        # pairing gates at its default tol, the escape oracles at the suite's
-        gated_members, gated_duals = check_hermitian(members, 1e-9), check_hermitian(duals, 1e-9)
-        gated_phis = check_hermitian(phis, tol)
-    except ValueError:
-        # the first matrix that fails raises its own error, in the order the trials gate them
-        for trial in range(trials):
-            check_hermitian(members[trial], 1e-9)
-            check_hermitian(duals[trial], 1e-9)
-            if trial % 4 == 3:
-                check_hermitian(phis[trial // 4], tol)
-        raise
+    # pairing gates at its default tol, the escape oracles at the suite's
+    gated_members, gated_duals = check_hermitian(members, 1e-9), check_hermitian(duals, 1e-9)
+    gated_phis = check_hermitian(phis, tol)
     verdicts = _grouped(escapes, list(gated_phis), lambda cone, part: _SPECTRAL_ORACLE[cone](np.array(part), d, tol))
 
     for trial, cone in enumerate(cones):

@@ -1,5 +1,7 @@
 """Tests for the bipartite linear-algebra substrate."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,36 @@ class TestStacks:
         big = np.stack([np.eye(4), 1e155 * np.eye(4)])
         with pytest.raises(ValueError, match="not finite"):
             check_hermitian(big)
+
+    @staticmethod
+    def _gate_messages(stack, k):
+        """The stacked gate's error and matrix k's own one, with every warning an error."""
+        messages = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (stack, stack[k]):
+                with pytest.raises(ValueError) as err:
+                    check_hermitian(x)
+                messages.append(str(err.value))
+        return messages
+
+    def test_hermitian_gate_names_the_first_failing_matrix(self):
+        g = rng(74)
+        xs = random_hermitian(g, 5)[None] + np.zeros((3, 1, 1))
+        skew = random_complex(g, (5, 5))
+        # matrix 1 deviates less than matrix 2, whose deviation is the stack's largest
+        xs[1] += 1e-6 * skew
+        xs[2] += 1e-3 * skew
+        stacked, single = self._gate_messages(xs, 1)
+        assert "not Hermitian" in single
+        assert stacked == single
+
+    @pytest.mark.parametrize("huge", [1e155 * np.eye(4), 1e155 * random_complex(rng(75), (4, 4)),
+                                      np.diag([np.inf, 1.0, 1.0, 1.0])])
+    def test_hermitian_gate_takes_norm_and_deviation_in_stack_order(self, huge):
+        skew = np.eye(4, dtype=np.complex128)
+        skew[0, 1] = 1e-3
+        for stack, kind in ((np.stack([skew, huge]), "not Hermitian"), (np.stack([huge, skew]), "not finite")):
+            stacked, single = self._gate_messages(stack, 0)
+            assert kind in single
+            assert stacked == single

@@ -16,12 +16,16 @@ side, each ``{workload, side, source, command, pairs, runs}`` with one
 ``{seed, result, classes}`` per run: ``result`` is the JSON object on the
 last line of ``run.py``'s output and ``classes`` the per-class summary
 (operations, UNDECIDED count, p50 latency) of the line before it.  A
-summary goes to standard output: per metric the two medians, the pairs
-the change won, the parent's interquartile range, and whether the median
-gap exceeds it; then each class's median p50 and the UNDECIDED share.
-Directions and bounds of the metrics are read from the change's
-``BENCHMARK.json``.  Nothing from ``perfbench`` is imported, and nothing
-in either checkout is written except what ``run.py`` itself writes there.
+summary goes to standard output: per end-to-end metric the two medians,
+the pairs the change won, the parent's interquartile range, whether the
+change's median is worse than the parent's by more than the metric's
+bound, and whether a claimed gain would pass (nine tenths of the pairs
+won and a median gap wider than the parent's interquartile range); then
+each side's failed operations and UNDECIDED share, and each class's
+median p50.  Directions and bounds of the metrics are read from the
+change's ``BENCHMARK.json``.  Nothing from ``perfbench`` is imported, and
+nothing in either checkout is written except what ``run.py`` itself
+writes there.
 """
 
 from __future__ import annotations
@@ -65,19 +69,36 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
+def verdict(spec: dict, par: list[float], chg: list[float]) -> dict:
+    """One end-to-end metric's pair runs judged against its ``BENCHMARK.json`` entry.
+
+    ``regressed``: the change's median is worse than the parent's by more
+    than ``bound``, a fraction of the parent's median.  ``claim``: the
+    change won at least nine tenths of the pairs, ties counting for
+    neither side, and its median is better by more than the parent's
+    interquartile range.
+    """
+    lower = spec["better"] == "lower"
+    won = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+    mp, mc = statistics.median(par), statistics.median(chg)
+    q1, q3 = quartiles(par)
+    better = (mc < mp) if lower else (mc > mp)
+    limit = mp * (1.0 + spec["bound"]) if lower else mp * (1.0 - spec["bound"])
+    return {"parent": mp, "change": mc, "won": won, "pairs": len(par), "iqr": (q1, q3),
+            "regressed": (mc > limit) if lower else (mc < limit),
+            "claim": 10 * won >= 9 * len(par) and better and abs(mc - mp) > q3 - q1}
+
+
 def summarize(runs: dict, bench: dict) -> None:
-    print(f"{'metric':18s} {'parent':>10s} {'change':>10s} {'move':>8s} {'won':>6s} {'parent IQR':>21s}  gap > IQR")
+    print(f"{'metric':18s} {'parent':>10s} {'change':>10s} {'move':>8s} {'won':>6s} {'parent IQR':>21s}"
+          f"  {'worse > bound':>13s}  claim passes")
     for spec in bench["end_to_end"]:
-        name, lower = spec["name"], spec["better"] == "lower"
-        par = [r["result"]["metrics"][name]["value"] for r in runs["parent"]]
-        chg = [r["result"]["metrics"][name]["value"] for r in runs["change"]]
-        won = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
-        mp, mc = statistics.median(par), statistics.median(chg)
-        q1, q3 = quartiles(par)
-        better = (mc < mp) if lower else (mc > mp)
+        name = spec["name"]
+        v = verdict(spec, *([r["result"]["metrics"][name]["value"] for r in runs[side]] for side in SIDES))
+        mp, mc, (q1, q3) = v["parent"], v["change"], v["iqr"]
         move = (mc / mp - 1.0) * 100 if mp else float("nan")
-        print(f"{name:18s} {mp:10.4g} {mc:10.4g} {move:+7.1f}% {won:>3d}/{len(par):<2d} "
-              f"{q1:10.4g}-{q3:<10.4g}  {better and abs(mc - mp) > q3 - q1}")
+        print(f"{name:18s} {mp:10.4g} {mc:10.4g} {move:+7.1f}% {v['won']:>3d}/{v['pairs']:<2d} "
+              f"{q1:10.4g}-{q3:<10.4g}  {str(v['regressed']):>13s}  {v['claim']}")
     for side in SIDES:
         attempted = sum(r["result"]["attempted"] for r in runs[side])
         failed = sum(r["result"]["failed"] for r in runs[side])
