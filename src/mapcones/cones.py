@@ -373,18 +373,23 @@ def _sampled_least_eig(h: np.ndarray, w: np.ndarray, u: np.ndarray, tol: float) 
     return Verdict(verdict, heuristic=verdict is Status.IN, info={"worst_min_eig": float(w[:, 0].min())})
 
 
-def _choi_stack(maps: Sequence[MapRep], k: int) -> np.ndarray:
-    """The k x k Choi matrices of ``maps`` stacked along a leading axis."""
-    return np.array([a.choi for a in maps], dtype=np.complex128).reshape(-1, k, k)
+def _sample_stack(samples: Sequence[MapRep], n: int, k: Optional[int] = None) -> np.ndarray:
+    """The (len(samples), nk, nk) stack of the Choi matrices of cone samples M_n -> M_k.
 
-
-def _check_samples(samples: Sequence[MapRep], n: int) -> None:
-    """Raise ValueError for an empty set of cone samples or a sample that does not act on M_n."""
-    if len(samples) == 0:
-        raise ValueError("need at least one cone sample")
+    ``k`` defaults to the first sample's output dim, so only a caller
+    that passes ``k`` may pass no samples.  Raises ValueError for an
+    empty list without ``k`` and for a sample that does not map M_n to M_k.
+    """
+    if k is None:
+        if len(samples) == 0:
+            raise ValueError("need at least one cone sample")
+        k = samples[0].m
     for alpha in samples:
         if alpha.n != n:
             raise ValueError(f"map input dim {alpha.n} does not match second factor {n}")
+        if alpha.m != k:
+            raise ValueError(f"map output dim {alpha.m} does not match common output dim {k}")
+    return np.array([a.choi for a in samples], dtype=np.complex128).reshape(-1, n * k, n * k)
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +419,12 @@ def _cop_stack(c: np.ndarray, d: Dims, tol: float) -> list[Verdict]:
 
 def in_P(phi: MapRep, tol: float = 1e-9) -> Verdict:
     """Maps both cp and cop: ``in_F``'s verdict on the gated Choi matrix."""
-    return _ppt(phi.hermitian_choi(tol), phi.d, tol)
+    return _ppt_stack(phi.hermitian_choi(tol)[None], phi.d, tol)[0]
 
 
 def in_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """The PPT cone: x PSD and PT(x) PSD."""
-    return _ppt(*_operator(x, d, tol), tol)
-
-
-def _ppt(x: np.ndarray, d: Dims, tol: float) -> Verdict:
-    """``in_F`` on an x that has passed the ``_operator`` gate."""
+    x, d = _operator(x, d, tol)
     return _ppt_stack(x[None], d, tol)[0]
 
 
@@ -455,7 +456,7 @@ def is_ppt_state(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
     """PPT test for a density operator (trace must equal 1 within 1e-9)."""
     rho, d = _operator(rho, d, tol)
     _check_unit_trace(rho)
-    return _ppt(rho, d, tol)
+    return _ppt_stack(rho[None], d, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +733,7 @@ def _separable(rho: np.ndarray, d: Dims, tol: float) -> Verdict:
     """``is_separable`` on a rho that has passed the ``_operator`` gate."""
     scale = 1.0 + frob(rho)
     # the state check reads rho's least eigenvalue from the PPT test's spectra
-    ppt = _ppt(rho, d, tol)
+    ppt = _ppt_stack(rho[None], d, tol)[0]
     spectra = ppt.certificate if ppt.status is Status.IN else ppt.info["spectra"]
     if classify(spectra.min_eig, scale, tol) is not Status.IN:
         raise ValueError(f"not a state: minimum eigenvalue {spectra.min_eig:.3e}")
@@ -929,12 +930,13 @@ def pm_k_membership(
 ) -> Verdict:
     """Sampled test of (id (x) alpha)(x) >= 0 over the given cone samples.
 
+    Every sample maps M_m, the second factor of ``d``, to one common M_k;
+    raises ValueError for no samples or a sample that breaks this rule.
     Every sample is applied in one ``apply_second`` on the stack of their
     Choi matrices and classified from one batched ``eigh``.  OUT names the
     first violating sample's index and is exact; IN is only relative to
     the samples and flagged heuristic.
     """
     x, d = _operator(x, d, tol)
-    _check_samples(k_samples, d.m)
-    chois = _choi_stack(k_samples, d.m * k_samples[0].m)
+    chois = _sample_stack(k_samples, d.m)
     return _sampled_least_eig(*_hermitian_eigh(apply_second(chois, x, d)), tol)

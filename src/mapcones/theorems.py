@@ -43,6 +43,7 @@ time is tracked on the report object but never serialized.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -69,13 +70,12 @@ from .cones import (
     ConeId,
     Status,
     Verdict,
-    _check_samples,
     _check_tol,
-    _choi_stack,
     _cop_stack,
     _cp_stack,
     _hermitian_eigh,
     _ppt_stack,
+    _sample_stack,
     _sampled_least_eig,
     _UnknownName,
     classify,
@@ -133,15 +133,16 @@ def ksharp_membership(
 ) -> Verdict:
     """Sampled test that beta . alpha* is completely positive for all alpha.
 
-    OUT with the violating sample is exact; IN is relative to the sample
+    Every sample maps M_n, beta's input space, to one common M_k; raises
+    ValueError for no samples or a sample that breaks this rule.  OUT
+    with the violating sample is exact; IN is relative to the sample
     set and flagged heuristic.  Square dimensions only.  This wraps
     ``_ksharp_stack`` on the samples' Choi stack.
     """
     n = beta.n
     if n != beta.m:
         raise ValueError("sharp-cone membership needs square dimensions")
-    _check_samples(k_samples, n)
-    return _ksharp_stack(beta.choi, _choi_stack(k_samples, n * k_samples[0].m), n, tol)
+    return _ksharp_stack(beta.choi, _sample_stack(k_samples, n), n, tol)
 
 
 def _ksharp_stack(beta_choi: np.ndarray, pool: np.ndarray, n: int, tol: float) -> Verdict:
@@ -206,10 +207,6 @@ def _min_eigs(x) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(x))[..., 0]
 
 
-def _min_eig(x) -> float:
-    return float(_min_eigs(x))
-
-
 def _least(values) -> float:
     """Smallest entry of an array; +inf when it is empty."""
     return float(np.min(values, initial=np.inf))
@@ -256,8 +253,10 @@ def theorem1_conditions(
 ) -> Theorem1Conditions:
     """Evaluate the four dual-cone conditions for one map and one cone.
 
-    ``samples`` are elements of the cone acting on the second factor
-    (square maps on M_m); when omitted a small seeded pool with the
+    ``samples`` are elements of the cone acting on the second factor:
+    every sample maps M_m to M_m, else ValueError.  An empty list is
+    allowed, and every condition read from the samples then has an
+    infinite margin.  When omitted a small seeded pool with the
     canonical elements is drawn.  For the cp / cop / p / d cones the
     verdicts are exact: spectral for the first three families and via
     ``cones.in_E`` for the p cone.  This is ``_theorem1_stack`` on a
@@ -267,7 +266,7 @@ def theorem1_conditions(
     if not cone.is_map_cone:
         raise ValueError(f"{cone} is not a map cone")
     d = phi.d
-    pool = _generator_pool_chois(cone, d, 8, [seed])[0] if samples is None else _choi_stack(samples, d.m * d.m)
+    pool = _generator_pool_chois(cone, d, 8, [seed])[0] if samples is None else _sample_stack(samples, d.m, d.m)
     return _theorem1_stack(phi.choi[None], d, cone, pool, tol)[0]
 
 
@@ -780,7 +779,7 @@ def _suite_L16(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             if v.status is Status.OUT:
                 # alpha_w maps M_m to M_n, so its Choi matrix has dims (m, n)
                 alpha_w = _witness_choi(v.certificate.w, d)
-                lo = _min_eig(apply_second(alpha_w, x, d))
+                lo = float(_min_eigs(apply_second(alpha_w, x, d)))
                 report.check(trial, "constructive violating map failed", lo, lo >= 0.0)
                 v = in_F(alpha_w * (d.n / np.trace(alpha_w).real), Dims(d.m, d.n), 1e-7)
                 report.check(trial, "violating map left the p cone", 1.0, v.status is not Status.IN)
@@ -947,14 +946,9 @@ def _kpositivity_margins(cone: ConeId, c: np.ndarray, d: Dims) -> np.ndarray:
     raise ValueError(f"no spectral K-positivity margin for {cone}")
 
 
-def _kpositivity_margin(cone: ConeId, c: np.ndarray, d: Dims) -> float:
-    """``_kpositivity_margins`` of a single Choi matrix."""
-    return float(_kpositivity_margins(cone, c, d))
-
-
 def _ppt_gap(x: np.ndarray, d: Dims) -> float:
     """The smaller distance from zero of the least eigenvalues of x and PT(x)."""
-    return min(abs(_min_eig(x)), abs(_min_eig(partial_transpose(x, d))))
+    return min(abs(float(_min_eigs(x))), abs(float(_min_eigs(partial_transpose(x, d)))))
 
 
 def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -971,7 +965,7 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             v = in_E(c, d, tol)
             closed = v.status
         else:
-            closed = classify(_kpositivity_margin(_PARTNER[cone], c, d), scale, tol)
+            closed = classify(float(_kpositivity_margins(_PARTNER[cone], c, d)), scale, tol)
         if closed is Status.UNDECIDED:
             report.undecided += 1
             continue
@@ -986,8 +980,8 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         # transpose symmetry of sharp membership through the adjoint
         if cone is not ConeId.MAP_P:
             adj = adjoint_choi(beta, d)
-            a = _kpositivity_margin(_PARTNER[cone], hermitian_part(adj), d)
-            b = _kpositivity_margin(_PARTNER[cone], hermitian_part(both_transpose(adj, d)), d)
+            a = float(_kpositivity_margins(_PARTNER[cone], hermitian_part(adj), d))
+            b = float(_kpositivity_margins(_PARTNER[cone], hermitian_part(both_transpose(adj, d)), d))
             sa, sb = classify(a, scale, tol), classify(b, scale, tol)
             failed = None if Status.UNDECIDED in (sa, sb) else sa is not sb
             report.check(trial, f"{cone.value} transpose symmetry", min(abs(a), abs(b)), failed)
@@ -1022,7 +1016,7 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     for trial, (rng, beta) in enumerate(zip(rngs, betas)):
         # exact inclusion direction: decomposable . p-adjoint stays cp
         comp = apply_second(beta, adjoint_choi(p_pool[trial % len(p_pool)], d), d)
-        report.check_margin(trial, "d-sample composition left cp", _min_eig(comp), 1.0 + frob(comp), tol)
+        report.check_margin(trial, "d-sample composition left cp", float(_min_eigs(comp)), 1.0 + frob(comp), tol)
         # agreement of the sampled sharp test with decomposability
         if trial % 3 == 0:
             if trial % 6 == 0 and d == (3, 3):
@@ -1150,9 +1144,11 @@ def verify(
 
     The report is a pure function of the arguments; rerunning with the
     same arguments reproduces it exactly (the wall-time attribute is
-    informational and excluded from serialization).  Raises ValueError
-    for an unknown id, invalid dims, ``trials < 1``, a ``tol`` that is
-    not finite and positive, or n != m for a suite in ``_SQUARE_ONLY``.
+    informational and excluded from serialization).  Raises TypeError
+    for ``trials`` or ``seed`` that is not an integer, such as a float,
+    and ValueError for an unknown id, invalid dims, ``trials < 1``, a
+    ``tol`` that is not finite and positive, or n != m for a suite in
+    ``_SQUARE_ONLY``.
     """
     if theorem_id.upper() not in SUPPORTED_THEOREMS:
         raise _UnknownName(
@@ -1160,13 +1156,14 @@ def verify(
         )
     theorem_id = theorem_id.upper()
     d = Dims(*d).validate()
-    if int(trials) < 1:
+    trials, seed = operator.index(trials), operator.index(seed)
+    if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_tol(tol)
     if theorem_id in _SQUARE_ONLY and d.n != d.m:
         raise ValueError("this suite needs square dimensions")
-    report = TheoremReport(theorem_id, d.n, d.m, int(trials), int(seed), float(tol))
+    report = TheoremReport(theorem_id, d.n, d.m, trials, seed, float(tol))
     start = time.perf_counter()
-    SUPPORTED_THEOREMS[theorem_id](report, d, int(trials), int(seed), float(tol))
+    SUPPORTED_THEOREMS[theorem_id](report, d, trials, seed, float(tol))
     report.elapsed = time.perf_counter() - start
     return report

@@ -1,6 +1,7 @@
 """Tests for the pair statistics of ``tools/bench_pairs.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,47 @@ def test_regression_is_a_median_worse_than_the_relative_bound(spec, worse, withi
     par = [100.0] * 10
     assert bench_pairs.verdict(spec, par, [100.0 * worse] * 10)["regressed"]
     assert not bench_pairs.verdict(spec, par, [100.0 * within] * 10)["regressed"]
+
+
+def _run(seed, classes):
+    """A hand-built run with one end-to-end metric and the given {class: p50_ms}."""
+    return {"seed": seed,
+            "result": {"metrics": {"latency_p50_ms": {"value": 1.0}}, "attempted": 4, "failed": 0},
+            "classes": {cls: {"ops": 2, "undecided": 0, "failed": 0, "p50_ms": p50} for cls, p50 in classes.items()}}
+
+
+def test_class_table_covers_the_classes_of_both_sides(capsys):
+    runs = {"parent": [_run(1, {"a": 1.0, "b": 5.0}), _run(2, {"a": 3.0})],
+            "change": [_run(1, {"a": 2.0, "c": 7.0}), _run(2, {"a": 4.0, "c": 9.0})]}
+    assert bench_pairs.class_p50s(runs) == {"a": [2.0, 3.0], "b": [5.0, None], "c": [None, 8.0]}
+    bench_pairs.summarize(runs, {"end_to_end": [LATENCY]})
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    assert rows["b"] == ["5.000", "-"] and rows["c"] == ["-", "8.000"]
+
+
+def _checkouts(tmp_path, workloads):
+    """Parent and change directories, the change's BENCHMARK.json naming ``workloads``."""
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    bench = {"workloads": [{"name": w} for w in workloads], "end_to_end": [LATENCY]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(bench))
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--seeds", "1-2",
+            "--out", str(tmp_path / "out"), "--parent-source", "p", "--change-source", "c"]
+
+
+def test_workloads_come_from_the_changes_benchmark(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(workload)
+        return _run(seed, {"a": 1.0})
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = _checkouts(tmp_path, ["e-large", "sep"])
+    assert bench_pairs.main(["--workload", "e-large"] + argv) == 0
+    assert calls == ["e-large"] * 4
+    assert json.loads((tmp_path / "out" / "BENCH_e-large_change.json").read_text())["workload"] == "e-large"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--workload", "e-in"] + argv)
+    assert exc.value.code == 2 and calls == ["e-large"] * 4
+    assert "invalid choice: 'e-in' (choose from e-large, sep)" in capsys.readouterr().err

@@ -8,7 +8,7 @@ counts its checks through ``TheoremReport.check``, so no suite function
 touches ``report.checks`` or calls ``record_failure`` itself.  The
 suites and the Theorem 1 cores take their generator pools as Choi
 stacks from ``sampling._generator_pool_chois``, so no ``_suite_*`` or
-``_theorem1_*`` function names ``cone_generator_pool``, ``_choi_stack``
+``_theorem1_*`` function names ``cone_generator_pool``, ``_sample_stack``
 or ``_generator_pools``: ``MapRep`` lists are built only at the public
 edge.
 """
@@ -112,6 +112,6 @@ def test_suites_take_pools_as_choi_stacks():
     sites = [
         f"{fn.name}: {name}"
         for fn in cores
-        for name in sorted(_names(fn) & {"cone_generator_pool", "_choi_stack", "_generator_pools"})
+        for name in sorted(_names(fn) & {"cone_generator_pool", "_sample_stack", "_generator_pools"})
     ]
     assert sites == []

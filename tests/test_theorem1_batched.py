@@ -74,7 +74,7 @@ def reference_conditions(phi, cone, samples=None, tol=1e-9, n_probes=8, seed=0, 
         return reference_p_cone(phi, c, samples, tol, n_probes)
 
     if cone in theorems_mod._PARTNER:
-        m2 = theorems_mod._kpositivity_margin(theorems_mod._PARTNER[cone], c, d)
+        m2 = float(theorems_mod._kpositivity_margins(theorems_mod._PARTNER[cone], c, d))
     else:
         m2 = np.inf
         for alpha in k_t(samples):

@@ -14,6 +14,7 @@ from mapcones.cones import (
     ConeId,
     Status,
     in_E,
+    pm_k_membership,
 )
 from mapcones.fixtures import nondecomposable_map
 from mapcones.linalg import Dims, frob, partial_transpose
@@ -101,6 +102,54 @@ class TestTheorem1Conditions:
     def test_rejects_operator_cone(self):
         with pytest.raises(ValueError):
             theorem1_conditions(identity_map(2), ConeId.OP_PSD)
+
+
+#: Each entry point that takes cone samples, on sample lists that break
+#: the rule that every sample maps the second factor M_n to one common M_k
+#: (for ``theorem1_conditions``, M_m to M_m), and the start of its error.
+BAD_SAMPLES = {
+    "pm_k-mixed-outputs": (
+        lambda: pm_k_membership(np.eye(4), Dims(2, 2), [identity_map(2), map_from_choi(2, 3, np.eye(6))]),
+        "map output dim 3",
+    ),
+    "ksharp-mixed-outputs": (
+        lambda: ksharp_membership(identity_map(2), [identity_map(2), map_from_choi(2, 3, np.eye(6))]),
+        "map output dim 3",
+    ),
+    "theorem1-mixed-outputs": (
+        lambda: theorem1_conditions(
+            identity_map(2), ConeId.MAP_CP, samples=[identity_map(2), map_from_choi(2, 3, np.eye(6))]
+        ),
+        "map output dim 3",
+    ),
+    # a 9x9 Choi matrix cannot be read as a map on M_2
+    "theorem1-2x2-wrong-input": (
+        lambda: theorem1_conditions(identity_map(2), ConeId.MAP_CP, samples=[identity_map(3)]),
+        "map input dim 3",
+    ),
+    # a 16x16 Choi matrix of M_2 -> M_8 has the size of one of M_4 -> M_4
+    "theorem1-2x4-wrong-input": (
+        lambda: theorem1_conditions(
+            map_from_choi(2, 4, np.eye(8)), ConeId.MAP_CP, samples=[map_from_choi(2, 8, np.eye(16))]
+        ),
+        "map input dim 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SAMPLES))
+def test_sample_lists_that_break_the_rule_are_rejected(case):
+    call, message = BAD_SAMPLES[case]
+    with pytest.raises(ValueError, match=f"^{message} "):
+        call()
+
+
+def test_only_theorem1_conditions_takes_no_samples():
+    for call in (lambda: pm_k_membership(np.eye(4), Dims(2, 2), []), lambda: ksharp_membership(identity_map(2), [])):
+        with pytest.raises(ValueError, match="^need at least one cone sample$"):
+            call()
+    margins = theorem1_conditions(identity_map(2), ConeId.MAP_POS, samples=[]).margins
+    assert margins["i"] == margins["iv"] == np.inf
 
 
 #: At most this share of a smoke suite's checks may be UNDECIDED, so no
@@ -193,6 +242,16 @@ class TestVerifySmoke:
         # a run with no trials would report PASS on zero checks
         with pytest.raises(ValueError, match="trials"):
             verify("T6", D33, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("trials, seed", [(2.7, 0), (2, 1.9)])
+    def test_float_trials_or_seed_rejected(self, trials, seed):
+        # int() would truncate them and run a suite the caller did not ask for
+        with pytest.raises(TypeError):
+            verify("L4", Dims(2, 2), trials, seed)
+
+    def test_numpy_integers_accepted(self):
+        report = verify("L4", Dims(2, 2), np.int64(2), np.int64(3))
+        assert emit_report(report, "json") == emit_report(verify("L4", Dims(2, 2), 2, 3), "json")
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_tol_not_finite_positive_rejected(self, tol):

@@ -22,8 +22,9 @@ change's median is worse than the parent's by more than the metric's
 bound, and whether a claimed gain would pass (nine tenths of the pairs
 won and a median gap wider than the parent's interquartile range); then
 each side's failed operations and UNDECIDED share, and each class's
-median p50.  Directions and bounds of the metrics are read from the
-change's ``BENCHMARK.json``.  Nothing from ``perfbench`` is imported, and
+median p50 over the classes either side ran ("-" on a side that never
+ran it).  The valid workloads and the directions and bounds of the
+metrics are read from the change's ``BENCHMARK.json``.  Nothing from ``perfbench`` is imported, and
 nothing in either checkout is written except what ``run.py`` itself
 writes there.
 """
@@ -89,6 +90,15 @@ def verdict(spec: dict, par: list[float], chg: list[float]) -> dict:
             "claim": 10 * won >= 9 * len(par) and better and abs(mc - mp) > q3 - q1}
 
 
+def class_p50s(runs: dict) -> dict:
+    """Each class either side ran, to each side's median p50 over the runs that ran it (None for none)."""
+    table = {}
+    for cls in sorted({cls for side in SIDES for r in runs[side] for cls in r["classes"]}):
+        p50 = [[r["classes"][cls]["p50_ms"] for r in runs[side] if cls in r["classes"]] for side in SIDES]
+        table[cls] = [statistics.median(v) if v else None for v in p50]
+    return table
+
+
 def summarize(runs: dict, bench: dict) -> None:
     print(f"{'metric':18s} {'parent':>10s} {'change':>10s} {'move':>8s} {'won':>6s} {'parent IQR':>21s}"
           f"  {'worse > bound':>13s}  claim passes")
@@ -106,14 +116,13 @@ def summarize(runs: dict, bench: dict) -> None:
         undecided = sum(c["undecided"] for r in runs[side] for c in r["classes"].values())
         print(f"{side}: {attempted} attempted, {failed} failed, undecided share {undecided / max(ops, 1):.3f}")
     print(f"{'class':24s} {'parent p50 ms':>14s} {'change p50 ms':>14s}")
-    for cls in sorted(runs["parent"][0]["classes"]):
-        p50 = [statistics.median(r["classes"][cls]["p50_ms"] for r in runs[side] if cls in r["classes"]) for side in SIDES]
-        print(f"{cls:24s} {p50[0]:14.3f} {p50[1]:14.3f}")
+    for cls, p50 in class_p50s(runs).items():
+        print(f"{cls:24s} " + " ".join("{:>14s}".format("-" if v is None else f"{v:.3f}") for v in p50))
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", required=True, choices=("e-in", "e-out", "harness", "sep"))
+    p.add_argument("--workload", required=True, help="a workload named in the change's BENCHMARK.json")
     p.add_argument("--parent", required=True, type=Path, help="checkout of the parent tree")
     p.add_argument("--change", required=True, type=Path, help="checkout of the changed tree")
     p.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 1001-1010 or 1,2,5")
@@ -125,6 +134,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    if args.workload not in workloads:
+        p.error(f"argument --workload: invalid choice: {args.workload!r} (choose from {', '.join(workloads)})")
     runs = {side: [] for side in SIDES}
     for seed in args.seeds:
         order = SIDES if seed % 2 else SIDES[::-1]
