@@ -24,9 +24,9 @@ won and a median gap wider than the parent's interquartile range); then
 each side's failed operations and UNDECIDED share, and each class's
 median p50 over the classes either side ran ("-" on a side that never
 ran it).  The valid workloads and the directions and bounds of the
-metrics are read from the change's ``BENCHMARK.json``.  Nothing from ``perfbench`` is imported, and
-nothing in either checkout is written except what ``run.py`` itself
-writes there.
+metrics are read from the change's ``BENCHMARK.json``.  Nothing from
+``perfbench`` is imported, and nothing in either checkout is written
+except what ``run.py`` itself writes there.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ def summarize(runs: dict, bench: dict) -> None:
         print(f"{side}: {attempted} attempted, {failed} failed, undecided share {undecided / max(ops, 1):.3f}")
     print(f"{'class':24s} {'parent p50 ms':>14s} {'change p50 ms':>14s}")
     for cls, p50 in class_p50s(runs).items():
-        print(f"{cls:24s} " + " ".join("{:>14s}".format("-" if v is None else f"{v:.3f}") for v in p50))
+        cells = ["-" if v is None else f"{v:.3f}" for v in p50]
+        print(f"{cls:24s} {cells[0]:>14s} {cells[1]:>14s}")
 
 
 def main(argv=None) -> int:
