@@ -274,53 +274,73 @@ def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, to
     """The four dual-cone conditions for each of a (maps, nm, nm) stack of Choi matrices, against one pool.
 
     The pool is a (samples, m^2, m^2) stack of Choi matrices of cone
-    elements on M_m.  Each Choi matrix passes the Hermiticity gate once,
-    and the pool's transforms (its transpose conjugates, the dual-side
-    generators t . alpha* . t and both adjoints) are built once.  Each condition is
-    then one ``apply_second`` over the (maps x pool) stack and one batched
-    ``eigh`` or ``eigvalsh``; maps are taken in chunks of at most
-    ``_STACK_ENTRIES`` stack entries, so memory does not grow with the
-    number of maps.  Conditions (i) and (iii) probe each sample only at
-    its adversarial point, the bottom eigenvector, which minimizes the
-    pairing over every probe of that sample; their pairings run map by
-    map, as the single-map evaluation does, so every margin is bit for
-    bit the one a stack of one gives.  The p cone decides each map by
-    ``cones.in_E`` in ``_theorem1_p_cone``.
+    elements on M_m.  Each Choi matrix and the pool pass the Hermiticity
+    gate once (the pool at the default 1e-9, and only to validate it: the
+    conditions read the pool's own entries), and the pool's transforms
+    (its adjoints, the dual-side generators t . alpha* . t and their
+    adjoints t . alpha . t, the transpose conjugates alpha^t) are built
+    once.  The images Y = (id (x) alpha^t)(C) of every map under every
+    sample are formed once, by one ``apply_second`` over the (maps x
+    pool) stack, and their Hermitian parts go through one batched
+    ``eigh``; every condition reads from that one spectrum:
+
+    - (i) pairs C with t . alpha* . t applied to the bottom projector
+      psi of Y;
+    - (ii), for a cone without a spectral partner, is Y's least
+      eigenvalue;
+    - (iii) evaluates the induced functional, whose density is the full
+      transpose of C, at conj(psi): (id (x) alpha)((t (x) t) C) is the
+      full transpose of Y, so its bottom eigenvector is the conjugate of
+      psi's;
+    - (iv) is Y's least eigenvalue too: the Choi matrix of alpha^t . phi
+      is (id (x) alpha^t)(raw), and for a Hermiticity-preserving alpha
+      its Hermitian part is Y up to rounding.
+
+    So a run makes three ``apply_second`` calls and one eigensolve.  Maps
+    are taken in chunks of at most ``_STACK_ENTRIES`` stack entries, so
+    memory does not grow with the number of maps.  Conditions (i) and
+    (iii) probe each sample only at its adversarial point, the bottom
+    eigenvector, which minimizes the pairing over every probe of that
+    sample; their pairings run map by map, as the single-map evaluation
+    does, so every margin is bit for bit the one a stack of one gives.
+    The p cone decides each map by ``cones.in_E`` in ``_theorem1_p_cone``.
     """
     chois = check_hermitian(raw, tol)
+    check_hermitian(pool)
     if cone is ConeId.MAP_P:
         return [_theorem1_p_cone(r, c, d, pool, tol) for r, c in zip(raw, chois)]
     sq = Dims(d.m, d.m)
-    pool_t = both_transpose(pool, sq)
     pool_adj = adjoint_choi(pool, sq)
     # the generators t . alpha* . t of the dual side, and their adjoints
+    # t . alpha . t, which are the transpose conjugates alpha^t
     kd = both_transpose(pool_adj, sq)
     kd_adj = adjoint_choi(kd, sq)
     out = []
     for run in _runs(len(raw), max(len(pool), 1) * d.total**2):
         c, r = chois[run], raw[run]
 
-        # (ii) membership of the Choi matrix in the partner operator cone
-        if cone in _PARTNER:
-            m2 = _kpositivity_margins(_PARTNER[cone], c, d)
-        else:
-            # generic cone: sampled membership through the transposed samples
-            m2 = np.min(_min_eigs(apply_second(pool_t, c[:, None], d)), axis=-1, initial=np.inf)
+        # the images (id (x) alpha^t)(C), their least eigenvalues and bottom projectors
+        lows, vecs = np.linalg.eigh(hermitian_part(apply_second(kd_adj, c[:, None], d)))
+        least = np.min(lows[..., 0], axis=-1, initial=np.inf)
+        v = vecs[..., :1]
+        psi = v @ v.conj().swapaxes(-1, -2)
+
+        # (ii) membership of the Choi matrix in the partner operator cone;
+        # for a generic cone, sampled membership through the transposed samples
+        m2 = _kpositivity_margins(_PARTNER[cone], c, d) if cone in _PARTNER else least
 
         # (i) pairing against generators alpha . psi of the primal cone, per
-        # alpha at the adversarial psi: the bottom of (id (x) alpha*)(C)
-        psi = _bottom_projectors(apply_second(kd_adj, c[:, None], d))
+        # alpha at the adversarial psi: the bottom of (id (x) alpha^t)(C)
         m1 = [_least(_pairings(ck, yk)) for ck, yk in zip(c, apply_second(kd, psi, d))]
 
         # (iii) positivity of the induced functional, whose density is
-        # C_{t.phi.t}, per alpha at the adversarial rank-one probe
+        # C_{t.phi.t}, per alpha at the adversarial rank-one probe conj(psi)
         density = both_transpose(r, d)
-        probe = _bottom_projectors(apply_second(pool, density[:, None], d))
-        probes = apply_second(pool_adj, probe, d)
+        probes = apply_second(pool_adj, psi.conj(), d)
         m3 = [_least(trace_pairing(fk, pk).real) for fk, pk in zip(density, probes)]
 
         # (iv) complete positivity of the compositions alpha^t . phi
-        m4 = np.min(_min_eigs(apply_second(pool_t, r[:, None], d)), axis=-1, initial=np.inf)
+        m4 = least
 
         for k, ck in enumerate(c):
             margins = {"i": float(m1[k]), "ii": float(m2[k]), "iii": float(m3[k]), "iv": float(m4[k])}

@@ -25,16 +25,19 @@ import mapcones.theorems as theorems_mod
 from mapcones.choi import (
     MapRep,
     adjoint,
+    adjoint_choi,
     apply_second,
     compose_left,
     dual_functional,
+    identity_map,
     map_from_choi,
     pairing,
     transpose_conj,
 )
 from mapcones.cones import ConeId, Status, in_E
-from mapcones.linalg import Dims, both_transpose, frob, hermitian_part
+from mapcones.linalg import Dims, both_transpose, check_hermitian, frob, hermitian_part, trace_pairing
 from mapcones.sampling import (
+    _generator_pool_chois,
     cone_generator_pool,
     k_t,
     kd_generators,
@@ -43,7 +46,13 @@ from mapcones.sampling import (
     substream,
 )
 from mapcones.cli import main
-from mapcones.theorems import Theorem1Conditions, _theorem1_stack, theorem1_conditions
+from mapcones.theorems import (
+    Theorem1Conditions,
+    _bottom_projectors,
+    _min_eigs,
+    _theorem1_stack,
+    theorem1_conditions,
+)
 
 
 def _min_eig(x) -> float:
@@ -289,6 +298,73 @@ def test_non_hermitian_map_in_a_stack_raises_its_own_error():
         with pytest.raises(ValueError) as stacked:
             _stack(good[:2] + bad + good[2:], cone, pool)
         assert str(stacked.value) == str(single.value)
+
+
+def test_non_hermitian_sample_raises_the_gates_error():
+    # the shared readings of (iii) and (iv) hold for Hermiticity-preserving
+    # samples only, so the pool passes the gate at its default tol
+    g = np.random.default_rng(5).normal(size=(4, 4))
+    bad = map_from_choi(2, 2, identity_map(2).choi + 1e-3 * g)
+    with pytest.raises(ValueError) as gate:
+        check_hermitian(bad.choi)
+    assert "matrix is not Hermitian" in str(gate.value)
+    for cone in (ConeId.MAP_CP, ConeId.MAP_POS, ConeId.MAP_S, ConeId.MAP_P):
+        pool = cone_generator_pool(cone, Dims(2, 2), 4, 1)
+        with pytest.raises(ValueError) as got:
+            theorem1_conditions(_phi(Dims(2, 2), 1), cone, samples=pool[:2] + [bad] + pool[2:], tol=0.05)
+        assert str(got.value) == str(gate.value)
+
+
+POOL_DIMS = (Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(3, 3), Dims(4, 4))
+
+
+@pytest.mark.parametrize("d", POOL_DIMS, ids=lambda d: f"{d.n}x{d.m}")
+@pytest.mark.parametrize("cone", CONES, ids=lambda c: c.value)
+def test_adjoint_of_the_dual_generators_is_the_transpose_conjugate(cone, d):
+    # both are index permutations of the pool, so they agree entry for entry
+    sq = Dims(d.m, d.m)
+    pool = _generator_pool_chois(cone, d, 8, [3])[0]
+    kd_adj = adjoint_choi(both_transpose(adjoint_choi(pool, sq), sq), sq)
+    assert np.array_equal(kd_adj, both_transpose(pool, sq))
+
+
+def _replaced_routes(raw, d, pool):
+    """The (ii), (iii) and (iv) margins as ``_theorem1_stack`` formed them from their own images."""
+    sq = Dims(d.m, d.m)
+    pool_t = both_transpose(pool, sq)
+    density = both_transpose(raw, d)
+    probe = _bottom_projectors(apply_second(pool, density[:, None], d))
+    probes = apply_second(adjoint_choi(pool, sq), probe, d)
+    m2 = np.min(_min_eigs(apply_second(pool_t, hermitian_part(raw)[:, None], d)), axis=-1, initial=np.inf)
+    m3 = [np.min(trace_pairing(fk, pk).real, initial=np.inf) for fk, pk in zip(density, probes)]
+    m4 = np.min(_min_eigs(apply_second(pool_t, raw[:, None], d)), axis=-1, initial=np.inf)
+    return m2, m3, m4
+
+
+#: The generic-cone pools of C2 and T1: (cone, size, seed offset).
+SUITE_POOLS = {
+    "C2": (ConeId.MAP_POS, 10, 19),
+    "T1/cp": (ConeId.MAP_CP, 12, 17),
+    "T1/cop": (ConeId.MAP_COP, 12, 17),
+    "T1/d": (ConeId.MAP_D, 12, 17),
+}
+
+
+@pytest.mark.parametrize("d", (Dims(3, 3), Dims(2, 3)), ids=lambda d: f"{d.n}x{d.m}")
+@pytest.mark.parametrize("pool_id", sorted(SUITE_POOLS))
+def test_shared_spectrum_matches_the_replaced_routes_on_suite_pools(pool_id, d):
+    cone, size, offset = SUITE_POOLS[pool_id]
+    seed = 3
+    pool = _generator_pool_chois(cone, d, size, [seed + offset])[0]
+    # T1's 40 trial maps, every family of _random_map
+    raw = theorems_mod._random_map_chois(d, [substream(seed, 0x201, trial) for trial in range(40)], range(40))
+    m2, m3, m4 = _replaced_routes(raw, d, pool)
+    for k, conds in enumerate(_theorem1_stack(raw, d, cone, pool, 1e-9)):
+        scale = 1.0 + frob(hermitian_part(raw[k]))
+        assert abs(conds.margins["iii"] - m3[k]) <= 1e-12 * scale, k
+        assert abs(conds.margins["iv"] - m4[k]) <= 1e-12 * scale, k
+        if cone not in theorems_mod._PARTNER:
+            assert abs(conds.margins["ii"] - m2[k]) <= 1e-12 * scale, k
 
 
 def test_long_runs_stay_within_the_stack_budget(monkeypatch, capsys):
