@@ -411,7 +411,14 @@ class TestStackedSuiteCounts:
     20 to 11 (L8) and from 30 to 12 (L10), whose stacked ``omega_eval``
     and ``trpi_eval`` calls are one ``einsum`` each.  ``in_F``'s core reads
     the spectra of x and PT(x) from one ``eigh``, which took C2/2x3, whose
-    separability checks run it, from 18 to 10.
+    separability checks run it, from 18 to 10.  ``_theorem1_stack`` forms
+    the images (id (x) alpha^t)(C) once and reads conditions (i), (iii)
+    and (iv), and (ii) of a cone without a spectral partner, from their
+    one batched ``eigh``: a run makes 3 ``apply_second`` calls and 1
+    eigensolve instead of 6 and 4 (5 and 3 for the cp, cop and d cones).
+    That took C2 from 10 to 7 ``apply_second``, 2 to 0 ``eigvalsh`` and 2
+    to 1 ``eigh`` calls, C2/2x3 from 8, 3 and 10 to 5, 1 and 9, and T1
+    from 45, 161 and 24 to 39, 158 and 21.
     """
 
     COUNTS = {
@@ -423,11 +430,11 @@ class TestStackedSuiteCounts:
         "L15": (0, 1, 0, 2, 2),
         "L17": (0, 2, 0, 4, 1),
         "T6": (22, 1, 0, 4, 2),
-        "T1": (124, 45, 12, 161, 24),
+        "T1": (124, 39, 12, 158, 21),
         "T12": (4, 10, 0, 47, 11),
         "T18": (8, 14, 0, 50, 6),
-        "C2": (20, 10, 0, 2, 2),
-        "C2/2x3": (20, 8, 0, 3, 10),
+        "C2": (20, 7, 0, 0, 1),
+        "C2/2x3": (20, 5, 0, 1, 9),
         "C19": (29, 3, 0, 121, 7),
     }
 
