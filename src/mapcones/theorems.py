@@ -875,10 +875,12 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     """
     sq = Dims(d.m, d.m)
     cp_pool = _generator_pool_chois(ConeId.MAP_CP, d, 6, [seed + 3])[0]
-    # the generators t . alpha* . t of each cone's pool
-    kd_pools = {c: both_transpose(adjoint_choi(_generator_pool_chois(c, d, 8, [seed + 5])[0], sq), sq) for c in _CONCRETE}
     rngs = [substream(seed, 0x206, trial) for trial in range(trials)]
     cones = [_CONCRETE[trial % 4] for trial in range(trials)]
+    # the generators t . alpha* . t of the pools of the cones the even trials
+    # pick from, cp and p (each pool is drawn from its own seeded streams)
+    pick_cones = dict.fromkeys(cones[::2])
+    kd_pools = {c: both_transpose(adjoint_choi(_generator_pool_chois(c, d, 8, [seed + 5])[0], sq), sq) for c in pick_cones}
     # each substream gives, in order: the even trials' pool picks or the odd
     # trials' member draw, then the dual sample, then the escape check's map;
     # each kind of draw runs over all trials as one stack
