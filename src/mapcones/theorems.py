@@ -290,8 +290,7 @@ def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, to
       eigenvalue;
     - (iii) evaluates the induced functional, whose density is the full
       transpose of C, at conj(psi): (id (x) alpha)((t (x) t) C) is the
-      full transpose of Y, so its bottom eigenvector is the conjugate of
-      psi's;
+      full transpose of Y, so conj(psi) is its bottom projector;
     - (iv) is Y's least eigenvalue too: the Choi matrix of alpha^t . phi
       is (id (x) alpha^t)(raw), and for a Hermiticity-preserving alpha
       its Hermitian part is Y up to rounding.

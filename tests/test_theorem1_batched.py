@@ -16,6 +16,10 @@ set one.
 the suites call on all their trials at once.  The last tests require the
 stacked core to give every map bit for bit what its stack of one gives,
 also when the stack is cut into chunks.
+
+The stacked core reads every condition from the spectrum of one image
+stack.  The tests after those pin the identities this rests on and keep
+the routes it replaced, one image stack per condition, as references.
 """
 
 import numpy as np
