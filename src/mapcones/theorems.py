@@ -23,7 +23,8 @@ cross-checks (``in_F``, ``pm_k_membership``'s ``_sampled_least_eig``
 and the spectral oracles).  Checks are still recorded trial by trial,
 in their old order.  Every ``e``-cone decision is the
 status of one ``in_E`` call, whose OUT certificate is the PPT witness the
-suite builds its probes from; T12 and T18 add that witness itself to the
+suite builds its probes from; T1's p cone adds that witness, as a p-cone
+map, to the map's own samples, and T12 and T18 add it itself to the
 p-cone samples of the sharp test.  Every margin becomes IN, OUT or
 UNDECIDED through ``cones.classify``; a trial that compares a margin
 ``classify`` puts in the band is counted UNDECIDED and excluded from
@@ -217,12 +218,6 @@ def _pairings(c: np.ndarray, chois: np.ndarray) -> np.ndarray:
     return trace_pairing(c, hermitian_part(chois)).real
 
 
-def _bottom_projectors(y: np.ndarray) -> np.ndarray:
-    """v v* for the bottom eigenvector v of the Hermitian part of each matrix in a stack."""
-    v = np.linalg.eigh(hermitian_part(y))[1][..., :1]
-    return v @ v.conj().swapaxes(-1, -2)
-
-
 #: Entries (complex128) of the largest stack of images, (maps x pool) in
 #: ``_theorem1_stack`` and (trials x probes or pool) in a suite, that is
 #: built at once, 1 MiB; longer runs go in chunks.
@@ -257,17 +252,56 @@ def theorem1_conditions(
     every sample maps M_m to M_m, else ValueError.  An empty list is
     allowed, and every condition read from the samples then has an
     infinite margin.  When omitted a small seeded pool with the
-    canonical elements is drawn.  For the cp / cop / p / d cones the
-    verdicts are exact: spectral for the first three families and via
-    ``cones.in_E`` for the p cone.  This is ``_theorem1_stack`` on a
-    stack of one map and the samples' Choi stack; the suites call it on
-    all their trials at once.
+    canonical elements is drawn.  For the cp / cop / p / d cones
+    condition (ii) is exact: spectral for the first three families and
+    ``cones.in_E``'s verdict for the p cone, whose OUT witness joins the
+    samples.  ``margins`` holds the four margins i, ii, iii and iv.  This
+    is ``_theorem1_stack`` on a stack of one map and the samples' Choi
+    stack; the suites call it on all their trials at once.
     """
     if not cone.is_map_cone:
         raise ValueError(f"{cone} is not a map cone")
     d = phi.d
     pool = _generator_pool_chois(cone, d, 8, [seed])[0] if samples is None else _sample_stack(samples, d.m, d.m)
     return _theorem1_stack(phi.choi[None], d, cone, pool, tol)[0]
+
+
+def _transforms(pool: np.ndarray, sq: Dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adjoints alpha*, the dual-side generators t . alpha* . t and their adjoints of a stack of Choi matrices on M_m.
+
+    The adjoints t . alpha . t are the transpose conjugates alpha^t.
+    """
+    pool_adj = adjoint_choi(pool, sq)
+    kd = both_transpose(pool_adj, sq)
+    return pool_adj, kd, adjoint_choi(kd, sq)
+
+
+def _sample_margins(
+    c: np.ndarray, density: np.ndarray, transforms: tuple, d: Dims
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i), (iii) and (iv) for each of a (maps, nm, nm) stack of gated Choi matrices, against one group of samples.
+
+    ``density`` holds the maps' functional densities (t (x) t)(raw), and
+    ``transforms`` the samples' ``_transforms``, which broadcast against
+    the maps' (maps, samples) stack.  The images (id (x) alpha^t)(C) go
+    through one batched ``eigh``; see ``_theorem1_stack``.
+    """
+    pool_adj, kd, kd_adj = transforms
+    lows, vecs = np.linalg.eigh(hermitian_part(apply_second(kd_adj, c[:, None], d)))
+    v = vecs[..., :1]
+    psi = v @ v.conj().swapaxes(-1, -2)
+
+    # (i) pairing against generators alpha . psi of the primal cone, per
+    # alpha at the adversarial psi: the bottom of (id (x) alpha^t)(C)
+    m1 = [_least(_pairings(ck, yk)) for ck, yk in zip(c, apply_second(kd, psi, d))]
+
+    # (iii) positivity of the induced functional, whose density is
+    # C_{t.phi.t}, per alpha at the adversarial rank-one probe conj(psi)
+    probes = apply_second(pool_adj, psi.conj(), d)
+    m3 = [_least(trace_pairing(fk, pk).real) for fk, pk in zip(density, probes)]
+
+    # (iv) complete positivity of the compositions alpha^t . phi
+    return np.array(m1), np.array(m3), np.min(lows[..., 0], axis=-1, initial=np.inf)
 
 
 def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, tol: float) -> list[Theorem1Conditions]:
@@ -277,17 +311,17 @@ def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, to
     elements on M_m.  Each Choi matrix and the pool pass the Hermiticity
     gate once (the pool at the default 1e-9, and only to validate it: the
     conditions read the pool's own entries), and the pool's transforms
-    (its adjoints, the dual-side generators t . alpha* . t and their
-    adjoints t . alpha . t, the transpose conjugates alpha^t) are built
-    once.  The images Y = (id (x) alpha^t)(C) of every map under every
-    sample are formed once, by one ``apply_second`` over the (maps x
-    pool) stack, and their Hermitian parts go through one batched
+    are built once.  The images Y = (id (x) alpha^t)(C) of every map
+    under every sample are formed once, by one ``apply_second`` over the
+    (maps x pool) stack, and their Hermitian parts go through one batched
     ``eigh``; every condition reads from that one spectrum:
 
     - (i) pairs C with t . alpha* . t applied to the bottom projector
       psi of Y;
     - (ii), for a cone without a spectral partner, is Y's least
-      eigenvalue;
+      eigenvalue; for the p cone it is ``cones.in_E``'s verdict on C,
+      with margin the certified lower bound on IN and the witness value
+      on OUT, and an UNDECIDED verdict marks the map as boundary;
     - (iii) evaluates the induced functional, whose density is the full
       transpose of C, at conj(psi): (id (x) alpha)((t (x) t) C) is the
       full transpose of Y, so conj(psi) is its bottom projector;
@@ -295,115 +329,60 @@ def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, to
       is (id (x) alpha^t)(raw), and for a Hermiticity-preserving alpha
       its Hermitian part is Y up to rounding.
 
-    So a run makes three ``apply_second`` calls and one eigensolve.  Maps
-    are taken in chunks of at most ``_STACK_ENTRIES`` stack entries, so
-    memory does not grow with the number of maps.  Conditions (i) and
-    (iii) probe each sample only at its adversarial point, the bottom
-    eigenvector, which minimizes the pairing over every probe of that
-    sample; their pairings run map by map, as the single-map evaluation
-    does, so every margin is bit for bit the one a stack of one gives.
-    The p cone decides each map by ``cones.in_E`` in ``_theorem1_p_cone``.
+    An OUT map of the p cone gets one more sample of its own: ``in_E``'s
+    PPT witness w as the p-cone map t . (map of w^T)* . t (see
+    ``_witness_choi``), at whose image (i), (iii) and (iv) are negative.
+    These samples form a (maps, 1) stack next to the shared (maps x pool)
+    one, read the same way.  The p cone's samples serve as Choi matrices
+    of maps M_n -> M_m, so it needs n = m.
+
+    So a run makes three ``apply_second`` calls and one eigensolve, and a
+    p-cone run with OUT maps three more and one more on the witness
+    stack.  Maps are taken in chunks of at most
+    ``_STACK_ENTRIES`` stack entries, so memory does not grow with the
+    number of maps.  Conditions (i) and (iii) probe each sample only at
+    its adversarial point, the bottom eigenvector, which minimizes the
+    pairing over every probe of that sample; their pairings run map by
+    map, as the single-map evaluation does, so every margin is bit for
+    bit the one a stack of one gives.
     """
     chois = check_hermitian(raw, tol)
     check_hermitian(pool)
-    if cone is ConeId.MAP_P:
-        return [_theorem1_p_cone(r, c, d, pool, tol) for r, c in zip(raw, chois)]
+    if cone is ConeId.MAP_P and d.n != d.m:
+        raise ValueError("the p-cone instance needs square dimensions")
     sq = Dims(d.m, d.m)
-    pool_adj = adjoint_choi(pool, sq)
-    # the generators t . alpha* . t of the dual side, and their adjoints
-    # t . alpha . t, which are the transpose conjugates alpha^t
-    kd = both_transpose(pool_adj, sq)
-    kd_adj = adjoint_choi(kd, sq)
+    shared = _transforms(pool, sq)
     out = []
     for run in _runs(len(raw), max(len(pool), 1) * d.total**2):
         c, r = chois[run], raw[run]
 
-        # the images (id (x) alpha^t)(C), their least eigenvalues and bottom projectors
-        lows, vecs = np.linalg.eigh(hermitian_part(apply_second(kd_adj, c[:, None], d)))
-        least = np.min(lows[..., 0], axis=-1, initial=np.inf)
-        v = vecs[..., :1]
-        psi = v @ v.conj().swapaxes(-1, -2)
+        density = both_transpose(r, d)
+        m1, m3, m4 = _sample_margins(c, density, shared, d)
+        if cone is ConeId.MAP_P:
+            # (ii) is in_E's verdict; an OUT map's witness joins that map's samples
+            verdicts = [in_E(ck, d, tol) for ck in c]
+            outs = [k for k, v in enumerate(verdicts) if v.status is Status.OUT]
+            if outs:
+                w = np.array([both_transpose(_witness_choi(verdicts[k].certificate.w, d), d) for k in outs])
+                at_w = _sample_margins(c[outs], density[outs], _transforms(w[:, None], sq), d)
+                for m, g in zip((m1, m3, m4), at_w):
+                    m[outs] = np.minimum(m[outs], g)
 
         # (ii) membership of the Choi matrix in the partner operator cone;
         # for a generic cone, sampled membership through the transposed samples
-        m2 = _kpositivity_margins(_PARTNER[cone], c, d) if cone in _PARTNER else least
-
-        # (i) pairing against generators alpha . psi of the primal cone, per
-        # alpha at the adversarial psi: the bottom of (id (x) alpha^t)(C)
-        m1 = [_least(_pairings(ck, yk)) for ck, yk in zip(c, apply_second(kd, psi, d))]
-
-        # (iii) positivity of the induced functional, whose density is
-        # C_{t.phi.t}, per alpha at the adversarial rank-one probe conj(psi)
-        density = both_transpose(r, d)
-        probes = apply_second(pool_adj, psi.conj(), d)
-        m3 = [_least(trace_pairing(fk, pk).real) for fk, pk in zip(density, probes)]
-
-        # (iv) complete positivity of the compositions alpha^t . phi
-        m4 = least
+        if cone is ConeId.MAP_P:
+            m2 = [v.info["upper" if v.status is Status.OUT else "lower"] for v in verdicts]
+        else:
+            m2 = _kpositivity_margins(_PARTNER[cone], c, d) if cone in _PARTNER else m4
 
         for k, ck in enumerate(c):
             margins = {"i": float(m1[k]), "ii": float(m2[k]), "iii": float(m3[k]), "iv": float(m4[k])}
             scale = 1.0 + frob(ck)
             status = [classify(v, scale, tol) for v in margins.values()]
+            if cone is ConeId.MAP_P:
+                status[1] = verdicts[k].status
             out.append(Theorem1Conditions(*(s is Status.IN for s in status), Status.UNDECIDED in status, margins))
     return out
-
-
-def _theorem1_p_cone(r: np.ndarray, c: np.ndarray, d: Dims, pool: np.ndarray, tol: float) -> Theorem1Conditions:
-    """The p-cone instance for the Choi matrix r, whose gated form is c, decided by ``cones.in_E``.
-
-    Both the Choi matrix and its full transpose go through ``in_E``; an
-    UNDECIDED or a disagreement marks the trial as boundary.  Condition
-    (i) pairs against PPT Choi samples and the OUT witness, condition
-    (iii) evaluates the induced functional on probes built from the first
-    eight samples and the constructive violating map, and condition (iv)
-    checks the same compositions against the transposed verdict.  The PPT
-    samples serve as Choi matrices of maps M_n -> M_m, so n = m is
-    required.
-    """
-    n, m = d
-    if n != m:
-        raise ValueError("the p-cone instance needs square dimensions")
-    scale = 1.0 + frob(c)
-
-    v_c = in_E(c, d, tol)
-    v_t = in_E(both_transpose(c, d), d, tol)
-
-    margins: dict[str, float] = {
-        "residual": float(v_c.info["residual"]),
-        "residual_t": float(v_t.info["residual"]),
-    }
-    if v_c.status is Status.UNDECIDED or v_c.status is not v_t.status:
-        return Theorem1Conditions(False, False, False, False, True, margins)
-    out = v_c.status is Status.OUT
-    probe_maps = pool[:8]
-    comp_maps = probe_maps
-    if out:
-        probe_maps = np.concatenate([probe_maps, _witness_choi(v_t.certificate.w, d)[None]])
-        comp_maps = np.concatenate([comp_maps, both_transpose(_witness_choi(v_c.certificate.w, d), d)[None]])
-
-    # (i): pairings with PPT Choi matrices (the Chois of p-positive maps)
-    g = pool / np.trace(pool, axis1=-2, axis2=-1).real[:, None, None]
-    m1 = _least(_pairings(c, g))
-    if out:
-        # the pairing with the witness w, ungated: the trace pairing of the Hermitian parts
-        m1 = min(m1, float(trace_pairing(c, hermitian_part(v_c.certificate.w)).real))
-
-    # (iii): functional positivity on (id (x) alpha*)(probe) constructions,
-    # whose density is C_{t . phi . t}
-    func = DualFunctional(d, both_transpose(r, d))
-    m3 = float(func(v_t.certificate.w).real) if out else np.inf
-    adv = _bottom_projectors(apply_second(probe_maps, func.density, d))
-    probes = apply_second(adjoint_choi(probe_maps, d), adv, d)
-    m3 = min(m3, _least(func(probes).real))
-
-    # (iv): sampled compositions, sharpened by the transposed-run verdict
-    m4 = _least(_min_eigs(apply_second(both_transpose(comp_maps, d), r, d)))
-
-    status = [classify(v, scale, tol) for v in (m1, m3, m4)]
-    b1, b3, b4 = (s is Status.IN for s in status)
-    margins.update({"i": float(m1), "iii": float(m3), "iv": float(m4)})
-    return Theorem1Conditions(b1, not out, b3, b4 and not out, Status.UNDECIDED in status, margins)
 
 
 # ---------------------------------------------------------------------------
@@ -851,16 +830,13 @@ def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     cone's conditions run once over all of them through
     ``_theorem1_stack``; the checks are then recorded trial by trial.
     """
-    pools = {c: _generator_pool_chois(c, d, 16 if c is ConeId.MAP_P else 12, [seed + 17])[0] for c in _CONCRETE}
     raw = _random_map_chois(d, [substream(seed, 0x201, trial) for trial in range(trials)], range(trials))
-    results = {cone: _theorem1_stack(raw, d, cone, pools[cone], tol) for cone in _CONCRETE}
+    results = {c: _theorem1_stack(raw, d, c, _generator_pool_chois(c, d, 12, [seed + 17])[0], tol) for c in _CONCRETE}
     for trial in range(trials):
         for cone in _CONCRETE:
             conds = results[cone][trial]
-            # a boundary p-cone trial has no condition margins, and records no failure
-            margins = [abs(v) for k, v in conds.margins.items() if k in ("i", "ii", "iii", "iv")]
             failed = None if conds.boundary else not conds.agree
-            report.check(trial, f"{cone.value} pattern {conds.pattern}", min(margins, default=0.0), failed)
+            report.check(trial, f"{cone.value} pattern {conds.pattern}", min(map(abs, conds.margins.values())), failed)
 
 
 def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:

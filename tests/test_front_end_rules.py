@@ -108,7 +108,7 @@ def test_suites_count_checks_through_the_report():
 
 def test_suites_take_pools_as_choi_stacks():
     cores = [fn for fn in _functions("theorems.py") if fn.name.startswith(("_suite_", "_theorem1_"))]
-    assert {"_suite_T1", "_theorem1_stack", "_theorem1_p_cone"} <= {fn.name for fn in cores}
+    assert {"_suite_T1", "_theorem1_stack"} <= {fn.name for fn in cores}
     sites = [
         f"{fn.name}: {name}"
         for fn in cores

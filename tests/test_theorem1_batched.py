@@ -10,7 +10,8 @@ boundary flag, so that suite reports built on them stay byte-identical.
 The references still pair every sample against random probes as well as
 the adversarial one; ``theorem1_conditions`` keeps only the adversarial
 probe.  Equal margins therefore also show that the random probes never
-set one.
+set one.  For the p cone the reference takes (ii) from ``in_E`` and adds
+an OUT map's witness, as a p-cone map, to the samples of the loops.
 
 ``theorem1_conditions`` is the stack of one of ``_theorem1_stack``, which
 the suites call on all their trials at once.  The last tests require the
@@ -52,7 +53,6 @@ from mapcones.sampling import (
 from mapcones.cli import main
 from mapcones.theorems import (
     Theorem1Conditions,
-    _bottom_projectors,
     _min_eigs,
     _theorem1_stack,
     theorem1_conditions,
@@ -66,6 +66,12 @@ def _min_eig(x) -> float:
 def _witness_map(w, d):
     """The cone-p map t . beta* . t for the map beta with Choi matrix w^T, whose functional has density w."""
     return transpose_conj(adjoint(map_from_choi(d.n, d.m, both_transpose(w, d))))
+
+
+def _bottom_projectors(y):
+    """v v* for the bottom eigenvector v of the Hermitian part of each matrix in a stack."""
+    v = np.linalg.eigh(hermitian_part(y))[1][..., :1]
+    return v @ v.conj().swapaxes(-1, -2)
 
 
 def reference_conditions(phi, cone, samples=None, tol=1e-9, n_probes=8, seed=0, kd_samples=None):
@@ -83,10 +89,18 @@ def reference_conditions(phi, cone, samples=None, tol=1e-9, n_probes=8, seed=0, 
     if kd_samples is None:
         kd_samples = kd_generators(samples)
 
+    verdict = None
     if cone is ConeId.MAP_P:
-        return reference_p_cone(phi, c, samples, tol, n_probes)
-
-    if cone in theorems_mod._PARTNER:
+        # in_E decides (ii); an OUT witness, as a p-cone map, is one more sample
+        if n != m:
+            raise ValueError("the p-cone instance needs square dimensions")
+        verdict = in_E(c, d, tol)
+        m2 = verdict.info["upper" if verdict.status is Status.OUT else "lower"]
+        if verdict.status is Status.OUT:
+            witness = transpose_conj(_witness_map(verdict.certificate.w, d))
+            samples = list(samples) + [witness]
+            kd_samples = list(kd_samples) + kd_generators([witness])
+    elif cone in theorems_mod._PARTNER:
         m2 = float(theorems_mod._kpositivity_margins(theorems_mod._PARTNER[cone], c, d))
     else:
         m2 = np.inf
@@ -126,62 +140,11 @@ def reference_conditions(phi, cone, samples=None, tol=1e-9, n_probes=8, seed=0, 
 
     margins = {"i": float(m1), "ii": float(m2), "iii": float(m3), "iv": float(m4)}
     boundary = any(abs(v) <= band for v in margins.values())
-    return Theorem1Conditions(m1 >= -thr, m2 >= -thr, m3 >= -thr, m4 >= -thr, boundary, margins)
-
-
-def reference_p_cone(phi, c, samples, tol, n_probes):
-    d = phi.d
-    n, m = d
-    scale = 1.0 + frob(c)
-    thr = tol * scale
-    band = 10.0 * thr
-
-    v_c = in_E(c, d, tol)
-    v_t = in_E(both_transpose(c, d), d, tol)
-
-    margins = {
-        "residual": float(v_c.info["residual"]),
-        "residual_t": float(v_t.info["residual"]),
-    }
-    if v_c.status is Status.UNDECIDED or v_c.status is not v_t.status:
-        return Theorem1Conditions(False, False, False, False, True, margins)
-    out = v_c.status is Status.OUT
-
-    m1 = np.inf
-    for alpha in samples:
-        g = alpha.choi / float(np.trace(alpha.choi).real)
-        m1 = min(m1, pairing(phi, map_from_choi(n, m, g), tol=np.inf))
-    if out:
-        m1 = min(m1, pairing(phi, map_from_choi(n, m, v_c.certificate.w), tol=np.inf))
-    b1 = m1 >= -thr
-
-    func = dual_functional(phi)
-    m3 = np.inf
-    probe_maps = list(samples[: max(n_probes, 2)])
-    if out:
-        probe_maps.append(_witness_map(v_t.certificate.w, d))
-        m3 = min(m3, float(func(v_t.certificate.w).real))
-    for alpha in probe_maps:
-        y = hermitian_part(apply_second(alpha, func.density, d))
-        w_eig, u = np.linalg.eigh(y)
-        v = u[:, [0]]
-        probe = apply_second(adjoint(alpha), v @ v.conj().T, d)
-        m3 = min(m3, float(func(probe).real))
-    b3 = m3 >= -thr
-
-    m4 = np.inf
-    comp_maps = list(samples[: max(n_probes, 2)])
-    if out:
-        comp_maps.append(transpose_conj(_witness_map(v_c.certificate.w, d)))
-    for alpha in comp_maps:
-        comp = compose_left(transpose_conj(alpha), phi)
-        m4 = min(m4, _min_eig(comp.choi))
-    b4 = (m4 >= -thr) and not out
-
-    b2 = not out
-    margins.update({"i": float(m1), "iii": float(m3), "iv": float(m4)})
-    boundary = any(abs(margins[k]) <= band for k in ("i", "iii", "iv"))
-    return Theorem1Conditions(b1, b2, b3, b4, boundary, margins)
+    b2 = m2 >= -thr
+    if verdict is not None:
+        boundary = verdict.status is Status.UNDECIDED or any(abs(margins[k]) <= band for k in ("i", "iii", "iv"))
+        b2 = verdict.status is Status.IN
+    return Theorem1Conditions(m1 >= -thr, b2, m3 >= -thr, m4 >= -thr, boundary, margins)
 
 
 CONES = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D, ConeId.MAP_S, ConeId.MAP_POS, ConeId.MAP_P)
@@ -217,10 +180,10 @@ def test_batched_conditions_match_reference(cone, d):
 
 @pytest.mark.parametrize("cone", (ConeId.MAP_CP, ConeId.MAP_D, ConeId.MAP_P), ids=lambda c: c.value)
 def test_batched_conditions_match_reference_on_suite_pools(cone):
-    # T1's pool sizes (16 for p, 12 otherwise); the reference gets the
-    # kd pool precomputed, theorem1_conditions builds it from the pool
+    # T1's pool size; the reference gets the kd pool precomputed,
+    # theorem1_conditions builds it from the pool
     d = Dims(3, 3)
-    pool = cone_generator_pool(cone, d, 16 if cone is ConeId.MAP_P else 12, 40)
+    pool = cone_generator_pool(cone, d, 12, 40)
     kd_pool = kd_generators(pool)
     for seed in range(1, 4):
         phi = _phi(d, seed + 6)
@@ -272,11 +235,15 @@ def test_stack_is_bit_equal_to_stacks_of_one(cone, d, monkeypatch):
 
 
 @pytest.mark.parametrize("d", (Dims(2, 2), Dims(3, 3)), ids=lambda d: f"{d.n}x{d.m}")
-def test_p_cone_stack_is_bit_equal_to_stacks_of_one(d):
+def test_p_cone_stack_is_bit_equal_to_stacks_of_one(d, monkeypatch):
     pool = cone_generator_pool(ConeId.MAP_P, d, 8, 5)
     phis = [_phi(d, seed) for seed in range(10)]
-    _assert_bit_equal(_stack(phis, ConeId.MAP_P, pool),
-                      [theorem1_conditions(phi, ConeId.MAP_P, samples=pool) for phi in phis])
+    ones = [theorem1_conditions(phi, ConeId.MAP_P, samples=pool) for phi in phis]
+    # the witness samples of the OUT maps ride in every chunk
+    assert {"TTTT", "FFFF"} <= {o.pattern for o in ones}
+    _assert_bit_equal(_stack(phis, ConeId.MAP_P, pool), ones)
+    monkeypatch.setattr(theorems_mod, "_STACK_ENTRIES", 3 * len(pool) * d.total**2)
+    _assert_bit_equal(_stack(phis, ConeId.MAP_P, pool), ones)
 
 
 @pytest.mark.parametrize("cone", (ConeId.MAP_S, ConeId.MAP_POS), ids=lambda c: c.value)

@@ -13,6 +13,8 @@ from mapcones.choi import adjoint, adjoint_choi, identity_map, map_from_choi, tr
 from mapcones.cones import (
     ConeId,
     Status,
+    Verdict,
+    classify,
     in_E,
     pm_k_membership,
 )
@@ -89,6 +91,28 @@ class TestTheorem1Conditions:
         conds = theorem1_conditions(nondecomposable_map(), ConeId.MAP_P, seed=5)
         assert conds.as_tuple() == (False, False, False, False)
         assert not conds.boundary
+
+    def test_fixture_p_margins_are_out_at_the_witness(self):
+        # (i), (iii) and (iv) read the image of in_E's witness sample, and
+        # (ii) is the witness value
+        phi = nondecomposable_map()
+        conds = theorem1_conditions(phi, ConeId.MAP_P)
+        assert conds.pattern == "FFFF"
+        assert list(conds.margins) == ["i", "ii", "iii", "iv"]
+        scale = 1.0 + frob(phi.choi)
+        assert all(classify(v, scale, 1e-9) is Status.OUT for v in conds.margins.values())
+        assert conds.margins["ii"] == in_E(phi.hermitian_choi(1e-9), D33).certificate.value
+
+    def test_undecided_e_verdict_marks_the_p_trial_boundary(self, monkeypatch):
+        def undecided(x, d, tol):
+            return Verdict(Status.UNDECIDED, info=in_E(x, d, tol).info)
+
+        monkeypatch.setattr(theorems_mod, "in_E", undecided)
+        # without an OUT witness, (i), (iii) and (iv) read the pool alone
+        for phi in (nondecomposable_map(), ConeSampler(ConeId.MAP_D, D33, seed=32).draw(1)):
+            conds = theorem1_conditions(phi, ConeId.MAP_P, seed=4)
+            assert conds.boundary and conds.pattern == "TFTT"
+            assert list(conds.margins) == ["i", "ii", "iii", "iv"]
 
     def test_cp_map_fails_d_instance_when_not_ppt(self):
         # a generic cp map has full-rank non-PPT Choi matrix
@@ -346,6 +370,17 @@ class TestEDecisionPath:
         ("C19", D33, 6, 15),
         ("L16", Dims(2, 2), 8, 1),
     ]
+
+    def test_t1_solves_each_p_cone_map_once(self, monkeypatch):
+        calls = []
+
+        def spy(x, dd, tol):
+            calls.append(x)
+            return in_E(x, dd, tol)
+
+        monkeypatch.setattr(theorems_mod, "in_E", spy)
+        assert verify("T1", D33, trials=40, seed=1).passed
+        assert len(calls) == 40
 
     @pytest.mark.parametrize("tid,d,trials,seed", RUNS, ids=[r[0] for r in RUNS])
     def test_in_E_calls_match_reference(self, monkeypatch, tid, d, trials, seed):
