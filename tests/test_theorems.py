@@ -465,7 +465,7 @@ class TestStackedSuiteCounts:
         "L15": (0, 1, 0, 2, 2),
         "L17": (0, 2, 0, 4, 1),
         "T6": (22, 1, 0, 4, 2),
-        "T1": (124, 39, 12, 158, 21),
+        "T1": (104, 15, 0, 78, 9),
         "T12": (4, 10, 0, 47, 11),
         "T18": (8, 14, 0, 50, 6),
         "C2": (20, 7, 0, 0, 1),
