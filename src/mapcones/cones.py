@@ -883,9 +883,8 @@ def is_block_positive(
     some value OUT.  Such a value is a certified OUT, a best value in the
     band is UNDECIDED, and survival of all restarts is only a heuristic
     IN, since the problem has no efficient exact certificate in general.
-    ``info`` carries the number of ``sweeps`` run, the index of the
-    winning ``restart`` and its value ``best``.  Raises ValueError for
-    ``restarts < 1``.
+    ``info`` carries the number of ``sweeps`` run and the least value
+    ``best``.  Raises ValueError for ``restarts < 1``.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -897,7 +896,7 @@ def is_block_positive(
     r = int(np.argmin(val))
     best = float(val[r])
     cert = ProductVectorCert(xi[r], eta[r], best)
-    info = {"restarts": restarts, "sweeps": sweeps, "restart": r, "best": best}
+    info = {"restarts": restarts, "sweeps": sweeps, "best": best}
     status = classify(best, scale, tol)
     return Verdict(status, cert, heuristic=status is Status.IN, info=info)
 

@@ -140,7 +140,7 @@ class TestCheckCommand:
     def test_solver_info_printed(self, fixture_file, tmp_path, capsys):
         assert main(["check", fixture_file, "pos"]) == 0
         out = capsys.readouterr().out
-        assert "sweeps=" in out and "restart=" in out
+        assert "sweeps=" in out and "best=" in out and "restart=" not in out
         assert main(["check", fixture_file, "d"]) == 1
         out = capsys.readouterr().out
         for key in ("iterations=", "residual=", "stop=out", "lower=", "upper="):
