@@ -406,54 +406,8 @@ class TestStackedSuiteCounts:
 
     The call counts of one ``verify`` run at 3x3 (10 trials, seed 7) are
     pinned, so a per-probe or per-sample loop coming back shows up as a
-    count that grows with the probe or pool size.  Before the stacks, the
-    same runs made 890 (L4), 260 (L8), 190 (L10) and 40 (L17) ``einsum``
-    calls and 90 (L8), 60 (L10) and 40 (L17) ``apply_second`` calls.
-    Sampled membership classifies one stack of images: before that, L5
-    made 56 ``apply_second`` and 46 ``eigh`` calls, T12 59 and 60, and
-    T18 76 and 68.  Each e-cone iterate reads its certified lower bound
-    from one more ``eigvalsh`` (of Z1), which took T12 from 60 to 61 and
-    T18 from 68 to 78.  Every e-cone decision runs ``FWitness.problem``,
-    which re-derives Tr(w x) with one ``einsum`` before any eigensolve:
-    that took T12 from 2 to 4, T18 from 4 to 8 and C19 from 19 to 29
-    ``einsum`` calls, with no ``eigvalsh`` added.  C19 is pinned so that
-    a certificate checked once more per decision shows up as a count.
-    L5 reads its spectral-transport gaps and both membership verdicts
-    from one batched ``eigh``, which took it from 26 to 16 ``eigvalsh``
-    and from 20 to 10 ``eigh`` calls.  T1 and C2 evaluate the Theorem 1
-    conditions for all their trials as one stack; one condition per trial
-    took C2 78 ``apply_second``, 20 ``eigvalsh`` and 20 ``eigh`` calls at
-    3x3 and 74, 50 and 36 at 2x3 (``"C2/2x3"``, whose exact-dims spectra
-    are one stack now too), and T1 180, 252 and 78.  The cone samplers
-    draw each pool, and each suite's trial maps where the stream order
-    allows, as one stack, and ``sampling``'s own ``apply_second`` calls
-    are spied too: a p-cone pool reads its shifts from 2 ``eigvalsh``
-    calls instead of 2 per sample, which took L5 from 16 to 6 (its pools
-    of all trials are one stack per cone), L17 from 20 to 12, T1 from 189
-    to 161, T12 from 61 to 49 and T18 from 78 to 50 ``eigvalsh`` calls;
-    a stack of pos draws at 3x3 conjugates the shipped map with 2
-    ``apply_second`` calls instead of 2 ``compose_left`` per draw, which
-    took C2 from 24 to 10 and C2/2x3 from 20 to 8.  T12 draws the maps of
-    all its trials as one stack, so its p-family maps share their two
-    ``eigvalsh`` shift spectra, which took it from 49 to 47.  L5, L8, L10, L15,
-    L17 and T6 draw every trial's inputs first and evaluate each check
-    with one ``apply_second`` and one batched eigensolver call over all
-    trials: that took ``apply_second`` from 10 to 1 (L5, L8, L10), from
-    10 to 2 (L17), from 20 to 1 (L15) and from 5 to 1 (T6); ``eigh``
-    from 10 to 1 (L5, L8), from 20 to 1 (L17) and from 40 to 2 (L15);
-    ``eigvalsh`` from 6 to 4 (L5, whose p-family operator samples are one
-    draw), from 12 to 4 (L17) and from 4 to 2 (L15); and ``einsum`` from
-    20 to 11 (L8) and from 30 to 12 (L10), whose stacked ``omega_eval``
-    and ``trpi_eval`` calls are one ``einsum`` each.  ``in_F``'s core reads
-    the spectra of x and PT(x) from one ``eigh``, which took C2/2x3, whose
-    separability checks run it, from 18 to 10.  ``_theorem1_stack`` forms
-    the images (id (x) alpha^t)(C) once and reads conditions (i), (iii)
-    and (iv), and (ii) of a cone without a spectral partner, from their
-    one batched ``eigh``: a run makes 3 ``apply_second`` calls and 1
-    eigensolve instead of 6 and 4 (5 and 3 for the cp, cop and d cones).
-    That took C2 from 10 to 7 ``apply_second``, 2 to 0 ``eigvalsh`` and 2
-    to 1 ``eigh`` calls, C2/2x3 from 8, 3 and 10 to 5, 1 and 9, and T1
-    from 45, 161 and 24 to 39, 158 and 21.
+    count that grows with the probe or pool size.  ``CHANGES.md`` records
+    how each row reached its value.
     """
 
     COUNTS = {
