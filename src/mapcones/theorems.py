@@ -9,9 +9,9 @@ disagreement beyond tolerance.  The four dual-cone conditions
     (iii)  positivity of the induced functional on transformed probes,
     (iv)   complete positivity of all compositions with cone elements,
 
-are computed exactly for the cp / cop / p / d cones via the closed-form
-operator oracles (PSD, PT-PSD, the ``f`` spectra, and ``cones.in_E`` for
-the ``e`` cone), and by sampling plus one certificate-guided adversarial
+are computed exactly for the cp / cop / p / d cones via the partner
+operator oracles (PSD, PT-PSD, ``cones.in_E`` for the ``e`` cone, and the
+``f`` spectra), and by sampling plus one certificate-guided adversarial
 probe per sample for everything else.  T1 and C2 draw every trial's map
 first and evaluate the four conditions for all of them at once, over a
 (trials x pool) stack.  L5, L8, L10, L15, L17 and T6 do the same for
@@ -25,7 +25,7 @@ in their old order.  Every ``e``-cone decision is the
 status of one ``in_E`` call, whose OUT certificate is the PPT witness the
 suite builds its probes from; T1's p cone adds that witness, as a p-cone
 map, to the map's own samples, and T12 and T18 add it itself to the
-p-cone samples of the sharp test.  Every margin becomes IN, OUT or
+p-cone samples of their shared sharp check.  Every margin becomes IN, OUT or
 UNDECIDED through ``cones.classify``; a trial that compares a margin
 ``classify`` puts in the band is counted UNDECIDED and excluded from
 pass/fail accounting rather than silently counted as a pass.
@@ -119,7 +119,17 @@ __all__ = [
     "SUPPORTED_THEOREMS",
 ]
 
-_CONCRETE = (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_P, ConeId.MAP_D)
+#: Condition (ii) for K asks that the Choi matrix lie in the operator cone of
+#: K's partner, which ``_partner_test`` decides: PSD for cp, PT-PSD for cop,
+#: the ``e`` cone (decomposable) for p and the ``f`` cone (PPT) for d.
+_PARTNER = {
+    ConeId.MAP_CP: ConeId.MAP_CP,
+    ConeId.MAP_COP: ConeId.MAP_COP,
+    ConeId.MAP_P: ConeId.MAP_D,
+    ConeId.MAP_D: ConeId.MAP_P,
+}
+
+_CONCRETE = tuple(_PARTNER)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +218,30 @@ def _min_eigs(x) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(x))[..., 0]
 
 
+def _partner_test(cone: ConeId, c: np.ndarray, d: Dims, tol: float) -> tuple[np.ndarray, list, list]:
+    """Margins, statuses and PPT witnesses (or None) of condition (ii) for each of a stack of gated Choi matrices.
+
+    For cp, cop and d the margins are the least eigenvalues of C, PT(C)
+    or both, classified at 1 + ||C||_F.  For p they are ``cones.in_E``'s
+    certified lower bound on IN and witness value on OUT, with its
+    statuses and the OUT maps' witnesses w.
+    """
+    if cone is ConeId.MAP_P:
+        verdicts = [in_E(ck, d, tol) for ck in c]
+        witnesses = [v.certificate.w if v.status is Status.OUT else None for v in verdicts]
+        margins = np.array([v.info["lower" if w is None else "upper"] for v, w in zip(verdicts, witnesses)])
+        return margins, [v.status for v in verdicts], witnesses
+    if cone is ConeId.MAP_CP:
+        margins = _min_eigs(c)
+    elif cone is ConeId.MAP_COP:
+        margins = _min_eigs(partial_transpose(c, d))
+    elif cone is ConeId.MAP_D:
+        margins = np.minimum(_min_eigs(c), _min_eigs(partial_transpose(c, d)))
+    else:
+        raise ValueError(f"no exact test of condition (ii) for {cone}")
+    return margins, [classify(float(m), 1.0 + frob(ck), tol) for m, ck in zip(margins, c)], [None] * len(c)
+
+
 def _least(values) -> float:
     """Smallest entry of an array; +inf when it is empty."""
     return float(np.min(values, initial=np.inf))
@@ -253,7 +287,7 @@ def theorem1_conditions(
     allowed, and every condition read from the samples then has an
     infinite margin.  When omitted a small seeded pool with the
     canonical elements is drawn.  For the cp / cop / p / d cones
-    condition (ii) is exact: spectral for the first three families and
+    condition (ii) is exact: spectral for cp, cop and d, and
     ``cones.in_E``'s verdict for the p cone, whose OUT witness joins the
     samples.  ``margins`` holds the four margins i, ii, iii and iv.  This
     is ``_theorem1_stack`` on a stack of one map and the samples' Choi
@@ -318,10 +352,9 @@ def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, to
 
     - (i) pairs C with t . alpha* . t applied to the bottom projector
       psi of Y;
-    - (ii), for a cone without a spectral partner, is Y's least
-      eigenvalue; for the p cone it is ``cones.in_E``'s verdict on C,
-      with margin the certified lower bound on IN and the witness value
-      on OUT, and an UNDECIDED verdict marks the map as boundary;
+    - (ii) is ``_partner_test`` on C for the cp, cop, p and d cones (an
+      UNDECIDED ``in_E`` verdict marks the map as boundary), and Y's
+      least eigenvalue for a cone without a partner (pos, s);
     - (iii) evaluates the induced functional, whose density is the full
       transpose of C, at conj(psi): (id (x) alpha)((t (x) t) C) is the
       full transpose of Y, so conj(psi) is its bottom projector;
@@ -329,8 +362,8 @@ def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, to
       is (id (x) alpha^t)(raw), and for a Hermiticity-preserving alpha
       its Hermitian part is Y up to rounding.
 
-    An OUT map of the p cone gets one more sample of its own: ``in_E``'s
-    PPT witness w as the p-cone map t . (map of w^T)* . t (see
+    An OUT map of the p cone gets one more sample of its own: the partner
+    test's PPT witness w as the p-cone map t . (map of w^T)* . t (see
     ``_witness_choi``), at whose image (i), (iii) and (iv) are negative.
     These samples form a (maps, 1) stack next to the shared (maps x pool)
     one, read the same way.  The p cone's samples serve as Choi matrices
@@ -358,29 +391,23 @@ def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, to
 
         density = both_transpose(r, d)
         m1, m3, m4 = _sample_margins(c, density, shared, d)
-        if cone is ConeId.MAP_P:
-            # (ii) is in_E's verdict; an OUT map's witness joins that map's samples
-            verdicts = [in_E(ck, d, tol) for ck in c]
-            outs = [k for k, v in enumerate(verdicts) if v.status is Status.OUT]
-            if outs:
-                w = np.array([both_transpose(_witness_choi(verdicts[k].certificate.w, d), d) for k in outs])
-                at_w = _sample_margins(c[outs], density[outs], _transforms(w[:, None], sq), d)
-                for m, g in zip((m1, m3, m4), at_w):
-                    m[outs] = np.minimum(m[outs], g)
-
         # (ii) membership of the Choi matrix in the partner operator cone;
-        # for a generic cone, sampled membership through the transposed samples
-        if cone is ConeId.MAP_P:
-            m2 = [v.info["upper" if v.status is Status.OUT else "lower"] for v in verdicts]
-        else:
-            m2 = _kpositivity_margins(_PARTNER[cone], c, d) if cone in _PARTNER else m4
+        # for a cone without one, sampled membership through the transposed samples
+        m2, s2, witnesses = _partner_test(cone, c, d, tol) if cone in _PARTNER else (m4, None, ())
+        # an OUT map's witness joins that map's samples
+        outs = [k for k, w in enumerate(witnesses) if w is not None]
+        if outs:
+            w = np.array([both_transpose(_witness_choi(witnesses[k], d), d) for k in outs])
+            at_w = _sample_margins(c[outs], density[outs], _transforms(w[:, None], sq), d)
+            for m, g in zip((m1, m3, m4), at_w):
+                m[outs] = np.minimum(m[outs], g)
 
         for k, ck in enumerate(c):
             margins = {"i": float(m1[k]), "ii": float(m2[k]), "iii": float(m3[k]), "iv": float(m4[k])}
             scale = 1.0 + frob(ck)
             status = [classify(v, scale, tol) for v in margins.values()]
-            if cone is ConeId.MAP_P:
-                status[1] = verdicts[k].status
+            if s2 is not None:
+                status[1] = s2[k]
             out.append(Theorem1Conditions(*(s is Status.IN for s in status), Status.UNDECIDED in status, margins))
     return out
 
@@ -913,39 +940,35 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
             report.check(trial, f"{escape.value} escape not caught", abs(v.certificate.value), failed)
 
 
-#: For K-positivity, the membership cone of the Choi matrix is the
-#: partner's operator cone: cp maps have PSD Chois, cop maps PT-PSD
-#: Chois, p-positive maps PPT Chois, d-positive maps decomposable Chois.
-_PARTNER = {
-    ConeId.MAP_CP: ConeId.MAP_CP,
-    ConeId.MAP_COP: ConeId.MAP_COP,
-    ConeId.MAP_P: ConeId.MAP_D,
-    ConeId.MAP_D: ConeId.MAP_P,
-}
-
 #: The stacked core of each spectral cone's exact oracle (``is_cp``, ``is_cop``,
 #: ``in_P``) on gated Choi matrices; its OUT certificate is a ``MinEigCert``.
 _SPECTRAL_ORACLE = {ConeId.MAP_CP: _cp_stack, ConeId.MAP_COP: _cop_stack, ConeId.MAP_P: _ppt_stack}
 
 
-def _kpositivity_margins(cone: ConeId, c: np.ndarray, d: Dims) -> np.ndarray:
-    """Spectral margin of K-positivity of maps with Choi matrices c, over leading axes.
-
-    K-positive maps have Choi matrices in {PSD, PT-PSD, the f cone} for
-    K in {cp, cop, p}; the d instance has no spectral form.
-    """
-    if cone is ConeId.MAP_CP:
-        return _min_eigs(c)
-    if cone is ConeId.MAP_COP:
-        return _min_eigs(partial_transpose(c, d))
-    if cone is ConeId.MAP_P:
-        return np.minimum(_min_eigs(c), _min_eigs(partial_transpose(c, d)))
-    raise ValueError(f"no spectral K-positivity margin for {cone}")
-
-
 def _ppt_gap(x: np.ndarray, d: Dims) -> float:
     """The smaller distance from zero of the least eigenvalues of x and PT(x)."""
     return min(abs(float(_min_eigs(x))), abs(float(_min_eigs(partial_transpose(x, d)))))
+
+
+def _sharp_check(
+    report: TheoremReport, trial: int, label: str, cone: ConeId, beta: np.ndarray, pool: np.ndarray, d: Dims, tol: float
+) -> bool:
+    """Check the sampled K-sharp test of Choi matrix beta, against K's samples ``pool``, with K's partner test.
+
+    An UNDECIDED partner verdict counts the trial UNDECIDED and returns
+    False.  An OUT verdict's PPT witness w (the p cone's, whose sharp
+    cone is d) joins the pool: beta . map(w)* is not cp.
+    """
+    _, (closed,), (w,) = _partner_test(cone, check_hermitian(beta, tol)[None], d, tol)
+    if closed is Status.UNDECIDED:
+        report.undecided += 1
+        return False
+    if w is not None:
+        pool = np.concatenate([pool, w[None]])
+    verdict = _ksharp_stack(beta, pool, d.n, tol)
+    failed = None if verdict.status is Status.UNDECIDED else (verdict.status is Status.IN) != (closed is Status.IN)
+    report.check(trial, label, 1.0, failed)
+    return True
 
 
 def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -955,30 +978,13 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     betas = _random_map_chois(d, [substream(seed, 0x20C, t) for t in range(trials)], [t + 1 for t in range(trials)])
     for trial, beta in enumerate(betas):
         cone = _CONCRETE[trial % 4]
-        c = check_hermitian(beta, tol)
-        scale = 1.0 + frob(c)
-        # closed-form membership in K-sharp
-        if cone is ConeId.MAP_P:  # sharp cone is d
-            v = in_E(c, d, tol)
-            closed = v.status
-        else:
-            closed = classify(float(_kpositivity_margins(_PARTNER[cone], c, d)), scale, tol)
-        if closed is Status.UNDECIDED:
-            report.undecided += 1
+        if not _sharp_check(report, trial, f"{cone.value} sharp membership mismatch", cone, beta, pools[cone], d, tol):
             continue
-        pool = pools[cone]
-        if cone is ConeId.MAP_P and closed is Status.OUT:
-            # in_E's PPT witness w, as a sample: beta . map(w)* is not cp
-            pool = np.concatenate([pool, v.certificate.w[None]])
-        verdict = _ksharp_stack(beta, pool, d.n, tol)
-        undecided = verdict.status is Status.UNDECIDED
-        failed = None if undecided else (verdict.status is Status.IN) != (closed is Status.IN)
-        report.check(trial, f"{cone.value} sharp membership mismatch", 1.0, failed)
         # transpose symmetry of sharp membership through the adjoint
         if cone is not ConeId.MAP_P:
+            scale = 1.0 + frob(hermitian_part(beta))
             adj = adjoint_choi(beta, d)
-            a = float(_kpositivity_margins(_PARTNER[cone], hermitian_part(adj), d))
-            b = float(_kpositivity_margins(_PARTNER[cone], hermitian_part(both_transpose(adj, d)), d))
+            a, b = (float(_partner_test(cone, hermitian_part(x)[None], d, tol)[0][0]) for x in (adj, both_transpose(adj, d)))
             sa, sb = classify(a, scale, tol), classify(b, scale, tol)
             failed = None if Status.UNDECIDED in (sa, sb) else sa is not sb
             report.check(trial, f"{cone.value} transpose symmetry", min(abs(a), abs(b)), failed)
@@ -1020,17 +1026,7 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
                 cand = _fixture_perturbation(rng)
             else:
                 cand = _random_map_chois(d, [rng], [trial])[0]
-            c = check_hermitian(cand, tol)
-            v = in_E(c, d, tol)
-            if v.status is Status.UNDECIDED:
-                report.undecided += 1
-                continue
-            decomposable = v.status is Status.IN
-            pool = p_pool if decomposable else np.concatenate([p_pool, v.certificate.w[None]])
-            verdict = _ksharp_stack(cand, pool, d.n, tol)
-            undecided = verdict.status is Status.UNDECIDED
-            failed = None if undecided else (verdict.status is Status.IN) != decomposable
-            report.check(trial, "sharp test vs decomposability", 1.0, failed)
+            _sharp_check(report, trial, "sharp test vs decomposability", ConeId.MAP_P, cand, p_pool, d, tol)
 
 
 def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:

@@ -10,8 +10,11 @@ boundary flag, so that suite reports built on them stay byte-identical.
 The references still pair every sample against random probes as well as
 the adversarial one; ``theorem1_conditions`` keeps only the adversarial
 probe.  Equal margins therefore also show that the random probes never
-set one.  For the p cone the reference takes (ii) from ``in_E`` and adds
-an OUT map's witness, as a p-cone map, to the samples of the loops.
+set one.  For cp, cop and d the reference reads (ii) from its own
+``eigvalsh`` of C and PT(C); for the p cone it takes (ii) from ``in_E``
+and adds an OUT map's witness, as a p-cone map, to the samples of the
+loops.  Its boundary flag uses ``classify``'s band.  The table of (ii) is
+also checked against the public oracle of each partner cone.
 
 ``theorem1_conditions`` is the stack of one of ``_theorem1_stack``, which
 the suites call on all their trials at once.  The last tests require the
@@ -33,14 +36,16 @@ from mapcones.choi import (
     adjoint_choi,
     apply_second,
     compose_left,
+    depolarizing_map,
     dual_functional,
     identity_map,
     map_from_choi,
     pairing,
     transpose_conj,
+    transpose_map,
 )
-from mapcones.cones import ConeId, Status, in_E
-from mapcones.linalg import Dims, both_transpose, check_hermitian, frob, hermitian_part, trace_pairing
+from mapcones.cones import ConeId, Status, in_E, in_P, is_cop, is_cp, is_decomposable
+from mapcones.linalg import Dims, both_transpose, check_hermitian, frob, hermitian_part, partial_transpose, trace_pairing
 from mapcones.sampling import (
     _generator_pool_chois,
     cone_generator_pool,
@@ -51,6 +56,7 @@ from mapcones.sampling import (
     substream,
 )
 from mapcones.cli import main
+from mapcones.fixtures import nondecomposable_map
 from mapcones.theorems import (
     Theorem1Conditions,
     _min_eigs,
@@ -100,8 +106,10 @@ def reference_conditions(phi, cone, samples=None, tol=1e-9, n_probes=8, seed=0, 
             witness = transpose_conj(_witness_map(verdict.certificate.w, d))
             samples = list(samples) + [witness]
             kd_samples = list(kd_samples) + kd_generators([witness])
-    elif cone in theorems_mod._PARTNER:
-        m2 = float(theorems_mod._kpositivity_margins(theorems_mod._PARTNER[cone], c, d))
+    elif cone in (ConeId.MAP_CP, ConeId.MAP_COP, ConeId.MAP_D):
+        # the Choi matrix is PSD (cp), PT-PSD (cop) or PPT (d)
+        lo, lo_pt = _min_eig(c), _min_eig(partial_transpose(c, d))
+        m2 = {ConeId.MAP_CP: lo, ConeId.MAP_COP: lo_pt, ConeId.MAP_D: min(lo, lo_pt)}[cone]
     else:
         m2 = np.inf
         for alpha in k_t(samples):
@@ -139,10 +147,11 @@ def reference_conditions(phi, cone, samples=None, tol=1e-9, n_probes=8, seed=0, 
         m4 = min(m4, _min_eig(comp.choi))
 
     margins = {"i": float(m1), "ii": float(m2), "iii": float(m3), "iv": float(m4)}
-    boundary = any(abs(v) <= band for v in margins.values())
+    # classify's band: IN at m >= -thr, OUT at m <= -band, boundary between
+    boundary = any(-band < v < -thr for v in margins.values())
     b2 = m2 >= -thr
     if verdict is not None:
-        boundary = verdict.status is Status.UNDECIDED or any(abs(margins[k]) <= band for k in ("i", "iii", "iv"))
+        boundary = verdict.status is Status.UNDECIDED or any(-band < margins[k] < -thr for k in ("i", "iii", "iv"))
         b2 = verdict.status is Status.IN
     return Theorem1Conditions(m1 >= -thr, b2, m3 >= -thr, m4 >= -thr, boundary, margins)
 
@@ -193,6 +202,53 @@ def test_batched_conditions_match_reference_on_suite_pools(cone):
         assert got.boundary == ref.boundary
         for key, val in ref.margins.items():
             assert abs(got.margins[key] - val) <= 1e-12 * (1.0 + frob(phi.choi))
+
+
+@pytest.mark.parametrize(
+    "phi,cone",
+    [(identity_map(2), ConeId.MAP_CP), (identity_map(3), ConeId.MAP_CP), (transpose_map(2), ConeId.MAP_COP)],
+    ids=["id2-cp", "id3-cp", "t2-cop"],
+)
+def test_maps_on_the_edge_of_their_cone_are_not_boundary(phi, cone):
+    # every margin is 0 (or -0.0): IN, and outside classify's band
+    for conds in (theorem1_conditions(phi, cone), reference_conditions(phi, cone)):
+        assert all(abs(v) <= 1e-12 for v in conds.margins.values()), conds.margins
+        assert conds.pattern == "TTTT"
+        assert not conds.boundary
+
+
+#: Each concrete cone's (ii) against the public oracle of its partner cone.
+PARTNER_ORACLES = {
+    ConeId.MAP_CP: is_cp,
+    ConeId.MAP_COP: is_cop,
+    ConeId.MAP_P: is_decomposable,
+    ConeId.MAP_D: in_P,
+}
+
+
+def _oracle_maps():
+    for n in (2, 3):
+        yield from (identity_map(n), transpose_map(n), depolarizing_map(n, n))
+    yield nondecomposable_map()
+    for n in (2, 3):
+        d = Dims(n, n)
+        # T1's 40 trial maps at seed 1
+        raw = theorems_mod._random_map_chois(d, [substream(1, 0x201, trial) for trial in range(40)], range(40))
+        yield from (map_from_choi(n, n, c) for c in raw)
+
+
+@pytest.mark.parametrize("cone", tuple(PARTNER_ORACLES), ids=lambda c: c.value)
+def test_condition_ii_is_the_partner_oracle(cone):
+    # the table is read through theorem1_conditions, not through _PARTNER
+    statuses = set()
+    for phi in _oracle_maps():
+        conds = theorem1_conditions(phi, cone)
+        status = PARTNER_ORACLES[cone](phi).status
+        statuses.add(status)
+        assert conds.choi_membership == (status is Status.IN), (phi.d, conds.margins)
+        if status is Status.UNDECIDED:
+            assert conds.boundary
+    assert {Status.IN, Status.OUT} <= statuses
 
 
 def test_empty_pool_gives_infinite_margins():
