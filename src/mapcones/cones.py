@@ -66,12 +66,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import fixtures, sdp
-from .choi import (
-    MapRep,
-    adjoint,
-    apply_second,
-    omega_eval,
-)
+from .choi import MapRep, adjoint, apply_second
 from .linalg import (
     Dims,
     as_operator,
@@ -602,21 +597,13 @@ def in_E(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
 
 
 def is_decomposable(phi: MapRep, tol: float = 1e-9) -> Verdict:
-    """Decomposability of a map: its Choi matrix lies in the ``e`` cone.
+    """Decomposability of a map: ``in_E``'s verdict on its Choi matrix C.
 
-    An OUT verdict reports, alongside the witness w, the violation value
-    Tr(C w), which for square dimensions equals n times the maximally
-    entangled state applied to (id (x) phi*)(w).
+    An OUT witness w has the value Tr(C w), which for square dimensions
+    equals n times the maximally entangled state applied to
+    (id (x) phi*)(w); the C19 suite checks that identity on every witness.
     """
-    v = in_E(phi.choi, phi.d, tol)
-    if v.status is Status.OUT and isinstance(v.certificate, FWitness):
-        info = dict(v.info)
-        info["violation"] = v.certificate.value
-        if phi.n == phi.m:
-            y = apply_second(adjoint(phi), v.certificate.w, phi.d)
-            info["violation_omega"] = phi.n * omega_eval(y, phi.n, tol=1e-6)
-        return Verdict(Status.OUT, v.certificate, info=info)
-    return v
+    return in_E(phi.choi, phi.d, tol)
 
 
 # ---------------------------------------------------------------------------

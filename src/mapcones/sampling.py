@@ -297,11 +297,17 @@ def sample_map(cone: ConeId, d: Dims, seed_or_rng) -> MapRep:
     return _sample_maps(cone, d, [_rng_of(seed_or_rng)])[0]
 
 
-def _sample_maps(cone: ConeId, d: Dims, rngs: Sequence[np.random.Generator]) -> list[MapRep]:
-    """``sample_map`` drawn once from each generator, through one stacked draw."""
+def _map_cone_dims(cone: ConeId, d: Dims) -> Dims:
+    """The samplers' input gate: d as valid ``Dims``; ValueError unless cone is a map cone."""
     d = Dims(*d).validate()
     if not cone.is_map_cone:
         raise ValueError(f"{cone} is not a map cone")
+    return d
+
+
+def _sample_maps(cone: ConeId, d: Dims, rngs: Sequence[np.random.Generator]) -> list[MapRep]:
+    """``sample_map`` drawn once from each generator, through one stacked draw."""
+    d = _map_cone_dims(cone, d)
     return [map_from_choi(d.n, d.m, c) for c in _sample_chois(cone, d, rngs)]
 
 
@@ -319,6 +325,7 @@ class ConeSampler:
     seed: int
 
     def _rngs(self, indices) -> list[np.random.Generator]:
+        _map_cone_dims(self.cone, self.d)
         tag = _STREAM[self.cone.value]
         return [substream(self.seed, tag, i) for i in indices]
 
@@ -330,7 +337,7 @@ class ConeSampler:
 
 
 def _canonical_chois(cone: ConeId, d: Dims) -> np.ndarray:
-    """The Choi matrices of the canonical elements that prefix a generator pool of the cone at dims d."""
+    """The Choi matrices of the canonical elements that prefix a generator pool of the map cone at dims d."""
     n, m = d
     if cone is ConeId.MAP_CP:
         canonical = [max_entangled_projector(m)] if n == m else []
@@ -338,19 +345,17 @@ def _canonical_chois(cone: ConeId, d: Dims) -> np.ndarray:
         canonical = [swap_operator(m)]
     elif cone is ConeId.MAP_P or cone is ConeId.MAP_S:
         canonical = [np.eye(m * m) / m]  # the trace map x -> Tr(x) I / m
-    elif cone is ConeId.MAP_D or cone is ConeId.MAP_POS:
+    else:  # d and pos
         canonical = [max_entangled_projector(m), swap_operator(m)]
         if cone is ConeId.MAP_POS and m == 3:
             canonical.append(_normalize_choi(fixtures.nondecomposable_map().choi[None], 3)[0])
-    else:
-        canonical = []
     return np.array(canonical, dtype=np.complex128).reshape(-1, m * m, m * m)
 
 
 def _generator_pool_chois(cone: ConeId, d: Dims, count: int, seeds: Sequence[int]) -> np.ndarray:
     """``cone_generator_pool`` for each seed as one (len(seeds), size, m^2, m^2) Choi stack, from one stacked draw."""
-    d = Dims(*d)
-    sq = Dims(d.m, d.m).validate()
+    d = _map_cone_dims(cone, d)
+    sq = Dims(d.m, d.m)
     canonical = _canonical_chois(cone, d)
     k = max(count - len(canonical), 0)
     rngs = [r for seed in seeds for r in ConeSampler(cone, sq, seed)._rngs(range(k))]

@@ -1034,9 +1034,11 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
 
     Every trial's map is drawn first, from its own substream, and the
     conditions run once over all of them through ``_theorem1_stack``.  At
-    the PPT-exact dims the least eigenvalues of C, PT(C) and the state
-    density (t (x) t)(C) of every trial come from one batched
-    ``eigvalsh``.  The checks are then recorded trial by trial.
+    the PPT-exact dims the least eigenvalues of C and PT(C) of every
+    trial come from one batched ``eigvalsh``.  The state density
+    (t (x) t)(C) of a gated C is conj(C), whose spectrum is C's, so it is
+    a state exactly when C is PSD.  The checks are then recorded trial
+    by trial.
     """
     exact = tuple(sorted(d)) in _EXACT_PPT_DIMS
     pool = _generator_pool_chois(ConeId.MAP_POS, d, 10, [seed + 19])[0]
@@ -1048,22 +1050,21 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     if exact:
         # the Choi matrices passed their gate in _theorem1_stack
         c = hermitian_part(raw)
-        density = hermitian_part(both_transpose(c, d))
-        spectra = _min_eigs(np.stack([c, partial_transpose(c, d), density], axis=1))
+        spectra = _min_eigs(np.stack([c, partial_transpose(c, d)], axis=1))
     for trial, conds in enumerate(results):
         failed = None if conds.boundary else not conds.agree
         report.check(trial, f"conditions pattern {conds.pattern}", 1.0, failed)
         if conds.boundary or not conds.agree or not exact:
             continue
         scale = 1.0 + frob(c[trial])
-        lo, lo_pt, lo_state = spectra[trial]
+        lo, lo_pt = spectra[trial]
         if any(classify(s, scale, tol) is Status.UNDECIDED for s in (lo, lo_pt)):
             report.undecided += 1
             continue
         # a functional that is not even a state (OUT) is not separable
-        sep = classify(lo_state, scale, tol)
+        sep = classify(lo, scale, tol)
         if sep is Status.IN:
-            state = density[trial]
+            state = c[trial].conj()
             sep = is_separable(state / float(np.trace(state).real), d, tol).status
         failed = None if sep is Status.UNDECIDED else (sep is Status.IN) != conds.choi_membership
         report.check(trial, "separability vs membership", min(abs(lo), abs(lo_pt)), failed)

@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -150,12 +151,23 @@ CASES = [
 ]
 
 
+@contextlib.contextmanager
+def _cwd(directory: Path):
+    """Run the block in ``directory``, then return to the previous working directory."""
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
 def run_case(argv: list, directory: Path) -> dict:
     """Run ``main(argv)`` in ``directory`` and return its transcript."""
     write_corpus(directory)
     before = {p.name for p in directory.iterdir()}
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(directory), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with _cwd(directory), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     written = sorted(p for p in directory.iterdir() if p.name not in before)
     return {
@@ -182,7 +194,7 @@ def test_cli_transcript(case, tmp_path):
 
 #: a map cone and the operator cone its Choi matrices fill: ``check``
 #: prints one verdict for both on every file
-TWINS = [("cp", "psd"), ("p", "f"), ("s", "sep"), ("pos", "blockpos")]
+TWINS = [("cp", "psd"), ("p", "f"), ("s", "sep"), ("pos", "blockpos"), ("d", "e")]
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +207,7 @@ def corpus(tmp_path_factory) -> Path:
 def _check(directory: Path, name: str, cone: str) -> tuple:
     """Exit code, the text after ``cone @ n x m:`` and stderr of ``check name cone``."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(directory), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with _cwd(directory), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["check", name, cone])
     return code, out.getvalue().rstrip("\n").partition(":")[2], err.getvalue()
 
@@ -204,11 +216,3 @@ def _check(directory: Path, name: str, cone: str) -> tuple:
 def test_twin_cones_print_one_verdict(corpus, map_cone, op_cone):
     for path in sorted(corpus.iterdir()):
         assert _check(corpus, path.name, map_cone) == _check(corpus, path.name, op_cone), path.name
-
-
-def test_e_line_is_a_prefix_of_the_d_line(corpus):
-    for path in sorted(corpus.iterdir()):
-        code_d, text_d, err_d = _check(corpus, path.name, "d")
-        code_e, text_e, err_e = _check(corpus, path.name, "e")
-        assert (code_e, err_e) == (code_d, err_d), path.name
-        assert text_d.startswith(text_e), path.name

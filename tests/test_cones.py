@@ -11,6 +11,8 @@ from scipy.stats import unitary_group
 
 from _helpers import brute_partial_transpose, random_complex, random_hermitian, random_psd, rng
 from mapcones.choi import (
+    adjoint,
+    apply_second,
     identity_map,
     map_from_action,
     map_from_choi,
@@ -451,11 +453,16 @@ class TestIsDecomposable:
         assert frob(v.certificate.b) <= 1e-7
 
     def test_fixture_out_and_omega_identity(self):
+        # the witness value Tr(C w) is n omega((id (x) lam*)(w)), with
+        # n omega(y) = sum_ij y[ii, jj] for the maximally entangled vector
         lam = nondecomposable_map()
         v = is_decomposable(lam, TOL)
         assert v.status is Status.OUT
-        assert v.info["violation"] == pytest.approx(v.info["violation_omega"], abs=1e-12)
-        assert v.info["violation"] < -1e-6
+        y = apply_second(adjoint(lam), v.certificate.w, lam.d)
+        diag = np.arange(lam.n) * (lam.n + 1)
+        n_omega = y[np.ix_(diag, diag)].sum().real
+        assert v.certificate.value == pytest.approx(n_omega, abs=1e-12)
+        assert v.certificate.value < -1e-6
 
     @pytest.mark.parametrize("phi", [identity_map(3), nondecomposable_map()], ids=["in", "out"])
     def test_choi_gated_once(self, phi, monkeypatch):

@@ -10,7 +10,10 @@ suites and the Theorem 1 cores take their generator pools as Choi
 stacks from ``sampling._generator_pool_chois``, so no ``_suite_*`` or
 ``_theorem1_*`` function names ``cone_generator_pool``, ``_sample_stack``
 or ``_generator_pools``: ``MapRep`` lists are built only at the public
-edge.
+edge.  Behind both front ends, each map-cone oracle in ``cones`` returns
+its operator twin's verdict on the Choi matrix unchanged, so none of them
+builds a ``Verdict`` or touches ``.info``, and ``check`` prints one line
+for a map cone and its twin.
 """
 
 import ast
@@ -33,6 +36,8 @@ CERTIFICATES = [
 ]
 #: the exit codes of errors, which ``main`` alone returns
 ERROR_EXITS = {"EXIT_PARSE", "EXIT_DIMS", "EXIT_NAME", "EXIT_INTERNAL"}
+#: the oracles of the map cones, each its operator twin's verdict
+MAP_ORACLES = ["is_cp", "is_cop", "in_P", "is_decomposable", "in_S", "is_positive_map"]
 
 
 def _functions(name: str) -> list:
@@ -113,5 +118,18 @@ def test_suites_take_pools_as_choi_stacks():
         f"{fn.name}: {name}"
         for fn in cores
         for name in sorted(_names(fn) & {"cone_generator_pool", "_sample_stack", "_generator_pools"})
+    ]
+    assert sites == []
+
+
+def test_map_oracles_return_their_twins_verdict():
+    oracles = [fn for fn in _functions("cones.py") if fn.name in MAP_ORACLES]
+    assert sorted(fn.name for fn in oracles) == sorted(MAP_ORACLES)
+    sites = [
+        f"{fn.name}:{sub.lineno}"
+        for fn in oracles
+        for sub in ast.walk(fn)
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "Verdict")
+        or (isinstance(sub, ast.Attribute) and sub.attr == "info")
     ]
     assert sites == []

@@ -86,6 +86,30 @@ class TestSamplerInvariants:
             sample_map(ConeId.OP_PSD, D22, 0)
 
 
+#: the public samplers, each called on a cone and dims
+SAMPLERS = {
+    "sample_map": lambda cone, d: sample_map(cone, d, 0),
+    "draw": lambda cone, d: ConeSampler(cone, d, 0).draw(0),
+    "take": lambda cone, d: ConeSampler(cone, d, 0).take(2),
+    "cone_generator_pool": lambda cone, d: cone_generator_pool(cone, d, 4, 0),
+}
+
+
+@pytest.mark.parametrize("call", list(SAMPLERS.values()), ids=list(SAMPLERS))
+class TestInputGate:
+    """Every sampler runs ``sample_map``'s gate before it draws."""
+
+    @pytest.mark.parametrize("cone", [ConeId.OP_PSD, ConeId.OP_E], ids=lambda c: c.value)
+    def test_operator_cone_raises(self, call, cone):
+        with pytest.raises(ValueError, match="is not a map cone"):
+            call(cone, D22)
+
+    @pytest.mark.parametrize("d", [Dims(0, 2), Dims(2, 0)], ids=str)
+    def test_invalid_dims_raise(self, call, d):
+        with pytest.raises(ValueError, match="dimensions must be >= 1"):
+            call(ConeId.MAP_CP, d)
+
+
 class TestDeterminism:
     def test_same_seed_same_draw(self):
         a = ConeSampler(ConeId.MAP_CP, D33, seed=11).draw(5)

@@ -11,7 +11,8 @@ on the upper block triangle that it computes.  ``_Start``, the closed-form
 solve of the first step, is checked against the same operator at the
 start point.  Every bracket the solve returns is checked to be
 certified, a step that ends on its predictor to leave a strictly
-feasible iterate, and a labelled corpus that mirrors the benchmark's
+feasible iterate, each forced breakdown to leave ``in_E`` UNDECIDED,
+and a labelled corpus that mirrors the benchmark's
 e-in and e-out families to keep its labels at a pinned amount of work.
 Each corpus certificate passes its own ``problem()`` check, fails it once
 one field is mutated, and gets the same accept-or-reject answer from the
@@ -327,6 +328,45 @@ def test_a_step_that_ends_on_its_predictor_is_strictly_feasible(monkeypatch, n, 
             assert np.linalg.eigvalsh(a)[0] > 0
         assert abs(np.trace(p.x1).real - 1.0) <= 1e-12
         assert frob(p.z1 - (xs - p.y0 * np.eye(d.total) - brute_partial_transpose(p.y, d))) <= 1e-12
+
+
+def _nan_solve(self, b0, b):
+    return float("nan"), np.full_like(b, np.nan)
+
+
+def _singular(*args):
+    raise np.linalg.LinAlgError("singular Schur matrix")
+
+
+def _nan_corrector(monkeypatch):
+    # the first Schur solve of a step gives its predictor, the second its corrector
+    calls, solve = [], _Schur.solve
+
+    def every_second(self, b0, b):
+        calls.append(None)
+        return _nan_solve(self, b0, b) if len(calls) % 2 == 0 else solve(self, b0, b)
+
+    monkeypatch.setattr(_Schur, "solve", every_second)
+
+
+#: a forced failure of each kind and the Newton step that it ends
+BREAKDOWNS = {
+    "short step": (lambda mp: mp.setattr(sdp, "_MIN_STEP", 2.0), 1),
+    "factorization": (lambda mp: mp.setattr(_Schur, "__init__", _singular), 2),
+    "non-finite predictor": (lambda mp: mp.setattr(_Start, "solve", _nan_solve), 1),
+    "non-finite corrector": (_nan_corrector, 2),
+}
+
+
+@pytest.mark.parametrize("force, step", list(BREAKDOWNS.values()), ids=list(BREAKDOWNS))
+def test_a_breakdown_is_undecided(monkeypatch, force, step):
+    # the shipped map is OUT, but no iterate before the failure is a
+    # witness, so the failed solve must give no verdict either way
+    force(monkeypatch)
+    v = in_E(nondecomposable_map().choi, Dims(3, 3), 1e-9)
+    assert (v.info["stop"], v.info["iterations"]) == ("breakdown", step)
+    assert v.status is Status.UNDECIDED
+    assert v.certificate is None
 
 
 def _isometry(g, k):
