@@ -3,7 +3,8 @@
 The package provides:
 
 * ``linalg``   dense complex bipartite operator algebra (tensor products,
-  partial transpose and trace, the Hermiticity gate, a PSD test);
+  partial transpose and trace, the Hermiticity gate, a PSD test) and
+  ``classify``, the one boundary-band rule that every verdict reads;
 * ``choi``     maps stored as Choi matrices: actions, adjoints, transpose
   conjugates, compositions, induced functionals, trace pairings;
 * ``cones``    membership oracles with certificates for the cp / cop /

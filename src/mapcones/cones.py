@@ -38,7 +38,8 @@ Memberships that cannot be certified either way come back UNDECIDED
 rather than forced.  Every certificate's ``describe()`` gives the text
 that the ``check`` command prints for it.  Every operator oracle reads its
 input through one gate, ``_operator``: valid dims, finite entries, shape
-(nm, nm) and Hermitian within tol.
+(nm, nm) and Hermitian within tol.  ``classify`` and ``Status`` are
+defined in ``linalg``, so that ``sdp`` reads them too, and re-exported here.
 
 The ``e`` cone is decided by one semidefinite program, the first level
 of the Doherty-Parrilo-Spedalieri hierarchy: lam* = min Tr(w x) over
@@ -61,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,8 +70,11 @@ from . import fixtures, sdp
 from .choi import MapRep, adjoint, apply_second
 from .linalg import (
     Dims,
+    Status,
+    _check_tol,
     as_operator,
     check_hermitian,
+    classify,
     frob,
     frobs,
     hermitian_part,
@@ -112,37 +116,8 @@ __all__ = [
 ]
 
 
-class Status(Enum):
-    IN = "IN"
-    OUT = "OUT"
-    UNDECIDED = "UNDECIDED"
-
-
 class _UnknownName(ValueError):
     """An unknown cone or theorem name; the CLI exits 66 on it."""
-
-
-#: ``classify`` answers OUT for margins at or below -_OUT_BAND * tol * scale.
-_OUT_BAND = 10.0
-
-
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-
-
-def classify(margin: float, scale: float, tol: float) -> Status:
-    """IN at margin >= -tol * scale, OUT at margin <= -10 tol * scale, UNDECIDED between.
-
-    ``scale`` is 1 + ||x||_F for an operator x.  Raises ValueError unless
-    ``tol`` is finite and positive.
-    """
-    _check_tol(tol)
-    if margin >= -tol * scale:
-        return Status.IN
-    if margin <= -_OUT_BAND * tol * scale:
-        return Status.OUT
-    return Status.UNDECIDED
 
 
 class ConeId(Enum):
@@ -550,7 +525,7 @@ def project_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> np.ndarray:
         y = y2
         if gap <= 0.1 * tol * scale:
             lo = float(np.linalg.eigvalsh(hermitian_part(y))[0])
-            if lo >= -tol * (1.0 + frob(y)):
+            if classify(lo, 1.0 + frob(y), tol) is Status.IN:
                 return hermitian_part(y)
     raise RuntimeError(
         f"projection onto the PPT cone did not converge in {_PROJECT_F_SWEEPS} iterations"
@@ -812,7 +787,7 @@ def _forms(v: np.ndarray, layout: np.ndarray, q: int) -> np.ndarray:
 _SEESAW_SWEEPS = 60
 
 
-def _seesaw(x4: np.ndarray, xi: np.ndarray, stop_below: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _seesaw(x4: np.ndarray, xi: np.ndarray, stop: Callable[[float], bool]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """See-saw descent from every row of ``xi`` at once.
 
     ``x4`` is the operator reshaped to (n, m, n, m) and ``xi`` holds start
@@ -823,8 +798,8 @@ def _seesaw(x4: np.ndarray, xi: np.ndarray, stop_below: float) -> tuple[np.ndarr
     once per call (``_halfstep_layouts``) and one batched product with
     the active rows.  A row freezes when its value stops improving.  The
     batch stops when every row is frozen, after ``_SEESAW_SWEEPS`` sweeps, or once
-    some row's value is below ``stop_below``; values never increase, so
-    that row would end below it too.  Returns the rows of xi and eta,
+    ``stop`` holds for the least value; values never increase, so that
+    row would end no higher.  Returns the rows of xi and eta,
     their values <xi (x) eta| x |xi (x) eta> and the number of sweeps run.
     """
     n, m = x4.shape[:2]
@@ -847,7 +822,7 @@ def _seesaw(x4: np.ndarray, xi: np.ndarray, stop_below: float) -> tuple[np.ndarr
         else:
             frozen = new > old - 1e-15 * (1.0 + np.abs(old))
         val[active] = np.where(frozen, np.minimum(old, new), new)
-        if val.min() < stop_below:
+        if stop(float(val.min())):
             break
         active = active[~frozen]
     return xi, eta, val, sweeps
@@ -879,7 +854,7 @@ def is_block_positive(
     n, m = d
     scale = 1.0 + frob(x)
     x4 = x.reshape(n, m, n, m)
-    xi, eta, val, sweeps = _seesaw(x4, _seesaw_starts(n, restarts, seed), -_OUT_BAND * tol * scale)
+    xi, eta, val, sweeps = _seesaw(x4, _seesaw_starts(n, restarts, seed), lambda v: classify(v, scale, tol) is Status.OUT)
     r = int(np.argmin(val))
     best = float(val[r])
     cert = ProductVectorCert(xi[r], eta[r], best)

@@ -9,11 +9,13 @@ indexes entries inside a block.  ``numpy.kron`` realizes exactly this
 convention, and every partial operation below (partial transpose, partial
 trace, blockwise map application) is written against it.  All inputs and
 outputs are plain complex ``numpy`` arrays; nothing here mutates its
-arguments.
+arguments.  ``classify`` is the one boundary-band rule: the oracles, the
+suites, the stops of ``sdp.solve`` and ``is_psd`` all decide through it.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -179,17 +181,46 @@ def check_hermitian(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return hermitian_part(x)
 
 
+class Status(Enum):
+    IN = "IN"
+    OUT = "OUT"
+    UNDECIDED = "UNDECIDED"
+
+
+#: ``classify`` answers OUT for margins at or below -_OUT_BAND * tol * scale.
+_OUT_BAND = 10.0
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+
+
+def classify(margin: float, scale: float, tol: float) -> Status:
+    """IN at margin >= -tol * scale, OUT at margin <= -10 tol * scale, UNDECIDED between.
+
+    ``scale`` is 1 + ||x||_F for an operator x.  Raises ValueError unless
+    ``tol`` is finite and positive.
+    """
+    _check_tol(tol)
+    if margin >= -tol * scale:
+        return Status.IN
+    if margin <= -_OUT_BAND * tol * scale:
+        return Status.OUT
+    return Status.UNDECIDED
+
+
 def is_psd(x: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
     """Test positive semidefiniteness of a Hermitian matrix.
 
-    Returns (verdict, min_eigenvalue) where the verdict is True iff the
-    smallest eigenvalue is >= -tol * (1 + ||x||_F).  Non-Hermitian input
-    beyond the gate is rejected, not symmetrized away: a non-Hermitian
-    matrix at a positivity check signals a caller bug.
+    Returns (verdict, min_eigenvalue), the verdict True iff ``classify``
+    puts the smallest eigenvalue IN at scale 1 + ||x||_F.  Non-Hermitian
+    input beyond the gate is rejected, not symmetrized away: a
+    non-Hermitian matrix at a positivity check signals a caller bug.
     """
     x = as_operator(x)
     lo = float(np.linalg.eigh(check_hermitian(x, tol))[0][0])
-    return lo >= -tol * (1.0 + frob(x)), lo
+    return classify(lo, 1.0 + frob(x), tol) is Status.IN, lo
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:

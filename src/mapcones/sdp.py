@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import Dims, hermitian_part, partial_transpose
+from .linalg import Dims, Status, classify, hermitian_part, partial_transpose
 
 __all__ = ["Bracket", "solve"]
 
@@ -228,16 +228,16 @@ def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
 
     Every iterate (X1, y0, Y) certifies lower = y0 + lambda_min(Z1) <= lam*
     <= upper = Tr(x X1): x - lower I - PT(Y) = Z1 - lambda_min(Z1) I is
-    PSD, so ``lower`` is the largest y0 that Y admits.  Thresholds are
-    relative to scale = 1 + ||x||_F.  The loop stops with
+    PSD, so ``lower`` is the largest y0 that Y admits.  ``classify``
+    reads each threshold at scale = 1 + ||x||_F.  The loop stops with
 
-    * ``"in"`` once sqrt(nm) * max(0, -lower) <= tol * scale: the PSD pair
+    * ``"in"`` once it puts sqrt(nm) * min(lower, 0) IN: the PSD pair
       (x - PT(Y) - min(lower, 0) I, Y) then decomposes x up to that
       residual;
-    * ``"out"`` once upper <= -10 tol * scale and upper <= lower / 2, so
-      that the witness is clear of the band and at least half as deep as
-      the optimum (skipped when ``optimum`` is set);
-    * ``"gap"`` once upper - lower <= tol * scale / sqrt(nm);
+    * ``"out"`` once it puts upper OUT and upper <= lower / 2, so that
+      the witness is clear of the band and at least half as deep as the
+      optimum (skipped when ``optimum`` is set);
+    * ``"gap"`` once it puts -sqrt(nm) * (upper - lower) IN;
     * ``"breakdown"`` when a factorization fails, a direction is not
       finite, a step is too short, or three steps in a row leave the gap
       above half its best value (a stall near a degenerate optimum).
@@ -269,7 +269,7 @@ def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
     lo_pt = float(np.linalg.eigvalsh(pt_x)[0])
     w = eye / nm
     upper = float(np.trace(x).real) / nm
-    if max(lo_x, lo_pt) * root >= -tol * scale:
+    if classify(max(lo_x, lo_pt) * root, scale, tol) is Status.IN:
         if lo_x >= lo_pt:
             return Bracket(lo_x, upper, np.zeros_like(x), w, 0, 0, "in")
         return Bracket(lo_pt, upper, pt_x - lo_pt * eye, w, 0, 0, "in")
@@ -278,16 +278,14 @@ def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
     xs = x / norm
     t = 1.0 / root
     point = _point(xs, w.astype(np.complex128), lo_x / norm - 2 * t, t * eye.astype(np.complex128), d)
-    # the "in" and "gap" thresholds, both tol * scale / sqrt(nm), in units of ||x||
-    close = tol * scale / (root * norm)
-    band = 10 * tol * scale / norm
 
+    # the bracket is in units of ||x||; ``classify`` reads it back in x's units
     def settled(p: _Point) -> Optional[str]:
-        if max(0.0, -p.lower) <= close:
+        if classify(root * norm * min(p.lower, 0.0), scale, tol) is Status.IN:
             return "in"
-        if not optimum and p.upper <= -band and p.upper <= p.lower / 2:
+        if not optimum and classify(norm * p.upper, scale, tol) is Status.OUT and p.upper <= p.lower / 2:
             return "out"
-        if p.upper - p.lower <= close:
+        if classify(-root * norm * (p.upper - p.lower), scale, tol) is Status.IN:
             return "gap"
         return None
 

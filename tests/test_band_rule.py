@@ -1,10 +1,11 @@
-"""One margin-and-band rule: every verdict comes from ``cones.classify``.
+"""One margin-and-band rule: every verdict comes from ``linalg.classify``.
 
 A margin m at scale s is IN when m >= -tol s, OUT when m <= -10 tol s and
 UNDECIDED between.  The planted instances below put a least eigenvalue
 (or a product-vector value) at -0.5, -5 and -20 times tol * scale, one in
 each region, and every oracle that reads such a margin must answer with
-that region's verdict.
+that region's verdict.  The e cone's IN edge is tol * scale / sqrt(nm),
+so its planted margins sit at -0.1, -5 and -20 times tol * scale.
 """
 
 import ast
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 import mapcones
+import mapcones.cones as cones_mod
+import mapcones.linalg as linalg_mod
 import mapcones.theorems as theorems_mod
 from mapcones.choi import identity_map, map_from_choi, swap_operator, transpose_map
 from mapcones.cli import main
@@ -37,7 +40,7 @@ from mapcones.cones import (
     witness_search,
 )
 from mapcones.io import save_matrix
-from mapcones.linalg import Dims, frob, partial_transpose
+from mapcones.linalg import Dims, frob, is_psd, partial_transpose
 from mapcones.theorems import TheoremReport, ksharp_membership, verify
 
 TOL = 1e-9
@@ -130,6 +133,41 @@ class TestPlantedMargins:
         assert v.heuristic == (status is Status.IN)
 
 
+#: the e cone's planted multiples, each with its verdict, the solve's stop and the exit code of ``check``
+E_REGIONS = [(-0.1, Status.IN, "in", 0), (-5.0, Status.UNDECIDED, "gap", 2), (-20.0, Status.OUT, "out", 1)]
+
+
+@pytest.mark.parametrize("k,status,stop,code", E_REGIONS, ids=REGION_IDS)
+@pytest.mark.parametrize("n", [2, 3])
+class TestPlantedEMargins:
+    """SWAP + k tol scale I has the e-cone margin lam* = k tol scale.
+
+    SWAP = PT(n |phi+><phi+|) lies in E, and the PPT state
+    PT(I - |phi+><phi+|) / (n^2 - 1) pairs to 0 with it, so lam*(SWAP) = 0.
+    The solve's ``in`` edge is tol * scale / sqrt(nm), where the spectral
+    cones' edge is tol * scale, so k = -0.5 is no IN point for it.
+    """
+
+    @staticmethod
+    def planted(n, k):
+        s = swap_operator(n)
+        return s + k * TOL * (1.0 + frob(s)) * np.eye(n * n)
+
+    def test_in_E(self, n, k, status, stop, code):
+        v = in_E(self.planted(n, k), Dims(n, n), TOL)
+        assert (v.status, v.info["stop"]) == (status, stop)
+        assert (v.info["iterations"] == 0) == (status is Status.IN)
+
+    def test_is_decomposable(self, n, k, status, stop, code):
+        assert is_decomposable(map_from_choi(n, n, self.planted(n, k)), TOL).status is status
+
+    @pytest.mark.parametrize("cone", ["e", "d"])
+    def test_check_exit_code(self, n, k, status, stop, code, cone, tmp_path):
+        path = tmp_path / "x.json"
+        save_matrix(path, n, n, self.planted(n, k))
+        assert main(["check", str(path), cone]) == code
+
+
 @pytest.mark.parametrize("k,status", REGIONS, ids=REGION_IDS)
 def test_check_margin_planted(k, status):
     """A suite margin that must be IN passes, is UNDECIDED in the band, and fails OUT."""
@@ -169,6 +207,7 @@ ORACLES = {
     "is_decomposable": lambda tol: is_decomposable(identity_map(2), tol),
     "witness_search": lambda tol: witness_search(-np.eye(4), D22, tol),
     "project_F": lambda tol: project_F(-np.eye(4), D22, tol),
+    "is_psd": lambda tol: is_psd(-np.eye(4), tol),
 }
 
 
@@ -183,26 +222,31 @@ def test_oracles_reject_invalid_tol(oracle, tol):
 BAND_SITE = re.compile(r"10(\.0)?\s*\*\s*(tol|thr|cfg\.tol)")
 
 
-def test_band_multiplier_only_in_classify():
-    """No module states the band's OUT edge outside ``cones.classify``.
-
-    ``sdp.py`` is exempt: its solver stops on that edge in units of
-    ||x||, not of tol * (1 + ||x||_F), and it cannot import ``cones``,
-    which imports it.
-    """
+def test_classify_defined_once():
+    """``classify`` and ``Status`` are defined in ``linalg`` alone, and ``cones`` re-exports the same objects."""
     src = Path(mapcones.__file__).parent
-    cones_src = (src / "cones.py").read_text()
+    defs = [
+        (path.name, node.name) for path in sorted(src.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in ("classify", "Status")
+    ]
+    assert sorted(defs) == [("linalg.py", "Status"), ("linalg.py", "classify")]
+    assert cones_mod.classify is linalg_mod.classify
+    assert cones_mod.Status is linalg_mod.Status is mapcones.Status
+    assert {"classify", "Status"} <= set(cones_mod.__all__)
+
+
+def test_band_multiplier_only_in_classify():
+    """No module states the band's OUT edge outside ``linalg.classify``."""
+    src = Path(mapcones.__file__).parent
     (fn,) = [
-        node for node in ast.parse(cones_src).body
+        node for node in ast.parse((src / "linalg.py").read_text()).body
         if isinstance(node, ast.FunctionDef) and node.name == "classify"
     ]
     inside_classify = range(fn.lineno, fn.end_lineno + 1)
     sites = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "sdp.py":
-            continue
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if BAND_SITE.search(line) and not (path.name == "cones.py" and lineno in inside_classify):
+            if BAND_SITE.search(line) and not (path.name == "linalg.py" and lineno in inside_classify):
                 sites.append(f"{path.name}:{lineno}: {line.strip()}")
     assert sites == []
 
@@ -220,9 +264,15 @@ def test_dykstra_config_named_only_by_its_shim():
     assert [p.name for p in paths if "DykstraConfig" in p.read_text()] == []
 
 
-#: the functions that may compare against ``tol`` itself: the band rule, its
-#: argument check, the Dykstra stop of ``project_F`` and ``in_S``'s trace gate
-TOL_COMPARISONS_ALLOWED = {"classify", "_check_tol", "project_F", "in_S"}
+#: per module, the functions that may compare against ``tol`` itself: the band
+#: rule, its argument check and the Hermiticity gate in ``linalg``, the Dykstra
+#: stop of ``project_F`` and ``in_S``'s trace gate in ``cones``
+TOL_COMPARISONS_ALLOWED = {
+    "linalg.py": {"classify", "_check_tol", "check_hermitian"},
+    "sdp.py": set(),
+    "cones.py": {"project_F", "in_S"},
+    "theorems.py": set(),
+}
 
 
 def _names_tol(node):
@@ -234,9 +284,9 @@ def _names_tol(node):
     return any(_names_tol(child) for child in ast.iter_child_nodes(node))
 
 
-@pytest.mark.parametrize("module", ["cones.py", "theorems.py"])
+@pytest.mark.parametrize("module", sorted(TOL_COMPARISONS_ALLOWED))
 def test_tol_compared_only_by_the_band_rule(module):
-    """Every verdict-level threshold in ``cones`` and ``theorems`` goes through ``classify``.
+    """Every verdict-level threshold and solver stop goes through ``classify``.
 
     A comparison that names ``tol`` restates the band by hand, and may
     count a margin in the band as a pass or a failure instead of UNDECIDED.
@@ -244,7 +294,7 @@ def test_tol_compared_only_by_the_band_rule(module):
     tree = ast.parse((Path(mapcones.__file__).parent / module).read_text())
     allowed = set()
     for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef) and fn.name in TOL_COMPARISONS_ALLOWED:
+        if isinstance(fn, ast.FunctionDef) and fn.name in TOL_COMPARISONS_ALLOWED[module]:
             allowed.update(range(fn.lineno, fn.end_lineno + 1))
     sites = [
         node.lineno for node in ast.walk(tree)
