@@ -952,23 +952,23 @@ def _ppt_gap(x: np.ndarray, d: Dims) -> float:
 
 def _sharp_check(
     report: TheoremReport, trial: int, label: str, cone: ConeId, beta: np.ndarray, pool: np.ndarray, d: Dims, tol: float
-) -> bool:
+) -> Optional[float]:
     """Check the sampled K-sharp test of Choi matrix beta, against K's samples ``pool``, with K's partner test.
 
-    An UNDECIDED partner verdict counts the trial UNDECIDED and returns
-    False.  An OUT verdict's PPT witness w (the p cone's, whose sharp
-    cone is d) joins the pool: beta . map(w)* is not cp.
+    Returns the partner margin, or None when an UNDECIDED partner verdict
+    counts the trial UNDECIDED.  An OUT verdict's PPT witness w (the p
+    cone's, whose sharp cone is d) joins the pool: beta . map(w)* is not cp.
     """
-    _, (closed,), (w,) = _partner_test(cone, check_hermitian(beta, tol)[None], d, tol)
+    (margin,), (closed,), (w,) = _partner_test(cone, check_hermitian(beta, tol)[None], d, tol)
     if closed is Status.UNDECIDED:
         report.undecided += 1
-        return False
+        return None
     if w is not None:
         pool = np.concatenate([pool, w[None]])
     verdict = _ksharp_stack(beta, pool, d.n, tol)
     failed = None if verdict.status is Status.UNDECIDED else (verdict.status is Status.IN) != (closed is Status.IN)
     report.check(trial, label, 1.0, failed)
-    return True
+    return float(margin)
 
 
 def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -978,13 +978,11 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     betas = _random_map_chois(d, [substream(seed, 0x20C, t) for t in range(trials)], [t + 1 for t in range(trials)])
     for trial, beta in enumerate(betas):
         cone = _CONCRETE[trial % 4]
-        if not _sharp_check(report, trial, f"{cone.value} sharp membership mismatch", cone, beta, pools[cone], d, tol):
-            continue
-        # transpose symmetry of sharp membership through the adjoint
-        if cone is not ConeId.MAP_P:
+        a = _sharp_check(report, trial, f"{cone.value} sharp membership mismatch", cone, beta, pools[cone], d, tol)
+        # transpose symmetry of sharp membership: the adjoint beta* has beta's partner margin
+        if a is not None and cone is not ConeId.MAP_P:
             scale = 1.0 + frob(hermitian_part(beta))
-            adj = adjoint_choi(beta, d)
-            a, b = (float(_partner_test(cone, hermitian_part(x)[None], d, tol)[0][0]) for x in (adj, both_transpose(adj, d)))
+            b = float(_partner_test(cone, hermitian_part(adjoint_choi(beta, d))[None], d, tol)[0][0])
             sa, sb = classify(a, scale, tol), classify(b, scale, tol)
             failed = None if Status.UNDECIDED in (sa, sb) else sa is not sb
             report.check(trial, f"{cone.value} transpose symmetry", min(abs(a), abs(b)), failed)

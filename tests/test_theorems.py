@@ -420,7 +420,7 @@ class TestStackedSuiteCounts:
         "L17": (0, 2, 0, 4, 1),
         "T6": (22, 1, 0, 4, 2),
         "T1": (104, 15, 0, 78, 9),
-        "T12": (4, 10, 0, 47, 11),
+        "T12": (4, 10, 0, 37, 11),
         "T18": (8, 14, 0, 50, 6),
         "C2": (20, 7, 0, 0, 1),
         "C2/2x3": (20, 5, 0, 1, 9),
@@ -499,6 +499,16 @@ class TestSharpWitnessSample:
             assert v.status is Status.OUT
             count += 1
         assert count >= 6
+
+
+@pytest.mark.parametrize("d", [Dims(2, 2), D33])
+def test_T12_transpose_symmetry_catches_a_wrong_adjoint(monkeypatch, d):
+    """T12 compares beta's partner margin with that of its adjoint, so an adjoint that moves the spectrum fails."""
+    monkeypatch.setattr(
+        theorems_mod, "adjoint_choi", lambda c, dd: partial_transpose(adjoint_choi(c, dd), Dims(dd.m, dd.n))
+    )
+    report = verify("T12", d, trials=8, seed=1)
+    assert {f["check"] for f in report.failures} >= {"cp transpose symmetry", "cop transpose symmetry"}
 
 
 class TestNonSquareDims:
