@@ -219,7 +219,7 @@ def is_psd(x: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
     non-Hermitian matrix at a positivity check signals a caller bug.
     """
     x = as_operator(x)
-    lo = float(np.linalg.eigh(check_hermitian(x, tol))[0][0])
+    lo = float(np.linalg.eigvalsh(check_hermitian(x, tol))[0])
     return classify(lo, 1.0 + frob(x), tol) is Status.IN, lo
 
 

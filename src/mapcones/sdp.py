@@ -24,16 +24,21 @@ Newton system has (nm)^2 + 1 real unknowns, the coordinates of
 X1 = X2 = I/nm, Y = tI, where the system is diagonal in the eigenbasis
 of Z1 and is solved in closed form from one nm x nm ``eigh``.  From the
 second step on, the Schur matrix is assembled from Kronecker-structured
-entries of the iterates, 2nm rows (nm pairs of basis rows) at a time
-and only from each block's own columns onward, the strict lower block
-triangle being the transpose of the upper one, with the index work for
-each ``Dims`` computed once and cached.  It is solved exactly with
-``np.linalg.solve``, twice per step or once when the step ends on its
-predictor: O((nm)^6) flops for each solve, O((nm)^4) memory for the
-matrix and its LU copy, and a workspace of a few 2nm x (nm)^2 complex
-blocks beyond them.  The four Cholesky factors of a step are taken in
-one stacked call, and so are the four eigenvalue problems of each step
-length, which keeps every iterate strictly inside the cones.
+entries of the iterates, in row blocks of whole pairs of basis rows
+(2nm rows, merged while a block holds at most 8192 entries), each block
+only from its own columns onward, the strict lower block triangle being
+the transpose of the upper one.  The index work for each ``Dims`` is one
+flat index per quadrant of a block and per PSD block, computed once and
+cached, about 1.1 times the size of the matrix from 4x4 on; the change
+of basis is taken as real combinations of the gathered entries, rounded
+as the two ``_rotate`` passes round them.  The matrix is solved exactly
+with ``np.linalg.solve``, twice per step or once when the step ends on
+its predictor: O((nm)^6) flops for each solve, O((nm)^4) memory for the
+matrix, its LU copy and the cached plan, and a workspace of a few
+complex temporaries of one block beyond them.  The four Cholesky factors
+of a step are taken in one stacked call, and so are the four eigenvalue
+problems of each step length, which keeps every iterate strictly inside
+the cones.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ _RSQRT2 = 0.5**0.5
 _MIN_STEP = 1e-8
 #: Newton steps in a row that may fail to halve the best gap before a breakdown
 _SLOW_STEPS = 2
+#: pair row blocks of the Schur matrix are merged while they hold at most this many entries
+_BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -94,27 +101,76 @@ def _rotate(y: np.ndarray, sign: int) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """The index work of ``_Schur`` that depends on the dimensions alone."""
+    """The index work of ``_Schur`` that depends on the dimensions alone.
+
+    ``units`` lists the matrix units of the basis.  Each index array holds
+    flat positions of entries X[p_i, p_j] in the stack (X1, X2), with axes
+    (PSD block, quadrant, row, column) and its quadrants in partner order:
+    ``diag`` holds the diagonal-unit rows against the diagonal columns (one
+    quadrant) and against the pair columns (u, l), and ``pairs`` the row
+    blocks ``(lo, hi, index)`` of whole pairs against the columns from
+    ``lo`` on, by pair (uu, ul, lu, ll).  The matrix is mirrored below its
+    block diagonal at ``bounds``.
+    """
 
     units: np.ndarray
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    blocks: tuple[tuple[int, int], ...]
+    diag: tuple[np.ndarray, np.ndarray]
+    pairs: tuple[tuple[int, int, np.ndarray], ...]
+    bounds: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def _plan(d: Dims) -> _Plan:
-    """``units``, the divmod pairs (p, q) of block 1's PT-relabelled units and of
-    block 2's units, and the row ranges assembled together; arrays are read-only."""
+    """The ``_Plan`` of ``d``, built once; its arrays are read-only.
+
+    The two units of a pair are each other's transposes, as units in
+    block 2 and as PT-relabelled units in block 1 (PT commutes with the
+    transpose).  So unit i = |p_i><q_i| has q_i = p_i' for its partner i'
+    (i' = i for a diagonal unit), and W^T[q_i, q_j] sits in W^T where
+    X[p_i', p_j'] sits in X: the quadrants of an index array, read in
+    reverse order, index W^T.
+    """
     nm = d.total
     a, b = np.triu_indices(nm, 1)
     units = np.concatenate((np.arange(nm) * (nm + 1), np.column_stack((a * nm + b, b * nm + a)).ravel()))
     pt = partial_transpose(np.arange(nm * nm).reshape(nm, nm), d).ravel()[units]
-    rows = (*np.divmod(pt, nm), *np.divmod(units, nm))
-    for arr in (units, *rows):
+    p = np.stack((pt, units)) // nm  # unit i is |p_i><q_i|, relabelled in block 1
+    row = (p + [[0], [nm]]) * nm  # the flat position of X[p_i, 0] in the stack
+
+    def index(lo, hi, start, row_pairs):
+        idx = row[:, lo:hi, None] + p[:, None, start:]  # (block, row, column)
+        if row_pairs:  # rows and columns as (pair, u/l), then the quadrants first
+            idx = idx.reshape(2, (hi - lo) // 2, 2, -1, 2).transpose(0, 2, 4, 1, 3).reshape(2, 4, (hi - lo) // 2, -1)
+        else:  # columns as (pair, u/l), then u/l first
+            idx = idx.reshape(2, hi - lo, -1, 2).transpose(0, 3, 1, 2)
+        return np.ascontiguousarray(idx)
+
+    diag = ((row[:, :nm, None] + p[:, None, :nm])[:, None], index(0, nm, nm, False))
+    # the diagonal units, then 2nm rows (nm whole pairs) at a time, those
+    # merged while a block holds at most _BLOCK_ENTRIES entries of the matrix
+    bounds = (0, *range(nm, nm * nm, 2 * nm), nm * nm)
+    spans, lo, hi = [], nm, nm
+    for end in bounds[2:]:
+        if hi > lo and (end - lo) * (nm * nm - lo) > _BLOCK_ENTRIES:
+            spans.append((lo, hi))
+            lo = hi
+        hi = end
+    spans.append((lo, hi))
+    pairs = tuple((lo, hi, index(lo, hi, lo, True)) for lo, hi in spans if hi > lo)
+    for arr in (units, *diag, *(idx for _, _, idx in pairs)):
         arr.setflags(write=False)
-    # the nm diagonal units, then 2nm rows (nm whole pairs) at a time
-    starts = [0, *range(nm, nm * nm, 2 * nm)]
-    return _Plan(units, rows, tuple(zip(starts, starts[1:] + [nm * nm])))
+    return _Plan(units, diag, pairs, bounds)
+
+
+def _column_pass(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """(a_u + a_l) / sqrt 2 and (b_u - b_l) / sqrt 2 over the first (u/l) axis, into out.
+
+    These are the real parts of ``_rotate``'s column pass, rounded as it
+    rounds them, for a = Re s and b = Im s reversed on that axis.
+    """
+    np.add(a[0], a[1], out=out[0])
+    np.subtract(b[0], b[1], out=out[1])
+    out *= _RSQRT2
 
 
 class _Schur:
@@ -132,6 +188,11 @@ class _Schur:
     entries X[a, p] W[q, b] of U -> X U W between the units |a><b| and
     |p><q|, and PT maps |a1 a2><b1 b2| to |a1 b2><b1 a2|, so block 1 is
     the same formula read on relabelled units.
+
+    Each row block of S is gathered with one flat index per factor from
+    ``_plan``, and Re(Q^H S Q) is taken as real combinations of its
+    entries, pair rows first, then pair columns, in the order and rounding
+    of the two ``_rotate`` passes, so every entry equals theirs.
     """
 
     def __init__(self, x1, w1, x2, w2, d: Dims):
@@ -139,23 +200,40 @@ class _Schur:
         self.nm = nm
         plan = _plan(d)
         self.units = plan.units
-        p1, q1, p2, q2 = plan.rows
-        # in each block, entry (i, j) of S is x[p_i, p_j] w[q_j, q_i] for unit i = |p_i><q_i|
-        blocks = [(x1, w1.T, p1, q1), (x2, w2.T, p2, q2)]
         full = self.full = np.empty((nm * nm + 1,) * 2)
         xw = x1 @ w1
         full[0, 0] = np.trace(xw).real
         full[0, 1:] = full[1:, 0] = self.coords(partial_transpose(xw, d))
-        # each block of rows is computed from its own columns onward, the
-        # strict lower block triangle is its transpose; a few 2nm x (nm)^2
-        # complex temporaries per block at most (131 KB each at 4x4)
-        for lo, hi in plan.blocks:
-            s = sum(np.take(x[p[lo:hi]], p[lo:], 1) * np.take(wt[q[lo:hi]], q[lo:], 1) for x, wt, p, q in blocks)
-            if lo >= nm:
-                s = _rotate(s, -1)
-            c = max(nm - lo, 0)  # the first column to rotate; blocks start on whole pairs
-            s[:, c:] = _rotate(s[:, c:].T, 1).T
-            full[lo + 1 : hi + 1, lo + 1 :] = s.real
+        xs, wts = np.stack((x1, x2)).ravel(), np.stack((w1.T, w2.T)).ravel()
+
+        def gather(index):
+            # entry (i, j) of S is X[p_i, p_j] W^T[q_i, q_j], summed over the
+            # two blocks.  Each product has two contiguous operands: numpy's
+            # complex multiply may round strided ones differently.  A block's
+            # temporaries stay below 128 KB up to 4x4, where a larger one
+            # would cost the allocator fresh pages on every assembly.
+            s = []
+            for block in index:
+                x, wt = xs[block], wts[block]
+                for k in range(len(x)):
+                    x[k] *= wt[-1 - k]
+                s.append(x)
+            return s[0] + s[1]
+
+        dd, dp = plan.diag
+        full[1 : nm + 1, 1 : nm + 1] = gather(dd)[0].real
+        s = gather(dp)
+        _column_pass(s.real, s.imag[::-1], full[1 : nm + 1, nm + 1 :].reshape(nm, -1, 2).transpose(2, 0, 1))
+        for lo, hi, index in plan.pairs:
+            s = gather(index)
+            # the row pass: (s_u + s_l) / sqrt 2 and (s_u - s_l) (-i / sqrt 2)
+            su, sd = s[:2] + s[2:], s[:2] - s[2:]
+            su.view(np.float64)[...] *= _RSQRT2
+            sd.view(np.float64)[...] *= _RSQRT2
+            out = full[lo + 1 : hi + 1, lo + 1 :].reshape(s.shape[1], 2, -1, 2).transpose(1, 3, 0, 2)
+            _column_pass(su.real, su.imag[::-1], out[0])
+            _column_pass(sd.imag, sd.real, out[1])
+        for lo, hi in zip(plan.bounds, plan.bounds[1:]):
             full[hi + 1 :, lo + 1 : hi + 1] = full[lo + 1 : hi + 1, hi + 1 :].T
 
     def coords(self, u: np.ndarray) -> np.ndarray:

@@ -75,19 +75,38 @@ def reference_full(x1, w1, x2, w2, d):
     return full
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 4), (4, 5)])
+@pytest.mark.parametrize(
+    "n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 4), (4, 5), (2, 5), (5, 5)]
+)
 def test_blocked_assembly_matches_the_pairwise_loop(n, m):
-    # each block of rows is computed from its own columns onward, bit for bit
-    # as the pairwise loop computes it; the strict lower block triangle is
-    # the transpose of the upper one
+    # each block of 2nm rows is computed from its own columns onward, bit
+    # for bit as the pairwise loop computes it; the strict lower block
+    # triangle is the transpose of the upper one
     d = Dims(n, m)
     g = rng(500 + 10 * n + m)
     args = [positive_definite(g, d.total) for _ in range(4)]
     full, ref = _Schur(*args, d).full, reference_full(*args, d)
     assert np.array_equal(full[0], ref[0]) and np.array_equal(full[:, 0], ref[:, 0])
-    for lo, hi in _plan(d).blocks:
+    bounds = _plan(d).bounds
+    assert bounds == (0, *range(d.total, d.total**2, 2 * d.total), d.total**2)
+    for lo, hi in zip(bounds, bounds[1:]):
         assert np.array_equal(full[lo + 1 : hi + 1, lo + 1 :], ref[lo + 1 : hi + 1, lo + 1 :])
         assert np.array_equal(full[hi + 1 :, lo + 1 : hi + 1], full[lo + 1 : hi + 1, hi + 1 :].T)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (4, 5), (5, 5)])
+def test_pair_units_are_each_others_transposes(n, m):
+    # the plan reads W^T through the partner's index: for each pair of
+    # basis units, and in both PSD blocks, p of one unit is q of the other
+    d = Dims(n, m)
+    nm = d.total
+    a, b = np.triu_indices(nm, 1)
+    units = np.concatenate((np.arange(nm) * (nm + 1), np.column_stack((a * nm + b, b * nm + a)).ravel()))
+    pt = partial_transpose(np.arange(nm * nm).reshape(nm, nm), d).ravel()[units]
+    for block in (pt, units):
+        p, q = np.divmod(block, nm)
+        assert np.array_equal(p[:nm], q[:nm])
+        assert np.array_equal(p[nm::2], q[nm + 1 :: 2]) and np.array_equal(q[nm::2], p[nm + 1 :: 2])
 
 
 def test_plan_is_cached_per_dims_and_read_only():
@@ -95,10 +114,24 @@ def test_plan_is_cached_per_dims_and_read_only():
     assert _plan(Dims(2, 3)) is plan
     other = _plan(Dims(3, 2))
     assert np.array_equal(plan.units, other.units)  # same nm, so the same units
-    assert not all(np.array_equal(a, b) for a, b in zip(plan.rows, other.rows))
-    for arr in (plan.units, *plan.rows):
+    arrays = [*plan.diag, *(index for *_, index in plan.pairs)]
+    others = [*other.diag, *(index for *_, index in other.pairs)]
+    assert not all(np.array_equal(a, b) for a, b in zip(arrays, others))
+    for arr in (plan.units, *arrays):
         with pytest.raises(ValueError):
-            arr[0] = 1
+            arr[(0,) * arr.ndim] = 1
+
+
+@pytest.mark.parametrize("n,m", [(4, 4), (5, 5)])
+def test_plan_stays_near_the_matrix_size(n, m):
+    # one index array per quadrant and PSD block, W read through the
+    # partner's: the plan is about the size of the Schur matrix it fills
+    d = Dims(n, m)
+    g = rng(700 + 10 * n + m)
+    schur = _Schur(*[positive_definite(g, d.total) for _ in range(4)], d)
+    plan = _plan(d)
+    index_bytes = sum(arr.nbytes for arr in (plan.units, *plan.diag, *(index for *_, index in plan.pairs)))
+    assert index_bytes <= 1.25 * schur.full.nbytes
 
 
 @pytest.mark.parametrize("n,m", [(4, 4), (5, 5)])
