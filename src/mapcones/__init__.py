@@ -9,7 +9,8 @@ The package provides:
   conjugates, compositions, induced functionals, trace pairings;
 * ``cones``    membership oracles with certificates for the cp / cop /
   decomposable / PPT / separable / block-positive cones, the ``e``-cone
-  decision (``dykstra_feasibility``, a name kept for API stability),
+  decision (``dykstra_feasibility``, a name that ``perfbench/spans.py``
+  and ``perfbench/test_labels.py`` reference until ROADMAP item 0b),
   Dykstra projection onto the PPT cone, and PPT witness extraction;
 * ``sdp``      the primal-dual interior-point solver behind the ``e``-cone
   decision: min Tr(w x) over trace-one PPT w, bracketed from both sides,

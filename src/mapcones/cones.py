@@ -44,17 +44,18 @@ defined in ``linalg``, so that ``sdp`` reads them too, and re-exported here.
 The ``e`` cone is decided by one semidefinite program, the first level
 of the Doherty-Parrilo-Spedalieri hierarchy: lam* = min Tr(w x) over
 trace-one PPT operators w, so that x is in ``e`` exactly when lam* >= 0.
-``dykstra_feasibility`` (a name kept for API stability) solves it with
-the primal-dual interior-point method of ``sdp``, whose iterates bracket
-lam* from both sides and stop once the sign is settled; the dual iterate
-gives the decomposition, the primal one the PPT witness, and each is kept
-only when its own ``problem()`` check passes.  Each Newton step after the
-first assembles a dense system of (nm)^2 + 1 unknowns and solves it
-twice, or once when the step ends on its predictor: O((nm)^6) flops
-and O((nm)^4) memory.  README.md gives measured ``in_E`` times per
-size, with the method that produced them.  The ``f`` cone is an
-intersection of two spectrally projectable cones; ``project_F`` needs
-the nearest point of it and so uses Dykstra's scheme.
+``dykstra_feasibility`` solves it with the primal-dual interior-point
+method of ``sdp``, whose iterates bracket lam* from both sides and stop
+once the sign is settled; the dual iterate gives the decomposition, the
+primal one the PPT witness, and each is kept only when its own
+``problem()`` check passes.  Each Newton step after the first assembles
+a dense system of (nm)^2 + 1 unknowns and solves it twice, or once when
+the step ends on its predictor: O((nm)^6) flops and O((nm)^4) memory.
+README.md gives measured ``in_E`` times per size, with the method that
+produced them.  ``project_F`` is Dykstra's projection onto the ``f``
+cone.  ``perfbench/spans.py`` and ``perfbench/test_labels.py`` reference
+it, ``dykstra_feasibility``, ``witness_search``, ``psd_project`` and
+``DykstraConfig``, which keep these names until ROADMAP item 0b.
 """
 
 from __future__ import annotations
@@ -348,7 +349,8 @@ def _sample_stack(samples: Sequence[MapRep], n: int, k: Optional[int] = None) ->
 
     ``k`` defaults to the first sample's output dim, so only a caller
     that passes ``k`` may pass no samples.  Raises ValueError for an
-    empty list without ``k`` and for a sample that does not map M_n to M_k.
+    empty list without ``k``, a sample that does not map M_n to M_k, or
+    one that fails ``check_hermitian`` at 1e-9, which only validates.
     """
     if k is None:
         if len(samples) == 0:
@@ -359,7 +361,9 @@ def _sample_stack(samples: Sequence[MapRep], n: int, k: Optional[int] = None) ->
             raise ValueError(f"map input dim {alpha.n} does not match second factor {n}")
         if alpha.m != k:
             raise ValueError(f"map output dim {alpha.m} does not match common output dim {k}")
-    return np.array([a.choi for a in samples], dtype=np.complex128).reshape(-1, n * k, n * k)
+    stack = np.array([a.choi for a in samples], dtype=np.complex128).reshape(-1, n * k, n * k)
+    check_hermitian(stack)
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +479,8 @@ def dykstra_feasibility(x: np.ndarray, d: Dims, tol: float = 1e-9, optimum: bool
     the band.  A certificate that fails its check is not used, and an
     ``"in"`` or ``"out"`` stop becomes ``"breakdown"``, so a numerical
     failure of the solve can cost a decision but never produce a wrong
-    one.  The function keeps its name, and a deprecated ``DykstraConfig``
-    in place of ``tol``, for API stability.
+    one.  It takes a deprecated ``DykstraConfig`` in place of ``tol``;
+    both names stay while ``perfbench`` references them.
     """
     tol = tol.tol if isinstance(tol, DykstraConfig) else tol
     _check_tol(tol)
@@ -869,13 +873,13 @@ def is_positive_map(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> Verdict:
-    """Positivity of a map, via block positivity of its Choi matrix.
+    """Positivity of a map: ``is_block_positive``'s verdict on its Choi matrix.
 
     An OUT certificate (xi, eta) means the PSD input conj(xi) conj(xi)*
     is mapped to an operator with <eta| . |eta> < 0.  Raises ValueError
     for ``restarts < 1``.
     """
-    return is_block_positive(phi.hermitian_choi(tol), phi.d, restarts, tol, seed)
+    return is_block_positive(phi.choi, phi.d, restarts, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -892,11 +896,11 @@ def pm_k_membership(
     """Sampled test of (id (x) alpha)(x) >= 0 over the given cone samples.
 
     Every sample maps M_m, the second factor of ``d``, to one common M_k;
-    raises ValueError for no samples or a sample that breaks this rule.
-    Every sample is applied in one ``apply_second`` on the stack of their
-    Choi matrices and classified from one batched ``eigh``.  OUT names the
-    first violating sample's index and is exact; IN is only relative to
-    the samples and flagged heuristic.
+    raises ValueError for no samples or a sample that breaks this rule or
+    fails ``_sample_stack``'s Hermiticity gate.  All samples are applied
+    in one ``apply_second`` on their Choi stack and classified from one
+    batched ``eigh``.  OUT names the first violating sample's index and
+    is exact; IN is only relative to the samples and flagged heuristic.
     """
     x, d = _operator(x, d, tol)
     chois = _sample_stack(k_samples, d.m)

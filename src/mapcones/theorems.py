@@ -145,14 +145,16 @@ def ksharp_membership(
     """Sampled test that beta . alpha* is completely positive for all alpha.
 
     Every sample maps M_n, beta's input space, to one common M_k; raises
-    ValueError for no samples or a sample that breaks this rule.  OUT
-    with the violating sample is exact; IN is relative to the sample
-    set and flagged heuristic.  Square dimensions only.  This wraps
-    ``_ksharp_stack`` on the samples' Choi stack.
+    ValueError for no samples, a sample that breaks this rule, or beta or
+    a sample that is not Hermiticity preserving.  OUT with the violating
+    sample is exact; IN is relative to the sample set and flagged
+    heuristic.  Square dimensions only.  This wraps ``_ksharp_stack`` on
+    beta's own (gated, not symmetrized) Choi matrix and the samples' stack.
     """
     n = beta.n
     if n != beta.m:
         raise ValueError("sharp-cone membership needs square dimensions")
+    beta.hermitian_choi(tol)
     return _ksharp_stack(beta.choi, _sample_stack(k_samples, n), n, tol)
 
 
@@ -341,11 +343,11 @@ def _sample_margins(
 def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, tol: float) -> list[Theorem1Conditions]:
     """The four dual-cone conditions for each of a (maps, nm, nm) stack of Choi matrices, against one pool.
 
-    The pool is a (samples, m^2, m^2) stack of Choi matrices of cone
-    elements on M_m.  Each Choi matrix and the pool pass the Hermiticity
-    gate once (the pool at the default 1e-9, and only to validate it: the
-    conditions read the pool's own entries), and the pool's transforms
-    are built once.  The images Y = (id (x) alpha^t)(C) of every map
+    The pool is a (samples, m^2, m^2) stack of Choi matrices of
+    Hermiticity-preserving cone elements on M_m: a library draw, or a
+    sample list that passed ``_sample_stack``'s gate.  Each Choi matrix
+    passes the Hermiticity gate once, and the pool's transforms are
+    built once.  The images Y = (id (x) alpha^t)(C) of every map
     under every sample are formed once, by one ``apply_second`` over the
     (maps x pool) stack, and their Hermitian parts go through one batched
     ``eigh``; every condition reads from that one spectrum:
@@ -380,7 +382,6 @@ def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, to
     bit the one a stack of one gives.
     """
     chois = check_hermitian(raw, tol)
-    check_hermitian(pool)
     if cone is ConeId.MAP_P and d.n != d.m:
         raise ValueError("the p-cone instance needs square dimensions")
     sq = Dims(d.m, d.m)
@@ -569,18 +570,11 @@ def _random_map_chois(d: Dims, rngs: Sequence[np.random.Generator], families: Se
     return c * np.array([d.n / max(frob(ck), 1e-12) for ck in c])[:, None, None]
 
 
-def _general_map(rng: np.random.Generator, d: Dims) -> MapRep:
-    """A generic (not Hermiticity-preserving) linear map."""
-    nm = d.total
-    g = rng.normal(size=(nm, nm)) + 1j * rng.normal(size=(nm, nm))
-    return map_from_choi(d.n, d.m, g)
-
-
-def _fixture_perturbation(rng: np.random.Generator, eps: float = 0.005) -> np.ndarray:
-    """The shipped map's Choi matrix plus a random Hermitian matrix of relative norm eps."""
+def _fixture_perturbation(rng: np.random.Generator) -> np.ndarray:
+    """The shipped map's Choi matrix plus a random Hermitian matrix of relative norm 0.005."""
     lam = fixtures.nondecomposable_map().choi
     h = random_hermitian(rng, 9)
-    return lam + eps * frob(lam) / max(frob(h), 1e-12) * h
+    return lam + 0.005 * frob(lam) / max(frob(h), 1e-12) * h
 
 
 def _operator_samples(d: Dims, rngs: Sequence[np.random.Generator], families: Sequence[int]) -> np.ndarray:
@@ -633,7 +627,8 @@ def _suite_L4(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     n, m = d
     for trial in range(trials):
         rng = substream(seed, 0x104, trial)
-        phi = _general_map(rng, d) if trial % 2 else _random_map(rng, d, trial)
+        # odd trials draw a generic map, not Hermiticity preserving
+        phi = map_from_choi(n, m, _gaussian_stack([rng], 1, d.total)[0, 0]) if trial % 2 else _random_map(rng, d, trial)
         c = phi.choi
         scale = 1.0 + frob(c)
         via_action = map_from_action(

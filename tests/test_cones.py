@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -415,16 +414,15 @@ class TestInE:
             x = low_rank_psd() + partial_transpose(low_rank_psd(), d)
             x = x + 0.01 * np.trace(x).real / nm * np.eye(nm)
             x *= nm / np.trace(x).real
-        start = time.perf_counter()
         v = in_E(x, d, TOL)
-        elapsed = time.perf_counter() - start
         assert v.status is Status.IN
         a, b = v.certificate.a, v.certificate.b
         scale = 1 + np.linalg.norm(x)
         assert np.linalg.eigvalsh(a)[0] >= -1e-9 * (1 + np.linalg.norm(a))
         assert np.linalg.eigvalsh(b)[0] >= -1e-9 * (1 + np.linalg.norm(b))
         assert np.linalg.norm(x - a - brute_partial_transpose(b, d)) <= 1e-9 * scale
-        assert elapsed < 1.0
+        # a step count, not wall-clock time: these take 4, 5, 4 and 2 Newton steps
+        assert v.info["iterations"] <= 10
 
     def test_choi_fixture_out_with_witness(self):
         lam = nondecomposable_map()

@@ -45,6 +45,22 @@ def test_summarize_prints_both_sides_and_the_difference(capsys):
     assert "0 of 4 counts differ" in capsys.readouterr().out
 
 
+def test_call_counts_pair_and_align_like_the_others(capsys):
+    # the gate, apply_second and einsum counts of one class, one gate fewer on the change
+    parent = {"harness": {"check/pos": {"check_hermitian": 2, "einsum": 3}, "verify/C2/3x3": {"apply_second": 7}}}
+    change = {"harness": {"check/pos": {"check_hermitian": 1, "einsum": 3}, "verify/C2/3x3": {"apply_second": 7}}}
+    assert work_counts.rows(parent, change) == [
+        ("harness", "check/pos", "check_hermitian", 2, 1),
+        ("harness", "check/pos", "einsum", 3, 3),
+        ("harness", "verify/C2/3x3", "apply_second", 7, 7),
+    ]
+    assert work_counts.summarize({"parent": parent, "change": change}) == 0
+    header, gate, einsum, apply, total = capsys.readouterr().out.splitlines()
+    assert gate.split() == ["harness", "check/pos", "check_hermitian", "2", "1", "-1"]
+    assert len({len(header), len(gate), len(einsum), len(apply)}) == 1
+    assert total == "1 of 3 counts differ"
+
+
 def test_main_runs_each_side_once(tmp_path, monkeypatch, capsys):
     calls = []
 
@@ -66,6 +82,8 @@ def test_a_side_counts_the_e_engine_in_a_fresh_interpreter():
     counts = work_counts.run_side(_ROOT, ["e-out"], 1)
     classes = counts["e-out"]
     assert len(classes) == 10  # 12 operations, the three conjugations in one class
+    # each operation is one in_E call, which gates its operator once
+    assert sum(c["check_hermitian"] for c in classes.values()) == 12
     for cls, c in classes.items():
         assert c["schur"] >= 1 and c["iterations"] >= 1, cls
         # every solve is a Schur solve after the first step, which assembles nothing

@@ -9,7 +9,9 @@ runs every operation of it once.  Per operation class it counts, over the
 operations of that class:
 
 * the calls of ``np.linalg.eigh``, ``eigvalsh``, ``solve`` and
-  ``cholesky`` made while the operation runs;
+  ``cholesky`` and of ``np.einsum`` made while the operation runs;
+* the calls of ``check_hermitian`` (the Hermiticity gate) and
+  ``apply_second``, through every ``mapcones`` module that binds them;
 * ``schur``, the Schur matrices that ``sdp._Schur`` assembles;
 * ``iterations``, ``solves`` and ``sweeps``, summed from the ``info`` of
   each verdict (the harness's CLI operations return no verdict).
@@ -60,6 +62,13 @@ def counted(name, fn):
 
 for name in ("eigh", "eigvalsh", "solve", "cholesky"):
     setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+np.einsum = counted("einsum", np.einsum)
+for name, owner in (("check_hermitian", mapcones.linalg), ("apply_second", mapcones.choi)):
+    fn = getattr(owner, name)
+    wrapper = counted(name, fn)
+    for key, mod in list(sys.modules.items()):
+        if key.partition(".")[0] == "mapcones" and getattr(mod, name, None) is fn:
+            setattr(mod, name, wrapper)
 schur = getattr(mapcones.sdp, "_Schur", None)
 if schur is not None:
     schur.__init__ = counted("schur", schur.__init__)
@@ -119,9 +128,9 @@ def rows(parent: dict, change: dict) -> list[tuple[str, str, str, int, int]]:
 def summarize(results: dict) -> int:
     """Print both sides and their difference for every count, then how many differ; 0."""
     table = rows(results["parent"], results["change"])
-    print(f"{'workload':8s} {'class':32s} {'count':10s} {'parent':>7s} {'change':>7s} {'diff':>6s}")
+    print(f"{'workload':8s} {'class':32s} {'count':16s} {'parent':>7s} {'change':>7s} {'diff':>6s}")
     for name, cls, key, p, c in table:
-        print(f"{name:8s} {cls:32s} {key:10s} {p:7d} {c:7d} {c - p:+6d}")
+        print(f"{name:8s} {cls:32s} {key:16s} {p:7d} {c:7d} {c - p:+6d}")
     moved = sum(p != c for *_, p, c in table)
     print(f"{moved} of {len(table)} counts differ")
     return 0
