@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .choi import MapRep, map_from_action, matrix_unit, max_entangled_projector
+from .choi import MapRep, map_from_action, max_entangled_projector
 from .linalg import Dims
 
 __all__ = [
@@ -69,12 +69,9 @@ def bell_phased_family(a: float) -> np.ndarray:
     PPT exactly for 1 <= a <= 4; separable exactly for 2 <= a <= 3.
     """
     p_plus = max_entangled_projector(3) / 3
-    s_plus = np.zeros((9, 9), dtype=np.complex128)
-    s_minus = np.zeros((9, 9), dtype=np.complex128)
-    for i in range(3):
-        j = (i + 1) % 3
-        s_plus += np.kron(matrix_unit(i, i, 3), matrix_unit(j, j, 3)) / 3
-        s_minus += np.kron(matrix_unit(j, j, 3), matrix_unit(i, i, 3)) / 3
+    # S+ and S- are diagonal: 1/3 at |i, i+1> = 1, 5, 6 and at |i+1, i> = 3, 7, 2
+    s_plus = np.diag([0, 1, 0, 0, 0, 1, 1, 0, 0]) / 3
+    s_minus = np.diag([0, 0, 1, 1, 0, 0, 0, 1, 0]) / 3
     return (2 * p_plus + a * s_plus + (5 - a) * s_minus) / 7
 
 

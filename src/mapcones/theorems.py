@@ -33,8 +33,8 @@ pass/fail accounting rather than silently counted as a pass.
 The suites hold their maps, draws and generator pools as Choi stacks,
 the pools from ``sampling._generator_pool_chois``.  ``MapRep`` appears
 only in the public wrappers ``theorem1_conditions`` and
-``ksharp_membership``, which convert once, and in L4 and T13, which test
-``MapRep`` identities and ``pairing``.
+``ksharp_membership``, which convert once, in L4 and in T13's fixture
+note, which test ``MapRep`` identities and ``pairing``.
 
 Reports are pure functions of (theorem id, dims, trials, seed, tol):
 identical arguments produce byte-identical serialized reports.  Wall
@@ -78,11 +78,11 @@ from .cones import (
     _ppt_stack,
     _sample_stack,
     _sampled_least_eig,
+    _separable,
     _UnknownName,
     classify,
     in_E,
     in_F,
-    is_separable,
 )
 from .linalg import (
     Dims,
@@ -103,7 +103,6 @@ from .sampling import (
     _normals,
     _random_cone_chois,
     _sample_chois,
-    _sample_maps,
     random_hermitian,
     random_psd,
     substream,
@@ -984,15 +983,18 @@ def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
 
 
 def _suite_T13(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """Nonnegative pairing between the p cone and the decomposable cone."""
+    """Nonnegative pairing between the p cone and the decomposable cone.
+
+    As in T6, each stack passes one gate at ``pairing``'s default tol and
+    each trial pairs the gated matrices as ``pairing`` would.
+    """
     # each trial's substream draws its p map, then its d map: all p maps first, then all d maps
     rngs = [substream(seed, 0x20D, trial) for trial in range(trials)]
-    phis = _sample_maps(ConeId.MAP_P, d, rngs)
-    psis = _sample_maps(ConeId.MAP_D, d, rngs)
-    for trial, (phi, psi) in enumerate(zip(phis, psis)):
-        scale = 1.0 + frob(phi.choi) * frob(psi.choi)
-        v1 = pairing(phi, psi)
-        v2 = pairing(psi, phi)
+    phis, psis = _sample_chois(ConeId.MAP_P, d, rngs), _sample_chois(ConeId.MAP_D, d, rngs)
+    for trial, (phi, psi) in enumerate(zip(check_hermitian(phis, 1e-9), check_hermitian(psis, 1e-9))):
+        scale = 1.0 + frob(phis[trial]) * frob(psis[trial])
+        v1 = float(trace_pairing(phi, psi).real)
+        v2 = float(trace_pairing(psi, phi).real)
         report.check_margin(trial, "p against d pairing", v1, scale, tol)
         report.check_margin(trial, "d against p pairing", v2, scale, tol)
     if d == (3, 3):
@@ -1030,8 +1032,8 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     the PPT-exact dims the least eigenvalues of C and PT(C) of every
     trial come from one batched ``eigvalsh``.  The state density
     (t (x) t)(C) of a gated C is conj(C), whose spectrum is C's, so it is
-    a state exactly when C is PSD.  The checks are then recorded trial
-    by trial.
+    a state exactly when C is PSD, and ``is_separable``'s core
+    ``_separable`` decides it ungated.  Checks are recorded trial by trial.
     """
     exact = tuple(sorted(d)) in _EXACT_PPT_DIMS
     pool = _generator_pool_chois(ConeId.MAP_POS, d, 10, [seed + 19])[0]
@@ -1058,7 +1060,7 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
         sep = classify(lo, scale, tol)
         if sep is Status.IN:
             state = c[trial].conj()
-            sep = is_separable(state / float(np.trace(state).real), d, tol).status
+            sep = _separable(state / float(np.trace(state).real), d, tol).status
         failed = None if sep is Status.UNDECIDED else (sep is Status.IN) != conds.choi_membership
         report.check(trial, "separability vs membership", min(abs(lo), abs(lo_pt)), failed)
 
@@ -1066,11 +1068,11 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
 def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """Decomposability matches the absence of a PPT witness.
 
-    ``in_E`` answers with a decomposition (IN) or a PPT witness (OUT);
-    the suite runs that certificate's own ``problem()`` check on the
-    Choi matrix once more (the residual and the spectra of both parts, or
-    the pairing, the spectra of w and PT(w) and its trace) and checks the
-    violation-value identity on every witness.
+    ``in_E`` gates the draw and answers with a decomposition (IN) or a
+    PPT witness (OUT); the suite runs that certificate's own ``problem()``
+    check on the gated Choi matrix once more (the residual and the spectra
+    of both parts, or the pairing, the spectra of w and PT(w) and its
+    trace) and checks the violation-value identity on every witness.
     """
     idtol = 1e-12
     rngs = [substream(seed, 0x2D3, trial) for trial in range(trials)]
@@ -1084,11 +1086,11 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
             raw = _fixture_perturbation(rng)
         else:
             raw = _random_map_chois(d, [rng], [trial])[0]
-        c = check_hermitian(raw, tol)
-        v = in_E(c, d, tol)
+        v = in_E(raw, d, tol)
         if v.status is Status.UNDECIDED:
             report.undecided += 1
             continue
+        c = hermitian_part(raw)
         problem = v.certificate.problem(c, d, tol)
         report.check(trial, f"certificate re-validation: {problem}", 1.0, problem is not None)
         if v.status is Status.OUT and problem is None:

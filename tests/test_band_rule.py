@@ -182,10 +182,10 @@ def test_check_margin_planted(k, status):
 def test_band_pairing_is_undecided_in_a_suite(monkeypatch):
     """T13 counts a pairing planted in the band as UNDECIDED, not as a failure."""
 
-    def planted_pairing(phi, psi, tol=TOL):
-        return -5.0 * TOL * (1.0 + frob(phi.choi) * frob(psi.choi))
+    def planted_pairing(a, b):
+        return -5.0 * TOL * (1.0 + frob(a) * frob(b))
 
-    monkeypatch.setattr(theorems_mod, "pairing", planted_pairing)
+    monkeypatch.setattr(theorems_mod, "trace_pairing", planted_pairing)
     report = verify("T13", D22, trials=4, seed=1)
     assert (report.checks, report.undecided, report.failures) == (8, 8, [])
 

@@ -88,6 +88,7 @@ def test_workloads_come_from_the_changes_benchmark(tmp_path, monkeypatch, capsys
         return _run(seed, {"a": 1.0})
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.work_counts, "run_side", lambda checkout, names, seed: {names[0]: {}})
     argv = _checkouts(tmp_path, ["e-large", "sep"])
     assert bench_pairs.main(["--workload", "e-large"] + argv) == 0
     assert calls == ["e-large"] * 4
@@ -96,3 +97,25 @@ def test_workloads_come_from_the_changes_benchmark(tmp_path, monkeypatch, capsys
         bench_pairs.main(["--workload", "e-in"] + argv)
     assert exc.value.code == 2 and calls == ["e-large"] * 4
     assert "invalid choice: 'e-in' (choose from e-large, sep)" in capsys.readouterr().err
+
+
+def test_counts_go_to_each_bench_file_and_the_summary(tmp_path, monkeypatch, capsys):
+    # hand-built counts: the change gates once where the parent gated twice
+    gates = {"parent": 2, "change": 1}
+    sides = []
+
+    def run_side(checkout, names, seed):
+        side = checkout.name
+        sides.append((side, names, seed))
+        return {names[0]: {"check/pos": {"check_hermitian": gates[side], "eigh": 3}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds: _run(seed, {"a": 1.0}))
+    monkeypatch.setattr(bench_pairs.work_counts, "run_side", run_side)
+    assert bench_pairs.main(["--workload", "sep"] + _checkouts(tmp_path, ["sep"])) == 0
+    assert sides == [("parent", ["sep"], 1), ("change", ["sep"], 1)]
+    for side in bench_pairs.SIDES:
+        doc = json.loads((tmp_path / "out" / f"BENCH_sep_{side}.json").read_text())
+        assert doc["counts"] == {"check/pos": {"check_hermitian": gates[side], "eigh": 3}}
+    out = capsys.readouterr().out.splitlines()
+    metric = next(k for k, line in enumerate(out) if line.startswith("latency_p50_ms"))
+    assert out[metric + 1] == "1 of 2 counts differ"

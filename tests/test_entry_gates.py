@@ -6,6 +6,8 @@ the ``check`` command on every cone, ``pm_k_membership``,
 ``ksharp_membership`` and ``theorem1_conditions`` with samples.  Sample
 lists are gated in ``cones._sample_stack``, so a map that is not
 Hermiticity preserving is rejected, never symmetrized, in every role.
+The ``verify`` suites gate each input stack once, and their gate calls
+are pinned per suite.
 """
 
 import sys
@@ -20,7 +22,7 @@ from mapcones.cones import ConeId, pm_k_membership
 from mapcones.io import save_matrix
 from mapcones.linalg import Dims
 from mapcones.sampling import cone_generator_pool
-from mapcones.theorems import ksharp_membership, theorem1_conditions
+from mapcones.theorems import ksharp_membership, theorem1_conditions, verify
 
 D22 = Dims(2, 2)
 #: the unnormalized maximally entangled projector, a cp Choi matrix at 2x2
@@ -121,3 +123,22 @@ CALLS = {
 def test_a_map_that_is_not_hermiticity_preserving_raises(call):
     with pytest.raises(ValueError, match="matrix is not Hermitian"):
         call()
+
+
+#: ``check_hermitian`` calls of ``verify(suite, 3x3 unless named, 10 trials, seed 7)``.
+#: Two re-gates remain: T1 gates its trial stack once per cone, and ``in_E``, the
+#: only way into the e-cone decision, gates the p cone's matrices again in T1,
+#: T12 and T18.  C19's are ``in_E``'s gates of its raw draws and ``omega_eval``'s
+#: of its three witness identities.
+SUITE_GATES = {
+    "C2": 1, "C2/2x3": 1, "C19": 13, "L4": 0, "L5": 0, "L8": 2, "L10": 0, "L15": 1,
+    "L16": 15, "L17": 1, "T1": 14, "T6": 3, "T12": 12, "T13": 4, "T18": 8,
+}
+
+
+@pytest.mark.parametrize("tid", list(SUITE_GATES))
+def test_suite_gate_calls(tid, monkeypatch):
+    suite, _, dims = tid.partition("/")
+    gated = _spy_gates(monkeypatch)
+    assert verify(suite, Dims(*map(int, (dims or "3x3").split("x"))), 10, 7).passed
+    assert len(gated) == SUITE_GATES[tid]

@@ -11,7 +11,7 @@ import importlib.resources as resources
 import numpy as np
 import pytest
 
-from mapcones.choi import map_from_action, map_from_choi, pairing
+from mapcones.choi import map_from_action, map_from_choi, matrix_unit, max_entangled_projector, pairing
 from mapcones.cones import (
     Status,
     in_E,
@@ -102,6 +102,16 @@ class TestStateFixture:
         for a in (1.0, 1.5, 2.5, 4.0):
             val = pairing(lam, map_from_choi(3, 3, bell_phased_family(a)))
             assert val == pytest.approx((a - 2.0) / 7.0, abs=1e-14)
+
+    def test_family_matches_its_kron_sum(self):
+        # the reference: S+ and S- as sums of Kronecker products of matrix units
+        s_plus = sum(np.kron(matrix_unit(i, i, 3), matrix_unit((i + 1) % 3, (i + 1) % 3, 3)) / 3 for i in range(3))
+        s_minus = sum(np.kron(matrix_unit((i + 1) % 3, (i + 1) % 3, 3), matrix_unit(i, i, 3)) / 3 for i in range(3))
+        p_plus = max_entangled_projector(3) / 3
+        for a in np.linspace(0.0, 5.0, 101):
+            reference = (2 * p_plus + a * s_plus + (5 - a) * s_minus) / 7
+            state = bell_phased_family(a)
+            assert state.dtype == reference.dtype and state.tobytes() == reference.tobytes()
 
     def test_family_ppt_window(self):
         d = Dims(3, 3)

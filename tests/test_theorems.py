@@ -421,6 +421,7 @@ class TestStackedSuiteCounts:
         "T6": (22, 1, 0, 4, 2),
         "T1": (104, 15, 0, 78, 9),
         "T12": (4, 10, 0, 37, 11),
+        "T13": (21, 0, 0, 2, 0),
         "T18": (8, 14, 0, 50, 6),
         "C2": (20, 7, 0, 0, 1),
         "C2/2x3": (20, 5, 0, 1, 9),

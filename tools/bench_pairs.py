@@ -24,14 +24,21 @@ won and a median gap wider than the parent's interquartile range); then
 each side's failed operations and UNDECIDED share, and each class's
 median p50 over the classes either side ran ("-" on a side that never
 ran it).  The valid workloads and the directions and bounds of the
-metrics are read from the change's ``BENCHMARK.json``.  Nothing from
-``perfbench`` is imported, and nothing in either checkout is written
-except what ``run.py`` itself writes there.
+metrics are read from the change's ``BENCHMARK.json``.
+
+Before the timed runs, ``tools/work_counts.py``'s ``run_side`` counts the
+work of the workload's first round at the first seed, once in each
+checkout.  Each BENCH file stores its side's per-class counts under
+``counts``, and the metric table is followed by ``work_counts``' "N of M
+counts differ" line.  This script imports nothing from ``perfbench``
+(only the counting interpreter imports its workloads), and nothing in
+either checkout is written except what ``run.py`` itself writes there.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -40,6 +47,10 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+_SPEC = importlib.util.spec_from_file_location("work_counts", Path(__file__).with_name("work_counts.py"))
+work_counts = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(work_counts)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -99,7 +110,8 @@ def class_p50s(runs: dict) -> dict:
     return table
 
 
-def summarize(runs: dict, bench: dict) -> None:
+def summarize(runs: dict, bench: dict, counts: dict | None = None) -> None:
+    """The metric table, how many of ``counts`` (``run_side``'s, per side) differ, the failures and the class table."""
     print(f"{'metric':18s} {'parent':>10s} {'change':>10s} {'move':>8s} {'won':>6s} {'parent IQR':>21s}"
           f"  {'worse > bound':>13s}  claim passes")
     for spec in bench["end_to_end"]:
@@ -109,6 +121,8 @@ def summarize(runs: dict, bench: dict) -> None:
         move = (mc / mp - 1.0) * 100 if mp else float("nan")
         print(f"{name:18s} {mp:10.4g} {mc:10.4g} {move:+7.1f}% {v['won']:>3d}/{v['pairs']:<2d} "
               f"{q1:10.4g}-{q3:<10.4g}  {str(v['regressed']):>13s}  {v['claim']}")
+    if counts is not None:
+        print(work_counts.differ(work_counts.rows(counts["parent"], counts["change"])))
     for side in SIDES:
         attempted = sum(r["result"]["attempted"] for r in runs[side])
         failed = sum(r["result"]["failed"] for r in runs[side])
@@ -138,6 +152,8 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     if args.workload not in workloads:
         p.error(f"argument --workload: invalid choice: {args.workload!r} (choose from {', '.join(workloads)})")
+    # counted first, so that a checkout the counting interpreter cannot run fails before the timed runs
+    counts = {side: work_counts.run_side(checkouts[side], [args.workload], args.seeds[0]) for side in SIDES}
     runs = {side: [] for side in SIDES}
     for seed in args.seeds:
         order = SIDES if seed % 2 else SIDES[::-1]
@@ -155,11 +171,11 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     for side in SIDES:
         doc = {"workload": args.workload, "side": side, "source": sources[side],
-               "command": command, "pairs": pairs, "runs": runs[side]}
+               "command": command, "pairs": pairs, "runs": runs[side], "counts": counts[side][args.workload]}
         path = args.out / f"BENCH_{args.workload}_{side}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {path}")
-    summarize(runs, bench)
+    summarize(runs, bench, counts)
     return 0
 
 

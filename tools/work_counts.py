@@ -125,14 +125,18 @@ def rows(parent: dict, change: dict) -> list[tuple[str, str, str, int, int]]:
     return out
 
 
+def differ(table: list) -> str:
+    """The "N of M counts differ" line of a ``rows`` table."""
+    return f"{sum(p != c for *_, p, c in table)} of {len(table)} counts differ"
+
+
 def summarize(results: dict) -> int:
     """Print both sides and their difference for every count, then how many differ; 0."""
     table = rows(results["parent"], results["change"])
     print(f"{'workload':8s} {'class':32s} {'count':16s} {'parent':>7s} {'change':>7s} {'diff':>6s}")
     for name, cls, key, p, c in table:
         print(f"{name:8s} {cls:32s} {key:16s} {p:7d} {c:7d} {c - p:+6d}")
-    moved = sum(p != c for *_, p, c in table)
-    print(f"{moved} of {len(table)} counts differ")
+    print(differ(table))
     return 0
 
 
