@@ -8,7 +8,8 @@ with the (n*m)^2 entries of the matrix in row-major order under the
 composite index convention (i, r) -> i*m + r.  The same container holds
 the Choi matrix of a map or a plain operator on the composite space.
 Numbers are written with 17 significant digits, so write-then-read
-round-trips every double bit-exactly while keeping files diffable.
+round-trips every matrix of finite doubles bit-exactly while keeping
+files diffable; writing raises the ``MapFileError`` reading would.
 """
 
 from __future__ import annotations
@@ -29,23 +30,23 @@ class MapFileError(ValueError):
     """Raised when a matrix file fails to parse or validate."""
 
 
+def _check_dims(n, m) -> None:
+    """Raise unless n and m are positive integers (a bool is not one)."""
+    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1 for k in (n, m)):
+        raise MapFileError(f"dimensions must be positive integers, got n={n!r} m={m!r}")
+
+
 def dumps_matrix(n: int, m: int, matrix: np.ndarray) -> str:
+    _check_dims(n, m)
     matrix = np.asarray(matrix, dtype=np.complex128)
     nm = n * m
     if matrix.shape != (nm, nm):
         raise MapFileError(f"matrix shape {matrix.shape} does not match dims ({n}, {m})")
-    entries = [
-        [f"{v.real:.17g}", f"{v.imag:.17g}"] for v in matrix.ravel()
-    ]
-    body = ",\n    ".join("[" + ", ".join(pair) + "]" for pair in entries)
-    return (
-        "{\n"
-        f'  "n": {int(n)},\n'
-        f'  "m": {int(m)},\n'
-        '  "choi": [\n    '
-        + body
-        + "\n  ]\n}\n"
-    )
+    bad = np.flatnonzero(~np.isfinite(matrix))
+    if bad.size:
+        raise MapFileError(f"entry {bad[0]} is not finite")
+    body = ",\n    ".join(f"[{v.real:.17g}, {v.imag:.17g}]" for v in matrix.ravel())
+    return f'{{\n  "n": {int(n)},\n  "m": {int(m)},\n  "choi": [\n    {body}\n  ]\n}}\n'
 
 
 def loads_matrix(text: Union[str, bytes]) -> tuple[Dims, np.ndarray]:
@@ -59,8 +60,7 @@ def loads_matrix(text: Union[str, bytes]) -> tuple[Dims, np.ndarray]:
         if key not in obj:
             raise MapFileError(f"missing field {key!r}")
     n, m = obj["n"], obj["m"]
-    if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in (n, m)):
-        raise MapFileError(f"dimensions must be positive integers, got n={n!r} m={m!r}")
+    _check_dims(n, m)
     entries = obj["choi"]
     nm = n * m
     if not isinstance(entries, list) or len(entries) != nm * nm:

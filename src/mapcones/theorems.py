@@ -298,7 +298,7 @@ def theorem1_conditions(
         raise ValueError(f"{cone} is not a map cone")
     d = phi.d
     pool = _generator_pool_chois(cone, d, 8, [seed])[0] if samples is None else _sample_stack(samples, d.m, d.m)
-    return _theorem1_stack(phi.choi[None], d, cone, pool, tol)[0]
+    return _theorem1_stack(phi.choi[None], phi.hermitian_choi(tol)[None], d, cone, pool, tol)[0]
 
 
 def _transforms(pool: np.ndarray, sq: Dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,17 +339,19 @@ def _sample_margins(
     return np.array(m1), np.array(m3), np.min(lows[..., 0], axis=-1, initial=np.inf)
 
 
-def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, tol: float) -> list[Theorem1Conditions]:
+def _theorem1_stack(
+    raw: np.ndarray, chois: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, tol: float
+) -> list[Theorem1Conditions]:
     """The four dual-cone conditions for each of a (maps, nm, nm) stack of Choi matrices, against one pool.
 
     The pool is a (samples, m^2, m^2) stack of Choi matrices of
     Hermiticity-preserving cone elements on M_m: a library draw, or a
-    sample list that passed ``_sample_stack``'s gate.  Each Choi matrix
-    passes the Hermiticity gate once, and the pool's transforms are
-    built once.  The images Y = (id (x) alpha^t)(C) of every map
-    under every sample are formed once, by one ``apply_second`` over the
-    (maps x pool) stack, and their Hermitian parts go through one batched
-    ``eigh``; every condition reads from that one spectrum:
+    sample list that passed ``_sample_stack``'s gate.  ``chois`` is the
+    caller's gate of ``raw``, and the pool's transforms are built once.
+    The images Y = (id (x) alpha^t)(C) of every map under every sample
+    are formed once, by one ``apply_second`` over the (maps x pool)
+    stack, and their Hermitian parts go through one batched ``eigh``;
+    every condition reads from that one spectrum:
 
     - (i) pairs C with t . alpha* . t applied to the bottom projector
       psi of Y;
@@ -380,7 +382,6 @@ def _theorem1_stack(raw: np.ndarray, d: Dims, cone: ConeId, pool: np.ndarray, to
     map, as the single-map evaluation does, so every margin is bit for
     bit the one a stack of one gives.
     """
-    chois = check_hermitian(raw, tol)
     if cone is ConeId.MAP_P and d.n != d.m:
         raise ValueError("the p-cone instance needs square dimensions")
     sq = Dims(d.m, d.m)
@@ -688,9 +689,9 @@ def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
 
     Each substream gives its trial's map, then 8 random PSD probes; the
     maps are drawn as one stack per family, then the probes as one
-    stack.  The Choi matrices pass one gate and one batched ``eigh``, and
-    for a run of trials the adjoints act on all probes in one
-    ``apply_second``.  The pairings run trial by trial.
+    stack.  The Choi matrices pass one gate and one batched ``eigh``; for
+    a run of trials the adjoints act on all probes in one ``apply_second``,
+    whose images ``omega_eval`` gates.  The pairings run trial by trial.
     """
     n = d.n
     idtol = 1e-12
@@ -703,11 +704,7 @@ def _suite_L8(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     w_eig, u = np.linalg.eigh(c)
     probes = np.concatenate([x, (u[:, :, :1] * u[:, None, :, 0].conj())[:, None]], axis=1)
     adj = adjoint_choi(raw, d)
-    rhs = _in_runs(
-        trials,
-        probes[0].size,
-        lambda run: n * omega_eval(hermitian_part(apply_second(adj[run, None], probes[run], d)), n),
-    )
+    rhs = _in_runs(trials, probes[0].size, lambda run: n * omega_eval(apply_second(adj[run, None], probes[run], d), n))
     for trial, ck in enumerate(c):
         scale = 1.0 + frob(ck)
         err = np.abs(trace_pairing(ck, x[trial]).real - rhs[trial, :-1]) / (1.0 + frob(ck) * frobs(x[trial]))
@@ -848,11 +845,12 @@ def _suite_T1(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     """Four-way agreement of the dual-cone conditions on random maps.
 
     Every trial's map is drawn first, from its own substream, and each
-    cone's conditions run once over all of them through
+    cone's conditions run once over all of them, gated once, through
     ``_theorem1_stack``; the checks are then recorded trial by trial.
     """
     raw = _random_map_chois(d, [substream(seed, 0x201, trial) for trial in range(trials)], range(trials))
-    results = {c: _theorem1_stack(raw, d, c, _generator_pool_chois(c, d, 12, [seed + 17])[0], tol) for c in _CONCRETE}
+    c = check_hermitian(raw, tol)
+    results = {k: _theorem1_stack(raw, c, d, k, _generator_pool_chois(k, d, 12, [seed + 17])[0], tol) for k in _CONCRETE}
     for trial in range(trials):
         for cone in _CONCRETE:
             conds = results[cone][trial]
@@ -945,15 +943,16 @@ def _ppt_gap(x: np.ndarray, d: Dims) -> float:
 
 
 def _sharp_check(
-    report: TheoremReport, trial: int, label: str, cone: ConeId, beta: np.ndarray, pool: np.ndarray, d: Dims, tol: float
+    report: TheoremReport, trial: int, label: str, cone: ConeId, beta: np.ndarray, c: np.ndarray, pool: np.ndarray,
+    d: Dims, tol: float,
 ) -> Optional[float]:
-    """Check the sampled K-sharp test of Choi matrix beta, against K's samples ``pool``, with K's partner test.
+    """Check the sampled K-sharp test of beta, against K's samples ``pool``, with K's partner test on c, beta's gate.
 
     Returns the partner margin, or None when an UNDECIDED partner verdict
     counts the trial UNDECIDED.  An OUT verdict's PPT witness w (the p
     cone's, whose sharp cone is d) joins the pool: beta . map(w)* is not cp.
     """
-    (margin,), (closed,), (w,) = _partner_test(cone, check_hermitian(beta, tol)[None], d, tol)
+    (margin,), (closed,), (w,) = _partner_test(cone, c[None], d, tol)
     if closed is Status.UNDECIDED:
         report.undecided += 1
         return None
@@ -966,17 +965,17 @@ def _sharp_check(
 
 
 def _suite_T12(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """Sharp-cone duality for transpose-invariant cones, square case."""
+    """Sharp-cone duality for transpose-invariant cones, square case; the maps pass one gate, as a stack."""
     pools = {c: _generator_pool_chois(c, d, 8, [seed + 11])[0] for c in _CONCRETE}
     # each trial's map is the only draw of its substream: all trials' maps are one stack
     betas = _random_map_chois(d, [substream(seed, 0x20C, t) for t in range(trials)], [t + 1 for t in range(trials)])
-    for trial, beta in enumerate(betas):
+    for trial, (beta, c) in enumerate(zip(betas, check_hermitian(betas, tol))):
         cone = _CONCRETE[trial % 4]
-        a = _sharp_check(report, trial, f"{cone.value} sharp membership mismatch", cone, beta, pools[cone], d, tol)
-        # transpose symmetry of sharp membership: the adjoint beta* has beta's partner margin
+        a = _sharp_check(report, trial, f"{cone.value} sharp membership mismatch", cone, beta, c, pools[cone], d, tol)
+        # transpose symmetry: beta* has beta's partner margin, and its gate is adjoint_choi(c), an entry permutation
         if a is not None and cone is not ConeId.MAP_P:
-            scale = 1.0 + frob(hermitian_part(beta))
-            b = float(_partner_test(cone, hermitian_part(adjoint_choi(beta, d))[None], d, tol)[0][0])
+            scale = 1.0 + frob(c)
+            b = float(_partner_test(cone, adjoint_choi(c, d)[None], d, tol)[0][0])
             sa, sb = classify(a, scale, tol), classify(b, scale, tol)
             failed = None if Status.UNDECIDED in (sa, sb) else sa is not sb
             report.check(trial, f"{cone.value} transpose symmetry", min(abs(a), abs(b)), failed)
@@ -1021,19 +1020,20 @@ def _suite_T18(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
                 cand = _fixture_perturbation(rng)
             else:
                 cand = _random_map_chois(d, [rng], [trial])[0]
-            _sharp_check(report, trial, "sharp test vs decomposability", ConeId.MAP_P, cand, p_pool, d, tol)
+            c = check_hermitian(cand, tol)
+            _sharp_check(report, trial, "sharp test vs decomposability", ConeId.MAP_P, cand, c, p_pool, d, tol)
 
 
 def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
     """The positive-maps instance, with the separability condition.
 
     Every trial's map is drawn first, from its own substream, and the
-    conditions run once over all of them through ``_theorem1_stack``.  At
-    the PPT-exact dims the least eigenvalues of C and PT(C) of every
-    trial come from one batched ``eigvalsh``.  The state density
-    (t (x) t)(C) of a gated C is conj(C), whose spectrum is C's, so it is
-    a state exactly when C is PSD, and ``is_separable``'s core
-    ``_separable`` decides it ungated.  Checks are recorded trial by trial.
+    conditions run once over all of them, gated once, through
+    ``_theorem1_stack``.  At the PPT-exact dims the least eigenvalues of
+    C and PT(C) of every trial come from one batched ``eigvalsh``.  The
+    state density (t (x) t)(C) of a gated C is conj(C), whose spectrum is
+    C's, so it is a state exactly when C is PSD, and ``is_separable``'s
+    core ``_separable`` decides it ungated.  Checks are recorded trial by trial.
     """
     exact = tuple(sorted(d)) in _EXACT_PPT_DIMS
     pool = _generator_pool_chois(ConeId.MAP_POS, d, 10, [seed + 19])[0]
@@ -1041,10 +1041,9 @@ def _suite_C2(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     cones = [families[trial % len(families)] for trial in range(trials)]
     rngs = [substream(seed, 0x2C2, trial) for trial in range(trials)]
     raw = np.array(_grouped(cones, rngs, lambda cone, part: _sample_chois(cone, d, part)))
-    results = _theorem1_stack(raw, d, ConeId.MAP_POS, pool, tol)
+    c = check_hermitian(raw, tol)
+    results = _theorem1_stack(raw, c, d, ConeId.MAP_POS, pool, tol)
     if exact:
-        # the Choi matrices passed their gate in _theorem1_stack
-        c = hermitian_part(raw)
         spectra = _min_eigs(np.stack([c, partial_transpose(c, d)], axis=1))
     for trial, conds in enumerate(results):
         failed = None if conds.boundary else not conds.agree
@@ -1072,7 +1071,8 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     PPT witness (OUT); the suite runs that certificate's own ``problem()``
     check on the gated Choi matrix once more (the residual and the spectra
     of both parts, or the pairing, the spectra of w and PT(w) and its
-    trace) and checks the violation-value identity on every witness.
+    trace) and checks the violation-value identity on every witness w,
+    where ``omega_eval`` gates the raw adjoint's image of w.
     """
     idtol = 1e-12
     rngs = [substream(seed, 0x2D3, trial) for trial in range(trials)]
@@ -1096,7 +1096,7 @@ def _suite_C19(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
         if v.status is Status.OUT and problem is None:
             w = v.certificate.w
             lhs = float(trace_pairing(c, w).real)
-            rhs = d.n * omega_eval(hermitian_part(apply_second(adjoint_choi(raw, d), w, d)), d.n)
+            rhs = d.n * omega_eval(apply_second(adjoint_choi(raw, d), w, d), d.n)
             err = abs(lhs - rhs) / (1.0 + frob(c) * frob(w))
             report.check(trial, "violation value identity", err, err > idtol)
 

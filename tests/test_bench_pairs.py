@@ -17,6 +17,7 @@ THROUGHPUT = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
 
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("1001-1003,1007") == [1001, 1002, 1003, 1007]
+    assert bench_pairs.parse_seeds("1001-1003,") == [1001, 1002, 1003]
 
 
 def test_quartiles_of_one_value():

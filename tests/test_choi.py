@@ -98,6 +98,16 @@ class TestApply:
         rhs = 2 * apply_map(phi, a) - 1j * apply_map(phi, b)
         assert np.allclose(lhs, rhs, atol=1e-13)
 
+    def test_call_is_apply_map(self):
+        g = rng(24)
+        phi = random_map(g, 2, 3)
+        a = random_complex(g, (2, 2))
+        assert np.array_equal(phi(a), apply_map(phi, a))
+
+    def test_argument_shape_rejected(self):
+        with pytest.raises(ValueError, match="does not match input dim 2"):
+            apply_map(identity_map(2), np.eye(3))
+
 
 class TestApplySecondBatch:
     def test_map_stack_on_one_operator(self):
@@ -558,3 +568,14 @@ class TestMapRepValidation:
         x = random_complex(g, (6, 6))
         out = apply_second(alpha, x, Dims(2, 3))
         assert out.shape == (4, 4)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: apply_second(identity_map(2), np.eye(3), Dims(2, 2)), "operator shape"),
+    (lambda: apply_second(identity_map(3), np.eye(4), Dims(2, 2)), "map input dim 3 does not match second factor 2"),
+    (lambda: apply_second(np.eye(5), np.eye(4), Dims(2, 2)), "Choi stack shape"),
+    (lambda: adjoint_choi(np.eye(5), Dims(2, 2)), "Choi shape"),
+], ids=["apply_second operator", "apply_second map", "apply_second stack", "adjoint_choi"])
+def test_mismatched_shapes_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -26,6 +26,7 @@ from mapcones.cones import (
     SeparableBall,
     SeparableDecomposition,
     Status,
+    Verdict,
     dykstra_feasibility,
     in_E,
     in_F,
@@ -79,6 +80,9 @@ class TestSpectralCones:
     def test_identity_is_cp(self):
         v = is_cp(identity_map(3))
         assert v.status is Status.IN
+
+    def test_verdict_is_true_only_when_in(self):
+        assert [bool(Verdict(s)) for s in Status] == [s is Status.IN for s in Status]
 
     def test_transpose_not_cp_with_witness(self):
         v = is_cp(transpose_map(3))

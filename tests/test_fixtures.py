@@ -45,6 +45,10 @@ class TestMapFixture:
         )
         assert lam.choi.shape == (9, 9)
 
+    def test_action_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match="expected a 3 x 3 matrix"):
+            nondecomposable_map_action(np.eye(2))
+
     def test_built_once_read_only_and_equal_to_a_fresh_build(self):
         lam = nondecomposable_map()
         assert nondecomposable_map() is lam

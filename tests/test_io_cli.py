@@ -76,6 +76,26 @@ class TestMatrixFiles:
         with pytest.raises(MapFileError):
             loads_matrix(json.dumps({"n": 2, "m": 2}))
 
+    def test_non_object_rejected(self):
+        with pytest.raises(MapFileError, match="top-level value must be an object"):
+            loads_matrix("[2, 2]")
+
+    @pytest.mark.parametrize("n,m,mat", [
+        (0, 0, np.zeros((0, 0))),
+        (2, 2, np.diag([1.0, np.nan, 1.0, 1.0])),
+        (2, 2, np.diag([1.0, 1.0, complex(0.0, np.inf), 1.0])),
+    ], ids=["zero dims", "nan", "inf"])
+    def test_unreadable_matrix_rejected_at_write(self, n, m, mat, tmp_path):
+        # the JSON reader's NaN and Infinity carry the values to loads_matrix's own checks
+        text = json.dumps({"n": n, "m": m, "choi": [[v.real, v.imag] for v in mat.ravel()]})
+        with pytest.raises(MapFileError) as read:
+            loads_matrix(text)
+        path = tmp_path / "m.json"
+        with pytest.raises(MapFileError) as written:
+            save_matrix(path, n, m, mat)
+        assert str(written.value) == str(read.value)
+        assert not path.exists()
+
 
 @pytest.fixture
 def identity_file(tmp_path):

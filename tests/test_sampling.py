@@ -27,6 +27,7 @@ from mapcones.sampling import (
     cone_generator_pool,
     k_t,
     kd_generators,
+    random_density,
     random_pure_entangled_state,
     random_pure_product_state,
     random_separable_mixture,
@@ -253,6 +254,17 @@ class TestStateGenerators:
         g = substream(3, 4)
         rho = random_separable_mixture(g, D22)
         assert in_F(rho, D22).status is Status.IN
+
+    def test_density_has_unit_trace_and_its_rank(self):
+        rho = random_density(substream(4, 5), 4, rank=2)
+        w = np.linalg.eigvalsh(rho)
+        assert abs(np.trace(rho) - 1) <= 1e-12
+        assert w[0] >= -1e-12 and np.sum(w > 1e-12) == 2
+
+    @pytest.mark.parametrize("d", [Dims(1, 3), Dims(2, 1)], ids=["1x3", "2x1"])
+    def test_entangled_state_needs_two_factors_of_dimension_two(self, d):
+        with pytest.raises(ValueError, match="both factors of dimension >= 2"):
+            random_pure_entangled_state(substream(5, 6), d)
 
 
 class TestConjChoi:

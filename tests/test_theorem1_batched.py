@@ -265,10 +265,11 @@ STACK_DIMS = (Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(3, 3), Dims(2, 4))
 
 
 def _stack(phis, cone, pool):
-    """``_theorem1_stack`` on the Choi stacks of the maps and the pool."""
+    """``_theorem1_stack`` on the Choi stacks of the maps, gated once, and the pool."""
     d = phis[0].d
     pool = np.array([a.choi for a in pool]).reshape(-1, d.m * d.m, d.m * d.m)
-    return _theorem1_stack(np.array([phi.choi for phi in phis]), d, cone, pool, 1e-9)
+    raw = np.array([phi.choi for phi in phis])
+    return _theorem1_stack(raw, check_hermitian(raw), d, cone, pool, 1e-9)
 
 
 def _assert_bit_equal(got, ref):
@@ -386,7 +387,7 @@ def test_shared_spectrum_matches_the_replaced_routes_on_suite_pools(pool_id, d):
     # T1's 40 trial maps, every family of _random_map
     raw = theorems_mod._random_map_chois(d, [substream(seed, 0x201, trial) for trial in range(40)], range(40))
     m2, m3, m4 = _replaced_routes(raw, d, pool)
-    for k, conds in enumerate(_theorem1_stack(raw, d, cone, pool, 1e-9)):
+    for k, conds in enumerate(_theorem1_stack(raw, check_hermitian(raw), d, cone, pool, 1e-9)):
         scale = 1.0 + frob(hermitian_part(raw[k]))
         assert abs(conds.margins["iii"] - m3[k]) <= 1e-12 * scale, k
         assert abs(conds.margins["iv"] - m4[k]) <= 1e-12 * scale, k

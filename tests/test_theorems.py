@@ -1,11 +1,14 @@
 """Verification-suite machinery: conditions, sharp cones, reports."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import mapcones.choi as choi_mod
 import mapcones.cones as cones_mod
+import mapcones.linalg as linalg_mod
 import mapcones.sampling as sampling_mod
 import mapcones.theorems as theorems_mod
 from _helpers import random_psd, rng
@@ -320,6 +323,20 @@ class TestReports:
         assert obj["worst_violation"] == 2.5e-7
         assert obj["violation_histogram"] == {"1e-7": 1}
 
+    def test_zero_violation_bucket_and_markdown_failure_table(self):
+        report = TheoremReport("L4", 2, 2, 2, 0, 1e-9)
+        report.record_failure(0, "exact miss", 0.0)
+        report.record_failure(1, "synthetic check", 2.5e-7)
+        assert report.histogram() == {"0": 1, "1e-7": 1}
+        lines = emit_report(report, "markdown").splitlines()
+        assert lines[0] == "# FAIL: L4 at 2 x 2"
+        assert lines[-4:] == [
+            "| trial | check | violation |",
+            "| --- | --- | --- |",
+            "| 0 | exact miss | 0.0 |",
+            "| 1 | synthetic check | 2.5e-07 |",
+        ]
+
     def test_check_counts_failures_and_undecided(self):
         report = TheoremReport("L4", 2, 2, 4, 0, 1e-9)
         report.check(0, "passes", 5.0, False)
@@ -402,37 +419,42 @@ class TestEDecisionPath:
 
 
 class TestStackedSuiteCounts:
-    """Each trial evaluates its probes and pool samples as one stack.
+    """Each trial evaluates its probes and pool samples as one stack, and each input stack passes one gate.
 
     The call counts of one ``verify`` run at 3x3 (10 trials, seed 7) are
     pinned, so a per-probe or per-sample loop coming back shows up as a
-    count that grows with the probe or pool size.  ``CHANGES.md`` records
+    count that grows with the probe or pool size, and a second gate of a
+    stack as a grown ``check_hermitian`` count.  ``CHANGES.md`` records
     how each row reached its value.
     """
 
+    #: ``apply_second`` and ``check_hermitian`` are counted through every
+    #: ``mapcones`` module that binds them.  One re-gate remains, by design:
+    #: ``in_E``, the only way into the e-cone decision, gates the p cone's
+    #: matrices again in T1, T12 and T18.  C19's gates are ``in_E``'s of its
+    #: raw draws and ``omega_eval``'s of its three witness identities.
     COUNTS = {
-        # suite[/dims, 3x3 when omitted]: (einsum, apply_second, functional, eigvalsh, eigh)
-        "L4": (130, 0, 40, 2, 0),
-        "L5": (0, 1, 0, 4, 1),
-        "L8": (11, 1, 0, 2, 1),
-        "L10": (12, 1, 10, 0, 0),
-        "L15": (0, 1, 0, 2, 2),
-        "L17": (0, 2, 0, 4, 1),
-        "T6": (22, 1, 0, 4, 2),
-        "T1": (104, 15, 0, 78, 9),
-        "T12": (4, 10, 0, 37, 11),
-        "T13": (21, 0, 0, 2, 0),
-        "T18": (8, 14, 0, 50, 6),
-        "C2": (20, 7, 0, 0, 1),
-        "C2/2x3": (20, 5, 0, 1, 9),
-        "C19": (29, 3, 0, 121, 7),
+        # suite[/dims, 3x3 when omitted]: (einsum, apply_second, functional, eigvalsh, eigh, check_hermitian)
+        "L4": (130, 0, 40, 2, 0, 0),
+        "L5": (0, 1, 0, 4, 1, 0),
+        "L8": (11, 1, 0, 2, 1, 2),
+        "L10": (12, 1, 10, 0, 0, 0),
+        "L15": (0, 1, 0, 2, 2, 1),
+        "L16": (20, 10, 0, 87, 10, 15),
+        "L17": (0, 2, 0, 4, 1, 1),
+        "T6": (22, 1, 0, 4, 2, 3),
+        "T1": (104, 15, 0, 78, 9, 11),
+        "T12": (4, 10, 0, 37, 11, 3),
+        "T13": (21, 0, 0, 2, 0, 4),
+        "T18": (8, 14, 0, 50, 6, 8),
+        "C2": (20, 7, 0, 0, 1, 1),
+        "C2/2x3": (20, 5, 0, 1, 9, 1),
+        "C19": (29, 3, 0, 121, 7, 13),
     }
 
     @pytest.mark.parametrize("tid", sorted(COUNTS))
     def test_counts(self, monkeypatch, tid):
-        import mapcones.choi as choi_mod
-
-        counts = dict.fromkeys(("einsum", "apply_second", "functional", "eigvalsh", "eigh"), 0)
+        counts = dict.fromkeys(("einsum", "apply_second", "functional", "eigvalsh", "eigh", "check_hermitian"), 0)
 
         def spy(name, f):
             def counted(*args, **kwargs):
@@ -441,9 +463,11 @@ class TestStackedSuiteCounts:
 
             return counted
 
-        apply_spy = spy("apply_second", choi_mod.apply_second)
-        for mod in (choi_mod, cones_mod, sampling_mod, theorems_mod):
-            monkeypatch.setattr(mod, "apply_second", apply_spy)
+        for name, f in (("apply_second", choi_mod.apply_second), ("check_hermitian", linalg_mod.check_hermitian)):
+            counted = spy(name, f)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.partition(".")[0] == "mapcones" and getattr(mod, name, None) is f:
+                    monkeypatch.setattr(mod, name, counted)
         monkeypatch.setattr(choi_mod.DualFunctional, "__call__", spy("functional", choi_mod.DualFunctional.__call__))
         monkeypatch.setattr(np, "einsum", spy("einsum", np.einsum))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))

@@ -48,18 +48,18 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 
-_SPEC = importlib.util.spec_from_file_location("work_counts", Path(__file__).with_name("work_counts.py"))
-work_counts = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(work_counts)
+
+def _load(name: str):
+    """The script ``tools/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).with_name(f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def parse_seeds(text: str) -> list[int]:
-    """'1001-1010' or '1,2,5' (or a mix) as a list of seeds."""
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
-    return seeds
+work_counts = _load("work_counts")
+#: '1001-1010' or '1,2,5' (or a mix) as a list of seeds; empty parts are skipped
+parse_seeds = _load("report_grid").parse_seeds
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
