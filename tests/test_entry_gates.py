@@ -6,8 +6,7 @@ the ``check`` command on every cone, ``pm_k_membership``,
 ``ksharp_membership`` and ``theorem1_conditions`` with samples.  Sample
 lists are gated in ``cones._sample_stack``, so a map that is not
 Hermiticity preserving is rejected, never symmetrized, in every role.
-The ``verify`` suites' gate calls are pinned per suite, next to their
-other call counts, in ``tests/test_theorems.py::TestStackedSuiteCounts``.
+The ``verify`` suites' gate calls are pinned per suite.
 """
 
 import sys
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 
 import mapcones.linalg as linalg_mod
+from _helpers import suite_call_counts
 from mapcones.choi import identity_map, map_from_choi, max_entangled_projector
 from mapcones.cli import main
 from mapcones.cones import ConeId, pm_k_membership
@@ -124,3 +124,22 @@ def test_a_map_that_is_not_hermiticity_preserving_raises(call):
     with pytest.raises(ValueError, match="matrix is not Hermitian"):
         call()
 
+
+#: ``check_hermitian`` calls of ``verify(suite, 3x3 unless named, 10 trials, seed 7)``,
+#: counted through every ``mapcones`` module that binds it, in the run that
+#: ``tests/test_theorems.py::TestStackedSuiteCounts`` reads its other counts from.
+#: One re-gate remains, by design: ``in_E``, the only way into the e-cone
+#: decision, gates the p cone's matrices again in T1, T12 and T18.  C19's are
+#: ``in_E``'s gates of its raw draws and ``omega_eval``'s of its three witness
+#: identities.
+SUITE_GATES = {
+    "C2": 1, "C2/2x3": 1, "C19": 13, "L4": 0, "L5": 0, "L8": 2, "L10": 0, "L15": 1,
+    "L16": 15, "L17": 1, "T1": 11, "T6": 3, "T12": 3, "T13": 4, "T18": 8,
+}
+
+
+@pytest.mark.parametrize("tid", list(SUITE_GATES))
+def test_suite_gate_calls(tid):
+    passed, counts = suite_call_counts(tid)
+    assert passed
+    assert counts["check_hermitian"] == SUITE_GATES[tid]

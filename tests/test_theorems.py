@@ -1,17 +1,13 @@
 """Verification-suite machinery: conditions, sharp cones, reports."""
 
 import json
-import sys
 
 import numpy as np
 import pytest
 
-import mapcones.choi as choi_mod
 import mapcones.cones as cones_mod
-import mapcones.linalg as linalg_mod
-import mapcones.sampling as sampling_mod
 import mapcones.theorems as theorems_mod
-from _helpers import random_psd, rng
+from _helpers import SUITE_COUNTED, random_psd, rng, suite_call_counts
 from mapcones.choi import adjoint, adjoint_choi, identity_map, map_from_choi, transpose_map
 from mapcones.cones import (
     ConeId,
@@ -419,63 +415,40 @@ class TestEDecisionPath:
 
 
 class TestStackedSuiteCounts:
-    """Each trial evaluates its probes and pool samples as one stack, and each input stack passes one gate.
+    """Each trial evaluates its probes and pool samples as one stack.
 
     The call counts of one ``verify`` run at 3x3 (10 trials, seed 7) are
     pinned, so a per-probe or per-sample loop coming back shows up as a
-    count that grows with the probe or pool size, and a second gate of a
-    stack as a grown ``check_hermitian`` count.  ``CHANGES.md`` records
-    how each row reached its value.
+    count that grows with the probe or pool size.  The run is shared with
+    ``tests/test_entry_gates.py::test_suite_gate_calls``, which pins its
+    ``check_hermitian`` count.  ``CHANGES.md`` records how each row
+    reached its value.
     """
 
-    #: ``apply_second`` and ``check_hermitian`` are counted through every
-    #: ``mapcones`` module that binds them.  One re-gate remains, by design:
-    #: ``in_E``, the only way into the e-cone decision, gates the p cone's
-    #: matrices again in T1, T12 and T18.  C19's gates are ``in_E``'s of its
-    #: raw draws and ``omega_eval``'s of its three witness identities.
     COUNTS = {
-        # suite[/dims, 3x3 when omitted]: (einsum, apply_second, functional, eigvalsh, eigh, check_hermitian)
-        "L4": (130, 0, 40, 2, 0, 0),
-        "L5": (0, 1, 0, 4, 1, 0),
-        "L8": (11, 1, 0, 2, 1, 2),
-        "L10": (12, 1, 10, 0, 0, 0),
-        "L15": (0, 1, 0, 2, 2, 1),
-        "L16": (20, 10, 0, 87, 10, 15),
-        "L17": (0, 2, 0, 4, 1, 1),
-        "T6": (22, 1, 0, 4, 2, 3),
-        "T1": (104, 15, 0, 78, 9, 11),
-        "T12": (4, 10, 0, 37, 11, 3),
-        "T13": (21, 0, 0, 2, 0, 4),
-        "T18": (8, 14, 0, 50, 6, 8),
-        "C2": (20, 7, 0, 0, 1, 1),
-        "C2/2x3": (20, 5, 0, 1, 9, 1),
-        "C19": (29, 3, 0, 121, 7, 13),
+        # suite[/dims, 3x3 when omitted]: (einsum, apply_second, functional, eigvalsh, eigh)
+        "L4": (130, 0, 40, 2, 0),
+        "L5": (0, 1, 0, 4, 1),
+        "L8": (11, 1, 0, 2, 1),
+        "L10": (12, 1, 10, 0, 0),
+        "L15": (0, 1, 0, 2, 2),
+        "L16": (20, 10, 0, 87, 10),
+        "L17": (0, 2, 0, 4, 1),
+        "T6": (22, 1, 0, 4, 2),
+        "T1": (104, 15, 0, 78, 9),
+        "T12": (4, 10, 0, 37, 11),
+        "T13": (21, 0, 0, 2, 0),
+        "T18": (8, 14, 0, 50, 6),
+        "C2": (20, 7, 0, 0, 1),
+        "C2/2x3": (20, 5, 0, 1, 9),
+        "C19": (29, 3, 0, 121, 7),
     }
 
     @pytest.mark.parametrize("tid", sorted(COUNTS))
-    def test_counts(self, monkeypatch, tid):
-        counts = dict.fromkeys(("einsum", "apply_second", "functional", "eigvalsh", "eigh", "check_hermitian"), 0)
-
-        def spy(name, f):
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return f(*args, **kwargs)
-
-            return counted
-
-        for name, f in (("apply_second", choi_mod.apply_second), ("check_hermitian", linalg_mod.check_hermitian)):
-            counted = spy(name, f)
-            for mod_name, mod in list(sys.modules.items()):
-                if mod_name.partition(".")[0] == "mapcones" and getattr(mod, name, None) is f:
-                    monkeypatch.setattr(mod, name, counted)
-        monkeypatch.setattr(choi_mod.DualFunctional, "__call__", spy("functional", choi_mod.DualFunctional.__call__))
-        monkeypatch.setattr(np, "einsum", spy("einsum", np.einsum))
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
-        suite, _, dims = tid.partition("/")
-        d = Dims(*map(int, dims.split("x"))) if dims else D33
-        assert verify(suite, d, 10, 7).passed
-        assert tuple(counts.values()) == self.COUNTS[tid]
+    def test_counts(self, tid):
+        passed, counts = suite_call_counts(tid)
+        assert passed
+        assert tuple(counts[name] for name in SUITE_COUNTED if name != "check_hermitian") == self.COUNTS[tid]
 
 
 class TestSharpWitnessSample:
