@@ -7,7 +7,8 @@ with 6 trials at seed 1: every suite at 2x2; the suites whose 3x3 runs
 take other paths (the PPT entangled fixtures in T13, T18 and C19, and C2
 outside the dims where PPT is exact); and every suite of the benchmark's
 harness at the dims it runs them (3x3, and 2x3 for C2), with L16, T1
-and T12 at 3x3 as well.  A second table pins the suites whose checks read
+and T12 at 3x3 as well; and L4 at 2x3 and 3x2, where a reshape that
+swaps n and m would show, as it would not at square dims.  A second table pins the suites whose checks read
 a margin against the band (T6, T13, T18, L16, L17, C2 and C19) at a
 coarse tol of 0.05, where the band is wide enough to matter.  A third
 table pins the suites that evaluate all their trials as stacks (L5, L8,
@@ -61,6 +62,8 @@ DIGESTS = {
     ("L16", 3, 3): "c1eb1082eb3674032f8f7f4242f956363f3d753c907295e88f88aac4940e0b35",
     ("T1", 3, 3): "0bcfb80e984b109cfdee2670f6a33db6fa825d8f30a80b1cabd3c6dea03127ed",
     ("T12", 3, 3): "9f92505e8df2c9534b2819fa32f1e5ff95c8fde645065c4b22d62c3890c5024b",
+    ("L4", 2, 3): "43512b612d7d4c88886e019a4373965b601479fb339e50c205f953485987762d",
+    ("L4", 3, 2): "75d46a08c9f493b3a867153e607c95a7f60de447b9e3905e3827470a5ef97b04",
 }
 
 COARSE_TOL = 0.05
