@@ -12,9 +12,9 @@ Exit codes: 0 IN / witness found / suite passed (and ``--help``), 1 OUT
 / no witness, 2 UNDECIDED, 64 parse or usage error (an unreadable file,
 a missing argument, an unknown option or a malformed value), 65
 dimension error or invalid value (a ``--tol`` that is not finite and
-positive, ``--trials`` or ``--restarts`` below 1), 66 unknown cone or
-theorem name, 70 internal error.  The commands raise, and ``main``
-alone maps each exception to its exit code.  Every ``--seed`` defaults
+positive, ``--trials`` or ``--restarts`` below 1, a negative
+``--seed``), 66 unknown cone or theorem name, 70 internal error.  The
+commands raise, and ``main`` alone maps each exception to its exit code.  Every ``--seed`` defaults
 to the fixed constant 123456789 rather than wall clock, so unseeded
 runs are reproducible.
 """

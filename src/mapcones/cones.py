@@ -850,10 +850,12 @@ def is_block_positive(
     band is UNDECIDED, and survival of all restarts is only a heuristic
     IN, since the problem has no efficient exact certificate in general.
     ``info`` carries the number of ``sweeps`` run and the least value
-    ``best``.  Raises ValueError for ``restarts < 1``.
+    ``best``.  Raises ValueError for ``restarts < 1`` or ``seed < 0``.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     x, d = _operator(x, d, tol)
     n, m = d
     scale = 1.0 + frob(x)
@@ -877,7 +879,7 @@ def is_positive_map(
 
     An OUT certificate (xi, eta) means the PSD input conj(xi) conj(xi)*
     is mapped to an operator with <eta| . |eta> < 0.  Raises ValueError
-    for ``restarts < 1``.
+    for ``restarts < 1`` or ``seed < 0``.
     """
     return is_block_positive(phi.choi, phi.d, restarts, tol, seed)
 

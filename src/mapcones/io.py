@@ -10,6 +10,9 @@ the Choi matrix of a map or a plain operator on the composite space.
 Numbers are written with 17 significant digits, so write-then-read
 round-trips every matrix of finite doubles bit-exactly while keeping
 files diffable; writing raises the ``MapFileError`` reading would.
+Reading rejects, at the first bad entry, one that is not a pair of JSON
+numbers and one that is not a finite double: NaN, an infinity, or an
+integer too large for a double.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -50,6 +54,7 @@ def dumps_matrix(n: int, m: int, matrix: np.ndarray) -> str:
 
 
 def loads_matrix(text: Union[str, bytes]) -> tuple[Dims, np.ndarray]:
+    """The dims and matrix of a file's text; raises ``MapFileError`` naming what is wrong."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -67,19 +72,45 @@ def loads_matrix(text: Union[str, bytes]) -> tuple[Dims, np.ndarray]:
         raise MapFileError(
             f"expected {nm * nm} entries for dims ({n}, {m}), got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
-    flat = np.empty(nm * nm, dtype=np.complex128)
-    for idx, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise MapFileError(f"entry {idx} must be a [re, im] pair of numbers")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise MapFileError(f"entry {idx} is not finite")
-        flat[idx] = complex(re, im)
-    return Dims(n, m), flat.reshape(nm, nm)
+    # the pairs before the first bad entry, as doubles: a number there that is not finite is reported first
+    bad = _first_bad_pair(entries)
+    head = entries[:bad]
+    try:
+        x = np.fromiter(chain.from_iterable(head), dtype=np.float64, count=2 * bad)
+    except OverflowError:
+        x = np.fromiter(map(_double, chain.from_iterable(head)), dtype=np.float64, count=2 * bad)
+    finite = np.isfinite(x.reshape(-1, 2)).all(axis=1)
+    if not finite.all():
+        raise MapFileError(f"entry {np.flatnonzero(~finite)[0]} is not finite")
+    if bad < len(entries):
+        raise MapFileError(f"entry {bad} must be a [re, im] pair of numbers")
+    return Dims(n, m), x.view(np.complex128).reshape(nm, nm)
+
+
+_NUMBERS = frozenset({int, float})
+
+
+def _first_bad_pair(entries: list) -> int:
+    """Index of the first entry that is not a [re, im] pair of numbers (a bool is not one); len(entries) if none is.
+
+    JSON gives exactly these types, so a type scan over all entries at
+    once decides a well-formed file; only a bad one is walked entry by entry.
+    """
+    if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        if set(map(type, chain.from_iterable(entries))) <= _NUMBERS:
+            return len(entries)
+    return next(
+        idx for idx, pair in enumerate(entries)
+        if type(pair) is not list or len(pair) != 2 or not {type(v) for v in pair} <= _NUMBERS
+    )
+
+
+def _double(v) -> float:
+    """float(v), or inf for an integer too large for a double."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
 
 
 def save_matrix(path: Union[str, os.PathLike], n: int, m: int, matrix: np.ndarray) -> None:

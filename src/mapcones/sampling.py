@@ -69,7 +69,9 @@ _STREAM = {
 
 
 def substream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
-    """Deterministic child stream for (seed, tag, index)."""
+    """Deterministic child stream for (seed, tag, index); raises ValueError for ``seed < 0``."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, tag, index)))
 
 

@@ -20,8 +20,10 @@ passes one Hermiticity gate, and each check is one ``apply_second`` and
 one batched eigensolver call over the (trials x probes or pool) stack,
 whose verdicts come from the stacked cores of the oracles the suite
 cross-checks (``in_F``, ``pm_k_membership``'s ``_sampled_least_eig``
-and the spectral oracles).  Checks are still recorded trial by trial,
-in their old order.  Every ``e``-cone decision is the
+and the spectral oracles).  L4 draws its maps and probes first as well,
+and forms the action route of every map of a run of trials with one
+batched product.  Checks are still recorded trial by trial, in their
+old order.  Every ``e``-cone decision is the
 status of one ``in_E`` call, whose OUT certificate is the PPT witness the
 suite builds its probes from; T1's p cone adds that witness, as a p-cone
 map, to the map's own samples, and T12 and T18 add it itself to the
@@ -33,8 +35,8 @@ pass/fail accounting rather than silently counted as a pass.
 The suites hold their maps, draws and generator pools as Choi stacks,
 the pools from ``sampling._generator_pool_chois``.  ``MapRep`` appears
 only in the public wrappers ``theorem1_conditions`` and
-``ksharp_membership``, which convert once, in L4 and in T13's fixture
-note, which test ``MapRep`` identities and ``pairing``.
+``ksharp_membership``, which convert once, and in T13's fixture note,
+which tests ``pairing``.
 
 Reports are pure functions of (theorem id, dims, trials, seed, tol):
 identical arguments produce byte-identical serialized reports.  Wall
@@ -56,14 +58,11 @@ from .choi import (
     DualFunctional,
     MapRep,
     adjoint_choi,
-    apply_map,
     apply_second,
-    dual_functional,
-    map_from_action,
     map_from_choi,
+    matrix_unit,
     omega_eval,
     pairing,
-    transpose_conj,
     trpi_eval,
 )
 from .cones import (
@@ -622,31 +621,49 @@ def _grouped(keys: Sequence, items: Sequence, draw) -> list:
 
 
 def _suite_L4(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
-    """Transpose-conjugation identities of maps and their functionals."""
+    """Transpose-conjugation identities of maps and their functionals.
+
+    Each substream gives its trial's map, a generic one (not Hermiticity
+    preserving) on odd trials, then 20 probes.  For a run of trials the
+    odd maps, the even maps and then the probes are drawn as one stack
+    each.  The action route, t . phi . t on every matrix unit for every
+    map of the run, is one batched product: block (i, j) of its Choi
+    matrix is phi(e_ji)^T.  The functionals' pairings, the
+    ``trace_pairing`` that ``DualFunctional`` makes, and the norms run
+    trial by trial.
+    """
     idtol = 1e-12
     n, m = d
-    for trial in range(trials):
-        rng = substream(seed, 0x104, trial)
-        # odd trials draw a generic map, not Hermiticity preserving
-        phi = map_from_choi(n, m, _gaussian_stack([rng], 1, d.total)[0, 0]) if trial % 2 else _random_map(rng, d, trial)
-        c = phi.choi
-        scale = 1.0 + frob(c)
-        via_action = map_from_action(
-            n, m, lambda e: full_transpose(apply_map(phi, full_transpose(e)))
-        )
-        r1 = frob(via_action.choi - both_transpose(c, d)) / scale
-        r2 = frob(via_action.choi - full_transpose(c)) / scale
-        report.check(trial, "choi-of-transpose-conj vs t(x)t route", r1, r1 > idtol)
-        report.check(trial, "choi-of-transpose-conj vs full transpose", r2, r2 > idtol)
-        f = dual_functional(phi)
-        ft = dual_functional(transpose_conj(phi))
-        x = _gaussian_stack([rng], 20, d.total)[0]
-        den = 1.0 + frob(c) * frobs(x)
-        v1 = np.abs(ft(x) - f(both_transpose(x, d))) / den
-        v2 = np.abs(ft(x) - f(full_transpose(x))) / den
-        for k in range(len(x)):
-            report.check(trial, f"functional t(x)t identity probe {k}", v1[k], v1[k] > idtol)
-            report.check(trial, f"functional transpose identity probe {k}", v2[k], v2[k] > idtol)
+    nm = d.total
+    # row (i, j) is the matrix unit e_ji, flattened
+    units = np.array([matrix_unit(j, i, n).ravel() for i in range(n) for j in range(n)])
+    for run in _runs(trials, 20 * nm * nm):
+        idx = range(trials)[run]
+        rngs = [substream(seed, 0x104, trial) for trial in idx]
+        even, odd = slice(run.start % 2, None, 2), slice(1 - run.start % 2, None, 2)
+        c = np.empty((len(idx), nm, nm), dtype=np.complex128)
+        c[odd] = _gaussian_stack(rngs[odd], 1, nm)[:, 0]
+        c[even] = _random_map_chois(d, rngs[even], idx[even])
+        x = _gaussian_stack(rngs, 20, nm)
+        # phi(e_ji)[r, s] = sum_ab (e_ji)_ab C4[a, r, b, s], apply_map's contraction
+        images = units @ c.reshape(-1, n, m, n, m).swapaxes(-3, -2).reshape(-1, n * n, m * m)
+        via_action = images.reshape(-1, n, n, m, m).transpose(0, 1, 4, 2, 3).reshape(c.shape)
+        # the functional of phi has density C_{t.phi.t} = (t (x) t)(C), that of t . phi . t has C
+        density, cf = both_transpose(c, d), full_transpose(c)
+        xb, xf = both_transpose(x, d), full_transpose(x)
+        for k, trial in enumerate(idx):
+            norm = frob(c[k])
+            r1 = frob(via_action[k] - density[k]) / (1.0 + norm)
+            r2 = frob(via_action[k] - cf[k]) / (1.0 + norm)
+            report.check(trial, "choi-of-transpose-conj vs t(x)t route", r1, r1 > idtol)
+            report.check(trial, "choi-of-transpose-conj vs full transpose", r2, r2 > idtol)
+            ft = trace_pairing(c[k], x[k])
+            den = 1.0 + norm * frobs(x[k])
+            v1 = np.abs(ft - trace_pairing(density[k], xb[k])) / den
+            v2 = np.abs(ft - trace_pairing(density[k], xf[k])) / den
+            for p in range(len(v1)):
+                report.check(trial, f"functional t(x)t identity probe {p}", v1[p], v1[p] > idtol)
+                report.check(trial, f"functional transpose identity probe {p}", v2[p], v2[p] > idtol)
 
 
 def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float) -> None:
@@ -1135,9 +1152,9 @@ def verify(
     same arguments reproduces it exactly (the wall-time attribute is
     informational and excluded from serialization).  Raises TypeError
     for ``trials`` or ``seed`` that is not an integer, such as a float,
-    and ValueError for an unknown id, invalid dims, ``trials < 1``, a
-    ``tol`` that is not finite and positive, or n != m for a suite in
-    ``_SQUARE_ONLY``.
+    and ValueError for an unknown id, invalid dims, ``trials < 1``,
+    ``seed < 0``, a ``tol`` that is not finite and positive, or n != m for
+    a suite in ``_SQUARE_ONLY``.
     """
     if theorem_id.upper() not in SUPPORTED_THEOREMS:
         raise _UnknownName(
@@ -1148,6 +1165,8 @@ def verify(
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _check_tol(tol)
     if theorem_id in _SQUARE_ONLY and d.n != d.m:
         raise ValueError("this suite needs square dimensions")

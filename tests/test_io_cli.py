@@ -72,6 +72,48 @@ class TestMatrixFiles:
         assert main(["check", str(path), "cp"]) == 64
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("entry,message", [
+        ([1.0, True], "must be a [re, im] pair of numbers"),
+        (["1.0", 0.0], "must be a [re, im] pair of numbers"),
+        ([1.0, 0.0, 0.0], "must be a [re, im] pair of numbers"),
+        (1.0, "must be a [re, im] pair of numbers"),
+        ([float("nan"), 0.0], "is not finite"),
+        ([0.0, 10**400], "is not finite"),
+    ], ids=["bool", "string", "three numbers", "not a list", "nan", "int too large"])
+    def test_bad_entry_named_by_index(self, entry, message):
+        obj = json.loads(dumps_matrix(2, 2, np.eye(4)))
+        obj["choi"][7] = entry
+        with pytest.raises(MapFileError) as exc:
+            loads_matrix(json.dumps(obj))
+        assert str(exc.value) == f"entry 7 {message}"
+
+    @pytest.mark.parametrize("first,second", [(3, 9), (9, 3)])
+    def test_first_bad_entry_wins(self, first, second):
+        # a number that is not finite and an entry that is not a pair, in either order
+        obj = json.loads(dumps_matrix(2, 2, np.eye(4)))
+        obj["choi"][first] = [float("inf"), 0.0]
+        obj["choi"][second] = [0.0, None]
+        with pytest.raises(MapFileError) as exc:
+            loads_matrix(json.dumps(obj))
+        kind = "is not finite" if first < second else "must be a [re, im] pair of numbers"
+        assert str(exc.value) == f"entry {min(first, second)} {kind}"
+
+    def test_int_too_large_for_a_double_exits_64(self, tmp_path, capsys):
+        # once an OverflowError, which main reported as an internal error (70)
+        obj = json.loads(dumps_matrix(2, 2, np.eye(4)))
+        obj["choi"][5] = [10**400, 0]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(MapFileError, match="entry 5 is not finite"):
+            load_matrix(path)
+        assert main(["check", str(path), "cp"]) == 64
+        assert capsys.readouterr().err == "error: entry 5 is not finite\n"
+
+    def test_negative_zero_read_bit_exact(self):
+        d, x = loads_matrix('{"n": 1, "m": 1, "choi": [[-0.0, -0.0]]}')
+        assert d == Dims(1, 1)
+        assert np.signbit(x.real).all() and np.signbit(x.imag).all()
+
     def test_missing_field(self):
         with pytest.raises(MapFileError):
             loads_matrix(json.dumps({"n": 2, "m": 2}))
@@ -318,6 +360,20 @@ class TestArgumentValues:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: restarts must be >= 1, got {restarts}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "random", "pos", "blockpos"])
+    def test_negative_seed_rejected(self, fixture_file, tmp_path, command, capsys):
+        # once numpy's bare "expected non-negative integer"
+        out = tmp_path / "sample.json"
+        argv = {
+            "verify": ["verify", "L4", "2", "2", "--trials", "2"],
+            "random": ["random", "cp", "2", "2", str(out)],
+        }.get(command, ["check", fixture_file, command])
+        assert main(argv + ["--seed", "-1"]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_small_positive_tol_accepted(self, identity_file):
         assert main(["check", identity_file, "cp", "--tol", "1e-12"]) == 0

@@ -1,11 +1,13 @@
 """The stacked suites against per-trial references.
 
-L5, L8, L10, L15, L17 and T6 draw every trial's inputs first and
+L4, L5, L8, L10, L15, L17 and T6 draw every trial's inputs first and
 evaluate each check over all trials as one stack.  The references below
 are the trial-by-trial loops they replaced, kept as they were apart
 from the draws, which come from the single-draw helpers: one call of
 the public ``in_F``, ``pm_k_membership``, ``omega_eval``, ``trpi_eval``,
-``pairing`` and spectral oracles per trial.  Every check a suite
+``pairing`` and spectral oracles per trial, and L4's ``map_from_action``
+route through ``apply_map``, with ``dual_functional`` and
+``transpose_conj``.  Every check a suite
 records (trial, label, margin and status) and its UNDECIDED count must
 be bit for bit the reference's, also when the stacks are cut into
 chunks.
@@ -17,10 +19,12 @@ import pytest
 import mapcones.theorems as theorems_mod
 from mapcones.choi import (
     adjoint,
+    apply_map,
     apply_second,
     compose_left,
     dual_functional,
     identity_map,
+    map_from_action,
     map_from_choi,
     omega_eval,
     pairing,
@@ -47,6 +51,7 @@ from mapcones.linalg import (
     check_hermitian,
     frob,
     frobs,
+    full_transpose,
     hermitian_part,
     partial_transpose,
     trace_pairing,
@@ -79,6 +84,34 @@ def _min_eig(x):
 
 def _ppt_gap(x, d):
     return min(abs(_min_eig(x)), abs(_min_eig(partial_transpose(x, d))))
+
+
+def _ref_L4(report, d, trials, seed, tol):
+    n, m = d
+    nm = d.total
+    for trial in range(trials):
+        rng = substream(seed, 0x104, trial)
+        if trial % 2:
+            phi = map_from_choi(n, m, rng.normal(size=(nm, nm)) + 1j * rng.normal(size=(nm, nm)))
+        else:
+            phi = _random_map(rng, d, trial)
+        c = phi.choi
+        scale = 1.0 + frob(c)
+        via_action = map_from_action(n, m, lambda e: full_transpose(apply_map(phi, full_transpose(e))))
+        r1 = frob(via_action.choi - both_transpose(c, d)) / scale
+        r2 = frob(via_action.choi - full_transpose(c)) / scale
+        report.check(trial, "choi-of-transpose-conj vs t(x)t route", r1, r1 > 1e-12)
+        report.check(trial, "choi-of-transpose-conj vs full transpose", r2, r2 > 1e-12)
+        f = dual_functional(phi)
+        ft = dual_functional(transpose_conj(phi))
+        g = rng.normal(size=(20, 2, nm, nm))
+        x = g[:, 0] + 1j * g[:, 1]
+        den = 1.0 + frob(c) * frobs(x)
+        v1 = np.abs(ft(x) - f(both_transpose(x, d))) / den
+        v2 = np.abs(ft(x) - f(full_transpose(x))) / den
+        for k in range(len(x)):
+            report.check(trial, f"functional t(x)t identity probe {k}", v1[k], v1[k] > 1e-12)
+            report.check(trial, f"functional transpose identity probe {k}", v2[k], v2[k] > 1e-12)
 
 
 def _ref_L5(report, d, trials, seed, tol):
@@ -213,7 +246,7 @@ def _ref_T6(report, d, trials, seed, tol):
             report.check(trial, f"{escape.value} escape not caught", abs(v.certificate.value), failed)
 
 
-REFERENCES = {"L5": _ref_L5, "L8": _ref_L8, "L10": _ref_L10, "L15": _ref_L15, "L17": _ref_L17, "T6": _ref_T6}
+REFERENCES = {"L4": _ref_L4, "L5": _ref_L5, "L8": _ref_L8, "L10": _ref_L10, "L15": _ref_L15, "L17": _ref_L17, "T6": _ref_T6}
 ALL_DIMS = (Dims(2, 2), Dims(2, 3), Dims(3, 2), Dims(3, 3), Dims(2, 4))
 CASES = [(tid, d) for tid in REFERENCES for d in ALL_DIMS if d.n == d.m or tid not in theorems_mod._SQUARE_ONLY]
 
@@ -275,6 +308,23 @@ def test_long_runs_stay_within_the_stack_budget(tid, monkeypatch, capsys):
     assert max(sizes) <= theorems_mod._STACK_ENTRIES
     # more than one trial's stack of 81-entry images went in at once
     assert max(sizes) > 9 * 81
+
+
+def test_l4_probe_stacks_stay_within_the_stack_budget(monkeypatch, capsys):
+    sizes = []
+    original = theorems_mod._gaussian_stack
+
+    def spy(rngs, count, k):
+        out = original(rngs, count, k)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(theorems_mod, "_gaussian_stack", spy)
+    assert main(["verify", "L4", "3", "3", "--trials", "200"]) == 0
+    capsys.readouterr()
+    assert max(sizes) <= theorems_mod._STACK_ENTRIES
+    # more than one trial's 20 probes of 81 entries were drawn at once
+    assert max(sizes) > 20 * 81
 
 
 def _bad_stack(x, tol):

@@ -427,7 +427,7 @@ class TestStackedSuiteCounts:
 
     COUNTS = {
         # suite[/dims, 3x3 when omitted]: (einsum, apply_second, functional, eigvalsh, eigh)
-        "L4": (130, 0, 40, 2, 0),
+        "L4": (30, 0, 0, 2, 0),
         "L5": (0, 1, 0, 4, 1),
         "L8": (11, 1, 0, 2, 1),
         "L10": (12, 1, 10, 0, 0),
