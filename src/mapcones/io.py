@@ -10,9 +10,9 @@ the Choi matrix of a map or a plain operator on the composite space.
 Numbers are written with 17 significant digits, so write-then-read
 round-trips every matrix of finite doubles bit-exactly while keeping
 files diffable; writing raises the ``MapFileError`` reading would.
-Reading rejects, at the first bad entry, one that is not a pair of JSON
-numbers and one that is not a finite double: NaN, an infinity, or an
-integer too large for a double.
+Reading names the first bad entry: one that is not a [re, im] pair of
+JSON numbers, or one whose numbers are not finite doubles (NaN, an
+infinity, or an integer too large for a double).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def loads_matrix(text: Union[str, bytes]) -> tuple[Dims, np.ndarray]:
     """The dims and matrix of a file's text; raises ``MapFileError`` naming what is wrong."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer with more digits than int() takes
         raise MapFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MapFileError("top-level value must be an object")
@@ -123,6 +123,6 @@ def load_matrix(path: Union[str, os.PathLike]) -> tuple[Dims, np.ndarray]:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MapFileError(f"cannot read {path}: {exc}") from exc
     return loads_matrix(text)

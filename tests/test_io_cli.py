@@ -109,6 +109,19 @@ class TestMatrixFiles:
         assert main(["check", str(path), "cp"]) == 64
         assert capsys.readouterr().err == "error: entry 5 is not finite\n"
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 1, "m": 1, "choi": [[1%s, 0]]}' % ("0" * 5000), "invalid JSON: Exceeds the limit"),
+        ('{"n": 1, "m": 1, "choi": [[1, 0]]} \u00e9', "cannot read"),
+    ], ids=["5000-digit int", "not ascii"])
+    def test_unparsable_file_exits_64(self, text, message, tmp_path, capsys):
+        # both once left main as a plain ValueError, exit 65
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MapFileError, match=message):
+            load_matrix(path)
+        assert main(["check", str(path), "cp"]) == 64
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_negative_zero_read_bit_exact(self):
         d, x = loads_matrix('{"n": 1, "m": 1, "choi": [[-0.0, -0.0]]}')
         assert d == Dims(1, 1)
