@@ -21,9 +21,14 @@ Each map cone runs the code of its operator twin (cp/psd, p/f, s/sep,
 pos/blockpos, d/e): the Choi matrix is gated once and handed to the
 operator core, and ``check psd`` runs ``is_cp``.  The spectral oracles
 ``is_cp``, ``is_cop`` and ``in_F`` (with ``in_P``) are each the stack of
-one of a private core that decides a whole stack of gated matrices from
-one batched ``eigh``, which the randomized suites call on all their
-trials at once.
+one of a private core that decides a whole stack of gated matrices at
+once, which the randomized suites call on all their trials.  The cores
+of ``is_cp`` and ``is_cop`` make one batched ``eigh``, since all their
+verdicts carry an eigenvector.  The PPT core, sampled membership and the
+positive-map detection of ``is_separable`` classify from one batched
+``eigvalsh`` and run at most one batched ``eigh`` more, over just the
+matrices whose verdict carries a ``MinEigCert`` (or, for the detection,
+a witness built from one).
 
 Verdicts are IN / OUT / UNDECIDED.  Each test reads a margin (a least
 eigenvalue, a product-vector value, a PPT witness value Tr(w x)), and
@@ -143,7 +148,16 @@ class ConeId(Enum):
 
 @dataclass(frozen=True)
 class MinEigCert:
-    """A negative-eigenvalue certificate: value and unit eigenvector."""
+    """A least eigenvalue and a unit eigenvector of it.
+
+    OUT verdicts of ``is_cp``, ``is_cop``, ``in_F`` / ``in_P``,
+    ``pm_k_membership`` and ``ksharp_membership`` carry one, and so do
+    UNDECIDED verdicts of the first three; the value is then negative.
+    IN verdicts of ``is_cp`` and ``is_cop`` carry one too, with a value
+    ``classify`` puts IN.  IN verdicts of ``in_F`` / ``in_P`` carry only
+    the two values (``PptSpectra``), and the sampled tests' IN and
+    UNDECIDED verdicts no certificate (``info["worst_min_eig"]``).
+    """
 
     value: float
     vector: np.ndarray
@@ -185,7 +199,7 @@ class Decomposition:
         residual = frob(x - self.a - partial_transpose(self.b, d))
         if classify(-residual, scale, tol) is not Status.IN:
             return "decomposition residual"
-        if not (_psd_within(self.a, tol) and _psd_within(self.b, tol)):
+        if not _psd_within((self.a, self.b), tol):
             return "decomposition part not PSD"
         if classify(-abs(residual - self.residual), scale, tol) is not Status.IN:
             return "decomposition residual does not re-derive"
@@ -213,7 +227,7 @@ class FWitness:
         value = float(trace_pairing(self.w, x).real)
         if classify(value, scale, tol) is not Status.OUT:
             return "witness inside the band"
-        if not (_psd_within(self.w, tol) and _psd_within(partial_transpose(self.w, d), tol)):
+        if not _psd_within((self.w, partial_transpose(self.w, d)), tol):
             return "witness not PPT"
         if abs(float(np.trace(self.w).real) - 1.0) > 1e-9:
             return "witness trace"
@@ -303,45 +317,83 @@ def _operator(x, d: Dims, tol: float) -> tuple[np.ndarray, Dims]:
     return check_hermitian(x, tol), d
 
 
-def _psd_within(x: np.ndarray, tol: float) -> bool:
-    """``classify`` puts the least eigenvalue of a Hermitian x IN at scale 1 + ||x||_F."""
-    return classify(float(np.linalg.eigvalsh(x)[0]), 1.0 + frob(x), tol) is Status.IN
+def _psd_within(xs: Sequence[np.ndarray], tol: float) -> bool:
+    """``classify`` puts the least eigenvalue of each Hermitian x of ``xs`` IN, at scale 1 + ||x||_F.
+
+    The matrices share one shape, and one batched ``eigvalsh`` gives
+    every least eigenvalue, each bit for bit what x alone gives.
+    """
+    lows = np.linalg.eigvalsh(np.array(xs))[:, 0].tolist()
+    return all(classify(lo, 1.0 + frob(x), tol) is Status.IN for lo, x in zip(lows, xs))
 
 
-def _least_eigs(y: np.ndarray, tol: float) -> list[tuple[Status, MinEigCert]]:
-    """``classify`` on the least eigenvalue of each Hermitian y of a (k, N, N) stack, at scale 1 + ||y||_F.
+def _scales(y: np.ndarray) -> list[float]:
+    """The classification scale 1 + ||y||_F of each matrix y of a stack."""
+    return [1.0 + frob(yk) for yk in y]
 
-    All k spectra come from one batched ``eigh``.
+
+def _least_values(y: np.ndarray, scales: list[float], tol: float) -> tuple[list[float], list[Status]]:
+    """The least eigenvalue of each Hermitian y of a (k, N, N) stack and ``classify``'s status for it at its scale.
+
+    All k values come from one batched ``eigvalsh``: the statuses of
+    ``_least_eigs`` without its eigenvectors.
+    """
+    lows = np.linalg.eigvalsh(y)[:, 0].tolist()
+    return lows, [classify(lo, s, tol) for lo, s in zip(lows, scales)]
+
+
+def _least_eigs(y: np.ndarray, scales: list[float], tol: float) -> list[tuple[Status, MinEigCert]]:
+    """``classify`` on the least eigenvalue of each Hermitian y of a (k, N, N) stack, at its scale.
+
+    All k spectra come from one batched ``eigh``, and each certificate
+    carries the eigenvector of its value.
     """
     w, u = np.linalg.eigh(y)
     return [
-        (classify(lo, 1.0 + frob(yk), tol), MinEigCert(lo, vk.copy()))
-        for lo, yk, vk in zip(w[:, 0].tolist(), y, u[:, :, 0])
+        (classify(lo, s, tol), MinEigCert(lo, vk.copy()))
+        for lo, s, vk in zip(w[:, 0].tolist(), scales, u[:, :, 0])
     ]
 
 
-def _hermitian_eigh(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Hermitian parts h of a stack of images and their batched ``eigh`` (w, u)."""
+def _hermitian_spectra(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian parts h of a stack of images and their eigenvalues, from one batched ``eigvalsh``."""
     h = hermitian_part(images)
-    return (h, *np.linalg.eigh(h))
+    return h, np.linalg.eigvalsh(h)
 
 
-def _sampled_least_eig(h: np.ndarray, w: np.ndarray, u: np.ndarray, tol: float) -> Verdict:
-    """``classify`` on the least eigenvalue of each Hermitian image in a stack, given its spectrum.
+def _sampled_least_eigs(h: np.ndarray, w: np.ndarray, tol: float) -> list[Verdict]:
+    """``classify`` on the least eigenvalue of each Hermitian image of a stack of groups, given its eigenvalues.
 
-    ``h`` is the stack of Hermitian images and (w, u) their ``eigh``, as
-    ``_hermitian_eigh`` returns them; each image is classified at its own
-    scale 1 + ||image||_F.  OUT at the first image ``classify`` puts OUT
-    (``violating_sample``), else UNDECIDED if some image is, else IN,
-    heuristic as it holds only for these samples.
+    ``h`` is a stack of Hermitian images whose last three axes are
+    (samples, N, N), any axes before them indexing the groups, and ``w``
+    their eigenvalues, as ``_hermitian_spectra`` returns them.  Each
+    image is classified at its own scale 1 + ||image||_F, and each
+    group, in C order, gets one verdict: OUT at the first image
+    ``classify`` puts OUT (``violating_sample``), else UNDECIDED if some
+    image is, else IN, heuristic as it holds only for these samples.
+    Only an OUT carries a vector: one batched ``eigh`` over the first OUT
+    image of every OUT group gives their ``MinEigCert``, bit for bit what
+    each image alone gives.  An IN or UNDECIDED group reports its least
+    value ``worst_min_eig``, read from ``w``.
     """
-    status = [classify(float(lo), 1.0 + s, tol) for lo, s in zip(w[:, 0], frobs(h))]
-    if Status.OUT in status:
-        idx = status.index(Status.OUT)
-        cert = MinEigCert(float(w[idx, 0]), u[idx, :, 0].copy())
-        return Verdict(Status.OUT, cert, info={"violating_sample": idx, "min_eig": cert.value})
-    verdict = Status.UNDECIDED if Status.UNDECIDED in status else Status.IN
-    return Verdict(verdict, heuristic=verdict is Status.IN, info={"worst_min_eig": float(w[:, 0].min())})
+    h, lows = h.reshape(-1, *h.shape[-3:]), w[..., 0].reshape(-1, w.shape[-2])
+    status = [
+        [classify(lo, 1.0 + s, tol) for lo, s in zip(lk, sk)]
+        for lk, sk in zip(lows.tolist(), frobs(h).tolist())
+    ]
+    first_out = {g: st.index(Status.OUT) for g, st in enumerate(status) if Status.OUT in st}
+    certs = {}
+    if first_out:
+        vals, vecs = np.linalg.eigh(h[list(first_out), list(first_out.values())])
+        certs = {g: MinEigCert(lo, v.copy()) for g, lo, v in zip(first_out, vals[:, 0].tolist(), vecs[:, :, 0])}
+    out = []
+    for g, st in enumerate(status):
+        if g in certs:
+            out.append(Verdict(Status.OUT, certs[g], info={"violating_sample": first_out[g], "min_eig": certs[g].value}))
+            continue
+        verdict = Status.UNDECIDED if Status.UNDECIDED in st else Status.IN
+        out.append(Verdict(verdict, heuristic=verdict is Status.IN, info={"worst_min_eig": float(lows[g].min())}))
+    return out
 
 
 def _sample_stack(samples: Sequence[MapRep], n: int, k: Optional[int] = None) -> np.ndarray:
@@ -378,7 +430,7 @@ def is_cp(phi: MapRep, tol: float = 1e-9) -> Verdict:
 
 def _cp_stack(c: np.ndarray, d: Dims, tol: float) -> list[Verdict]:
     """``is_cp`` on each gated Choi matrix of a (k, nm, nm) stack."""
-    return [Verdict(s, cert, info={"min_eig": cert.value}) for s, cert in _least_eigs(c, tol)]
+    return [Verdict(s, cert, info={"min_eig": cert.value}) for s, cert in _least_eigs(c, _scales(c), tol)]
 
 
 def is_cop(phi: MapRep, tol: float = 1e-9) -> Verdict:
@@ -388,7 +440,8 @@ def is_cop(phi: MapRep, tol: float = 1e-9) -> Verdict:
 
 def _cop_stack(c: np.ndarray, d: Dims, tol: float) -> list[Verdict]:
     """``is_cop`` on each gated Choi matrix of a (k, nm, nm) stack."""
-    return [Verdict(s, cert, info={"min_eig_pt": cert.value}) for s, cert in _least_eigs(partial_transpose(c, d), tol)]
+    pt = partial_transpose(c, d)
+    return [Verdict(s, cert, info={"min_eig_pt": cert.value}) for s, cert in _least_eigs(pt, _scales(pt), tol)]
 
 
 def in_P(phi: MapRep, tol: float = 1e-9) -> Verdict:
@@ -405,18 +458,36 @@ def in_F(x: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
 def _ppt_stack(x: np.ndarray, d: Dims, tol: float) -> list[Verdict]:
     """``in_F`` on each matrix of a (k, nm, nm) stack that has passed the gate.
 
-    The spectra of every x and PT(x) come from one batched ``eigh``.
+    The least eigenvalues of every x and PT(x) come from one batched
+    ``eigvalsh``, each classified at scale 1 + its own norm.  A pair that
+    both values put IN is IN, with those values as its ``PptSpectra``.
+    Every other pair's verdict carries a ``MinEigCert``, so all of them
+    go through one ``_least_eigs`` together, whose batched ``eigh`` gives
+    their statuses, certificates and ``info["spectra"]``: bit for bit
+    what a stack of only those pairs gives.  An NPT pair so costs one
+    ``eigvalsh`` more than an ``eigh`` alone would.
     """
-    both = _least_eigs(np.concatenate([x, partial_transpose(x, d)]), tol)
-    out = []
-    for (s1, c1), (s2, c2) in zip(both[: len(x)], both[len(x) :]):
-        spectra = PptSpectra(c1.value, c2.value)
-        if s1 is Status.IN and s2 is Status.IN:
-            out.append(Verdict(Status.IN, spectra))
-            continue
-        status = Status.OUT if Status.OUT in (s1, s2) else Status.UNDECIDED
-        out.append(Verdict(status, c1 if s1 is status else c2, info={"spectra": spectra}))
-    return out
+    k = len(x)
+    y = np.concatenate([x, partial_transpose(x, d)])
+    scales = _scales(y)
+    lows, status = _least_values(y, scales, tol)
+    rest = [j for j in range(k) if not (status[j] is Status.IN and status[k + j] is Status.IN)]
+    verdicts = {}
+    if rest:
+        idx = rest + [k + j for j in rest]
+        both = _least_eigs(y if len(rest) == k else y[idx], [scales[i] for i in idx], tol)
+        verdicts = dict(zip(rest, map(_ppt_verdict, both[: len(rest)], both[len(rest) :])))
+    return [verdicts[j] if j in verdicts else Verdict(Status.IN, PptSpectra(lows[j], lows[k + j])) for j in range(k)]
+
+
+def _ppt_verdict(on_x: tuple[Status, MinEigCert], on_pt: tuple[Status, MinEigCert]) -> Verdict:
+    """``in_F``'s verdict from the ``_least_eigs`` of x and of PT(x)."""
+    (s1, c1), (s2, c2) = on_x, on_pt
+    spectra = PptSpectra(c1.value, c2.value)
+    if s1 is Status.IN and s2 is Status.IN:
+        return Verdict(Status.IN, spectra)
+    status = Status.OUT if Status.OUT in (s1, s2) else Status.UNDECIDED
+    return Verdict(status, c1 if s1 is status else c2, info={"spectra": spectra})
 
 
 def _check_unit_trace(rho: np.ndarray) -> None:
@@ -633,9 +704,10 @@ def _dephased(rho: np.ndarray, d: Dims) -> _Dephasing:
     is one broadcast product of the same single multiplies ``np.kron``
     makes.
     """
-    u = np.linalg.eigh(hermitian_part(partial_trace(rho, d, 2)))[1]
-    v = np.linalg.eigh(hermitian_part(partial_trace(rho, d, 1)))[1]
     n, m = d
+    marginals = [hermitian_part(partial_trace(rho, d, 2)), hermitian_part(partial_trace(rho, d, 1))]
+    # marginals of one size are one stack through one eigh
+    u, v = np.linalg.eigh(np.array(marginals))[1] if n == m else (np.linalg.eigh(a)[1] for a in marginals)
     uv = (u[:, None, :, None] * v[None, :, None, :]).reshape(n * m, n * m)
     weights = (uv.conj() * (rho @ uv)).sum(axis=0).real
     keep = np.flatnonzero(weights > 0)
@@ -650,7 +722,9 @@ def _positive_map_detection(rho: np.ndarray, d: Dims, tol: float) -> Optional[tu
     applied to either factor of dimension 3, breaks positivity by a
     least eigenvalue that ``classify`` puts OUT; the second factor is
     tried first.  Both candidates exist only at 3 (x) 3, where they are
-    one stack through one ``apply_second`` and one batched ``eigh``.
+    one stack through one ``apply_second`` and one batched ``eigvalsh``;
+    ``eigh`` runs only on the first image put OUT, whose eigenvector
+    builds the witness.
     """
     n, m = d
     candidates = []
@@ -663,14 +737,16 @@ def _positive_map_detection(rho: np.ndarray, d: Dims, tol: float) -> Optional[tu
     dd = Dims(n if m == 3 else m, 3)
     lam = fixtures.nondecomposable_map()
     images = hermitian_part(apply_second(lam, np.array([mat for mat, _ in candidates]), dd))
-    for (status, cert), (_, swapped) in zip(_least_eigs(images, tol), candidates):
-        if status is Status.OUT:
-            v = cert.vector[:, None]
-            wit = hermitian_part(apply_second(adjoint(lam), v @ v.conj().T, dd))
-            if swapped:
-                wit = _swap_factors(wit, dd)
-            return wit, cert.value
-    return None
+    status = _least_values(images, _scales(images), tol)[1]
+    if Status.OUT not in status:
+        return None
+    idx = status.index(Status.OUT)
+    w, u = np.linalg.eigh(images[idx])
+    v = u[:, 0].copy()[:, None]
+    wit = hermitian_part(apply_second(adjoint(lam), v @ v.conj().T, dd))
+    if candidates[idx][1]:
+        wit = _swap_factors(wit, dd)
+    return wit, float(w[0])
 
 
 def is_separable(rho: np.ndarray, d: Dims, tol: float = 1e-9) -> Verdict:
@@ -901,9 +977,10 @@ def pm_k_membership(
     raises ValueError for no samples or a sample that breaks this rule or
     fails ``_sample_stack``'s Hermiticity gate.  All samples are applied
     in one ``apply_second`` on their Choi stack and classified from one
-    batched ``eigh``.  OUT names the first violating sample's index and
-    is exact; IN is only relative to the samples and flagged heuristic.
+    batched ``eigvalsh``; only an OUT runs ``eigh``, on the violating
+    image alone.  OUT names the first violating sample's index and is
+    exact; IN is only relative to the samples and flagged heuristic.
     """
     x, d = _operator(x, d, tol)
     chois = _sample_stack(k_samples, d.m)
-    return _sampled_least_eig(*_hermitian_eigh(apply_second(chois, x, d)), tol)
+    return _sampled_least_eigs(*_hermitian_spectra(apply_second(chois, x, d)), tol)[0]

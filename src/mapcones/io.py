@@ -50,6 +50,8 @@ def dumps_matrix(n: int, m: int, matrix: np.ndarray) -> str:
     if bad.size:
         raise MapFileError(f"entry {bad[0]} is not finite")
     body = ",\n    ".join(f"[{v.real:.17g}, {v.imag:.17g}]" for v in matrix.ravel())
+    # .17g writes a negative zero as -0, which JSON reads as the integer 0
+    body = body.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")
     return f'{{\n  "n": {int(n)},\n  "m": {int(m)},\n  "choi": [\n    {body}\n  ]\n}}\n'
 
 

@@ -343,8 +343,8 @@ def solve(x: np.ndarray, d: Dims, tol: float, optimum: bool = False) -> Bracket:
     scale = 1.0 + norm
     eye = np.eye(nm)
     pt_x = partial_transpose(x, d)
-    lo_x = float(np.linalg.eigvalsh(x)[0])
-    lo_pt = float(np.linalg.eigvalsh(pt_x)[0])
+    # both spectra from one batched eigvalsh, each bit for bit its own call's
+    lo_x, lo_pt = np.linalg.eigvalsh(np.array([x, pt_x]))[:, 0].tolist()
     w = eye / nm
     upper = float(np.trace(x).real) / nm
     if classify(max(lo_x, lo_pt) * root, scale, tol) is Status.IN:

@@ -19,10 +19,12 @@ their own checks: every trial's inputs are drawn first, each stack
 passes one Hermiticity gate, and each check is one ``apply_second`` and
 one batched eigensolver call over the (trials x probes or pool) stack,
 whose verdicts come from the stacked cores of the oracles the suite
-cross-checks (``in_F``, ``pm_k_membership``'s ``_sampled_least_eig``
-and the spectral oracles).  L4 draws its maps and probes first as well,
-and forms the action route of every map of a run of trials with one
-batched product.  Checks are still recorded trial by trial, in their
+cross-checks (``in_F``, ``pm_k_membership``'s ``_sampled_least_eigs``
+and the spectral oracles).  The cores of ``in_F`` and of sampled
+membership classify from eigenvalues alone and run ``eigh`` only on the
+matrices whose verdict carries a ``MinEigCert``.  L4 draws its maps and
+probes first as well, and forms the action route of every map of a run
+of trials with one batched product.  Checks are still recorded trial by trial, in their
 old order.  Every ``e``-cone decision is the
 status of one ``in_E`` call, whose OUT certificate is the PPT witness the
 suite builds its probes from; T1's p cone adds that witness, as a p-cone
@@ -73,10 +75,10 @@ from .cones import (
     _check_tol,
     _cop_stack,
     _cp_stack,
-    _hermitian_eigh,
+    _hermitian_spectra,
     _ppt_stack,
     _sample_stack,
-    _sampled_least_eig,
+    _sampled_least_eigs,
     _separable,
     _UnknownName,
     classify,
@@ -164,7 +166,8 @@ def _ksharp_stack(beta_choi: np.ndarray, pool: np.ndarray, n: int, tol: float) -
     stacked adjoints.
     """
     k = pool.shape[-1] // n
-    return _sampled_least_eig(*_hermitian_eigh(apply_second(beta_choi, adjoint_choi(pool, Dims(n, k)), Dims(k, n))), tol)
+    images = apply_second(beta_choi, adjoint_choi(pool, Dims(n, k)), Dims(k, n))
+    return _sampled_least_eigs(*_hermitian_spectra(images), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +675,11 @@ def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     Every trial's operator sample (the first draw of its substream, one
     stack per family) and pool (one stack per cone) are drawn first.  For
     a run of trials, t . alpha . t on x and alpha on t(x)t over each
-    trial's pool are one ``apply_second``, and one batched ``eigh`` of
-    their Hermitian parts gives both the spectral-transport gaps and the
-    two membership verdicts, which ``_sampled_least_eig`` reads from
-    slices of it.
+    trial's pool are one ``apply_second``, and one batched ``eigvalsh``
+    of their Hermitian parts gives both the spectral-transport gaps and
+    the two membership verdicts of every trial, which one
+    ``_sampled_least_eigs`` call reads as two groups per trial; its one
+    ``eigh`` runs on the first OUT image of each OUT group.
     """
     idtol = 1e-11
     sq = Dims(d.m, d.m)
@@ -689,13 +693,14 @@ def _suite_L5(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     x = _operator_samples(d, [substream(seed, 0x105, trial) for trial in range(trials)], range(trials))
     xs = np.stack([x, both_transpose(x, d)], axis=1)[:, :, None]
     for run in _runs(trials, 2 * chois.shape[1] * d.total**2):
-        h, w, u = _hermitian_eigh(apply_second(alphas[run], xs[run], d))
-        for trial, hk, wk, uk in zip(range(trials)[run], h, w, u):
+        h, w = _hermitian_spectra(apply_second(alphas[run], xs[run], d))
+        # (t . alpha . t)(x) >= 0 and alpha(t(x)t) >= 0 over the pool, from the same spectra:
+        # rows 0 and 1 of each trial are its two groups
+        verdicts = _sampled_least_eigs(h, w, tol)
+        for trial, wk, va, vb in zip(range(trials)[run], w, verdicts[::2], verdicts[1::2]):
             scale = 1.0 + frob(x[trial])
             for idx, gap in enumerate(np.abs(wk[0, :, 0] - wk[1, :, 0])):
                 report.check(trial, f"{cones[trial].value} sample {idx} spectral transport", gap, gap > idtol * scale)
-            # (t . alpha . t)(x) >= 0 and alpha(t(x)t) >= 0 over the pool, from the same spectra
-            va, vb = (_sampled_least_eig(hk[j], wk[j], uk[j], tol) for j in (0, 1))
             margin = min(abs(v.info.get("worst_min_eig", v.info.get("min_eig", 0.0))) for v in (va, vb))
             failed = None if Status.UNDECIDED in (va.status, vb.status) else va.status != vb.status
             report.check(trial, "membership verdicts disagree", margin, failed)
@@ -770,8 +775,9 @@ def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     Every trial's operator sample (the first draw of its substream, one
     stack per family) passes one gate.  ``in_F``'s verdicts come from
     its stacked core, and the two ``pm_k_membership`` verdicts, against
-    the identity and against the transpose, from slices of one batched
-    ``eigh`` over the images of a run of trials.
+    the identity and against the transpose, from one batched ``eigvalsh``
+    over the images of a run of trials and one ``_sampled_least_eigs``
+    call on them, two groups per trial.
     """
     x = _operator_samples(d, [substream(seed, 0x10F, trial) for trial in range(trials)], range(trials))
     xs = check_hermitian(x, tol)
@@ -779,9 +785,8 @@ def _suite_L15(report: TheoremReport, d: Dims, trials: int, seed: int, tol: floa
     # the d cone's canonical elements: the Choi matrices of the identity and the transpose
     detectors = _canonical_chois(ConeId.MAP_D, d)[:, None]
     for run in _runs(trials, 2 * d.total**2):
-        h, w, u = _hermitian_eigh(apply_second(detectors, xs[run, None, None], d))
-        for trial, hk, wk, uk in zip(range(trials)[run], h, w, u):
-            va, vb = (_sampled_least_eig(hk[j], wk[j], uk[j], tol) for j in (0, 1))
+        verdicts = _sampled_least_eigs(*_hermitian_spectra(apply_second(detectors, xs[run, None, None], d)), tol)
+        for trial, va, vb in zip(range(trials)[run], verdicts[::2], verdicts[1::2]):
             joint_in = va.status is Status.IN and vb.status is Status.IN
             undecided = Status.UNDECIDED in (v[trial].status, va.status, vb.status)
             failed = None if undecided else (v[trial].status is Status.IN) != joint_in
@@ -882,7 +887,9 @@ def _suite_T6(report: TheoremReport, d: Dims, trials: int, seed: int, tol: float
     trials' members are composed in one ``apply_second``, and every
     member, dual sample and escape map passes one gate per stack.  The
     escape maps are decided by each spectral oracle's stacked core, one
-    batched ``eigh`` per escape cone.  The pairings run trial by trial.
+    batched ``eigh`` per escape cone (for p, one ``eigvalsh`` and one
+    ``eigh`` over the maps it does not put IN).  The pairings run trial
+    by trial.
     """
     sq = Dims(d.m, d.m)
     cp_pool = _generator_pool_chois(ConeId.MAP_CP, d, 6, [seed + 3])[0]

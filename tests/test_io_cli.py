@@ -30,6 +30,20 @@ class TestMatrixFiles:
         assert d == Dims(2, 3)
         assert np.array_equal(back, mat)
 
+    def test_signed_zeros_round_trip(self):
+        # every sign of zero in both parts, and entries that are not zero
+        zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        others = [complex(-1.0, -0.5), complex(2.5, -3.0), complex(-0.25, 1e-300), complex(-1e-7, 4.0)]
+        mat = np.array(zeros + others + zeros[::-1] + others[::-1]).reshape(4, 4)
+        text = dumps_matrix(2, 2, mat)
+        back = loads_matrix(text)[1]
+        assert np.array_equal(back, mat)
+        assert np.array_equal(np.signbit(back.view(np.float64)), np.signbit(mat.view(np.float64)))
+        # a nonzero entry keeps the bytes of its .17g form
+        for v in mat.ravel():
+            if v.real != 0.0 and v.imag != 0.0:
+                assert f"[{v.real:.17g}, {v.imag:.17g}]" in text
+
     def test_written_twice_identical(self, tmp_path):
         mat = identity_map(2).choi
         a = dumps_matrix(2, 2, mat)

@@ -212,14 +212,16 @@ class TestSepWorkCounts:
     dephasing and the ball, so it runs every step of ``is_separable``.
     Before the residual came first, each such call built 2nm = 18
     ``np.outer`` terms and one ``SeparableDecomposition`` that it dropped,
-    and its detection made 2 ``eigh`` calls instead of 1.  Before the
-    start vectors were cached, every ``is_block_positive`` call built its
-    own ``np.random.default_rng``.
+    and its detection made 2 ``eigh`` calls instead of 1.  Before the PPT
+    test and the detection read their IN values from ``eigvalsh``, such a
+    call made 4 ``eigh`` calls: the PPT test 1, the two marginals 2 and
+    the detection 1.  Before the start vectors were cached, every
+    ``is_block_positive`` call built its own ``np.random.default_rng``.
     """
 
     def test_undecided_mixture_builds_no_terms(self, monkeypatch):
         inst = _sep_instances("mixture/3x3", rounds=1)[0]
-        counts = dict.fromkeys(("outer", "decomposition", "eigh", "detection_eigh"), 0)
+        counts = dict.fromkeys(("outer", "decomposition", "eigh", "eigvalsh", "detection_eigh"), 0)
         spy = _spy(counts)
 
         def detection(*args):
@@ -230,12 +232,13 @@ class TestSepWorkCounts:
 
         monkeypatch.setattr(np, "outer", spy("outer", np.outer))
         monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(cones_mod, "SeparableDecomposition", spy("decomposition", SeparableDecomposition))
         monkeypatch.setattr(cones_mod, "_positive_map_detection", detection)
         v = is_separable(inst.x, Dims(3, 3))
         assert v.status is Status.UNDECIDED and v.info == {"ppt": "passed"}
-        # eigh: the PPT test 1, the two marginals 2, the detection 1
-        assert counts == {"outer": 0, "decomposition": 0, "eigh": 4, "detection_eigh": 1}
+        # eigh: the two marginals as one stack; eigvalsh: the PPT test 1, the detection 1
+        assert counts == {"outer": 0, "decomposition": 0, "eigh": 1, "eigvalsh": 2, "detection_eigh": 0}
 
     def test_dephased_in_builds_its_terms_once(self, monkeypatch):
         counts = dict.fromkeys(("outer", "decomposition"), 0)

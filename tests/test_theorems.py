@@ -428,20 +428,20 @@ class TestStackedSuiteCounts:
     COUNTS = {
         # suite[/dims, 3x3 when omitted]: (einsum, apply_second, functional, eigvalsh, eigh)
         "L4": (30, 0, 0, 2, 0),
-        "L5": (0, 1, 0, 4, 1),
+        "L5": (0, 1, 0, 5, 1),
         "L8": (11, 1, 0, 2, 1),
         "L10": (12, 1, 10, 0, 0),
-        "L15": (0, 1, 0, 2, 2),
-        "L16": (20, 10, 0, 87, 10),
-        "L17": (0, 2, 0, 4, 1),
+        "L15": (0, 1, 0, 4, 2),
+        "L16": (20, 10, 0, 72, 5),
+        "L17": (0, 2, 0, 5, 1),
         "T6": (22, 1, 0, 4, 2),
-        "T1": (104, 15, 0, 78, 9),
-        "T12": (4, 10, 0, 37, 11),
+        "T1": (104, 15, 0, 58, 9),
+        "T12": (4, 10, 0, 43, 4),
         "T13": (21, 0, 0, 2, 0),
-        "T18": (8, 14, 0, 50, 6),
+        "T18": (8, 14, 0, 46, 4),
         "C2": (20, 7, 0, 0, 1),
-        "C2/2x3": (20, 5, 0, 1, 9),
-        "C19": (29, 3, 0, 121, 7),
+        "C2/2x3": (20, 5, 0, 9, 4),
+        "C19": (29, 3, 0, 91, 7),
     }
 
     @pytest.mark.parametrize("tid", sorted(COUNTS))
