@@ -24,8 +24,7 @@ and the spectral oracles).  The cores of ``in_F`` and of sampled
 membership classify from eigenvalues alone and run ``eigh`` only on the
 matrices whose verdict carries a ``MinEigCert``.  L4 draws its maps and
 probes first as well, and forms the action route of every map of a run
-of trials with one batched product.  Checks are still recorded trial by trial, in their
-old order.  Every ``e``-cone decision is the
+of trials with one batched product.  Every ``e``-cone decision is the
 status of one ``in_E`` call, whose OUT certificate is the PPT witness the
 suite builds its probes from; T1's p cone adds that witness, as a p-cone
 map, to the map's own samples, and T12 and T18 add it itself to the
@@ -245,16 +244,6 @@ def _partner_test(cone: ConeId, c: np.ndarray, d: Dims, tol: float) -> tuple[np.
     return margins, [classify(float(m), 1.0 + frob(ck), tol) for m, ck in zip(margins, c)], [None] * len(c)
 
 
-def _least(values) -> float:
-    """Smallest entry of an array; +inf when it is empty."""
-    return float(np.min(values, initial=np.inf))
-
-
-def _pairings(c: np.ndarray, chois: np.ndarray) -> np.ndarray:
-    """``pairing`` of a Hermitian Choi matrix c with each of a stack of Choi matrices."""
-    return trace_pairing(c, hermitian_part(chois)).real
-
-
 #: Entries (complex128) of the largest stack of images, (maps x pool) in
 #: ``_theorem1_stack`` and (trials x probes or pool) in a suite, that is
 #: built at once, 1 MiB; longer runs go in chunks.
@@ -303,42 +292,39 @@ def theorem1_conditions(
     return _theorem1_stack(phi.choi[None], phi.hermitian_choi(tol)[None], d, cone, pool, tol)[0]
 
 
-def _transforms(pool: np.ndarray, sq: Dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The adjoints alpha*, the dual-side generators t . alpha* . t and their adjoints of a stack of Choi matrices on M_m.
-
-    The adjoints t . alpha . t are the transpose conjugates alpha^t.
-    """
-    pool_adj = adjoint_choi(pool, sq)
-    kd = both_transpose(pool_adj, sq)
-    return pool_adj, kd, adjoint_choi(kd, sq)
-
-
 def _sample_margins(
-    c: np.ndarray, density: np.ndarray, transforms: tuple, d: Dims
+    c: np.ndarray, density: np.ndarray, samples: np.ndarray, d: Dims
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i), (iii) and (iv) for each of a (maps, nm, nm) stack of gated Choi matrices, against one group of samples.
+    """(i), (iii) and (iv) for each of a (maps, nm, nm) stack of gated Choi matrices, against its samples.
 
-    ``density`` holds the maps' functional densities (t (x) t)(raw), and
-    ``transforms`` the samples' ``_transforms``, which broadcast against
-    the maps' (maps, samples) stack.  The images (id (x) alpha^t)(C) go
-    through one batched ``eigh``; see ``_theorem1_stack``.
+    ``samples`` holds Choi matrices of cone elements alpha on M_m, as a
+    (samples,) or (maps, samples) stack, and ``density`` the maps'
+    functional densities (t (x) t)(raw).  Since (i)_alpha = (iii)_alpha =
+    lambda_min(Y_alpha) (see ``_theorem1_stack``), one ``eigvalsh`` over
+    the (maps x samples) stack of Y gives (iv) and each map's worst
+    sample, one ``eigh`` over the maps' worst images gives psi, and (i)
+    and (iii) are paired at that sample only.  No samples give infinite
+    margins.
     """
-    pool_adj, kd, kd_adj = transforms
-    lows, vecs = np.linalg.eigh(hermitian_part(apply_second(kd_adj, c[:, None], d)))
-    v = vecs[..., :1]
+    if samples.shape[-3] == 0:
+        return np.full((3, len(c)), np.inf)
+    sq = Dims(d.m, d.m)
+    y = hermitian_part(apply_second(both_transpose(samples, sq), c[:, None], d))
+    lows = np.linalg.eigvalsh(y)[..., 0]
+    maps = np.arange(len(c))
+    worst = np.argmin(lows, axis=-1)
+    v = np.linalg.eigh(y[maps, worst])[1][..., :1]
     psi = v @ v.conj().swapaxes(-1, -2)
+    alpha_adj = adjoint_choi(np.broadcast_to(samples, lows.shape + samples.shape[-2:])[maps, worst], sq)
 
-    # (i) pairing against generators alpha . psi of the primal cone, per
-    # alpha at the adversarial psi: the bottom of (id (x) alpha^t)(C)
-    m1 = [_least(_pairings(ck, yk)) for ck, yk in zip(c, apply_second(kd, psi, d))]
-
+    # (i) pairing against the primal cone's generator (t . alpha* . t) . psi
+    m1 = [trace_pairing(ck, zk).real for ck, zk in zip(c, apply_second(both_transpose(alpha_adj, sq), psi, d))]
     # (iii) positivity of the induced functional, whose density is
-    # C_{t.phi.t}, per alpha at the adversarial rank-one probe conj(psi)
-    probes = apply_second(pool_adj, psi.conj(), d)
-    m3 = [_least(trace_pairing(fk, pk).real) for fk, pk in zip(density, probes)]
-
+    # C_{t.phi.t}, at the rank-one probe alpha*(conj(psi))
+    probes = apply_second(alpha_adj, psi.conj(), d)
+    m3 = [trace_pairing(fk, pk).real for fk, pk in zip(density, probes)]
     # (iv) complete positivity of the compositions alpha^t . phi
-    return np.array(m1), np.array(m3), np.min(lows[..., 0], axis=-1, initial=np.inf)
+    return np.array(m1), np.array(m3), lows[maps, worst]
 
 
 def _theorem1_stack(
@@ -349,59 +335,54 @@ def _theorem1_stack(
     The pool is a (samples, m^2, m^2) stack of Choi matrices of
     Hermiticity-preserving cone elements on M_m: a library draw, or a
     sample list that passed ``_sample_stack``'s gate.  ``chois`` is the
-    caller's gate of ``raw``, and the pool's transforms are built once.
-    The images Y = (id (x) alpha^t)(C) of every map under every sample
-    are formed once, by one ``apply_second`` over the (maps x pool)
-    stack, and their Hermitian parts go through one batched ``eigh``;
-    every condition reads from that one spectrum:
+    caller's gate of ``raw``.  For each sample alpha the image
+    Y_alpha = (id (x) alpha^t)(C) carries every condition read from the
+    samples, as (i)_alpha = (iii)_alpha = (iv)_alpha = lambda_min(Y_alpha):
 
-    - (i) pairs C with t . alpha* . t applied to the bottom projector
-      psi of Y;
+    - (i) pairs C with t . alpha* . t, the adjoint of alpha^t, applied
+      to the bottom projector psi of Y;
     - (ii) is ``_partner_test`` on C for the cp, cop, p and d cones (an
-      UNDECIDED ``in_E`` verdict marks the map as boundary), and Y's
-      least eigenvalue for a cone without a partner (pos, s);
+      UNDECIDED ``in_E`` verdict marks the map as boundary), and (iv)
+      for a cone without a partner (pos, s);
     - (iii) evaluates the induced functional, whose density is the full
-      transpose of C, at conj(psi): (id (x) alpha)((t (x) t) C) is the
-      full transpose of Y, so conj(psi) is its bottom projector;
-    - (iv) is Y's least eigenvalue too: the Choi matrix of alpha^t . phi
-      is (id (x) alpha^t)(raw), and for a Hermiticity-preserving alpha
-      its Hermitian part is Y up to rounding.
+      transpose of C, at alpha*(conj(psi)): (id (x) alpha)((t (x) t) C)
+      is the full transpose of Y, so conj(psi) is its bottom projector;
+    - (iv) is the least eigenvalue of Y: the Choi matrix of
+      alpha^t . phi is (id (x) alpha^t)(raw), and for a
+      Hermiticity-preserving alpha its Hermitian part is Y up to
+      rounding.
+
+    So ``_sample_margins`` makes one ``eigvalsh`` over the (maps x pool)
+    stack of Y, which gives (iv) and each map's worst sample, and one
+    ``eigh`` over the maps' worst images.  (i) and (iii) are paired at
+    the worst sample only, map by map, so every margin is bit for bit
+    the one a stack of one gives.
 
     An OUT map of the p cone gets one more sample of its own: the partner
-    test's PPT witness w as the p-cone map t . (map of w^T)* . t (see
-    ``_witness_choi``), at whose image (i), (iii) and (iv) are negative.
-    These samples form a (maps, 1) stack next to the shared (maps x pool)
-    one, read the same way.  The p cone's samples serve as Choi matrices
-    of maps M_n -> M_m, so it needs n = m.
-
-    So a run makes three ``apply_second`` calls and one eigensolve, and a
-    p-cone run with OUT maps three more and one more on the witness
-    stack.  Maps are taken in chunks of at most
-    ``_STACK_ENTRIES`` stack entries, so memory does not grow with the
-    number of maps.  Conditions (i) and (iii) probe each sample only at
-    its adversarial point, the bottom eigenvector, which minimizes the
-    pairing over every probe of that sample; their pairings run map by
-    map, as the single-map evaluation does, so every margin is bit for
-    bit the one a stack of one gives.
+    test's PPT witness w as the p-cone map t . (map of w^T)* . t, whose
+    Choi matrix on M_m is the adjoint of (t (x) t)(w), and at whose image
+    (i), (iii) and (iv) are negative.  These samples form a (maps, 1)
+    stack next to the shared (maps x pool) one, read the same way.  The
+    p cone's samples serve as Choi matrices of maps M_n -> M_m, so it
+    needs n = m.  Maps are taken in chunks of at most ``_STACK_ENTRIES``
+    stack entries, so memory does not grow with the number of maps.
     """
     if cone is ConeId.MAP_P and d.n != d.m:
         raise ValueError("the p-cone instance needs square dimensions")
-    sq = Dims(d.m, d.m)
-    shared = _transforms(pool, sq)
     out = []
     for run in _runs(len(raw), max(len(pool), 1) * d.total**2):
         c, r = chois[run], raw[run]
 
         density = both_transpose(r, d)
-        m1, m3, m4 = _sample_margins(c, density, shared, d)
+        m1, m3, m4 = _sample_margins(c, density, pool, d)
         # (ii) membership of the Choi matrix in the partner operator cone;
         # for a cone without one, sampled membership through the transposed samples
         m2, s2, witnesses = _partner_test(cone, c, d, tol) if cone in _PARTNER else (m4, None, ())
         # an OUT map's witness joins that map's samples
         outs = [k for k, w in enumerate(witnesses) if w is not None]
         if outs:
-            w = np.array([both_transpose(_witness_choi(witnesses[k], d), d) for k in outs])
-            at_w = _sample_margins(c[outs], density[outs], _transforms(w[:, None], sq), d)
+            w = adjoint_choi(both_transpose(np.array([witnesses[k] for k in outs]), d), d)
+            at_w = _sample_margins(c[outs], density[outs], w[:, None], d)
             for m, g in zip((m1, m3, m4), at_w):
                 m[outs] = np.minimum(m[outs], g)
 

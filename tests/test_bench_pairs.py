@@ -20,6 +20,18 @@ def test_parse_seeds():
     assert bench_pairs.parse_seeds("1001-1003,") == [1001, 1002, 1003]
 
 
+@pytest.mark.parametrize("seeds,message", [("5-3", "descending seed range '5-3'"), (",", "empty list ','")])
+def test_seeds_without_a_run_are_an_argument_error(tmp_path, monkeypatch, capsys, seeds, message):
+    # these once reached args.seeds[0] and died with an IndexError
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("no side may run"))
+    argv = _checkouts(tmp_path, ["sep"])
+    argv[argv.index("--seeds") + 1] = seeds
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--workload", "sep"] + argv)
+    assert exc.value.code == 2
+    assert f"argument --seeds: {message}" in capsys.readouterr().err
+
+
 def test_quartiles_of_one_value():
     assert bench_pairs.quartiles([2.5]) == (2.5, 2.5)
 

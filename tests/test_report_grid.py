@@ -17,8 +17,26 @@ def test_parse_lists_seeds_and_dims():
     assert report_grid.parse_list("C2,T1,") == ["C2", "T1"]
     assert report_grid.parse_seeds("1-3,7") == [1, 2, 3, 7]
     assert report_grid.parse_dims("2x2,2x3") == [(2, 2), (2, 3)]
-    with pytest.raises(argparse.ArgumentTypeError):
-        report_grid.parse_dims("3")
+    # "3" is not NxM; a list with no part, or a descending range, names no run
+    for parse, text in (("parse_dims", "3"), ("parse_seeds", "1-3,9-8"), ("parse_seeds", ","), ("parse_list", ",,"),
+                        ("parse_dims", "")):
+        with pytest.raises(argparse.ArgumentTypeError):
+            getattr(report_grid, parse)(text)
+
+
+@pytest.mark.parametrize("option,value,message", [("--seeds", "5-3", "descending seed range '5-3'"),
+                                                  ("--suites", "", "empty list ''"),
+                                                  ("--dims", ",", "empty list ','"),
+                                                  ("--tols", "", "empty list ''")])
+def test_main_rejects_a_grid_without_runs(tmp_path, monkeypatch, capsys, option, value, message):
+    # a grid with no runs would compare nothing and report "0 of 0 runs differ"
+    monkeypatch.setattr(report_grid, "run_side", lambda checkout, argvs: pytest.fail("no side may run"))
+    args = {"--parent": str(tmp_path / "parent"), "--change": str(tmp_path / "change"), "--suites": "C2",
+            "--dims": "2x2", "--seeds": "1-2", "--tols": "1e-9", "--trials": "4", option: value}
+    with pytest.raises(SystemExit) as exc:
+        report_grid.main([f"{key}={val}" for key, val in args.items()])
+    assert exc.value.code == 2
+    assert f"argument {option}: {message}" in capsys.readouterr().err
 
 
 def test_grid_nests_suites_dims_seeds_and_tols():

@@ -21,9 +21,13 @@ the suites call on all their trials at once.  The last tests require the
 stacked core to give every map bit for bit what its stack of one gives,
 also when the stack is cut into chunks.
 
-The stacked core reads every condition from the spectrum of one image
-stack.  The tests after those pin the identities this rests on and keep
-the routes it replaced, one image stack per condition, as references.
+The stacked core reads every sampled condition from one image stack
+Y = (id (x) alpha^t)(C): one ``eigvalsh`` over it gives (iv) and each
+map's worst sample, and one ``eigh`` over the maps' worst images gives
+the projector at which (i) and (iii) are paired.  The tests after those
+pin the identities this rests on, (i) = (iii) = (iv) map by map, and
+keep the routes it replaced, one image stack per condition, as
+references.
 """
 
 import numpy as np
@@ -61,6 +65,7 @@ from mapcones.theorems import (
     Theorem1Conditions,
     _min_eigs,
     _theorem1_stack,
+    _witness_choi,
     theorem1_conditions,
 )
 
@@ -410,3 +415,64 @@ def test_long_runs_stay_within_the_stack_budget(monkeypatch, capsys):
     # the pool has 10 maps on M_3, so one trial's stack holds 10 * 81 entries
     assert max(sizes) <= theorems_mod._STACK_ENTRIES
     assert max(sizes) > 10 * 81
+
+
+def _suite_pool_stack(pool_id, d, seed=3):
+    """T1's 40 trial maps at ``seed`` and the suite pool ``pool_id`` at ``d``."""
+    cone, size, offset = SUITE_POOLS[pool_id]
+    pool = _generator_pool_chois(cone, d, size, [seed + offset])[0]
+    raw = theorems_mod._random_map_chois(d, [substream(seed, 0x201, trial) for trial in range(40)], range(40))
+    return raw, cone, pool
+
+
+@pytest.mark.parametrize("d", (Dims(3, 3), Dims(2, 3)), ids=lambda d: f"{d.n}x{d.m}")
+@pytest.mark.parametrize("pool_id", sorted(SUITE_POOLS))
+def test_eigenvectors_are_taken_once_per_map(pool_id, d, monkeypatch):
+    raw, cone, pool = _suite_pool_stack(pool_id, d)
+    shapes = []
+    original = np.linalg.eigh
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    _theorem1_stack(raw, check_hermitian(raw), d, cone, pool, 1e-9)
+    # the 40 maps fit one run; only each map's worst image is decomposed
+    assert shapes == [(len(raw), d.total, d.total)]
+
+
+@pytest.mark.parametrize("d", (Dims(2, 3), Dims(3, 3), Dims(4, 4)), ids=lambda d: f"{d.n}x{d.m}")
+@pytest.mark.parametrize("pool_id", sorted(SUITE_POOLS))
+def test_pairings_equal_the_least_eigenvalue(pool_id, d):
+    # (i)_alpha = (iii)_alpha = lambda_min(Y_alpha) at every sample, so at the worst one too
+    raw, cone, pool = _suite_pool_stack(pool_id, d)
+    c = check_hermitian(raw)
+    for ck, conds in zip(c, _theorem1_stack(raw, c, d, cone, pool, 1e-9)):
+        bound = 1e-13 * (1.0 + frob(ck))
+        assert abs(conds.margins["i"] - conds.margins["iv"]) <= bound, conds.margins
+        assert abs(conds.margins["iii"] - conds.margins["iv"]) <= bound, conds.margins
+
+
+@pytest.mark.parametrize("d", (Dims(2, 2), Dims(3, 3)), ids=lambda d: f"{d.n}x{d.m}")
+def test_witness_sample_is_the_folded_witness_choi(d, monkeypatch):
+    witnesses, samples = [], []
+    partner, margins = theorems_mod._partner_test, theorems_mod._sample_margins
+
+    def partner_spy(*args):
+        out = partner(*args)
+        witnesses.extend(w for w in out[2] if w is not None)
+        return out
+
+    def margins_spy(c, density, s, d):
+        samples.append(s)
+        return margins(c, density, s, d)
+
+    monkeypatch.setattr(theorems_mod, "_partner_test", partner_spy)
+    monkeypatch.setattr(theorems_mod, "_sample_margins", margins_spy)
+    _stack([_phi(d, seed) for seed in range(10)], ConeId.MAP_P, cone_generator_pool(ConeId.MAP_P, d, 8, 5))
+    # the shared pool, then the OUT maps' witnesses as a (maps, 1) stack
+    assert len(samples) == 2 and witnesses
+    assert samples[1].shape == (len(witnesses), 1, d.m**2, d.m**2)
+    for w, sample in zip(witnesses, samples[1][:, 0]):
+        assert np.array_equal(sample, both_transpose(_witness_choi(w, d), d))

@@ -435,12 +435,12 @@ class TestStackedSuiteCounts:
         "L16": (20, 10, 0, 72, 5),
         "L17": (0, 2, 0, 5, 1),
         "T6": (22, 1, 0, 4, 2),
-        "T1": (104, 15, 0, 58, 9),
+        "T1": (104, 15, 0, 63, 9),
         "T12": (4, 10, 0, 43, 4),
         "T13": (21, 0, 0, 2, 0),
         "T18": (8, 14, 0, 46, 4),
-        "C2": (20, 7, 0, 0, 1),
-        "C2/2x3": (20, 5, 0, 9, 4),
+        "C2": (20, 7, 0, 1, 1),
+        "C2/2x3": (20, 5, 0, 10, 4),
         "C19": (29, 3, 0, 91, 7),
     }
 

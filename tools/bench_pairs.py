@@ -58,7 +58,8 @@ def _load(name: str):
 
 
 work_counts = _load("work_counts")
-#: '1001-1010' or '1,2,5' (or a mix) as a list of seeds; empty parts are skipped
+#: '1001-1010' or '1,2,5' (or a mix) as a list of seeds; empty parts are skipped, and an
+#: empty list or a descending range such as '5-3' is an error
 parse_seeds = _load("report_grid").parse_seeds
 
 

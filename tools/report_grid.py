@@ -53,16 +53,22 @@ json.dump(results, sys.stdout)
 
 
 def parse_list(text: str) -> list[str]:
-    """'C2,T1' as ['C2', 'T1']."""
-    return [part for part in text.split(",") if part]
+    """'C2,T1' as ['C2', 'T1']; empty parts are skipped, and a list with none left is an error."""
+    parts = [part for part in text.split(",") if part]
+    if not parts:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return parts
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-3' or '1,2,5' (or a mix) as a list of seeds."""
+    """'1-3' or '1,2,5' (or a mix) as a list of seeds; a descending range such as '5-3' is an error."""
     seeds = []
     for part in parse_list(text):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"descending seed range {part!r}")
+        seeds += range(lo, hi + 1)
     return seeds
 
 
